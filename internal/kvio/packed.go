@@ -62,9 +62,22 @@ type PackedRecords struct {
 	Arena []byte
 }
 
+// Reserve grows the batch's capacity to at least records entries and
+// arena payload bytes in total, keeping its contents. A caller that knows
+// its budget (the spill buffer) sizes a batch once with Reserve, so that
+// Append on the record path never regrows the slices by doubling.
+func (p *PackedRecords) Reserve(records, arena int) {
+	if records > cap(p.Meta) {
+		p.Meta = append(make([]Meta, 0, records), p.Meta...)
+	}
+	if arena > cap(p.Arena) {
+		p.Arena = append(make([]byte, 0, arena), p.Arena...)
+	}
+}
+
 // Append packs one record onto the batch. The key and value bytes are
 // copied into the arena, so the caller keeps ownership of its slices.
-// Arena and Meta grow amortized to the batch's high-water mark and are
+// Beyond the reserved capacity Arena and Meta grow amortized; both are
 // recycled across spills by Reset.
 //
 //mrlint:hotpath

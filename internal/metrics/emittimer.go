@@ -33,15 +33,12 @@ import "time"
 //
 // An EmitTimer is not safe for concurrent use; the map goroutine owns it.
 type EmitTimer struct {
-	tm     *TaskMetrics
-	warmup int64
-	period int64
+	tm *TaskMetrics
+	s  Sampler
 
-	n          int64 // records seen
-	lastEmit   int64 // index of the last emit-timed record
 	lastUser   int64 // index of the last user-gap-timed record
 	postSample bool  // the next record measures one user gap
-	timed      bool  // the current record's emit span is being measured
+	weight     int64 // records the open emit measurement stands for; 0 when none is open
 
 	mark        time.Time // end of the runtime's last involvement
 	sampleStart time.Time
@@ -50,82 +47,68 @@ type EmitTimer struct {
 	clockReads int64 // monotonic clock reads performed (overhead reporting)
 }
 
-// Defaults for the map collector: the first 16 records are timed
-// precisely (so tiny tasks and unit tests keep exact attribution), then
-// one record in 64 pays for the clock.
-const (
-	DefaultEmitWarmup = 16
-	DefaultEmitPeriod = 64
-)
-
-// NewEmitTimer returns an EmitTimer recording into tm. warmup records
-// are timed precisely; afterwards every period-th record is sampled.
-// period <= 1 keeps every record precisely timed.
+// NewEmitTimer returns an EmitTimer recording into tm and reading tm's
+// clock. warmup records are timed precisely; afterwards every period-th
+// record is sampled. period <= 1 keeps every record precisely timed.
 func NewEmitTimer(tm *TaskMetrics, warmup, period int64) *EmitTimer {
-	if warmup < 0 {
-		warmup = 0
-	}
-	if period < 1 {
-		period = 1
-	}
 	return &EmitTimer{
 		tm:       tm,
-		warmup:   warmup,
-		period:   period,
-		lastEmit: -1,
+		s:        NewSampler(warmup, period),
 		lastUser: -1,
-		mark:     time.Now(),
+		mark:     tm.Now(),
 	}
+}
+
+func (e *EmitTimer) now() time.Time {
+	e.clockReads++
+	return e.tm.Now()
 }
 
 // Restart resets the user-time clock to now without attributing the
 // elapsed gap (used when task setup time must not count as map() time).
 func (e *EmitTimer) Restart() {
-	e.mark = time.Now()
-	e.clockReads++
+	e.mark = e.now()
 }
 
 // BeforeEmit is called on entry to the collector, before the emit path
 // runs, and decides whether this record is timed.
 func (e *EmitTimer) BeforeEmit() {
-	n := e.n
+	n := e.s.Events()
+	e.weight = e.s.Sample()
 	switch {
-	case n < e.warmup || e.period == 1:
+	case e.weight > 0 && e.s.Exact():
 		// Precise: attribute the user gap since the last record and open
 		// an emit measurement, both weight 1.
-		now := time.Now()
-		e.clockReads++
+		now := e.now()
 		e.tm.Add(OpMapUser, now.Sub(e.mark))
 		e.lastUser = n
 		e.sampleStart = now
 		e.excl = 0
-		e.timed = true
 		e.postSample = false
-	case (n-e.warmup)%e.period == 0:
+	case e.weight > 0:
 		// Sample point: open an emit measurement. The user gap leading
 		// here is not measurable (the clock was last read periods ago);
 		// the next record's gap stands in for it.
-		now := time.Now()
-		e.clockReads++
-		e.sampleStart = now
+		e.sampleStart = e.now()
 		e.excl = 0
-		e.timed = true
 	case e.postSample:
 		// The record after a sample point: the gap from the sampled
 		// emit's end to now is one clean user gap; extrapolate it over
 		// every record since the last user measurement.
-		now := time.Now()
-		e.clockReads++
-		weight := n - e.lastUser
-		e.tm.Add(OpMapUser, time.Duration(weight)*now.Sub(e.mark))
+		now := e.now()
+		e.tm.Add(OpMapUser, time.Duration(n-e.lastUser)*now.Sub(e.mark))
 		e.lastUser = n
 		e.mark = now
 		e.postSample = false
-		e.timed = false
-	default:
-		e.timed = false
 	}
 }
+
+// Weight returns the number of records the currently open emit
+// measurement stands for, or zero when this record is not timed. Work
+// nested in the emit path that is attributed to another operation (the
+// frequency-buffer intercept) is timed only when Weight is non-zero,
+// scaled by it, and handed to Exclude.
+func (e *EmitTimer) Weight() int64 { return e.weight }
 
 // Exclude subtracts d from the emit measurement currently open (time
 // already attributed elsewhere: buffer-full blocking, profiling, user
@@ -134,34 +117,26 @@ func (e *EmitTimer) Exclude(d time.Duration) {
 	e.excl += d
 }
 
-// AfterEmit closes the measurement opened by BeforeEmit and advances
-// the record counter.
+// AfterEmit closes the measurement opened by BeforeEmit.
 func (e *EmitTimer) AfterEmit() {
-	n := e.n
-	e.n++
-	if !e.timed {
+	if e.weight == 0 {
 		return
 	}
-	now := time.Now()
-	e.clockReads++
-	weight := n - e.lastEmit
-	e.lastEmit = n
-	e.tm.Add(OpEmit, time.Duration(weight)*(now.Sub(e.sampleStart)-e.excl))
+	now := e.now()
+	e.tm.Add(OpEmit, time.Duration(e.weight)*(now.Sub(e.sampleStart)-e.excl))
 	e.mark = now
-	if n >= e.warmup && e.period > 1 {
-		e.postSample = true
-	}
+	e.postSample = !e.s.Exact()
+	e.weight = 0
 }
 
 // Finish attributes the trailing user gap (input consumed after the
 // last emitted record) and closes the timer.
 func (e *EmitTimer) Finish() {
-	e.clockReads++
-	e.tm.Add(OpMapUser, time.Since(e.mark))
+	e.tm.Add(OpMapUser, e.now().Sub(e.mark))
 }
 
 // Records returns the number of records observed.
-func (e *EmitTimer) Records() int64 { return e.n }
+func (e *EmitTimer) Records() int64 { return e.s.Events() }
 
 // ClockReads returns how many monotonic clock readings the timer has
 // performed — the profiling-overhead figure the sampled scheme shrinks

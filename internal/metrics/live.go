@@ -8,8 +8,14 @@ import (
 
 // Live aggregation mirrors every TaskMetrics update into one process-wide
 // Snapshot so a debug endpoint (expvar under -pprof) can show job progress
-// while tasks are still running. It is off by default: the hot-path cost
-// is a single atomic load per recording call until EnableLive is called.
+// while tasks are still running. Until EnableLive is called a recording
+// call pays one atomic load for it; afterwards — and every mrserve process
+// enables it by mounting pprofserve.Handler — each recording call also
+// takes the one process-wide lock, shared by every task of every tenant.
+// That is affordable only because the runtime records per spill, per
+// sampled record and per task, never per record: tasks count records in
+// goroutine-owned locals and Publish them at spill boundaries, so a
+// running task's counters appear here one spill late.
 var (
 	liveEnabled atomic.Bool
 	liveMu      sync.Mutex
@@ -84,8 +90,10 @@ func liveAddWait(mapSide bool, d time.Duration) {
 	liveMu.Unlock()
 }
 
-func liveInc(name string, delta int64) {
+func livePublish(batch []Count) {
 	liveMu.Lock()
-	liveAgg.Counters[name] += delta
+	for _, c := range batch {
+		liveAgg.Counters[c.Name] += c.Delta
+	}
 	liveMu.Unlock()
 }

@@ -184,6 +184,7 @@ const (
 // safe for concurrent use: the map and support goroutines of one map task
 // both record into it.
 type TaskMetrics struct {
+	now      func() time.Time // the task's clock; every stopwatch on the task reads it
 	mu       sync.Mutex
 	ops      [NumOps]time.Duration
 	waitMap  time.Duration // map goroutine blocked on a full spill buffer
@@ -191,10 +192,18 @@ type TaskMetrics struct {
 	counters map[string]int64
 }
 
-// NewTaskMetrics returns an empty TaskMetrics ready for use.
-func NewTaskMetrics() *TaskMetrics {
-	return &TaskMetrics{counters: make(map[string]int64)}
+// NewTaskMetrics returns an empty TaskMetrics on the wall clock.
+func NewTaskMetrics() *TaskMetrics { return NewTaskMetricsClock(time.Now) }
+
+// NewTaskMetricsClock returns an empty TaskMetrics whose stopwatches (the
+// task's own, its EmitTimer's and its spill buffer's) read now instead of
+// the wall clock, so tests can run them on fake time and count the reads.
+func NewTaskMetricsClock(now func() time.Time) *TaskMetrics {
+	return &TaskMetrics{now: now, counters: make(map[string]int64)}
 }
+
+// Now reads the task's clock.
+func (t *TaskMetrics) Now() time.Time { return t.now() }
 
 // Add records d duration of work attributed to op.
 func (t *TaskMetrics) Add(op Op, d time.Duration) {
@@ -207,13 +216,6 @@ func (t *TaskMetrics) Add(op Op, d time.Duration) {
 	if liveEnabled.Load() {
 		liveAddOp(op, d)
 	}
-}
-
-// Time runs f and attributes its wall time to op.
-func (t *TaskMetrics) Time(op Op, f func()) {
-	start := time.Now()
-	f()
-	t.Add(op, time.Since(start))
 }
 
 // AddWaitMap records time the map goroutine spent blocked because the spill
@@ -244,13 +246,30 @@ func (t *TaskMetrics) AddWaitSupport(d time.Duration) {
 	}
 }
 
-// Inc adds delta to the named counter.
+// Inc adds delta to the named counter. It takes the task's lock (and the
+// process-wide live lock once live aggregation is on), so it belongs at
+// spill and task boundaries; per-record code counts in a plain local and
+// publishes the batch with Publish.
 func (t *TaskMetrics) Inc(name string, delta int64) {
+	t.Publish(Count{name, delta})
+}
+
+// Count is one counter increment of a Publish batch.
+type Count struct {
+	Name  string
+	Delta int64
+}
+
+// Publish adds a batch of counter increments under one acquisition of the
+// task's lock and, with live aggregation on, one of the live lock.
+func (t *TaskMetrics) Publish(batch ...Count) {
 	t.mu.Lock()
-	t.counters[name] += delta
+	for _, c := range batch {
+		t.counters[c.Name] += c.Delta
+	}
 	t.mu.Unlock()
 	if liveEnabled.Load() {
-		liveInc(name, delta)
+		livePublish(batch)
 	}
 }
 
@@ -385,43 +404,4 @@ func (s Snapshot) CounterNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Stopwatch measures elapsed intervals and attributes them to operations on
-// a TaskMetrics. It is a convenience for straight-line pipeline code:
-//
-//	sw := metrics.NewStopwatch(tm)
-//	... user map() ...
-//	sw.Lap(metrics.OpMapUser)
-//	... serialize ...
-//	sw.Lap(metrics.OpEmit)
-//
-// A Stopwatch is not safe for concurrent use; each goroutine owns its own.
-type Stopwatch struct {
-	tm   *TaskMetrics
-	last time.Time
-}
-
-// NewStopwatch returns a Stopwatch recording into tm, started now.
-func NewStopwatch(tm *TaskMetrics) *Stopwatch {
-	return &Stopwatch{tm: tm, last: time.Now()}
-}
-
-// Lap attributes the time since the previous Lap (or construction) to op and
-// restarts the interval. It returns the lap duration.
-func (s *Stopwatch) Lap(op Op) time.Duration {
-	now := time.Now()
-	d := now.Sub(s.last)
-	s.last = now
-	s.tm.Add(op, d)
-	return d
-}
-
-// Skip discards the time since the previous Lap without attributing it,
-// restarting the interval. Used to exclude waits from operation accounting.
-func (s *Stopwatch) Skip() time.Duration {
-	now := time.Now()
-	d := now.Sub(s.last)
-	s.last = now
-	return d
 }

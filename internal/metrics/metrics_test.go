@@ -79,11 +79,13 @@ func TestTaskMetricsAccumulation(t *testing.T) {
 	}
 }
 
-func TestTimeHelper(t *testing.T) {
+func TestPublishBatch(t *testing.T) {
 	tm := NewTaskMetrics()
-	tm.Time(OpSort, func() { time.Sleep(5 * time.Millisecond) })
-	if tm.Op(OpSort) < 4*time.Millisecond {
-		t.Errorf("Time recorded %v", tm.Op(OpSort))
+	tm.Inc("a", 1)
+	tm.Publish(Count{"a", 2}, Count{"b", 5}, Count{"a", 4})
+	tm.Publish()
+	if tm.Counter("a") != 7 || tm.Counter("b") != 5 {
+		t.Errorf("a=%d b=%d, want 7 and 5", tm.Counter("a"), tm.Counter("b"))
 	}
 }
 
@@ -191,23 +193,5 @@ func TestCounterNames(t *testing.T) {
 	names := tm.Snapshot().CounterNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("CounterNames = %v", names)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	tm := NewTaskMetrics()
-	sw := NewStopwatch(tm)
-	time.Sleep(2 * time.Millisecond)
-	d := sw.Lap(OpEmit)
-	if d < time.Millisecond || tm.Op(OpEmit) != d {
-		t.Errorf("lap %v, recorded %v", d, tm.Op(OpEmit))
-	}
-	time.Sleep(2 * time.Millisecond)
-	skipped := sw.Skip()
-	if skipped < time.Millisecond {
-		t.Errorf("skip %v", skipped)
-	}
-	if total := tm.Snapshot().TotalWork(); total != d {
-		t.Errorf("skip leaked into accounting: total %v want %v", total, d)
 	}
 }

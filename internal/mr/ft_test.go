@@ -112,6 +112,33 @@ func assertCounterIdentity(t *testing.T, res *mr.Result) {
 	}
 }
 
+// ftCell is one cell of the suite's seed × fail-rate matrix.
+type ftCell struct {
+	name string
+	cfg  chaos.Config
+	spec bool
+}
+
+// ftCells is the matrix TestDeterminismUnderFaults runs, shared with the
+// counter-identity suite: fault schedules at two seeds per fail rate, one
+// cell that kills a node mid-job and one that manufactures stragglers
+// with speculation on.
+var ftCells = []ftCell{
+	{"seed1-fail05", chaos.Config{Seed: 1, FailRate: 0.05, KillNode: -1}, false},
+	{"seed7-fail05", chaos.Config{Seed: 7, FailRate: 0.05, KillNode: -1}, false},
+	{"seed1-fail10", chaos.Config{Seed: 1, FailRate: 0.10, KillNode: -1}, false},
+	{"seed3-fail20", chaos.Config{Seed: 3, FailRate: 0.20, KillNode: -1}, false},
+	{"seed9-fail20", chaos.Config{Seed: 9, FailRate: 0.20, KillNode: -1}, false},
+	// The kill cell floors every attempt at 2ms (DelayRate 1) so the
+	// victim's workers are always scheduled before the short job runs
+	// out of tasks: the kill only fires once the victim itself performs
+	// chaos-visible work, and without the floor the other six slots can
+	// occasionally claim all eight map tasks first.
+	{"seed5-fail05-kill2", chaos.Config{Seed: 5, FailRate: 0.05, KillNode: 2, KillAfterOps: 40,
+		DelayRate: 1, Delay: 2 * time.Millisecond}, false},
+	{"seed11-fail10-stragglers-speculation", chaos.Config{Seed: 11, FailRate: 0.10, KillNode: -1, DelayRate: 0.3, Delay: 20 * time.Millisecond}, true},
+}
+
 // TestDeterminismUnderFaults is the seed × fail-rate matrix: each cell
 // runs the same job on a fresh cluster with a different fault schedule —
 // including one cell that kills a node mid-job and one that manufactures
@@ -119,26 +146,7 @@ func assertCounterIdentity(t *testing.T, res *mr.Result) {
 func TestDeterminismUnderFaults(t *testing.T) {
 	ref := ftReference(t)
 
-	cells := []struct {
-		name string
-		cfg  chaos.Config
-		spec bool
-	}{
-		{"seed1-fail05", chaos.Config{Seed: 1, FailRate: 0.05, KillNode: -1}, false},
-		{"seed7-fail05", chaos.Config{Seed: 7, FailRate: 0.05, KillNode: -1}, false},
-		{"seed1-fail10", chaos.Config{Seed: 1, FailRate: 0.10, KillNode: -1}, false},
-		{"seed3-fail20", chaos.Config{Seed: 3, FailRate: 0.20, KillNode: -1}, false},
-		{"seed9-fail20", chaos.Config{Seed: 9, FailRate: 0.20, KillNode: -1}, false},
-		// The kill cell floors every attempt at 2ms (DelayRate 1) so the
-		// victim's workers are always scheduled before the short job runs
-		// out of tasks: the kill only fires once the victim itself performs
-		// chaos-visible work, and without the floor the other six slots can
-		// occasionally claim all eight map tasks first.
-		{"seed5-fail05-kill2", chaos.Config{Seed: 5, FailRate: 0.05, KillNode: 2, KillAfterOps: 40,
-			DelayRate: 1, Delay: 2 * time.Millisecond}, false},
-		{"seed11-fail10-stragglers-speculation", chaos.Config{Seed: 11, FailRate: 0.10, KillNode: -1, DelayRate: 0.3, Delay: 20 * time.Millisecond}, true},
-	}
-	for _, cell := range cells {
+	for _, cell := range ftCells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			cfg := cell.cfg

@@ -379,7 +379,6 @@ type TaskReport struct {
 	Metrics      metrics.Snapshot
 	Spill        spillbuf.Stats
 	FreqStats    freqbuf.Stats
-	SpillPcts    []float64 // spill-matcher decision trace (adaptive runs)
 }
 
 // Result summarizes a completed job.

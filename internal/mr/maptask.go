@@ -37,13 +37,79 @@ type mapOutput struct {
 	index kvio.RunIndex
 }
 
+// combineTimer wraps the job's combiner for one goroutine of a task. It
+// times the calls its sampler picks, each with the weight of the untimed
+// calls it stands for, and accumulates the extrapolated duration; the call
+// site measures one span around many calls and takes the estimate out of
+// it, so user combine() time and the framework time around it still sum
+// to the measured span. With a nil sampler it reads no clock.
+type combineTimer struct {
+	combine CombineFunc
+	tm      *metrics.TaskMetrics
+	s       *metrics.Sampler
+	acc     time.Duration
+}
+
+// newCombineTimer returns a timer on the default sample schedule, or nil
+// for a job without a combiner.
+func newCombineTimer(combine CombineFunc, tm *metrics.TaskMetrics) *combineTimer {
+	if combine == nil {
+		return nil
+	}
+	s := metrics.DefaultSampler()
+	return &combineTimer{combine: combine, tm: tm, s: &s}
+}
+
+// fn returns the timed combiner, nil for a nil timer.
+func (ct *combineTimer) fn() CombineFunc {
+	if ct == nil {
+		return nil
+	}
+	return ct.call
+}
+
+func (ct *combineTimer) call(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
+	var w int64
+	if ct.s != nil {
+		w = ct.s.Sample()
+	}
+	if w == 0 {
+		return ct.combine(key, vals, emit)
+	}
+	t0 := ct.tm.Now()
+	err := ct.combine(key, vals, emit)
+	ct.acc += time.Duration(w) * ct.tm.Now().Sub(t0)
+	return err
+}
+
+// sampleWith switches the schedule the next calls are sampled on; nil
+// turns timing off. Nil-safe.
+func (ct *combineTimer) sampleWith(s *metrics.Sampler) {
+	if ct != nil {
+		ct.s = s
+	}
+}
+
+// take returns the combine time estimated since the last take, at most
+// span (an extrapolation may overshoot the span that contains it), and
+// resets it. Nil-safe.
+func (ct *combineTimer) take(span time.Duration) time.Duration {
+	if ct == nil {
+		return 0
+	}
+	est := min(ct.acc, span)
+	ct.acc = 0
+	return est
+}
+
 // mapCollector is the Collector handed to user map() code. It implements
 // the full map-side emit path: partitioning, the frequency-buffering
 // intercept, and the spill-buffer append, with the paper's operation
 // accounting (user map time vs. emit overhead vs. profiling overhead).
-// The user/emit split is attributed by the sampled EmitTimer rather than
-// a clock stamp per record, so the profiling itself stays off the per-
-// record hot path.
+// None of that accounting is paid per record: the user/emit/profile split
+// is attributed by the sampled EmitTimer, and records are counted in plain
+// fields the map goroutine owns, published to the task's metrics at spill
+// boundaries and at every exit of the task.
 type mapCollector struct {
 	job   *Job
 	tm    *metrics.TaskMetrics
@@ -52,12 +118,23 @@ type mapCollector struct {
 	freq  *freqbuf.Buffer
 	cache *freqbuf.Cache // node cache for top-k sharing (nil if disabled)
 
-	scanner    lineSource // the task's input scanner (for record-count extrapolation)
-	emitted    int64
-	combineAcc time.Duration // combine time spent inside freqbuf (via the timed combiner)
-	published  bool
-	sp         spanner     // freq-buffer eviction instants
-	plan       *chaos.Plan // nil when chaos is off: the guard below is the whole cost
+	scanner   lineSource // the task's input scanner (for record-count extrapolation)
+	emitted   int64      // records emitted so far
+	published bool
+	sp        spanner     // freq-buffer eviction instants
+	plan      *chaos.Plan // nil when chaos is off: the guard below is the whole cost
+
+	// freqCombine times the combiner calls made inside the frequency
+	// buffer. Its sampler is switched per call site: every call inside a
+	// sampled record's Offer, the default schedule during Drain, none
+	// (nil) inside an unsampled record's Offer.
+	freqCombine *combineTimer
+	everyCall   metrics.Sampler
+
+	// Counts since the last publish (of emitted, the part published so
+	// far), and the spill hand-offs seen then.
+	inRecords, emittedPublished, outBytes, freqHits, freqEvictions int64
+	handoffs                                                       int64
 }
 
 // Collect implements Collector.
@@ -76,47 +153,61 @@ func (mc *mapCollector) emit(key, value []byte) error {
 	}
 	part := mc.job.Partition(key, mc.job.NumReducers)
 	mc.emitted++
-	mc.tm.Inc(metrics.CtrMapOutputRecords, 1)
-	mc.tm.Inc(metrics.CtrMapOutputBytes, spillbuf.RecordBytes(key, value))
-
+	mc.outBytes += spillbuf.RecordBytes(key, value)
 	if mc.freq != nil {
-		t0 := time.Now()
-		combineBefore := mc.combineAcc
-		absorbed, overflow, err := mc.freq.Offer(part, key, value)
-		combineDelta := mc.combineAcc - combineBefore
-		span := time.Since(t0)
-		mc.tm.Add(metrics.OpProfile, span-combineDelta)
-		// The whole frequency-buffer span is attributed to OpProfile and
-		// OpCombineUser above; keep it out of the emit measurement.
-		mc.et.Exclude(span)
-		if err != nil {
+		absorbed, err := mc.offer(part, key, value)
+		if absorbed || err != nil {
 			return err
-		}
-		if absorbed {
-			mc.tm.Inc(metrics.CtrFreqHits, 1)
-		}
-		if !mc.published && mc.cache != nil && mc.freq.Stage() == freqbuf.StageOptimize {
-			// Keyed by the run-unique file prefix, not the job name: top-k
-			// sharing is a within-run optimization, and a name-keyed entry
-			// would leak one run's key profile into the next run (or into a
-			// concurrent same-named job) on a long-lived cluster.
-			mc.cache.Put(mc.job.filePrefix, mc.freq.TopK())
-			mc.published = true
-		}
-		if len(overflow) > 0 {
-			mc.sp.tr.Instant(trace.KindFreqEviction, trace.LaneMap, mc.sp.node, mc.sp.task, int64(len(overflow)))
-		}
-		for _, r := range overflow {
-			mc.tm.Inc(metrics.CtrFreqEvictions, 1)
-			if err := mc.append(r.Part, r.Key, r.Value); err != nil {
-				return err
-			}
-		}
-		if absorbed {
-			return nil
 		}
 	}
 	return mc.append(part, key, value)
+}
+
+// offer passes one record through the frequency-buffer intercept and
+// sends what the table evicted down the spill path. The intercept is
+// timed on the records the EmitTimer samples, with the same weight: its
+// span less the combiner calls inside it is OpProfile, those calls are
+// OpCombineUser, and the whole span is excluded from the emit measurement
+// that surrounds it.
+func (mc *mapCollector) offer(part int, key, value []byte) (absorbed bool, err error) {
+	var overflow []kvio.Record
+	if w := mc.et.Weight(); w == 0 {
+		absorbed, overflow, err = mc.freq.Offer(part, key, value)
+	} else {
+		mc.freqCombine.sampleWith(&mc.everyCall)
+		t0 := mc.tm.Now()
+		absorbed, overflow, err = mc.freq.Offer(part, key, value)
+		span := mc.tm.Now().Sub(t0)
+		mc.freqCombine.sampleWith(nil)
+		combine := mc.freqCombine.take(span)
+		mc.tm.Add(metrics.OpProfile, time.Duration(w)*(span-combine))
+		mc.tm.Add(metrics.OpCombineUser, time.Duration(w)*combine)
+		mc.et.Exclude(span)
+	}
+	if err != nil {
+		return false, err
+	}
+	if absorbed {
+		mc.freqHits++
+	}
+	if !mc.published && mc.cache != nil && mc.freq.Stage() == freqbuf.StageOptimize {
+		// Keyed by the run-unique file prefix, not the job name: top-k
+		// sharing is a within-run optimization, and a name-keyed entry
+		// would leak one run's key profile into the next run (or into a
+		// concurrent same-named job) on a long-lived cluster.
+		mc.cache.Put(mc.job.filePrefix, mc.freq.TopK())
+		mc.published = true
+	}
+	if len(overflow) > 0 {
+		mc.sp.tr.Instant(trace.KindFreqEviction, trace.LaneMap, mc.sp.node, mc.sp.task, int64(len(overflow)))
+		mc.freqEvictions += int64(len(overflow))
+	}
+	for _, r := range overflow {
+		if err := mc.append(r.Part, r.Key, r.Value); err != nil {
+			return false, err
+		}
+	}
+	return absorbed, nil
 }
 
 // append sends one record down the standard spill path, excluding any
@@ -126,6 +217,27 @@ func (mc *mapCollector) append(part int, key, value []byte) error {
 	waited, err := mc.buf.Append(part, key, value)
 	mc.et.Exclude(waited)
 	return err
+}
+
+// publish moves the record counts accumulated since the last publish into
+// the task's metrics, one lock acquisition for the batch. The map loop
+// calls it when it notices a spill hand-off, and every exit of the task
+// calls it before the counters are read back.
+func (mc *mapCollector) publish() {
+	batch := [5]metrics.Count{
+		{Name: metrics.CtrMapInputRecords, Delta: mc.inRecords},
+		{Name: metrics.CtrMapOutputRecords, Delta: mc.emitted - mc.emittedPublished},
+		{Name: metrics.CtrMapOutputBytes, Delta: mc.outBytes},
+		{Name: metrics.CtrFreqHits, Delta: mc.freqHits},
+		{Name: metrics.CtrFreqEvictions, Delta: mc.freqEvictions},
+	}
+	n := 3 // the frequency-buffer counters exist only on tasks that have one
+	if mc.freq != nil {
+		n = 5
+	}
+	mc.tm.Publish(batch[:n]...)
+	mc.emittedPublished = mc.emitted
+	mc.inRecords, mc.outBytes, mc.freqHits, mc.freqEvictions = 0, 0, 0, 0
 }
 
 // finish attributes trailing user time (input lines that emitted nothing).
@@ -138,20 +250,20 @@ func (mc *mapCollector) finish() {
 // spill. The grouping strategy is either the standard sort-based GROUP BY
 // or, under the HashGroupSpills extension, a hash-based one: raw records
 // are grouped and combined in a hash table and only the (far fewer)
-// aggregates are sorted.
-func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine CombineFunc, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
+// aggregates are sorted. combine, nil for a job without a combiner, times
+// a sample of the combiner calls; the rest of the write span is spill I/O.
+func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
 	if job.HashGroupSpills && combine != nil {
 		return writeSpillRunHashed(disk, name, parts, recs, job, combine, tm, sp)
 	}
-	t0 := time.Now()
+	t0 := tm.Now()
 	sortSpan := sp.start(trace.KindSort, trace.LaneSupport)
 	kvio.SortPacked(recs)
 	sortSpan.EndCounts(int64(recs.Len()), recs.ArenaBytes())
-	tm.Add(metrics.OpSort, time.Since(t0))
+	t1 := tm.Now()
+	tm.Add(metrics.OpSort, t1.Sub(t0))
 	debugAssertSortedPacked(recs, name)
 
-	t1 := time.Now()
-	var combineDur time.Duration
 	rw, err := kvio.NewRunSink(disk, name, parts, job.CompressRuns)
 	if err != nil {
 		return kvio.RunIndex{}, err
@@ -177,12 +289,10 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 				vals = append(vals, recs.Value(k))
 			}
 			combineIn += int64(j - i)
-			c0 := time.Now()
-			err := combine(recs.Key(i), vals, func(k, v []byte) error {
+			err := combine.call(recs.Key(i), vals, func(k, v []byte) error {
 				combineOut++
 				return rw.Append(recs.Part(i), k, v)
 			})
-			combineDur += time.Since(c0)
 			if err != nil {
 				return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
 			}
@@ -194,16 +304,25 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 		return kvio.RunIndex{}, err
 	}
 	// Combine runs interleaved with the spill write; its span is the
-	// accumulated user-combine duration anchored at the write start.
+	// estimated user-combine duration anchored at the write start.
+	writeSpan := tm.Now().Sub(t1)
+	combineDur := combine.take(writeSpan)
 	sp.tr.Complete(trace.KindCombine, trace.LaneSupport, sp.node, sp.task, sp.slot, t1, combineDur)
 	tm.Add(metrics.OpCombineUser, combineDur)
-	tm.Add(metrics.OpSpillIO, time.Since(t1)-combineDur)
-	tm.Inc(metrics.CtrSpillRecords, idx.TotalRecords())
-	tm.Inc(metrics.CtrSpillBytes, idx.TotalBytes())
-	tm.Inc(metrics.CtrSpillCount, 1)
-	tm.Inc(metrics.CtrCombineInRecords, combineIn)
-	tm.Inc(metrics.CtrCombineOutRecords, combineOut)
+	tm.Add(metrics.OpSpillIO, writeSpan-combineDur)
+	publishSpill(tm, idx, combineIn, combineOut)
 	return idx, nil
+}
+
+// publishSpill records one written spill run's counters.
+func publishSpill(tm *metrics.TaskMetrics, idx kvio.RunIndex, combineIn, combineOut int64) {
+	tm.Publish(
+		metrics.Count{Name: metrics.CtrSpillRecords, Delta: idx.TotalRecords()},
+		metrics.Count{Name: metrics.CtrSpillBytes, Delta: idx.TotalBytes()},
+		metrics.Count{Name: metrics.CtrSpillCount, Delta: 1},
+		metrics.Count{Name: metrics.CtrCombineInRecords, Delta: combineIn},
+		metrics.Count{Name: metrics.CtrCombineOutRecords, Delta: combineOut},
+	)
 }
 
 // writeSpillRunHashed is the hash-based GROUP BY spill path (§VII future
@@ -212,14 +331,14 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 // write them out. For skewed text keys the aggregates are a small fraction
 // of the raw records, so the sort shrinks dramatically. Hash grouping
 // replaces the sort-based grouping, so its time is attributed to OpSort.
-func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine CombineFunc, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
+func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
 	type group struct {
 		part int
 		key  []byte
 		vals [][]byte
 	}
 	groupSpan := sp.start(trace.KindSort, trace.LaneSupport)
-	t0 := time.Now()
+	t0 := tm.Now()
 	n := recs.Len()
 	groups := make(map[string]*group, n/4+16)
 	for i := 0; i < n; i++ {
@@ -231,37 +350,35 @@ func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.Pack
 		}
 		g.vals = append(g.vals, recs.Value(i))
 	}
-	tm.Add(metrics.OpSort, time.Since(t0))
+	t1 := tm.Now()
+	tm.Add(metrics.OpSort, t1.Sub(t0))
 
-	var combineDur time.Duration
 	var combined []kvio.Record
 	var combineIn, combineOut int64
-	t1 := time.Now()
 	for _, g := range groups {
 		if len(g.vals) == 1 {
 			combined = append(combined, kvio.Record{Part: g.part, Key: g.key, Value: g.vals[0]})
 			continue
 		}
 		combineIn += int64(len(g.vals))
-		c0 := time.Now()
-		err := combine(g.key, g.vals, func(k, v []byte) error {
+		err := combine.call(g.key, g.vals, func(k, v []byte) error {
 			combineOut++
 			combined = append(combined, kvio.Record{Part: g.part, Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
 			return nil
 		})
-		combineDur += time.Since(c0)
 		if err != nil {
 			return kvio.RunIndex{}, fmt.Errorf("mr: combine during hashed spill: %w", err)
 		}
 	}
 	kvio.SortRecords(combined) // only the aggregates: the whole point
 	groupSpan.EndCounts(int64(len(combined)), 0)
-	tm.Add(metrics.OpSort, time.Since(t1)-combineDur)
+	w0 := tm.Now()
+	combineDur := combine.take(w0.Sub(t1))
+	tm.Add(metrics.OpSort, w0.Sub(t1)-combineDur)
 	debugAssertSorted(combined, name)
 	sp.tr.Complete(trace.KindCombine, trace.LaneSupport, sp.node, sp.task, sp.slot, t1, combineDur)
 	tm.Add(metrics.OpCombineUser, combineDur)
 
-	w0 := time.Now()
 	rw, err := kvio.NewRunSink(disk, name, parts, job.CompressRuns)
 	if err != nil {
 		return kvio.RunIndex{}, err
@@ -275,12 +392,8 @@ func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.Pack
 	if err != nil {
 		return kvio.RunIndex{}, err
 	}
-	tm.Add(metrics.OpSpillIO, time.Since(w0))
-	tm.Inc(metrics.CtrSpillRecords, idx.TotalRecords())
-	tm.Inc(metrics.CtrSpillBytes, idx.TotalBytes())
-	tm.Inc(metrics.CtrSpillCount, 1)
-	tm.Inc(metrics.CtrCombineInRecords, combineIn)
-	tm.Inc(metrics.CtrCombineOutRecords, combineOut)
+	tm.Add(metrics.OpSpillIO, tm.Now().Sub(w0))
+	publishSpill(tm, idx, combineIn, combineOut)
 	return idx, nil
 }
 
@@ -291,14 +404,15 @@ func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.Pack
 // output run, written under the attempt's temp namespace. The returned
 // created list names the attempt's surviving files (on success, just the
 // uncommitted output run) so the runner can commit-by-rename or sweep.
-func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mapOutput, TaskReport, []string, error) {
+// tm is the attempt's fresh metrics; every stopwatch of the attempt reads
+// its clock.
+func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mapOutput, TaskReport, []string, error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
 			time.Sleep(d) // manufactured straggler
 		}
 	}
-	start := time.Now()
-	tm := metrics.NewTaskMetrics()
+	start := tm.Now()
 	disk := c.Disks[node]
 	dir := attemptDir(job.filePrefix, taskIdx, attempt)
 	var created []string
@@ -308,10 +422,25 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	endTaskSpan := func() {
 		taskSpan.EndCounts(tm.Counter(metrics.CtrMapOutputRecords), tm.Counter(metrics.CtrMapOutputBytes))
 	}
-	fail := func(err error) (mapOutput, TaskReport, []string, error) {
-		report.Wall = time.Since(start)
+	mc := &mapCollector{
+		job:       job,
+		tm:        tm,
+		et:        metrics.NewEmitTimer(tm, metrics.DefaultEmitWarmup, metrics.DefaultEmitPeriod),
+		sp:        sp,
+		plan:      plan,
+		everyCall: metrics.NewSampler(0, 1),
+	}
+	// finishReport closes the attempt's accounts on every exit: what the
+	// map goroutine counted since the last spill boundary is published
+	// before the counters are read back.
+	finishReport := func() {
+		mc.publish()
+		report.Wall = tm.Now().Sub(start)
 		report.Metrics = tm.Snapshot()
 		endTaskSpan()
+	}
+	fail := func(err error) (mapOutput, TaskReport, []string, error) {
+		finishReport()
 		return mapOutput{}, report, created, fmt.Errorf("mr: map task %d attempt %d (node %d): %w", taskIdx, attempt, node, err)
 	}
 
@@ -320,13 +449,6 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	bufBytes := job.SpillBufferBytes
 	var freq *freqbuf.Buffer
 	var cache *freqbuf.Cache
-	mc := &mapCollector{
-		job:  job,
-		tm:   tm,
-		et:   metrics.NewEmitTimer(tm, metrics.DefaultEmitWarmup, metrics.DefaultEmitPeriod),
-		sp:   sp,
-		plan: plan,
-	}
 
 	ctrl := job.newController()
 	if job.FreqBuf != nil {
@@ -334,17 +456,8 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 		tableBytes := int64(float64(bufBytes) * fb.MemFraction)
 		bufBytes -= tableBytes
 
-		var timedCombine CombineFunc
-		if job.Combine != nil {
-			timedCombine = func(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
-				t0 := time.Now()
-				err := job.Combine(key, vals, emit)
-				d := time.Since(t0)
-				mc.combineAcc += d
-				tm.Add(metrics.OpCombineUser, d)
-				return err
-			}
-		}
+		mc.freqCombine = newCombineTimer(job.Combine, tm)
+		mc.freqCombine.sampleWith(nil) // offer and the drain below switch it on
 		// The scanner is created after the freq buffer; the estimator
 		// reads it through the collector, which is bound below.
 		expected := func() int64 {
@@ -364,7 +477,7 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 			SampleFraction:  fb.SampleFraction,
 			ValuesPerKeyCap: fb.ValuesPerKeyCap,
 			ExpectedRecords: expected,
-		}, timedCombine)
+		}, mc.freqCombine.fn())
 		if err != nil {
 			return fail(err)
 		}
@@ -389,6 +502,7 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	// both are read only after the goroutine is joined via supportErr.
 	var runs []kvio.RunIndex
 	supportErr := make(chan error, 1)
+	spillCombine := newCombineTimer(job.Combine, tm)
 	go func() {
 		spillSeq := 0
 		for {
@@ -410,21 +524,19 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 			}
 			spillSpan := sp.start(trace.KindSpill, trace.LaneSupport)
 			spillRecords := int64(spill.Recs.Len())
-			consumeStart := time.Now()
+			consumeStart := tm.Now()
 			name := attemptSpillName(dir, spillSeq)
 			spillSeq++
 			created = append(created, name)
-			idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, job, job.Combine, tm, sp)
+			idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, job, spillCombine, tm, sp)
+			spillSpan.EndCounts(spillRecords, spill.Bytes)
+			buf.Release(spill, tm.Now().Sub(consumeStart))
 			if err != nil {
-				spillSpan.EndCounts(spillRecords, spill.Bytes)
-				buf.Release(spill, time.Since(consumeStart))
 				buf.Close() // unblock the producer; see the check above
 				supportErr <- err
 				return
 			}
 			runs = append(runs, idx)
-			spillSpan.EndCounts(spillRecords, spill.Bytes)
-			buf.Release(spill, time.Since(consumeStart))
 		}
 	}()
 
@@ -458,7 +570,11 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 		if !ok {
 			break
 		}
-		tm.Inc(metrics.CtrMapInputRecords, 1)
+		mc.inRecords++
+		if h := buf.Handoffs(); h != mc.handoffs {
+			mc.handoffs = h
+			mc.publish() // a spill boundary passed: make the counts visible
+		}
 		if err := mapper.Map(off, line, mc); err != nil {
 			mapErr = fmt.Errorf("map(): %w", err)
 			break
@@ -472,10 +588,14 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	// Drain the frequency buffer: its aggregates join the merge directly.
 	var drained []kvio.Record
 	if freq != nil && mapErr == nil {
-		t0 := time.Now()
-		before := mc.combineAcc
+		drainSampler := metrics.DefaultSampler()
+		mc.freqCombine.sampleWith(&drainSampler)
+		t0 := tm.Now()
 		drained, err = freq.Drain()
-		tm.Add(metrics.OpProfile, time.Since(t0)-(mc.combineAcc-before))
+		span := tm.Now().Sub(t0)
+		combine := mc.freqCombine.take(span)
+		tm.Add(metrics.OpProfile, span-combine)
+		tm.Add(metrics.OpCombineUser, combine)
 		if err != nil {
 			mapErr = err
 		}
@@ -504,16 +624,8 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	if err != nil {
 		return fail(err)
 	}
-	var mergeCombineAcc time.Duration
-	timedMergeCombine := job.Combine
-	if job.Combine != nil {
-		timedMergeCombine = func(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
-			t0 := time.Now()
-			err := job.Combine(key, vals, emit)
-			mergeCombineAcc += time.Since(t0)
-			return err
-		}
-	}
+	mergeCombine := newCombineTimer(job.Combine, tm)
+	mergeCombineFn := mergeCombine.fn()
 	drainByPart, err := splitByPartition(drained, job.NumReducers)
 	if err != nil {
 		return fail(err)
@@ -530,8 +642,7 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 				return fail(err)
 			}
 		}
-		t0 := time.Now()
-		before := mergeCombineAcc
+		t0 := tm.Now()
 		var streams []kvio.Stream
 		for _, run := range runs {
 			s, err := kvio.OpenRunPart(disk, run, p)
@@ -543,12 +654,13 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 		if len(drainByPart[p]) > 0 {
 			streams = append(streams, kvio.NewSliceStream(drainByPart[p]))
 		}
-		if _, _, err := kvio.MergeInto(streams, p, out, timedMergeCombine); err != nil {
+		if _, _, err := kvio.MergeInto(streams, p, out, mergeCombineFn); err != nil {
 			return fail(err)
 		}
-		delta := mergeCombineAcc - before
-		tm.Add(metrics.OpMerge, time.Since(t0)-delta)
-		tm.Add(metrics.OpCombineUser, delta)
+		span := tm.Now().Sub(t0)
+		combine := mergeCombine.take(span)
+		tm.Add(metrics.OpMerge, span-combine)
+		tm.Add(metrics.OpCombineUser, combine)
 	}
 	outIdx, err := out.Close()
 	if err != nil {
@@ -566,10 +678,8 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 		}
 	}
 
-	report.Wall = time.Since(start)
 	report.Spill = buf.Stats()
-	report.Metrics = tm.Snapshot()
-	endTaskSpan()
+	finishReport()
 	// The spills are gone; the only surviving attempt file is the output
 	// run, which the runner either commits or sweeps.
 	return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil

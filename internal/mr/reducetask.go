@@ -28,7 +28,7 @@ type chargedStream struct {
 	c       *cluster.Cluster
 	src     int
 	dst     int
-	tm      *metrics.TaskMetrics
+	acct    *reduceAccount
 	sp      spanner
 	pending int64
 }
@@ -43,7 +43,7 @@ func (s *chargedStream) Next() (key, value []byte, err error) {
 		return k, v, err
 	}
 	n := int64(len(k) + len(v) + 4)
-	s.tm.Inc(metrics.CtrShuffleBytes, n)
+	s.acct.shuffleBytes += n
 	if s.src != s.dst {
 		s.pending += n
 		if s.pending >= shuffleBatchBytes {
@@ -61,10 +61,10 @@ func (s *chargedStream) flush() error {
 	if n == 0 {
 		return nil
 	}
-	t0 := time.Now()
+	t0 := s.acct.tm.Now()
 	err := s.c.Net.Transfer(s.src, s.dst, n)
-	d := time.Since(t0)
-	s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
+	d := s.acct.tm.Now().Sub(t0)
+	s.acct.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
 	s.sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, s.sp.node, s.sp.task, s.sp.slot, t0, d)
 	return err
 }
@@ -78,13 +78,13 @@ func (s *chargedStream) Close() error {
 // the shuffle-volume counter accrues per record.
 type countedStream struct {
 	inner kvio.Stream
-	tm    *metrics.TaskMetrics
+	acct  *reduceAccount
 }
 
 func (s *countedStream) Next() (key, value []byte, err error) {
 	k, v, err := s.inner.Next()
 	if err == nil {
-		s.tm.Inc(metrics.CtrShuffleBytes, int64(len(k)+len(v)+4))
+		s.acct.shuffleBytes += int64(len(k) + len(v) + 4)
 	}
 	return k, v, err
 }
@@ -108,7 +108,7 @@ const maxFetchRetries = 4
 // fetchSerial opens this partition's segment of every map output in map-
 // task order — the pre-pipelining shuffle. On error it closes whatever it
 // opened and returns the joined errors.
-func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan, mapOuts []mapOutput, tm *metrics.TaskMetrics, sp spanner) ([]kvio.Stream, error) {
+func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan, mapOuts []mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
 	streams := make([]kvio.Stream, 0, len(mapOuts))
 	closeAll := func(err error) error {
 		errs := []error{err}
@@ -130,7 +130,7 @@ func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan,
 			return nil, closeAll(err)
 		}
 		job.Hists.ShuffleFetch.Record(int64(time.Since(t0)))
-		streams = append(streams, &chargedStream{inner: s, c: c, src: mo.node, dst: node, tm: tm, sp: sp})
+		streams = append(streams, &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp})
 	}
 	return streams, nil
 }
@@ -140,7 +140,7 @@ func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan,
 // from the staging service or by direct fetch. The resulting slice is
 // indexed by map-task position, preserving the merge's stream order — and
 // with it byte-identical output — regardless of completion order.
-func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, mapOuts []mapOutput, tm *metrics.TaskMetrics, sp spanner) ([]kvio.Stream, error) {
+func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, mapOuts []mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
 	streams := make([]kvio.Stream, len(mapOuts))
 	workers := job.ShuffleCopiers
 	if workers > len(mapOuts) {
@@ -160,7 +160,7 @@ func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node in
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				st, err := fetchOne(c, job, sh, part, node, plan, i, mapOuts[i], tm, sp)
+				st, err := fetchOne(c, job, sh, part, node, plan, i, mapOuts[i], acct, sp)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -194,8 +194,11 @@ func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node in
 // fault at the fetch site is absorbed by bounded retry with the job's
 // jittered backoff — the attempt survives; only real node death reaches
 // the caller. A source node found dead triggers in-attempt lost-map-output
-// recovery and a refetch from the refreshed snapshot.
-func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, i int, mo mapOutput, tm *metrics.TaskMetrics, sp spanner) (kvio.Stream, error) {
+// recovery and a refetch from the refreshed snapshot. The copier workers
+// that call it touch only acct.tm, which is safe for concurrent use; the
+// plain counts of acct belong to the reduce goroutine, which is the one
+// that reads the returned stream.
+func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, i int, mo mapOutput, acct *reduceAccount, sp spanner) (kvio.Stream, error) {
 	acquireStart := time.Now()
 	for try := 0; ; try++ {
 		if job.cancel.Load() {
@@ -212,12 +215,12 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 		t0 := time.Now()
 		time.Sleep(backoffFor(sh.backoff, i, try+1))
 		slept := time.Since(t0)
-		tm.Inc(metrics.CtrShuffleRetryWaitNS, int64(slept))
+		acct.tm.Inc(metrics.CtrShuffleRetryWaitNS, int64(slept))
 		sp.tr.Complete(trace.KindWaitRetry, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, slept)
 	}
 	if st, _, ok := sh.svc.take(part, i, node, sp); ok {
 		job.Hists.ShuffleFetch.Record(int64(time.Since(acquireStart)))
-		return &countedStream{inner: st, tm: tm}, nil
+		return &countedStream{inner: st, acct: acct}, nil
 	}
 	// Not staged (or the staging node died): direct fetch from the source
 	// disk, exactly like the serial path.
@@ -225,7 +228,7 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 		s, err := kvio.OpenRunPart(c.Disks[mo.node], mo.index, part)
 		if err == nil {
 			job.Hists.ShuffleFetch.Record(int64(time.Since(acquireStart)))
-			return &chargedStream{inner: s, c: c, src: mo.node, dst: node, tm: tm, sp: sp}, nil
+			return &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp}, nil
 		}
 		if !errors.Is(err, chaos.ErrNodeDead) || sh.resnapshot == nil || try >= maxFetchRetries {
 			return nil, err
@@ -237,56 +240,104 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 	}
 }
 
-// groupValues adapts a Merger group to the user-facing ValueIter, timing
-// value pulls as shuffle work so user reduce() time is measured cleanly.
+// reduceAccount is a reduce attempt's record-path accounting, owned by the
+// reduce goroutine: plain counts of what passed since the last publish,
+// and the two stopwatches of the reduce loop, which run only inside the
+// groups the loop's sampler picks.
+type reduceAccount struct {
+	tm *metrics.TaskMetrics
+
+	shuffleBytes, groups, values, outRecords, outBytes int64
+
+	timed    bool          // the current group is a sampled one
+	pull, io time.Duration // value pulls and output writes inside it
+}
+
+// reducePublishValues is how many reduce input values pass between two
+// publishes of a running reduce task's counters.
+const reducePublishValues = 4096
+
+// publish moves the counts accumulated since the last publish into the
+// task's metrics, one lock acquisition for the batch.
+func (a *reduceAccount) publish() {
+	a.tm.Publish(
+		metrics.Count{Name: metrics.CtrShuffleBytes, Delta: a.shuffleBytes},
+		metrics.Count{Name: metrics.CtrReduceInputGroups, Delta: a.groups},
+		metrics.Count{Name: metrics.CtrReduceInputValues, Delta: a.values},
+		metrics.Count{Name: metrics.CtrOutputRecords, Delta: a.outRecords},
+		metrics.Count{Name: metrics.CtrOutputBytes, Delta: a.outBytes},
+	)
+	a.shuffleBytes, a.groups, a.values, a.outRecords, a.outBytes = 0, 0, 0, 0, 0
+}
+
+// groupValues adapts the Merger's current group to the user-facing
+// ValueIter; one iterator serves every group of the task. Inside a sampled
+// group it times value pulls as shuffle work, so user reduce() time is
+// measured cleanly.
 type groupValues struct {
-	m       *kvio.Merger
-	pullAcc *time.Duration
-	values  int64
+	m    *kvio.Merger
+	acct *reduceAccount
 }
 
+//mrlint:hotpath
 func (g *groupValues) Next() (value []byte, ok bool, err error) {
-	t0 := time.Now()
-	v, ok, err := g.m.NextValue()
-	*g.pullAcc += time.Since(t0)
-	if ok {
-		g.values++
+	a := g.acct
+	if !a.timed {
+		value, ok, err = g.m.NextValue()
+	} else {
+		t0 := a.tm.Now()
+		value, ok, err = g.m.NextValue()
+		a.pull += a.tm.Now().Sub(t0)
 	}
-	return v, ok, err
+	if ok {
+		a.values++
+	}
+	return value, ok, err
 }
 
-// reduceCollector writes final output records through the job's format,
-// timing output I/O separately from user reduce time.
+// reduceCollector writes final output records through the job's format.
+// Inside a sampled group it times the write as output I/O, separately
+// from user reduce time.
 type reduceCollector struct {
-	job    *Job
-	w      *serde.Writer
-	bufw   *bufio.Writer
-	tm     *metrics.TaskMetrics
-	ioAcc  *time.Duration
-	plan   *chaos.Plan
-	groups int64
-	values int64
+	job  *Job
+	w    *serde.Writer
+	bufw *bufio.Writer
+	acct *reduceAccount
+	plan *chaos.Plan
 }
 
+//mrlint:hotpath
 func (rc *reduceCollector) Collect(key, value []byte) error {
 	if rc.plan != nil {
+		//mrlint:ignore alloccheck fault-injection runs only: plan is nil otherwise, and only a firing fault allocates
 		if err := rc.plan.Check(chaos.SiteReduceWrite); err != nil {
 			return err
 		}
 	}
-	t0 := time.Now()
-	defer func() { *rc.ioAcc += time.Since(t0) }()
-	rc.tm.Inc(metrics.CtrOutputRecords, 1)
+	a := rc.acct
+	if !a.timed {
+		return rc.write(key, value)
+	}
+	t0 := a.tm.Now()
+	err := rc.write(key, value)
+	a.io += a.tm.Now().Sub(t0)
+	return err
+}
+
+func (rc *reduceCollector) write(key, value []byte) error {
+	a := rc.acct
+	a.outRecords++
 	if rc.job.Format != nil {
 		line, err := rc.job.Format(key, value)
 		if err != nil {
+			//mrlint:ignore alloccheck cold path: a failing formatter ends the task
 			return fmt.Errorf("mr: formatting output: %w", err)
 		}
-		rc.tm.Inc(metrics.CtrOutputBytes, int64(len(line)))
+		a.outBytes += int64(len(line))
 		_, err = rc.bufw.Write(line)
 		return err
 	}
-	rc.tm.Inc(metrics.CtrOutputBytes, int64(serde.KVLen(len(key), len(value))))
+	a.outBytes += int64(serde.KVLen(len(key), len(value)))
 	return rc.w.WriteKV(key, value)
 }
 
@@ -302,34 +353,41 @@ func ReduceOutputName(prefix string, r int) string {
 // temp file. On success the attempt commits by renaming the temp to the
 // canonical output name; the DFS's fail-on-exist rename makes the first
 // committer win, so a losing duplicate attempt returns won=false with its
-// temp left in created for the runner to sweep.
-func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, plan *chaos.Plan, sh *shuffleEnv, mapOuts []mapOutput) (outName string, won bool, created []string, rep TaskReport, err error) {
+// temp left in created for the runner to sweep. tm is the attempt's fresh
+// metrics; every stopwatch of the attempt reads its clock.
+func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, node, slot, attempt int, plan *chaos.Plan, sh *shuffleEnv, mapOuts []mapOutput) (outName string, won bool, created []string, rep TaskReport, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
 			time.Sleep(d) // manufactured straggler
 		}
 	}
-	start := time.Now()
-	tm := metrics.NewTaskMetrics()
+	start := tm.Now()
+	acct := &reduceAccount{tm: tm}
 	report := TaskReport{Kind: "reduce", Index: part, Node: node}
 	sp := spanner{tr: job.Trace, node: node, task: part, slot: slot, attempt: attempt}
 	taskSpan := sp.start(trace.KindReduceTask, trace.LaneReduce)
-	fail := func(err error) (string, bool, []string, TaskReport, error) {
-		report.Wall = time.Since(start)
+	// finishReport closes the attempt's accounts on every exit: what the
+	// reduce goroutine counted since the last publish goes out before the
+	// counters are read back.
+	finishReport := func() {
+		acct.publish()
+		report.Wall = tm.Now().Sub(start)
 		report.ShuffleBytes = tm.Counter(metrics.CtrShuffleBytes)
 		report.Metrics = tm.Snapshot()
 		taskSpan.EndCounts(tm.Counter(metrics.CtrOutputRecords), tm.Counter(metrics.CtrOutputBytes))
+	}
+	fail := func(err error) (string, bool, []string, TaskReport, error) {
+		finishReport()
 		return "", false, created, report, fmt.Errorf("mr: reduce task %d attempt %d (node %d): %w", part, attempt, node, err)
 	}
 
 	// Shuffle: resolve this partition's segment of every map output.
-	shuffleStart := time.Now()
 	fetchSpan := sp.start(trace.KindShuffleFetch, trace.LaneReduce)
 	var streams []kvio.Stream
 	if sh != nil && sh.svc != nil {
-		streams, err = fetchConcurrent(c, job, sh, part, node, plan, mapOuts, tm, sp)
+		streams, err = fetchConcurrent(c, job, sh, part, node, plan, mapOuts, acct, sp)
 	} else {
-		streams, err = fetchSerial(c, job, part, node, plan, mapOuts, tm, sp)
+		streams, err = fetchSerial(c, job, part, node, plan, mapOuts, acct, sp)
 	}
 	if err != nil {
 		fetchSpan.End()
@@ -342,7 +400,7 @@ func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, 
 	}
 	defer merger.Close()
 	fetchSpan.EndCounts(int64(len(streams)), 0)
-	tm.Add(metrics.OpShuffle, time.Since(shuffleStart))
+	tm.Add(metrics.OpShuffle, tm.Now().Sub(start))
 
 	tmpName := attemptReduceTempName(job.OutputPrefix, part, attempt)
 	outFile, err := c.FS.Create(tmpName, node)
@@ -351,47 +409,68 @@ func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, 
 	}
 	created = append(created, tmpName)
 	bufw := bufio.NewWriterSize(outFile, 64<<10)
-	var pullAcc, ioAcc time.Duration
-	rc := &reduceCollector{job: job, w: serde.NewWriter(bufw), bufw: bufw, tm: tm, ioAcc: &ioAcc, plan: plan}
+	rc := &reduceCollector{job: job, w: serde.NewWriter(bufw), bufw: bufw, acct: acct, plan: plan}
+	values := &groupValues{m: merger, acct: acct}
 	reducer := job.NewReducer()
 
+	// The loop is timed per sampled group: only there do the merge step,
+	// the value pulls and the output writes read the clock, and each such
+	// group stands for the untimed ones since the previous sample. The
+	// extrapolated shuffle/user/output split is then scaled to the loop's
+	// measured wall, so the three operations sum to it exactly.
+	sampler := metrics.DefaultSampler()
+	var shuffleEst, userEst, ioEst time.Duration
+	loopStart := tm.Now()
 	for {
 		if job.cancel.Load() {
 			return fail(errors.Join(errJobCanceled, outFile.Close()))
 		}
-		t0 := time.Now()
+		w := sampler.Sample()
+		acct.timed = w > 0
+		var t0 time.Time
+		if acct.timed {
+			t0 = tm.Now()
+		}
 		key, ok, err := merger.NextGroup()
-		tm.Add(metrics.OpShuffle, time.Since(t0))
 		if err != nil {
 			return fail(errors.Join(err, outFile.Close()))
 		}
 		if !ok {
 			break
 		}
-		tm.Inc(metrics.CtrReduceInputGroups, 1)
-		iter := &groupValues{m: merger, pullAcc: &pullAcc}
-		g0 := time.Now()
-		pullBefore, ioBefore := pullAcc, ioAcc
-		if err := reducer.Reduce(key, iter, rc); err != nil {
+		acct.groups++
+		if !acct.timed {
+			err = reducer.Reduce(key, values, rc)
+		} else {
+			acct.pull, acct.io = 0, 0
+			g0 := tm.Now()
+			err = reducer.Reduce(key, values, rc)
+			total := tm.Now().Sub(g0)
+			shuffleEst += time.Duration(w) * (g0.Sub(t0) + acct.pull)
+			ioEst += time.Duration(w) * acct.io
+			userEst += time.Duration(w) * (total - acct.pull - acct.io)
+		}
+		if err != nil {
 			return fail(fmt.Errorf("reduce(): %w", errors.Join(err, outFile.Close())))
 		}
-		tm.Inc(metrics.CtrReduceInputValues, iter.values)
-		total := time.Since(g0)
-		pullDelta := pullAcc - pullBefore
-		ioDelta := ioAcc - ioBefore
-		tm.Add(metrics.OpShuffle, pullDelta)
-		tm.Add(metrics.OpOutputIO, ioDelta)
-		tm.Add(metrics.OpReduceUser, total-pullDelta-ioDelta)
+		if acct.values >= reducePublishValues {
+			acct.publish()
+		}
 	}
+	acct.timed = false
+	loopEnd := tm.Now()
+	shuffle, user, io := scaleTo(loopEnd.Sub(loopStart), shuffleEst, userEst, ioEst)
+	tm.Add(metrics.OpShuffle, shuffle)
+	tm.Add(metrics.OpReduceUser, user)
+	tm.Add(metrics.OpOutputIO, io)
 
-	t0 := time.Now()
 	if err := bufw.Flush(); err != nil {
 		return fail(errors.Join(err, outFile.Close()))
 	}
 	if err := outFile.Close(); err != nil {
 		return fail(err)
 	}
-	tm.Add(metrics.OpOutputIO, time.Since(t0))
+	tm.Add(metrics.OpOutputIO, tm.Now().Sub(loopEnd))
 
 	// Commit: rename the attempt temp onto the canonical output name.
 	// ErrExist means a rival attempt already committed — not a failure,
@@ -405,9 +484,19 @@ func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, 
 		return fail(rerr)
 	}
 
-	report.Wall = time.Since(start)
-	report.ShuffleBytes = tm.Counter(metrics.CtrShuffleBytes)
-	report.Metrics = tm.Snapshot()
-	taskSpan.EndCounts(tm.Counter(metrics.CtrOutputRecords), tm.Counter(metrics.CtrOutputBytes))
+	finishReport()
 	return finalName, won, created, report, nil
+}
+
+// scaleTo splits wall among three operations in the proportion of their
+// sampled estimates a, b and c. With nothing sampled (a loop over no
+// groups) the wall is all a's: the merge step that found the end.
+func scaleTo(wall, a, b, c time.Duration) (time.Duration, time.Duration, time.Duration) {
+	sum := float64(a + b + c)
+	if sum <= 0 {
+		return wall, 0, 0
+	}
+	sa := time.Duration(float64(wall) * float64(a) / sum)
+	sb := time.Duration(float64(wall) * float64(b) / sum)
+	return sa, sb, wall - sa - sb
 }

@@ -33,13 +33,13 @@ func TestChargedStreamBatchesTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := metrics.NewTaskMetrics()
+	acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
 	recs := make([]kvio.Record, 100)
 	for i := range recs {
 		recs[i] = kvio.Record{Key: []byte("key"), Value: make([]byte, 1024)}
 	}
 	// Remote stream: bytes must cross the fabric, batched.
-	cs := &chargedStream{inner: &fakeStream{recs: recs}, c: c, src: 0, dst: 1, tm: tm}
+	cs := &chargedStream{inner: &fakeStream{recs: recs}, c: c, src: 0, dst: 1, acct: acct}
 	for {
 		_, _, err := cs.Next()
 		if err != nil {
@@ -59,13 +59,19 @@ func TestChargedStreamBatchesTransfers(t *testing.T) {
 	if stats.Transfers >= 100 {
 		t.Errorf("%d transfers for 100 records: not batched", stats.Transfers)
 	}
-	if tm.Counter(metrics.CtrShuffleBytes) != wantBytes {
-		t.Errorf("shuffle counter %d", tm.Counter(metrics.CtrShuffleBytes))
+	// The stream counts in the reduce goroutine's plain field; the task's
+	// metrics see the bytes at the next publish.
+	if acct.shuffleBytes != wantBytes || acct.tm.Counter(metrics.CtrShuffleBytes) != 0 {
+		t.Errorf("counted %d bytes locally, %d published before any publish", acct.shuffleBytes, acct.tm.Counter(metrics.CtrShuffleBytes))
+	}
+	acct.publish()
+	if got := acct.tm.Counter(metrics.CtrShuffleBytes); got != wantBytes || acct.shuffleBytes != 0 {
+		t.Errorf("shuffle counter %d after publish, %d left unpublished", got, acct.shuffleBytes)
 	}
 
 	// Local stream: counted but never transferred.
-	tm2 := metrics.NewTaskMetrics()
-	cs2 := &chargedStream{inner: &fakeStream{recs: recs[:10]}, c: c, src: 1, dst: 1, tm: tm2}
+	acct2 := &reduceAccount{tm: metrics.NewTaskMetrics()}
+	cs2 := &chargedStream{inner: &fakeStream{recs: recs[:10]}, c: c, src: 1, dst: 1, acct: acct2}
 	for {
 		if _, _, err := cs2.Next(); err != nil {
 			break
@@ -75,7 +81,7 @@ func TestChargedStreamBatchesTransfers(t *testing.T) {
 	if c.Net.Stats().BytesMoved != wantBytes {
 		t.Error("local stream moved bytes across the fabric")
 	}
-	if tm2.Counter(metrics.CtrShuffleBytes) == 0 {
+	if acct2.shuffleBytes == 0 {
 		t.Error("local shuffle bytes not counted")
 	}
 }

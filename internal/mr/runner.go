@@ -134,7 +134,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 						tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(splits[pa.task].Hosts[0]))
 					}
 					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
-					out, rep, created, err := runMapTask(c, job, pa.task, splits[pa.task], node, slot, pa.attempt, plan)
+					out, rep, created, err := runMapTask(c, job, metrics.NewTaskMetrics(), pa.task, splits[pa.task], node, slot, pa.attempt, plan)
 					if err != nil {
 						ft.sweepDiskFiles(node, created)
 						ft.attemptFailed(pa, node, err)
@@ -204,7 +204,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 					job.Hists.QueueWait.Record(int64(queueWait))
 					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.ReduceSites())
 					snap := ft.snapshotMapOuts(mapOuts)
-					outName, won, created, rep, err := runReduceTask(c, job, pa.task, node, slot, pa.attempt, plan, sh, snap)
+					outName, won, created, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), pa.task, node, slot, pa.attempt, plan, sh, snap)
 					rep.QueueWait = queueWait
 					if err != nil {
 						ft.sweepDFSFiles(created)
@@ -875,7 +875,7 @@ func (ft *ftRun) rerunMapTask(t int, splits []Split, mapOuts []mapOutput, mapRep
 		ft.mu.Unlock()
 		kind = attemptRetry
 		plan := ft.inj.Plan(node, t, attemptNo, chaos.MapSites())
-		out, rep, created, err := runMapTask(ft.c, ft.job, t, splits[t], node, 0, attemptNo, plan)
+		out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), t, splits[t], node, 0, attemptNo, plan)
 		if err != nil {
 			ft.refreshDeadNodes()
 			ft.sweepDiskFiles(node, created)

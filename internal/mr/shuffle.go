@@ -427,6 +427,15 @@ func (s *shuffleService) stageOne(part, home, copierSlot int, f fetchedSeg) bool
 		if waited > 0 {
 			s.hists.Stall.Record(int64(waited))
 		}
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			// The job is over and the buffer refused because it is shut,
+			// not full: nobody will take the segment, and writing it out
+			// would count an overflow that did not happen.
+			return false
+		}
 		name := stagedSegName(s.prefix, part, f.req.src)
 		if err := s.writeStaged(home, name, f.data); err != nil {
 			return false

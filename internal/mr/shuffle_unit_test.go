@@ -296,8 +296,8 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	// sites to SiteShuffleFetch guarantees where it fires.
 	plan := c.Chaos.Plan(node, part, 0, []chaos.Site{chaos.SiteShuffleFetch})
 
-	tm := metrics.NewTaskMetrics()
-	streams, err := fetchConcurrent(c, job, sh, part, node, plan, outs, tm, spanner{})
+	acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
+	streams, err := fetchConcurrent(c, job, sh, part, node, plan, outs, acct, spanner{})
 	if err != nil {
 		t.Fatalf("fetch did not absorb the injected fault: %v", err)
 	}
@@ -322,5 +322,21 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	}
 	if stats := c.Chaos.Stats(); stats.Faults != 1 {
 		t.Fatalf("chaos fired %d faults, want exactly 1", stats.Faults)
+	}
+}
+
+// TestStageAfterCloseIsNotAnOverflow: a copier still holding a fetched
+// segment when the job ends finds the staging buffer shut, not full — the
+// segment is dropped, not written to the home disk and counted as a
+// staging overflow.
+func TestStageAfterCloseIsNotAnOverflow(t *testing.T) {
+	c := newUnitCluster(t, nil)
+	svc := newShuffleService(c, unitShuffleJob(1<<20))
+	svc.close()
+	if svc.stageOne(0, 0, 0, fetchedSeg{req: stageReq{src: 0}, data: []byte("segment")}) {
+		t.Error("segment staged on a closed service")
+	}
+	if got := svc.tm.Counter(metrics.CtrShuffleStagedSpills); got != 0 {
+		t.Errorf("%d staging overflows counted after close", got)
 	}
 }

@@ -147,6 +147,11 @@ func (s *Server) Submit(tenant string, spec Spec) (*jobState, error) {
 	ts := s.stats.get(tenant)
 	ts.submitted.Add(1)
 
+	// The job is registered only once the queue has admitted it, under the
+	// one hold of s.mu that also numbers it: a refused job never appears
+	// in the table, so there is nothing to take back out — the old
+	// register-push-unregister sequence trimmed whichever id was last,
+	// which under concurrent submits was another, admitted, job's.
 	s.mu.Lock()
 	s.seq++
 	j := &jobState{
@@ -158,16 +163,14 @@ func (s *Server) Submit(tenant string, spec Spec) (*jobState, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	s.jobs[j.ID] = j
-	s.ids = append(s.ids, j.ID)
+	admitted := s.queue.push(j, s.weight(tenant))
+	if admitted {
+		s.jobs[j.ID] = j
+		s.ids = append(s.ids, j.ID)
+	}
 	s.mu.Unlock()
-
-	if !s.queue.push(j, s.weight(tenant)) {
+	if !admitted {
 		ts.rejected.Add(1)
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		s.ids = s.ids[:len(s.ids)-1]
-		s.mu.Unlock()
 		return nil, ErrOverloaded
 	}
 	ts.admitted.Add(1)

@@ -3,10 +3,12 @@ package mrserve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -451,5 +453,53 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if s.EstimatedInputBytes() != 16<<20 {
 		t.Errorf("EstimatedInputBytes = %d", s.EstimatedInputBytes())
+	}
+}
+
+// TestSubmitOverloadKeepsAdmittedJobs races 64 submissions against a
+// depth-1 queue nobody drains: exactly one is admitted, and refusing the
+// other 63 must not take the admitted job out of the job list.
+func TestSubmitOverloadKeepsAdmittedJobs(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, _ := newTestServer(t, mrserve.Config{Workers: 1, QueueDepth: 1})
+		// Server deliberately not started: the admitted job stays queued.
+		const submitters = 64
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			admitted = map[string]bool{}
+			start    = make(chan struct{})
+		)
+		for i := 0; i < submitters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				j, err := s.Submit("alice", mrserve.Spec{App: "wordcount", InputMB: 1})
+				if err == nil {
+					mu.Lock()
+					admitted[j.ID] = true
+					mu.Unlock()
+				} else if !errors.Is(err, mrserve.ErrOverloaded) {
+					t.Errorf("submit: %v", err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if len(admitted) != 1 {
+			t.Fatalf("round %d: %d jobs admitted to a depth-1 queue", round, len(admitted))
+		}
+		listed := s.Jobs()
+		if len(listed) != 1 || !admitted[listed[0].ID] {
+			ids := make([]string, len(listed))
+			for i, j := range listed {
+				ids[i] = j.ID
+			}
+			t.Fatalf("round %d: Jobs() = %v, admitted %v", round, ids, admitted)
+		}
+		if j, ok := s.Job(listed[0].ID); !ok || j != listed[0] {
+			t.Fatalf("round %d: admitted job %s not found by id", round, listed[0].ID)
+		}
 	}
 }

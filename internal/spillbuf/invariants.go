@@ -25,8 +25,8 @@ func (b *Buffer) checkInvariants(where string) {
 		panic(fmt.Sprintf("spillbuf: %s: maxPending watermark %d below pendingBytes %d",
 			where, b.maxPending, b.pendingBytes))
 	}
-	if b.seq != b.spills {
-		panic(fmt.Sprintf("spillbuf: %s: seq %d != spills %d", where, b.seq, b.spills))
+	if spills := b.spills.Load(); int64(b.seq) != spills {
+		panic(fmt.Sprintf("spillbuf: %s: seq %d != spills %d", where, b.seq, spills))
 	}
 	if b.inflight > b.spillBytes {
 		panic(fmt.Sprintf("spillbuf: %s: inflight %d exceeds total spilled bytes %d",

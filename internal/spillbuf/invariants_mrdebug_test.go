@@ -59,7 +59,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 
 	b = newBuf()
 	b.mu.Lock()
-	b.seq = b.spills + 1
+	b.seq = int(b.spills.Load()) + 1
 	mustPanic(t, "seq", func() { b.checkInvariants("test") })
 	b.mu.Unlock()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,8 +106,11 @@ func TestRecordsAreCopied(t *testing.T) {
 
 func TestPackedSpillContents(t *testing.T) {
 	// Records arrive packed in emit order with partition, key and value
-	// intact, and Release recycles the batch's arena for later spills.
-	b, err := New(1<<20, nil, nil)
+	// intact, and Release recycles the batch's arena for later spills —
+	// until the buffer is closed and drained, when it lets the arenas go.
+	// 100 records charge 3200 bytes: past the 0.8 threshold of 3600, so
+	// the spill is there to take while the buffer is still open.
+	b, err := New(3600, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,6 @@ func TestPackedSpillContents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.Close()
 	s, ok := b.NextSpill()
 	if !ok || s.Recs.Len() != n {
 		t.Fatalf("spill: ok=%v len=%d", ok, s.Recs.Len())
@@ -137,6 +140,16 @@ func TestPackedSpillContents(t *testing.T) {
 	b.mu.Unlock()
 	if !recycled {
 		t.Error("released batch not recycled into the free pool")
+	}
+	b.Close()
+	if _, ok := b.NextSpill(); ok {
+		t.Fatal("spill from a closed, empty buffer")
+	}
+	b.mu.Lock()
+	kept := len(b.free) + cap(b.pending.Arena) + cap(b.pending.Meta)
+	b.mu.Unlock()
+	if kept != 0 {
+		t.Error("closed and drained buffer still holds its arenas")
 	}
 }
 
@@ -343,6 +356,21 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// testClock is an injected task clock: it moves only when a test advances
+// it, and it counts its readings. Producer and consumer read it from two
+// goroutines.
+type testClock struct {
+	ns    atomic.Int64
+	reads atomic.Int64
+}
+
+func (c *testClock) now() time.Time {
+	c.reads.Add(1)
+	return time.Unix(0, c.ns.Load())
+}
+
+func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 func TestProduceTimeExcludesWaits(t *testing.T) {
 	// The per-spill produce measurement must not include time the producer
 	// spent blocked: feed fast, block hard, and check T_p stays well under
@@ -378,6 +406,108 @@ func TestProduceTimeExcludesWaits(t *testing.T) {
 	defer mu.Unlock()
 	if produceTotal > wall/2 {
 		t.Errorf("produce time %v vs wall %v: waits leaked into T_p", produceTotal, wall)
+	}
+}
+
+func TestProduceTimeCoversTheProducer(t *testing.T) {
+	// The converse: with a slow producer and an instant consumer nothing
+	// is excluded, so the spills' produce times add up to the producer's
+	// whole wall — every stretch between two hand-offs belongs to exactly
+	// one spill. The clock is the test's: the producer spends 1 ms of it
+	// per record, and any wait for the consumer takes none of it.
+	clk := &testClock{}
+	b, err := New(512, spillmatch.NewStatic(0.5), metrics.NewTaskMetricsClock(clk.now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var produceTotal time.Duration
+	spills := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			s, ok := b.NextSpill()
+			if !ok {
+				return
+			}
+			produceTotal += s.Produce
+			spills++
+			b.Release(s, 0)
+		}
+	}()
+	const records = 60
+	for i := 0; i < records; i++ {
+		clk.advance(time.Millisecond) // map() + emit work
+		if _, err := b.Append(0, []byte("k"), make([]byte, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Close()
+	<-done
+	if spills < 2 {
+		t.Fatalf("%d spills, want the wall cut into several", spills)
+	}
+	if wall := records * time.Millisecond; produceTotal != wall {
+		t.Errorf("spills' produce times add up to %v, producer's wall is %v", produceTotal, wall)
+	}
+}
+
+func TestAppendReadsNoClockUnlessItBlocks(t *testing.T) {
+	clk := &testClock{}
+	b, err := New(1<<20, nil, metrics.NewTaskMetricsClock(clk.now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := clk.reads.Load()
+	key, val := []byte("word"), []byte{2}
+	for i := 0; i < 10000; i++ { // 210 000 of 1 Mi bytes: never full
+		if _, err := b.Append(i%4, key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := clk.reads.Load() - before; got != 0 {
+		t.Errorf("10000 unblocked Appends read the clock %d times", got)
+	}
+	b.Close()
+	s, ok := b.NextSpill()
+	if !ok || s.Recs.Len() != 10000 {
+		t.Fatalf("final spill: ok=%v len=%d", ok, s.Recs.Len())
+	}
+	// Creation, Close: the whole life of this buffer took two readings.
+	if got := clk.reads.Load(); got != 2 {
+		t.Errorf("buffer read the clock %d times in all, want 2", got)
+	}
+}
+
+// TestGroundTruthAppend pins the //mrlint:hotpath annotation on Append to
+// the real compiler: once the buffer cycles recycled regions — from the
+// third spill on — appending allocates nothing; a region is sized by
+// reservePending when it is new and never regrown by the Appends that
+// fill it.
+func TestGroundTruthAppend(t *testing.T) {
+	b, err := New(256<<10, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, val := []byte("word"), []byte{2}
+	perSpill := (256<<10)*8/10/int(RecordBytes(key, val)) + 1 // just past the 0.8 threshold
+	cycle := func() {
+		for i := 0; i < perSpill; i++ {
+			if _, err := b.Append(i%4, key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, ok := b.NextSpill()
+		if !ok || s.Recs.Len() != perSpill {
+			t.Fatalf("spill: ok=%v len=%d want %d", ok, s.Recs.Len(), perSpill)
+		}
+		b.Release(s, 0)
+	}
+	cycle() // first region: seeded, then sized from the budget
+	cycle() // second region: sized from the first
+	allocs := testing.AllocsPerRun(10, cycle)
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("steady-state spill cycle of %d Appends: %.2f allocs, want 0", perSpill, allocs)
 	}
 }
 
