@@ -8,9 +8,6 @@
 // Experiments: fig2 table2 fig3 fig7 fig8 fig9 fig10 table3 table4
 // spillmodel, or "all".
 //
-// mrbench -spillbench runs the spill-path regression harness instead
-// and writes BENCH_spillpath.json (see internal/spillpath).
-//
 // mrbench -shufflebench runs the pipelined-shuffle harness — the same
 // throttled SynText job under the serial shuffle and under copier pools
 // of fan-out 1, 2 and 4 — plus a weak-scaling sweep over
@@ -18,14 +15,11 @@
 // BENCH_shuffle.json. -shufflebench-assert turns the sweep into a CI
 // gate on copier-steal activity.
 //
-// mrbench -ingestbench runs the ingest fast-path harness — the serial
-// bufio line scanner with allocating tokenize/parse kernels against the
-// block-batched arena scanner with the fastparse kernels — and writes
-// BENCH_ingest.json (see internal/ingestbench).
+// Whole-job and per-layer performance is measured by the end-to-end
+// benchmark (BENCHMARK.json, bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -36,61 +30,26 @@ import (
 
 	"mrtext/internal/experiments"
 	"mrtext/internal/pprofserve"
-	"mrtext/internal/spillpath"
 	"mrtext/internal/trace"
 )
 
-func runSpillBench(out string, iters int, seed int64) error {
-	rep, err := spillpath.Run(spillpath.DefaultScales, 4, 8, iters, seed)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	for _, sc := range rep.Scales {
-		fmt.Printf("%8d records: sort %.2fx merge %.2fx total %.2fx (allocs/rec %.2f -> %.2f)\n",
-			sc.Records, sc.SortSpeedup, sc.MergeSpeedup, sc.TotalSpeedup,
-			sc.Baseline.Total.AllocsPerRecord, sc.Packed.Total.AllocsPerRecord)
-	}
-	fmt.Printf("emit timing: precise %.1f ns/rec, sampled %.1f ns/rec (delta %.1f); clock reads/rec %.2f -> %.4f\n",
-		rep.EmitTimer.PreciseNsPerRecord, rep.EmitTimer.SampledNsPerRecord, rep.EmitTimer.DeltaNsPerRecord,
-		rep.EmitTimer.PreciseClockReadsPerRec, rep.EmitTimer.SampledClockReadsPerRec)
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list available experiments and exit")
-		scale      = flag.Float64("scale", 1.0, "dataset scale multiplier (1.0 ≈ 16 MiB corpus)")
-		nodes      = flag.Int("nodes", 0, "override cluster node count (0 = experiment default)")
-		posIter    = flag.Int("pos-iterations", 8, "WordPOSTag CPU-intensity (tagger rescoring iterations)")
-		seed       = flag.Int64("seed", 1, "generator seed offset")
-		fast       = flag.Bool("fast", false, "disable disk/network throttling (not paper-faithful; for smoke tests)")
-		spillbench = flag.Bool("spillbench", false, "run the spill-path regression harness and write -spillbench-out")
-		sbOut      = flag.String("spillbench-out", "BENCH_spillpath.json", "output file for -spillbench")
-		sbIters    = flag.Int("spillbench-iters", 5, "measurement iterations per stage for -spillbench")
-		shufbench  = flag.Bool("shufflebench", false, "run the pipelined-shuffle harness and write -shufflebench-out")
-		shbOut     = flag.String("shufflebench-out", "BENCH_shuffle.json", "output file for -shufflebench")
-		shbIters   = flag.Int("shufflebench-iters", 3, "iterations per shuffle configuration for -shufflebench")
-		shbMB      = flag.Int64("shufflebench-mb", 16, "SynText corpus size in MiB for -shufflebench")
-		shbNodes   = flag.String("shufflebench-nodes", "64,128,256", "comma-separated node counts for the -shufflebench weak-scaling sweep (empty = skip the sweep)")
-		shbBase    = flag.Bool("shufflebench-base", true, "run the classic 4-node copier-fan-out section of -shufflebench")
-		shbAssert  = flag.Bool("shufflebench-assert", false, "exit nonzero unless copier-steal activity at copiers-4 stays within the copiers-1 bound in every cell (CI gate)")
-		ingbench   = flag.Bool("ingestbench", false, "run the ingest fast-path harness and write -ingestbench-out")
-		ibOut      = flag.String("ingestbench-out", "BENCH_ingest.json", "output file for -ingestbench")
-		ibIters    = flag.Int("ingestbench-iters", 5, "iterations per ingest pipeline for -ingestbench")
-		ibMB       = flag.Int64("ingestbench-mb", 64, "dataset size in MiB for -ingestbench")
-		ibChunkKB  = flag.Int("ingestbench-chunk-kb", 0, "batched-reader arena chunk in KiB for -ingestbench (0 = default)")
-		ibAssert   = flag.Bool("ingestbench-assert", false, "exit nonzero unless batched steady-state allocs/record == 0 (CI gate)")
-		traceOut   = flag.String("trace", "", "record every job run and write one Chrome/Perfetto trace to this file")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and live expvar metrics on this address (e.g. localhost:6060)")
+		list      = flag.Bool("list", false, "list available experiments and exit")
+		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier (1.0 ≈ 16 MiB corpus)")
+		nodes     = flag.Int("nodes", 0, "override cluster node count (0 = experiment default)")
+		posIter   = flag.Int("pos-iterations", 8, "WordPOSTag CPU-intensity (tagger rescoring iterations)")
+		seed      = flag.Int64("seed", 1, "generator seed offset")
+		fast      = flag.Bool("fast", false, "disable disk/network throttling (not paper-faithful; for smoke tests)")
+		shufbench = flag.Bool("shufflebench", false, "run the pipelined-shuffle harness and write -shufflebench-out")
+		shbOut    = flag.String("shufflebench-out", "BENCH_shuffle.json", "output file for -shufflebench")
+		shbIters  = flag.Int("shufflebench-iters", 3, "iterations per shuffle configuration for -shufflebench")
+		shbMB     = flag.Int64("shufflebench-mb", 16, "SynText corpus size in MiB for -shufflebench")
+		shbNodes  = flag.String("shufflebench-nodes", "64,128,256", "comma-separated node counts for the -shufflebench weak-scaling sweep (empty = skip the sweep)")
+		shbBase   = flag.Bool("shufflebench-base", true, "run the classic 4-node copier-fan-out section of -shufflebench")
+		shbAssert = flag.Bool("shufflebench-assert", false, "exit nonzero unless copier-steal activity at copiers-4 stays within the copiers-1 bound in every cell (CI gate)")
+		traceOut  = flag.String("trace", "", "record every job run and write one Chrome/Perfetto trace to this file")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live expvar metrics on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -113,13 +72,6 @@ func main() {
 		}
 		return
 	}
-	if *spillbench {
-		if err := runSpillBench(*sbOut, *sbIters, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *shufbench {
 		scaleNodes, err := parseNodeList(*shbNodes)
 		if err != nil {
@@ -128,13 +80,6 @@ func main() {
 		}
 		if err := runShuffleBench(*shbOut, *shbIters, *shbMB, scaleNodes, *shbBase, *shbAssert); err != nil {
 			fmt.Fprintf(os.Stderr, "mrbench: shufflebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingbench {
-		if err := runIngestBench(*ibOut, *ibMB, *ibChunkKB, *ibIters, *seed, *ibAssert); err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: ingestbench: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -1,7 +1,7 @@
 package kvio
 
-// Loser-tree k-way merge — the hot-path replacement for the old
-// container/heap merger (kept as ReferenceMerger in refmerge.go).
+// Loser-tree k-way merge, validated against the container/heap
+// ReferenceMerger oracle in refmerge_test.go.
 //
 // A loser tree replaces the heap's O(log k) sift — each level of which
 // paid an interface-dispatched Less plus a full bytes.Compare — with a

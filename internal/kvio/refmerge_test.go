@@ -1,10 +1,9 @@
 package kvio
 
-// ReferenceMerger is the original container/heap k-way merger, kept as
-// the reference implementation the loser-tree Merger (losertree.go) is
-// validated against: property tests assert both produce identical group
-// and value sequences, and the benchmark harness uses it as the
-// pre-optimization baseline. It is not on any hot path.
+// ReferenceMerger is a container/heap k-way merger, the test oracle the
+// loser-tree Merger (losertree.go) is validated against: property tests
+// assert both produce identical group and value sequences, and
+// BenchmarkReferenceMerge keeps its cost beside the loser tree's.
 
 import (
 	"bytes"

@@ -9,12 +9,10 @@ import (
 	"mrtext/internal/dfs"
 )
 
-// LineReader is what the map loop needs from a split reader: the line
-// iterator plus the consumed-byte count the frequency-buffering profiler
-// extrapolates from. Both the batched blockScanner (default) and the
-// bufio-based lineScanner (Job.SerialIngest) implement it. Exported so the
-// ingest benchmark harness (internal/ingestbench) can drain splits through
-// either reader outside a job.
+// LineReader is the split reader's face: the line iterator plus the
+// consumed-byte count the frequency-buffering profiler extrapolates from.
+// Exported with SplitsOf and OpenSplitBatched so the benchmark's ingest
+// drill can drain splits outside a job.
 type LineReader interface {
 	// Next returns the next line (without its trailing newline) and its
 	// starting file offset; ok=false at end of split. The slice is owned
@@ -26,41 +24,20 @@ type LineReader interface {
 	Close() error
 }
 
-// lineSource is the runtime-internal name for the split-reader face.
-type lineSource = LineReader
-
 // SplitsOf computes the input splits (one per DFS block) the runner would
-// schedule for the given inputs — exported for the ingest benchmark
-// harness, which drains splits without running a job.
+// schedule for the given inputs.
 func SplitsOf(fs *dfs.DFS, inputs []string) ([]Split, error) {
 	return computeSplits(fs, inputs)
 }
 
-// OpenSplitSerial opens the split with the bufio-based serial line scanner
-// — the pre-fast-path reader Job.SerialIngest selects, kept as the ingest
-// benchmark baseline.
-func OpenSplitSerial(fs *dfs.DFS, split Split, node int) (LineReader, error) {
-	return openLines(fs, split, node)
-}
-
-// OpenSplitBatched opens the split with the block-batched arena scanner of
-// the ingest fast path. chunkBytes <= 0 selects the default arena chunk.
+// OpenSplitBatched opens the split with the block-batched arena scanner
+// every map task reads through. chunkBytes <= 0 selects the default arena
+// chunk.
 func OpenSplitBatched(fs *dfs.DFS, split Split, node int, chunkBytes int) (LineReader, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = defaultIngestChunk
 	}
 	return openBlockLines(fs, split, node, chunkBytes)
-}
-
-// openSplit opens the split with the reader the job's ingest knobs select:
-// the block-batched scanner by default, the serial bufio scanner under
-// SerialIngest (the pre-fast-path behavior kept as the comparison
-// baseline, like SerialShuffle on the shuffle side).
-func openSplit(fs *dfs.DFS, split Split, node int, job *Job) (lineSource, error) {
-	if job.SerialIngest {
-		return openLines(fs, split, node)
-	}
-	return openBlockLines(fs, split, node, int(job.IngestChunkBytes))
 }
 
 // defaultIngestChunk is the arena chunk size when Job.IngestChunkBytes is
@@ -71,23 +48,22 @@ const defaultIngestChunk = 1 << 20
 
 // tailChunk bounds reads once the buffered data reaches the split end:
 // only the tail of one line can remain, so refills shrink from the arena
-// chunk to this, keeping the metered DFS overshoot small (the bufio
-// scanner could overshoot by its full 64 KiB buffer).
+// chunk to this, keeping the metered DFS overshoot small.
 const tailChunk = 4 << 10
 
 // blockScanner is the batched split reader of the ingest fast path: it
 // reads the split in arena-sized chunks and returns lines as subslices of
 // the arena, so the steady-state per-line cost is one bytes.IndexByte —
 // no per-line reader calls, no copies, no allocations. Boundary semantics
-// are identical to lineScanner (first-byte ownership: open one byte early
-// and discard through the first newline; lines starting in-split complete
-// past the split end), proven by the byte-identity property tests in
-// blockread_test.go.
+// are first-byte ownership: open one byte early and discard through the
+// first newline; lines starting in-split complete past the split end —
+// checked against the test-only lineScanner oracle by the byte-identity
+// property tests and FuzzBlockScanner in blockread_test.go.
 //
 // Arena ownership: lines alias buf, which slides and is rewritten on
-// refill, so a returned line is valid only until the next Next call —
-// the same contract lineScanner documents. Callers that keep bytes copy
-// them (the emit path copies into the spill buffer's arena).
+// refill, so a returned line is valid only until the next Next call.
+// Callers that keep bytes copy them (the emit path copies into the spill
+// buffer's arena).
 type blockScanner struct {
 	rc       io.ReadCloser
 	buf      []byte // the arena: lines are subslices of this
@@ -145,7 +121,7 @@ func openBlockLines(fs *dfs.DFS, split Split, node int, chunk int) (*blockScanne
 	return s, nil
 }
 
-// Next returns the next line as a subslice of the arena. See lineSource
+// Next returns the next line as a subslice of the arena. See LineReader
 // for the aliasing contract.
 //
 //mrlint:hotpath

@@ -10,7 +10,7 @@ import (
 
 // scanSource drains one reader and returns its (offset, line) stream plus
 // the final consumed count.
-func scanSource(t *testing.T, src lineSource) (lines []string, offsets []int64, consumed int64) {
+func scanSource(t testing.TB, src LineReader) (lines []string, offsets []int64, consumed int64) {
 	t.Helper()
 	for {
 		off, line, ok, err := src.Next()
@@ -32,8 +32,9 @@ func scanSource(t *testing.T, src lineSource) (lines []string, offsets []int64, 
 
 // requireIdentical asserts the batched scanner produces a byte-identical
 // (offset, line, consumed) stream to the serial lineScanner over every
-// split of the file, at the given arena chunk size.
-func requireIdentical(t *testing.T, data []byte, blockSize int64, chunk int) {
+// split of the file, at the given arena chunk size. It returns the batched
+// reader's lines across all splits, each followed by a newline.
+func requireIdentical(t testing.TB, data []byte, blockSize int64, chunk int) (rebuilt []byte) {
 	t.Helper()
 	c := buildFS(t, data, blockSize)
 	splits, err := computeSplits(c.FS, []string{"f"})
@@ -65,7 +66,47 @@ func requireIdentical(t *testing.T, data []byte, blockSize int64, chunk int) {
 			t.Fatalf("split %d (block %d, chunk %d): consumed %d batched, %d serial",
 				si, blockSize, chunk, gotConsumed, wantConsumed)
 		}
+		for _, line := range gotLines {
+			rebuilt = append(append(rebuilt, line...), '\n')
+		}
 	}
+	return rebuilt
+}
+
+// FuzzBlockScanner drives the same oracle comparison from arbitrary bytes,
+// block sizes and arena chunks, and additionally requires that the splits'
+// lines concatenate back to the input: nothing dropped, duplicated or
+// reordered at any block or chunk boundary. The seeds are the boundary
+// shapes TestBlockScannerEdgeCorpora curates.
+func FuzzBlockScanner(f *testing.F) {
+	f.Add([]byte(""), uint16(5), uint16(16))
+	f.Add([]byte("first\nsecond\nlast-no-newline"), uint16(6), uint16(16))
+	f.Add([]byte("hello\nworld\n"), uint16(6), uint16(64)) // newline exactly on the block boundary
+	f.Add([]byte("ab\nzzzzzzzz\n"), uint16(4), uint16(32)) // one line spanning three blocks
+	f.Add([]byte("a\n\n\nb\n"), uint16(3), uint16(1))
+	f.Add(append(bytes.Repeat([]byte("y"), 100), '\n'), uint16(64), uint16(16)) // line longer than the chunk
+	f.Fuzz(func(t *testing.T, data []byte, blockSize, chunk uint16) {
+		if len(data) > 8<<10 {
+			t.Skip("split count is len/blockSize; keep one input cheap")
+		}
+		if blockSize == 0 {
+			blockSize = 1
+		}
+		if len(data) == 0 {
+			c := buildFS(t, data, int64(blockSize))
+			if _, err := computeSplits(c.FS, []string{"f"}); err == nil {
+				t.Fatal("empty input produced splits")
+			}
+			return
+		}
+		rebuilt := requireIdentical(t, data, int64(blockSize), int(chunk))
+		if data[len(data)-1] != '\n' {
+			data = append(data[:len(data):len(data)], '\n')
+		}
+		if !bytes.Equal(rebuilt, data) {
+			t.Fatalf("block %d chunk %d: lines concatenate to %q, input %q", blockSize, chunk, rebuilt, data)
+		}
+	})
 }
 
 // TestBlockScannerMatchesLineScanner is the tentpole equivalence property:

@@ -32,8 +32,15 @@ const (
 // starts disarmed, so corpus generation is fault-free.
 func newFTCluster(t *testing.T, chaosCfg *chaos.Config) (*cluster.Cluster, string) {
 	t.Helper()
+	return newFTClusterSized(t, chaosCfg, ftBlock, ftCorpus)
+}
+
+// newFTClusterSized is newFTCluster with the block and corpus sizes chosen
+// by the caller.
+func newFTClusterSized(t *testing.T, chaosCfg *chaos.Config, block, corpusBytes int64) (*cluster.Cluster, string) {
+	t.Helper()
 	cfg := cluster.Fast(ftNodes)
-	cfg.BlockSize = ftBlock
+	cfg.BlockSize = block
 	cfg.Replication = 2
 	cfg.Chaos = chaosCfg
 	c, err := cluster.New(cfg)
@@ -45,7 +52,7 @@ func newFTCluster(t *testing.T, chaosCfg *chaos.Config) (*cluster.Cluster, strin
 		t.Fatalf("create corpus: %v", err)
 	}
 	gen := textgen.CorpusConfig{Vocabulary: 5000, Alpha: 1.0, WordsPerLine: 8, Seed: 42}
-	if _, err := textgen.Corpus(w, gen, ftCorpus); err != nil {
+	if _, err := textgen.Corpus(w, gen, corpusBytes); err != nil {
 		t.Fatalf("generate corpus: %v", err)
 	}
 	if err := w.Close(); err != nil {

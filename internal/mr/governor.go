@@ -28,8 +28,7 @@ const (
 )
 
 // copierGovernor is a token gate shared by all of a job's shuffle
-// copiers. All methods are safe on a nil receiver (governor disabled):
-// acquire then always grants without waiting.
+// copiers.
 type copierGovernor struct {
 	inflight func() int64  // live remote-transfer count (fabric probe)
 	stop     chan struct{} // closed by close(); ends the retune goroutine
@@ -105,9 +104,6 @@ func (g *copierGovernor) retune() {
 // returns whether a token was granted (callers release only granted
 // tokens) and how long the copier was parked (zero on the fast path).
 func (g *copierGovernor) acquire() (granted bool, waited time.Duration) {
-	if g == nil {
-		return true, 0
-	}
 	g.mu.Lock()
 	var start time.Time
 	for !g.closed && g.held >= g.limit {
@@ -129,9 +125,6 @@ func (g *copierGovernor) acquire() (granted bool, waited time.Duration) {
 
 // release returns a granted token and wakes one parked copier.
 func (g *copierGovernor) release() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	if g.held > 0 {
 		g.held--
@@ -143,7 +136,7 @@ func (g *copierGovernor) release() {
 // noteProgress feeds the map phase's committed-task fraction into the
 // ramp. Progress is monotone; stale notifications never lower the limit.
 func (g *copierGovernor) noteProgress(done, total int) {
-	if g == nil || total <= 0 {
+	if total <= 0 {
 		return
 	}
 	f := float64(done) / float64(total)
@@ -158,9 +151,6 @@ func (g *copierGovernor) noteProgress(done, total int) {
 // markMapDone lifts the governor to its full token budget: with the map
 // barrier down there is no map-phase traffic left to protect.
 func (g *copierGovernor) markMapDone() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.mapDone = true
 	g.refreshLocked()
@@ -170,9 +160,6 @@ func (g *copierGovernor) markMapDone() {
 // close wakes every parked copier with no token (acquire returns granted
 // = false) and stops the retune goroutine.
 func (g *copierGovernor) close() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()

@@ -120,7 +120,7 @@ func TestGovernorRampsWithProgressAndRetune(t *testing.T) {
 }
 
 // TestGovernorCloseFailsParkedAcquire pins the shutdown contract: close
-// wakes parked copiers with no token, and a nil governor always grants.
+// wakes parked copiers with no token.
 func TestGovernorCloseFailsParkedAcquire(t *testing.T) {
 	g := newCopierGovernor(1, 4, func() int64 { return 100 })
 	if ok, _ := g.acquire(); !ok {
@@ -138,13 +138,4 @@ func TestGovernorCloseFailsParkedAcquire(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("close did not wake the parked acquire")
 	}
-
-	var nilGov *copierGovernor
-	if ok, w := nilGov.acquire(); !ok || w != 0 {
-		t.Fatal("nil governor did not grant immediately")
-	}
-	nilGov.release()
-	nilGov.noteProgress(1, 2)
-	nilGov.markMapDone()
-	nilGov.close()
 }

@@ -8,37 +8,33 @@ import (
 	"mrtext/internal/mr"
 )
 
-// TestIngestSerialVsBatchedIdentity is the reader-swap acceptance gate:
-// the same job must produce byte-identical output whether the map phase
-// reads its splits through the serial bufio scanner (SerialIngest) or the
-// block-batched fast path — fault-free, at an adversarially tiny arena
-// chunk, and under an injected-fault cell from the chaos matrix. All runs
-// are compared against the single-process reference implementation, so a
-// reader that drops, duplicates or reorders a boundary line fails against
-// ground truth rather than against its sibling.
-func TestIngestSerialVsBatchedIdentity(t *testing.T) {
+// TestIngestChunkIdentity is the split-reader acceptance gate: the job's
+// output must not depend on the arena chunk the map phase reads through —
+// at the default, at chunks far smaller than a line's neighbourhood (512
+// bytes) and than most lines (16 bytes, the reader's floor), and under an
+// injected-fault cell from the chaos matrix. All runs are compared against
+// the single-process reference implementation, so a reader that drops,
+// duplicates or reorders a boundary line fails against ground truth.
+func TestIngestChunkIdentity(t *testing.T) {
 	ref := ftReference(t)
 
 	kill := chaos.Config{Seed: 5, FailRate: 0.05, KillNode: 2, KillAfterOps: 40,
 		DelayRate: 1, Delay: 2 * time.Millisecond}
 	cells := []struct {
-		name   string
-		serial bool
-		chunk  int64
-		cfg    *chaos.Config
+		name  string
+		chunk int64
+		cfg   *chaos.Config
 	}{
-		{"serial-ingest", true, 0, nil},
-		{"batched-default", false, 0, nil},
-		{"batched-chunk-512", false, 512, nil}, // forces mid-line refills and slides
-		{"batched-chaos-kill", false, 0, &kill},
-		{"serial-chaos-kill", true, 0, &kill},
+		{"default-chunk", 0, nil},
+		{"chunk-512", 512, nil}, // forces mid-line refills and slides
+		{"chunk-16", 16, nil},   // every line outgrows the arena
+		{"chaos-kill", 0, &kill},
 	}
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			c, corpus := newFTCluster(t, cell.cfg)
 			job := ftJob(corpus, "wc-ingest-"+cell.name)
-			job.SerialIngest = cell.serial
 			job.IngestChunkBytes = cell.chunk
 			res, err := mr.Run(c, job)
 			if err != nil {
@@ -50,28 +46,18 @@ func TestIngestSerialVsBatchedIdentity(t *testing.T) {
 	}
 }
 
-// TestIngestSerialVsBatchedSynText covers the second corpus shape of the
-// chaos matrix: SynText output must not depend on the reader either.
-func TestIngestSerialVsBatchedSynText(t *testing.T) {
-	cref, corpus := newFTCluster(t, nil)
-	ref, err := mr.RunReference(cref, ftSynJob(corpus, "syn-ingest-ref"))
+// TestIngestSynTextIdentity covers the second corpus shape of the chaos
+// matrix: SynText output through the split reader must match the
+// reference executor too.
+func TestIngestSynTextIdentity(t *testing.T) {
+	c, corpus := newFTCluster(t, nil)
+	ref, err := mr.RunReference(c, ftSynJob(corpus, "syn-ingest-ref"))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	for _, serial := range []bool{true, false} {
-		name := "batched"
-		if serial {
-			name = "serial"
-		}
-		t.Run(name, func(t *testing.T) {
-			c, corpus := newFTCluster(t, nil)
-			job := ftSynJob(corpus, "syn-ingest-"+name)
-			job.SerialIngest = serial
-			res, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			assertOutputsMatch(t, c, res, ref)
-		})
+	res, err := mr.Run(c, ftSynJob(corpus, "syn-ingest"))
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
+	assertOutputsMatch(t, c, res, ref)
 }

@@ -158,8 +158,6 @@ type Job struct {
 	SpillMatcher bool
 	// SpillMatcherConfig overrides the matcher configuration (optional).
 	SpillMatcherConfig *spillmatch.Config
-	// StaticSpillPercent overrides the baseline threshold (0 = 0.8).
-	StaticSpillPercent float64
 	// FreqBuf enables frequency-buffering when non-nil. Requires Combine.
 	FreqBuf *FreqBufConfig
 
@@ -186,29 +184,11 @@ type Job struct {
 	// opens its partition's segment of every map output itself, at reduce
 	// start — the pre-pipelining behavior.
 	SerialShuffle bool
-	// ShuffleBatchBytes caps one copier batch (default 1 MiB): a copier
-	// visiting a source node drains all of that node's ready segments for
-	// its partition in one fabric transfer, up to this many wire bytes.
-	// The first segment is always taken even if it alone exceeds the cap.
-	ShuffleBatchBytes int64
-	// ShuffleRawWire disables wire compression: segments of uncompressed
-	// map outputs ship and stage in their raw on-disk format instead of
-	// being transcoded to the prefix-compressed run format. The zero value
-	// means compression is on, mirroring SerialShuffle/SerialIngest.
-	ShuffleRawWire bool
-	// ShuffleUngoverned disables the contention-aware copier governor, so
-	// copiers fetch as soon as segments commit regardless of fabric heat
-	// or map-phase progress — the pre-governor behavior kept for A/B runs.
-	ShuffleUngoverned bool
 
 	// IngestChunkBytes sizes the batched split reader's arena reads
 	// (default 1 MiB): the granularity at which a map task pulls split
 	// bytes from DFS before scanning lines out of the arena in place.
 	IngestChunkBytes int64
-	// SerialIngest disables the block-batched split reader, reverting to
-	// the bufio per-line scanner — the pre-fast-path behavior kept as the
-	// ingest benchmark baseline (mirroring SerialShuffle).
-	SerialIngest bool
 
 	// Trace records the job's span timeline (see internal/trace). Nil
 	// falls back to the process-wide trace.Default(); when that is nil
@@ -236,20 +216,12 @@ type Job struct {
 	// (default 2ms). The actual delay is jittered deterministically per
 	// (task, attempt) to spread retry storms.
 	RetryBackoff time.Duration
-	// NodeFailureLimit blacklists a node for the rest of the job after
-	// this many failed attempts ran on it (default 4, Hadoop's
-	// mapred.max.tracker.failures). Blacklisting never removes the last
-	// live node.
-	NodeFailureLimit int
 	// Speculation enables backup attempts for stragglers: once
 	// SpeculationQuorum of a phase's tasks have committed, a task whose
-	// sole running attempt has been going longer than SpeculationSlowdown
+	// sole running attempt has been going longer than speculationSlowdown
 	// times the median committed duration gets one backup attempt; the
 	// first committer wins and the loser's output is discarded.
 	Speculation bool
-	// SpeculationSlowdown is the straggler threshold multiplier
-	// (default 1.8).
-	SpeculationSlowdown float64
 	// SpeculationQuorum is the fraction of committed tasks required
 	// before backups launch (default 0.6).
 	SpeculationQuorum float64
@@ -309,26 +281,14 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	if cp.ShuffleBufferBytes <= 0 {
 		cp.ShuffleBufferBytes = 32 << 20
 	}
-	if cp.ShuffleBatchBytes <= 0 {
-		cp.ShuffleBatchBytes = 1 << 20
-	}
 	if cp.IngestChunkBytes <= 0 {
 		cp.IngestChunkBytes = defaultIngestChunk
-	}
-	if cp.StaticSpillPercent <= 0 || cp.StaticSpillPercent > 1 {
-		cp.StaticSpillPercent = spillmatch.DefaultStaticPercent
 	}
 	if cp.MaxAttempts <= 0 {
 		cp.MaxAttempts = 4
 	}
 	if cp.RetryBackoff <= 0 {
 		cp.RetryBackoff = 2 * time.Millisecond
-	}
-	if cp.NodeFailureLimit <= 0 {
-		cp.NodeFailureLimit = 4
-	}
-	if cp.SpeculationSlowdown <= 1 {
-		cp.SpeculationSlowdown = 1.8
 	}
 	if cp.SpeculationQuorum <= 0 || cp.SpeculationQuorum > 1 {
 		cp.SpeculationQuorum = 0.6
@@ -355,7 +315,7 @@ func (j *Job) newController() spillmatch.Controller {
 		}
 		return spillmatch.NewMatcher(cfg)
 	}
-	return spillmatch.NewStatic(j.StaticSpillPercent)
+	return spillmatch.NewStatic(spillmatch.DefaultStaticPercent)
 }
 
 // TaskReport carries one task's instrumentation into the job result.
@@ -447,7 +407,8 @@ type Result struct {
 	ShuffleBatchFetches  int
 	ShuffleBatchSegments int
 	// ShuffleWireSavedBytes is raw-minus-wire bytes saved by compressing
-	// segments before the staging hop (zero under ShuffleRawWire).
+	// segments before the staging hop (zero when the expansion guard
+	// ships every segment raw).
 	ShuffleWireSavedBytes int64
 	// ShuffleGovThrottles counts copier batches that had to wait for a
 	// governor token while the map phase was fabric-hot.

@@ -9,34 +9,10 @@ import (
 	"mrtext/internal/dfs"
 )
 
-// Split is one map task's input slice: a byte range of a DFS file,
-// typically one block, with the nodes holding that block.
-type Split struct {
-	File   string
-	Offset int64
-	Len    int64
-	Hosts  []int // nodes holding a local replica
-}
-
-// computeSplits turns every block of every input file into a Split.
-func computeSplits(fs *dfs.DFS, inputs []string) ([]Split, error) {
-	var splits []Split
-	for _, in := range inputs {
-		blocks, err := fs.Blocks(in)
-		if err != nil {
-			return nil, fmt.Errorf("mr: input %q: %w", in, err)
-		}
-		for _, b := range blocks {
-			splits = append(splits, Split{File: in, Offset: b.Offset, Len: b.Len, Hosts: b.Replicas})
-		}
-	}
-	if len(splits) == 0 {
-		return nil, fmt.Errorf("mr: inputs contain no data")
-	}
-	return splits, nil
-}
-
-// lineScanner iterates the lines belonging to one split with the standard
+// lineScanner is the test oracle for blockScanner: an independent bufio
+// per-line reader, so the property tests and FuzzBlockScanner can require
+// identical (offset, line, consumed) streams from two implementations.
+// It iterates the lines belonging to one split with the standard
 // split-boundary rule: a line belongs to the split that contains its first
 // byte. To decide whether the split's first byte starts a line, the scanner
 // opens one byte early and discards through the first newline — if that
@@ -89,19 +65,12 @@ func openLines(fs *dfs.DFS, split Split, node int) (*lineScanner, error) {
 
 // Next returns the next owned line (without its trailing newline) and its
 // starting offset. ok=false signals end of split. The returned slice is
-// the scanner's reused buffer and is valid only until the next Next call;
-// callers copy what they keep (the map loop emits into the spill buffer's
-// arena, which copies).
-//
-//mrlint:hotpath
+// the scanner's reused buffer and is valid only until the next Next call.
 func (s *lineScanner) Next() (off int64, line []byte, ok bool, err error) {
 	if s.done || s.pos >= s.splitEnd {
 		return 0, nil, false, nil
 	}
 	off = s.pos
-	// ReadSlice into a reused buffer instead of ReadBytes: ReadBytes
-	// returns a fresh copy per call, which was the map loop's last
-	// per-line allocation.
 	s.line = s.line[:0]
 	var rerr error
 	for {
@@ -121,7 +90,6 @@ func (s *lineScanner) Next() (off int64, line []byte, ok bool, err error) {
 			return 0, nil, false, nil
 		}
 	} else if rerr != nil {
-		//mrlint:ignore alloccheck cold path: I/O failure exit, not the per-line loop
 		return 0, nil, false, fmt.Errorf("mr: reading line at %d: %w", off, rerr)
 	}
 	line = s.line
@@ -131,9 +99,7 @@ func (s *lineScanner) Next() (off int64, line []byte, ok bool, err error) {
 	return off, line, true, nil
 }
 
-// Consumed reports the bytes this split has consumed so far (used to
-// extrapolate the expected record count for the frequency-buffering
-// profiler).
+// Consumed reports the bytes this split has consumed so far.
 func (s *lineScanner) Consumed() int64 { return s.consumed }
 
 // Close releases the underlying DFS stream.

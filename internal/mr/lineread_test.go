@@ -12,7 +12,7 @@ import (
 
 // buildFS writes data as one DFS file over a cluster with the given block
 // size and returns the cluster.
-func buildFS(t *testing.T, data []byte, blockSize int64) *cluster.Cluster {
+func buildFS(t testing.TB, data []byte, blockSize int64) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Nodes: 3, BlockSize: blockSize, Replication: 1,
 		MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})

@@ -118,8 +118,8 @@ type mapCollector struct {
 	freq  *freqbuf.Buffer
 	cache *freqbuf.Cache // node cache for top-k sharing (nil if disabled)
 
-	scanner   lineSource // the task's input scanner (for record-count extrapolation)
-	emitted   int64      // records emitted so far
+	scanner   *blockScanner // the task's input scanner (for record-count extrapolation)
+	emitted   int64         // records emitted so far
 	published bool
 	sp        spanner     // freq-buffer eviction instants
 	plan      *chaos.Plan // nil when chaos is off: the guard below is the whole cost
@@ -541,7 +541,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	}()
 
 	// Map goroutine: read the split and apply map().
-	scanner, err := openSplit(c.FS, split, node, job)
+	scanner, err := openBlockLines(c.FS, split, node, int(job.IngestChunkBytes))
 	if err != nil {
 		buf.Close()
 		<-supportErr

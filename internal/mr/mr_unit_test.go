@@ -58,7 +58,6 @@ func TestJobWithDefaultsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if job.NumReducers != 4 || job.SpillBufferBytes != 4<<20 ||
-		job.StaticSpillPercent != spillmatch.DefaultStaticPercent ||
 		job.Partition == nil || job.OutputPrefix == "" || job.filePrefix == "" {
 		t.Errorf("defaults not applied: %+v", job)
 	}
@@ -78,9 +77,11 @@ func TestJobWithDefaultsValidation(t *testing.T) {
 }
 
 func TestNewControllerSelection(t *testing.T) {
-	j := &Job{SpillMatcher: false, StaticSpillPercent: 0.7}
-	if _, ok := j.newController().(*spillmatch.Static); !ok {
+	j := &Job{SpillMatcher: false}
+	if st, ok := j.newController().(*spillmatch.Static); !ok {
 		t.Error("baseline job did not get a static controller")
+	} else if got := st.Percent(); got != spillmatch.DefaultStaticPercent {
+		t.Errorf("baseline spill percent %g, want the constant %g", got, spillmatch.DefaultStaticPercent)
 	}
 	j.SpillMatcher = true
 	if _, ok := j.newController().(*spillmatch.Matcher); !ok {

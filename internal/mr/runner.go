@@ -289,6 +289,18 @@ const (
 	attemptRecovery                       // re-run of a committed map task after node death
 )
 
+const (
+	// nodeFailureLimit blacklists a node for the rest of the job after
+	// this many failed attempts ran on it (Hadoop's
+	// mapred.max.tracker.failures). Blacklisting never removes the last
+	// live node.
+	nodeFailureLimit = 4
+	// speculationSlowdown is the straggler threshold: a sole running
+	// attempt older than this multiple of the median committed attempt
+	// gets a backup.
+	speculationSlowdown = 1.8
+)
+
 // pendingAttempt is one schedulable unit of work: a (task, attempt) pair.
 type pendingAttempt struct {
 	task     int
@@ -567,7 +579,7 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	ts.failures++
 	if !ft.deadKnown[node] {
 		ft.nodeFailures[node]++
-		if ft.nodeFailures[node] >= ft.job.NodeFailureLimit && !ft.blacklisted[node] && ft.usableNodesLocked() > 1 {
+		if ft.nodeFailures[node] >= nodeFailureLimit && !ft.blacklisted[node] && ft.usableNodesLocked() > 1 {
 			ft.blacklisted[node] = true
 			ft.cond.Broadcast()
 		}
@@ -776,7 +788,7 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 			}
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		threshold := time.Duration(ft.job.SpeculationSlowdown * float64(durs[len(durs)/2]))
+		threshold := time.Duration(speculationSlowdown * float64(durs[len(durs)/2]))
 		// Floor against tiny-task noise: sub-millisecond medians would
 		// speculate on scheduler jitter.
 		if threshold < 500*time.Microsecond {

@@ -28,7 +28,7 @@ import (
 //
 //   - Batching: a copier visiting a source node drains all of that node's
 //     queued segments for its partition in one fabric transfer, up to
-//     Job.ShuffleBatchBytes, amortizing the per-transfer fabric latency
+//     copierBatchBytes, amortizing the per-transfer fabric latency
 //     that made fine-grained fan-out pay one round trip per segment.
 //   - Wire compression: segments of uncompressed map outputs are
 //     transcoded to kvio's prefix-compressed run format before the
@@ -46,6 +46,10 @@ import (
 // wait is the backpressure; the overflow keeps copiers from deadlocking
 // against reducers that have not started consuming yet.
 const stagingReserveWait = 2 * time.Millisecond
+
+// copierBatchBytes caps one copier batch's wire bytes. The first segment
+// of a batch is always taken, even when it alone exceeds the cap.
+const copierBatchBytes = 1 << 20
 
 // stagingBuffer bounds the memory held by staged shuffle segments.
 // Copiers reserve space before keeping fetched bytes in memory and
@@ -165,7 +169,6 @@ type shuffleService struct {
 	prefix     string
 	copiers    int
 	batchBytes int64
-	rawWire    bool
 	gov        *copierGovernor
 	buf        *stagingBuffer
 	// tm is the service's own metrics. Staging work belongs to the job,
@@ -194,8 +197,8 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 		tr:         job.Trace,
 		prefix:     job.filePrefix,
 		copiers:    job.ShuffleCopiers,
-		batchBytes: job.ShuffleBatchBytes,
-		rawWire:    job.ShuffleRawWire,
+		batchBytes: copierBatchBytes,
+		gov:        newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight),
 		buf:        newStagingBuffer(job.ShuffleBufferBytes),
 		tm:         metrics.NewTaskMetrics(),
 		hists:      job.Hists,
@@ -204,9 +207,6 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 		released:   make([]bool, parts),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if !job.ShuffleUngoverned {
-		s.gov = newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight)
-	}
 	for p := 0; p < parts; p++ {
 		s.staged[p] = make(map[int]*stagedSeg)
 		for ci := 0; ci < s.copiers; ci++ {
@@ -363,7 +363,7 @@ func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 		}
 		f := fetchedSeg{req: req, data: data, compressed: req.out.index.Compressed}
 		raw += int64(len(data))
-		if !f.compressed && !s.rawWire && len(data) > 0 {
+		if !f.compressed && len(data) > 0 {
 			// Keep the raw bytes when transcoding does not pay: tiny
 			// segments (a handful of records at high fan-out) can expand
 			// by a frame byte per record.

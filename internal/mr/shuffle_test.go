@@ -5,6 +5,7 @@ import (
 
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
+	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
 )
@@ -61,34 +62,37 @@ func TestPipelinedShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShuffleFetchPlaneVariantsMatchSerial sweeps the fetch-plane knobs —
-// raw wire (no compression), a 1-byte batch cap that degenerates every
-// batch to a single segment, the ungoverned copier pool, and the
-// compressed path squeezed through a 1-byte staging budget — and requires
-// byte-identical outputs against a serial-shuffle reference for each.
+// TestShuffleFetchPlaneVariantsMatchSerial drives the fetch plane's two
+// segment formats through the whole job and requires byte-identical
+// outputs against a serial-shuffle reference for each: the compressed
+// wire format squeezed through a 1-byte staging budget, and — input-
+// driven — raw segments, from a corpus so small against so many reducers
+// that every segment is a handful of records and the expansion guard
+// declines to transcode any of them.
 func TestShuffleFetchPlaneVariantsMatchSerial(t *testing.T) {
-	serialC, corpus := newFTCluster(t, nil)
-	serialJob := ftJob(corpus, "wc-variant-serial")
-	serialJob.SerialShuffle = true
-	serialRes, err := mr.Run(serialC, serialJob)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	ref := readOutputs(t, serialC, serialRes)
-
 	cases := []struct {
-		name string
-		tune func(job *mr.Job)
+		name          string
+		block, corpus int64
+		tune          func(job *mr.Job)
+		wantSaving    bool // some segment shrank on the wire; false: all shipped raw
 	}{
-		{"raw-wire", func(job *mr.Job) { job.ShuffleRawWire = true }},
-		{"one-byte-batch", func(job *mr.Job) { job.ShuffleBatchBytes = 1 }},
-		{"ungoverned", func(job *mr.Job) { job.ShuffleUngoverned = true }},
-		{"compressed-one-byte-buffer", func(job *mr.Job) { job.ShuffleBufferBytes = 1 }},
+		{"compressed-one-byte-buffer", ftBlock, ftCorpus, func(job *mr.Job) { job.ShuffleBufferBytes = 1 }, true},
+		{"tiny-raw-segments", 512, 4 << 10, func(job *mr.Job) { job.NumReducers = 64 }, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			c, corpus := newFTCluster(t, nil)
+			serialC, corpus := newFTClusterSized(t, nil, tc.block, tc.corpus)
+			serialJob := ftJob(corpus, "wc-variant-serial-"+tc.name)
+			tc.tune(serialJob)
+			serialJob.SerialShuffle = true
+			serialRes, err := mr.Run(serialC, serialJob)
+			if err != nil {
+				t.Fatalf("serial run: %v", err)
+			}
+			ref := readOutputs(t, serialC, serialRes)
+
+			c, corpus := newFTClusterSized(t, nil, tc.block, tc.corpus)
 			job := ftJob(corpus, "wc-variant-"+tc.name)
 			tc.tune(job)
 			res, err := mr.Run(c, job)
@@ -96,6 +100,12 @@ func TestShuffleFetchPlaneVariantsMatchSerial(t *testing.T) {
 				t.Fatalf("pipelined run: %v", err)
 			}
 			assertOutputsMatch(t, c, res, ref)
+			if res.Agg.Counters[metrics.CtrShuffleStagedSegments] == 0 {
+				t.Error("no segment was staged: the fetch plane did not run")
+			}
+			if saved := res.ShuffleWireSavedBytes; (saved > 0) != tc.wantSaving {
+				t.Errorf("wire compression saved %d bytes, want saving = %v", saved, tc.wantSaving)
+			}
 		})
 	}
 }

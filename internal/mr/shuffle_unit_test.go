@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -229,6 +230,55 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 	svc.release(1)
 	if _, _, ok := svc.take(1, 0, 0, spanner{}); ok {
 		t.Fatal("released partition still serves staged segments")
+	}
+}
+
+// TestShuffleServiceStagesExpandingSegmentRaw pins the expansion guard: a
+// segment that prefix-compression would not shrink (one short record — the
+// frame byte costs more than the empty shared prefix saves) is staged in
+// its raw on-disk format, flagged uncompressed, and decodes through take
+// to exactly the record written.
+func TestShuffleServiceStagesExpandingSegmentRaw(t *testing.T) {
+	c := newUnitCluster(t, nil)
+	sink, err := kvio.NewRunSink(c.Disks[0], "unit-tiny", unitParts, false)
+	if err != nil {
+		t.Fatalf("sink: %v", err)
+	}
+	if err := sink.Append(0, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	idx, err := sink.Close()
+	if err != nil {
+		t.Fatalf("close sink: %v", err)
+	}
+	raw, err := kvio.ReadSegment(c.Disks[0], idx, 0)
+	if err != nil {
+		t.Fatalf("read segment: %v", err)
+	}
+	if enc, err := kvio.CompressSegment(raw); err != nil || len(enc) < len(raw) {
+		t.Fatalf("premise: transcoding %d raw bytes gave %d (err %v), want no shrink", len(raw), len(enc), err)
+	}
+
+	svc := newShuffleService(c, unitShuffleJob(1<<20))
+	defer svc.close()
+	svc.offer(0, mapOutput{node: 0, index: idx})
+	waitStagedSegments(t, svc, unitParts)
+
+	svc.mu.Lock()
+	st := svc.staged[0][0]
+	svc.mu.Unlock()
+	if st == nil || st.compressed || !bytes.Equal(st.data, raw) {
+		t.Fatalf("staged segment = %+v, want the %d raw bytes with compressed == false", st, len(raw))
+	}
+	stream, _, ok := svc.take(0, 0, 1, spanner{})
+	if !ok {
+		t.Fatal("raw-staged segment missing")
+	}
+	if got := drainStream(t, stream); len(got) != 1 || got[0] != [2]string{"k", "v"} {
+		t.Fatalf("raw-staged segment decoded to %q, want [[k v]]", got)
+	}
+	if saved := svc.tm.Counter(metrics.CtrShuffleWireSavedBytes); saved != 0 {
+		t.Errorf("wire-saved bytes = %d for a segment shipped raw", saved)
 	}
 }
 

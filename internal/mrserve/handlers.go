@@ -22,7 +22,7 @@ type SubmitRequest struct {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /jobs              submit (202 queued, 400 bad spec, 429 refused)
+//	POST /jobs              submit (202 queued, 400 bad spec, 413 body over 1 MiB, 429 refused)
 //	GET  /jobs              list all jobs, submission order
 //	GET  /jobs/{id}         status, metrics, attempt ledger
 //	POST /jobs/{id}/cancel  cancel queued or running
@@ -56,10 +56,30 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBody bounds a POST /jobs body; a spec is a few hundred bytes.
+const maxSubmitBody = 1 << 20
+
+// handleSubmit decodes exactly one SubmitRequest object: a body over
+// maxSubmitBody, a field the Spec does not have (a misspelt or retired
+// knob would otherwise be silently ignored) or anything after the object
+// is refused.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("mrserve: bad submit body: %w", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("mrserve: bad submit body: %w", err))
 		return
 	}
 	j, err := s.Submit(req.Tenant, req.Spec)

@@ -253,10 +253,10 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests: malformed body, unknown app, missing tenant,
-// unknown job id.
+// TestServeBadRequests: malformed body, unknown spec field, trailing
+// data, oversized body, unknown app, missing tenant, unknown job id.
 func TestServeBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, mrserve.Config{})
+	srv, ts := newTestServer(t, mrserve.Config{})
 
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{not json"))
 	if err != nil {
@@ -265,6 +265,39 @@ func TestServeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+
+	// A field the Spec does not have is refused by name, not ignored.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"tenant":"alice","spec":{"app":"wordcount","no_such_knob":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "no_such_knob") {
+		t.Errorf("unknown spec field: status %d body %s, want 400 naming the field", resp.StatusCode, msg)
+	}
+
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"tenant":"alice","spec":{"app":"wordcount"}} {"tenant":"bob"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data after the object: status %d, want 400", resp.StatusCode)
+	}
+
+	// An oversized body is refused at the limit, not read to its end.
+	body := strings.NewReader(`{"tenant":"` + strings.Repeat("0", 4<<20) + `"}`)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", rec.Code)
+	}
+	if body.Len() < 2<<20 {
+		t.Errorf("oversized body: handler left %d of %d bytes unread before refusing", body.Len(), body.Size())
 	}
 
 	if resp, _ := submit(t, ts, "alice", map[string]any{"app": "sortbenchmark"}); resp.StatusCode != http.StatusBadRequest {
