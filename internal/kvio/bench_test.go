@@ -1,10 +1,15 @@
 package kvio
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math/rand"
 	"testing"
 
+	"mrtext/internal/core/zipfest"
+	"mrtext/internal/textgen"
 	"mrtext/internal/vdisk"
 )
 
@@ -137,18 +142,62 @@ func BenchmarkSortRecords(b *testing.B) {
 	b.SetBytes(int64(len(base)))
 }
 
+// BenchmarkSortPacked sorts batches shaped like the workloads' spills
+// on a reused Sorter, as a map task does: uniform short keys; the words
+// of a Zipf corpus, FNV-partitioned eight ways (wc_fast: hot keys, the
+// radix on the cached prefix); URL keys that agree on their first twelve
+// bytes (logsum_fast: the common-prefix skip, the arena-byte levels).
 func BenchmarkSortPacked(b *testing.B) {
-	var base PackedRecords
-	for i := 0; i < 1<<14; i++ {
-		base.Append(i%12, []byte(fmt.Sprintf("k%05d", (i*2654435761)%9973)), []byte("v"))
+	fnvPart := func(key []byte, parts int) int {
+		h := fnv.New32a()
+		h.Write(key)
+		return int(h.Sum32() % uint32(parts))
 	}
-	work := PackedRecords{Meta: make([]Meta, base.Len()), Arena: base.Arena}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work.Meta, base.Meta)
-		SortPacked(work)
+	shapes := []struct {
+		name string
+		fill func(p *PackedRecords)
+	}{
+		{"uniform", func(p *PackedRecords) {
+			for i := 0; i < 1<<14; i++ {
+				p.Append(i%12, []byte(fmt.Sprintf("k%05d", (i*2654435761)%9973)), []byte("v"))
+			}
+		}},
+		{"zipf-text", func(p *PackedRecords) {
+			var text bytes.Buffer
+			if _, err := textgen.Corpus(&text, textgen.DefaultCorpus(), 640<<10); err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range bytes.Fields(text.Bytes()) {
+				p.Append(fnvPart(w, 8), w, []byte("1"))
+			}
+		}},
+		{"shared-prefix", func(p *PackedRecords) {
+			cfg := textgen.DefaultLog()
+			ranks, err := zipfest.NewSampler(cfg.URLs, cfg.Alpha)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			for i := 0; i < 15000; i++ {
+				url := []byte(textgen.URLForRank(ranks.Rank(rng.Float64())))
+				p.Append(fnvPart(url, 8), url, []byte("12345"))
+			}
+		}},
 	}
-	b.SetBytes(int64(base.Len()))
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			var base PackedRecords
+			shape.fill(&base)
+			work := PackedRecords{Meta: make([]Meta, base.Len()), Arena: base.Arena}
+			var s Sorter
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work.Meta, base.Meta)
+				s.Sort(work)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(base.Len()), "ns/record")
+		})
+	}
 }
 
 // BenchmarkReferenceMerge is the container/heap baseline that

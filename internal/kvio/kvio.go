@@ -222,7 +222,8 @@ func (s *SliceStream) Close() error { return nil }
 
 // CombineFunc aggregates all values of one key, emitting zero or more
 // records. It matches the user combine() contract: it may be applied any
-// number of times to any subset of a key's values.
+// number of times to any subset of a key's values. The key and value
+// slices are the caller's and are reused once the call returns.
 type CombineFunc func(key []byte, values [][]byte, emit func(key, value []byte) error) error
 
 // MergeInto merges streams and appends every (possibly combined) record to
@@ -236,7 +237,19 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 	}
 	defer m.Close()
 
-	var vals [][]byte
+	// One closure, one value slice and one byte arena serve every group of
+	// the merge. A group's values are copied into the arena as they are
+	// read and sliced out of it only afterwards, because growing the arena
+	// moves it.
+	emit := func(k, v []byte) error {
+		emitted++
+		return out.Append(part, k, v)
+	}
+	var (
+		vals  [][]byte
+		arena []byte
+		ends  []int
+	)
 	for {
 		key, ok, err := m.NextGroup()
 		if err != nil {
@@ -262,7 +275,7 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 			}
 			continue
 		}
-		vals = vals[:0]
+		arena, ends = arena[:0], ends[:0]
 		for {
 			v, ok, err := m.NextValue()
 			if err != nil {
@@ -272,12 +285,16 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 				break
 			}
 			consumed++
-			vals = append(vals, append([]byte(nil), v...))
+			arena = append(arena, v...)
+			ends = append(ends, len(arena))
 		}
-		if err := combine(key, vals, func(k, v []byte) error {
-			emitted++
-			return out.Append(part, k, v)
-		}); err != nil {
+		vals = vals[:0]
+		lo := 0
+		for _, hi := range ends {
+			vals = append(vals, arena[lo:hi:hi])
+			lo = hi
+		}
+		if err := combine(key, vals, emit); err != nil {
 			return emitted, consumed, fmt.Errorf("kvio: combine: %w", err)
 		}
 	}

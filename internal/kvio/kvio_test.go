@@ -309,6 +309,48 @@ func TestMergeIntoWithCombine(t *testing.T) {
 	}
 }
 
+// countingSink is a RunSink that keeps nothing, so an allocation count
+// taken around MergeInto is MergeInto's own.
+type countingSink struct{ records int }
+
+func (s *countingSink) Append(part int, key, value []byte) error { s.records++; return nil }
+func (s *countingSink) Close() (RunIndex, error)                 { return RunIndex{}, nil }
+func (s *countingSink) BytesWritten() int64                      { return 0 }
+
+// TestMergeIntoAllocsPerGroup: MergeInto allocates per call (the merger,
+// one closure, one value slice, one value arena), not per combined group:
+// sixty-four times the groups must not cost more allocations.
+func TestMergeIntoAllocsPerGroup(t *testing.T) {
+	first := func(key []byte, values [][]byte, emit func(k, v []byte) error) error {
+		return emit(key, values[0])
+	}
+	measure := func(groups int) float64 {
+		runs := make([][]Record, 3)
+		for g := 0; g < groups; g++ {
+			key := []byte(fmt.Sprintf("key%06d", g))
+			for r := range runs {
+				runs[r] = append(runs[r], Record{Key: key, Value: []byte("value")})
+			}
+		}
+		sink := &countingSink{}
+		allocs := testing.AllocsPerRun(5, func() {
+			streams := make([]Stream, len(runs))
+			for r := range runs {
+				streams[r] = NewSliceStream(runs[r])
+			}
+			emitted, consumed, err := MergeInto(streams, 0, sink, first)
+			if err != nil || int(emitted) != groups || int(consumed) != 3*groups {
+				t.Fatalf("merge of %d groups: emitted %d, consumed %d, err %v", groups, emitted, consumed, err)
+			}
+		})
+		return allocs
+	}
+	few, many := measure(64), measure(64*64)
+	if many > few {
+		t.Errorf("MergeInto allocates per group: %.0f allocations for 64 groups, %.0f for 4096", few, many)
+	}
+}
+
 func TestMergeIntoPassThrough(t *testing.T) {
 	disk := vdisk.NewMem()
 	recs := []Record{

@@ -10,8 +10,20 @@ package kvio
 // bytes live contiguously in one arena, and a compact per-record Meta
 // array carries the partition, the arena location, and the first eight
 // key bytes packed into a big-endian integer. Sorting permutes only the
-// Meta array, and the vast majority of comparisons resolve on the
-// (Part, Prefix) integer pair without ever touching the arena.
+// Meta array.
+//
+// The sort is a stable MSD radix over (Part, key bytes): one pass
+// groups the batch by partition, then each partition is split a key
+// byte at a time — bytes 0–7 read from the cached Prefix, later ones
+// from the arena — starting past the bytes all its keys share, which is
+// what keeps URL keys ("example.org/…") from paying for twelve levels
+// that split nothing. Every level has 257 buckets: bucket 0 takes the
+// keys that have ended, so "ab" sorts before "ab\x00" although both pad
+// to one Prefix, and a bucket-0 group is one key's records, already in
+// emit order, finished without a comparison. Small buckets finish by
+// insertion sort on metaLess; a bucket still large radixDepth bytes past
+// the common prefix, and any batch with a Part the partition pass cannot
+// index, goes to one comparison sort over the same total order.
 //
 // SortRecords (kvio.go) remains the reference implementation; under the
 // mrdebug build tag every SortPacked call is checked against it
@@ -21,6 +33,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // Meta is the compact per-record descriptor of a packed batch — the
@@ -130,8 +143,7 @@ func (p *PackedRecords) Reset() {
 
 // Less reports whether record i orders before record j under the spill
 // order: (partition, key), ties broken by arena position (= emit
-// order), which is what makes the unstable index sort below produce the
-// stable result combiner semantics need.
+// order), the stable result combiner semantics need.
 func (p PackedRecords) Less(i, j int) bool {
 	return metaLess(p.Arena, p.Meta[i], p.Meta[j])
 }
@@ -153,8 +165,9 @@ func (p PackedRecords) KeyEqual(i, j int) bool {
 // remaining key bytes. When either key fits entirely in the prefix, a
 // tied prefix means the shorter key is a (possibly equal) prefix of the
 // longer, so the length decides. The final KeyOff tiebreak makes the
-// order total: no two records compare equal, so a fast unstable sort
-// yields the stable (emit-order) result.
+// order total: no two records compare equal, so the insertion and
+// comparison sorts that finish radix buckets need not be stable to agree
+// with it.
 func metaLess(arena []byte, a, b Meta) bool {
 	if a.Part != b.Part {
 		return a.Part < b.Part
@@ -177,69 +190,243 @@ func metaLess(arena []byte, a, b Meta) bool {
 	return a.KeyOff < b.KeyOff
 }
 
+// Sorter sorts packed batches and owns the kernel's scratch, so a caller
+// that sorts batch after batch (a map task's support goroutine)
+// allocates it once. The zero value is ready to use; a Sorter serves one
+// goroutine at a time.
+type Sorter struct {
+	dest  []uint32 // per record: its slot in the partition pass, then its bucket at each radix level
+	buf   []Meta   // ping-pong buffer of the radix levels, as long as the widest partition
+	parts []int    // per partition: record count, then start, then end
+}
+
+const (
+	// radixCutoff is the bucket size at and below which insertion sort
+	// finishes the job (16 measured best of 6…64 on all three
+	// BenchmarkSortPacked shapes); radixDepth is how many key bytes past
+	// a partition's common prefix the radix descends before it hands a
+	// bucket that is still larger to the comparison sort.
+	radixCutoff = 16
+	radixDepth  = 64
+)
+
 // SortPacked sorts the batch by (partition, key) with stable order for
-// equal keys, permuting only the Meta array. It is the hot-path
+// equal keys, permuting only the Meta array. The batch must be in emit
+// order (KeyOff ascending), as Append builds it. It allocates the
+// kernel's scratch per call; a caller with many batches keeps a Sorter.
+//
+//mrlint:hotpath
+func SortPacked(p PackedRecords) {
+	var s Sorter
+	s.Sort(p)
+}
+
+// Sort is SortPacked on the Sorter's scratch. It is the hot-path
 // replacement for SortRecords; under the mrdebug build tag the result
 // is verified against SortRecords on every call.
 //
 //mrlint:hotpath
-func SortPacked(p PackedRecords) {
+func (s *Sorter) Sort(p PackedRecords) {
 	ref := debugSortReference(p)
-	if len(p.Meta) > 1 {
-		introSortMeta(p.Meta, p.Arena, 2*bits.Len(uint(len(p.Meta))))
-	}
+	s.sort(p.Meta, p.Arena)
 	debugCheckSortAgreement(p, ref)
 }
 
-// introSortMeta is a quicksort over Meta entries with median-of-three
-// pivots, an insertion-sort cutoff for short runs, and a heapsort
-// fallback once the depth budget is spent (so adversarial inputs stay
-// O(n log n)).
-func introSortMeta(m []Meta, arena []byte, depth int) {
-	for len(m) > 16 {
-		if depth == 0 {
-			heapSortMeta(m, arena)
-			return
-		}
-		depth--
-		p := partitionMeta(m, arena)
-		// Recurse into the smaller side, iterate on the larger: O(log n)
-		// stack depth regardless of pivot quality.
-		if p < len(m)-p-1 {
-			introSortMeta(m[:p], arena, depth)
-			m = m[p+1:]
-		} else {
-			introSortMeta(m[p+1:], arena, depth)
-			m = m[:p]
-		}
+// sort groups the batch by partition — a counting pass gives every
+// record its slot, in emit order within its partition, and the records
+// are moved there in place — then radix-sorts each partition through
+// buf. Moving in place costs a dependent load per record where a scatter
+// into a second array would not, but a second array is one more Meta per
+// record for every running map task; buf is a partition's worth. A Part
+// no batch of this size can have been partitioned into — negative, or at
+// least len(meta) — would index outside the count table, so such a batch
+// goes to the comparison sort whole.
+func (s *Sorter) sort(meta []Meta, arena []byte) {
+	n := len(meta)
+	if n <= radixCutoff {
+		insertionSortMeta(meta, arena)
+		return
 	}
-	insertionSortMeta(m, arena)
+	ends := s.parts
+	clear(ends)
+	for i := range meta {
+		part := uint32(meta[i].Part)
+		if part >= uint32(len(ends)) {
+			if part >= uint32(n) {
+				compareSortMeta(meta, arena)
+				return
+			}
+			//mrlint:ignore alloccheck grows to the partition count on a task's first spill, then is reused
+			ends = append(ends, make([]int, int(part)+1-len(ends))...)
+		}
+		ends[part]++
+	}
+	s.parts = ends
+	off, widest := 0, 0
+	for part, c := range ends {
+		ends[part] = off
+		off += c
+		widest = max(widest, c)
+	}
+	// A little headroom on both: a task's spills are sized alike but
+	// filled a few records apart, and the second must not regrow for them.
+	if cap(s.dest) < n {
+		//mrlint:ignore alloccheck grows to the largest spill a task sorts, then is reused
+		s.dest = make([]uint32, n+n/32)
+	}
+	if cap(s.buf) < widest {
+		//mrlint:ignore alloccheck grows to the widest partition a task sorts, then is reused
+		s.buf = make([]Meta, widest+widest/32)
+	}
+	dest := s.dest[:n]
+	for i := range meta {
+		part := meta[i].Part
+		dest[i] = uint32(ends[part])
+		ends[part]++
+	}
+	permuteMeta(meta, dest)
+	lo := 0
+	for _, hi := range ends {
+		if hi > lo {
+			d := commonKeyPrefix(meta[lo:hi], arena)
+			radixSortMeta(meta[lo:hi], s.buf[:hi-lo], dest[lo:hi], arena, d, d+radixDepth, true)
+		}
+		lo = hi
+	}
 }
 
-// partitionMeta partitions m around a median-of-three pivot and returns
-// the pivot's final index.
-func partitionMeta(m []Meta, arena []byte) int {
-	mid, hi := len(m)/2, len(m)-1
-	if metaLess(arena, m[mid], m[0]) {
-		m[0], m[mid] = m[mid], m[0]
-	}
-	if metaLess(arena, m[hi], m[mid]) {
-		m[mid], m[hi] = m[hi], m[mid]
-		if metaLess(arena, m[mid], m[0]) {
-			m[0], m[mid] = m[mid], m[0]
+// permuteMeta moves every m[i] to m[dest[i]] in place, one cycle of the
+// permutation at a time: the carried record is dropped where it belongs
+// and the one that was there is picked up, until the cycle closes. dest
+// is the identity afterwards.
+func permuteMeta(m []Meta, dest []uint32) {
+	for i := range m {
+		j := dest[i]
+		if j == uint32(i) {
+			continue
 		}
-	}
-	m[mid], m[hi] = m[hi], m[mid] // median to the pivot slot
-	pivot := m[hi]
-	i := 0
-	for j := 0; j < hi; j++ {
-		if metaLess(arena, m[j], pivot) {
-			m[i], m[j] = m[j], m[i]
-			i++
+		carried := m[i]
+		for j != uint32(i) {
+			carried, m[j] = m[j], carried
+			j, dest[j] = dest[j], j
 		}
+		m[i], dest[i] = carried, j
 	}
-	m[i], m[hi] = m[hi], m[i]
-	return i
+}
+
+// commonKeyPrefix returns the number of leading bytes every key of m
+// shares: no radix level below it can split the batch. The first pass
+// reads only the cached prefixes; the arena is read only when all keys
+// agree on their first eight bytes, as URL keys do.
+func commonKeyPrefix(m []Meta, arena []byte) int {
+	first := m[0]
+	minLen := first.KeyLen
+	var diff uint64
+	for i := 1; i < len(m); i++ {
+		diff |= m[i].Prefix ^ first.Prefix
+		if diff>>56 != 0 {
+			return 0
+		}
+		minLen = min(minLen, m[i].KeyLen)
+	}
+	if lcp := uint32(bits.LeadingZeros64(diff) / 8); lcp < 8 || minLen <= 8 {
+		return int(min(lcp, minLen))
+	}
+	tail := arena[first.KeyOff+8 : first.KeyOff+minLen]
+	for i := 1; i < len(m) && len(tail) > 0; i++ {
+		tail = tail[:sharedPrefix(tail, arena[m[i].KeyOff+8:m[i].KeyOff+minLen])]
+	}
+	return 8 + len(tail)
+}
+
+// radixSortMeta sorts src, one partition's records whose keys all share
+// their first d bytes, by stable MSD radix on key byte d, d+1, … (see the
+// file comment for the 257 buckets). A level that fills one bucket moves
+// nothing. Records ping-pong between src and buf, equally long; the
+// sorted result lands in whichever of the two is the caller's Meta array
+// (src when srcIsHome). bucket is per-record scratch.
+func radixSortMeta(src, buf []Meta, bucket []uint32, arena []byte, d, limit int, srcIsHome bool) {
+	n := len(src)
+	for {
+		if n <= radixCutoff || d >= limit {
+			if !srcIsHome {
+				copy(buf, src)
+				src = buf
+			}
+			if n <= radixCutoff {
+				insertionSortMeta(src, arena)
+			} else {
+				compareSortMeta(src, arena)
+			}
+			return
+		}
+		var ends [257]int // counts, then bucket starts, then (after the scatter) bucket ends
+		if d < 8 {
+			shift := uint(56 - 8*d)
+			for i := range src {
+				b := uint32(0)
+				if uint32(d) < src[i].KeyLen {
+					b = uint32(byte(src[i].Prefix>>shift)) + 1
+				}
+				bucket[i] = b
+				ends[b]++
+			}
+		} else {
+			for i := range src {
+				b := uint32(0)
+				if uint32(d) < src[i].KeyLen {
+					b = uint32(arena[src[i].KeyOff+uint32(d)]) + 1
+				}
+				bucket[i] = b
+				ends[b]++
+			}
+		}
+		if ends[bucket[0]] < n {
+			off := 0
+			for b, c := range ends {
+				ends[b] = off
+				off += c
+			}
+			for i := range src {
+				b := bucket[i]
+				buf[ends[b]] = src[i]
+				ends[b]++
+			}
+			lo := 0
+			for b, hi := range ends {
+				if b > 0 && hi-lo > 1 {
+					radixSortMeta(buf[lo:hi], src[lo:hi], bucket[lo:hi], arena, d+1, limit, !srcIsHome)
+				} else if srcIsHome && hi > lo { // ended keys, or a single record: in order as scattered
+					copy(src[lo:hi], buf[lo:hi])
+				}
+				lo = hi
+			}
+			return
+		}
+		if bucket[0] == 0 { // every key ends here: one key, already in emit order
+			if !srcIsHome {
+				copy(buf, src)
+			}
+			return
+		}
+		d++
+	}
+}
+
+// compareSortMeta is the comparison sort over the same total order, for
+// what the radix does not take: a batch with a Part out of range, and
+// buckets of keys still tied radixDepth bytes past their common prefix.
+func compareSortMeta(m []Meta, arena []byte) {
+	//mrlint:ignore alloccheck off the steady-state path: malformed batches and keys tied 64 bytes deep only
+	slices.SortFunc(m, func(a, b Meta) int {
+		switch {
+		case metaLess(arena, a, b):
+			return -1
+		case metaLess(arena, b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 func insertionSortMeta(m []Meta, arena []byte) {
@@ -247,33 +434,5 @@ func insertionSortMeta(m []Meta, arena []byte) {
 		for j := i; j > 0 && metaLess(arena, m[j], m[j-1]); j-- {
 			m[j], m[j-1] = m[j-1], m[j]
 		}
-	}
-}
-
-func heapSortMeta(m []Meta, arena []byte) {
-	n := len(m)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownMeta(m, arena, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		m[0], m[i] = m[i], m[0]
-		siftDownMeta(m, arena, 0, i)
-	}
-}
-
-func siftDownMeta(m []Meta, arena []byte, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && metaLess(arena, m[c], m[c+1]) {
-			c++
-		}
-		if !metaLess(arena, m[root], m[c]) {
-			return
-		}
-		m[root], m[c] = m[c], m[root]
-		root = c
 	}
 }

@@ -12,10 +12,14 @@ import (
 // release build links the no-op twins in packed_debug_off.go.
 
 // debugSortReference materializes the batch before sorting and sorts
-// the copy with the reference implementation.
+// the copy with the reference implementation. It also asserts what the
+// radix sort's stability rests on: the batch arrives in emit order.
 func debugSortReference(p PackedRecords) []Record {
 	recs := make([]Record, p.Len())
 	for i := range recs {
+		if i > 0 && p.Meta[i].KeyOff < p.Meta[i-1].KeyOff {
+			panic(fmt.Sprintf("kvio: SortPacked batch not in emit order: record %d at arena offset %d follows offset %d", i, p.Meta[i].KeyOff, p.Meta[i-1].KeyOff))
+		}
 		recs[i] = Record{
 			Part:  p.Part(i),
 			Key:   append([]byte(nil), p.Key(i)...),

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,18 +46,12 @@ var generators = []generator{
 		}
 		return recs
 	}},
-	{"long-shared-prefixes", func(r *rand.Rand, n int) []Record {
-		// Every key shares a 12-byte prefix, so every prefix comparison
-		// ties and the sort must fall through to the arena tails; some
-		// keys are exact prefixes of others.
-		recs := make([]Record, n)
-		for i := range recs {
-			k := append([]byte("shared/prefix"), make([]byte, r.Intn(6))...)
-			r.Read(k[13:])
-			recs[i] = Record{Part: r.Intn(2), Key: k, Value: serialValue(i)}
-		}
-		return recs
-	}},
+	// Every key shares its first 13 bytes (then 8, 12 and 200), so every
+	// prefix comparison ties and order is decided in the arena tails (the
+	// radix must skip the common prefix, not walk it); some keys are
+	// exact prefixes of others.
+	sharedPrefixKeys("long-shared-prefixes", 13),
+	sharedPrefixKeys("shared-prefix-8", 8), sharedPrefixKeys("shared-prefix-12", 12), sharedPrefixKeys("shared-prefix-200", 200),
 	{"short-and-empty-keys", func(r *rand.Rand, n int) []Record {
 		recs := make([]Record, n)
 		for i := range recs {
@@ -66,6 +61,63 @@ var generators = []generator{
 		}
 		return recs
 	}},
+	{"one-key", func(r *rand.Rand, n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Part: 1, Key: []byte("the"), Value: serialValue(i)}
+		}
+		return recs
+	}},
+	{"trailing-zeros", func(r *rand.Rand, n int) []Record {
+		// Keys that differ only in how many 0x00 bytes follow "ab": up to
+		// eight bytes they have the same zero-padded Prefix, so only the
+		// "key ended" bucket (or the length) can order them.
+		recs := make([]Record, n)
+		for i := range recs {
+			k := append([]byte("ab"), make([]byte, r.Intn(9))...)
+			recs[i] = Record{Part: r.Intn(2), Key: k[:r.Intn(len(k)+1)], Value: serialValue(i)}
+		}
+		return recs
+	}},
+	{"one-partition", func(r *rand.Rand, n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			k := make([]byte, r.Intn(12))
+			r.Read(k)
+			recs[i] = Record{Key: k, Value: serialValue(i)}
+		}
+		return recs
+	}},
+	{"more-partitions-than-records", func(r *rand.Rand, n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			k := []byte(fmt.Sprintf("w%d", r.Intn(40)))
+			recs[i] = Record{Part: r.Intn(2*n + 1), Key: k, Value: serialValue(i)}
+		}
+		return recs
+	}},
+}
+
+func sharedPrefixKeys(name string, length int) generator {
+	return generator{name, func(r *rand.Rand, n int) []Record {
+		prefix := bytes.Repeat([]byte("shared/prefix"), length/13+1)[:length]
+		recs := make([]Record, n)
+		for i := range recs {
+			k := append(append([]byte(nil), prefix...), make([]byte, r.Intn(6))...)
+			r.Read(k[length:])
+			recs[i] = Record{Part: r.Intn(2), Key: k, Value: serialValue(i)}
+		}
+		return recs
+	}}
+}
+
+// partitionCount is the least partition count that holds every record.
+func partitionCount(recs []Record) int {
+	parts := 1
+	for _, r := range recs {
+		parts = max(parts, r.Part+1)
+	}
+	return parts
 }
 
 func pack(recs []Record) PackedRecords {
@@ -76,32 +128,143 @@ func pack(recs []Record) PackedRecords {
 	return p
 }
 
-// TestSortPackedMatchesReference: SortPacked must produce exactly the
-// sequence sort.SliceStable produces — same keys, same partitions, and
-// equal keys in emit order.
+// requireReferenceOrder sorts a packed copy of recs with SortPacked and
+// requires exactly the sequence SortRecords (sort.SliceStable) produces:
+// same keys, same partitions, equal keys in emit order.
+func requireReferenceOrder(t *testing.T, recs []Record) {
+	t.Helper()
+	p := pack(recs)
+	ref := make([]Record, len(recs))
+	copy(ref, recs)
+	SortRecords(ref)
+	SortPacked(p)
+	if p.Len() != len(ref) {
+		t.Fatalf("packed has %d records, reference %d", p.Len(), len(ref))
+	}
+	for i := range ref {
+		if p.Part(i) != ref[i].Part || !bytes.Equal(p.Key(i), ref[i].Key) || !bytes.Equal(p.Value(i), ref[i].Value) {
+			t.Fatalf("mismatch at %d of %d: packed (%d,%.40q,%q) vs reference (%d,%.40q,%q)",
+				i, len(ref), p.Part(i), p.Key(i), p.Value(i), ref[i].Part, ref[i].Key, ref[i].Value)
+		}
+	}
+}
+
+// TestSortPackedMatchesReference runs every generator through the
+// oracle at random sizes and at the sizes around the insertion cutoff.
 func TestSortPackedMatchesReference(t *testing.T) {
 	for _, g := range generators {
 		t.Run(g.name, func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				r := rand.New(rand.NewSource(int64(trial)))
-				recs := g.gen(r, 1+r.Intn(2000))
-				p := pack(recs)
-				ref := make([]Record, len(recs))
-				copy(ref, recs)
-				SortRecords(ref)
-				SortPacked(p)
-				if p.Len() != len(ref) {
-					t.Fatalf("trial %d: packed has %d records, reference %d", trial, p.Len(), len(ref))
+				n := 1 + r.Intn(2000)
+				if trial < 4 {
+					n = radixCutoff - 1 + trial
 				}
-				for i := range ref {
-					if p.Part(i) != ref[i].Part || !bytes.Equal(p.Key(i), ref[i].Key) || !bytes.Equal(p.Value(i), ref[i].Value) {
-						t.Fatalf("trial %d: mismatch at %d: packed (%d,%q,%q) vs reference (%d,%q,%q)",
-							trial, i, p.Part(i), p.Key(i), p.Value(i), ref[i].Part, ref[i].Key, ref[i].Value)
-					}
-				}
+				requireReferenceOrder(t, g.gen(r, n))
 			}
 		})
 	}
+}
+
+// TestSortPackedBadParts: SortPacked is total for direct callers. A
+// batch carrying partitions no partitioner of its size produces —
+// negative, or beyond the record count — must come out in SortRecords
+// order like any other, not index outside a per-partition table.
+func TestSortPackedBadParts(t *testing.T) {
+	bad := []int{-1, math.MinInt32, 0, 1, 2, 1 << 20, math.MaxInt32}
+	r := rand.New(rand.NewSource(17))
+	recs := generators[0].gen(r, 500)
+	for i := range recs {
+		recs[i].Part = bad[r.Intn(len(bad))]
+	}
+	requireReferenceOrder(t, recs)
+	for i := range recs { // a single bad record at the end, after the count pass has seen good ones
+		recs[i].Part = i % 3
+	}
+	recs[len(recs)-1].Part = -1
+	requireReferenceOrder(t, recs)
+}
+
+// TestSortPackedDepthGuard: 4096 keys of 16 KiB that agree up to their
+// last byte. Alone, the partition's common-prefix skip takes them to the
+// one byte that differs; next to one short outlier the common prefix is
+// empty, and what bounds the work is the depth guard — after radixDepth
+// single-bucket levels the bucket goes to the comparison sort — not a
+// recursion 16 Ki levels deep.
+func TestSortPackedDepthGuard(t *testing.T) {
+	keyLen := 16 << 10
+	if testing.Short() {
+		keyLen = 1 << 10
+	}
+	for _, outlier := range []bool{false, true} {
+		t.Run(fmt.Sprintf("outlier=%v", outlier), func(t *testing.T) {
+			r := rand.New(rand.NewSource(3))
+			var p PackedRecords
+			key := bytes.Repeat([]byte("x"), keyLen)
+			for i := 0; i < 4096; i++ {
+				key[keyLen-1] = byte(r.Intn(256))
+				p.Append(0, key, serialValue(i))
+			}
+			if outlier {
+				p.Append(0, []byte("a"), serialValue(4096))
+			}
+			recs := make([]Record, p.Len())
+			for i := range recs {
+				recs[i] = p.Record(i) // aliases the arena: one copy of the keys, not two
+			}
+			requireReferenceOrder(t, recs)
+		})
+	}
+}
+
+// FuzzSortPacked decodes a batch from the fuzz bytes — a partition
+// count, then (key length, key bytes, partition) per record, values a
+// serial number so stability is observable — and requires the exact
+// SortRecords order. The seeds are the generators above at sizes on
+// both sides of the insertion cutoff; tier-1 runs them.
+func FuzzSortPacked(f *testing.F) {
+	for seed, g := range generators {
+		for _, n := range []int{3, radixCutoff, radixCutoff + 1, 300} {
+			f.Add(encodeBatch(g.gen(rand.New(rand.NewSource(int64(seed))), n)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReferenceOrder(t, decodeBatch(data))
+	})
+}
+
+// encodeBatch is decodeBatch's inverse for batches of at most 256
+// partitions and keys of at most 255 bytes.
+func encodeBatch(recs []Record) []byte {
+	parts := min(partitionCount(recs), 256)
+	data := []byte{byte(parts - 1)}
+	for _, r := range recs {
+		data = append(data, byte(len(r.Key)))
+		data = append(data, r.Key...)
+		data = append(data, byte(r.Part%parts))
+	}
+	return data
+}
+
+func decodeBatch(data []byte) []Record {
+	if len(data) == 0 {
+		return nil
+	}
+	parts := int(data[0]) + 1
+	data = data[1:]
+	var recs []Record
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		key := data[1 : 1+n]
+		data = data[1+n:]
+		part := 0
+		if len(data) > 0 {
+			part = int(data[0]) % parts
+			data = data[1:]
+		}
+		recs = append(recs, Record{Part: part, Key: key, Value: serialValue(len(recs))})
+	}
+	return recs
 }
 
 func readFile(t *testing.T, disk vdisk.Disk, name string) []byte {
@@ -123,13 +286,13 @@ func readFile(t *testing.T, disk vdisk.Disk, name string) []byte {
 // (SortRecords + run sink), in both the plain and the prefix-compressed
 // run format.
 func TestPackedRunFilesByteIdentical(t *testing.T) {
-	const parts = 4
 	for _, g := range generators {
 		for _, compressed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/compressed=%v", g.name, compressed), func(t *testing.T) {
 				for trial := 0; trial < 8; trial++ {
 					r := rand.New(rand.NewSource(int64(100 + trial)))
 					recs := g.gen(r, 1+r.Intn(1500))
+					parts := partitionCount(recs)
 
 					ref := make([]Record, len(recs))
 					copy(ref, recs)

@@ -151,7 +151,10 @@ func (mc *mapCollector) emit(key, value []byte) error {
 			return err
 		}
 	}
-	part := mc.job.Partition(key, mc.job.NumReducers)
+	part, err := mc.job.partitionOf(key)
+	if err != nil {
+		return err
+	}
 	mc.emitted++
 	mc.outBytes += spillbuf.RecordBytes(key, value)
 	if mc.freq != nil {
@@ -161,6 +164,18 @@ func (mc *mapCollector) emit(key, value []byte) error {
 		}
 	}
 	return mc.append(part, key, value)
+}
+
+// partitionOf applies the job's partitioner and refuses an answer outside
+// [0, NumReducers) where it is made, naming the key: left alone it would
+// surface a spill later as a run-ordering error from the support
+// goroutine, or index past the sort's per-partition table.
+func (j *Job) partitionOf(key []byte) (int, error) {
+	part := j.Partition(key, j.NumReducers)
+	if uint(part) >= uint(j.NumReducers) {
+		return 0, fmt.Errorf("mr: partitioner returned %d for key %q: want a partition in [0, %d)", part, key, j.NumReducers)
+	}
+	return part, nil
 }
 
 // offer passes one record through the frequency-buffer intercept and
@@ -245,20 +260,29 @@ func (mc *mapCollector) finish() {
 	mc.et.Finish()
 }
 
+// spillScratch is the memory the support goroutine reuses from one spill
+// to the next: the sort kernel's scratch and the slice a group's values
+// are gathered in for the combiner.
+type spillScratch struct {
+	sorter kvio.Sorter
+	vals   [][]byte
+}
+
 // writeSpillRun turns one spill into a sorted, partitioned run on the node
 // disk and returns the run index. The support goroutine calls it once per
-// spill. The grouping strategy is either the standard sort-based GROUP BY
-// or, under the HashGroupSpills extension, a hash-based one: raw records
-// are grouped and combined in a hash table and only the (far fewer)
-// aggregates are sorted. combine, nil for a job without a combiner, times
-// a sample of the combiner calls; the rest of the write span is spill I/O.
-func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
+// spill, each time with its scratch. The grouping strategy is either the
+// standard sort-based GROUP BY or, under the HashGroupSpills extension, a
+// hash-based one: raw records are grouped and combined in a hash table and
+// only the (far fewer) aggregates are sorted. combine, nil for a job
+// without a combiner, times a sample of the combiner calls; the rest of
+// the write span is spill I/O.
+func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, scratch *spillScratch, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
 	if job.HashGroupSpills && combine != nil {
 		return writeSpillRunHashed(disk, name, parts, recs, job, combine, tm, sp)
 	}
 	t0 := tm.Now()
 	sortSpan := sp.start(trace.KindSort, trace.LaneSupport)
-	kvio.SortPacked(recs)
+	scratch.sorter.Sort(recs)
 	sortSpan.EndCounts(int64(recs.Len()), recs.ArenaBytes())
 	t1 := tm.Now()
 	tm.Add(metrics.OpSort, t1.Sub(t0))
@@ -268,10 +292,15 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 	if err != nil {
 		return kvio.RunIndex{}, err
 	}
-	var vals [][]byte
 	i := 0
 	n := recs.Len()
 	var combineIn, combineOut int64
+	// One closure for the whole spill: it reads the partition of the group
+	// being combined from i.
+	emit := func(k, v []byte) error {
+		combineOut++
+		return rw.Append(recs.Part(i), k, v)
+	}
 	for i < n {
 		j := i + 1
 		for j < n && recs.Meta[j].Part == recs.Meta[i].Part && recs.KeyEqual(i, j) {
@@ -284,16 +313,12 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 				}
 			}
 		} else {
-			vals = vals[:0]
+			scratch.vals = scratch.vals[:0]
 			for k := i; k < j; k++ {
-				vals = append(vals, recs.Value(k))
+				scratch.vals = append(scratch.vals, recs.Value(k))
 			}
 			combineIn += int64(j - i)
-			err := combine.call(recs.Key(i), vals, func(k, v []byte) error {
-				combineOut++
-				return rw.Append(recs.Part(i), k, v)
-			})
-			if err != nil {
+			if err := combine.call(recs.Key(i), scratch.vals, emit); err != nil {
 				return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
 			}
 		}
@@ -484,7 +509,17 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		if fb.ShareTopK {
 			cache = c.FreqCaches[node]
 			if keys, ok := cache.Get(job.filePrefix); ok {
-				freq.InstallTopK(keys, func(k []byte) int { return job.Partition(k, job.NumReducers) })
+				var partErr error
+				freq.InstallTopK(keys, func(k []byte) int {
+					part, err := job.partitionOf(k)
+					if err != nil {
+						partErr = err
+					}
+					return part
+				})
+				if partErr != nil {
+					return fail(partErr)
+				}
 			}
 		}
 		mc.freq = freq
@@ -505,6 +540,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	spillCombine := newCombineTimer(job.Combine, tm)
 	go func() {
 		spillSeq := 0
+		var scratch spillScratch
 		for {
 			spill, ok := buf.NextSpill()
 			if !ok {
@@ -528,7 +564,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 			name := attemptSpillName(dir, spillSeq)
 			spillSeq++
 			created = append(created, name)
-			idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, job, spillCombine, tm, sp)
+			idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, &scratch, job, spillCombine, tm, sp)
 			spillSpan.EndCounts(spillRecords, spill.Bytes)
 			buf.Release(spill, tm.Now().Sub(consumeStart))
 			if err != nil {

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,47 @@ func TestReducerErrorPropagates(t *testing.T) {
 	}
 	if _, err := Run(c, job); err == nil || !errors.Is(err, boom) {
 		t.Errorf("reducer error not propagated: %v", err)
+	}
+}
+
+// TestPartitionerOutOfRange: a partitioner answering outside
+// [0, NumReducers) fails the job where the answer is made, with the key,
+// the value returned and the partition count — not spills later as a
+// run-ordering error from the support goroutine, and never as a panic in
+// the sort's per-partition pass.
+func TestPartitionerOutOfRange(t *testing.T) {
+	for _, bad := range []int{-1, 3} {
+		c, err := cluster.New(cluster.Fast(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FS.WriteFile("in", []byte(strings.Repeat("good\nstray\nfine\n", 40))); err != nil {
+			t.Fatal(err)
+		}
+		job := &Job{
+			Name:        "bad-partitioner",
+			Inputs:      []string{"in"},
+			NumReducers: 3,
+			MaxAttempts: 1,
+			Partition: func(key []byte, parts int) int {
+				if string(key) == "stray" {
+					return bad
+				}
+				return DefaultPartitioner(key, parts)
+			},
+			NewMapper: func() Mapper {
+				return MapperFunc(func(off int64, line []byte, out Collector) error {
+					return out.Collect(line, serde.EncodeInt64(1))
+				})
+			},
+			NewReducer: func() Reducer {
+				return ReducerFunc(func(k []byte, v ValueIter, out Collector) error { return nil })
+			},
+		}
+		want := fmt.Sprintf(`partitioner returned %d for key "stray": want a partition in [0, 3)`, bad)
+		if _, err := Run(c, job); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("partitioner returning %d: job error %v, want one containing %q", bad, err, want)
+		}
 	}
 }
 
