@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mrlint [-vet=false] [-list] [-json] [-sarif file] [packages...]
+//	mrlint [-vet=false] [packages...]
 //
 // Packages default to ./... resolved against the current directory, and
 // are loaded in dependency order with one shared fact store, so the
@@ -15,13 +15,9 @@
 // reported on. The custom analyzers check non-test library and binary
 // sources; test files are vet's department.
 //
-// -list prints the analyzer suite and exits. -json replaces the plain
-// findings on stdout with a JSON array ({file, line, col, analyzer,
-// message}); -sarif writes the same findings as a SARIF 2.1.0 log to the
-// named file (in addition to stdout output) so CI can archive and ingest
-// them. Load and type-check problems never vanish into a partial run:
-// they are aggregated across all packages and printed with file positions
-// to stderr before any finding.
+// -h lists the analyzer suite. Load and type-check problems never vanish
+// into a partial run: they are aggregated across all packages and printed
+// with file positions to stderr before any finding.
 //
 // A finding can be suppressed at its site with
 //
@@ -33,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -53,7 +48,6 @@ import (
 	"mrtext/internal/analysis/goroleak"
 	"mrtext/internal/analysis/load"
 	"mrtext/internal/analysis/lockcheck"
-	"mrtext/internal/analysis/sarif"
 	"mrtext/internal/analysis/spancheck"
 )
 
@@ -95,27 +89,22 @@ var globalStatePkgs = map[string]bool{
 
 // finding is one reportable diagnostic with its position resolved.
 type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 func main() {
 	vet := flag.Bool("vet", true, "also run the stock `go vet` passes")
-	list := flag.Bool("list", false, "list the analyzer suite and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of plain lines")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this `file`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mrlint [-vet=false] [-list] [-json] [-sarif file] [packages...]\n\nanalyzers:\n")
-		listAnalyzers(os.Stderr)
+		fmt.Fprintf(os.Stderr, "usage: mrlint [-vet=false] [packages...]\n\nanalyzers:\n")
+		for _, a := range analyzers {
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
+		}
 	}
 	flag.Parse()
-	if *list {
-		listAnalyzers(os.Stdout)
-		return
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -140,37 +129,11 @@ func main() {
 		failed = true
 	}
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "mrlint: encoding findings: %v\n", err)
-			failed = true
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-	if *sarifOut != "" {
-		if err := writeSARIF(*sarifOut, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "mrlint: %v\n", err)
-			failed = true
-		}
+	for _, f := range findings {
+		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// listAnalyzers prints the suite, one analyzer per line.
-func listAnalyzers(w *os.File) {
-	for _, a := range analyzers {
-		//mrlint:ignore droppederr best-effort terminal output, w is always stdout or stderr
-		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
 }
 
@@ -249,7 +212,7 @@ func lint(patterns []string) ([]finding, bool) {
 }
 
 // toFinding resolves a diagnostic's position, preferring paths relative to
-// the working directory so output and SARIF artifacts are portable.
+// the working directory so output is portable.
 func toFinding(fset *token.FileSet, d analysis.Diagnostic) finding {
 	pos := fset.Position(d.Pos)
 	file := pos.Filename
@@ -259,32 +222,4 @@ func toFinding(fset *token.FileSet, d analysis.Diagnostic) finding {
 		}
 	}
 	return finding{File: file, Line: pos.Line, Col: pos.Column, Analyzer: d.Category, Message: d.Message}
-}
-
-// writeSARIF renders findings as a SARIF 2.1.0 log at path.
-func writeSARIF(path string, findings []finding) error {
-	rules := make([]sarif.Rule, 0, len(analyzers)+1)
-	for _, a := range analyzers {
-		rules = append(rules, sarif.Rule{ID: a.Name, ShortDescription: sarif.Message{Text: a.Doc}})
-	}
-	// Malformed suppression directives are reported under the driver's own
-	// name; give them a rule too so every result has one.
-	rules = append(rules, sarif.Rule{ID: "mrlint", ShortDescription: sarif.Message{Text: "suppression directive hygiene"}})
-
-	results := make([]sarif.Result, 0, len(findings))
-	for _, f := range findings {
-		results = append(results, sarif.NewResult(f.Analyzer, f.Message, filepath.ToSlash(f.File), f.Line, f.Col))
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("writing SARIF: %v", err)
-	}
-	werr := sarif.NewLog("mrlint", rules, results).Write(out)
-	if cerr := out.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("writing SARIF: %v", werr)
-	}
-	return nil
 }

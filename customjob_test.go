@@ -121,10 +121,7 @@ func TestCustomUserJob(t *testing.T) {
 			j.FreqBuf = &mrtext.FreqBufConfig{K: 10, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
 			j.SpillMatcher = true
 		}},
-		{"extensions", func(j *mrtext.Job) {
-			j.CompressRuns = true
-			j.HashGroupSpills = true
-		}},
+		{"compress-runs", func(j *mrtext.Job) { j.CompressRuns = true }},
 	} {
 		job := mkJob("wordlen-" + cfg.name)
 		cfg.apply(job)

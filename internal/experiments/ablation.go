@@ -35,7 +35,7 @@ type AblationResult struct {
 //     the paper's fixed s (§III-C);
 //   - the spill-matcher with measurement smoothing instead of
 //     last-spill-only prediction (§IV-B's hypothesis);
-//   - the two §VII future-work extensions stacked on Combined.
+//   - the §VII compressed-runs extension stacked on Combined.
 var ablationConfigs = []struct {
 	name  string
 	apply func(j *mr.Job, app AppID)
@@ -59,15 +59,6 @@ var ablationConfigs = []struct {
 	{"combined+compress", func(j *mr.Job, app AppID) {
 		applyVariant(j, app, Combined)
 		j.CompressRuns = true
-	}},
-	{"combined+hashgroup", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, Combined)
-		j.HashGroupSpills = true
-	}},
-	{"combined+all-ext", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, Combined)
-		j.CompressRuns = true
-		j.HashGroupSpills = true
 	}},
 }
 
@@ -117,7 +108,7 @@ func RunAblation(env Env) (*AblationResult, error) {
 }
 
 func printAblation(env Env, r *AblationResult) {
-	env.printf("\nAblation — design choices and §VII extensions\n")
+	env.printf("\nAblation — design choices and the §VII extension\n")
 	env.printf("%-14s %-20s %10s %10s %14s %10s\n", "app", "config", "wall", "vs base", "intermediate", "freq hits")
 	for _, row := range r.Rows {
 		env.printf("%-14s %-20s %10s %9.1f%% %11.1f MB %10d\n",

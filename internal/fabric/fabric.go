@@ -38,8 +38,8 @@ type Stats struct {
 	LocalReads int64
 	// MaxInFlight is the high-water mark of concurrently in-flight remote
 	// transfers across the whole fabric — the pipelined shuffle's copier
-	// fan-out made visible (a serial shuffle never exceeds the reduce
-	// slot count; concurrent copiers push past it).
+	// fan-out made visible (fetching at reduce start would never exceed
+	// the reduce slot count; concurrent copiers push past it).
 	MaxInFlight int64
 }
 
@@ -172,13 +172,6 @@ func (f *Fabric) Transfer(src, dst int, n int64) error {
 	}
 	return nil
 }
-
-// InFlight returns the number of remote transfers in flight across the
-// whole fabric right now. It is the live counterpart of
-// Stats.MaxInFlight: the shuffle copier governor polls it to tell a
-// fabric-hot map phase (many DFS block reads crossing the wire) from a
-// quiet one, and throttles copier fan-out accordingly.
-func (f *Fabric) InFlight() int64 { return f.inflight.Load() }
 
 // NodeStats returns one node's cumulative sent/received remote traffic.
 func (f *Fabric) NodeStats(node int) (NodeStats, error) {

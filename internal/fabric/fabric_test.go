@@ -353,36 +353,3 @@ func TestMaxInFlightWatermark(t *testing.T) {
 		t.Fatalf("node 0 MaxInFlight = %d, want 1", ns.MaxInFlight)
 	}
 }
-
-// TestInFlightTracksRemoteTransfers asserts the live in-flight probe the
-// shuffle copier governor polls: it rises while a throttled remote
-// transfer occupies the fabric and returns to zero when it lands.
-func TestInFlightTracksRemoteTransfers(t *testing.T) {
-	f, _ := New(2, Config{BytesPerSec: 1 << 20}) // 1 MiB/s
-	if got := f.InFlight(); got != 0 {
-		t.Fatalf("idle fabric InFlight = %d, want 0", got)
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.Transfer(0, 1, 256<<10) }() // ~250ms on the wire
-	deadline := time.Now().Add(5 * time.Second)
-	for f.InFlight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("InFlight = %d while a transfer is on the wire, want 1", f.InFlight())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := f.InFlight(); got != 0 {
-		t.Fatalf("InFlight = %d after the transfer landed, want 0", got)
-	}
-
-	// Local transfers never touch the wire accounting.
-	if err := f.Transfer(1, 1, 1<<30); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.InFlight(); got != 0 {
-		t.Fatalf("InFlight = %d after a local transfer, want 0", got)
-	}
-}

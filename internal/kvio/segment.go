@@ -45,10 +45,12 @@ func ReadSegment(disk vdisk.Disk, idx RunIndex, part int) ([]byte, error) {
 // CompressSegment transcodes a plain-format segment (as returned by
 // ReadSegment on an uncompressed run) into the prefix-compressed run
 // format. The result decodes with NewBytesSegmentStream(out, true) to
-// exactly the records of the input. Shuffle copiers use this to ship and
-// stage segments compressed, so fabric and staging memory are charged
-// the wire size rather than the raw size. An empty segment transcodes to
-// an empty (nil) segment.
+// exactly the records of the input. An empty segment transcodes to an
+// empty (nil) segment.
+//
+// Retired: the runtime no longer transcodes segments. Exported only
+// because the frozen bench/drills.go calls it; the next benchmark PR
+// drops it with its drill.
 func CompressSegment(raw []byte) ([]byte, error) {
 	if len(raw) == 0 {
 		return nil, nil

@@ -156,28 +156,20 @@ const (
 	// double-counts them.
 	CtrShuffleEarlySegments  = "shuffle.early.segments"     // segments staged before the map phase finished (map/shuffle overlap)
 	CtrShuffleStagedSegments = "shuffle.staged.segments"    // segments staged by the copier pool, in memory or on disk
-	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // wire bytes fetched into staging (compressed length when wire compression is on)
+	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // bytes fetched into staging, as they sit on the source disk (compressed length under CompressRuns)
 	CtrShuffleStagedSpills   = "shuffle.staged.spills"      // staged segments written to the staging node's disk (over budget)
-	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy (wire bytes)
+	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy
 	CtrShuffleStagedHits     = "shuffle.staged.hits"        // reduce-attempt fetches served from staging
 	CtrShuffleFetchRetries   = "shuffle.fetch.retries"      // injected shuffle-fetch faults absorbed by per-source retry
-
-	// Batched/compressed fetch-plane counters (PR 10). Like the staging
-	// counters, these are recorded once by the job's shuffle service.
-	CtrShuffleBatchFetches   = "shuffle.batch.fetches"      // copier batch operations: one fabric transfer each, covering one or more segments
-	CtrShuffleBatchSegments  = "shuffle.batch.segments"     // segments carried by those batches (== staged segments; ratio to fetches is the batching factor)
-	CtrShuffleWireSavedBytes = "shuffle.wire.saved.bytes"   // raw-minus-wire bytes saved by compressing segments before the staging hop
-	CtrShuffleGovThrottles   = "shuffle.governor.throttles" // copier batch operations that had to wait for a governor token
 
 	// Shuffle wait-time counters (nanoseconds). These are the totals behind
 	// the latency histograms: blocked time on the simulated fabric, copier
 	// waits for staging-buffer space, and backoff sleeps between fetch
 	// retries. The critical-path analyzer cross-checks its blame report
 	// against them.
-	CtrShuffleFabricWaitNS  = "shuffle.fabric.wait.ns"   // time blocked in simulated fabric transfers on the shuffle path
-	CtrShuffleStagingWaitNS = "shuffle.staging.wait.ns"  // time copiers waited for staging-buffer space
-	CtrShuffleRetryWaitNS   = "shuffle.retry.wait.ns"    // backoff sleep between shuffle-fetch retries
-	CtrShuffleGovWaitNS     = "shuffle.governor.wait.ns" // time copiers were parked by the contention governor
+	CtrShuffleFabricWaitNS  = "shuffle.fabric.wait.ns"  // time blocked in simulated fabric transfers on the shuffle path
+	CtrShuffleStagingWaitNS = "shuffle.staging.wait.ns" // time copiers waited for staging-buffer space
+	CtrShuffleRetryWaitNS   = "shuffle.retry.wait.ns"   // backoff sleep between shuffle-fetch retries
 )
 
 // TaskMetrics accumulates instrumentation for a single task attempt. It is

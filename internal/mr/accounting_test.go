@@ -175,7 +175,9 @@ func TestClockBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk := &countingClock{}
-		_, won, _, rep, err := runReduceTask(c, job, metrics.NewTaskMetricsClock(clk.now), 0, 0, 0, 0, nil, nil, []mapOutput{out})
+		svc := newShuffleService(c, job)
+		defer svc.close()
+		_, won, _, rep, err := runReduceTask(c, job, metrics.NewTaskMetricsClock(clk.now), 0, 0, 0, 0, nil, &shuffleEnv{svc: svc}, []mapOutput{out})
 		if err != nil || !won {
 			t.Fatalf("reduce: won=%v err=%v", won, err)
 		}
@@ -291,7 +293,9 @@ func TestFailedAttemptReportsWhatItDid(t *testing.T) {
 			})
 		}
 		job.Format = nil
-		_, _, _, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), 0, 0, 0, 0, nil, nil, []mapOutput{out})
+		svc := newShuffleService(c, job)
+		defer svc.close()
+		_, _, _, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), 0, 0, 0, 0, nil, &shuffleEnv{svc: svc}, []mapOutput{out})
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v, want the reducer's", err)
 		}

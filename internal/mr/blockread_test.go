@@ -94,8 +94,8 @@ func FuzzBlockScanner(f *testing.F) {
 		}
 		if len(data) == 0 {
 			c := buildFS(t, data, int64(blockSize))
-			if _, err := computeSplits(c.FS, []string{"f"}); err == nil {
-				t.Fatal("empty input produced splits")
+			if splits, err := computeSplits(c.FS, []string{"f"}); err != nil || len(splits) != 0 {
+				t.Fatalf("empty input: %d splits, err %v; want none, nil", len(splits), err)
 			}
 			return
 		}

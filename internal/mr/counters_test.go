@@ -15,7 +15,7 @@ import (
 // Counter-identity suite. The record path counts in goroutine-owned locals
 // and publishes to the task's metrics at spill boundaries and task exits;
 // this suite pins that nothing is lost or counted twice on the way: for
-// three applications, three configurations and the fault-tolerance
+// three applications, two configurations and the fault-tolerance
 // matrix's chaos schedules, the job's aggregate counters equal values
 // computed from the input file, the job's own map and combine functions
 // run by the test, and RunReference's output — never from the runtime's
@@ -74,7 +74,6 @@ var counterConfigs = []struct {
 		j.SpillMatcher = true
 		j.SpillBufferBytes = 8 * ctrSpill
 	}},
-	{"serial-shuffle", func(j *mr.Job) { j.SerialShuffle = true }},
 }
 
 func newCounterCluster(t *testing.T, chaosCfg *chaos.Config, input []byte) *cluster.Cluster {

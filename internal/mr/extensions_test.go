@@ -11,25 +11,23 @@ import (
 	"mrtext/internal/textgen"
 )
 
-// extensionConfigs covers the §VII future-work extensions, alone and
+// extensionConfigs covers the §VII compressed-runs extension, alone and
 // stacked on top of the paper's two optimizations.
 var extensionConfigs = []struct {
 	name  string
 	apply func(j *mr.Job)
 }{
 	{"compress-runs", func(j *mr.Job) { j.CompressRuns = true }},
-	{"hash-group", func(j *mr.Job) { j.HashGroupSpills = true }},
 	{"kitchen-sink", func(j *mr.Job) {
 		j.CompressRuns = true
-		j.HashGroupSpills = true
 		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
 		j.SpillMatcher = true
 	}},
 }
 
 // TestExtensionsMatchReference: the correctness invariant extends to the
-// future-work features — output stays byte-identical to the sequential
-// reference under every extension combination.
+// future-work feature — output stays byte-identical to the sequential
+// reference with compressed runs, alone and combined.
 func TestExtensionsMatchReference(t *testing.T) {
 	c, corpus := newTextCluster(t, 3, 1<<20)
 	ref, err := mr.RunReference(c, apps.WordCount(corpus))
@@ -57,8 +55,8 @@ func TestExtensionsMatchReference(t *testing.T) {
 	}
 }
 
-// TestExtensionsOnJoin: hash grouping is ignored without a combiner;
-// compression still applies. Output must match reference.
+// TestExtensionsOnJoin: compression applies to a job without a combiner
+// too. Output must match reference.
 func TestExtensionsOnJoin(t *testing.T) {
 	c, _ := newTextCluster(t, 2, 64<<10)
 	mkLogs(t, c)
@@ -69,7 +67,6 @@ func TestExtensionsOnJoin(t *testing.T) {
 	job := apps.AccessLogJoin("visits.log", "rankings.tbl")
 	job.Name = "joinext"
 	job.CompressRuns = true
-	job.HashGroupSpills = true // no combiner: must be a no-op, not a crash
 	job.SpillBufferBytes = 64 << 10
 	res, err := mr.Run(c, job)
 	if err != nil {
@@ -102,25 +99,6 @@ func TestCompressionReducesSpillBytes(t *testing.T) {
 	compressed := run(true)
 	if compressed >= plain {
 		t.Errorf("compressed intermediate bytes %d ≥ plain %d", compressed, plain)
-	}
-}
-
-// TestHashGroupReducesSortedRecords: with hash grouping the spill writes
-// far fewer records than raw map outputs on a skewed corpus.
-func TestHashGroupReducesSortedRecords(t *testing.T) {
-	c, corpus := newTextCluster(t, 2, 512<<10)
-	job := apps.WordCount(corpus)
-	job.Name = "hashgrp"
-	job.SpillBufferBytes = 128 << 10
-	job.HashGroupSpills = true
-	res, err := mr.Run(c, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled := res.Agg.Counters[metrics.CtrSpillRecords]
-	emitted := res.Agg.Counters[metrics.CtrMapOutputRecords]
-	if spilled*2 > emitted {
-		t.Errorf("hash grouping left %d of %d records (no aggregation happened)", spilled, emitted)
 	}
 }
 

@@ -166,24 +166,11 @@ type Job struct {
 	// data representations" extension. Reduces spill/merge/shuffle bytes
 	// for text keys at a small CPU cost.
 	CompressRuns bool
-	// HashGroupSpills replaces the per-spill sort of raw records with a
-	// hash-based GROUP BY (combine in a hash table, then sort only the
-	// combined aggregates) — the §VII "different post-map() grouping
-	// procedures" extension. Requires Combine; ignored without one.
-	HashGroupSpills bool
 
-	// ShuffleCopiers is the per-reduce-partition copier fan-out of the
-	// pipelined shuffle (default 4): how many of a partition's segments
-	// are fetched concurrently into staging as map tasks commit.
-	ShuffleCopiers int
 	// ShuffleBufferBytes bounds the in-memory staging buffer shared by
-	// all copiers (default 32 MiB). Segments that cannot reserve space
-	// overflow to the staging node's disk.
+	// all of the pipelined shuffle's copiers (default 32 MiB). Segments
+	// that cannot reserve space overflow to the staging node's disk.
 	ShuffleBufferBytes int64
-	// SerialShuffle disables the pipelined shuffle: every reduce attempt
-	// opens its partition's segment of every map output itself, at reduce
-	// start — the pre-pipelining behavior.
-	SerialShuffle bool
 
 	// IngestChunkBytes sizes the batched split reader's arena reads
 	// (default 1 MiB): the granularity at which a map task pulls split
@@ -274,9 +261,6 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	}
 	if cp.SpillBufferBytes <= 0 {
 		cp.SpillBufferBytes = 4 << 20
-	}
-	if cp.ShuffleCopiers <= 0 {
-		cp.ShuffleCopiers = 4
 	}
 	if cp.ShuffleBufferBytes <= 0 {
 		cp.ShuffleBufferBytes = 32 << 20
@@ -388,7 +372,7 @@ type Result struct {
 	DeadNodes        []int
 	BlacklistedNodes []int
 
-	// Pipelined-shuffle accounting (all zero under SerialShuffle).
+	// Pipelined-shuffle accounting.
 	// ShuffleEarlySegments counts segments staged before the map phase
 	// finished — the map/shuffle overlap the pipeline exists to create.
 	ShuffleEarlySegments int
@@ -398,21 +382,18 @@ type Result struct {
 	// ShuffleFetchRetries counts injected shuffle-fetch faults absorbed
 	// by per-source retry instead of failing the reduce attempt.
 	ShuffleFetchRetries int
-	// ShuffleStagingPeak is the staging buffer's high-water mark in wire
-	// bytes (compressed length when wire compression is on).
+	// ShuffleStagingPeak is the staging buffer's high-water mark in bytes
+	// as staged (compressed length under CompressRuns).
 	ShuffleStagingPeak int64
-	// ShuffleBatchFetches counts copier batch operations — one fabric
-	// transfer each; ShuffleBatchSegments counts the segments they carried
-	// (their ratio is the batching factor).
-	ShuffleBatchFetches  int
-	ShuffleBatchSegments int
-	// ShuffleWireSavedBytes is raw-minus-wire bytes saved by compressing
-	// segments before the staging hop (zero when the expansion guard
-	// ships every segment raw).
+
+	// Retired, always zero: counters of the fetch-plane batching, wire
+	// transcoding and copier governor deleted in PR 21. Written by nothing;
+	// declared only because the frozen bench/layers.go reads them. The next
+	// benchmark PR drops them with its three shuffle.* rows.
+	ShuffleBatchFetches   int
+	ShuffleBatchSegments  int
 	ShuffleWireSavedBytes int64
-	// ShuffleGovThrottles counts copier batches that had to wait for a
-	// governor token while the map phase was fabric-hot.
-	ShuffleGovThrottles int
+	ShuffleGovThrottles   int
 }
 
 // MapIdleFraction returns the average fraction of map-task wall time the

@@ -270,16 +270,10 @@ type spillScratch struct {
 
 // writeSpillRun turns one spill into a sorted, partitioned run on the node
 // disk and returns the run index. The support goroutine calls it once per
-// spill, each time with its scratch. The grouping strategy is either the
-// standard sort-based GROUP BY or, under the HashGroupSpills extension, a
-// hash-based one: raw records are grouped and combined in a hash table and
-// only the (far fewer) aggregates are sorted. combine, nil for a job
-// without a combiner, times a sample of the combiner calls; the rest of
-// the write span is spill I/O.
+// spill, each time with its scratch. combine, nil for a job without a
+// combiner, times a sample of the combiner calls; the rest of the write
+// span is spill I/O.
 func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, scratch *spillScratch, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
-	if job.HashGroupSpills && combine != nil {
-		return writeSpillRunHashed(disk, name, parts, recs, job, combine, tm, sp)
-	}
 	t0 := tm.Now()
 	sortSpan := sp.start(trace.KindSort, trace.LaneSupport)
 	scratch.sorter.Sort(recs)
@@ -335,12 +329,6 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 	sp.tr.Complete(trace.KindCombine, trace.LaneSupport, sp.node, sp.task, sp.slot, t1, combineDur)
 	tm.Add(metrics.OpCombineUser, combineDur)
 	tm.Add(metrics.OpSpillIO, writeSpan-combineDur)
-	publishSpill(tm, idx, combineIn, combineOut)
-	return idx, nil
-}
-
-// publishSpill records one written spill run's counters.
-func publishSpill(tm *metrics.TaskMetrics, idx kvio.RunIndex, combineIn, combineOut int64) {
 	tm.Publish(
 		metrics.Count{Name: metrics.CtrSpillRecords, Delta: idx.TotalRecords()},
 		metrics.Count{Name: metrics.CtrSpillBytes, Delta: idx.TotalBytes()},
@@ -348,77 +336,6 @@ func publishSpill(tm *metrics.TaskMetrics, idx kvio.RunIndex, combineIn, combine
 		metrics.Count{Name: metrics.CtrCombineInRecords, Delta: combineIn},
 		metrics.Count{Name: metrics.CtrCombineOutRecords, Delta: combineOut},
 	)
-}
-
-// writeSpillRunHashed is the hash-based GROUP BY spill path (§VII future
-// work, after Lin et al.): group raw records by (partition, key) in a hash
-// table, combine each group once, sort only the combined aggregates, and
-// write them out. For skewed text keys the aggregates are a small fraction
-// of the raw records, so the sort shrinks dramatically. Hash grouping
-// replaces the sort-based grouping, so its time is attributed to OpSort.
-func writeSpillRunHashed(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
-	type group struct {
-		part int
-		key  []byte
-		vals [][]byte
-	}
-	groupSpan := sp.start(trace.KindSort, trace.LaneSupport)
-	t0 := tm.Now()
-	n := recs.Len()
-	groups := make(map[string]*group, n/4+16)
-	for i := 0; i < n; i++ {
-		key := recs.Key(i) // aliases the arena, stable for this call
-		g, ok := groups[string(key)]
-		if !ok {
-			g = &group{part: recs.Part(i), key: key}
-			groups[string(key)] = g
-		}
-		g.vals = append(g.vals, recs.Value(i))
-	}
-	t1 := tm.Now()
-	tm.Add(metrics.OpSort, t1.Sub(t0))
-
-	var combined []kvio.Record
-	var combineIn, combineOut int64
-	for _, g := range groups {
-		if len(g.vals) == 1 {
-			combined = append(combined, kvio.Record{Part: g.part, Key: g.key, Value: g.vals[0]})
-			continue
-		}
-		combineIn += int64(len(g.vals))
-		err := combine.call(g.key, g.vals, func(k, v []byte) error {
-			combineOut++
-			combined = append(combined, kvio.Record{Part: g.part, Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			return nil
-		})
-		if err != nil {
-			return kvio.RunIndex{}, fmt.Errorf("mr: combine during hashed spill: %w", err)
-		}
-	}
-	kvio.SortRecords(combined) // only the aggregates: the whole point
-	groupSpan.EndCounts(int64(len(combined)), 0)
-	w0 := tm.Now()
-	combineDur := combine.take(w0.Sub(t1))
-	tm.Add(metrics.OpSort, w0.Sub(t1)-combineDur)
-	debugAssertSorted(combined, name)
-	sp.tr.Complete(trace.KindCombine, trace.LaneSupport, sp.node, sp.task, sp.slot, t1, combineDur)
-	tm.Add(metrics.OpCombineUser, combineDur)
-
-	rw, err := kvio.NewRunSink(disk, name, parts, job.CompressRuns)
-	if err != nil {
-		return kvio.RunIndex{}, err
-	}
-	for _, r := range combined {
-		if err := rw.Append(r.Part, r.Key, r.Value); err != nil {
-			return kvio.RunIndex{}, err
-		}
-	}
-	idx, err := rw.Close()
-	if err != nil {
-		return kvio.RunIndex{}, err
-	}
-	tm.Add(metrics.OpSpillIO, tm.Now().Sub(w0))
-	publishSpill(tm, idx, combineIn, combineOut)
 	return idx, nil
 }
 

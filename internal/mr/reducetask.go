@@ -105,36 +105,6 @@ type shuffleEnv struct {
 // faults and post-recovery refetches within one reduce attempt.
 const maxFetchRetries = 4
 
-// fetchSerial opens this partition's segment of every map output in map-
-// task order — the pre-pipelining shuffle. On error it closes whatever it
-// opened and returns the joined errors.
-func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan, mapOuts []mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
-	streams := make([]kvio.Stream, 0, len(mapOuts))
-	closeAll := func(err error) error {
-		errs := []error{err}
-		for _, os := range streams {
-			errs = append(errs, os.Close())
-		}
-		return errors.Join(errs...)
-	}
-	for _, mo := range mapOuts {
-		if job.cancel.Load() {
-			return nil, closeAll(errJobCanceled)
-		}
-		t0 := time.Now()
-		if err := plan.Check(chaos.SiteShuffleFetch); err != nil {
-			return nil, closeAll(err)
-		}
-		s, err := kvio.OpenRunPart(c.Disks[mo.node], mo.index, part)
-		if err != nil {
-			return nil, closeAll(err)
-		}
-		job.Hists.ShuffleFetch.Record(int64(time.Since(t0)))
-		streams = append(streams, &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp})
-	}
-	return streams, nil
-}
-
 // fetchConcurrent is the pipelined-shuffle fetch: a pool of workers (the
 // attempt-side face of the copier fan-out) resolves every source either
 // from the staging service or by direct fetch. The resulting slice is
@@ -142,12 +112,9 @@ func fetchSerial(c *cluster.Cluster, job *Job, part, node int, plan *chaos.Plan,
 // with it byte-identical output — regardless of completion order.
 func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, mapOuts []mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
 	streams := make([]kvio.Stream, len(mapOuts))
-	workers := job.ShuffleCopiers
+	workers := copiersPerPartition
 	if workers > len(mapOuts) {
 		workers = len(mapOuts)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var (
 		wg       sync.WaitGroup
@@ -223,7 +190,7 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 		return &countedStream{inner: st, acct: acct}, nil
 	}
 	// Not staged (or the staging node died): direct fetch from the source
-	// disk, exactly like the serial path.
+	// disk.
 	for try := 0; ; try++ {
 		s, err := kvio.OpenRunPart(c.Disks[mo.node], mo.index, part)
 		if err == nil {
@@ -347,8 +314,8 @@ func ReduceOutputName(prefix string, r int) string {
 }
 
 // runReduceTask executes one attempt of a reduce task: fetch this
-// partition of every map output — from the pipelined shuffle's staging
-// when sh is non-nil, direct positioned reads otherwise — merge-sort,
+// partition of every map output — from the pipelined shuffle's staging,
+// or by a direct positioned read for a segment not staged — merge-sort,
 // group, apply reduce(), and write the output to an attempt-scoped DFS
 // temp file. On success the attempt commits by renaming the temp to the
 // canonical output name; the DFS's fail-on-exist rename makes the first
@@ -383,12 +350,7 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 
 	// Shuffle: resolve this partition's segment of every map output.
 	fetchSpan := sp.start(trace.KindShuffleFetch, trace.LaneReduce)
-	var streams []kvio.Stream
-	if sh != nil && sh.svc != nil {
-		streams, err = fetchConcurrent(c, job, sh, part, node, plan, mapOuts, acct, sp)
-	} else {
-		streams, err = fetchSerial(c, job, part, node, plan, mapOuts, acct, sp)
-	}
+	streams, err := fetchConcurrent(c, job, sh, part, node, plan, mapOuts, acct, sp)
 	if err != nil {
 		fetchSpan.End()
 		return fail(err)

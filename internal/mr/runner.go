@@ -102,12 +102,9 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	// overlapping shuffle I/O with the rest of the map phase. The deferred
 	// close covers early error returns; the success path closes it
 	// explicitly before reading its counters.
-	var svc *shuffleService
-	if !job.SerialShuffle {
-		svc = newShuffleService(c, job)
-		ft.shuffle = svc
-		defer svc.close()
-	}
+	svc := newShuffleService(c, job)
+	ft.shuffle = svc
+	defer svc.close()
 
 	// ----- Map phase -----
 	mapOuts := make([]mapOutput, len(splits))
@@ -166,16 +163,13 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	// Reduce attempts see the pipelined shuffle through shuffleEnv; the
 	// resnapshot closure lets an attempt that catches a source node death
 	// mid-fetch run lost-output recovery in place and refetch.
-	var sh *shuffleEnv
-	if svc != nil {
-		sh = &shuffleEnv{
-			svc:     svc,
-			backoff: job.RetryBackoff,
-			resnapshot: func() []mapOutput {
-				ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
-				return ft.snapshotMapOuts(mapOuts)
-			},
-		}
+	sh := &shuffleEnv{
+		svc:     svc,
+		backoff: job.RetryBackoff,
+		resnapshot: func() []mapOutput {
+			ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
+			return ft.snapshotMapOuts(mapOuts)
+		},
 	}
 
 	// ----- Reduce phase -----
@@ -258,18 +252,12 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	if res.Agg.Counters == nil {
 		res.Agg.Counters = make(map[string]int64)
 	}
-	if svc != nil {
-		res.Agg.Merge(svc.snapshot())
-		ctr := res.Agg.Counters
-		res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
-		res.ShuffleStagedSpills = int(ctr[metrics.CtrShuffleStagedSpills])
-		res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
-		res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
-		res.ShuffleBatchFetches = int(ctr[metrics.CtrShuffleBatchFetches])
-		res.ShuffleBatchSegments = int(ctr[metrics.CtrShuffleBatchSegments])
-		res.ShuffleWireSavedBytes = ctr[metrics.CtrShuffleWireSavedBytes]
-		res.ShuffleGovThrottles = int(ctr[metrics.CtrShuffleGovThrottles])
-	}
+	res.Agg.Merge(svc.snapshot())
+	ctr := res.Agg.Counters
+	res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
+	res.ShuffleStagedSpills = int(ctr[metrics.CtrShuffleStagedSpills])
+	res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
+	res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
 	res.LocalMapTasks, res.StolenMapTasks = sched.placement()
 	res.Agg.Counters[metrics.CtrLocalMapTasks] += int64(res.LocalMapTasks)
 	res.Agg.Counters[metrics.CtrStolenMapTasks] += int64(res.StolenMapTasks)
@@ -362,9 +350,9 @@ type ftRun struct {
 	activeWorkers int
 	recovering    bool // a lost-map-output recovery is in flight (singleflight)
 
-	// shuffle is the pipelined-shuffle service (nil under SerialShuffle):
-	// map commits are offered to its copier pools, and the reduce-phase
-	// queue prefers handing a partition to its staging node.
+	// shuffle is the pipelined-shuffle service: map commits are offered to
+	// its copier pools, and the reduce-phase queue prefers handing a
+	// partition to its staging node.
 	shuffle *shuffleService
 
 	// Counters (surfaced on Result).
@@ -468,7 +456,7 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 			// Staging affinity: prefer a reduce attempt whose partition is
 			// staged on this node, so the staged hand-off is a local read.
 			idx := 0
-			if !ft.mapPhase && ft.shuffle != nil {
+			if !ft.mapPhase {
 				for i, pa := range ft.queue {
 					if !ft.tasks[pa.task].committed && ft.shuffle.home(pa.task) == node {
 						idx = i
@@ -643,13 +631,11 @@ func (ft *ftRun) commitMap(pa pendingAttempt, node int, out mapOutput, rep TaskR
 		ft.specWins++
 	}
 	ft.done++
-	done, total := ft.done, ft.total
 	if ft.done == ft.total {
 		ft.phaseDone = true
 	}
 	ft.cond.Broadcast()
 	ft.mu.Unlock()
-	ft.shuffle.noteMapProgress(done, total)
 	ft.shuffle.offer(pa.task, out)
 }
 

@@ -19,27 +19,11 @@ import (
 // fetch), stage the bytes at the partition's staging node — in a bounded
 // memory buffer with backpressure, overflowing to the staging node's disk
 // when the budget is exhausted — and hand staged segments to reduce
-// attempts. A segment that was never staged (fetch raced a node death,
-// the service was disabled, the copier lost to the reduce phase) is
-// direct-fetched exactly like the serial shuffle, so the pipelined path
+// attempts. A segment travels and is staged exactly as it sits on the
+// source disk: raw, or prefix-compressed when CompressRuns wrote it so. A
+// segment that was never staged (fetch raced a node death, the copier lost
+// to the reduce phase) is direct-fetched from the source disk, so staging
 // never changes job output.
-//
-// The fetch plane is batched, compressed, and governed (DESIGN §10):
-//
-//   - Batching: a copier visiting a source node drains all of that node's
-//     queued segments for its partition in one fabric transfer, up to
-//     copierBatchBytes, amortizing the per-transfer fabric latency
-//     that made fine-grained fan-out pay one round trip per segment.
-//   - Wire compression: segments of uncompressed map outputs are
-//     transcoded to kvio's prefix-compressed run format before the
-//     staging hop, and stay compressed — on the wire, in the staging
-//     budget, on the staging disk, and across the take hop — until the
-//     reduce-side merge decodes them. Every staging byte count (reserve,
-//     spill threshold, peak, counters) is the wire length, never the raw
-//     length.
-//   - Governing: copiers take a token from the contention-aware governor
-//     (governor.go) before each batch, so fan-out backs off while the map
-//     phase is fabric-hot and ramps up as maps drain.
 
 // stagingReserveWait bounds how long a copier waits for staging-buffer
 // space before overflowing the segment to the staging node's disk. The
@@ -47,9 +31,11 @@ import (
 // against reducers that have not started consuming yet.
 const stagingReserveWait = 2 * time.Millisecond
 
-// copierBatchBytes caps one copier batch's wire bytes. The first segment
-// of a batch is always taken, even when it alone exceeds the cap.
-const copierBatchBytes = 1 << 20
+// copiersPerPartition is the copier fan-out of one reduce partition, and
+// the fetch fan-out of one reduce attempt. Measured, not tuned per job: at
+// 64 simulated nodes one copier is slower (median 12.9 s against 10.4 s),
+// and at 4 nodes 1, 2 and 4 are indistinguishable.
+const copiersPerPartition = 4
 
 // stagingBuffer bounds the memory held by staged shuffle segments.
 // Copiers reserve space before keeping fetched bytes in memory and
@@ -161,16 +147,12 @@ type stagedSeg struct {
 	compressed bool
 }
 
-// shuffleService runs the job-wide copier pools. All methods are nil-safe
-// so the serial-shuffle configuration can skip every call site.
+// shuffleService runs the job-wide copier pools.
 type shuffleService struct {
-	c          *cluster.Cluster
-	tr         *trace.Tracer
-	prefix     string
-	copiers    int
-	batchBytes int64
-	gov        *copierGovernor
-	buf        *stagingBuffer
+	c      *cluster.Cluster
+	tr     *trace.Tracer
+	prefix string
+	buf    *stagingBuffer
 	// tm is the service's own metrics. Staging work belongs to the job,
 	// not to any single attempt — an attempt's report is discarded when it
 	// fails or loses a commit race, which would silently drop counts — so
@@ -193,23 +175,20 @@ type shuffleService struct {
 func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 	parts := job.NumReducers
 	s := &shuffleService{
-		c:          c,
-		tr:         job.Trace,
-		prefix:     job.filePrefix,
-		copiers:    job.ShuffleCopiers,
-		batchBytes: copierBatchBytes,
-		gov:        newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight),
-		buf:        newStagingBuffer(job.ShuffleBufferBytes),
-		tm:         metrics.NewTaskMetrics(),
-		hists:      job.Hists,
-		pend:       make([][]stageReq, parts),
-		staged:     make([]map[int]*stagedSeg, parts),
-		released:   make([]bool, parts),
+		c:        c,
+		tr:       job.Trace,
+		prefix:   job.filePrefix,
+		buf:      newStagingBuffer(job.ShuffleBufferBytes),
+		tm:       metrics.NewTaskMetrics(),
+		hists:    job.Hists,
+		pend:     make([][]stageReq, parts),
+		staged:   make([]map[int]*stagedSeg, parts),
+		released: make([]bool, parts),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for p := 0; p < parts; p++ {
 		s.staged[p] = make(map[int]*stagedSeg)
-		for ci := 0; ci < s.copiers; ci++ {
+		for ci := 0; ci < copiersPerPartition; ci++ {
 			s.wg.Add(1)
 			go s.copierLoop(p, ci)
 		}
@@ -230,9 +209,6 @@ func (s *shuffleService) home(part int) int {
 // source skips it; a rare duplicate racing an in-flight copier is
 // discarded at staging time.
 func (s *shuffleService) offer(src int, out mapOutput) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -248,11 +224,9 @@ func (s *shuffleService) offer(src int, out mapOutput) {
 	s.mu.Unlock()
 }
 
-// copierLoop is one copier of one partition's pool: it drains the
-// partition's staging queue in batches until the partition is released or
-// the service closes. Each batch is gated on a governor token, acquired
-// after work is known to be pending but before any disk or fabric use, so
-// parked time is measured demand, never idle-queue time.
+// copierLoop is one copier of one partition's pool: it stages the
+// partition's queued segments one at a time until the partition is
+// released or the service closes.
 func (s *shuffleService) copierLoop(part, ci int) {
 	defer s.wg.Done()
 	for {
@@ -264,165 +238,63 @@ func (s *shuffleService) copierLoop(part, ci int) {
 			s.mu.Unlock()
 			return
 		}
-		srcHint := s.pend[part][0].src
+		req := s.pend[part][0]
+		s.pend[part] = s.pend[part][1:]
 		s.mu.Unlock()
-
-		granted, parked := s.gov.acquire()
-		if parked > 0 {
-			s.tm.Inc(metrics.CtrShuffleGovThrottles, 1)
-			s.tm.Inc(metrics.CtrShuffleGovWaitNS, int64(parked))
-			s.tr.Complete(trace.KindWaitGovernor, trace.LaneReduce,
-				s.home(part), srcHint, s.c.ReduceSlots()+ci, time.Now().Add(-parked), parked)
-		}
-
-		// Re-check under the lock: a sibling copier may have drained the
-		// queue (or the partition may have been released) while parked.
-		s.mu.Lock()
-		if s.closed || s.released[part] || len(s.pend[part]) == 0 {
-			done := s.closed || s.released[part]
-			s.mu.Unlock()
-			if granted {
-				s.gov.release()
-			}
-			if done {
-				return
-			}
-			continue
-		}
-		batch := s.popBatchLocked(part)
-		s.mu.Unlock()
-		s.stageBatch(part, ci, batch)
-		if granted {
-			s.gov.release()
-		}
+		s.stageSegment(part, ci, req)
 	}
 }
 
-// popBatchLocked removes and returns the next copier batch: the head of
-// the partition's queue plus every queued segment from the same source
-// node that fits under the batch byte cap (the head is always taken, even
-// oversized). Caller holds s.mu.
-func (s *shuffleService) popBatchLocked(part int) []stageReq {
-	q := s.pend[part]
-	head := q[0]
-	batch := []stageReq{head}
-	total := segWireHint(head, part)
-	var keep []stageReq
-	for _, r := range q[1:] {
-		if hint := segWireHint(r, part); r.out.node == head.out.node && total+hint <= s.batchBytes {
-			batch = append(batch, r)
-			total += hint
-		} else {
-			keep = append(keep, r)
-		}
+// stageSegment fetches one segment from its source node to the
+// partition's staging home: one read of the bytes as they sit on the
+// source disk, one fabric transfer. Staging is best-effort: any failure
+// abandons the segment and the reduce attempt direct-fetches it instead.
+func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
+	if part < 0 || part >= len(req.out.index.Segments) {
+		return
 	}
-	s.pend[part] = keep
-	return batch
-}
-
-// segWireHint estimates a queued segment's wire size from its on-disk
-// length — the only size known before the fetch (transcoding may shrink
-// it further).
-func segWireHint(r stageReq, part int) int64 {
-	if part < 0 || part >= len(r.out.index.Segments) {
-		return 0
-	}
-	return r.out.index.Segments[part].Len
-}
-
-// fetchedSeg is one batch member read from its source disk, possibly
-// transcoded to the compressed wire format.
-type fetchedSeg struct {
-	req        stageReq
-	data       []byte
-	compressed bool
-}
-
-// stageBatch fetches a batch of same-source segments to the partition's
-// staging home in one fabric transfer, compressing uncompressed segments
-// for the wire first. Staging stays best-effort: a segment that fails to
-// read is dropped from the batch, a failed transfer abandons the whole
-// batch, and reduce attempts direct-fetch whatever was not staged.
-func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 	home := s.home(part)
 	copierSlot := s.c.ReduceSlots() + ci
-	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, batch[0].src, copierSlot, part)
-	var (
-		segs    []fetchedSeg
-		wire    int64 // total bytes as they will cross the fabric
-		raw     int64 // total bytes as they sit on the source disks
-		records int64
-	)
-	for _, req := range batch {
-		if part < 0 || part >= len(req.out.index.Segments) {
-			continue
-		}
-		data, err := kvio.ReadSegment(s.c.Disks[req.out.node], req.out.index, part)
-		if err != nil {
-			continue
-		}
-		f := fetchedSeg{req: req, data: data, compressed: req.out.index.Compressed}
-		raw += int64(len(data))
-		if !f.compressed && len(data) > 0 {
-			// Keep the raw bytes when transcoding does not pay: tiny
-			// segments (a handful of records at high fan-out) can expand
-			// by a frame byte per record.
-			if enc, cerr := kvio.CompressSegment(data); cerr == nil && len(enc) < len(data) {
-				f.data, f.compressed = enc, true
-			}
-		}
-		wire += int64(len(f.data))
-		records += req.out.index.Segments[part].Records
-		segs = append(segs, f)
-	}
-	if len(segs) == 0 {
+	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, req.src, copierSlot, part)
+	data, err := kvio.ReadSegment(s.c.Disks[req.out.node], req.out.index, part)
+	if err != nil {
 		span.End()
 		return
 	}
-	if src := segs[0].req.out.node; wire > 0 && src != home {
+	if len(data) > 0 && req.out.node != home {
 		t0 := time.Now()
-		err := s.c.Net.Transfer(src, home, wire)
+		err := s.c.Net.Transfer(req.out.node, home, int64(len(data)))
 		d := time.Since(t0)
 		s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-		s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, home, batch[0].src, copierSlot, t0, d)
+		s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, home, req.src, copierSlot, t0, d)
 		if err != nil {
 			span.End()
 			return
 		}
 	}
-	s.tm.Inc(metrics.CtrShuffleBatchFetches, 1)
-	s.tm.Inc(metrics.CtrShuffleBatchSegments, int64(len(segs)))
-	if saved := raw - wire; saved > 0 {
-		s.tm.Inc(metrics.CtrShuffleWireSavedBytes, saved)
+	if !s.park(part, home, copierSlot, req.src, data, req.out.index.Compressed) {
+		span.End()
+		return
 	}
-	var staged int64
-	for _, f := range segs {
-		if s.stageOne(part, home, copierSlot, f) {
-			staged += int64(len(f.data))
-		}
-	}
-	span.EndCounts(records, staged)
+	span.EndCounts(req.out.index.Segments[part].Records, int64(len(data)))
 }
 
-// stageOne parks one fetched segment at the staging home: in the memory
+// park keeps one fetched segment at the staging home: in the memory
 // budget when a reservation lands, otherwise spilled to the home disk.
-// The wire length — compressed when transcoding shrank the segment — is
-// the one size used for the reservation, the spill decision, and every
-// staging counter, so budget accounting never mixes raw and compressed
-// byte counts. Reports whether the segment ended up staged.
-func (s *shuffleService) stageOne(part, home, copierSlot int, f fetchedSeg) bool {
-	st := &stagedSeg{len: int64(len(f.data)), compressed: f.compressed}
+// Reports whether the segment ended up staged.
+func (s *shuffleService) park(part, home, copierSlot, src int, data []byte, compressed bool) bool {
+	st := &stagedSeg{len: int64(len(data)), compressed: compressed}
 	reserveStart := time.Now()
 	ok, waited := s.buf.reserve(st.len, stagingReserveWait)
 	if waited > 0 {
 		s.tm.Inc(metrics.CtrShuffleStagingWaitNS, int64(waited))
-		s.tr.Complete(trace.KindWaitStaging, trace.LaneReduce, home, f.req.src, copierSlot, reserveStart, waited)
+		s.tr.Complete(trace.KindWaitStaging, trace.LaneReduce, home, src, copierSlot, reserveStart, waited)
 	}
 	if ok {
 		if waited > 0 {
 			s.hists.StagingWait.Record(int64(waited))
 		}
-		st.data = f.data
+		st.data = data
 	} else {
 		if waited > 0 {
 			s.hists.Stall.Record(int64(waited))
@@ -436,20 +308,20 @@ func (s *shuffleService) stageOne(part, home, copierSlot int, f fetchedSeg) bool
 			// would count an overflow that did not happen.
 			return false
 		}
-		name := stagedSegName(s.prefix, part, f.req.src)
-		if err := s.writeStaged(home, name, f.data); err != nil {
+		name := stagedSegName(s.prefix, part, src)
+		if err := s.writeStaged(home, name, data); err != nil {
 			return false
 		}
 		st.file = name
 		s.tm.Inc(metrics.CtrShuffleStagedSpills, 1)
 	}
 	s.mu.Lock()
-	if s.closed || s.released[part] || s.staged[part][f.req.src] != nil {
+	if s.closed || s.released[part] || s.staged[part][src] != nil {
 		s.mu.Unlock()
 		s.discardStaged(home, st)
 		return false
 	}
-	s.staged[part][f.req.src] = st
+	s.staged[part][src] = st
 	s.mu.Unlock()
 	s.tm.Inc(metrics.CtrShuffleStagedSegments, 1)
 	s.tm.Inc(metrics.CtrShuffleStagedBytes, st.len)
@@ -502,9 +374,6 @@ func (s *shuffleService) discardStaged(home int, st *stagedSeg) {
 // take — so the critical-path analyzer can separate fabric time from
 // shuffle I/O inside the attempt's fetch.
 func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stream, rawLen int64, ok bool) {
-	if s == nil {
-		return nil, 0, false
-	}
 	s.mu.Lock()
 	var st *stagedSeg
 	if !s.released[part] && s.staged[part] != nil {
@@ -547,9 +416,6 @@ func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stre
 // release drops a committed partition's staging state and stops its
 // copiers.
 func (s *shuffleService) release(part int) {
-	if s == nil {
-		return
-	}
 	home := s.home(part)
 	s.mu.Lock()
 	if s.released[part] {
@@ -567,41 +433,21 @@ func (s *shuffleService) release(part int) {
 	}
 }
 
-// markMapDone flips early-fetch accounting off — segments staged from
-// here on no longer overlap the map phase — and lifts the copier governor
-// to its full token budget.
+// markMapDone flips early-fetch accounting off: segments staged from here
+// on no longer overlap the map phase.
 func (s *shuffleService) markMapDone() {
-	if s == nil {
-		return
-	}
 	s.mapDone.Store(true)
-	s.gov.markMapDone()
-}
-
-// noteMapProgress feeds committed map counts into the copier governor's
-// ramp: more committed maps, more concurrent copier batches allowed.
-func (s *shuffleService) noteMapProgress(done, total int) {
-	if s == nil {
-		return
-	}
-	s.gov.noteProgress(done, total)
 }
 
 // noteRetry counts one injected shuffle-fetch fault absorbed by a reduce
 // attempt's per-source retry.
 func (s *shuffleService) noteRetry() {
-	if s == nil {
-		return
-	}
 	s.tm.Inc(metrics.CtrShuffleFetchRetries, 1)
 }
 
 // close stops every copier, drops all remaining staging state, and
 // records the staging high-water mark. Idempotent.
 func (s *shuffleService) close() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -610,7 +456,6 @@ func (s *shuffleService) close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.gov.close()
 	s.buf.close()
 	s.wg.Wait()
 	s.mu.Lock()

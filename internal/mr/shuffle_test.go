@@ -1,6 +1,8 @@
 package mr_test
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"mrtext/internal/chaos"
@@ -10,29 +12,37 @@ import (
 	"mrtext/internal/textgen"
 )
 
-// Pipelined-shuffle integration suite: the serial and pipelined shuffle
-// paths must be byte-identical — with staging in memory, overflowed to
-// disk, and under injected faults — and the pipeline must demonstrably
-// overlap the map phase (that overlap is its whole reason to exist).
+// Pipelined-shuffle integration suite: job output must be byte-identical
+// to the reference executor's — with staging in memory, overflowed to
+// disk, in either on-disk segment format, on degenerate inputs and under
+// injected faults — and the pipeline must demonstrably overlap the map
+// phase (that overlap is its whole reason to exist).
 
-// TestPipelinedShuffleMatchesSerial runs the same job three ways — serial
-// shuffle, pipelined with the default staging budget, and pipelined with
-// a 1-byte budget that forces every staged segment to disk — and requires
-// byte-identical outputs.
-func TestPipelinedShuffleMatchesSerial(t *testing.T) {
-	serialC, corpus := newFTCluster(t, nil)
-	serialJob := ftJob(corpus, "wc-shuffle-serial")
-	serialJob.SerialShuffle = true
-	serialRes, err := mr.Run(serialC, serialJob)
+// runAgainstReference runs job on c and requires output byte-identical to
+// RunReference's on the same cluster (fault-free even on a chaos cluster:
+// the injector is armed only while a job runs).
+func runAgainstReference(t *testing.T, c *cluster.Cluster, job *mr.Job) *mr.Result {
+	t.Helper()
+	ref, err := mr.RunReference(c, job)
 	if err != nil {
-		t.Fatalf("serial run: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
-	ref := readOutputs(t, serialC, serialRes)
-	if serialRes.ShuffleEarlySegments != 0 || serialRes.ShuffleStagingPeak != 0 {
-		t.Errorf("serial shuffle reported staging activity: early %d, peak %d",
-			serialRes.ShuffleEarlySegments, serialRes.ShuffleStagingPeak)
+	res, err := mr.Run(c, job)
+	if err != nil {
+		if c.Chaos != nil {
+			t.Fatalf("run: %v\nchaos log: %v", err, c.Chaos.Log())
+		}
+		t.Fatalf("run: %v", err)
 	}
+	assertOutputsMatch(t, c, res, ref)
+	return res
+}
 
+// TestPipelinedShuffleMatchesReference runs the job with the default
+// staging budget and with a 1-byte budget that forces every staged segment
+// to disk, and requires outputs byte-identical to RunReference's on the
+// same cluster.
+func TestPipelinedShuffleMatchesReference(t *testing.T) {
 	cases := []struct {
 		name       string
 		buffer     int64
@@ -47,11 +57,7 @@ func TestPipelinedShuffleMatchesSerial(t *testing.T) {
 			c, corpus := newFTCluster(t, nil)
 			job := ftJob(corpus, "wc-shuffle-"+tc.name)
 			job.ShuffleBufferBytes = tc.buffer
-			res, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatalf("pipelined run: %v", err)
-			}
-			assertOutputsMatch(t, c, res, ref)
+			res := runAgainstReference(t, c, job)
 			if tc.wantSpills && res.ShuffleStagedSpills == 0 {
 				t.Error("1-byte staging budget produced no staged spills")
 			}
@@ -62,50 +68,85 @@ func TestPipelinedShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShuffleFetchPlaneVariantsMatchSerial drives the fetch plane's two
-// segment formats through the whole job and requires byte-identical
-// outputs against a serial-shuffle reference for each: the compressed
-// wire format squeezed through a 1-byte staging budget, and — input-
-// driven — raw segments, from a corpus so small against so many reducers
-// that every segment is a handful of records and the expansion guard
-// declines to transcode any of them.
-func TestShuffleFetchPlaneVariantsMatchSerial(t *testing.T) {
+// TestShuffleFetchPlaneVariantsMatchReference drives both on-disk segment
+// formats through staging and requires byte-identical outputs against
+// RunReference for each: raw segments from a corpus so small against so
+// many reducers that every segment is a handful of records, and the
+// prefix-compressed segments CompressRuns writes, staged in memory and —
+// through a 1-byte budget — read back from the staging disk.
+func TestShuffleFetchPlaneVariantsMatchReference(t *testing.T) {
 	cases := []struct {
 		name          string
 		block, corpus int64
 		tune          func(job *mr.Job)
-		wantSaving    bool // some segment shrank on the wire; false: all shipped raw
+		wantSpills    bool
 	}{
-		{"compressed-one-byte-buffer", ftBlock, ftCorpus, func(job *mr.Job) { job.ShuffleBufferBytes = 1 }, true},
-		{"tiny-raw-segments", 512, 4 << 10, func(job *mr.Job) { job.NumReducers = 64 }, false},
+		{"raw-segments", 512, 4 << 10, func(job *mr.Job) { job.NumReducers = 64 }, false},
+		{"compress-runs", ftBlock, ftCorpus, func(job *mr.Job) { job.CompressRuns = true }, false},
+		{"compress-runs-one-byte-buffer", ftBlock, ftCorpus, func(job *mr.Job) {
+			job.CompressRuns = true
+			job.ShuffleBufferBytes = 1
+		}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			serialC, corpus := newFTClusterSized(t, nil, tc.block, tc.corpus)
-			serialJob := ftJob(corpus, "wc-variant-serial-"+tc.name)
-			tc.tune(serialJob)
-			serialJob.SerialShuffle = true
-			serialRes, err := mr.Run(serialC, serialJob)
-			if err != nil {
-				t.Fatalf("serial run: %v", err)
-			}
-			ref := readOutputs(t, serialC, serialRes)
-
 			c, corpus := newFTClusterSized(t, nil, tc.block, tc.corpus)
 			job := ftJob(corpus, "wc-variant-"+tc.name)
 			tc.tune(job)
-			res, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatalf("pipelined run: %v", err)
-			}
-			assertOutputsMatch(t, c, res, ref)
+			res := runAgainstReference(t, c, job)
 			if res.Agg.Counters[metrics.CtrShuffleStagedSegments] == 0 {
 				t.Error("no segment was staged: the fetch plane did not run")
 			}
-			if saved := res.ShuffleWireSavedBytes; (saved > 0) != tc.wantSaving {
-				t.Errorf("wire compression saved %d bytes, want saving = %v", saved, tc.wantSaving)
+			if spilled := res.ShuffleStagedSpills > 0; spilled != tc.wantSpills {
+				t.Errorf("%d staged spills, want spills = %v", res.ShuffleStagedSpills, tc.wantSpills)
 			}
+		})
+	}
+}
+
+// TestShuffleEdgeInputsMatchReference runs degenerate inputs through the
+// whole job — map, spill, copier staging, staged fetch, reduce — and
+// requires RunReference's bytes for each.
+func TestShuffleEdgeInputsMatchReference(t *testing.T) {
+	longKey := strings.Repeat("k", 3<<10)
+	cases := []struct {
+		name  string
+		input string
+		tune  func(job *mr.Job)
+	}{
+		{"empty-input", "", func(*mr.Job) {}},
+		// One record, 64 partitions: 63 of every map output's segments
+		// are empty.
+		{"one-word-64-reducers", "word\n", func(job *mr.Job) { job.NumReducers = 64 }},
+		// Every record lands in one partition; the other three receive
+		// nothing from any map task.
+		{"all-one-key", strings.Repeat("same same same same\n", 2000), func(*mr.Job) {}},
+		// A key the split reader cannot hold in one arena chunk.
+		{"key-longer-than-ingest-chunk", "a " + longKey + " b\n" + longKey + "\n", func(job *mr.Job) { job.IngestChunkBytes = 1 << 10 }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cluster.Fast(ftNodes)
+			cfg.BlockSize = 8 << 10
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			w, err := c.FS.Create("edge.txt", 0)
+			if err != nil {
+				t.Fatalf("create input: %v", err)
+			}
+			if _, err := io.WriteString(w, tc.input); err != nil {
+				t.Fatalf("write input: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("close input: %v", err)
+			}
+			job := ftJob("edge.txt", "wc-edge-"+tc.name)
+			tc.tune(job)
+			runAgainstReference(t, c, job)
 		})
 	}
 }
@@ -145,25 +186,12 @@ func TestEarlyFetchOverlapsMapPhase(t *testing.T) {
 	}
 }
 
-// TestPipelinedShuffleUnderChaosMatchesSerial reruns a slice of the
-// determinism matrix against a serial-shuffle reference, pinning that the
-// staged path keeps byte identity when attempts fail, retry and recover.
-func TestPipelinedShuffleUnderChaosMatchesSerial(t *testing.T) {
-	serialC, corpus := newFTCluster(t, nil)
-	serialJob := ftJob(corpus, "wc-chaos-serial")
-	serialJob.SerialShuffle = true
-	serialRes, err := mr.Run(serialC, serialJob)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	ref := readOutputs(t, serialC, serialRes)
-
+// TestPipelinedShuffleUnderChaosMatchesReference reruns a slice of the
+// determinism matrix against RunReference, pinning that the staged path
+// keeps byte identity when attempts fail, retry and recover.
+func TestPipelinedShuffleUnderChaosMatchesReference(t *testing.T) {
 	cfg := chaos.Config{Seed: 17, FailRate: 0.20, KillNode: -1}
 	c, corpus := newFTCluster(t, &cfg)
-	res, err := mr.Run(c, ftJob(corpus, "wc-chaos-pipelined"))
-	if err != nil {
-		t.Fatalf("pipelined run under chaos: %v\nchaos log: %v", err, c.Chaos.Log())
-	}
-	assertOutputsMatch(t, c, res, ref)
+	res := runAgainstReference(t, c, ftJob(corpus, "wc-chaos-pipelined"))
 	assertCounterIdentity(t, res)
 }

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -106,13 +105,14 @@ func newUnitCluster(t *testing.T, chaosCfg *chaos.Config) *cluster.Cluster {
 // writeUnitMapOuts writes unitMaps committed map outputs across the
 // cluster's disks and returns their locations. Partition p of map task m
 // holds keys "k<p>-<i>" in sorted order, except partition 2 of every
-// output, which is left empty.
-func writeUnitMapOuts(t *testing.T, c *cluster.Cluster) []mapOutput {
+// output, which is left empty. compressed selects the on-disk format
+// CompressRuns writes.
+func writeUnitMapOuts(t *testing.T, c *cluster.Cluster, compressed bool) []mapOutput {
 	t.Helper()
 	outs := make([]mapOutput, unitMaps)
 	for m := 0; m < unitMaps; m++ {
 		node := m % c.Nodes()
-		sink, err := kvio.NewRunSink(c.Disks[node], fmt.Sprintf("unit-m%d", m), unitParts, false)
+		sink, err := kvio.NewRunSink(c.Disks[node], fmt.Sprintf("unit-m%d", m), unitParts, compressed)
 		if err != nil {
 			t.Fatalf("sink: %v", err)
 		}
@@ -141,7 +141,6 @@ func writeUnitMapOuts(t *testing.T, c *cluster.Cluster) []mapOutput {
 func unitShuffleJob(bufferBytes int64) *Job {
 	return &Job{
 		NumReducers:        unitParts,
-		ShuffleCopiers:     2,
 		ShuffleBufferBytes: bufferBytes,
 		RetryBackoff:       time.Millisecond,
 		Hists:              NewHists(),
@@ -184,101 +183,94 @@ func waitStagedSegments(t *testing.T, svc *shuffleService, want int64) {
 }
 
 // TestShuffleServiceStagesAndTakes offers committed map outputs to the
-// copier pools and checks that every staged segment — including empty
-// ones — decodes to exactly the records of a direct positioned read, and
-// that takes are non-destructive (a duplicate attempt can re-take).
+// copier pools, in both on-disk formats, and checks that every segment —
+// including empty ones — is staged in the format it was written in, that
+// it decodes through take to exactly the records of a direct positioned
+// read, and that takes are non-destructive (a duplicate attempt can
+// re-take).
 func TestShuffleServiceStagesAndTakes(t *testing.T) {
-	c := newUnitCluster(t, nil)
-	outs := writeUnitMapOuts(t, c)
-	svc := newShuffleService(c, unitShuffleJob(1<<20))
-	defer svc.close()
+	for _, compressed := range []bool{false, true} {
+		compressed := compressed
+		t.Run(fmt.Sprintf("compressed=%v", compressed), func(t *testing.T) {
+			c := newUnitCluster(t, nil)
+			outs := writeUnitMapOuts(t, c, compressed)
+			svc := newShuffleService(c, unitShuffleJob(1<<20))
+			defer svc.close()
 
+			for m, out := range outs {
+				svc.offer(m, out)
+			}
+			waitStagedSegments(t, svc, unitParts*unitMaps)
+			if spills := svc.tm.Counter(metrics.CtrShuffleStagedSpills); spills != 0 {
+				t.Fatalf("%d staged segments overflowed a %d-byte budget", spills, 1<<20)
+			}
+
+			for p := 0; p < unitParts; p++ {
+				for m, out := range outs {
+					svc.mu.Lock()
+					st := svc.staged[p][m]
+					svc.mu.Unlock()
+					if st.compressed != compressed {
+						t.Fatalf("part %d src %d staged with compressed = %v, written with %v", p, m, st.compressed, compressed)
+					}
+					direct, err := kvio.OpenRunPart(c.Disks[out.node], out.index, p)
+					if err != nil {
+						t.Fatalf("direct open: %v", err)
+					}
+					want := drainStream(t, direct)
+					for round := 0; round < 2; round++ { // takes must not consume
+						st, _, ok := svc.take(p, m, 0, spanner{})
+						if !ok {
+							t.Fatalf("part %d src %d round %d: staged segment missing", p, m, round)
+						}
+						got := drainStream(t, st)
+						if len(got) != len(want) {
+							t.Fatalf("part %d src %d: %d staged records, want %d", p, m, len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("part %d src %d record %d: staged %q, direct %q", p, m, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+
+			// A released partition stops serving takes.
+			svc.release(1)
+			if _, _, ok := svc.take(1, 0, 0, spanner{}); ok {
+				t.Fatal("released partition still serves staged segments")
+			}
+		})
+	}
+}
+
+// TestStagingAccountsWireBytes pins staging's byte accounting: a segment
+// crosses the fabric and is staged as it sits on the source disk, so the
+// staged bytes equal the segments' on-disk bytes, and a budget equal to
+// that total stages everything in memory with zero spills.
+func TestStagingAccountsWireBytes(t *testing.T) {
+	c := newUnitCluster(t, nil)
+	outs := writeUnitMapOuts(t, c, false)
+	var diskTotal int64
+	for _, out := range outs {
+		diskTotal += out.index.TotalBytes()
+	}
+
+	svc := newShuffleService(c, unitShuffleJob(diskTotal))
+	defer svc.close()
 	for m, out := range outs {
 		svc.offer(m, out)
 	}
 	waitStagedSegments(t, svc, unitParts*unitMaps)
+	if staged := svc.tm.Counter(metrics.CtrShuffleStagedBytes); staged != diskTotal {
+		t.Fatalf("staged %d bytes, the segments hold %d on disk", staged, diskTotal)
+	}
 	if spills := svc.tm.Counter(metrics.CtrShuffleStagedSpills); spills != 0 {
-		t.Fatalf("%d staged segments overflowed a %d-byte budget", spills, 1<<20)
+		t.Fatalf("%d spills with a budget equal to the on-disk total %d", spills, diskTotal)
 	}
-
-	for p := 0; p < unitParts; p++ {
-		for m, out := range outs {
-			direct, err := kvio.OpenRunPart(c.Disks[out.node], out.index, p)
-			if err != nil {
-				t.Fatalf("direct open: %v", err)
-			}
-			want := drainStream(t, direct)
-			for round := 0; round < 2; round++ { // takes must not consume
-				st, _, ok := svc.take(p, m, 0, spanner{})
-				if !ok {
-					t.Fatalf("part %d src %d round %d: staged segment missing", p, m, round)
-				}
-				got := drainStream(t, st)
-				if len(got) != len(want) {
-					t.Fatalf("part %d src %d: %d staged records, want %d", p, m, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("part %d src %d record %d: staged %q, direct %q", p, m, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-
-	// A released partition stops serving takes.
-	svc.release(1)
-	if _, _, ok := svc.take(1, 0, 0, spanner{}); ok {
-		t.Fatal("released partition still serves staged segments")
-	}
-}
-
-// TestShuffleServiceStagesExpandingSegmentRaw pins the expansion guard: a
-// segment that prefix-compression would not shrink (one short record — the
-// frame byte costs more than the empty shared prefix saves) is staged in
-// its raw on-disk format, flagged uncompressed, and decodes through take
-// to exactly the record written.
-func TestShuffleServiceStagesExpandingSegmentRaw(t *testing.T) {
-	c := newUnitCluster(t, nil)
-	sink, err := kvio.NewRunSink(c.Disks[0], "unit-tiny", unitParts, false)
-	if err != nil {
-		t.Fatalf("sink: %v", err)
-	}
-	if err := sink.Append(0, []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	idx, err := sink.Close()
-	if err != nil {
-		t.Fatalf("close sink: %v", err)
-	}
-	raw, err := kvio.ReadSegment(c.Disks[0], idx, 0)
-	if err != nil {
-		t.Fatalf("read segment: %v", err)
-	}
-	if enc, err := kvio.CompressSegment(raw); err != nil || len(enc) < len(raw) {
-		t.Fatalf("premise: transcoding %d raw bytes gave %d (err %v), want no shrink", len(raw), len(enc), err)
-	}
-
-	svc := newShuffleService(c, unitShuffleJob(1<<20))
-	defer svc.close()
-	svc.offer(0, mapOutput{node: 0, index: idx})
-	waitStagedSegments(t, svc, unitParts)
-
-	svc.mu.Lock()
-	st := svc.staged[0][0]
-	svc.mu.Unlock()
-	if st == nil || st.compressed || !bytes.Equal(st.data, raw) {
-		t.Fatalf("staged segment = %+v, want the %d raw bytes with compressed == false", st, len(raw))
-	}
-	stream, _, ok := svc.take(0, 0, 1, spanner{})
-	if !ok {
-		t.Fatal("raw-staged segment missing")
-	}
-	if got := drainStream(t, stream); len(got) != 1 || got[0] != [2]string{"k", "v"} {
-		t.Fatalf("raw-staged segment decoded to %q, want [[k v]]", got)
-	}
-	if saved := svc.tm.Counter(metrics.CtrShuffleWireSavedBytes); saved != 0 {
-		t.Errorf("wire-saved bytes = %d for a segment shipped raw", saved)
+	if peak := svc.buf.peakBytes(); peak != diskTotal {
+		t.Fatalf("staging peak %d, want the on-disk total %d", peak, diskTotal)
 	}
 }
 
@@ -287,7 +279,7 @@ func TestShuffleServiceStagesExpandingSegmentRaw(t *testing.T) {
 // records as the in-memory one.
 func TestShuffleServiceOverflowsToDisk(t *testing.T) {
 	c := newUnitCluster(t, nil)
-	outs := writeUnitMapOuts(t, c)
+	outs := writeUnitMapOuts(t, c, false)
 	svc := newShuffleService(c, unitShuffleJob(1))
 	defer svc.close()
 
@@ -329,11 +321,11 @@ func TestShuffleServiceOverflowsToDisk(t *testing.T) {
 // TestFetchAbsorbsInjectedFault pins the chaos contract of the pipelined
 // fetch: an injected fault at SiteShuffleFetch is absorbed by per-source
 // retry — the fetch succeeds, the fault is counted as a retry, and the
-// streams carry exactly the records a fault-free serial fetch returns.
+// streams carry exactly the records a fault-free direct read returns.
 func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	cfg := &chaos.Config{Seed: 3, FailRate: 1.0, KillNode: -1}
 	c := newUnitCluster(t, cfg)
-	outs := writeUnitMapOuts(t, c)
+	outs := writeUnitMapOuts(t, c, false)
 	job := unitShuffleJob(1 << 20)
 	svc := newShuffleService(c, job)
 	defer svc.close()
@@ -383,7 +375,7 @@ func TestStageAfterCloseIsNotAnOverflow(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	svc := newShuffleService(c, unitShuffleJob(1<<20))
 	svc.close()
-	if svc.stageOne(0, 0, 0, fetchedSeg{req: stageReq{src: 0}, data: []byte("segment")}) {
+	if svc.park(0, 0, 0, 0, []byte("segment"), false) {
 		t.Error("segment staged on a closed service")
 	}
 	if got := svc.tm.Counter(metrics.CtrShuffleStagedSpills); got != 0 {

@@ -279,6 +279,29 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("unknown spec field: status %d body %s, want 400 naming the field", resp.StatusCode, msg)
 	}
 
+	// A field that sizes an allocation is refused out of range, before any
+	// job state exists.
+	for field, val := range map[string]string{
+		"reducers":          "50000000",
+		"spill_buffer_kb":   "-1",
+		"shuffle_buffer_mb": "9000000000000",
+		"ingest_chunk_kb":   "-1",
+	} {
+		resp, err = http.Post(ts.URL+"/jobs", "application/json",
+			strings.NewReader(`{"tenant":"alice","spec":{"app":"wordcount","`+field+`":`+val+`}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+			t.Errorf("%s %s: status %d body %s, want 400 naming the field", field, val, resp.StatusCode, msg)
+		}
+	}
+	if n := len(srv.Jobs()); n != 0 {
+		t.Errorf("%d jobs registered by refused submissions", n)
+	}
+
 	resp, err = http.Post(ts.URL+"/jobs", "application/json",
 		strings.NewReader(`{"tenant":"alice","spec":{"app":"wordcount"}} {"tenant":"bob"}`))
 	if err != nil {
@@ -469,6 +492,12 @@ func TestSpecValidation(t *testing.T) {
 		{"bad storage", mrserve.Spec{App: "syntext", SynTextStorage: 2}, false},
 		{"bad chaos rate", mrserve.Spec{App: "wordcount", Chaos: &mrserve.ChaosSpec{FailRate: 1.5}}, false},
 		{"chaos ok", mrserve.Spec{App: "wordcount", Chaos: &mrserve.ChaosSpec{Seed: 3, FailRate: 0.2}}, true},
+		// The spec mrrun builds from -reducers, -buffer-kb and friends.
+		{"reducers at cap", mrserve.Spec{App: "wordcount", Reducers: 4096}, true},
+		{"reducers over cap", mrserve.Spec{App: "wordcount", Reducers: 4097}, false},
+		{"negative reducers", mrserve.Spec{App: "wordcount", Reducers: -1}, false},
+		{"negative spill buffer", mrserve.Spec{App: "wordcount", SpillBufferKB: -1}, false},
+		{"huge ingest chunk", mrserve.Spec{App: "wordcount", IngestChunkKB: 1 << 40}, false},
 	}
 	for _, tc := range cases {
 		spec := tc.spec

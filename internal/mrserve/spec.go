@@ -69,10 +69,6 @@ type Spec struct {
 	// SynTextCPU and SynTextStorage parameterize SynText (defaults 4, 0.5).
 	SynTextCPU     int     `json:"syntext_cpu,omitempty"`
 	SynTextStorage float64 `json:"syntext_storage,omitempty"`
-	// ShuffleCopiers is the pipelined shuffle's per-partition fan-out
-	// (0 = default 4); SerialShuffle disables pipelining entirely.
-	ShuffleCopiers int  `json:"shuffle_copiers,omitempty"`
-	SerialShuffle  bool `json:"serial_shuffle,omitempty"`
 	// ShuffleBufferMB bounds the staging buffer (0 = default 32 MiB).
 	ShuffleBufferMB int64 `json:"shuffle_buffer_mb,omitempty"`
 	// IngestChunkKB sizes the split reader's arena (0 = default 1 MiB).
@@ -80,6 +76,17 @@ type Spec struct {
 	// Chaos, when non-nil, runs the job under a private fault injector.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 }
+
+// Caps on the spec fields that size allocations. A reduce partition costs
+// a copier pool and three table entries before the job reads a byte; the
+// spill buffer and the ingest chunk are allocated per map task and the
+// staging buffer is a per-job budget.
+const (
+	maxReducers        = 4096
+	maxSpillBufferKB   = 1 << 20 // 1 GiB
+	maxShuffleBufferMB = 1 << 16 // 64 GiB
+	maxIngestChunkKB   = 1 << 20 // 1 GiB
+)
 
 // Normalize applies spec-level defaults (not runtime defaults — those
 // stay in mr.Job.withDefaults) and lowercases the app name.
@@ -107,6 +114,19 @@ func (s *Spec) Validate() error {
 	}
 	if s.InputMB > 1<<20 {
 		return fmt.Errorf("mrserve: input_mb %d is absurd (max %d)", s.InputMB, 1<<20)
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int64
+	}{
+		{"reducers", int64(s.Reducers), maxReducers},
+		{"spill_buffer_kb", s.SpillBufferKB, maxSpillBufferKB},
+		{"shuffle_buffer_mb", s.ShuffleBufferMB, maxShuffleBufferMB},
+		{"ingest_chunk_kb", s.IngestChunkKB, maxIngestChunkKB},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("mrserve: %s %d outside [0,%d]", f.name, f.v, f.max)
+		}
 	}
 	if s.SynTextStorage < 0 || s.SynTextStorage > 1 {
 		return fmt.Errorf("mrserve: syntext_storage %v outside [0,1]", s.SynTextStorage)
@@ -221,10 +241,6 @@ func (s *Spec) BuildJob(nodes int) (*mr.Job, error) {
 	}
 	job.SpillMatcher = s.SpillMatcher
 	job.Speculation = s.Speculation
-	job.SerialShuffle = s.SerialShuffle
-	if s.ShuffleCopiers > 0 {
-		job.ShuffleCopiers = s.ShuffleCopiers
-	}
 	if s.ShuffleBufferMB > 0 {
 		job.ShuffleBufferBytes = s.ShuffleBufferMB << 20
 	}

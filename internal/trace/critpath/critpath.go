@@ -4,7 +4,7 @@
 // on — and attributes every nanosecond of it to a named cause (map
 // compute, spill/sort pressure, copier CPU/disk steal, staging
 // backpressure, fabric wait, fetch retry, shuffle I/O, reduce compute,
-// queue wait, governor wait, scheduler slack). This is the analysis the ROADMAP's
+// queue wait, scheduler slack). This is the analysis the ROADMAP's
 // copier-scaling diagnosis and the planned self-tuning controller need:
 // the trace substrate records what happened; this package says what it
 // cost and why.
@@ -73,12 +73,6 @@ const (
 	// the map barrier and the critical reduce attempt's start on traces
 	// recorded before wait-queue existed).
 	CauseQueueWait
-	// CauseGovernorWait is shuffle-copier time parked by the contention
-	// governor (wait-governor spans): staging work deliberately deferred
-	// while the map phase was fabric-hot. It appears in the activity view
-	// — governed throttling is intentional idle, the inverse of
-	// copier-steal.
-	CauseGovernorWait
 	// CauseScheduler is structural slack: gaps between chained spans,
 	// phase turnover, and the tail between the last task and job end.
 	CauseScheduler
@@ -89,7 +83,7 @@ const (
 var causeNames = [NumCauses]string{
 	"map-compute", "spill-sort", "copier-steal", "staging-backpressure",
 	"fabric-wait", "fetch-retry", "shuffle-io", "reduce-compute",
-	"queue-wait", "governor-wait", "scheduler-other",
+	"queue-wait", "scheduler-other",
 }
 
 // String returns the cause's report name.
@@ -278,9 +272,6 @@ func Analyze(events []trace.Event, opt Options) (*Report, error) {
 	}
 	for _, e := range ix.kind[trace.KindWaitQueue] {
 		r.Activity[CauseQueueWait] += e.Duration()
-	}
-	for _, e := range ix.kind[trace.KindWaitGovernor] {
-		r.Activity[CauseGovernorWait] += e.Duration()
 	}
 
 	r.Timelines, r.BucketWidth = ix.timelines(opt.Buckets)
@@ -598,7 +589,7 @@ func (ix *index) decomposeReduce(rt trace.Event) [NumCauses]time.Duration {
 func waitKind(k trace.Kind) bool {
 	switch k {
 	case trace.KindWaitMap, trace.KindWaitSupport, trace.KindWaitStaging,
-		trace.KindWaitRetry, trace.KindWaitQueue, trace.KindWaitGovernor:
+		trace.KindWaitRetry, trace.KindWaitQueue:
 		return true
 	}
 	return false

@@ -32,7 +32,6 @@ var ganttGlyphs = [numKinds]byte{
 	KindWaitFabric:   'w',
 	KindWaitRetry:    'y',
 	KindWaitQueue:    'q',
-	KindWaitGovernor: 'g',
 }
 
 // Gantt renders events as a fixed-width terminal timeline. width is the
@@ -169,7 +168,7 @@ func ganttTo(w *strings.Builder, events, marked []Event, width int) {
 		}
 		fmt.Fprintf(w, "%-16s |%s|\n", label, row)
 	}
-	legend := "legend: = job  m map-task  S spill  o sort  c combine  G merge  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  b staging-wait  w fabric-wait  y retry-wait  q queue-wait  g governor-wait"
+	legend := "legend: = job  m map-task  S spill  o sort  c combine  G merge  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  b staging-wait  w fabric-wait  y retry-wait  q queue-wait"
 	if len(marks) > 0 {
 		legend += "  # critical path"
 	}

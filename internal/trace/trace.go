@@ -72,10 +72,6 @@ const (
 	// KindWaitQueue spans a reduce attempt between enqueue and a worker
 	// slot picking it up.
 	KindWaitQueue
-	// KindWaitGovernor spans a shuffle copier parked by the contention
-	// governor: staging work was pending, but the fabric was map-hot (or
-	// the ramp limit was reached) and the copier waited for a token.
-	KindWaitGovernor
 
 	// KindSpillHandoff is the first instant kind ("i" events from here
 	// down): a spill batch handed to the support goroutine.
@@ -105,7 +101,7 @@ const (
 var kindNames = [numKinds]string{
 	"job", "map-task", "spill", "sort", "combine", "merge",
 	"shuffle-fetch", "shuffle-copy", "reduce-task", "wait-map", "wait-support",
-	"wait-staging", "wait-fabric", "wait-retry", "wait-queue", "wait-governor",
+	"wait-staging", "wait-fabric", "wait-retry", "wait-queue",
 	"spill-handoff", "spill-decision", "freq-eviction", "work-steal",
 	"task-retry", "node-death", "speculative-launch",
 }
