@@ -1,6 +1,7 @@
 // Package cluster assembles the simulated cluster the jobs run on: N
 // nodes, each with its own (optionally throttled) local disk, task slots,
-// and a per-node frequent-key cache; a shared network fabric; and a DFS
+// and a per-node frequent-key cache; the spill regions the map slots keep
+// between tasks; a shared network fabric; and a DFS
 // spanning the node disks. It corresponds to the two testbeds of §V-A: the
 // local cluster (6 machines, 12 mappers + 12 reducers) and the 20-node EC2
 // cluster.
@@ -14,6 +15,7 @@ import (
 	"mrtext/internal/core/freqbuf"
 	"mrtext/internal/dfs"
 	"mrtext/internal/fabric"
+	"mrtext/internal/spillbuf"
 	"mrtext/internal/vdisk"
 )
 
@@ -101,6 +103,13 @@ type Cluster struct {
 	Net        *fabric.Fabric
 	FS         *dfs.DFS
 	FreqCaches []*freqbuf.Cache
+	// SpillRegions holds the spill-buffer regions the map slots keep from
+	// one task to the next — two per slot at most, whatever the jobs — so
+	// a task fills memory its predecessor grew. It is one list for the
+	// cluster, not one per node: the nodes are one process, and a region
+	// kept on a node that runs no map task in the next job would be that
+	// process's memory through a reduce phase for nothing.
+	SpillRegions *spillbuf.Pool
 	// Chaos is the cluster's fault injector; nil when Config.Chaos was
 	// nil, which every consumer must tolerate (nil is fully disabled).
 	Chaos *chaos.Injector
@@ -157,7 +166,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cfg, Disks: disks, Net: net, FS: fs, FreqCaches: caches, Chaos: inj}, nil
+	return &Cluster{cfg: cfg, Disks: disks, Net: net, FS: fs, FreqCaches: caches,
+		SpillRegions: spillbuf.NewPool(spillbuf.RegionsPerBuffer * cfg.Nodes * cfg.MapSlotsPerNode), Chaos: inj}, nil
 }
 
 // Config returns the cluster's configuration.

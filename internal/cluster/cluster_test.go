@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mrtext/internal/spillbuf"
 	"sync"
 	"testing"
 
@@ -255,5 +256,48 @@ func TestThrottledDisksWired(t *testing.T) {
 	}
 	if _, ok := c2.Disks[0].(*vdisk.Mem); !ok {
 		t.Errorf("disk type %T, want *vdisk.Mem", c2.Disks[0])
+	}
+}
+
+// TestSpillRegionsBound: the cluster keeps at most two spill regions per
+// map slot, however many buffers return theirs.
+func TestSpillRegionsBound(t *testing.T) {
+	cfg := Fast(3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := spillbuf.RegionsPerBuffer * c.TotalMapSlots()
+	var bufs []*spillbuf.Buffer
+	for i := 0; i < bound; i++ { // twice the slots: twice the regions the list may keep
+		b, err := spillbuf.New(1<<10, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AttachPool(c.SpillRegions)
+		bufs = append(bufs, b)
+	}
+	for _, b := range bufs {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				s, ok := b.NextSpill()
+				if !ok {
+					return
+				}
+				b.Release(s, 0)
+			}
+		}()
+		for i := 0; i < 100; i++ {
+			if _, err := b.Append(0, []byte("key"), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+		<-done
+	}
+	if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free != bound || out != 0 {
+		t.Errorf("%d regions free and %d out after %d buffers, want the bound of %d and none", free, out, len(bufs), bound)
 	}
 }

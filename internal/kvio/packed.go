@@ -12,10 +12,15 @@ package kvio
 // key bytes packed into a big-endian integer. Sorting permutes only the
 // Meta array.
 //
-// The sort is a stable MSD radix over (Part, key bytes): one pass
-// groups the batch by partition, then each partition is split a key
-// byte at a time — bytes 0–7 read from the cached Prefix, later ones
-// from the arena — starting past the bytes all its keys share, which is
+// The map task's spill buffer goes one step further and files each Meta
+// under its partition as the record arrives (Region), so a spill reaches
+// the sort already grouped and the sort starts inside a partition.
+//
+// The sort is a stable MSD radix over (Part, key bytes): a flat batch is
+// grouped by partition in one pass (a Region arrives grouped), then each
+// partition is split a key byte at a time — bytes 0–7 read from the
+// cached Prefix, later ones from the arena — starting past the bytes all
+// its keys share, which is
 // what keeps URL keys ("example.org/…") from paying for twelve levels
 // that split nothing. Every level has 257 buckets: bucket 0 takes the
 // keys that have ended, so "ab" sorts before "ab\x00" although both pad
@@ -75,23 +80,8 @@ type PackedRecords struct {
 	Arena []byte
 }
 
-// Reserve grows the batch's capacity to at least records entries and
-// arena payload bytes in total, keeping its contents. A caller that knows
-// its budget (the spill buffer) sizes a batch once with Reserve, so that
-// Append on the record path never regrows the slices by doubling.
-func (p *PackedRecords) Reserve(records, arena int) {
-	if records > cap(p.Meta) {
-		p.Meta = append(make([]Meta, 0, records), p.Meta...)
-	}
-	if arena > cap(p.Arena) {
-		p.Arena = append(make([]byte, 0, arena), p.Arena...)
-	}
-}
-
 // Append packs one record onto the batch. The key and value bytes are
 // copied into the arena, so the caller keeps ownership of its slices.
-// Beyond the reserved capacity Arena and Meta grow amortized; both are
-// recycled across spills by Reset.
 //
 //mrlint:hotpath
 func (p *PackedRecords) Append(part int, key, value []byte) {
@@ -134,11 +124,94 @@ func (p PackedRecords) Record(i int) Record {
 	return Record{Part: p.Part(i), Key: p.Key(i), Value: p.Value(i)}
 }
 
-// Reset empties the batch, keeping the arena and metadata capacity for
-// reuse (the spill buffer recycles released batches this way).
-func (p *PackedRecords) Reset() {
-	p.Meta = p.Meta[:0]
-	p.Arena = p.Arena[:0]
+// Region is a batch of records filed by partition as they arrive: one
+// arena, and per partition the Meta entries of its records in emit
+// order. It is what the spill buffer fills and hands to the sort, which
+// therefore never has to group a spill by partition. A Region grows by
+// doubling and keeps its capacity across Reset, so one that has held a
+// spill holds the next without allocating.
+type Region struct {
+	Arena []byte
+	Parts [][]Meta
+}
+
+// Append packs one record onto the region under partition part, which
+// the caller has checked to be a partition of the job (the table grows to
+// part+1 entries). The key and value bytes are copied into the arena.
+//
+//mrlint:hotpath
+func (r *Region) Append(part int, key, value []byte) {
+	if part >= len(r.Parts) {
+		//mrlint:ignore alloccheck grows to the partition count on a region's first records, then is reused
+		r.Parts = append(r.Parts, make([][]Meta, part+1-len(r.Parts))...)
+	}
+	off := len(r.Arena)
+	if payload := len(key) + len(value); off+payload > cap(r.Arena) {
+		//mrlint:ignore alloccheck a new region's growth: one that has held a spill holds the next without allocating
+		r.Arena = slices.Grow(r.Arena, max(cap(r.Arena), payload, minRegionGrowth))
+	}
+	r.Arena = append(r.Arena, key...)
+	r.Arena = append(r.Arena, value...)
+	m := r.Parts[part]
+	if len(m) == cap(m) {
+		//mrlint:ignore alloccheck a new region's growth, as above
+		m = slices.Grow(m, max(cap(m), minRegionGrowth/metaBytes))
+	}
+	//mrlint:ignore alloccheck room for the entry was made above
+	r.Parts[part] = append(m, Meta{
+		Prefix: KeyPrefix(key),
+		KeyOff: uint32(off),
+		KeyLen: uint32(len(key)),
+		ValLen: uint32(len(value)),
+		Part:   int32(part),
+	})
+}
+
+// A region's arrays double when they are full, from minRegionGrowth bytes:
+// a region is grown once in its life, by the first spill it holds, and
+// doubling allocates twice the final size in all where append's own
+// quarter steps allocate five times it.
+const (
+	minRegionGrowth = 4 << 10
+	metaBytes       = 24
+)
+
+// Len returns the number of records in the region.
+func (r Region) Len() int {
+	n := 0
+	for _, m := range r.Parts {
+		n += len(m)
+	}
+	return n
+}
+
+// Part returns partition p's records as a packed batch aliasing the
+// region.
+func (r Region) Part(p int) PackedRecords {
+	return PackedRecords{Meta: r.Parts[p], Arena: r.Arena}
+}
+
+// Twin returns an empty region with room for what r holds and an eighth
+// more, allocated in one step per array: what a buffer fills next when it
+// has no recycled region to fill, on the expectation that a task's spills
+// are sized alike.
+func (r Region) Twin() Region {
+	t := Region{Arena: make([]byte, 0, len(r.Arena)+len(r.Arena)/8), Parts: make([][]Meta, len(r.Parts))}
+	for p, m := range r.Parts {
+		if len(m) > 0 {
+			t.Parts[p] = make([]Meta, 0, len(m)+len(m)/8)
+		}
+	}
+	return t
+}
+
+// Reset empties the region, keeping the capacity of the arena and of
+// every partition's entries for the next spill.
+func (r *Region) Reset() {
+	r.Arena = r.Arena[:0]
+	for p := range r.Parts {
+		r.Parts[p] = r.Parts[p][:0]
+	}
 }
 
 // Less reports whether record i orders before record j under the spill
@@ -195,9 +268,9 @@ func metaLess(arena []byte, a, b Meta) bool {
 // allocates it once. The zero value is ready to use; a Sorter serves one
 // goroutine at a time.
 type Sorter struct {
-	dest  []uint32 // per record: its slot in the partition pass, then its bucket at each radix level
+	dest  []uint32 // per record: its slot in Sort's partition pass, then its bucket at each radix level
 	buf   []Meta   // ping-pong buffer of the radix levels, as long as the widest partition
-	parts []int    // per partition: record count, then start, then end
+	parts []int    // Sort only. Per partition: record count, then start, then end
 }
 
 const (
@@ -221,9 +294,11 @@ func SortPacked(p PackedRecords) {
 	s.Sort(p)
 }
 
-// Sort is SortPacked on the Sorter's scratch. It is the hot-path
-// replacement for SortRecords; under the mrdebug build tag the result
-// is verified against SortRecords on every call.
+// Sort is SortPacked on the Sorter's scratch: the sort of a flat batch,
+// which has to be grouped by partition first. The spill path sorts
+// Regions, which arrive grouped (SortRegion); Sort is what the tests hold
+// that against. Under the mrdebug build tag the result is verified
+// against SortRecords on every call.
 //
 //mrlint:hotpath
 func (s *Sorter) Sort(p PackedRecords) {
@@ -232,15 +307,49 @@ func (s *Sorter) Sort(p PackedRecords) {
 	debugCheckSortAgreement(p, ref)
 }
 
+// SortRegion sorts every partition of r by key with stable order for
+// equal keys, permuting only the partition's Meta entries. Each must be
+// in emit order, as Region.Append files them. Under the mrdebug build tag
+// every partition is verified against SortRecords.
+//
+//mrlint:hotpath
+func (s *Sorter) SortRegion(r Region) {
+	widest := 0
+	for _, m := range r.Parts {
+		widest = max(widest, len(m))
+	}
+	s.reserve(widest, widest)
+	for p := range r.Parts {
+		ref := debugSortReference(r.Part(p))
+		s.sortPart(r.Parts[p], r.Arena)
+		debugCheckSortAgreement(r.Part(p), ref)
+	}
+}
+
+// reserve sizes the scratch for n records of which no partition holds
+// more than widest. A little headroom on both: a task's spills are sized
+// alike but filled a few records apart, and the second must not regrow
+// for them.
+func (s *Sorter) reserve(n, widest int) {
+	if cap(s.dest) < n {
+		//mrlint:ignore alloccheck grows to the largest spill a task sorts, then is reused
+		s.dest = make([]uint32, n+n/32)
+	}
+	if cap(s.buf) < widest {
+		//mrlint:ignore alloccheck grows to the widest partition a task sorts, then is reused
+		s.buf = make([]Meta, widest+widest/32)
+	}
+}
+
 // sort groups the batch by partition — a counting pass gives every
 // record its slot, in emit order within its partition, and the records
-// are moved there in place — then radix-sorts each partition through
-// buf. Moving in place costs a dependent load per record where a scatter
-// into a second array would not, but a second array is one more Meta per
-// record for every running map task; buf is a partition's worth. A Part
-// no batch of this size can have been partitioned into — negative, or at
-// least len(meta) — would index outside the count table, so such a batch
-// goes to the comparison sort whole.
+// are moved there in place — then sorts each partition. Moving in place
+// costs a dependent load per record where a scatter into a second array
+// would not, but a second array is one more Meta per record; buf is a
+// partition's worth. A Part no batch of this size can have been
+// partitioned into — negative, or at least len(meta) — would index
+// outside the count table, so such a batch goes to the comparison sort
+// whole.
 func (s *Sorter) sort(meta []Meta, arena []byte) {
 	n := len(meta)
 	if n <= radixCutoff {
@@ -256,7 +365,7 @@ func (s *Sorter) sort(meta []Meta, arena []byte) {
 				compareSortMeta(meta, arena)
 				return
 			}
-			//mrlint:ignore alloccheck grows to the partition count on a task's first spill, then is reused
+			//mrlint:ignore alloccheck grows to the partition count on a sorter's first batch, then is reused
 			ends = append(ends, make([]int, int(part)+1-len(ends))...)
 		}
 		ends[part]++
@@ -268,16 +377,7 @@ func (s *Sorter) sort(meta []Meta, arena []byte) {
 		off += c
 		widest = max(widest, c)
 	}
-	// A little headroom on both: a task's spills are sized alike but
-	// filled a few records apart, and the second must not regrow for them.
-	if cap(s.dest) < n {
-		//mrlint:ignore alloccheck grows to the largest spill a task sorts, then is reused
-		s.dest = make([]uint32, n+n/32)
-	}
-	if cap(s.buf) < widest {
-		//mrlint:ignore alloccheck grows to the widest partition a task sorts, then is reused
-		s.buf = make([]Meta, widest+widest/32)
-	}
+	s.reserve(n, widest)
 	dest := s.dest[:n]
 	for i := range meta {
 		part := meta[i].Part
@@ -287,12 +387,21 @@ func (s *Sorter) sort(meta []Meta, arena []byte) {
 	permuteMeta(meta, dest)
 	lo := 0
 	for _, hi := range ends {
-		if hi > lo {
-			d := commonKeyPrefix(meta[lo:hi], arena)
-			radixSortMeta(meta[lo:hi], s.buf[:hi-lo], dest[lo:hi], arena, d, d+radixDepth, true)
-		}
+		s.sortPart(meta[lo:hi], arena)
 		lo = hi
 	}
+}
+
+// sortPart sorts one partition's records, in emit order on entry, by
+// key: the radix starts past the bytes all the keys share. The scratch
+// holds len(m) records (reserve).
+func (s *Sorter) sortPart(m []Meta, arena []byte) {
+	if len(m) <= radixCutoff {
+		insertionSortMeta(m, arena)
+		return
+	}
+	d := commonKeyPrefix(m, arena)
+	radixSortMeta(m, s.buf[:len(m)], s.dest[:len(m)], arena, d, d+radixDepth, true)
 }
 
 // permuteMeta moves every m[i] to m[dest[i]] in place, one cycle of the

@@ -128,23 +128,56 @@ func pack(recs []Record) PackedRecords {
 	return p
 }
 
-// requireReferenceOrder sorts a packed copy of recs with SortPacked and
-// requires exactly the sequence SortRecords (sort.SliceStable) produces:
-// same keys, same partitions, equal keys in emit order.
+// file is pack's bucketed twin: the records filed under their partitions,
+// as the spill buffer files them. ok is false for a batch with a Part no
+// partitioner of a real job produces (TestSortPackedBadParts), which only
+// the flat entry accepts.
+func file(recs []Record) (r Region, ok bool) {
+	for _, rec := range recs {
+		if rec.Part < 0 || rec.Part >= 1<<16 {
+			return Region{}, false
+		}
+		r.Append(rec.Part, rec.Key, rec.Value)
+	}
+	return r, true
+}
+
+// flatten returns the region's records partition by partition.
+func flatten(r Region) PackedRecords {
+	p := PackedRecords{Arena: r.Arena}
+	for _, m := range r.Parts {
+		p.Meta = append(p.Meta, m...)
+	}
+	return p
+}
+
+// requireReferenceOrder sorts recs through both entries of the kernel —
+// a packed copy with SortPacked, and a copy filed by partition with
+// SortRegion — and requires of each exactly the sequence SortRecords
+// (sort.SliceStable) produces: same keys, same partitions, equal keys in
+// emit order.
 func requireReferenceOrder(t *testing.T, recs []Record) {
 	t.Helper()
-	p := pack(recs)
 	ref := make([]Record, len(recs))
 	copy(ref, recs)
 	SortRecords(ref)
+	p := pack(recs)
 	SortPacked(p)
-	if p.Len() != len(ref) {
-		t.Fatalf("packed has %d records, reference %d", p.Len(), len(ref))
+	sorted := map[string]PackedRecords{"SortPacked": p}
+	if r, ok := file(recs); ok {
+		var s Sorter
+		s.SortRegion(r)
+		sorted["SortRegion"] = flatten(r)
 	}
-	for i := range ref {
-		if p.Part(i) != ref[i].Part || !bytes.Equal(p.Key(i), ref[i].Key) || !bytes.Equal(p.Value(i), ref[i].Value) {
-			t.Fatalf("mismatch at %d of %d: packed (%d,%.40q,%q) vs reference (%d,%.40q,%q)",
-				i, len(ref), p.Part(i), p.Key(i), p.Value(i), ref[i].Part, ref[i].Key, ref[i].Value)
+	for entry, p := range sorted {
+		if p.Len() != len(ref) {
+			t.Fatalf("%s: packed has %d records, reference %d", entry, p.Len(), len(ref))
+		}
+		for i := range ref {
+			if p.Part(i) != ref[i].Part || !bytes.Equal(p.Key(i), ref[i].Key) || !bytes.Equal(p.Value(i), ref[i].Value) {
+				t.Fatalf("%s: mismatch at %d of %d: packed (%d,%.40q,%q) vs reference (%d,%.40q,%q)",
+					entry, i, len(ref), p.Part(i), p.Key(i), p.Value(i), ref[i].Part, ref[i].Key, ref[i].Value)
+			}
 		}
 	}
 }
@@ -281,10 +314,11 @@ func readFile(t *testing.T, disk vdisk.Disk, name string) []byte {
 	return data
 }
 
-// TestPackedRunFilesByteIdentical: the packed pipeline (SortPacked +
-// run sink) must write the same bytes to disk as the reference pipeline
-// (SortRecords + run sink), in both the plain and the prefix-compressed
-// run format.
+// TestPackedRunFilesByteIdentical: the flat packed pipeline (Append +
+// SortPacked + run sink) and the spill path's (Region.Append + SortRegion
+// + run sink, partition by partition) must each write the same bytes to
+// disk as the reference pipeline (SortRecords + run sink), in both the
+// plain and the prefix-compressed run format.
 func TestPackedRunFilesByteIdentical(t *testing.T) {
 	for _, g := range generators {
 		for _, compressed := range []bool{false, true} {
@@ -311,24 +345,36 @@ func TestPackedRunFilesByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					p := pack(recs)
-					SortPacked(p)
-					pkDisk := vdisk.NewMem()
-					pw, err := NewRunSink(pkDisk, "run", parts, compressed)
-					if err != nil {
-						t.Fatal(err)
+					want := readFile(t, refDisk, "run")
+
+					flat := pack(recs)
+					SortPacked(flat)
+					region, _ := file(recs)
+					var s Sorter
+					s.SortRegion(region)
+					pipelines := map[string][]PackedRecords{"flat": {flat}, "region": nil}
+					for p := range region.Parts {
+						pipelines["region"] = append(pipelines["region"], region.Part(p))
 					}
-					for i := 0; i < p.Len(); i++ {
-						if err := pw.Append(p.Part(i), p.Key(i), p.Value(i)); err != nil {
+					for name, batches := range pipelines {
+						disk := vdisk.NewMem()
+						pw, err := NewRunSink(disk, "run", parts, compressed)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					if _, err := pw.Close(); err != nil {
-						t.Fatal(err)
-					}
-
-					if a, b := readFile(t, refDisk, "run"), readFile(t, pkDisk, "run"); !bytes.Equal(a, b) {
-						t.Fatalf("trial %d: run files differ (%d vs %d bytes)", trial, len(a), len(b))
+						for _, p := range batches {
+							for i := 0; i < p.Len(); i++ {
+								if err := pw.Append(p.Part(i), p.Key(i), p.Value(i)); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+						if _, err := pw.Close(); err != nil {
+							t.Fatal(err)
+						}
+						if got := readFile(t, disk, "run"); !bytes.Equal(want, got) {
+							t.Fatalf("trial %d: %s pipeline's run file differs from the reference's (%d vs %d bytes)", trial, name, len(got), len(want))
+						}
 					}
 				}
 			})

@@ -193,6 +193,7 @@ func runCanceled(t *testing.T, c *cluster.Cluster, job *mr.Job, started <-chan s
 	if leaked := diffSnapshots(before, diskSnapshot(t, c)); len(leaked) != 0 {
 		t.Errorf("canceled job leaked %d files:\n  %s", len(leaked), strings.Join(leaked, "\n  "))
 	}
+	assertRegionsHome(t, c)
 }
 
 // TestCancelMidMap cancels while map attempts are mid-split.

@@ -11,6 +11,7 @@ import (
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
 	"mrtext/internal/mr"
+	"mrtext/internal/spillbuf"
 	"mrtext/internal/textgen"
 )
 
@@ -119,6 +120,20 @@ func assertCounterIdentity(t *testing.T, res *mr.Result) {
 	}
 }
 
+// assertRegionsHome checks the spill regions of a cluster with no job
+// running: every region a map attempt took from the pool is back,
+// whichever way the attempt ended, and the pool holds no more than two per
+// map slot.
+func assertRegionsHome(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	if out := c.SpillRegions.Out(); out != 0 {
+		t.Errorf("%d spill regions still out of the pool with no task running", out)
+	}
+	if free, bound := c.SpillRegions.Free(), spillbuf.RegionsPerBuffer*c.TotalMapSlots(); free > bound {
+		t.Errorf("pool holds %d spill regions, bound %d", free, bound)
+	}
+}
+
 // ftCell is one cell of the suite's seed × fail-rate matrix.
 type ftCell struct {
 	name string
@@ -166,6 +181,7 @@ func TestDeterminismUnderFaults(t *testing.T) {
 			}
 			assertOutputsMatch(t, c, res, ref)
 			assertCounterIdentity(t, res)
+			assertRegionsHome(t, c)
 
 			stats := c.Chaos.Stats()
 			// A fired fault either fails its attempt or — at the shuffle-
@@ -236,6 +252,7 @@ func TestSynTextChaosSmoke(t *testing.T) {
 			}
 			assertOutputsMatch(t, c, res, ref)
 			assertCounterIdentity(t, res)
+			assertRegionsHome(t, c)
 			if cfg.KillNode >= 0 && (len(res.DeadNodes) != 1 || res.DeadNodes[0] != cfg.KillNode) {
 				t.Errorf("dead nodes = %v, want [%d]", res.DeadNodes, cfg.KillNode)
 			}

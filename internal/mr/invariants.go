@@ -13,6 +13,9 @@ import (
 // They compile in only under -tags mrdebug; release builds link the no-op
 // twins in invariants_off.go.
 
+// debugBuild says whether the assertions are compiled in.
+const debugBuild = true
+
 // debugAssert panics with a formatted message when cond is false.
 func debugAssert(cond bool, format string, args ...any) {
 	if !cond {

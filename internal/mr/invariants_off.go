@@ -6,6 +6,8 @@ import "mrtext/internal/kvio"
 
 // Release-build no-op twins of the mrdebug assertions; see invariants.go.
 
+const debugBuild = false
+
 func debugAssert(bool, string, ...any) {}
 
 func debugAssertSorted([]kvio.Record, string) {}

@@ -3,6 +3,7 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"mrtext/internal/chaos"
@@ -29,6 +30,19 @@ type spanner struct {
 // start opens a span for this task attempt on the given lane.
 func (sc spanner) start(kind trace.Kind, lane trace.Lane) trace.Span {
 	return sc.tr.StartAttempt(kind, lane, sc.node, sc.task, sc.slot, sc.attempt)
+}
+
+// panicError reports a panic recovered on a task's goroutine — the value
+// and the stack of the goroutine that raised it — as the attempt's error,
+// so that one job's faulty map(), combine() or reduce() fails an attempt of
+// that job and not the process with every other job in it. A debug build
+// raises the panic again instead: there it may be one of the runtime's own
+// assertions, which must not be retried away.
+func panicError(r any) error {
+	if debugBuild {
+		panic(r)
+	}
+	return fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
 }
 
 // mapOutput locates one finished map task's partitioned output run.
@@ -270,53 +284,57 @@ type spillScratch struct {
 
 // writeSpillRun turns one spill into a sorted, partitioned run on the node
 // disk and returns the run index. The support goroutine calls it once per
-// spill, each time with its scratch. combine, nil for a job without a
-// combiner, times a sample of the combiner calls; the rest of the write
-// span is spill I/O.
-func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedRecords, scratch *spillScratch, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
+// spill, each time with its scratch. The spill arrives filed by partition,
+// so the sort works inside each partition and the write walks them in
+// order. combine, nil for a job without a combiner, times a sample of the
+// combiner calls; the rest of the write span is spill I/O.
+func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, scratch *spillScratch, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
 	t0 := tm.Now()
 	sortSpan := sp.start(trace.KindSort, trace.LaneSupport)
-	scratch.sorter.Sort(recs)
-	sortSpan.EndCounts(int64(recs.Len()), recs.ArenaBytes())
+	scratch.sorter.SortRegion(region)
+	sortSpan.EndCounts(int64(region.Len()), int64(len(region.Arena)))
 	t1 := tm.Now()
 	tm.Add(metrics.OpSort, t1.Sub(t0))
-	debugAssertSortedPacked(recs, name)
 
 	rw, err := kvio.NewRunSink(disk, name, parts, job.CompressRuns)
 	if err != nil {
 		return kvio.RunIndex{}, err
 	}
-	i := 0
-	n := recs.Len()
 	var combineIn, combineOut int64
-	// One closure for the whole spill: it reads the partition of the group
-	// being combined from i.
+	// One closure for the whole spill: it reads the partition being written
+	// from part.
+	part := 0
 	emit := func(k, v []byte) error {
 		combineOut++
-		return rw.Append(recs.Part(i), k, v)
+		return rw.Append(part, k, v)
 	}
-	for i < n {
-		j := i + 1
-		for j < n && recs.Meta[j].Part == recs.Meta[i].Part && recs.KeyEqual(i, j) {
-			j++
-		}
-		if combine == nil || j-i == 1 {
-			for k := i; k < j; k++ {
-				if err := rw.Append(recs.Part(k), recs.Key(k), recs.Value(k)); err != nil {
-					return kvio.RunIndex{}, err
+	for part = range region.Parts {
+		recs := region.Part(part)
+		debugAssertSortedPacked(recs, name)
+		n := recs.Len()
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && recs.KeyEqual(i, j) {
+				j++
+			}
+			if combine == nil || j-i == 1 {
+				for k := i; k < j; k++ {
+					if err := rw.Append(part, recs.Key(k), recs.Value(k)); err != nil {
+						return kvio.RunIndex{}, err
+					}
+				}
+			} else {
+				scratch.vals = scratch.vals[:0]
+				for k := i; k < j; k++ {
+					scratch.vals = append(scratch.vals, recs.Value(k))
+				}
+				combineIn += int64(j - i)
+				if err := combine.call(recs.Key(i), scratch.vals, emit); err != nil {
+					return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
 				}
 			}
-		} else {
-			scratch.vals = scratch.vals[:0]
-			for k := i; k < j; k++ {
-				scratch.vals = append(scratch.vals, recs.Value(k))
-			}
-			combineIn += int64(j - i)
-			if err := combine.call(recs.Key(i), scratch.vals, emit); err != nil {
-				return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
-			}
+			i = j
 		}
-		i = j
 	}
 	idx, err := rw.Close()
 	if err != nil {
@@ -348,7 +366,7 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, recs kvio.PackedReco
 // uncommitted output run) so the runner can commit-by-rename or sweep.
 // tm is the attempt's fresh metrics; every stopwatch of the attempt reads
 // its clock.
-func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mapOutput, TaskReport, []string, error) {
+func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mo mapOutput, report TaskReport, created []string, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
 			time.Sleep(d) // manufactured straggler
@@ -357,8 +375,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	start := tm.Now()
 	disk := c.Disks[node]
 	dir := attemptDir(job.filePrefix, taskIdx, attempt)
-	var created []string
-	report := TaskReport{Kind: "map", Index: taskIdx, Node: node}
+	report = TaskReport{Kind: "map", Index: taskIdx, Node: node}
 	sp := spanner{tr: job.Trace, node: node, task: taskIdx, slot: slot, attempt: attempt}
 	taskSpan := sp.start(trace.KindMapTask, trace.LaneMap)
 	endTaskSpan := func() {
@@ -448,6 +465,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		return fail(err)
 	}
 	buf.AttachTrace(job.Trace, node, taskIdx, slot)
+	buf.AttachPool(c.SpillRegions)
 	mc.buf = buf
 
 	// Support goroutine: consume spills. It appends to runs and created;
@@ -455,41 +473,69 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	var runs []kvio.RunIndex
 	supportErr := make(chan error, 1)
 	spillCombine := newCombineTimer(job.Combine, tm)
+	var scratch spillScratch
+	// consume writes one spill as a run. Whatever happens to it, a panic in
+	// the combiner included, the spill is released: its region goes back to
+	// the cluster's pool and its bytes stop counting against the buffer.
+	consume := func(spill spillbuf.Spill) (err error) {
+		consumeStart := tm.Now()
+		defer func() {
+			if r := recover(); r != nil {
+				err = panicError(r)
+			}
+			buf.Release(spill, tm.Now().Sub(consumeStart))
+		}()
+		debugAssert(spill.Seq == len(runs), "spill sequence mismatch: buffer handed seq %d, support expected %d", spill.Seq, len(runs))
+		if plan != nil {
+			if err := plan.Check(chaos.SiteSpillWrite); err != nil {
+				return err
+			}
+		}
+		spillSpan := sp.start(trace.KindSpill, trace.LaneSupport)
+		name := attemptSpillName(dir, spill.Seq)
+		created = append(created, name)
+		idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, &scratch, job, spillCombine, tm, sp)
+		spillSpan.EndCounts(int64(spill.Recs.Len()), spill.Bytes)
+		if err != nil {
+			return err
+		}
+		runs = append(runs, idx)
+		return nil
+	}
 	go func() {
-		spillSeq := 0
-		var scratch spillScratch
 		for {
 			spill, ok := buf.NextSpill()
 			if !ok {
 				supportErr <- nil
 				return
 			}
-			debugAssert(spill.Seq == spillSeq, "spill sequence mismatch: buffer handed seq %d, support expected %d", spill.Seq, spillSeq)
-			if plan != nil {
-				if err := plan.Check(chaos.SiteSpillWrite); err != nil {
-					// Closing from the consumer side unblocks a producer
-					// waiting for buffer space it would otherwise wait on
-					// forever; its ErrClosed is superseded at the join.
-					buf.Close()
-					supportErr <- err
-					return
-				}
-			}
-			spillSpan := sp.start(trace.KindSpill, trace.LaneSupport)
-			spillRecords := int64(spill.Recs.Len())
-			consumeStart := tm.Now()
-			name := attemptSpillName(dir, spillSeq)
-			spillSeq++
-			created = append(created, name)
-			idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, &scratch, job, spillCombine, tm, sp)
-			spillSpan.EndCounts(spillRecords, spill.Bytes)
-			buf.Release(spill, tm.Now().Sub(consumeStart))
-			if err != nil {
-				buf.Close() // unblock the producer; see the check above
+			if err := consume(spill); err != nil {
+				// Aborting unblocks a producer waiting for buffer space it
+				// would otherwise wait on forever; its ErrClosed is
+				// superseded at the join.
+				buf.Abort()
 				supportErr <- err
 				return
 			}
-			runs = append(runs, idx)
+		}
+	}()
+	// A panic in user code on this goroutine — map(), the partitioner, a
+	// combiner call of the frequency buffer or of the final merge — fails
+	// the attempt like any other error, once the support goroutine, if it
+	// is still running, has been told the input is over and has finished.
+	supportRunning := true
+	joinSupport := func() error {
+		supportRunning = false
+		return <-supportErr
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			perr := panicError(r)
+			if supportRunning {
+				buf.Close()
+				<-supportErr
+			}
+			mo, report, created, err = fail(perr)
 		}
 	}()
 
@@ -497,8 +543,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	scanner, err := openBlockLines(c.FS, split, node, int(job.IngestChunkBytes))
 	if err != nil {
 		buf.Close()
-		<-supportErr
-		return fail(err)
+		return fail(errors.Join(err, joinSupport()))
 	}
 	mc.scanner = scanner
 	mapper := job.NewMapper()
@@ -559,19 +604,39 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 
 	buf.Close()
 	// The support goroutine's error wins over a map-side ErrClosed: when the
-	// consumer dies it closes the buffer, so the producer's failure is just
+	// consumer dies it aborts the buffer, so the producer's failure is just
 	// the echo of the support failure.
-	if err := <-supportErr; err != nil && (mapErr == nil || errors.Is(mapErr, spillbuf.ErrClosed)) {
+	if err := joinSupport(); err != nil && (mapErr == nil || errors.Is(mapErr, spillbuf.ErrClosed)) {
 		mapErr = fmt.Errorf("support thread: %w", err)
 	}
 	if mapErr != nil {
 		return fail(mapErr)
 	}
 
+	outName := attemptMapOutName(dir)
+	report.Spill = buf.Stats()
+	if len(runs) == 1 && len(drained) == 0 {
+		// One run and nothing to merge it with: the run is the output. It
+		// is charged as merge output, which it stands in for, but no merge
+		// ran, so none is timed.
+		if plan != nil {
+			if err := plan.Check(chaos.SiteMerge); err != nil {
+				return fail(err)
+			}
+		}
+		if err := disk.Rename(runs[0].Name, outName); err != nil {
+			return fail(err)
+		}
+		outIdx := runs[0]
+		outIdx.Name = outName
+		tm.Inc(metrics.CtrMergeBytes, outIdx.TotalBytes())
+		finishReport()
+		return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
+	}
+
 	// Merge all spill runs (plus drained frequent-key aggregates) into the
 	// attempt's partitioned output run; the runner commits the winning
 	// attempt by renaming it to the canonical map-output name.
-	outName := attemptMapOutName(dir)
 	created = append(created, outName)
 	out, err := kvio.NewRunSink(disk, outName, job.NumReducers, job.CompressRuns)
 	if err != nil {
@@ -631,7 +696,6 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		}
 	}
 
-	report.Spill = buf.Stats()
 	finishReport()
 	// The spills are gone; the only surviving attempt file is the output
 	// run, which the runner either commits or sweeps.

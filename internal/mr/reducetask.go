@@ -347,6 +347,13 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 		finishReport()
 		return "", false, created, report, fmt.Errorf("mr: reduce task %d attempt %d (node %d): %w", part, attempt, node, err)
 	}
+	// A panic in reduce() or the output formatter fails the attempt like any
+	// other error; its temp file stays in created for the runner to sweep.
+	defer func() {
+		if r := recover(); r != nil {
+			outName, won, created, rep, err = fail(panicError(r))
+		}
+	}()
 
 	// Shuffle: resolve this partition's segment of every map output.
 	fetchSpan := sp.start(trace.KindShuffleFetch, trace.LaneReduce)

@@ -145,6 +145,10 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	wg.Wait()
 	close(stopSpec)
 	specWG.Wait()
+	// Of the spill regions the phase used, one per task it ran (at most one
+	// per slot) waits for the next map phase, this cluster's next job's or
+	// a concurrent one's; the rest is not kept through the reduce phase.
+	c.SpillRegions.Trim()
 	if err := ft.jobErr(); err != nil {
 		svc.close()
 		ft.sweepJobIntermediates(mapOuts, nil)

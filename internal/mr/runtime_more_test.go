@@ -6,9 +6,11 @@ import (
 
 	"mrtext/internal/apps"
 	"mrtext/internal/cluster"
+	"mrtext/internal/core/spillmatch"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
+	"mrtext/internal/trace"
 )
 
 // TestMultipleInputFiles: a job over several DFS files processes every
@@ -226,31 +228,63 @@ func TestTopKSharingAcrossTasks(t *testing.T) {
 }
 
 // TestSpillMatcherAdaptsInRealRuns: under the matcher, recorded spill
-// percentages move away from the static default.
+// percentages move away from the static default. What is compared is what
+// the buffers decided — the percentage each Release left in force, as the
+// job's tracer recorded it — not how two runs' wall clocks happened to
+// split between working and waiting.
 func TestSpillMatcherAdaptsInRealRuns(t *testing.T) {
 	c, corpus := newTextCluster(t, 2, 512<<10)
-	job := apps.WordCount(corpus)
-	job.Name = "adapting"
-	job.SpillBufferBytes = 64 << 10
-	job.SpillMatcher = true
-	res, err := mr.Run(c, job)
-	if err != nil {
-		t.Fatal(err)
+	decisions := func(matcher bool) map[int64]int {
+		tr := trace.New(1 << 16)
+		job := apps.WordCount(corpus)
+		job.SpillBufferBytes = 64 << 10
+		job.SpillMatcher = matcher
+		job.Trace = tr
+		if _, err := mr.Run(c, job); err != nil {
+			t.Fatal(err)
+		}
+		if d := tr.Dropped(); d != 0 {
+			t.Fatalf("tracer dropped %d events", d)
+		}
+		seen := map[int64]int{} // basis points → spills released under them
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.KindSpillDecision {
+				seen[ev.Arg]++
+			}
+		}
+		return seen
 	}
-	if res.SpillStats().Spills < 2 {
-		t.Skip("not enough spills to observe adaptation")
+	const staticBP = int64(spillmatch.DefaultStaticPercent * 10000)
+	static := decisions(false)
+	if len(static) != 1 || static[staticBP] < 4 {
+		t.Fatalf("static controller's decisions %v, want several spills, all at %d basis points", static, staticBP)
 	}
-	// The support thread (sort+combine+IO) and map thread both do real
-	// work, so waits should be low relative to a 0.8 static run.
-	static := apps.WordCount(corpus)
-	static.Name = "static"
-	static.SpillBufferBytes = 64 << 10
-	resStatic, err := mr.Run(c, static)
-	if err != nil {
-		t.Fatal(err)
+	// The matcher sets max{c/(p+c), ½}·M from each spill's measurements:
+	// wherever the two threads' rates put that, it is not a constant 0.8.
+	adapted := decisions(true)
+	delete(adapted, staticBP)
+	if len(adapted) == 0 {
+		t.Errorf("every spill under the matcher was released at the static %d basis points", staticBP)
 	}
-	if res.MapIdleFraction() > resStatic.MapIdleFraction()+0.05 {
-		t.Errorf("matcher map idle %.1f%% vs static %.1f%%",
-			100*res.MapIdleFraction(), 100*resStatic.MapIdleFraction())
+}
+
+// TestRegionsKeptBetweenJobs: when a job's map phase ends the cluster
+// keeps one spill region per map task it ran, at most one per slot, for
+// the next job's tasks to start on; nothing is out and nothing beyond
+// that is held through the reduce phase.
+func TestRegionsKeptBetweenJobs(t *testing.T) {
+	c, corpus := newTextCluster(t, 2, 3<<20) // three splits, four map slots
+	for _, name := range []string{"first", "second"} {
+		job := apps.WordCount(corpus)
+		job.Name = name
+		job.SpillBufferBytes = 256 << 10
+		res, err := mr.Run(c, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := min(res.MapTasks, c.TotalMapSlots())
+		if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free != want || out != 0 {
+			t.Errorf("after job %s of %d map tasks: %d regions kept and %d out, want %d and 0", name, res.MapTasks, free, out, want)
+		}
 	}
 }

@@ -25,7 +25,8 @@ func mustPanic(t *testing.T, wantSubstr string, f func()) {
 	f()
 }
 
-func TestCheckInvariantsHealthy(t *testing.T) {
+func newTestBuffer(t *testing.T) *Buffer {
+	t.Helper()
 	b, err := New(1<<20, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +34,11 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 	if _, err := b.Append(0, []byte("key"), []byte("value")); err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+func TestCheckInvariantsHealthy(t *testing.T) {
+	b := newTestBuffer(t)
 	b.mu.Lock()
 	b.checkInvariants("test")
 	b.checkPendingSum("test")
@@ -40,33 +46,49 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 }
 
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
-	newBuf := func() *Buffer {
-		b, err := New(1<<20, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Append(0, []byte("key"), []byte("value")); err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	b := newBuf()
+	b := newTestBuffer(t)
 	b.mu.Lock()
-	b.pendingBytes = -1
-	mustPanic(t, "negative pendingBytes", func() { b.checkInvariants("test") })
+	b.inflight.Store(-1)
+	mustPanic(t, "negative inflight", func() { b.checkInvariants("test") })
 	b.mu.Unlock()
 
-	b = newBuf()
+	b = newTestBuffer(t)
 	b.mu.Lock()
 	b.seq = int(b.spills.Load()) + 1
 	mustPanic(t, "seq", func() { b.checkInvariants("test") })
 	b.mu.Unlock()
 
-	b = newBuf()
+	b = newTestBuffer(t)
 	b.mu.Lock()
 	b.pendingBytes += 7 // accounting no longer matches the record sum
-	b.maxPending = b.pendingBytes
 	mustPanic(t, "record sum", func() { b.checkPendingSum("test") })
 	b.mu.Unlock()
+
+	b = newTestBuffer(t)
+	b.mu.Lock()
+	b.pending.Parts = append(b.pending.Parts, b.pending.Parts[0]) // partition 0's record also filed under 1
+	b.pending.Parts[0] = nil
+	mustPanic(t, "filed under", func() { b.checkPendingSum("test") })
+	b.mu.Unlock()
+
+	b = newTestBuffer(t)
+	b.mu.Lock()
+	b.hasReady, b.ready.Bytes = true, 1 // a second cut would overwrite a spill nobody has picked up
+	mustPanic(t, "waits to be picked up", func() { b.checkPendingSum("test") })
+	b.mu.Unlock()
+}
+
+// TestPoolCatchesDoubleReturn: a region may be in one place at a time. One
+// that comes back while the pool still holds it would be handed to two
+// buffers.
+func TestPoolCatchesDoubleReturn(t *testing.T) {
+	p := NewPool(4)
+	r := p.get()
+	r.Append(0, []byte("key"), []byte("value"))
+	p.get() // keep the count of regions out above what comes back
+	p.put(r)
+	mustPanic(t, "returned to the pool twice", func() { p.put(r) })
+
+	p = NewPool(4)
+	mustPanic(t, "more regions than it gave out", func() { p.put(r) })
 }

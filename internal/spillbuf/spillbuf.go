@@ -12,30 +12,46 @@
 //   - A spill is handed to the consumer when the consumer is free and the
 //     pending bytes have reached x·M, where x is the spill percentage
 //     supplied by a spillmatch.Controller (static 0.8 in the baseline,
-//     adaptive under the spill-matcher). The consumer takes *all* pending
-//     records — so if it was busy while the threshold was crossed the
-//     spill is larger, reproducing m_i = max{xM, min{(p/c)m_{i−1}, M−m_{i−1}}}.
+//     adaptive under the spill-matcher). The consumer receives *all*
+//     pending records — so if it was busy while the threshold was crossed
+//     the spill is larger, reproducing
+//     m_i = max{xM, min{(p/c)m_{i−1}, M−m_{i−1}}}.
+//   - No spill is smaller than x·M, except the last one of the input and
+//     one that has to leave because the next record does not fit beside
+//     it (the oversized-record escape hatch).
 //   - The handed-off spill keeps occupying its bytes until the consumer
 //     Releases it; the producer blocks when pending + in-flight bytes hit
 //     M. Producer block time and consumer idle time are recorded as the
 //     map/support idle times of Table II.
 //
+// One rule says who may touch the pending region: it belongs to the
+// producer until it is handed off. Append therefore takes no lock. It
+// reads three atomics — closed, the in-flight bytes, and whether the
+// consumer is parked in NextSpill — and takes the mutex only to wait on a
+// full buffer or to hand the region off, which the producer does itself,
+// at the first Append that finds the threshold reached and the consumer
+// parked. The consumer cuts a spill out of the pending region only when
+// the producer provably is not appending: after Close, or while the
+// producer is parked on a buffer that is still full for the record it
+// waits to append. The buffer has exactly one producer and one consumer.
+//
 // Per spill the buffer measures the producer's active production time and
 // the consumer's active consumption time and reports them to the
 // controller — the T_p/T_c measurements the spill-matcher adapts on. The
 // producer's time is kept per stretch, not per record: a stretch of
-// production ends where the producer starts to wait, where the consumer
-// takes the pending region, and at Close, so Append reads the clock only
-// when it blocks.
+// production ends where the producer starts to wait, where the pending
+// region is handed off, and at Close, so Append reads the clock only when
+// it blocks or hands off.
 //
-// Records are stored packed, Hadoop kvbuffer/kvmeta-style: key and value
-// bytes are appended into one arena and a compact kvio.Meta entry per
-// record carries the partition, arena location, and cached key prefix. A
-// spill hands the consumer the (meta, arena) pair directly — no
-// per-record allocations — and Release recycles the batch's backing
-// arrays for the next pending region, so a steady-state map task cycles
-// a small fixed set of arenas instead of allocating two slices per
-// record.
+// Records are stored packed, Hadoop kvbuffer/kvmeta-style, and filed by
+// partition as they arrive: key and value bytes are appended into one
+// arena and a compact kvio.Meta entry per record — arena location and
+// cached key prefix — joins its partition's entries (kvio.Region). A spill
+// hands the consumer the region directly — no per-record allocations, and
+// no pass to group it by partition before the sort. Regions come from a
+// Pool and go back to it on Release; the pool a cluster keeps per node
+// outlives the task, so a map slot fills the regions its previous task
+// grew instead of growing its own.
 package spillbuf
 
 import (
@@ -52,7 +68,7 @@ import (
 	"mrtext/internal/trace"
 )
 
-// ErrClosed is returned by Append after Close.
+// ErrClosed is returned by Append after Close or Abort.
 var ErrClosed = errors.New("spillbuf: buffer is closed")
 
 // recordOverhead approximates per-record bookkeeping bytes charged against
@@ -72,25 +88,12 @@ const MaxCapacity = 1 << 31
 // ignores M), which Append rejects explicitly.
 const maxArenaBytes = math.MaxUint32
 
-// A pending region with no history to size it from starts at seedRecords
-// entries and seedArenaBytes of arena: enough records to observe the
-// charge per record that reservePendingLocked projects onto the byte
-// budget.
-const (
-	seedRecords    = 512
-	seedArenaBytes = 8 << 10
-)
-
-// maxFreeBatches caps the recycling pool: one batch being refilled plus
-// one in flight covers the paper's 1–1 producer/consumer shape.
-const maxFreeBatches = 2
-
 // Spill is one batch of records handed from the producer to the consumer.
 type Spill struct {
-	// Recs holds the spill's records in emit order, packed into a meta
-	// array plus byte arena. The consumer owns it until Release, which
-	// recycles the backing arrays.
-	Recs kvio.PackedRecords
+	// Recs holds the spill's records filed by partition, each partition's
+	// in emit order. The consumer owns it until Release, which recycles
+	// the backing arrays.
+	Recs kvio.Region
 	// Bytes is the buffer-budget charge of the batch (payload bytes plus
 	// per-record overhead).
 	Bytes int64
@@ -104,14 +107,14 @@ type Spill struct {
 	Seq int
 }
 
-// Buffer is the spill buffer. One producer and one consumer goroutine use
-// it concurrently (more consumers are permitted; the paper's configuration
-// is 1–1).
+// Buffer is the spill buffer. One producer goroutine (Append, Close) and
+// one consumer goroutine (NextSpill, Release, Abort) use it concurrently.
 type Buffer struct {
 	capacity int64
 	ctrl     spillmatch.Controller
 	tm       *metrics.TaskMetrics
 	now      func() time.Time // tm's clock, the wall clock without a tm
+	pool     *Pool
 
 	// Trace identity: which (node, task, slot) the buffer's wait spans and
 	// spill instants are attributed to. tr nil means tracing is off.
@@ -120,30 +123,38 @@ type Buffer struct {
 	trTask int
 	trSlot int
 
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	spillAt      float64 // x·M in bytes; x is re-read from the controller after each Record, the only place it moves
-	pending      kvio.PackedRecords
+	// The producer's: Append and Close use these without the lock. The
+	// consumer touches them, under mu, only while the producer is parked
+	// in waitForSpace or has closed the buffer.
+	pending      kvio.Region
 	pendingBytes int64
-	inflight     int64
-	closed       bool
-	blocked      bool                 // producer currently blocked on a full buffer
-	free         []kvio.PackedRecords // released batches, recycled as pending regions
+	producing    bool          // a produce stretch is open (the producer is neither waiting nor done)
+	produceMark  time.Time     // start of the open produce stretch
+	produceAcc   time.Duration // closed stretches' time accumulated for the pending spill
 
-	producing   bool          // a produce stretch is open (the producer is neither waiting nor done)
-	produceMark time.Time     // start of the open produce stretch
-	produceAcc  time.Duration // closed stretches' time accumulated for the pending spill
-	seq         int
-	spills      atomic.Int64 // written under mu; Handoffs reads it without
-	spillBytes  int64
-	maxPending  int64
-	lastRecords int // length of the last region handed off: sizes the next fresh one
-	lastArena   int
+	// What Append reads without the lock. All but spillAt are written
+	// under mu, so that whoever decides to wait cannot miss the change.
+	closed   atomic.Bool
+	inflight atomic.Int64
+	parked   atomic.Bool  // the consumer waits in NextSpill with nothing to take
+	spillAt  atomic.Int64 // x·M in bytes; x is re-read from the controller after each Record, the only place it moves
+	spills   atomic.Int64
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	ready      Spill // the producer's hand-off, until the consumer picks it up
+	hasReady   bool
+	blockedFor int64 // charge of the record the producer is parked for; 0 while it is not parked
+	aborted    bool  // the consumer is gone: what is pending is dropped, not spilled
+	dropped    bool  // no region is pending any more: the last one has left as a spill or gone back to the pool
+	seq        int
+	spillBytes int64
+	maxPending int64
 }
 
 // New creates a buffer of capacity bytes governed by ctrl; instrumentation
-// is recorded into tm (which may be nil).
+// is recorded into tm (which may be nil). The buffer recycles its regions
+// through a pool of its own until AttachPool gives it a shared one.
 func New(capacity int64, ctrl spillmatch.Controller, tm *metrics.TaskMetrics) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("spillbuf: capacity must be positive, got %d", capacity)
@@ -158,8 +169,9 @@ func New(capacity int64, ctrl spillmatch.Controller, tm *metrics.TaskMetrics) (*
 	if tm != nil {
 		b.now = tm.Now
 	}
+	b.AttachPool(NewPool(RegionsPerBuffer))
 	b.produceMark = b.now()
-	b.spillAt = ctrl.Percent() * float64(capacity)
+	b.setSpillAt(ctrl.Percent())
 	b.cond = sync.NewCond(&b.mu)
 	return b, nil
 }
@@ -172,6 +184,14 @@ func (b *Buffer) AttachTrace(tr *trace.Tracer, node, task, slot int) {
 	b.trNode = node
 	b.trTask = task
 	b.trSlot = slot
+}
+
+// AttachPool makes the buffer take its regions from p and return them
+// there, on every way out. Call before the first Append.
+func (b *Buffer) AttachPool(p *Pool) {
+	b.pool = p
+	//mrlint:ignore lockcheck before the first Append the buffer is not shared yet
+	b.pending = p.attach()
 }
 
 // Capacity returns M.
@@ -187,71 +207,82 @@ func RecordBytes(key, value []byte) int64 {
 // notice a spill boundary (where it publishes its record counters).
 func (b *Buffer) Handoffs() int64 { return b.spills.Load() }
 
-// fullLocked reports whether a record of size bytes has to wait for space.
-// An empty buffer admits any record (the oversized-record escape hatch).
-// The caller holds b.mu.
-func (b *Buffer) fullLocked(size int64) bool {
-	return !b.closed && b.pendingBytes+b.inflight+size > b.capacity && !(b.pendingBytes == 0 && b.inflight == 0)
+// setSpillAt caches the threshold x·M as the least whole number of bytes
+// that reaches it.
+func (b *Buffer) setSpillAt(pct float64) {
+	b.spillAt.Store(int64(math.Ceil(pct * float64(b.capacity))))
 }
 
-// Append adds one record (copying key and value). It blocks while the
-// buffer is full and returns ErrClosed after Close. The returned duration
+// full reports whether a record of size bytes has to wait for space. An
+// empty buffer admits any record (the oversized-record escape hatch).
+// Only the producer, or the consumer while the producer is parked, may
+// ask.
+func (b *Buffer) full(size int64) bool {
+	//mrlint:ignore lockcheck the producer's field: it reads it lock-free, the consumer under mu only while the producer is parked
+	used := b.pendingBytes + b.inflight.Load()
+	return used+size > b.capacity && used > 0 && !b.closed.Load()
+}
+
+// Append adds one record (copying key and value) under partition part,
+// which must be a partition of the job. It blocks while the buffer is
+// full and returns ErrClosed after Close or Abort. The returned duration
 // is the time spent blocked, which the caller excludes from its own
 // operation accounting (it is already recorded as map-thread idle time).
-// An Append that does not block reads no clock.
+// An Append that neither blocks nor hands a spill off takes no lock and
+// reads no clock.
 //
 //mrlint:hotpath
 func (b *Buffer) Append(part int, key, value []byte) (time.Duration, error) {
 	var waited time.Duration
 	size := RecordBytes(key, value)
 	payload := len(key) + len(value)
-	b.mu.Lock()
-	if b.fullLocked(size) {
-		waited = b.waitForSpaceLocked(size)
+	if b.full(size) {
+		waited = b.waitForSpace(size)
 	}
-	if b.closed {
-		b.mu.Unlock()
-		return waited, ErrClosed
+	if b.closed.Load() {
+		return waited, b.refuse()
 	}
 	if int64(len(b.pending.Arena))+int64(payload) > maxArenaBytes {
-		b.mu.Unlock()
 		//mrlint:ignore alloccheck cold path: multi-GiB record rejection, never taken per record
 		return waited, fmt.Errorf("spillbuf: record of %d bytes overflows the %d-byte arena offset space", int64(payload), int64(maxArenaBytes))
 	}
-	if len(b.pending.Meta) == cap(b.pending.Meta) || len(b.pending.Arena)+payload > cap(b.pending.Arena) {
-		//mrlint:ignore alloccheck cold path: sizes a region a few times in its life, not per record
-		b.reservePendingLocked(payload)
-	}
 	b.pending.Append(part, key, value)
 	b.pendingBytes += size
-	if b.pendingBytes > b.maxPending {
-		b.maxPending = b.pendingBytes
-	}
-	ready := float64(b.pendingBytes) >= b.spillAt
-	b.checkInvariants("Append")
-	b.mu.Unlock()
-	if ready {
+	if b.parked.Load() && b.pendingBytes >= b.spillAt.Load() {
+		// Consumer free and threshold reached: hand the region off. While
+		// parked stays set the consumer is inside cond.Wait and its ready
+		// slot is empty.
+		b.mu.Lock()
+		//mrlint:ignore alloccheck once per spill, and only when the pool has no region to recycle
+		b.ready, b.hasReady = b.cutLocked(), true
+		b.parked.Store(false)
+		b.mu.Unlock()
 		b.cond.Broadcast()
 	}
 	return waited, nil
 }
 
-// waitForSpaceLocked blocks the producer until a record of size bytes
-// fits or the buffer is closed, and returns the time blocked. The
-// producer's stretch ends where the wait begins and a new one opens where
-// it ends; the two clock readings are the only ones Append ever makes. The
-// caller holds b.mu.
-func (b *Buffer) waitForSpaceLocked(size int64) time.Duration {
+// waitForSpace blocks the producer until a record of size bytes fits or
+// the buffer is closed, and returns the time blocked. The producer's
+// stretch ends where the wait begins and a new one opens where it ends.
+// While it waits the pending region is the consumer's to cut, if it has
+// reached the threshold or has to make room.
+func (b *Buffer) waitForSpace(size int64) time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.full(size) {
+		return 0 // the spill in flight was released since Append looked
+	}
 	start := b.now()
 	b.pauseProduceLocked(start)
-	for b.fullLocked(size) {
-		b.blocked = true
-		b.cond.Broadcast() // wake the consumer: buffer-full also justifies a spill
+	b.blockedFor = size
+	b.cond.Broadcast() // a parked consumer looks again: buffer-full may justify a spill
+	for b.full(size) {
 		b.cond.Wait()
 	}
-	b.blocked = false
+	b.blockedFor = 0
 	end := b.now()
-	if !b.closed {
+	if !b.closed.Load() {
 		b.producing, b.produceMark = true, end
 	}
 	waited := end.Sub(start)
@@ -264,6 +295,17 @@ func (b *Buffer) waitForSpaceLocked(size int64) time.Duration {
 	return waited
 }
 
+// refuse is Append's answer on a closed buffer. After an Abort nobody will
+// spill what is pending, so the producer returns its region to the pool.
+func (b *Buffer) refuse() error {
+	b.mu.Lock()
+	if b.aborted {
+		b.dropPendingLocked()
+	}
+	b.mu.Unlock()
+	return ErrClosed
+}
+
 // pauseProduceLocked closes the open produce stretch at now. The caller
 // holds b.mu.
 func (b *Buffer) pauseProduceLocked(now time.Time) {
@@ -273,53 +315,77 @@ func (b *Buffer) pauseProduceLocked(now time.Time) {
 	}
 }
 
-// reservePendingLocked grows the pending region's capacity ahead of the
-// Appends that fill it. The full size of a region is projected from what
-// is known: a region following another is expected to reach that one's
-// size; a task's first region starts at the seed size and, once
-// seedRecords records show the charge per record, is projected onto the
-// bytes the region may still take — up to the spill threshold, or, if the
-// consumer is busy past that, up to the budget left beside the in-flight
-// spill — plus an eighth for records lighter than the ones seen so far.
-// Capacity then grows a quarter of the full size at a time. Measured on
-// WordCount (8 MiB in 8 map tasks, 4 MiB buffer): with amortized regrowth
-// from nothing the job allocated 56 bytes per input byte and held 100 MB
-// live at its peak; sizing a region in one step allocated 35 but held
-// 140 MB, because every task's last region, which its input fills to a
-// third, was charged at full size; quarter steps allocate 39 and hold
-// 100 MB. payload is the arena need of the record about to be appended.
-// The caller holds b.mu.
-func (b *Buffer) reservePendingLocked(payload int) {
-	n, arena := len(b.pending.Meta), len(b.pending.Arena)
-	records, bytes := seedRecords, seedArenaBytes
-	if n >= seedRecords || b.lastRecords > 0 {
-		fullRecords, fullBytes := b.lastRecords, b.lastArena
-		if n >= seedRecords {
-			limit := b.spillAt
-			if float64(b.pendingBytes) >= limit {
-				limit = float64(b.capacity - b.inflight)
-			}
-			scale := limit / float64(b.pendingBytes)
-			fullRecords, fullBytes = int(float64(n)*scale), int(float64(arena)*scale)
-		}
-		fullRecords += fullRecords / 8
-		fullBytes += fullBytes / 8
-		records = min(fullRecords, cap(b.pending.Meta)+fullRecords/4)
-		bytes = min(fullBytes, cap(b.pending.Arena)+fullBytes/4)
+// cutLocked makes a spill of the pending region and starts the next one on
+// a region from the pool. The caller holds b.mu and the region is its to
+// take: it is the producer, or the producer is parked or done.
+func (b *Buffer) cutLocked() Spill {
+	b.checkPendingSum("hand-off")
+	b.tr.Instant(trace.KindSpillHandoff, trace.LaneSupport, b.trNode, b.trTask, b.pendingBytes)
+	if b.producing {
+		// The producer's own hand-off cuts its stretch in two: what came
+		// before belongs to this spill.
+		now := b.now()
+		b.produceAcc += now.Sub(b.produceMark)
+		b.produceMark = now
 	}
-	// Whatever the projection says, make room for this record and move
-	// far enough that a wrong projection costs a few copies, not many.
-	b.pending.Reserve(max(records, n+n/4+1), max(bytes, arena+arena/4+payload))
+	s := Spill{Recs: b.pending, Bytes: b.pendingBytes, Produce: b.produceAcc, Seq: b.seq}
+	b.seq++
+	b.spills.Add(1)
+	b.spillBytes += b.pendingBytes
+	b.maxPending = max(b.maxPending, b.pendingBytes)
+	b.inflight.Add(b.pendingBytes)
+	if b.closed.Load() {
+		// The last spill: the region leaves as the spill and nothing is
+		// pending any more.
+		b.pending, b.dropped = kvio.Region{}, true
+		b.pool.detach()
+	} else if b.pending = b.pool.get(); cap(b.pending.Arena) == 0 {
+		b.pending = s.Recs.Twin() // nothing to recycle: expect a spill like this one
+	}
+	b.pendingBytes = 0
+	b.produceAcc = 0
+	b.checkInvariants("hand-off")
+	return s
 }
 
-// Close signals end of input. The consumer will receive any remaining
-// pending records as a final spill and then be told the stream is done.
+// dropPendingLocked gives the pending region back to the pool, records and
+// all. The caller holds b.mu and nobody will append to or spill the region.
+func (b *Buffer) dropPendingLocked() {
+	if !b.dropped {
+		b.dropped = true
+		b.pool.put(b.pending)
+		b.pool.detach()
+		b.pending, b.pendingBytes = kvio.Region{}, 0
+	}
+}
+
+// Close is the producer's end of input. The consumer will receive any
+// remaining pending records as a final spill and then be told the stream
+// is done.
 func (b *Buffer) Close() {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
+	if !b.closed.Load() {
+		b.closed.Store(true)
 		b.pauseProduceLocked(b.now())
 	}
+	if b.aborted {
+		b.dropPendingLocked()
+	}
+	b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// Abort is the consumer's way out when it cannot go on: the buffer is
+// closed, a producer blocked in Append — now or later — gets ErrClosed,
+// and what is pending is dropped instead of spilled. The consumer must
+// have Released the spill it held and must not call NextSpill again.
+func (b *Buffer) Abort() {
+	b.mu.Lock()
+	if b.closed.Load() && !b.aborted {
+		b.dropPendingLocked() // the producer is done and will not come back for it
+	}
+	b.closed.Store(true)
+	b.aborted = true
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -331,50 +397,37 @@ func (b *Buffer) NextSpill() (s Spill, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		takeable := b.pendingBytes > 0 &&
-			(float64(b.pendingBytes) >= b.spillAt || b.closed || b.blocked)
-		if takeable {
-			b.checkPendingSum("NextSpill")
-			b.tr.Instant(trace.KindSpillHandoff, trace.LaneSupport, b.trNode, b.trTask, b.pendingBytes)
-			if b.producing {
-				// The hand-off cuts the producer's stretch in two: what
-				// came before belongs to this spill.
-				now := b.now()
-				b.pauseProduceLocked(now)
-				b.producing, b.produceMark = true, now
+		switch {
+		case b.hasReady:
+			s, b.ready, b.hasReady = b.ready, Spill{}, false
+			return s, true
+		case b.closed.Load():
+			// The producer is done: whatever is pending is the last spill.
+			// (After an Abort the pending region is the producer's to drop.)
+			if b.aborted {
+				return Spill{}, false
 			}
-			s = Spill{
-				Recs:    b.pending,
-				Bytes:   b.pendingBytes,
-				Produce: b.produceAcc,
-				Seq:     b.seq,
+			if b.pendingBytes > 0 {
+				return b.cutLocked(), true
 			}
-			b.seq++
-			b.spills.Add(1)
-			b.spillBytes += b.pendingBytes
-			b.inflight += b.pendingBytes
-			b.lastRecords, b.lastArena = len(b.pending.Meta), len(b.pending.Arena)
-			// Start the next pending region on a recycled batch when one
-			// is available, so steady state reuses the same arenas.
-			b.pending = kvio.PackedRecords{}
-			if n := len(b.free); n > 0 {
-				b.pending = b.free[n-1]
-				b.free = b.free[:n-1]
-			}
-			b.pendingBytes = 0
-			b.produceAcc = 0
-			b.checkInvariants("NextSpill")
+			b.dropPendingLocked()
+			return Spill{}, false
+		case b.blockedFor > 0 && b.pendingBytes > 0 &&
+			(b.pendingBytes >= b.spillAt.Load() || b.full(b.blockedFor)):
+			// The producer is parked: the region has reached the threshold
+			// while this consumer was busy, or — below x·M — the record
+			// waited for does not fit beside it and nothing in flight is
+			// left to release. The producer's record may fit beside the
+			// spill, so it looks again.
+			s = b.cutLocked()
+			b.cond.Broadcast()
 			return s, true
 		}
-		if b.closed && b.pendingBytes == 0 {
-			// Nothing more will be appended: let go of the arenas, so a
-			// map task does not carry them through its final merge.
-			b.free, b.pending = nil, kvio.PackedRecords{}
-			return Spill{}, false
-		}
+		b.parked.Store(true)
 		waitStart := b.now()
 		b.cond.Wait()
 		w := b.now().Sub(waitStart)
+		b.parked.Store(false)
 		if b.tm != nil {
 			b.tm.AddWaitSupport(w)
 		}
@@ -384,21 +437,15 @@ func (b *Buffer) NextSpill() (s Spill, ok bool) {
 
 // Release frees a consumed spill's bytes, reports its measurements to the
 // controller, and wakes a blocked producer. consume is the consumer's
-// active processing time for the spill. The spill's backing arrays are
-// recycled; the caller must not touch s.Recs afterwards.
+// active processing time for the spill. The spill's region goes back to
+// the pool; the caller must not touch s.Recs afterwards.
 func (b *Buffer) Release(s Spill, consume time.Duration) {
 	b.ctrl.Record(s.Bytes, s.Produce, consume)
 	pct := b.ctrl.Percent()
+	b.setSpillAt(pct)
+	b.pool.put(s.Recs)
 	b.mu.Lock()
-	b.spillAt = pct * float64(b.capacity)
-	b.inflight -= s.Bytes
-	if b.inflight < 0 {
-		b.inflight = 0
-	}
-	if len(b.free) < maxFreeBatches && !b.closed {
-		s.Recs.Reset()
-		b.free = append(b.free, s.Recs)
-	}
+	b.inflight.Add(-s.Bytes)
 	b.checkInvariants("Release")
 	b.mu.Unlock()
 	// Arg carries the controller's post-Record spill percentage in basis
