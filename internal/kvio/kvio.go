@@ -171,32 +171,6 @@ type Stream interface {
 	Close() error
 }
 
-// runReader reads one partition segment of a run file.
-type runReader struct {
-	rc io.ReadCloser
-	r  *serde.Reader
-}
-
-// OpenRunPart opens partition part of the run described by idx, in
-// whichever on-disk format the run was written with.
-func OpenRunPart(disk vdisk.Disk, idx RunIndex, part int) (Stream, error) {
-	if part < 0 || part >= len(idx.Segments) {
-		return nil, fmt.Errorf("kvio: run %q has no partition %d", idx.Name, part)
-	}
-	if idx.Compressed {
-		return openPrefixRunPart(disk, idx, part)
-	}
-	seg := idx.Segments[part]
-	rc, err := disk.OpenSection(idx.Name, seg.Off, seg.Len)
-	if err != nil {
-		return nil, fmt.Errorf("kvio: opening run %q part %d: %w", idx.Name, part, err)
-	}
-	return &runReader{rc: rc, r: serde.NewReader(bufio.NewReaderSize(rc, 64<<10))}, nil
-}
-
-func (r *runReader) Next() (key, value []byte, err error) { return r.r.Next() }
-func (r *runReader) Close() error                         { return r.rc.Close() }
-
 // SliceStream adapts an in-memory, already-sorted record slice to a Stream.
 // Records must all belong to one partition.
 type SliceStream struct {

@@ -300,7 +300,7 @@ func decodeBatch(data []byte) []Record {
 	return recs
 }
 
-func readFile(t *testing.T, disk vdisk.Disk, name string) []byte {
+func readFile(t testing.TB, disk vdisk.Disk, name string) []byte {
 	t.Helper()
 	f, err := disk.Open(name)
 	if err != nil {

@@ -146,81 +146,6 @@ func (w *prefixRunWriter) BytesWritten() int64 { return w.off }
 // plain format — the compression-savings numerator.
 func (w *prefixRunWriter) RawBytesIn() int64 { return w.rawIn }
 
-// prefixRunReader streams one partition segment of a compressed run.
-type prefixRunReader struct {
-	rc   io.ReadCloser
-	r    *bufio.Reader
-	key  []byte
-	val  []byte
-	read int64
-	len  int64
-}
-
-func openPrefixRunPart(disk vdisk.Disk, idx RunIndex, part int) (Stream, error) {
-	seg := idx.Segments[part]
-	rc, err := disk.OpenSection(idx.Name, seg.Off, seg.Len)
-	if err != nil {
-		return nil, fmt.Errorf("kvio: opening run %q part %d: %w", idx.Name, part, err)
-	}
-	return &prefixRunReader{rc: rc, r: bufio.NewReaderSize(rc, 64<<10), len: seg.Len}, nil
-}
-
-// Next implements Stream. Key and value buffers are reused across calls,
-// growing to the segment's high-water sizes.
-//
-//mrlint:hotpath
-func (r *prefixRunReader) Next() (key, value []byte, err error) {
-	shared, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		return nil, nil, io.EOF
-	}
-	if err != nil {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame: %w", err)
-	}
-	suffixLen, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame: %w", eofToUnexpected(err))
-	}
-	valLen, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame: %w", eofToUnexpected(err))
-	}
-	if shared > uint64(len(r.key)) {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame: shared %d exceeds previous key %d", shared, len(r.key))
-	}
-	r.key = r.key[:shared]
-	suffixStart := len(r.key)
-	r.key = append(r.key, make([]byte, suffixLen)...)
-	if _, err := io.ReadFull(r.r, r.key[suffixStart:]); err != nil {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame key: %w", eofToUnexpected(err))
-	}
-	if cap(r.val) < int(valLen) {
-		//mrlint:ignore alloccheck amortized: the value buffer grows to the segment's high-water size, then is reused
-		r.val = make([]byte, valLen)
-	}
-	r.val = r.val[:valLen]
-	if _, err := io.ReadFull(r.r, r.val); err != nil {
-		//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
-		return nil, nil, fmt.Errorf("kvio: prefix frame value: %w", eofToUnexpected(err))
-	}
-	return r.key, r.val, nil
-}
-
-// Close implements Stream.
-func (r *prefixRunReader) Close() error { return r.rc.Close() }
-
-func eofToUnexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
 // RunSink abstracts the two run-writer formats for the map task.
 type RunSink interface {
 	Append(part int, key, value []byte) error

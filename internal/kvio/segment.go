@@ -9,23 +9,24 @@ package kvio
 // original positioned read.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 
-	"mrtext/internal/serde"
 	"mrtext/internal/vdisk"
 )
 
 // ReadSegment reads the raw on-disk bytes of partition part of the run
 // described by idx. The returned bytes, decoded with NewSegmentStream
 // (honoring idx.Compressed), yield exactly the records OpenRunPart would.
+// An empty partition is nil bytes and no disk operation.
 func ReadSegment(disk vdisk.Disk, idx RunIndex, part int) ([]byte, error) {
 	if part < 0 || part >= len(idx.Segments) {
 		return nil, fmt.Errorf("kvio: run %q has no partition %d", idx.Name, part)
 	}
 	seg := idx.Segments[part]
+	if seg.Len == 0 {
+		return nil, nil
+	}
 	rc, err := disk.OpenSection(idx.Name, seg.Off, seg.Len)
 	if err != nil {
 		return nil, fmt.Errorf("kvio: reading run %q part %d: %w", idx.Name, part, err)
@@ -72,20 +73,4 @@ func CompressSegment(raw []byte) ([]byte, error) {
 		// stable copy for the next frame's shared-prefix computation.
 		prev = append(prev[:0], k...)
 	}
-}
-
-// NewSegmentStream decodes one partition segment from rc in the given
-// on-disk format (compressed selects the prefix-compressed framing).
-// Closing the stream closes rc.
-func NewSegmentStream(rc io.ReadCloser, compressed bool) Stream {
-	if compressed {
-		return &prefixRunReader{rc: rc, r: bufio.NewReaderSize(rc, 64<<10)}
-	}
-	return &runReader{rc: rc, r: serde.NewReader(bufio.NewReaderSize(rc, 64<<10))}
-}
-
-// NewBytesSegmentStream decodes an in-memory segment previously read with
-// ReadSegment (or any byte-identical copy of one).
-func NewBytesSegmentStream(data []byte, compressed bool) Stream {
-	return NewSegmentStream(io.NopCloser(bytes.NewReader(data)), compressed)
 }

@@ -2,7 +2,6 @@ package kvio
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -39,20 +38,10 @@ func writeSegTestRun(t *testing.T, disk vdisk.Disk, name string, parts int, comp
 	return idx
 }
 
-// drain reads a stream to EOF, returning copied records.
+// drain reads a stream to EOF and closes it, returning copied records.
 func drain(t *testing.T, s Stream) [][2]string {
 	t.Helper()
-	var out [][2]string
-	for {
-		k, v, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, [2]string{string(k), string(v)})
-	}
+	out := readAll(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -642,50 +642,14 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	if err != nil {
 		return fail(err)
 	}
-	mergeCombine := newCombineTimer(job.Combine, tm)
-	mergeCombineFn := mergeCombine.fn()
 	drainByPart, err := splitByPartition(drained, job.NumReducers)
 	if err != nil {
 		return fail(err)
 	}
-	mergeSpan := sp.start(trace.KindMerge, trace.LaneMap)
-	for p := 0; p < job.NumReducers; p++ {
-		if job.cancel.Load() {
-			mergeSpan.End()
-			return fail(errJobCanceled)
-		}
-		if plan != nil {
-			if err := plan.Check(chaos.SiteMerge); err != nil {
-				mergeSpan.End()
-				return fail(err)
-			}
-		}
-		t0 := tm.Now()
-		var streams []kvio.Stream
-		for _, run := range runs {
-			s, err := kvio.OpenRunPart(disk, run, p)
-			if err != nil {
-				return fail(err)
-			}
-			streams = append(streams, s)
-		}
-		if len(drainByPart[p]) > 0 {
-			streams = append(streams, kvio.NewSliceStream(drainByPart[p]))
-		}
-		if _, _, err := kvio.MergeInto(streams, p, out, mergeCombineFn); err != nil {
-			return fail(err)
-		}
-		span := tm.Now().Sub(t0)
-		combine := mergeCombine.take(span)
-		tm.Add(metrics.OpMerge, span-combine)
-		tm.Add(metrics.OpCombineUser, combine)
-	}
-	outIdx, err := out.Close()
+	outIdx, err := mergeSpillRuns(job, disk, runs, drainByPart, out, plan, tm, sp)
 	if err != nil {
-		mergeSpan.End()
 		return fail(err)
 	}
-	mergeSpan.EndCounts(outIdx.TotalRecords(), outIdx.TotalBytes())
 	tm.Inc(metrics.CtrMergeBytes, outIdx.TotalBytes())
 
 	// Spill files are no longer needed. Removal is best-effort cleanup:
@@ -700,6 +664,69 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	// The spills are gone; the only surviving attempt file is the output
 	// run, which the runner either commits or sweeps.
 	return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
+}
+
+// mergeSpillRuns merges the attempt's spill runs and the drained
+// frequency-buffer aggregates into out, partition by partition, and closes
+// out. Each run file is opened once and read front to back, because its
+// partitions lie in it in the order the loop asks for them: k runs cost k
+// disk opens, whatever the number of partitions. Every exit — success,
+// cancellation, an injected merge fault, a stream or sink error, a panic
+// in the combiner — closes the run files and ends the merge span.
+func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, drainByPart [][]kvio.Record, out kvio.RunSink, plan *chaos.Plan, tm *metrics.TaskMetrics, sp spanner) (outIdx kvio.RunIndex, err error) {
+	mergeSpan := sp.start(trace.KindMerge, trace.LaneMap)
+	defer func() { mergeSpan.EndCounts(outIdx.TotalRecords(), outIdx.TotalBytes()) }()
+	cursors := make([]*kvio.RunCursor, 0, len(runs))
+	defer func() {
+		for _, c := range cursors {
+			if cerr := c.Close(); cerr != nil {
+				tm.Inc(metrics.CtrCleanupErrors, 1)
+			}
+		}
+	}()
+	t0 := tm.Now()
+	for _, run := range runs {
+		c, err := kvio.OpenRun(disk, run)
+		if err != nil {
+			return kvio.RunIndex{}, err
+		}
+		cursors = append(cursors, c)
+	}
+	tm.Add(metrics.OpMerge, tm.Now().Sub(t0))
+
+	mergeCombine := newCombineTimer(job.Combine, tm)
+	mergeCombineFn := mergeCombine.fn()
+	streams := make([]kvio.Stream, 0, len(cursors)+1)
+	for p := 0; p < job.NumReducers; p++ {
+		if job.cancel.Load() {
+			return kvio.RunIndex{}, errJobCanceled
+		}
+		if plan != nil {
+			if err := plan.Check(chaos.SiteMerge); err != nil {
+				return kvio.RunIndex{}, err
+			}
+		}
+		t0 := tm.Now()
+		streams = streams[:0]
+		for _, c := range cursors {
+			s, err := c.Part(p)
+			if err != nil {
+				return kvio.RunIndex{}, err
+			}
+			streams = append(streams, s)
+		}
+		if len(drainByPart[p]) > 0 {
+			streams = append(streams, kvio.NewSliceStream(drainByPart[p]))
+		}
+		if _, _, err := kvio.MergeInto(streams, p, out, mergeCombineFn); err != nil {
+			return kvio.RunIndex{}, err
+		}
+		span := tm.Now().Sub(t0)
+		combine := mergeCombine.take(span)
+		tm.Add(metrics.OpMerge, span-combine)
+		tm.Add(metrics.OpCombineUser, combine)
+	}
+	return out.Close()
 }
 
 // splitByPartition groups already-sorted drained records by partition,

@@ -141,8 +141,8 @@ type stageReq struct {
 // stagedSeg is one fetched segment parked at its partition's staging home:
 // raw bytes in memory inside the budget, or a file on the home disk.
 type stagedSeg struct {
-	data       []byte // in-memory copy; nil when overflowed to disk
-	file       string // staging file on the home node's disk when data == nil
+	data       []byte // in-memory copy (nil for an empty segment) when file == ""
+	file       string // staging file on the home node's disk when overflowed
 	len        int64
 	compressed bool
 }
@@ -352,11 +352,11 @@ func (s *shuffleService) writeStaged(home int, name string, raw []byte) error {
 // discardStaged frees one staged segment's budget or disk file. Cleanup
 // is best-effort; failures on live nodes count as cleanup errors.
 func (s *shuffleService) discardStaged(home int, st *stagedSeg) {
-	if st.data != nil {
+	if st.file == "" {
 		s.buf.release(st.len)
 		return
 	}
-	if st.file == "" || s.c.NodeDead(home) {
+	if s.c.NodeDead(home) {
 		return
 	}
 	if err := s.c.Disks[home].Remove(st.file); err != nil {
@@ -392,7 +392,7 @@ func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stre
 		sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, d)
 		return err
 	}
-	if st.data != nil {
+	if st.file == "" {
 		if err := transfer(); err != nil {
 			return nil, 0, false
 		}
@@ -410,7 +410,7 @@ func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stre
 		return nil, 0, false
 	}
 	s.tm.Inc(metrics.CtrShuffleStagedHits, 1)
-	return kvio.NewSegmentStream(rc, st.compressed), st.len, true
+	return kvio.NewSegmentStream(rc, st.len, st.compressed), st.len, true
 }
 
 // release drops a committed partition's staging state and stops its
