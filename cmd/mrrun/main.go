@@ -43,7 +43,7 @@ func main() {
 		chaosFail = flag.Float64("chaos-fail-rate", 0, "per-attempt fault probability in [0,1] (0 disables injection)")
 		chaosKill = flag.Int("chaos-kill-node", -1, "kill this node mid-job (-1: no kill)")
 		speculate = flag.Bool("speculation", false, "launch speculative backup attempts for straggler tasks")
-		shufBuf   = flag.Int64("shuffle-buffer", 32, "staging buffer budget per job in MiB; staged segments over budget spill to disk")
+		shufBuf   = flag.Int64("shuffle-buffer", 32, "staging buffer budget per job in MiB; a segment that does not fit is direct-fetched from its source disk")
 		ingChunk  = flag.Int64("ingest-chunk-kb", 0, "split reader arena chunk in KiB (0 = default 1024)")
 	)
 	flag.Parse()
@@ -123,8 +123,8 @@ func main() {
 		res.MapTasks, res.ReduceTasks)
 	fmt.Printf("placement: %d data-local, %d stolen map tasks\n",
 		res.LocalMapTasks, res.StolenMapTasks)
-	fmt.Printf("shuffle: %d segments staged early, %d staged spills, staging peak %d B, %d fetch retries\n",
-		res.ShuffleEarlySegments, res.ShuffleStagedSpills, res.ShuffleStagingPeak, res.ShuffleFetchRetries)
+	fmt.Printf("shuffle: %d segments staged early, staging peak %d B, %d fetch retries\n",
+		res.ShuffleEarlySegments, res.ShuffleStagingPeak, res.ShuffleFetchRetries)
 	if chaosOn || *speculate {
 		fmt.Printf("fault tolerance: %d/%d attempts failed, %d retries, %d speculative (%d won), %d recovered, dead nodes %v\n",
 			res.FailedAttempts, res.MapAttempts+res.ReduceAttempts, res.TaskRetries,

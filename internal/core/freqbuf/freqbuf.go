@@ -79,12 +79,15 @@ type Config struct {
 	// ValuesPerKeyCap triggers an in-table combine() once a frequent key
 	// has buffered this many values (default 32).
 	ValuesPerKeyCap int
-	// SummaryCapacity sizes the Space-Saving summary (default 4·K).
-	SummaryCapacity int
-	// MinSample and MaxSample clamp an auto-tuned s
-	// (defaults 0.002 and 0.5).
-	MinSample, MaxSample float64
 }
+
+const (
+	// summaryPerKey sizes the Space-Saving summary: this many counters per
+	// tracked key.
+	summaryPerKey = 4
+	// minSample and maxSample clamp an auto-tuned s.
+	minSample, maxSample = 0.002, 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.PreProfileFraction <= 0 {
@@ -92,15 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ValuesPerKeyCap <= 0 {
 		c.ValuesPerKeyCap = 32
-	}
-	if c.SummaryCapacity <= 0 {
-		c.SummaryCapacity = 4 * c.K
-	}
-	if c.MinSample <= 0 {
-		c.MinSample = 0.002
-	}
-	if c.MaxSample <= 0 {
-		c.MaxSample = 0.5
 	}
 	return c
 }
@@ -251,7 +245,7 @@ func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []k
 		b.summary.Offer(string(key))
 		b.stats.Profiled++
 		if float64(b.seen) >= b.sample*float64(b.expected()) {
-			b.freeze(part, key)
+			b.freeze()
 		}
 		return false, nil, nil
 
@@ -310,7 +304,7 @@ func (b *Buffer) finishPreProfile() {
 		if err != nil {
 			// Degenerate prefix (e.g. single distinct key): fall back to
 			// the most conservative sample.
-			b.sample = b.cfg.MaxSample
+			b.sample = maxSample
 		} else {
 			b.fittedAlpha = fit.Alpha
 			// Extrapolate the distinct-key count linearly from the prefix;
@@ -325,23 +319,24 @@ func (b *Buffer) finishPreProfile() {
 			if m < int64(b.pre.Distinct()) {
 				m = int64(b.pre.Distinct())
 			}
-			b.sample = zipfest.SampleFraction(b.expected(), b.cfg.K, m, fit.Alpha, b.cfg.MinSample, b.cfg.MaxSample)
+			b.sample = zipfest.SampleFraction(b.expected(), b.cfg.K, m, fit.Alpha, minSample, maxSample)
 		}
 	}
 	// Seed the Space-Saving summary with the exact prefix counts so the
 	// pre-profiling observations are not wasted.
-	b.summary = topk.NewStreamSummary(b.cfg.SummaryCapacity)
-	for _, c := range b.pre.Top(b.cfg.SummaryCapacity) {
+	capacity := summaryPerKey * b.cfg.K
+	b.summary = topk.NewStreamSummary(capacity)
+	for _, c := range b.pre.Top(capacity) {
 		b.summary.OfferN(c.Key, c.Count)
 	}
 	b.pre = nil
 	b.stage = StageProfile
 }
 
-// freeze installs the estimated top-k and enters the optimize stage. The
-// current record's partition function is inferred lazily: entries learn
-// their partition on first absorption, so freeze needs no partitioner.
-func (b *Buffer) freeze(_ int, _ []byte) {
+// freeze installs the estimated top-k and enters the optimize stage.
+// Entries learn their partition on first absorption, so freeze needs no
+// partitioner.
+func (b *Buffer) freeze() {
 	top := b.summary.Top(b.cfg.K)
 	b.table = make(map[string]*entry, len(top))
 	for _, c := range top {
@@ -488,20 +483,9 @@ func (b *Buffer) entriesBySize() []*entry {
 	return es
 }
 
-// NotePartition records the partition of an absorbed key the first time it
-// is seen; the collector calls it alongside Offer.
-func (b *Buffer) NotePartition(key []byte, part int) {
-	if b.stage != StageOptimize {
-		return
-	}
-	if e, ok := b.table[string(key)]; ok && e.part < 0 {
-		e.part = part
-	}
-}
-
 // Drain combines and returns every remaining aggregate at end of input,
-// sorted by (partition, key), ready to merge with the spill runs. The
-// buffer must not be used afterwards.
+// sorted by (partition, key), for the caller to send down the spill path.
+// The buffer must not be used afterwards.
 func (b *Buffer) Drain() ([]kvio.Record, error) {
 	if b.stage != StageOptimize {
 		return nil, nil // never froze: everything already went down the spill path
@@ -526,7 +510,8 @@ func (b *Buffer) Drain() ([]kvio.Record, error) {
 
 // Cache shares frozen top-k sets across the tasks of one job on one node
 // (§III-B: "our system finds the top-k frequent-key set just once for all
-// the tasks that run on a single node"). It is safe for concurrent use.
+// the tasks that run on a single node"). A set lives from its job's first
+// Put to the Drop at the job's end. It is safe for concurrent use.
 type Cache struct {
 	mu   sync.Mutex
 	sets map[string][]string
@@ -553,4 +538,20 @@ func (c *Cache) Put(jobID string, keys []string) {
 	if _, ok := c.sets[jobID]; !ok && len(keys) > 0 {
 		c.sets[jobID] = keys
 	}
+}
+
+// Drop forgets the given job's set. The runner calls it on every node when
+// the job ends, whichever way, so a long-lived cluster holds sets of
+// running jobs only.
+func (c *Cache) Drop(jobID string) {
+	c.mu.Lock()
+	delete(c.sets, jobID)
+	c.mu.Unlock()
+}
+
+// Len returns the number of jobs with a set in the cache.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sets)
 }

@@ -100,9 +100,6 @@ func (p *PackedRecords) Append(part int, key, value []byte) {
 // Len returns the number of records in the batch.
 func (p PackedRecords) Len() int { return len(p.Meta) }
 
-// ArenaBytes returns the bytes occupied by record payloads.
-func (p PackedRecords) ArenaBytes() int64 { return int64(len(p.Arena)) }
-
 // Part returns record i's partition.
 func (p PackedRecords) Part(i int) int { return int(p.Meta[i].Part) }
 

@@ -3,10 +3,10 @@ package kvio
 // Raw-segment access for the pipelined shuffle. A shuffle copier stages
 // the raw bytes of one partition segment (ReadSegment) on the reduce
 // side's staging node long before the reduce attempt runs; the attempt
-// later decodes the staged copy (NewSegmentStream) instead of re-reading
-// the map output across the fabric. Both on-disk run formats decode from
-// a plain byte stream, so a staged copy is indistinguishable from the
-// original positioned read.
+// later decodes the staged copy (NewBytesSegmentStream) instead of
+// re-reading the map output across the fabric. Both on-disk run formats
+// decode from a plain byte stream, so a staged copy is indistinguishable
+// from the original positioned read.
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 )
 
 // ReadSegment reads the raw on-disk bytes of partition part of the run
-// described by idx. The returned bytes, decoded with NewSegmentStream
+// described by idx. The returned bytes, decoded with NewBytesSegmentStream
 // (honoring idx.Compressed), yield exactly the records OpenRunPart would.
 // An empty partition is nil bytes and no disk operation.
 func ReadSegment(disk vdisk.Disk, idx RunIndex, part int) ([]byte, error) {

@@ -248,16 +248,10 @@ func OpenRunPart(disk vdisk.Disk, idx RunIndex, part int) (Stream, error) {
 	return &windowStream{window: newWindow(rc, seg.Len), remain: seg.Len, compressed: idx.Compressed, closer: rc, run: idx.Name, part: part}, nil
 }
 
-// NewSegmentStream decodes one partition segment, the next length bytes of
-// rc, in the given on-disk format (compressed selects the
-// prefix-compressed framing). Closing the stream closes rc.
-func NewSegmentStream(rc io.ReadCloser, length int64, compressed bool) Stream {
-	return &windowStream{window: newWindow(rc, length), remain: length, compressed: compressed, closer: rc}
-}
-
 // NewBytesSegmentStream decodes an in-memory segment previously read with
-// ReadSegment (or any byte-identical copy of one) where it lies: no buffer
-// is allocated and no byte is copied.
+// ReadSegment (or any byte-identical copy of one) where it lies, in the
+// given on-disk format (compressed selects the prefix-compressed framing):
+// no buffer is allocated and no byte is copied.
 func NewBytesSegmentStream(data []byte, compressed bool) Stream {
 	return &windowStream{window: bytesWindow(data), remain: int64(len(data)), compressed: compressed}
 }

@@ -417,7 +417,7 @@ func (stalledReader) Read([]byte) (int, error) { return 0, nil }
 // TestWindowNoProgress: a source that returns (0, nil) forever ends the
 // stream in io.ErrNoProgress instead of spinning.
 func TestWindowNoProgress(t *testing.T) {
-	s := NewSegmentStream(io.NopCloser(stalledReader{}), 10, false)
+	s := slidingStream(stalledReader{}, 10, 10, false)
 	if _, _, err := s.Next(); !errors.Is(err, io.ErrNoProgress) {
 		t.Errorf("Next over a stalled source: %v, want io.ErrNoProgress", err)
 	}

@@ -236,12 +236,6 @@ const (
 	// HistShuffleFetchNS is per-segment shuffle fetch latency as a reduce
 	// attempt sees it: staged take (fabric hop included) or direct open.
 	HistShuffleFetchNS = "shuffle.fetch.ns"
-	// HistShuffleStagingWaitNS is copier time blocked on staging-buffer
-	// budget before the reservation succeeded.
-	HistShuffleStagingWaitNS = "shuffle.staging.wait.ns"
-	// HistShuffleStallNS is the backpressure stall a copier paid before
-	// giving up on the budget and spilling the segment to the home disk.
-	HistShuffleStallNS = "shuffle.backpressure.stall.ns"
 	// HistReduceQueueWaitNS is reduce attempt time between enqueue and a
 	// worker slot picking the attempt up.
 	HistReduceQueueWaitNS = "reduce.queue.wait.ns"

@@ -66,17 +66,6 @@ func (op Op) String() string {
 	return opNames[op]
 }
 
-// ParseOp maps a short name back to its Op. It reports false for unknown
-// names.
-func ParseOp(name string) (Op, bool) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), true
-		}
-	}
-	return 0, false
-}
-
 // UserOps reports whether op executes user-supplied code (map, combine,
 // reduce); everything else is framework overhead — the "abstraction cost"
 // the paper targets.
@@ -155,21 +144,18 @@ const (
 	// by the job's shuffle service (not per task), so Snapshot.Merge never
 	// double-counts them.
 	CtrShuffleEarlySegments  = "shuffle.early.segments"     // segments staged before the map phase finished (map/shuffle overlap)
-	CtrShuffleStagedSegments = "shuffle.staged.segments"    // segments staged by the copier pool, in memory or on disk
+	CtrShuffleStagedSegments = "shuffle.staged.segments"    // segments staged by the copier pool
 	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // bytes fetched into staging, as they sit on the source disk (compressed length under CompressRuns)
-	CtrShuffleStagedSpills   = "shuffle.staged.spills"      // staged segments written to the staging node's disk (over budget)
 	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy
 	CtrShuffleStagedHits     = "shuffle.staged.hits"        // reduce-attempt fetches served from staging
 	CtrShuffleFetchRetries   = "shuffle.fetch.retries"      // injected shuffle-fetch faults absorbed by per-source retry
 
 	// Shuffle wait-time counters (nanoseconds). These are the totals behind
-	// the latency histograms: blocked time on the simulated fabric, copier
-	// waits for staging-buffer space, and backoff sleeps between fetch
-	// retries. The critical-path analyzer cross-checks its blame report
-	// against them.
-	CtrShuffleFabricWaitNS  = "shuffle.fabric.wait.ns"  // time blocked in simulated fabric transfers on the shuffle path
-	CtrShuffleStagingWaitNS = "shuffle.staging.wait.ns" // time copiers waited for staging-buffer space
-	CtrShuffleRetryWaitNS   = "shuffle.retry.wait.ns"   // backoff sleep between shuffle-fetch retries
+	// the latency histograms: blocked time on the simulated fabric and
+	// backoff sleeps between fetch retries. The critical-path analyzer
+	// cross-checks its blame report against them.
+	CtrShuffleFabricWaitNS = "shuffle.fabric.wait.ns" // time blocked in simulated fabric transfers on the shuffle path
+	CtrShuffleRetryWaitNS  = "shuffle.retry.wait.ns"  // backoff sleep between shuffle-fetch retries
 )
 
 // TaskMetrics accumulates instrumentation for a single task attempt. It is
@@ -343,11 +329,6 @@ func (s Snapshot) UserWork() time.Duration {
 	return s.Ops[OpMapUser] + s.Ops[OpCombineUser] + s.Ops[OpReduceUser]
 }
 
-// FrameworkWork returns abstraction-cost time: everything except user code.
-func (s Snapshot) FrameworkWork() time.Duration {
-	return s.TotalWork() - s.UserWork()
-}
-
 // Fraction returns op's share of total serialized work in [0,1]; it reports
 // zero when no work was recorded.
 func (s Snapshot) Fraction(op Op) float64 {
@@ -356,17 +337,6 @@ func (s Snapshot) Fraction(op Op) float64 {
 		return 0
 	}
 	return float64(s.Ops[op]) / float64(total)
-}
-
-// PhaseWork sums operation time by coarse phase.
-func (s Snapshot) PhaseWork(p Phase) time.Duration {
-	var sum time.Duration
-	for op := Op(0); op < NumOps; op++ {
-		if PhaseOf(op) == p {
-			sum += s.Ops[op]
-		}
-	}
-	return sum
 }
 
 // Breakdown renders the snapshot as the Fig. 2-style normalized table:

@@ -51,10 +51,10 @@ func mix64(x uint64) uint64 {
 }
 
 // backoffFor returns the retry delay before requeueing (task, attempt):
-// the base backoff scaled by a deterministic factor in [0.5, 1.5), so
+// retryBackoff scaled by a deterministic factor in [0.5, 1.5), so
 // simultaneous failures spread their retries without a randomness source.
-func backoffFor(base time.Duration, task, attempt int) time.Duration {
+func backoffFor(task, attempt int) time.Duration {
 	h := mix64(uint64(task)<<20 | uint64(attempt))
 	frac := float64(h>>11) / (1 << 53)
-	return time.Duration(float64(base) * (0.5 + frac))
+	return time.Duration(float64(retryBackoff) * (0.5 + frac))
 }

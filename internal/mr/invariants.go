@@ -3,7 +3,6 @@
 package mr
 
 import (
-	"bytes"
 	"fmt"
 
 	"mrtext/internal/kvio"
@@ -20,18 +19,6 @@ const debugBuild = true
 func debugAssert(cond bool, format string, args ...any) {
 	if !cond {
 		panic("mr: invariant violated: " + fmt.Sprintf(format, args...))
-	}
-}
-
-// debugAssertSorted asserts recs are ordered by (partition, key) — the
-// precondition every run writer and merge stream relies on.
-func debugAssertSorted(recs []kvio.Record, context string) {
-	for i := 1; i < len(recs); i++ {
-		a, b := &recs[i-1], &recs[i]
-		if a.Part > b.Part || (a.Part == b.Part && bytes.Compare(a.Key, b.Key) > 0) {
-			panic(fmt.Sprintf("mr: invariant violated: %s: records out of (partition, key) order at %d: (%d, %q) > (%d, %q)",
-				context, i, a.Part, a.Key, b.Part, b.Key))
-		}
 	}
 }
 

@@ -2,11 +2,7 @@
 
 package mr
 
-import (
-	"testing"
-
-	"mrtext/internal/kvio"
-)
+import "testing"
 
 // These tests exist only in mrdebug builds: they verify the runtime
 // assertions fire on violated preconditions and stay silent otherwise.
@@ -19,23 +15,4 @@ func TestDebugAssert(t *testing.T) {
 		}
 	}()
 	debugAssert(false, "seq %d", 3)
-}
-
-func TestDebugAssertSorted(t *testing.T) {
-	sorted := []kvio.Record{
-		{Part: 0, Key: []byte("a")},
-		{Part: 0, Key: []byte("b")},
-		{Part: 1, Key: []byte("a")},
-	}
-	debugAssertSorted(sorted, "sorted input")
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("debugAssertSorted did not panic on unsorted records")
-		}
-	}()
-	debugAssertSorted([]kvio.Record{
-		{Part: 1, Key: []byte("a")},
-		{Part: 0, Key: []byte("z")},
-	}, "unsorted input")
 }

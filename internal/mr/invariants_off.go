@@ -10,6 +10,4 @@ const debugBuild = false
 
 func debugAssert(bool, string, ...any) {}
 
-func debugAssertSorted([]kvio.Record, string) {}
-
 func debugAssertSortedPacked(kvio.PackedRecords, string) {}

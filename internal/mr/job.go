@@ -168,8 +168,9 @@ type Job struct {
 	CompressRuns bool
 
 	// ShuffleBufferBytes bounds the in-memory staging buffer shared by
-	// all of the pipelined shuffle's copiers (default 32 MiB). Segments
-	// that cannot reserve space overflow to the staging node's disk.
+	// all of the pipelined shuffle's copiers (default 32 MiB). A segment
+	// that cannot reserve space stays on its source disk and is
+	// direct-fetched by the reduce attempt.
 	ShuffleBufferBytes int64
 
 	// IngestChunkBytes sizes the batched split reader's arena reads
@@ -199,10 +200,6 @@ type Job struct {
 	// mapred.map.max.attempts (default 4): a task whose attempts all fail
 	// fails the job with the last attempt's error.
 	MaxAttempts int
-	// RetryBackoff is the base delay before a failed attempt is requeued
-	// (default 2ms). The actual delay is jittered deterministically per
-	// (task, attempt) to spread retry storms.
-	RetryBackoff time.Duration
 	// Speculation enables backup attempts for stragglers: once
 	// SpeculationQuorum of a phase's tasks have committed, a task whose
 	// sole running attempt has been going longer than speculationSlowdown
@@ -270,9 +267,6 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	}
 	if cp.MaxAttempts <= 0 {
 		cp.MaxAttempts = 4
-	}
-	if cp.RetryBackoff <= 0 {
-		cp.RetryBackoff = 2 * time.Millisecond
 	}
 	if cp.SpeculationQuorum <= 0 || cp.SpeculationQuorum > 1 {
 		cp.SpeculationQuorum = 0.6
@@ -376,9 +370,6 @@ type Result struct {
 	// ShuffleEarlySegments counts segments staged before the map phase
 	// finished — the map/shuffle overlap the pipeline exists to create.
 	ShuffleEarlySegments int
-	// ShuffleStagedSpills counts staged segments that overflowed the
-	// staging buffer to a staging node's disk.
-	ShuffleStagedSpills int
 	// ShuffleFetchRetries counts injected shuffle-fetch faults absorbed
 	// by per-source retry instead of failing the reduce attempt.
 	ShuffleFetchRetries int
@@ -387,9 +378,11 @@ type Result struct {
 	ShuffleStagingPeak int64
 
 	// Retired, always zero: counters of the fetch-plane batching, wire
-	// transcoding and copier governor deleted in PR 21. Written by nothing;
-	// declared only because the frozen bench/layers.go reads them. The next
-	// benchmark PR drops them with its three shuffle.* rows.
+	// transcoding and copier governor deleted in PR 21, and of the staging
+	// overflow deleted in PR 24. Written by nothing; declared only because
+	// the frozen bench/layers.go reads them. The next benchmark PR drops
+	// them with its four shuffle.* rows.
+	ShuffleStagedSpills   int
 	ShuffleBatchFetches   int
 	ShuffleBatchSegments  int
 	ShuffleWireSavedBytes int64

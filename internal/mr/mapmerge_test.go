@@ -237,7 +237,7 @@ func TestMergeSpillRunsClosesOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := metrics.NewTaskMetrics()
-	_, err = mergeSpillRuns(job, disk, runs, make([][]kvio.Record, 2), out, nil, tm, spanner{})
+	_, err = mergeSpillRuns(job, disk, runs, out, nil, tm, spanner{})
 	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "t/spill0001") {
 		t.Errorf("merge over a cut run: %v; want io.ErrUnexpectedEOF naming it", err)
 	}

@@ -248,6 +248,27 @@ func (mc *mapCollector) append(part int, key, value []byte) error {
 	return err
 }
 
+// appendDrained sends the frequency buffer's end-of-input aggregates down
+// the standard spill path, like the evictions before them, and returns the
+// time spent blocked on a full buffer. A record carrying an out-of-range
+// partition is a routing bug upstream (it would silently land in the wrong
+// reducer's output), so it fails the task instead of being coerced
+// somewhere plausible.
+func (mc *mapCollector) appendDrained(recs []kvio.Record) (blocked time.Duration, err error) {
+	parts := mc.job.NumReducers
+	for _, r := range recs {
+		if r.Part < 0 || r.Part >= parts {
+			return blocked, fmt.Errorf("mr: drained record key %q routed to partition %d (have %d partitions)", r.Key, r.Part, parts)
+		}
+		waited, err := mc.buf.Append(r.Part, r.Key, r.Value)
+		blocked += waited
+		if err != nil {
+			return blocked, err
+		}
+	}
+	return blocked, nil
+}
+
 // publish moves the record counts accumulated since the last publish into
 // the task's metrics, one lock acquisition for the batch. The map loop
 // calls it when it notices a spill hand-off, and every exit of the task
@@ -360,12 +381,11 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 // runMapTask executes one attempt of a map task on the given node: the
 // map goroutine reads the split and applies map(); the support goroutine
 // sorts, combines and spills; the attempt ends with the merge of all spill
-// runs (plus the drained frequency-buffer aggregates) into one partitioned
-// output run, written under the attempt's temp namespace. The returned
-// created list names the attempt's surviving files (on success, just the
-// uncommitted output run) so the runner can commit-by-rename or sweep.
-// tm is the attempt's fresh metrics; every stopwatch of the attempt reads
-// its clock.
+// runs into one partitioned output run, written under the attempt's temp
+// namespace. The returned created list names the attempt's surviving files
+// (on success, just the uncommitted output run) so the runner can
+// commit-by-rename or sweep. tm is the attempt's fresh metrics; every
+// stopwatch of the attempt reads its clock.
 func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mo mapOutput, report TaskReport, created []string, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
@@ -583,14 +603,19 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		mapErr = fmt.Errorf("closing input split: %w", cerr)
 	}
 
-	// Drain the frequency buffer: its aggregates join the merge directly.
-	var drained []kvio.Record
+	// Drain the frequency buffer: its aggregates are ordinary map output,
+	// sorted, combined and spilled with the task's last region. Time blocked
+	// on a full buffer is map-goroutine idle time, not drain time.
 	if freq != nil && mapErr == nil {
 		drainSampler := metrics.DefaultSampler()
 		mc.freqCombine.sampleWith(&drainSampler)
 		t0 := tm.Now()
-		drained, err = freq.Drain()
-		span := tm.Now().Sub(t0)
+		drained, err := freq.Drain()
+		var blocked time.Duration
+		if err == nil {
+			blocked, err = mc.appendDrained(drained)
+		}
+		span := tm.Now().Sub(t0) - blocked
 		combine := mc.freqCombine.take(span)
 		tm.Add(metrics.OpProfile, span-combine)
 		tm.Add(metrics.OpCombineUser, combine)
@@ -615,7 +640,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 
 	outName := attemptMapOutName(dir)
 	report.Spill = buf.Stats()
-	if len(runs) == 1 && len(drained) == 0 {
+	if len(runs) == 1 {
 		// One run and nothing to merge it with: the run is the output. It
 		// is charged as merge output, which it stands in for, but no merge
 		// ran, so none is timed.
@@ -634,19 +659,15 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
 	}
 
-	// Merge all spill runs (plus drained frequent-key aggregates) into the
-	// attempt's partitioned output run; the runner commits the winning
-	// attempt by renaming it to the canonical map-output name.
+	// Merge all spill runs into the attempt's partitioned output run; the
+	// runner commits the winning attempt by renaming it to the canonical
+	// map-output name.
 	created = append(created, outName)
 	out, err := kvio.NewRunSink(disk, outName, job.NumReducers, job.CompressRuns)
 	if err != nil {
 		return fail(err)
 	}
-	drainByPart, err := splitByPartition(drained, job.NumReducers)
-	if err != nil {
-		return fail(err)
-	}
-	outIdx, err := mergeSpillRuns(job, disk, runs, drainByPart, out, plan, tm, sp)
+	outIdx, err := mergeSpillRuns(job, disk, runs, out, plan, tm, sp)
 	if err != nil {
 		return fail(err)
 	}
@@ -666,14 +687,14 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
 }
 
-// mergeSpillRuns merges the attempt's spill runs and the drained
-// frequency-buffer aggregates into out, partition by partition, and closes
-// out. Each run file is opened once and read front to back, because its
-// partitions lie in it in the order the loop asks for them: k runs cost k
-// disk opens, whatever the number of partitions. Every exit — success,
-// cancellation, an injected merge fault, a stream or sink error, a panic
-// in the combiner — closes the run files and ends the merge span.
-func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, drainByPart [][]kvio.Record, out kvio.RunSink, plan *chaos.Plan, tm *metrics.TaskMetrics, sp spanner) (outIdx kvio.RunIndex, err error) {
+// mergeSpillRuns merges the attempt's spill runs into out, partition by
+// partition, and closes out. Each run file is opened once and read front to
+// back, because its partitions lie in it in the order the loop asks for
+// them: k runs cost k disk opens, whatever the number of partitions. Every
+// exit — success, cancellation, an injected merge fault, a stream or sink
+// error, a panic in the combiner — closes the run files and ends the merge
+// span.
+func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, out kvio.RunSink, plan *chaos.Plan, tm *metrics.TaskMetrics, sp spanner) (outIdx kvio.RunIndex, err error) {
 	mergeSpan := sp.start(trace.KindMerge, trace.LaneMap)
 	defer func() { mergeSpan.EndCounts(outIdx.TotalRecords(), outIdx.TotalBytes()) }()
 	cursors := make([]*kvio.RunCursor, 0, len(runs))
@@ -696,7 +717,7 @@ func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, drainByPart
 
 	mergeCombine := newCombineTimer(job.Combine, tm)
 	mergeCombineFn := mergeCombine.fn()
-	streams := make([]kvio.Stream, 0, len(cursors)+1)
+	streams := make([]kvio.Stream, 0, len(cursors))
 	for p := 0; p < job.NumReducers; p++ {
 		if job.cancel.Load() {
 			return kvio.RunIndex{}, errJobCanceled
@@ -715,9 +736,6 @@ func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, drainByPart
 			}
 			streams = append(streams, s)
 		}
-		if len(drainByPart[p]) > 0 {
-			streams = append(streams, kvio.NewSliceStream(drainByPart[p]))
-		}
 		if _, _, err := kvio.MergeInto(streams, p, out, mergeCombineFn); err != nil {
 			return kvio.RunIndex{}, err
 		}
@@ -727,20 +745,4 @@ func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, drainByPart
 		tm.Add(metrics.OpCombineUser, combine)
 	}
 	return out.Close()
-}
-
-// splitByPartition groups already-sorted drained records by partition,
-// preserving key order within each partition. A record carrying an
-// out-of-range partition is a routing bug upstream (it would silently
-// land in the wrong reducer's output), so it fails the task instead of
-// being coerced somewhere plausible.
-func splitByPartition(recs []kvio.Record, parts int) ([][]kvio.Record, error) {
-	out := make([][]kvio.Record, parts)
-	for _, r := range recs {
-		if r.Part < 0 || r.Part >= parts {
-			return nil, fmt.Errorf("mr: drained record key %q routed to partition %d (have %d partitions)", r.Key, r.Part, parts)
-		}
-		out[r.Part] = append(out[r.Part], r)
-	}
-	return out, nil
 }

@@ -6,39 +6,38 @@ import (
 
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
+	"mrtext/internal/spillbuf"
 	"mrtext/internal/vdisk"
 )
 
-func TestSplitByPartition(t *testing.T) {
-	recs := []kvio.Record{
-		{Part: 0, Key: []byte("a"), Value: []byte("1")},
-		{Part: 2, Key: []byte("b"), Value: []byte("2")},
-		{Part: 0, Key: []byte("c"), Value: []byte("3")},
-	}
-	byPart, err := splitByPartition(recs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byPart[0]) != 2 || len(byPart[1]) != 0 || len(byPart[2]) != 1 {
-		t.Fatalf("bad split: %d/%d/%d records", len(byPart[0]), len(byPart[1]), len(byPart[2]))
-	}
-}
-
-// TestSplitByPartitionError: a record routed outside [0, parts) is a
-// partitioner bug and must fail the task, not be silently absorbed into
-// partition 0 (which would put keys in the wrong reducer's output).
+// TestSplitByPartitionError: a drained frequency-buffer record routed
+// outside [0, NumReducers) is a routing bug and must fail the task where it
+// enters the spill path, naming the key, not land in some reducer's output
+// (or index past the spill buffer's partition table). What was drained
+// before it went down the spill path like any other record.
 func TestSplitByPartitionError(t *testing.T) {
-	for _, bad := range []int{-1, 2, 99} {
-		recs := []kvio.Record{
+	job := acctJob(t, sumValues, 64<<10, nil)
+	for _, bad := range []int{-1, job.NumReducers, 99} {
+		tm := metrics.NewTaskMetrics()
+		buf, err := spillbuf.New(job.SpillBufferBytes, job.newController(), tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc := &mapCollector{job: job, tm: tm, buf: buf}
+		_, err = mc.appendDrained([]kvio.Record{
 			{Part: 0, Key: []byte("fine"), Value: []byte("1")},
 			{Part: bad, Key: []byte("stray"), Value: []byte("2")},
-		}
-		_, err := splitByPartition(recs, 2)
+		})
 		if err == nil {
-			t.Fatalf("partition %d of 2 accepted", bad)
+			t.Fatalf("partition %d of %d accepted", bad, job.NumReducers)
 		}
 		if !strings.Contains(err.Error(), "stray") {
 			t.Errorf("error should name the offending key: %v", err)
+		}
+		buf.Close()
+		spill, ok := buf.NextSpill()
+		if !ok || spill.Recs.Len() != 1 || string(spill.Recs.Part(0).Key(0)) != "fine" {
+			t.Errorf("partition %d: the record drained before the stray one did not reach the spill buffer", bad)
 		}
 	}
 }

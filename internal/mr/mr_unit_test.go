@@ -229,25 +229,6 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 	}
 }
 
-func TestSortTaskReports(t *testing.T) {
-	reports := []TaskReport{
-		{Kind: "reduce", Index: 1},
-		{Kind: "map", Index: 2},
-		{Kind: "reduce", Index: 0},
-		{Kind: "map", Index: 0},
-	}
-	SortTaskReports(reports)
-	want := []struct {
-		kind string
-		idx  int
-	}{{"map", 0}, {"map", 2}, {"reduce", 0}, {"reduce", 1}}
-	for i, w := range want {
-		if reports[i].Kind != w.kind || reports[i].Index != w.idx {
-			t.Fatalf("pos %d: %s/%d", i, reports[i].Kind, reports[i].Index)
-		}
-	}
-}
-
 func TestResultIdleFractions(t *testing.T) {
 	mk := func(wall, waitMap, waitSup time.Duration) TaskReport {
 		tm := metrics.NewTaskMetrics()

@@ -6,10 +6,6 @@ import "mrtext/internal/metrics"
 //
 //   - ShuffleFetch: wall time to acquire one source segment on the
 //     reduce side (staged hand-off or direct fetch, retries included).
-//   - StagingWait: copier waits for staging-buffer space that were
-//     eventually granted (backpressure that worked).
-//   - Stall: copier waits that expired and overflowed the segment to
-//     the staging node's disk (backpressure that gave up).
 //   - QueueWait: reduce attempts' time between enqueue and worker
 //     pickup.
 //
@@ -21,8 +17,6 @@ import "mrtext/internal/metrics"
 // and folds the set into the registry after the job completes.
 type Hists struct {
 	ShuffleFetch *metrics.Histogram
-	StagingWait  *metrics.Histogram
-	Stall        *metrics.Histogram
 	QueueWait    *metrics.Histogram
 }
 
@@ -32,8 +26,6 @@ type Hists struct {
 func NewHists() *Hists {
 	return &Hists{
 		ShuffleFetch: metrics.NewHistogram(metrics.HistShuffleFetchNS),
-		StagingWait:  metrics.NewHistogram(metrics.HistShuffleStagingWaitNS),
-		Stall:        metrics.NewHistogram(metrics.HistShuffleStallNS),
 		QueueWait:    metrics.NewHistogram(metrics.HistReduceQueueWaitNS),
 	}
 }
@@ -45,8 +37,6 @@ func NewHists() *Hists {
 func defaultHists() *Hists {
 	return &Hists{
 		ShuffleFetch: metrics.GetHistogram(metrics.HistShuffleFetchNS),
-		StagingWait:  metrics.GetHistogram(metrics.HistShuffleStagingWaitNS),
-		Stall:        metrics.GetHistogram(metrics.HistShuffleStallNS),
 		QueueWait:    metrics.GetHistogram(metrics.HistReduceQueueWaitNS),
 	}
 }
@@ -57,7 +47,5 @@ func defaultHists() *Hists {
 // be merged.
 func (h *Hists) MergeIntoRegistry() {
 	metrics.MergeIntoRegistry(h.ShuffleFetch)
-	metrics.MergeIntoRegistry(h.StagingWait)
-	metrics.MergeIntoRegistry(h.Stall)
 	metrics.MergeIntoRegistry(h.QueueWait)
 }

@@ -97,7 +97,6 @@ func (s *countedStream) Close() error { return s.inner.Close() }
 // mid-fetch can refresh its snapshot and refetch instead of failing.
 type shuffleEnv struct {
 	svc        *shuffleService
-	backoff    time.Duration
 	resnapshot func() []mapOutput
 }
 
@@ -158,7 +157,7 @@ func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node in
 }
 
 // fetchOne resolves a single source for a reduce attempt. An injected
-// fault at the fetch site is absorbed by bounded retry with the job's
+// fault at the fetch site is absorbed by bounded retry with the runner's
 // jittered backoff — the attempt survives; only real node death reaches
 // the caller. A source node found dead triggers in-attempt lost-map-output
 // recovery and a refetch from the refreshed snapshot. The copier workers
@@ -180,17 +179,17 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 		}
 		sh.svc.noteRetry()
 		t0 := time.Now()
-		time.Sleep(backoffFor(sh.backoff, i, try+1))
+		time.Sleep(backoffFor(i, try+1))
 		slept := time.Since(t0)
 		acct.tm.Inc(metrics.CtrShuffleRetryWaitNS, int64(slept))
 		sp.tr.Complete(trace.KindWaitRetry, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, slept)
 	}
-	if st, _, ok := sh.svc.take(part, i, node, sp); ok {
+	if st, ok := sh.svc.take(part, i, node, sp); ok {
 		job.Hists.ShuffleFetch.Record(int64(time.Since(acquireStart)))
 		return &countedStream{inner: st, acct: acct}, nil
 	}
-	// Not staged (or the staging node died): direct fetch from the source
-	// disk.
+	// Not staged (over budget, or the staging node died): direct fetch from
+	// the source disk.
 	for try := 0; ; try++ {
 		s, err := kvio.OpenRunPart(c.Disks[mo.node], mo.index, part)
 		if err == nil {

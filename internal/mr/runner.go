@@ -79,6 +79,15 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	ft := newFTRun(c, job)
 	ft.inj = inj
 
+	// The frequent-key sets the job's map tasks publish per node are keyed
+	// by its run-unique prefix; nothing can ask for them once the run is
+	// over, however it ends.
+	defer func() {
+		for _, cache := range c.FreqCaches {
+			cache.Drop(job.filePrefix)
+		}
+	}()
+
 	// The cancellation watcher: flip the job's cancel flag (which task
 	// loops poll) and fail the run (which wakes workers blocked on the
 	// scheduler condvar). The deferred close stops the watcher on normal
@@ -168,8 +177,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	// resnapshot closure lets an attempt that catches a source node death
 	// mid-fetch run lost-output recovery in place and refetch.
 	sh := &shuffleEnv{
-		svc:     svc,
-		backoff: job.RetryBackoff,
+		svc: svc,
 		resnapshot: func() []mapOutput {
 			ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
 			return ft.snapshotMapOuts(mapOuts)
@@ -233,7 +241,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	res.ReduceWall = time.Since(reduceStart)
 	res.Wall = time.Since(start)
 	res.Outputs = outputs
-	svc.close() // flush staging before counter reads and disk cleanup
+	svc.close() // stop the copiers before counter reads and disk cleanup
 
 	// Committed map outputs are no longer needed. Removal is best-effort
 	// cleanup: failures are counted on the job aggregate, not fatal. Dead
@@ -259,7 +267,6 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	res.Agg.Merge(svc.snapshot())
 	ctr := res.Agg.Counters
 	res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
-	res.ShuffleStagedSpills = int(ctr[metrics.CtrShuffleStagedSpills])
 	res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
 	res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
 	res.LocalMapTasks, res.StolenMapTasks = sched.placement()
@@ -287,6 +294,10 @@ const (
 	// mapred.max.tracker.failures). Blacklisting never removes the last
 	// live node.
 	nodeFailureLimit = 4
+	// retryBackoff is the base delay before a failed attempt is requeued and
+	// between a reduce attempt's retries of a faulted fetch; backoffFor
+	// jitters it per (task, attempt).
+	retryBackoff = 2 * time.Millisecond
 	// speculationSlowdown is the straggler threshold: a sole running
 	// attempt older than this multiple of the median committed attempt
 	// gets a backup.
@@ -584,7 +595,7 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	ts.nextAttempt++
 	ft.job.Trace.Instant(trace.KindTaskRetry, trace.LaneScheduler, node, pa.task, int64(attemptNo))
 	gen, task := ft.gen, pa.task
-	time.AfterFunc(backoffFor(ft.job.RetryBackoff, task, attemptNo), func() {
+	time.AfterFunc(backoffFor(task, attemptNo), func() {
 		ft.mu.Lock()
 		defer ft.mu.Unlock()
 		if ft.gen != gen || ft.aborted || ft.phaseDone || ft.tasks[task].committed {
@@ -715,10 +726,10 @@ var errJobCanceled = errors.New("mr: attempt canceled")
 // sweepJobIntermediates removes what a failed or canceled job left
 // committed behind: canonical map outputs on node disks and committed
 // reduce outputs on the DFS. Attempt-scoped temp files are already swept
-// by the attempt machinery, and staged overflow segments by the shuffle
-// service's close, so after this sweep a dead job leaves nothing on the
-// cluster. Best-effort: dead nodes are skipped, live-node failures count
-// as cleanup errors. Called only after all workers have joined.
+// by the attempt machinery, and staging holds memory only, so after this
+// sweep a dead job leaves nothing on the cluster. Best-effort: dead nodes
+// are skipped, live-node failures count as cleanup errors. Called only
+// after all workers have joined.
 func (ft *ftRun) sweepJobIntermediates(mapOuts []mapOutput, outputs []string) {
 	errs := 0
 	for _, mo := range mapOuts {
@@ -1051,15 +1062,4 @@ func (s *scheduler) abort() {
 	s.mu.Lock()
 	s.aborted = true
 	s.mu.Unlock()
-}
-
-// SortTaskReports orders reports map-first then by index, for stable
-// experiment output.
-func SortTaskReports(reports []TaskReport) {
-	sort.SliceStable(reports, func(i, j int) bool {
-		if reports[i].Kind != reports[j].Kind {
-			return reports[i].Kind == "map"
-		}
-		return reports[i].Index < reports[j].Index
-	})
 }

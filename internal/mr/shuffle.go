@@ -1,8 +1,6 @@
 package mr
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,20 +14,13 @@ import (
 // This file is the pipelined shuffle. Each reduce partition gets a small
 // pool of copier goroutines that fetch the partition's segments of
 // committed map outputs while the map phase is still running (early
-// fetch), stage the bytes at the partition's staging node — in a bounded
-// memory buffer with backpressure, overflowing to the staging node's disk
-// when the budget is exhausted — and hand staged segments to reduce
-// attempts. A segment travels and is staged exactly as it sits on the
-// source disk: raw, or prefix-compressed when CompressRuns wrote it so. A
-// segment that was never staged (fetch raced a node death, the copier lost
-// to the reduce phase) is direct-fetched from the source disk, so staging
-// never changes job output.
-
-// stagingReserveWait bounds how long a copier waits for staging-buffer
-// space before overflowing the segment to the staging node's disk. The
-// wait is the backpressure; the overflow keeps copiers from deadlocking
-// against reducers that have not started consuming yet.
-const stagingReserveWait = 2 * time.Millisecond
+// fetch), keep the bytes at the partition's staging node inside a bounded
+// memory budget, and hand staged segments to reduce attempts. A segment
+// travels and is staged exactly as it sits on the source disk: raw, or
+// prefix-compressed when CompressRuns wrote it so. A segment that was not
+// staged (the budget was full, the fetch raced a node death, the copier
+// lost to the reduce phase) stays on the source disk and the reduce attempt
+// direct-fetches it, so staging never changes job output.
 
 // copiersPerPartition is the copier fan-out of one reduce partition, and
 // the fetch fan-out of one reduce attempt. Measured, not tuned per job: at
@@ -37,90 +28,32 @@ const stagingReserveWait = 2 * time.Millisecond
 // and at 4 nodes 1, 2 and 4 are indistinguishable.
 const copiersPerPartition = 4
 
-// stagingBuffer bounds the memory held by staged shuffle segments.
-// Copiers reserve space before keeping fetched bytes in memory and
-// release it when the partition is done; close wakes every waiter.
+// stagingBuffer is the byte budget of staged shuffle segments. A copier
+// reserves a segment's length before it reads the segment and never waits:
+// a refused reservation leaves the segment on its source disk.
 type stagingBuffer struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	budget int64
 	used   int64
 	peak   int64
-	closed bool
 }
 
-func newStagingBuffer(budget int64) *stagingBuffer {
-	b := &stagingBuffer{budget: budget}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// reserve claims n bytes of staging budget, waiting up to maxWait for
-// space (maxWait < 0 waits indefinitely, 0 never waits). ok is false when
-// n exceeds the whole budget, the buffer is closed, or the wait expires
-// first; waited is the time spent blocked for space either way, which the
-// caller attributes to backpressure (granted) or stall (expired).
-func (b *stagingBuffer) reserve(n int64, maxWait time.Duration) (ok bool, waited time.Duration) {
-	if n > b.budget {
-		return false, 0
-	}
-	expired := false
-	var timer *time.Timer
-	var waitStart time.Time
+// reserve claims n bytes of the budget, or reports that they do not fit.
+func (b *stagingBuffer) reserve(n int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	defer func() {
-		if !waitStart.IsZero() {
-			waited = time.Since(waitStart)
-		}
-	}()
-	for !b.closed && b.used+n > b.budget {
-		if maxWait == 0 {
-			return false, 0
-		}
-		if waitStart.IsZero() {
-			waitStart = time.Now()
-		}
-		if maxWait > 0 && timer == nil {
-			timer = time.AfterFunc(maxWait, func() {
-				b.mu.Lock()
-				expired = true
-				b.mu.Unlock()
-				b.cond.Broadcast()
-			})
-			defer timer.Stop()
-		}
-		if expired {
-			return false, 0
-		}
-		b.cond.Wait()
-	}
-	if b.closed {
-		return false, 0
+	if b.used+n > b.budget {
+		return false
 	}
 	b.used += n
-	if b.used > b.peak {
-		b.peak = b.used
-	}
-	return true, 0
+	b.peak = max(b.peak, b.used)
+	return true
 }
 
 // release returns n reserved bytes to the budget.
 func (b *stagingBuffer) release(n int64) {
-	if n == 0 {
-		return
-	}
 	b.mu.Lock()
 	b.used -= n
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// close fails all pending and future reservations.
-func (b *stagingBuffer) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
@@ -138,29 +71,23 @@ type stageReq struct {
 	out mapOutput
 }
 
-// stagedSeg is one fetched segment parked at its partition's staging home:
-// raw bytes in memory inside the budget, or a file on the home disk.
+// stagedSeg is one fetched segment held in memory at its partition's
+// staging home, as it lay on the source disk (nil for an empty segment).
 type stagedSeg struct {
-	data       []byte // in-memory copy (nil for an empty segment) when file == ""
-	file       string // staging file on the home node's disk when overflowed
-	len        int64
+	data       []byte
 	compressed bool
 }
 
 // shuffleService runs the job-wide copier pools.
 type shuffleService struct {
-	c      *cluster.Cluster
-	tr     *trace.Tracer
-	prefix string
-	buf    *stagingBuffer
+	c   *cluster.Cluster
+	tr  *trace.Tracer
+	buf *stagingBuffer
 	// tm is the service's own metrics. Staging work belongs to the job,
 	// not to any single attempt — an attempt's report is discarded when it
 	// fails or loses a commit race, which would silently drop counts — so
 	// the runner merges this snapshot into the job aggregate exactly once.
-	tm *metrics.TaskMetrics
-	// hists is the owning job's histogram set (per-job under a service,
-	// registry-backed for one-shot runs).
-	hists   *Hists
+	tm      *metrics.TaskMetrics
 	mapDone atomic.Bool
 
 	mu       sync.Mutex
@@ -177,10 +104,8 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 	s := &shuffleService{
 		c:        c,
 		tr:       job.Trace,
-		prefix:   job.filePrefix,
-		buf:      newStagingBuffer(job.ShuffleBufferBytes),
+		buf:      &stagingBuffer{budget: job.ShuffleBufferBytes},
 		tm:       metrics.NewTaskMetrics(),
-		hists:    job.Hists,
 		pend:     make([][]stageReq, parts),
 		staged:   make([]map[int]*stagedSeg, parts),
 		released: make([]bool, parts),
@@ -246,191 +171,112 @@ func (s *shuffleService) copierLoop(part, ci int) {
 }
 
 // stageSegment fetches one segment from its source node to the
-// partition's staging home: one read of the bytes as they sit on the
-// source disk, one fabric transfer. Staging is best-effort: any failure
-// abandons the segment and the reduce attempt direct-fetches it instead.
+// partition's staging home. It reserves the segment's on-disk length from
+// the run index before it reads a byte; a refused reservation drops the
+// request, and the segment stays on the source disk for the reduce
+// attempt's direct fetch. Admitted, the segment costs one read of the bytes
+// as they sit on the source disk and one fabric transfer. Staging is
+// best-effort: any failure gives the reservation back and abandons the
+// segment to the same direct fetch.
 func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
 	if part < 0 || part >= len(req.out.index.Segments) {
+		return
+	}
+	seg := req.out.index.Segments[part]
+	if !s.buf.reserve(seg.Len) {
 		return
 	}
 	home := s.home(part)
 	copierSlot := s.c.ReduceSlots() + ci
 	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, req.src, copierSlot, part)
+	abandon := func() {
+		s.buf.release(seg.Len)
+		span.End()
+	}
 	data, err := kvio.ReadSegment(s.c.Disks[req.out.node], req.out.index, part)
 	if err != nil {
-		span.End()
+		abandon()
 		return
 	}
-	if len(data) > 0 && req.out.node != home {
+	if seg.Len > 0 && req.out.node != home {
 		t0 := time.Now()
-		err := s.c.Net.Transfer(req.out.node, home, int64(len(data)))
+		err := s.c.Net.Transfer(req.out.node, home, seg.Len)
 		d := time.Since(t0)
 		s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
 		s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, home, req.src, copierSlot, t0, d)
 		if err != nil {
-			span.End()
+			abandon()
 			return
 		}
 	}
-	if !s.park(part, home, copierSlot, req.src, data, req.out.index.Compressed) {
-		span.End()
+	s.mu.Lock()
+	if s.closed || s.released[part] || s.staged[part][req.src] != nil {
+		s.mu.Unlock()
+		abandon()
 		return
 	}
-	span.EndCounts(req.out.index.Segments[part].Records, int64(len(data)))
-}
-
-// park keeps one fetched segment at the staging home: in the memory
-// budget when a reservation lands, otherwise spilled to the home disk.
-// Reports whether the segment ended up staged.
-func (s *shuffleService) park(part, home, copierSlot, src int, data []byte, compressed bool) bool {
-	st := &stagedSeg{len: int64(len(data)), compressed: compressed}
-	reserveStart := time.Now()
-	ok, waited := s.buf.reserve(st.len, stagingReserveWait)
-	if waited > 0 {
-		s.tm.Inc(metrics.CtrShuffleStagingWaitNS, int64(waited))
-		s.tr.Complete(trace.KindWaitStaging, trace.LaneReduce, home, src, copierSlot, reserveStart, waited)
-	}
-	if ok {
-		if waited > 0 {
-			s.hists.StagingWait.Record(int64(waited))
-		}
-		st.data = data
-	} else {
-		if waited > 0 {
-			s.hists.Stall.Record(int64(waited))
-		}
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			// The job is over and the buffer refused because it is shut,
-			// not full: nobody will take the segment, and writing it out
-			// would count an overflow that did not happen.
-			return false
-		}
-		name := stagedSegName(s.prefix, part, src)
-		if err := s.writeStaged(home, name, data); err != nil {
-			return false
-		}
-		st.file = name
-		s.tm.Inc(metrics.CtrShuffleStagedSpills, 1)
-	}
-	s.mu.Lock()
-	if s.closed || s.released[part] || s.staged[part][src] != nil {
-		s.mu.Unlock()
-		s.discardStaged(home, st)
-		return false
-	}
-	s.staged[part][src] = st
+	s.staged[part][req.src] = &stagedSeg{data: data, compressed: req.out.index.Compressed}
 	s.mu.Unlock()
 	s.tm.Inc(metrics.CtrShuffleStagedSegments, 1)
-	s.tm.Inc(metrics.CtrShuffleStagedBytes, st.len)
+	s.tm.Inc(metrics.CtrShuffleStagedBytes, seg.Len)
 	if !s.mapDone.Load() {
 		s.tm.Inc(metrics.CtrShuffleEarlySegments, 1)
 	}
-	return true
-}
-
-// stagedSegName names partition part's staged copy of map task src's
-// segment on the staging node's disk.
-func stagedSegName(prefix string, part, src int) string {
-	return fmt.Sprintf("%s.stage-p%05d-m%05d", prefix, part, src)
-}
-
-// writeStaged persists an overflowed segment on the home node's disk.
-func (s *shuffleService) writeStaged(home int, name string, raw []byte) error {
-	w, err := s.c.Disks[home].Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(raw); err != nil {
-		return errors.Join(err, w.Close())
-	}
-	return w.Close()
-}
-
-// discardStaged frees one staged segment's budget or disk file. Cleanup
-// is best-effort; failures on live nodes count as cleanup errors.
-func (s *shuffleService) discardStaged(home int, st *stagedSeg) {
-	if st.file == "" {
-		s.buf.release(st.len)
-		return
-	}
-	if s.c.NodeDead(home) {
-		return
-	}
-	if err := s.c.Disks[home].Remove(st.file); err != nil {
-		s.tm.Inc(metrics.CtrCleanupErrors, 1)
-	}
+	span.EndCounts(seg.Records, seg.Len)
 }
 
 // take hands a staged segment's records to a reduce attempt running on
 // node, charging the home→node fabric hop (free when the scheduler placed
 // the attempt on the staging node). The staged copy is not consumed —
 // duplicate attempts of one partition may each take the same segment.
-// ok=false means the segment is not staged or its staging node died; the
-// caller direct-fetches from the source. The fabric hop is recorded as a
+// ok=false means the segment is not staged or the hop failed; the caller
+// direct-fetches from the source. The fabric hop is recorded as a
 // wait-fabric span at sp's coordinates — the reduce attempt doing the
 // take — so the critical-path analyzer can separate fabric time from
 // shuffle I/O inside the attempt's fetch.
-func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stream, rawLen int64, ok bool) {
+func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stream, ok bool) {
 	s.mu.Lock()
 	var st *stagedSeg
-	if !s.released[part] && s.staged[part] != nil {
+	if !s.released[part] {
 		st = s.staged[part][src]
 	}
 	s.mu.Unlock()
 	if st == nil {
-		return nil, 0, false
+		return nil, false
 	}
-	home := s.home(part)
-	transfer := func() error {
-		t0 := time.Now()
-		err := s.c.Net.Transfer(home, node, st.len)
-		d := time.Since(t0)
-		s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-		sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, d)
-		return err
-	}
-	if st.file == "" {
-		if err := transfer(); err != nil {
-			return nil, 0, false
-		}
-		s.tm.Inc(metrics.CtrShuffleStagedHits, 1)
-		return kvio.NewBytesSegmentStream(st.data, st.compressed), st.len, true
-	}
-	rc, err := s.c.Disks[home].OpenSection(st.file, 0, st.len)
+	t0 := time.Now()
+	err := s.c.Net.Transfer(s.home(part), node, int64(len(st.data)))
+	d := time.Since(t0)
+	s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
+	sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, d)
 	if err != nil {
-		return nil, 0, false
-	}
-	if err := transfer(); err != nil {
-		if cerr := rc.Close(); cerr != nil {
-			s.tm.Inc(metrics.CtrCleanupErrors, 1)
-		}
-		return nil, 0, false
+		return nil, false
 	}
 	s.tm.Inc(metrics.CtrShuffleStagedHits, 1)
-	return kvio.NewSegmentStream(rc, st.len, st.compressed), st.len, true
+	return kvio.NewBytesSegmentStream(st.data, st.compressed), true
 }
 
-// release drops a committed partition's staging state and stops its
-// copiers.
+// release drops a committed partition's staged segments and stops its
+// copiers. Idempotent.
 func (s *shuffleService) release(part int) {
-	home := s.home(part)
 	s.mu.Lock()
-	if s.released[part] {
-		s.mu.Unlock()
-		return
+	if !s.released[part] {
+		s.released[part] = true
+		s.pend[part] = nil
+		s.dropStagedLocked(part)
+		s.cond.Broadcast()
 	}
-	s.released[part] = true
-	segs := s.staged[part]
-	s.staged[part] = nil
-	s.pend[part] = nil
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, st := range segs {
-		s.discardStaged(home, st)
+}
+
+// dropStagedLocked gives partition part's staged bytes back to the budget.
+func (s *shuffleService) dropStagedLocked(part int) {
+	var n int64
+	for _, st := range s.staged[part] {
+		n += int64(len(st.data))
 	}
+	s.buf.release(n)
+	s.staged[part] = nil
 }
 
 // markMapDone flips early-fetch accounting off: segments staged from here
@@ -456,22 +302,12 @@ func (s *shuffleService) close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.buf.close()
 	s.wg.Wait()
 	s.mu.Lock()
-	rem := make(map[int][]*stagedSeg)
-	for p := range s.staged {
-		for _, st := range s.staged[p] {
-			rem[p] = append(rem[p], st)
-		}
-		s.staged[p] = nil
+	for part := range s.staged {
+		s.dropStagedLocked(part)
 	}
 	s.mu.Unlock()
-	for p, segs := range rem {
-		for _, st := range segs {
-			s.discardStaged(s.home(p), st)
-		}
-	}
 	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.buf.peakBytes())
 }
 

@@ -2,7 +2,9 @@ package mr_test
 
 import (
 	"io"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"mrtext/internal/chaos"
@@ -10,12 +12,13 @@ import (
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
+	"mrtext/internal/vdisk"
 )
 
 // Pipelined-shuffle integration suite: job output must be byte-identical
-// to the reference executor's — with staging in memory, overflowed to
-// disk, in either on-disk segment format, on degenerate inputs and under
-// injected faults — and the pipeline must demonstrably overlap the map
+// to the reference executor's — staged in memory or, over budget, fetched
+// directly, in either on-disk segment format, on degenerate inputs and
+// under injected faults — and the pipeline must demonstrably overlap the map
 // phase (that overlap is its whole reason to exist).
 
 // runAgainstReference runs job on c and requires output byte-identical to
@@ -38,68 +41,170 @@ func runAgainstReference(t *testing.T, c *cluster.Cluster, job *mr.Job) *mr.Resu
 	return res
 }
 
+// diskWatch wraps a node disk and records what the job asks of it: the name
+// of every file created, and the positioned reads of committed map outputs
+// — which only a copier admitted to staging or a reduce attempt's direct
+// fetch makes.
+type diskWatch struct {
+	vdisk.Disk
+	log *diskLog
+}
+
+type diskLog struct {
+	mu         sync.Mutex
+	created    []string
+	outSection int
+}
+
+func (d diskWatch) Create(name string) (io.WriteCloser, error) {
+	d.log.mu.Lock()
+	d.log.created = append(d.log.created, name)
+	d.log.mu.Unlock()
+	return d.Disk.Create(name)
+}
+
+func (d diskWatch) OpenSection(name string, off, length int64) (io.ReadCloser, error) {
+	if committedMapOut.MatchString(name) {
+		d.log.mu.Lock()
+		d.log.outSection++
+		d.log.mu.Unlock()
+	}
+	return d.Disk.OpenSection(name, off, length)
+}
+
+var (
+	// attemptFile is a map attempt's spill run or uncommitted output, or a
+	// DFS block — here, of a reduce attempt's output: what a job may create.
+	attemptFile     = regexp.MustCompile(`/m\d{5}/a\d{2}/(spill\d{4}|out)$|^dfs/`)
+	committedMapOut = regexp.MustCompile(`/m\d{5}/out$`)
+)
+
+// watchDisks puts a diskWatch on every node disk of c (the DFS shares the
+// slice, so its block files pass through too).
+func watchDisks(c *cluster.Cluster) *diskLog {
+	log := &diskLog{}
+	for i, d := range c.Disks {
+		c.Disks[i] = diskWatch{Disk: d, log: log}
+	}
+	return log
+}
+
+// assertStagingIsMemoryOnly checks what holds for every staging budget: the
+// job created nothing but attempt files (no second copy of a segment on any
+// disk), staging never held more than the budget, and each reduce attempt
+// resolved each map output exactly once, from staging or by direct fetch.
+// It returns the number of direct fetches.
+func assertStagingIsMemoryOnly(t *testing.T, res *mr.Result, hists *mr.Hists, log *diskLog, budget int64) int64 {
+	t.Helper()
+	for _, name := range log.created {
+		if !attemptFile.MatchString(name) {
+			t.Errorf("job created %q, which is no attempt's spill or output file", name)
+		}
+	}
+	if res.ShuffleStagingPeak > budget {
+		t.Errorf("staging peak %d over the budget %d", res.ShuffleStagingPeak, budget)
+	}
+	if res.ReduceAttempts != res.ReduceTasks {
+		t.Fatalf("%d reduce attempts for %d tasks on a fault-free cluster", res.ReduceAttempts, res.ReduceTasks)
+	}
+	fetches := int64(hists.ShuffleFetch.Snapshot().Count)
+	if want := int64(res.MapTasks * res.ReduceTasks); fetches != want {
+		t.Errorf("%d sources fetched, want %d map tasks x %d partitions = %d", fetches, res.MapTasks, res.ReduceTasks, want)
+	}
+	hits := res.Agg.Counters[metrics.CtrShuffleStagedHits]
+	if staged := res.Agg.Counters[metrics.CtrShuffleStagedSegments]; hits > staged {
+		t.Errorf("%d staged hits from %d staged segments", hits, staged)
+	}
+	return fetches - hits
+}
+
 // TestPipelinedShuffleMatchesReference runs the job with the default
-// staging budget and with a 1-byte budget that forces every staged segment
-// to disk, and requires outputs byte-identical to RunReference's on the
-// same cluster.
+// staging budget, with one a fraction of the shuffle volume, and with a
+// 1-byte budget that admits only empty segments, and requires outputs
+// byte-identical to RunReference's on the same cluster. Over budget means
+// direct fetch: whatever staging did not admit stays on the source disk and
+// no file is written for it.
 func TestPipelinedShuffleMatchesReference(t *testing.T) {
 	cases := []struct {
-		name       string
-		buffer     int64
-		wantSpills bool
+		name   string
+		buffer int64
 	}{
-		{"default-buffer", 0, false},
-		{"one-byte-buffer", 1, true},
+		{"default-buffer", 32 << 20},
+		{"over-budget", 16 << 10},
+		{"one-byte-buffer", 1},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			c, corpus := newFTCluster(t, nil)
+			log := watchDisks(c)
 			job := ftJob(corpus, "wc-shuffle-"+tc.name)
 			job.ShuffleBufferBytes = tc.buffer
+			job.Hists = mr.NewHists()
 			res := runAgainstReference(t, c, job)
-			if tc.wantSpills && res.ShuffleStagedSpills == 0 {
-				t.Error("1-byte staging budget produced no staged spills")
-			}
-			if !tc.wantSpills && res.ShuffleStagedSpills != 0 {
-				t.Errorf("default staging budget overflowed %d segments", res.ShuffleStagedSpills)
+			direct := assertStagingIsMemoryOnly(t, res, job.Hists, log, tc.buffer)
+			ctr := res.Agg.Counters
+			switch tc.buffer {
+			case 16 << 10:
+				if shuffled := ctr[metrics.CtrShuffleBytes]; shuffled < 4*tc.buffer {
+					t.Fatalf("shuffle volume %d is not several times the budget %d", shuffled, tc.buffer)
+				}
+				if direct == 0 || ctr[metrics.CtrShuffleStagedHits] == 0 {
+					t.Errorf("%d direct fetches and %d staged hits; want both roads travelled", direct, ctr[metrics.CtrShuffleStagedHits])
+				}
+			case 1:
+				assertOnlyEmptySegmentsStaged(t, res, log, direct)
 			}
 		})
 	}
 }
 
+// assertOnlyEmptySegmentsStaged checks a run under a 1-byte budget: no byte
+// was staged, and no copier read a source disk — every positioned read of a
+// map output belongs to a direct fetch (one of an empty segment reads
+// nothing).
+func assertOnlyEmptySegmentsStaged(t *testing.T, res *mr.Result, log *diskLog, direct int64) {
+	t.Helper()
+	if n := res.Agg.Counters[metrics.CtrShuffleStagedBytes]; n != 0 {
+		t.Errorf("%d bytes staged under a 1-byte budget", n)
+	}
+	if int64(log.outSection) > direct || log.outSection == 0 {
+		t.Errorf("%d positioned reads of map outputs for %d direct fetches", log.outSection, direct)
+	}
+}
+
 // TestShuffleFetchPlaneVariantsMatchReference drives both on-disk segment
-// formats through staging and requires byte-identical outputs against
-// RunReference for each: raw segments from a corpus so small against so
-// many reducers that every segment is a handful of records, and the
-// prefix-compressed segments CompressRuns writes, staged in memory and —
-// through a 1-byte budget — read back from the staging disk.
+// formats through the fetch plane and requires byte-identical outputs
+// against RunReference for each: raw segments from a corpus so small
+// against so many reducers that every segment is a handful of records, and
+// the prefix-compressed segments CompressRuns writes, taken from staging
+// and — under a 1-byte budget — direct-fetched from the source disk.
 func TestShuffleFetchPlaneVariantsMatchReference(t *testing.T) {
 	cases := []struct {
 		name          string
 		block, corpus int64
+		budget        int64
 		tune          func(job *mr.Job)
-		wantSpills    bool
 	}{
-		{"raw-segments", 512, 4 << 10, func(job *mr.Job) { job.NumReducers = 64 }, false},
-		{"compress-runs", ftBlock, ftCorpus, func(job *mr.Job) { job.CompressRuns = true }, false},
-		{"compress-runs-one-byte-buffer", ftBlock, ftCorpus, func(job *mr.Job) {
-			job.CompressRuns = true
-			job.ShuffleBufferBytes = 1
-		}, true},
+		{"raw-segments", 512, 4 << 10, 32 << 20, func(job *mr.Job) { job.NumReducers = 64 }},
+		{"compress-runs", ftBlock, ftCorpus, 32 << 20, func(job *mr.Job) { job.CompressRuns = true }},
+		{"compress-runs-one-byte-buffer", ftBlock, ftCorpus, 1, func(job *mr.Job) { job.CompressRuns = true }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			c, corpus := newFTClusterSized(t, nil, tc.block, tc.corpus)
+			log := watchDisks(c)
 			job := ftJob(corpus, "wc-variant-"+tc.name)
 			tc.tune(job)
+			job.ShuffleBufferBytes = tc.budget
+			job.Hists = mr.NewHists()
 			res := runAgainstReference(t, c, job)
-			if res.Agg.Counters[metrics.CtrShuffleStagedSegments] == 0 {
-				t.Error("no segment was staged: the fetch plane did not run")
-			}
-			if spilled := res.ShuffleStagedSpills > 0; spilled != tc.wantSpills {
-				t.Errorf("%d staged spills, want spills = %v", res.ShuffleStagedSpills, tc.wantSpills)
+			direct := assertStagingIsMemoryOnly(t, res, job.Hists, log, tc.budget)
+			if tc.budget == 1 {
+				assertOnlyEmptySegmentsStaged(t, res, log, direct)
+			} else if res.Agg.Counters[metrics.CtrShuffleStagedHits] == 0 {
+				t.Error("no segment was taken from staging: the staged road did not run")
 			}
 		})
 	}
@@ -194,4 +299,26 @@ func TestPipelinedShuffleUnderChaosMatchesReference(t *testing.T) {
 	c, corpus := newFTCluster(t, &cfg)
 	res := runAgainstReference(t, c, ftJob(corpus, "wc-chaos-pipelined"))
 	assertCounterIdentity(t, res)
+}
+
+// TestOverBudgetShuffleUnderChaosMatchesReference is the same cell with a
+// staging budget a fraction of the shuffle volume — the one place a staging
+// miss and an injected fetch fault meet: most sources are direct-fetched,
+// by attempts that fail, retry and absorb fetch faults, and the output is
+// still RunReference's.
+func TestOverBudgetShuffleUnderChaosMatchesReference(t *testing.T) {
+	cfg := chaos.Config{Seed: 17, FailRate: 0.20, KillNode: -1}
+	c, corpus := newFTCluster(t, &cfg)
+	job := ftJob(corpus, "wc-chaos-over-budget")
+	job.ShuffleBufferBytes = 16 << 10
+	job.Hists = mr.NewHists()
+	res := runAgainstReference(t, c, job)
+	assertCounterIdentity(t, res)
+	if res.ShuffleStagingPeak > job.ShuffleBufferBytes {
+		t.Errorf("staging peak %d over the budget %d", res.ShuffleStagingPeak, job.ShuffleBufferBytes)
+	}
+	fetches := int64(job.Hists.ShuffleFetch.Snapshot().Count)
+	if hits := res.Agg.Counters[metrics.CtrShuffleStagedHits]; fetches <= hits {
+		t.Errorf("%d sources fetched, %d of them from staging: no direct fetch under a %d-byte budget", fetches, hits, job.ShuffleBufferBytes)
+	}
 }

@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,71 +16,36 @@ import (
 
 // --- stagingBuffer ---
 
-// TestStagingBufferBackpressure pins the budget contract: reservations
-// inside the budget succeed, a reservation that would exceed it blocks
-// until space is released, and an oversized reservation fails outright.
+// TestStagingBufferBackpressure pins the budget contract: a reservation
+// inside the budget succeeds, one that would exceed it is refused at once —
+// there is no wait — and succeeds after a release made room; the peak is
+// the high-water mark of what was granted.
 func TestStagingBufferBackpressure(t *testing.T) {
-	b := newStagingBuffer(100)
-	if ok, _ := b.reserve(60, 0); !ok {
+	b := &stagingBuffer{budget: 100}
+	if !b.reserve(60) {
 		t.Fatal("in-budget reservation refused")
 	}
-	if ok, _ := b.reserve(50, 0); ok {
-		t.Fatal("over-budget reservation granted without waiting")
+	if b.reserve(50) {
+		t.Fatal("over-budget reservation granted")
 	}
-	if ok, _ := b.reserve(101, -1); ok {
+	if b.reserve(101) {
 		t.Fatal("reservation larger than the whole budget granted")
 	}
-
-	granted := make(chan bool)
-	go func() { ok, _ := b.reserve(50, -1); granted <- ok }()
-	select {
-	case <-granted:
-		t.Fatal("blocked reservation returned before space was released")
-	case <-time.After(20 * time.Millisecond):
+	if !b.reserve(0) {
+		t.Fatal("zero-byte reservation refused")
 	}
 	b.release(60)
-	select {
-	case ok := <-granted:
-		if !ok {
-			t.Fatal("reservation failed after space was released")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reservation still blocked after release")
+	if !b.reserve(50) {
+		t.Fatal("reservation refused after space was released")
 	}
-	if got := b.peakBytes(); got != 60 {
-		t.Fatalf("peak = %d, want 60", got)
+	if !b.reserve(50) {
+		t.Fatal("reservation filling the budget exactly refused")
 	}
-}
-
-// TestStagingBufferTimeoutAndClose pins the two unblocking paths that are
-// not a release: the bounded wait expiring, and close failing all waiters.
-func TestStagingBufferTimeoutAndClose(t *testing.T) {
-	b := newStagingBuffer(10)
-	if ok, _ := b.reserve(10, 0); !ok {
-		t.Fatal("in-budget reservation refused")
-	}
-	start := time.Now()
-	if ok, _ := b.reserve(1, 5*time.Millisecond); ok {
+	if b.reserve(1) {
 		t.Fatal("reservation granted with the budget exhausted")
 	}
-	if waited := time.Since(start); waited < 5*time.Millisecond {
-		t.Fatalf("bounded wait returned after %v, before its deadline", waited)
-	}
-
-	granted := make(chan bool)
-	go func() { ok, _ := b.reserve(1, -1); granted <- ok }()
-	time.Sleep(5 * time.Millisecond)
-	b.close()
-	select {
-	case ok := <-granted:
-		if ok {
-			t.Fatal("reservation granted on a closed buffer")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("close did not wake the blocked reservation")
-	}
-	if ok, _ := b.reserve(1, 0); ok {
-		t.Fatal("reservation granted after close")
+	if got := b.peakBytes(); got != 100 {
+		t.Fatalf("peak = %d, want 100", got)
 	}
 }
 
@@ -142,7 +108,6 @@ func unitShuffleJob(bufferBytes int64) *Job {
 	return &Job{
 		NumReducers:        unitParts,
 		ShuffleBufferBytes: bufferBytes,
-		RetryBackoff:       time.Millisecond,
 		Hists:              NewHists(),
 		filePrefix:         "unit",
 		cancel:             new(atomic.Bool),
@@ -201,9 +166,6 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 				svc.offer(m, out)
 			}
 			waitStagedSegments(t, svc, unitParts*unitMaps)
-			if spills := svc.tm.Counter(metrics.CtrShuffleStagedSpills); spills != 0 {
-				t.Fatalf("%d staged segments overflowed a %d-byte budget", spills, 1<<20)
-			}
 
 			for p := 0; p < unitParts; p++ {
 				for m, out := range outs {
@@ -219,7 +181,7 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 					}
 					want := drainStream(t, direct)
 					for round := 0; round < 2; round++ { // takes must not consume
-						st, _, ok := svc.take(p, m, 0, spanner{})
+						st, ok := svc.take(p, m, 0, spanner{})
 						if !ok {
 							t.Fatalf("part %d src %d round %d: staged segment missing", p, m, round)
 						}
@@ -238,7 +200,7 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 
 			// A released partition stops serving takes.
 			svc.release(1)
-			if _, _, ok := svc.take(1, 0, 0, spanner{}); ok {
+			if _, ok := svc.take(1, 0, 0, spanner{}); ok {
 				t.Fatal("released partition still serves staged segments")
 			}
 		})
@@ -248,7 +210,7 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 // TestStagingAccountsWireBytes pins staging's byte accounting: a segment
 // crosses the fabric and is staged as it sits on the source disk, so the
 // staged bytes equal the segments' on-disk bytes, and a budget equal to
-// that total stages everything in memory with zero spills.
+// that total stages every segment.
 func TestStagingAccountsWireBytes(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c, false)
@@ -266,55 +228,8 @@ func TestStagingAccountsWireBytes(t *testing.T) {
 	if staged := svc.tm.Counter(metrics.CtrShuffleStagedBytes); staged != diskTotal {
 		t.Fatalf("staged %d bytes, the segments hold %d on disk", staged, diskTotal)
 	}
-	if spills := svc.tm.Counter(metrics.CtrShuffleStagedSpills); spills != 0 {
-		t.Fatalf("%d spills with a budget equal to the on-disk total %d", spills, diskTotal)
-	}
 	if peak := svc.buf.peakBytes(); peak != diskTotal {
 		t.Fatalf("staging peak %d, want the on-disk total %d", peak, diskTotal)
-	}
-}
-
-// TestShuffleServiceOverflowsToDisk forces every segment past a 1-byte
-// staging budget and checks the disk-backed staging path returns the same
-// records as the in-memory one.
-func TestShuffleServiceOverflowsToDisk(t *testing.T) {
-	c := newUnitCluster(t, nil)
-	outs := writeUnitMapOuts(t, c, false)
-	svc := newShuffleService(c, unitShuffleJob(1))
-	defer svc.close()
-
-	for m, out := range outs {
-		svc.offer(m, out)
-	}
-	waitStagedSegments(t, svc, unitParts*unitMaps)
-	// Non-empty segments cannot fit a 1-byte budget; empty partition-2
-	// segments stage in memory for free.
-	wantSpills := int64((unitParts - 1) * unitMaps)
-	if spills := svc.tm.Counter(metrics.CtrShuffleStagedSpills); spills != wantSpills {
-		t.Fatalf("staged spills = %d, want %d", spills, wantSpills)
-	}
-
-	for p := 0; p < unitParts; p++ {
-		for m, out := range outs {
-			direct, err := kvio.OpenRunPart(c.Disks[out.node], out.index, p)
-			if err != nil {
-				t.Fatalf("direct open: %v", err)
-			}
-			want := drainStream(t, direct)
-			st, _, ok := svc.take(p, m, 1, spanner{})
-			if !ok {
-				t.Fatalf("part %d src %d: overflowed segment missing", p, m)
-			}
-			got := drainStream(t, st)
-			if len(got) != len(want) {
-				t.Fatalf("part %d src %d: %d staged records, want %d", p, m, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("part %d src %d record %d: staged %q, direct %q", p, m, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 
@@ -329,7 +244,7 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	job := unitShuffleJob(1 << 20)
 	svc := newShuffleService(c, job)
 	defer svc.close()
-	sh := &shuffleEnv{svc: svc, backoff: job.RetryBackoff}
+	sh := &shuffleEnv{svc: svc}
 
 	c.Chaos.Arm()
 	defer c.Chaos.Disarm()
@@ -367,18 +282,189 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	}
 }
 
-// TestStageAfterCloseIsNotAnOverflow: a copier still holding a fetched
-// segment when the job ends finds the staging buffer shut, not full — the
-// segment is dropped, not written to the home disk and counted as a
-// staging overflow.
-func TestStageAfterCloseIsNotAnOverflow(t *testing.T) {
-	c := newUnitCluster(t, nil)
-	svc := newShuffleService(c, unitShuffleJob(1<<20))
-	svc.close()
-	if svc.park(0, 0, 0, 0, []byte("segment"), false) {
-		t.Error("segment staged on a closed service")
+// waitCopiersIdle polls until no request is queued and no reservation is
+// held for a segment not yet staged: every offered segment has been staged
+// or dropped. (A copier between taking a request and reserving for it is
+// not seen, which is why a test that must not miss one closes the service
+// — close joins the copiers — before it looks.)
+func waitCopiersIdle(t *testing.T, svc *shuffleService) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		svc.mu.Lock()
+		queued, held := 0, int64(0)
+		for p := range svc.pend {
+			queued += len(svc.pend[p])
+			for _, st := range svc.staged[p] {
+				held += int64(len(st.data))
+			}
+		}
+		svc.buf.mu.Lock()
+		inFlight := svc.buf.used - held
+		svc.buf.mu.Unlock()
+		svc.mu.Unlock()
+		if queued == 0 && inFlight == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("copiers not idle before deadline: %d requests queued, %d bytes reserved in flight", queued, inFlight)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if got := svc.tm.Counter(metrics.CtrShuffleStagedSpills); got != 0 {
-		t.Errorf("%d staging overflows counted after close", got)
+}
+
+// unitOpens sums the read opens of the cluster's disks.
+func unitOpens(c *cluster.Cluster) int64 {
+	var n int64
+	for _, d := range c.Disks {
+		n += d.Stats().Opens
+	}
+	return n
+}
+
+// TestOverBudgetSegmentsAreDirectFetched gives staging a third of the bytes
+// on offer. What fits is staged and what does not stays on the source disk:
+// a reduce attempt's fetch resolves every source exactly once, from staging
+// (a countedStream) or by direct fetch (a chargedStream), the two add up to
+// maps × partitions, and either way the records are the ones on the source
+// disk.
+func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
+	c := newUnitCluster(t, nil)
+	outs := writeUnitMapOuts(t, c, false)
+	var diskTotal int64
+	for _, out := range outs {
+		diskTotal += out.index.TotalBytes()
+	}
+	budget := diskTotal / 3
+	job := unitShuffleJob(budget)
+	svc := newShuffleService(c, job)
+	defer svc.close()
+	for m, out := range outs {
+		svc.offer(m, out)
+	}
+	waitCopiersIdle(t, svc)
+
+	sh := &shuffleEnv{svc: svc}
+	staged, direct := 0, 0
+	for p := 0; p < unitParts; p++ {
+		acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
+		streams, err := fetchConcurrent(c, job, sh, p, 0, nil, outs, acct, spanner{})
+		if err != nil {
+			t.Fatalf("part %d: fetch: %v", p, err)
+		}
+		for m, st := range streams {
+			switch st.(type) {
+			case *countedStream:
+				staged++
+			case *chargedStream:
+				direct++
+			default:
+				t.Fatalf("part %d src %d: fetch returned a %T", p, m, st)
+			}
+			ref, err := kvio.OpenRunPart(c.Disks[outs[m].node], outs[m].index, p)
+			if err != nil {
+				t.Fatalf("direct open: %v", err)
+			}
+			want, got := drainStream(t, ref), drainStream(t, st)
+			if !slices.Equal(got, want) {
+				t.Fatalf("part %d src %d: fetched %d records, the source disk holds %d", p, m, len(got), len(want))
+			}
+		}
+	}
+	if staged+direct != unitParts*unitMaps {
+		t.Errorf("%d staged + %d direct fetches, want %d", staged, direct, unitParts*unitMaps)
+	}
+	if hits := svc.tm.Counter(metrics.CtrShuffleStagedHits); hits != int64(staged) {
+		t.Errorf("%d staged hits counted, %d sources came from staging", hits, staged)
+	}
+	if stagedBytes := svc.tm.Counter(metrics.CtrShuffleStagedBytes); stagedBytes == 0 || stagedBytes > budget {
+		t.Errorf("staged %d bytes under a budget of %d", stagedBytes, budget)
+	}
+	if direct == 0 {
+		t.Errorf("no direct fetch with %d bytes on offer to a budget of %d", diskTotal, budget)
+	}
+	if peak := svc.buf.peakBytes(); peak > budget {
+		t.Errorf("staging peak %d over the budget %d", peak, budget)
+	}
+}
+
+// TestReserveBeforeRead: a copier reserves a segment's length from the run
+// index before it touches the source disk, so a refused segment costs no
+// disk operation — with a one-byte budget no disk sees an open and only
+// empty segments are staged — and a copier that reserved and then failed
+// to read, to transfer, or to find the service still open gives the bytes
+// back.
+func TestReserveBeforeRead(t *testing.T) {
+	t.Run("refused", func(t *testing.T) {
+		c := newUnitCluster(t, nil)
+		outs := writeUnitMapOuts(t, c, false)
+		before := unitOpens(c)
+		svc := newShuffleService(c, unitShuffleJob(1))
+		for m, out := range outs {
+			svc.offer(m, out)
+		}
+		waitCopiersIdle(t, svc)
+		svc.close()
+		if opens := unitOpens(c) - before; opens != 0 {
+			t.Errorf("%d opens on the source disks for segments the budget refused", opens)
+		}
+		if n := svc.tm.Counter(metrics.CtrShuffleStagedBytes); n != 0 {
+			t.Errorf("%d bytes staged under a one-byte budget", n)
+		}
+		if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n > unitMaps {
+			t.Errorf("%d segments staged, only %d are empty", n, unitMaps)
+		}
+	})
+
+	failures := []struct {
+		name  string
+		rig   func(c *cluster.Cluster, outs []mapOutput)
+		close bool // close the service before the copy instead of after
+	}{
+		{"read fails", func(_ *cluster.Cluster, outs []mapOutput) {
+			for m := range outs {
+				outs[m].index.Name = "no-such-run"
+			}
+		}, false},
+		{"transfer fails", func(c *cluster.Cluster, _ []mapOutput) {
+			c.Net.SetFaultHook(func(src, dst int) error {
+				if src != dst {
+					return fmt.Errorf("link %d→%d down", src, dst)
+				}
+				return nil
+			})
+		}, false},
+		{"service closed", func(*cluster.Cluster, []mapOutput) {}, true},
+	}
+	for _, tc := range failures {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newUnitCluster(t, nil)
+			outs := writeUnitMapOuts(t, c, false)
+			tc.rig(c, outs)
+			svc := newShuffleService(c, unitShuffleJob(1<<20))
+			if tc.close {
+				svc.close()
+			}
+			// Partition 1 is staged on node 1; map task 0's output is on node 0.
+			svc.stageSegment(1, 0, stageReq{src: 0, out: outs[0]})
+			if !tc.close {
+				svc.mu.Lock()
+				st := svc.staged[1][0]
+				svc.mu.Unlock()
+				if st != nil {
+					t.Error("segment staged although its copy failed")
+				}
+			}
+			if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n != 0 {
+				t.Errorf("%d segments counted as staged", n)
+			}
+			svc.buf.mu.Lock()
+			used := svc.buf.used
+			svc.buf.mu.Unlock()
+			if used != 0 {
+				t.Errorf("%d bytes still reserved after the failed copy", used)
+			}
+			svc.close()
+		})
 	}
 }

@@ -2,9 +2,8 @@
 // reconstructs the job's span DAG, extracts the critical path — the chain
 // of task spans and structural gaps the job's wall clock actually waited
 // on — and attributes every nanosecond of it to a named cause (map
-// compute, spill/sort pressure, copier CPU/disk steal, staging
-// backpressure, fabric wait, fetch retry, shuffle I/O, reduce compute,
-// queue wait, scheduler slack). This is the analysis the ROADMAP's
+// compute, spill/sort pressure, copier CPU/disk steal, fabric wait, fetch
+// retry, shuffle I/O, reduce compute, queue wait, scheduler slack). This is the analysis the ROADMAP's
 // copier-scaling diagnosis and the planned self-tuning controller need:
 // the trace substrate records what happened; this package says what it
 // cost and why.
@@ -53,9 +52,6 @@ const (
 	// staging onto it) — the fan-out contention the copier-scaling
 	// question is about.
 	CauseCopierSteal
-	// CauseStagingBackpressure is copier time blocked on staging-buffer
-	// budget (wait-staging spans).
-	CauseStagingBackpressure
 	// CauseFabricWait is time blocked in simulated fabric transfers on
 	// the shuffle path (wait-fabric spans).
 	CauseFabricWait
@@ -81,9 +77,9 @@ const (
 )
 
 var causeNames = [NumCauses]string{
-	"map-compute", "spill-sort", "copier-steal", "staging-backpressure",
-	"fabric-wait", "fetch-retry", "shuffle-io", "reduce-compute",
-	"queue-wait", "scheduler-other",
+	"map-compute", "spill-sort", "copier-steal", "fabric-wait",
+	"fetch-retry", "shuffle-io", "reduce-compute", "queue-wait",
+	"scheduler-other",
 }
 
 // String returns the cause's report name.
@@ -150,7 +146,7 @@ type Report struct {
 	Path    []Step        // the critical path in time order, covering [0, JobWall]
 	// Activity is the aggregate view: every task span in the trace —
 	// critical or not — decomposed by the same rules and summed, plus the
-	// free-standing wait spans (staging, queue). Unlike the critical-path
+	// free-standing queue-wait spans. Unlike the critical-path
 	// blame it does not sum to wall time; it sums to total decomposed
 	// span time, the serialized Fig. 2-style denominator.
 	Activity    [NumCauses]time.Duration
@@ -266,9 +262,6 @@ func Analyze(events []trace.Event, opt Options) (*Report, error) {
 		for c := Cause(0); c < NumCauses; c++ {
 			r.Activity[c] += b[c]
 		}
-	}
-	for _, e := range ix.kind[trace.KindWaitStaging] {
-		r.Activity[CauseStagingBackpressure] += e.Duration()
 	}
 	for _, e := range ix.kind[trace.KindWaitQueue] {
 		r.Activity[CauseQueueWait] += e.Duration()
@@ -588,8 +581,7 @@ func (ix *index) decomposeReduce(rt trace.Event) [NumCauses]time.Duration {
 // bytes, which is Table II's accounting too.
 func waitKind(k trace.Kind) bool {
 	switch k {
-	case trace.KindWaitMap, trace.KindWaitSupport, trace.KindWaitStaging,
-		trace.KindWaitRetry, trace.KindWaitQueue:
+	case trace.KindWaitMap, trace.KindWaitSupport, trace.KindWaitRetry, trace.KindWaitQueue:
 		return true
 	}
 	return false

@@ -91,7 +91,7 @@ func TestGoldenExampleTrace(t *testing.T) {
 	if r.Map.Causes[CauseSpillSort] <= 0 {
 		t.Error("map phase shows no spill-sort pressure (trace has wait-map spans)")
 	}
-	for _, c := range []Cause{CauseCopierSteal, CauseStagingBackpressure, CauseFabricWait, CauseFetchRetry} {
+	for _, c := range []Cause{CauseCopierSteal, CauseFabricWait, CauseFetchRetry} {
 		if r.Map.Causes[c] != 0 || r.Reduce.Causes[c] != 0 {
 			t.Errorf("cause %s nonzero on a trace with no such spans", c)
 		}
@@ -205,8 +205,8 @@ func TestGoldenExampleTrace(t *testing.T) {
 
 // TestAnalyzeSynthetic drives the decomposition on a hand-built trace
 // where every blame quantity is known exactly, including the causes the
-// committed example cannot exercise (copier steal, staging backpressure,
-// fabric wait, retry wait, queue wait).
+// committed example cannot exercise (copier steal, fabric wait, retry
+// wait, queue wait).
 func TestAnalyzeSynthetic(t *testing.T) {
 	const msn = int64(time.Millisecond)
 	events := []trace.Event{
@@ -220,8 +220,6 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		{TS: 44 * msn, Dur: 6 * msn, Kind: trace.KindMerge, Lane: trace.LaneMap, Node: 0, Task: 1, Slot: 0},
 		// Copier staging onto node 0 (home), overlapping task 1.
 		{TS: 30 * msn, Dur: 10 * msn, Kind: trace.KindShuffleCopy, Lane: trace.LaneReduce, Node: 0, Task: 0, Slot: 8},
-		// Copier backpressure while staging.
-		{TS: 32 * msn, Dur: 3 * msn, Kind: trace.KindWaitStaging, Lane: trace.LaneReduce, Node: 0, Task: 0, Slot: 8},
 		// Reduce: queue wait 50..55, task 55..95 with fetch 55..70
 		// containing 5ms fabric and 2ms retry; another 3ms fabric later
 		// during the merge stream.
@@ -270,10 +268,7 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		}
 	}
 
-	// Activity includes the staging backpressure no task span contains.
-	if got := r.Activity[CauseStagingBackpressure]; got != 3*time.Millisecond {
-		t.Errorf("activity staging-backpressure %v, want 3ms", got)
-	}
+	// Activity includes the queue wait no task span contains.
 	if got := r.Activity[CauseQueueWait]; got != 5*time.Millisecond {
 		t.Errorf("activity queue-wait %v, want 5ms", got)
 	}

@@ -28,7 +28,6 @@ var ganttGlyphs = [numKinds]byte{
 	KindReduceTask:   'r',
 	KindWaitMap:      '.',
 	KindWaitSupport:  '.',
-	KindWaitStaging:  'b',
 	KindWaitFabric:   'w',
 	KindWaitRetry:    'y',
 	KindWaitQueue:    'q',
@@ -168,7 +167,7 @@ func ganttTo(w *strings.Builder, events, marked []Event, width int) {
 		}
 		fmt.Fprintf(w, "%-16s |%s|\n", label, row)
 	}
-	legend := "legend: = job  m map-task  S spill  o sort  c combine  G merge  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  b staging-wait  w fabric-wait  y retry-wait  q queue-wait"
+	legend := "legend: = job  m map-task  S spill  o sort  c combine  G merge  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  w fabric-wait  y retry-wait  q queue-wait"
 	if len(marks) > 0 {
 		legend += "  # critical path"
 	}

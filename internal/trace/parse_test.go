@@ -30,7 +30,6 @@ func TestParseJSONRoundTrip(t *testing.T) {
 		{TS: 0, Dur: 5_000_000, Kind: KindJob, Lane: LaneScheduler, Node: -1, Task: -1},
 		{TS: 1_000, Dur: 2_000_000, Records: 120, Bytes: 4096, Arg: 1, Kind: KindMapTask, Lane: LaneMap, Node: 0, Task: 3, Slot: 1},
 		{TS: 5_500, Dur: 100_000, Kind: KindSpill, Lane: LaneSupport, Node: 0, Task: 3, Slot: 1},
-		{TS: 7_777, Dur: 3_003, Kind: KindWaitStaging, Lane: LaneReduce, Node: 2, Task: 9, Slot: 8},
 		{TS: 8_000, Dur: 12_345, Kind: KindWaitFabric, Lane: LaneReduce, Node: 1, Task: 2, Slot: 0},
 		{TS: 9_001, Dur: 999, Kind: KindWaitRetry, Lane: LaneReduce, Node: 1, Task: 2, Slot: 0},
 		{TS: 9_500, Dur: 1, Kind: KindWaitQueue, Lane: LaneReduce, Node: 3, Task: 0, Slot: 2},

@@ -60,9 +60,6 @@ const (
 	KindWaitMap
 	// KindWaitSupport spans a support goroutine waiting for a spill.
 	KindWaitSupport
-	// KindWaitStaging spans a shuffle copier blocked on staging-buffer
-	// budget (backpressure) before its reservation resolved.
-	KindWaitStaging
 	// KindWaitFabric spans time blocked in a simulated fabric transfer on
 	// the shuffle path (copier staging hop, staged take, streamed fetch).
 	KindWaitFabric
@@ -101,7 +98,7 @@ const (
 var kindNames = [numKinds]string{
 	"job", "map-task", "spill", "sort", "combine", "merge",
 	"shuffle-fetch", "shuffle-copy", "reduce-task", "wait-map", "wait-support",
-	"wait-staging", "wait-fabric", "wait-retry", "wait-queue",
+	"wait-fabric", "wait-retry", "wait-queue",
 	"spill-handoff", "spill-decision", "freq-eviction", "work-steal",
 	"task-retry", "node-death", "speculative-launch",
 }
