@@ -20,14 +20,25 @@
 // During the first two stages all records flow down the standard path
 // unchanged.
 //
+// The optimize stage's table is flat memory built once at freeze time: the
+// frozen keys packed in one arena, an open-addressing slot array over them,
+// and per key its buffered values packed in byte arenas that keep their
+// capacity across combines — so a warm absorbed or missed record allocates
+// nothing, which is what lets the intercept cost less than the spill append
+// it saves.
+//
 // The per-node Cache implements the paper's cross-task sharing: the first
 // task of a job on a node publishes its frozen top-k, and subsequent tasks
 // skip profiling entirely.
 package freqbuf
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"mrtext/internal/core/topk"
@@ -109,7 +120,7 @@ type Stats struct {
 	Combines       int64   // in-table combine() invocations
 	ChosenSample   float64 // the s actually used
 	FittedAlpha    float64 // α from the pre-profiling fit (0 if skipped)
-	TableBytes     int64   // current memory footprint
+	TableBytes     int64   // peak memory footprint, as budgeted (Drain empties the table)
 	SharedTopK     bool    // top-k came from the node cache, profiling skipped
 	FrozenTableLen int     // number of frequent keys installed
 }
@@ -118,10 +129,56 @@ type Stats struct {
 // the memory budget.
 const entryOverhead = 48
 
+// valueOverhead is the per-buffered-value accounting charge.
+const valueOverhead = 24
+
+// packed is a list of byte strings stored end to end: arena holds them in
+// order and ends[i] is where the i-th ends. Emptied lists keep their
+// capacity, so refilling one allocates nothing.
+type packed struct {
+	arena []byte
+	ends  []int
+}
+
+func (p *packed) add(v []byte) {
+	p.arena = append(p.arena, v...)
+	p.ends = append(p.ends, len(p.arena))
+}
+
+// addAll appends every value of q.
+func (p *packed) addAll(q *packed) {
+	base := len(p.arena)
+	p.arena = append(p.arena, q.arena...)
+	for _, end := range q.ends {
+		p.ends = append(p.ends, base+end)
+	}
+}
+
+func (p *packed) len() int { return len(p.ends) }
+
+func (p *packed) at(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = p.ends[i-1]
+	}
+	return p.arena[start:p.ends[i]:p.ends[i]]
+}
+
+func (p *packed) reset() {
+	p.arena, p.ends = p.arena[:0], p.ends[:0]
+}
+
+// charge is the list's share of the memory budget.
+func (p *packed) charge() int64 {
+	return int64(len(p.arena)) + valueOverhead*int64(len(p.ends))
+}
+
+// entry is one frequent key's state in the optimize stage.
 type entry struct {
-	part    int
-	key     []byte
-	pending [][]byte // raw values buffered since the last chunk combine
+	key     []byte // in the buffer's key arena
+	part    int    // -1 until the first absorbed record names it
+	bytes   int64  // this entry's contribution to the budget
+	pending packed // raw values buffered since the last chunk combine
 	// chunks are first-level aggregates: each is the result of combining
 	// one batch of pending values. Chunks are themselves merged by a
 	// second-level combine, unless the combiner turns out not to shrink
@@ -129,13 +186,22 @@ type entry struct {
 	// drain flushes them. The two-level scheme keeps in-table combining
 	// O(n) per key instead of re-encoding an ever-growing aggregate
 	// quadratically (posting lists!).
-	chunks    [][]byte
-	bytes     int64 // this entry's contribution to the budget
-	noCombine bool  // second-level combines don't shrink; stop trying
+	chunks    packed
+	noCombine bool // second-level combines don't shrink; stop trying
 }
 
-// valueOverhead is the per-buffered-value accounting charge.
-const valueOverhead = 24
+// empty reports whether the entry buffers no value: its charge is then its
+// key and overhead alone.
+func (e *entry) empty() bool { return e.bytes == int64(len(e.key))+entryOverhead }
+
+// evictionOrder orders entries for eviction: larger footprint first, then
+// ascending key.
+func evictionOrder(e, f *entry) int {
+	if c := cmp.Compare(f.bytes, e.bytes); c != 0 {
+		return c
+	}
+	return bytes.Compare(e.key, f.key)
+}
 
 // Buffer is the frequency-buffering engine for one map task. It is not
 // safe for concurrent use; the map goroutine owns it.
@@ -152,9 +218,29 @@ type Buffer struct {
 	fittedAlpha float64
 	sharedTopK  bool
 
-	table      map[string]*entry
+	// The frequent-key table. entries are the frozen keys in install
+	// order. slots is an open-addressing array of twice as many slots or
+	// more, probed linearly from a key's hash: an empty slot is 0, a full
+	// one holds the entry's index + 1 in its idxMask bits and the rest of
+	// the hash's high word as a tag, so a probe reads key bytes only when
+	// the tags agree.
+	entries []entry
+	slots   []uint32
+	idxMask uint32
+	seed    maphash.Seed
+
 	tableBytes int64
-	stats      Stats
+	peakBytes  int64
+	frozen     int // keys installed
+
+	// Scratch the whole table shares: a combine's input views, and what
+	// the combiner emits, through the one emit func made at New.
+	vals [][]byte
+	out  packed
+	emit func(k, v []byte) error
+
+	order []int32 // eviction candidates
+	stats Stats
 }
 
 // New returns a Buffer in the pre-profiling stage. combine is the job's
@@ -173,12 +259,18 @@ func New(cfg Config, combine kvio.CombineFunc) (*Buffer, error) {
 	if cfg.ExpectedRecords == nil {
 		return nil, fmt.Errorf("freqbuf: ExpectedRecords estimator is required")
 	}
-	return &Buffer{
+	b := &Buffer{
 		cfg:     cfg,
 		combine: combine,
 		stage:   StagePreProfile,
 		pre:     topk.NewExact(),
-	}, nil
+		seed:    maphash.MakeSeed(),
+	}
+	b.emit = func(_, v []byte) error {
+		b.out.add(v)
+		return nil
+	}
+	return b, nil
 }
 
 // Stage returns the buffer's current lifecycle stage.
@@ -190,9 +282,9 @@ func (b *Buffer) Stats() Stats {
 	s.Stage = b.stage
 	s.ChosenSample = b.sample
 	s.FittedAlpha = b.fittedAlpha
-	s.TableBytes = b.tableBytes
+	s.TableBytes = b.peakBytes
 	s.SharedTopK = b.sharedTopK
-	s.FrozenTableLen = len(b.table)
+	s.FrozenTableLen = b.frozen
 	return s
 }
 
@@ -200,16 +292,8 @@ func (b *Buffer) Stats() Stats {
 // cache), skipping both profiling stages. Keys map to their partitions via
 // the part function.
 func (b *Buffer) InstallTopK(keys []string, part func(key []byte) int) {
-	b.table = make(map[string]*entry, len(keys))
-	for _, k := range keys {
-		kb := []byte(k)
-		e := &entry{part: part(kb), key: kb, bytes: int64(len(kb)) + entryOverhead}
-		b.table[k] = e
-		b.tableBytes += e.bytes
-	}
+	b.install(keys, part)
 	b.sharedTopK = true
-	b.stage = StageOptimize
-	b.pre, b.summary = nil, nil
 }
 
 // TopK returns the frozen frequent-key set (nil before the optimize stage),
@@ -218,9 +302,9 @@ func (b *Buffer) TopK() []string {
 	if b.stage != StageOptimize {
 		return nil
 	}
-	keys := make([]string, 0, len(b.table))
-	for k := range b.table {
-		keys = append(keys, k)
+	keys := make([]string, len(b.entries))
+	for i := range b.entries {
+		keys[i] = string(b.entries[i].key)
 	}
 	return keys
 }
@@ -230,60 +314,84 @@ func (b *Buffer) TopK() []string {
 // spill path. overflow, when non-empty, holds aggregate records ejected for
 // lack of space: the caller must route them down the spill path. The key
 // and value slices are copied as needed; the caller may reuse them.
+//
+//mrlint:hotpath
 func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []kvio.Record, err error) {
 	b.seen++
-	switch b.stage {
-	case StagePreProfile:
+	if b.stage != StageOptimize {
+		//mrlint:ignore alloccheck profiling stages: one key string per record over the task's first s·n records only
+		b.profile(key)
+		return false, nil, nil
+	}
+	e, _ := b.lookup(key)
+	if e == nil {
+		b.stats.Misses++
+		return false, nil, nil
+	}
+	b.stats.Hits++
+	if e.part < 0 {
+		e.part = part
+	}
+	e.pending.add(value)
+	b.charge(e, int64(len(value))+valueOverhead)
+	if e.pending.len() >= b.cfg.ValuesPerKeyCap {
+		if err := b.combinePending(e); err != nil {
+			return true, nil, err
+		}
+		if e.chunks.len() >= chunkCap {
+			if err := b.combineChunks(e); err != nil {
+				return true, nil, err
+			}
+		}
+	}
+	if b.tableBytes > b.cfg.MemoryBytes {
+		//mrlint:ignore alloccheck once per fill of the last fifth of the budget, not per record
+		overflow, err = b.evictToWatermark()
+		return true, overflow, err
+	}
+	return true, nil, nil
+}
+
+// lookup returns key's entry, nil for a key that is not frequent, and the
+// slot its probe sequence ended at: the entry's own, or the empty one that
+// shows key is absent.
+//
+//mrlint:hotpath
+func (b *Buffer) lookup(key []byte) (e *entry, pos int) {
+	h := maphash.Bytes(b.seed, key)
+	tag := b.tag(h)
+	mask := len(b.slots) - 1
+	for pos = int(h) & mask; ; pos = (pos + 1) & mask {
+		s := b.slots[pos]
+		if s == 0 {
+			return nil, pos
+		}
+		if s&^b.idxMask == tag {
+			if e := &b.entries[s&b.idxMask-1]; bytes.Equal(e.key, key) {
+				return e, pos
+			}
+		}
+	}
+}
+
+// tag is the part of hash h a slot keeps beside its entry index.
+func (b *Buffer) tag(h uint64) uint32 { return uint32(h>>32) &^ b.idxMask }
+
+// profile feeds one record's key to the pre-profiling or profiling stage
+// and moves to the next stage when this one has seen enough.
+func (b *Buffer) profile(key []byte) {
+	b.stats.Profiled++
+	if b.stage == StagePreProfile {
 		b.pre.Offer(string(key))
-		b.stats.Profiled++
 		if float64(b.seen) >= b.cfg.PreProfileFraction*float64(b.expected()) {
 			b.finishPreProfile()
 		}
-		return false, nil, nil
-
-	case StageProfile:
-		b.summary.Offer(string(key))
-		b.stats.Profiled++
-		if float64(b.seen) >= b.sample*float64(b.expected()) {
-			b.freeze()
-		}
-		return false, nil, nil
-
-	case StageOptimize:
-		e, ok := b.table[string(key)]
-		if !ok {
-			b.stats.Misses++
-			return false, nil, nil
-		}
-		b.stats.Hits++
-		if e.part < 0 {
-			e.part = part
-		}
-		v := append([]byte(nil), value...)
-		e.pending = append(e.pending, v)
-		grow := int64(len(v)) + valueOverhead
-		e.bytes += grow
-		b.tableBytes += grow
-		if len(e.pending) >= b.cfg.ValuesPerKeyCap {
-			if err := b.combinePending(e); err != nil {
-				return true, nil, err
-			}
-			if len(e.chunks) >= chunkCap {
-				if err := b.combineChunks(e); err != nil {
-					return true, nil, err
-				}
-			}
-		}
-		if b.tableBytes > b.cfg.MemoryBytes {
-			ov, err := b.evictToWatermark()
-			if err != nil {
-				return true, nil, err
-			}
-			overflow = ov
-		}
-		return true, overflow, nil
+		return
 	}
-	return false, nil, fmt.Errorf("freqbuf: invalid stage %v", b.stage)
+	b.summary.Offer(string(key))
+	if float64(b.seen) >= b.sample*float64(b.expected()) {
+		b.freeze()
+	}
 }
 
 func (b *Buffer) expected() int64 {
@@ -338,67 +446,97 @@ func (b *Buffer) finishPreProfile() {
 // partitioner.
 func (b *Buffer) freeze() {
 	top := b.summary.Top(b.cfg.K)
-	b.table = make(map[string]*entry, len(top))
-	for _, c := range top {
-		kb := []byte(c.Key)
-		e := &entry{part: -1, key: kb, bytes: int64(len(kb)) + entryOverhead}
-		b.table[c.Key] = e
-		b.tableBytes += e.bytes
+	keys := make([]string, len(top))
+	for i, c := range top {
+		keys[i] = c.Key
 	}
-	b.summary = nil
+	b.install(keys, nil)
+}
+
+// install builds the table over keys and enters the optimize stage: the
+// keys are copied into one arena and indexed once. part maps a key to its
+// partition; when nil, entries learn theirs on first absorption. A repeated
+// key keeps its first entry.
+func (b *Buffer) install(keys []string, part func(key []byte) int) {
+	size := 0
+	for _, k := range keys {
+		size += len(k)
+	}
+	arena := make([]byte, 0, size) // never grows: the entries' keys stay put
+	b.entries = make([]entry, 0, len(keys))
+	b.slots = make([]uint32, 1<<bits.Len(uint(2*len(keys))))
+	b.idxMask = 1<<bits.Len(uint(len(keys))) - 1
+	for _, k := range keys {
+		start := len(arena)
+		arena = append(arena, k...)
+		kb := arena[start:len(arena):len(arena)]
+		dup, pos := b.lookup(kb)
+		if dup != nil {
+			arena = arena[:start]
+			continue
+		}
+		p := -1
+		if part != nil {
+			p = part(kb)
+		}
+		b.entries = append(b.entries, entry{key: kb, part: p})
+		b.slots[pos] = b.tag(maphash.Bytes(b.seed, kb)) | uint32(len(b.entries))
+		b.charge(&b.entries[len(b.entries)-1], int64(len(kb))+entryOverhead)
+	}
+	b.frozen = len(b.entries)
+	b.summary, b.pre = nil, nil
 	b.stage = StageOptimize
+}
+
+// charge adds delta to an entry's and the table's footprint.
+func (b *Buffer) charge(e *entry, delta int64) {
+	e.bytes += delta
+	b.tableBytes += delta
+	b.peakBytes = max(b.peakBytes, b.tableBytes)
+}
+
+// recount recomputes an entry's byte charge after its contents changed.
+func (b *Buffer) recount(e *entry) {
+	b.charge(e, int64(len(e.key))+entryOverhead+e.pending.charge()+e.chunks.charge()-e.bytes)
 }
 
 // chunkCap bounds the first-level chunk list before a second-level
 // combine is attempted.
 const chunkCap = 64
 
-// runCombine invokes the user combiner over vals and returns the emitted
-// values.
-func (b *Buffer) runCombine(e *entry, vals [][]byte) ([][]byte, error) {
+// runCombine invokes the user combiner over vals; the emitted values are
+// left in b.out.
+func (b *Buffer) runCombine(e *entry, vals *packed) error {
 	b.stats.Combines++
-	var out [][]byte
-	err := b.combine(e.key, vals, func(_, v []byte) error {
-		out = append(out, append([]byte(nil), v...))
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("freqbuf: combine(%q): %w", e.key, err)
+	b.vals = b.vals[:0]
+	for i := 0; i < vals.len(); i++ {
+		b.vals = append(b.vals, vals.at(i))
 	}
-	return out, nil
-}
-
-// recount recomputes an entry's byte charge after its contents changed.
-func (b *Buffer) recount(e *entry, old int64) {
-	e.bytes = int64(len(e.key)) + entryOverhead
-	for _, v := range e.chunks {
-		e.bytes += int64(len(v)) + valueOverhead
+	b.out.reset()
+	if err := b.combine(e.key, b.vals, b.emit); err != nil {
+		//mrlint:ignore alloccheck cold path: a failing combiner ends the task
+		return fmt.Errorf("freqbuf: combine(%q): %w", e.key, err)
 	}
-	for _, v := range e.pending {
-		e.bytes += int64(len(v)) + valueOverhead
-	}
-	b.tableBytes += e.bytes - old
+	return nil
 }
 
 // combinePending collapses the pending batch into one chunk (first-level
 // combine). Without a combiner pending values simply become chunks.
 func (b *Buffer) combinePending(e *entry) error {
-	if len(e.pending) == 0 {
+	if e.pending.len() == 0 {
 		return nil
 	}
-	old := e.bytes
 	if b.combine == nil {
-		e.chunks = append(e.chunks, e.pending...)
-		e.pending = nil
+		e.chunks.addAll(&e.pending)
+		e.pending.reset()
 		return nil // byte charge unchanged
 	}
-	out, err := b.runCombine(e, e.pending)
-	if err != nil {
+	if err := b.runCombine(e, &e.pending); err != nil {
 		return err
 	}
-	e.pending = nil
-	e.chunks = append(e.chunks, out...)
-	b.recount(e, old)
+	e.pending.reset()
+	e.chunks.addAll(&b.out)
+	b.recount(e)
 	return nil
 }
 
@@ -406,25 +544,17 @@ func (b *Buffer) combinePending(e *entry) error {
 // fails to shrink the data (posting lists only concatenate), the entry is
 // marked noCombine and chunks accumulate until eviction/drain instead.
 func (b *Buffer) combineChunks(e *entry) error {
-	if b.combine == nil || e.noCombine || len(e.chunks) <= 1 {
+	if b.combine == nil || e.noCombine || e.chunks.len() <= 1 {
 		return nil
 	}
-	var before int64
-	for _, v := range e.chunks {
-		before += int64(len(v)) + valueOverhead
-	}
-	old := e.bytes
-	out, err := b.runCombine(e, e.chunks)
-	if err != nil {
+	before := e.chunks.charge()
+	if err := b.runCombine(e, &e.chunks); err != nil {
 		return err
 	}
-	e.chunks = out
-	b.recount(e, old)
-	var after int64
-	for _, v := range e.chunks {
-		after += int64(len(v)) + valueOverhead
-	}
-	if before > 0 && float64(after) > 0.75*float64(before) {
+	e.chunks.reset()
+	e.chunks.addAll(&b.out)
+	b.recount(e)
+	if after := e.chunks.charge(); before > 0 && float64(after) > 0.75*float64(before) {
 		e.noCombine = true
 	}
 	return nil
@@ -439,71 +569,74 @@ const evictWatermark = 0.8
 // the largest entries' contents to the spill path (the paper's "written to
 // disk using the original dataflow") until the table is back under the
 // watermark. Entries keep their slots: their keys remain frequent.
+//
+// Victims are taken in evictionOrder, and the walk ends at the first entry
+// that holds nothing; the other empty entries are left out of the sort. A
+// victim's chunk arena leaves with its records, which therefore stay valid
+// however the entry refills.
 func (b *Buffer) evictToWatermark() ([]kvio.Record, error) {
 	target := int64(evictWatermark * float64(b.cfg.MemoryBytes))
-	var out []kvio.Record
-	for _, e := range b.entriesBySize() {
-		if b.tableBytes <= target {
-			break
+	b.order = b.order[:0]
+	stop := -1 // the first empty entry in eviction order
+	for i := range b.entries {
+		if e := &b.entries[i]; !e.empty() {
+			b.order = append(b.order, int32(i))
+		} else if stop < 0 || evictionOrder(e, &b.entries[stop]) < 0 {
+			stop = i
 		}
-		old := e.bytes
-		if old == int64(len(e.key))+entryOverhead {
-			break // remaining entries are already empty
+	}
+	if stop >= 0 {
+		b.order = append(b.order, int32(stop))
+	}
+	slices.SortFunc(b.order, func(i, j int32) int {
+		return evictionOrder(&b.entries[i], &b.entries[j])
+	})
+	var out []kvio.Record
+	for _, i := range b.order {
+		e := &b.entries[i]
+		if b.tableBytes <= target || e.empty() {
+			break
 		}
 		// Collapse the pending batch into chunks first: cheap, and it
 		// shrinks sum-like values drastically before they hit the disk.
 		if err := b.combinePending(e); err != nil {
 			return nil, err
 		}
-		for _, v := range e.chunks {
-			out = append(out, kvio.Record{Part: e.part, Key: append([]byte(nil), e.key...), Value: v})
+		for j := 0; j < e.chunks.len(); j++ {
+			out = append(out, kvio.Record{Part: e.part, Key: e.key, Value: e.chunks.at(j)})
 		}
-		e.chunks = nil
-		b.recount(e, e.bytes)
+		e.chunks = packed{}
+		b.recount(e)
 	}
 	b.stats.Evictions += int64(len(out))
-	// Determinism: eviction order must not depend on map iteration.
+	// The overflow leaves in (partition, key) order, as Drain's does.
 	kvio.SortRecords(out)
 	return out, nil
 }
 
-// entriesBySize returns the table's entries ordered by descending memory
-// footprint.
-func (b *Buffer) entriesBySize() []*entry {
-	es := make([]*entry, 0, len(b.table))
-	for _, e := range b.table {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].bytes != es[j].bytes {
-			return es[i].bytes > es[j].bytes
-		}
-		return string(es[i].key) < string(es[j].key) // deterministic tie-break
-	})
-	return es
-}
-
 // Drain combines and returns every remaining aggregate at end of input,
 // sorted by (partition, key), for the caller to send down the spill path.
-// The buffer must not be used afterwards.
+// The records' keys and values alias the buffer's arenas, which nothing
+// writes to again. The buffer must not be used afterwards.
 func (b *Buffer) Drain() ([]kvio.Record, error) {
 	if b.stage != StageOptimize {
 		return nil, nil // never froze: everything already went down the spill path
 	}
 	var out []kvio.Record
-	for _, e := range b.table {
+	for i := range b.entries {
+		e := &b.entries[i]
 		if err := b.combinePending(e); err != nil {
 			return nil, err
 		}
 		if err := b.combineChunks(e); err != nil {
 			return nil, err
 		}
-		for _, v := range e.chunks {
-			out = append(out, kvio.Record{Part: e.part, Key: e.key, Value: v})
+		for j := 0; j < e.chunks.len(); j++ {
+			out = append(out, kvio.Record{Part: e.part, Key: e.key, Value: e.chunks.at(j)})
 		}
 	}
 	kvio.SortRecords(out)
-	b.table = nil
+	b.entries, b.slots = nil, nil
 	b.tableBytes = 0
 	return out, nil
 }

@@ -24,6 +24,16 @@ func sumCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error
 	return emit(key, serde.EncodeInt64(total))
 }
 
+// concatCombine is an InvertedIndex-style combiner: its output is as large
+// as its input, which trips the noCombine detector.
+func concatCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error {
+	var all []byte
+	for _, v := range values {
+		all = append(all, v...)
+	}
+	return emit(key, all)
+}
+
 func newBuffer(t *testing.T, cfg Config, combine kvio.CombineFunc) *Buffer {
 	t.Helper()
 	if cfg.ExpectedRecords == nil {
@@ -304,23 +314,16 @@ func TestDrainSorted(t *testing.T) {
 func TestIncompressibleDetection(t *testing.T) {
 	// A concatenating "combiner" (output as big as its inputs) must trip
 	// the noCombine detector rather than being re-applied forever.
-	concat := func(key []byte, values [][]byte, emit func(k, v []byte) error) error {
-		var all []byte
-		for _, v := range values {
-			all = append(all, v...)
-		}
-		return emit(key, all)
-	}
 	b := newBuffer(t, Config{
 		K: 1, MemoryBytes: 1 << 20, ValuesPerKeyCap: 4,
-	}, concat)
+	}, concatCombine)
 	b.InstallTopK([]string{"k"}, func([]byte) int { return 0 })
 	for i := 0; i < 64*8; i++ {
 		if _, _, err := b.Offer(0, []byte("k"), []byte("0123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e := b.table["k"]
+	e, _ := b.lookup([]byte("k"))
 	if e == nil {
 		t.Fatal("entry missing")
 	}
