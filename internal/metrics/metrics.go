@@ -127,8 +127,8 @@ const (
 	CtrCombineInRecords  = "combine.input.records"
 	CtrCombineOutRecords = "combine.output.records"
 	CtrCleanupErrors     = "cleanup.errors"     // best-effort cleanup failures (spill/output removal)
-	CtrLocalMapTasks     = "sched.local.tasks"  // map tasks placed on their split's primary host
-	CtrStolenMapTasks    = "sched.stolen.tasks" // map tasks work-stolen onto another node
+	CtrLocalMapTasks     = "sched.local.tasks"  // map tasks placed on a node holding a replica of their split
+	CtrStolenMapTasks    = "sched.stolen.tasks" // map tasks placed on a node holding no replica
 
 	// Fault-tolerance counters (the attempt machinery).
 	CtrMapAttempts       = "ft.map.attempts"        // map attempts started, retries and backups included

@@ -109,6 +109,44 @@ func acctJob(t *testing.T, combine CombineFunc, spillBytes int64, mapper MapperF
 	return job
 }
 
+// wordSumSpec is an undefaulted WordCount-shaped job over file "f", with
+// a combiner and a spill buffer small enough for several runs per task.
+func wordSumSpec(name string) *Job {
+	return &Job{
+		Name:   name,
+		Inputs: []string{"f"},
+		NewMapper: func() Mapper {
+			return MapperFunc(func(_ int64, line []byte, out Collector) error {
+				for _, word := range bytes.Fields(line) {
+					if err := out.Collect(word, one); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+		NewReducer:       func() Reducer { return ReducerFunc(sumReduce) },
+		Combine:          sumValues,
+		NumReducers:      4,
+		SpillBufferBytes: 32 << 10,
+	}
+}
+
+// assertReferenceOutput requires every output partition of res to hold the
+// reference executor's bytes.
+func assertReferenceOutput(t *testing.T, c *cluster.Cluster, res *Result, want map[int][]byte) {
+	t.Helper()
+	for p, data := range want {
+		got, err := c.FS.ReadFile(res.Outputs[p])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("partition %d differs from the reference", p)
+		}
+	}
+}
+
 // oneSplit returns a cluster holding data as the single-block file "f",
 // and its one split.
 func oneSplit(t *testing.T, data []byte) (*cluster.Cluster, Split) {

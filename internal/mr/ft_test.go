@@ -419,3 +419,98 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 		t.Errorf("error %q does not wrap chaos.ErrInjected", err)
 	}
 }
+
+// newReplicaCluster builds a 6-node unthrottled cluster with replication 2
+// and writes, from node 0, a corpus of exactly four 128 KiB blocks: node 0
+// holds every block's primary replica and nodes 1, 3 and 5 the secondaries.
+func newReplicaCluster(t *testing.T, chaosCfg *chaos.Config) (*cluster.Cluster, string) {
+	t.Helper()
+	const blocks, block = 4, ftBlock
+	cfg := cluster.Fast(6)
+	cfg.BlockSize = block
+	cfg.Replication = 2
+	cfg.Chaos = chaosCfg
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	var corpus bytes.Buffer
+	gen := textgen.CorpusConfig{Vocabulary: 5000, Alpha: 1.0, WordsPerLine: 8, Seed: 42}
+	if _, err := textgen.Corpus(&corpus, gen, blocks*block+1024); err != nil {
+		t.Fatalf("generate corpus: %v", err)
+	}
+	data := corpus.Bytes()[:blocks*block]
+	data[len(data)-1] = '\n'
+	w, err := c.FS.Create("corpus.txt", 0)
+	if err != nil {
+		t.Fatalf("create corpus: %v", err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatalf("write corpus: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close corpus: %v", err)
+	}
+	return c, "corpus.txt"
+}
+
+// TestMapPlacementOnReplicas runs a job whose input primaries are all on
+// node 0. Undisturbed, its map tasks run on four distinct nodes, each on a
+// node holding a replica of its split. With node 0 killed mid-map, its
+// tasks rerun where the secondaries are. Either way the output is the
+// reference executor's.
+func TestMapPlacementOnReplicas(t *testing.T) {
+	refC, corpus := newReplicaCluster(t, nil)
+	ref, err := mr.RunReference(refC, ftJob(corpus, "wc-placement-ref"))
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+
+	t.Run("spread", func(t *testing.T) {
+		// A fault-free chaos delay floor: every attempt sleeps before it
+		// computes, so each worker has asked for a task before the first
+		// one ends even where the host has fewer cores than map slots and a
+		// CPU-bound attempt would otherwise keep other nodes' workers from
+		// running at all.
+		cfg := chaos.Config{Seed: 1, KillNode: -1, DelayRate: 1, Delay: 5 * time.Millisecond}
+		c, _ := newReplicaCluster(t, &cfg)
+		res, err := mr.Run(c, ftJob(corpus, "wc-placement"))
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		assertOutputsMatch(t, c, res, ref)
+		if res.MapTasks != 4 || res.StolenMapTasks != 0 || res.LocalMapTasks != res.MapTasks {
+			t.Errorf("%d map tasks, %d local, %d stolen; want 4 all local", res.MapTasks, res.LocalMapTasks, res.StolenMapTasks)
+		}
+		nodes := map[int]bool{}
+		var placed []int
+		for _, rep := range res.Tasks {
+			if rep.Kind == "map" {
+				nodes[rep.Node] = true
+				placed = append(placed, rep.Node)
+			}
+		}
+		if want := min(res.MapTasks, c.Nodes()); len(nodes) != want {
+			t.Errorf("map tasks ran on nodes %v, want %d distinct nodes", placed, want)
+		}
+	})
+
+	t.Run("primary-holder-dies", func(t *testing.T) {
+		// The delay floor keeps the victim busy long enough to die mid-map,
+		// as in the determinism matrix's kill cell.
+		cfg := chaos.Config{Seed: 5, KillNode: 0, KillAfterOps: 40, DelayRate: 1, Delay: 2 * time.Millisecond}
+		c, _ := newReplicaCluster(t, &cfg)
+		res, err := mr.Run(c, ftJob(corpus, "wc-primary-death"))
+		if err != nil {
+			t.Fatalf("run: %v\nchaos log: %v", err, c.Chaos.Log())
+		}
+		assertOutputsMatch(t, c, res, ref)
+		assertCounterIdentity(t, res)
+		if len(res.DeadNodes) != 1 || res.DeadNodes[0] != 0 {
+			t.Errorf("dead nodes = %v, want [0]", res.DeadNodes)
+		}
+		if res.MapAttempts == res.MapTasks {
+			t.Errorf("node 0 died without failing a map attempt (%d attempts for %d tasks): the kill missed the map phase", res.MapAttempts, res.MapTasks)
+		}
+	})
+}

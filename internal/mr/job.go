@@ -330,10 +330,11 @@ type Result struct {
 	Outputs     []string
 	MapTasks    int
 	ReduceTasks int
-	// LocalMapTasks counts map tasks that ran on the node holding their
-	// split's primary replica; StolenMapTasks counts tasks the scheduler
-	// moved to another node's free slot (work stealing). Tasks whose
-	// primary host is out of range (orphans) count toward neither.
+	// LocalMapTasks counts map tasks whose first attempt ran on a node
+	// holding a replica of their split, any replica; StolenMapTasks counts
+	// those placed on a node holding none, because it ran fewer map
+	// attempts than every holder with a free slot or no holder had one.
+	// Tasks with no holder in range count toward neither.
 	LocalMapTasks  int
 	StolenMapTasks int
 

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -147,31 +146,11 @@ func TestMapMergeOpenFailure(t *testing.T) {
 	for i := range c.Disks {
 		c.Disks[i] = watchedDisk{Disk: c.Disks[i], w: w}
 	}
-	spec := func(name string) *Job {
-		return &Job{
-			Name:   name,
-			Inputs: []string{"f"},
-			NewMapper: func() Mapper {
-				return MapperFunc(func(_ int64, line []byte, out Collector) error {
-					for _, word := range bytes.Fields(line) {
-						if err := out.Collect(word, one); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-			},
-			NewReducer:       func() Reducer { return ReducerFunc(sumReduce) },
-			Combine:          sumValues,
-			NumReducers:      4,
-			SpillBufferBytes: 32 << 10,
-		}
-	}
-	want, err := RunReference(c, spec("merge-open-ref"))
+	want, err := RunReference(c, wordSumSpec("merge-open-ref"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := spec("merge-open")
+	job := wordSumSpec("merge-open")
 	job.Trace = trace.New(1 << 14)
 	res, err := Run(c, job)
 	if err != nil {
@@ -196,15 +175,7 @@ func TestMapMergeOpenFailure(t *testing.T) {
 	if failedSpans != 1 || mergeSpans < 2 {
 		t.Errorf("%d merge spans, %d of them the failed first attempt's; want its span closed and the retry's beside it", mergeSpans, failedSpans)
 	}
-	for p, data := range want {
-		got, err := c.FS.ReadFile(res.Outputs[p])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Errorf("partition %d differs from the reference after the retry", p)
-		}
-	}
+	assertReferenceOutput(t, c, res, want)
 }
 
 // TestMergeSpillRunsClosesOnEveryExit: a stream error in the middle of the

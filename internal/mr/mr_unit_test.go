@@ -3,10 +3,14 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
 	"mrtext/internal/core/spillmatch"
 	"mrtext/internal/metrics"
@@ -185,48 +189,243 @@ func TestPartitionerOutOfRange(t *testing.T) {
 	}
 }
 
+// placeAll lets every slot's worker ask s for map tasks, in an order rng
+// picks afresh after every take, until s has handed out every task;
+// nothing ends. It returns each task's node and whether it was stolen.
+func placeAll(t *testing.T, s *scheduler, rng *rand.Rand) (where []int, stolen []bool) {
+	t.Helper()
+	where, stolen = make([]int, len(s.splits)), make([]bool, len(s.splits))
+	var idle []int // one entry per free slot
+	for n := range s.load {
+		for i := 0; i < s.slots; i++ {
+			idle = append(idle, n)
+		}
+	}
+	live := func(int) bool { return true }
+	for len(s.pending) > 0 {
+		took := false
+		for _, k := range rng.Perm(len(idle)) {
+			node := idle[k]
+			if task, st, ok := s.take(node, live); ok {
+				s.load[node]++
+				where[task], stolen[task] = node, st
+				idle = slices.Delete(idle, k, k+1)
+				took = true
+				break
+			}
+		}
+		if !took {
+			t.Fatalf("%d tasks pending and no free slot may take one", len(s.pending))
+		}
+	}
+	return where, stolen
+}
+
+// newPlacementRun is a map phase of an ftRun over splits on a chaos-wrapped
+// Fast cluster, with every slot's worker registered, as RunContext sets it
+// up; the scheduler is returned for inspection.
+func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *scheduler) {
+	t.Helper()
+	cfg := cluster.Fast(nodes)
+	cfg.Chaos = &chaos.Config{Seed: 1, KillNode: -1}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := newFTRun(c, &Job{MaxAttempts: 4})
+	s := newScheduler(nodes, c.MapSlots(), splits)
+	ft.beginPhase(len(splits), s)
+	for i := 0; i < c.TotalMapSlots(); i++ {
+		ft.addWorker()
+	}
+	return ft, s
+}
+
+// nextWithin runs ft.next(node) and fails the test if it has not returned
+// within a generous deadline: a worker left waiting on a node that can no
+// longer run tasks would wait forever.
+func nextWithin(t *testing.T, ft *ftRun, node int) (pendingAttempt, bool) {
+	t.Helper()
+	type result struct {
+		pa pendingAttempt
+		ok bool
+	}
+	ch := make(chan result, 1)
+	go func() {
+		pa, _, ok := ft.next(node)
+		ch <- result{pa, ok}
+	}()
+	select {
+	case r := <-ch:
+		return r.pa, r.ok
+	case <-time.After(5 * time.Second):
+		t.Fatalf("node %d's worker still waiting for a task", node)
+		return pendingAttempt{}, false
+	}
+}
+
+// waitParked waits until some goroutine is parked on a condition variable
+// inside fn, the function named as a goroutine dump names it.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine parked in %s", fn)
+}
+
+// TestSchedulerLocalityAndStealing pins the map placement rule: a task goes
+// to its least-loaded holder (any node with a replica of its split), a node
+// takes a task it does not hold only when it runs fewer map attempts than
+// every live holder with a free slot or no holder has one, and a dead or
+// blacklisted holder is never waited for.
 func TestSchedulerLocalityAndStealing(t *testing.T) {
-	splits := []Split{
-		{Hosts: []int{0}}, {Hosts: []int{0}}, {Hosts: []int{0}},
-		{Hosts: []int{1}},
-		{Hosts: []int{99}}, // orphan: bogus host
-	}
-	s := newScheduler(2, splits)
-	// Node 1 takes its local task first.
-	task, src, ok := s.take(1)
-	if !ok || task != 3 || src != takeLocal {
-		t.Errorf("node 1 first take: %d %v %v", task, src, ok)
-	}
-	// Then the orphan.
-	task, src, ok = s.take(1)
-	if !ok || task != 4 || src != takeOrphan {
-		t.Errorf("node 1 orphan take: %d %v %v", task, src, ok)
-	}
-	// Then steals from node 0's tail.
-	task, src, ok = s.take(1)
-	if !ok || task != 2 || src != takeStolen {
-		t.Errorf("node 1 steal: %d %v %v", task, src, ok)
-	}
-	// Node 0 keeps its head.
-	task, src, ok = s.take(0)
-	if !ok || task != 0 || src != takeLocal {
-		t.Errorf("node 0 take: %d %v %v", task, src, ok)
-	}
-	s.take(0)
-	if _, _, ok := s.take(0); ok {
-		t.Error("take from drained scheduler succeeded")
-	}
-	// Placement counters: 3 local (tasks 3, 0, 1), 1 stolen (task 2);
-	// the orphan counts toward neither.
-	if local, stolen := s.placement(); local != 3 || stolen != 1 {
-		t.Errorf("placement: local=%d stolen=%d, want 3/1", local, stolen)
-	}
-	// Abort stops handing out work.
-	s2 := newScheduler(1, splits[:1])
-	s2.abort()
-	if _, _, ok := s2.take(0); ok {
-		t.Error("take after abort succeeded")
-	}
+	t.Run("replicas-spread", func(t *testing.T) {
+		// ii_paper's layout: a 4 MiB input written from node 0 in 1 MiB blocks
+		// with replication 2 on 6 nodes of 2 map slots, the last block a tail.
+		hosts := [][]int{{0, 1}, {0, 3}, {0, 5}, {0, 1}, {0, 3}}
+		splits := make([]Split, len(hosts))
+		for i, h := range hosts {
+			splits[i] = Split{Hosts: h, Len: 1 << 20}
+		}
+		splits[4].Len = 512
+		for seed := int64(0); seed < 500; seed++ {
+			s := newScheduler(6, 2, splits)
+			where, stolen := placeAll(t, s, rand.New(rand.NewSource(seed)))
+			if seen := map[int]bool{where[0]: true, where[1]: true, where[2]: true, where[3]: true}; len(seen) != 4 {
+				t.Fatalf("seed %d: the four large tasks ran on nodes %v, want four distinct nodes", seed, where[:4])
+			}
+			if slices.Contains(stolen[:4], true) {
+				t.Fatalf("seed %d: a large task was stolen (nodes %v, stolen %v)", seed, where, stolen)
+			}
+			if s.local+s.stolen != len(splits) {
+				t.Fatalf("seed %d: %d local + %d stolen of %d tasks", seed, s.local, s.stolen, len(splits))
+			}
+		}
+		// Slots asking in node order place every task, the tail included, on
+		// a holder.
+		s := newScheduler(6, 2, splits)
+		for n := 0; n < 6; n++ {
+			for slot := 0; slot < 2; slot++ {
+				if _, _, ok := s.take(n, func(int) bool { return true }); ok {
+					s.load[n]++
+				}
+			}
+		}
+		if len(s.pending) != 0 || s.stolen != 0 || s.local != len(splits) {
+			t.Errorf("node-order placement: %d pending, %d local, %d stolen; want all %d local", len(s.pending), s.local, s.stolen, len(splits))
+		}
+	})
+
+	t.Run("one-holder", func(t *testing.T) {
+		// Replication 1, as on FastCluster: node 0 holds every split.
+		splits := make([]Split, 8)
+		for i := range splits {
+			splits[i] = Split{Hosts: []int{0}, Len: 100}
+		}
+		s := newScheduler(4, 2, splits)
+		live := func(int) bool { return true }
+		if _, _, ok := s.take(1, live); ok {
+			t.Fatal("node 1 took a task node 0 holds while node 0 ran nothing")
+		}
+		for i := 0; i < 2; i++ {
+			if _, stolen, ok := s.take(0, live); !ok || stolen {
+				t.Fatalf("node 0's take %d: ok=%v stolen=%v", i, ok, stolen)
+			}
+			s.load[0]++
+		}
+		// Node 0 is full: every other slot takes work.
+		for n := 1; n < 4; n++ {
+			for i := 0; i < 2; i++ {
+				if _, stolen, ok := s.take(n, live); !ok || !stolen {
+					t.Fatalf("node %d's take %d with node 0 full: ok=%v stolen=%v", n, i, ok, stolen)
+				}
+				s.load[n]++
+			}
+		}
+		if s.local != 2 || s.stolen != 6 || len(s.pending) != 0 {
+			t.Errorf("%d local, %d stolen, %d pending; want 2, 6, 0", s.local, s.stolen, len(s.pending))
+		}
+	})
+
+	t.Run("dead-holder", func(t *testing.T) {
+		// Node 1 holds both tasks and runs nothing: node 0 waits for it, and
+		// takes the task once node 1 dies.
+		ft, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1}, Len: 100}, {Hosts: []int{1}, Len: 100}})
+		got := make(chan pendingAttempt, 1)
+		go func() {
+			pa, _, _ := ft.next(0)
+			got <- pa
+		}()
+		waitParked(t, "(*ftRun).next")
+		ft.c.Chaos.Kill(1)
+		ft.refreshDeadNodes()
+		select {
+		case pa := <-got:
+			if pa.task != 0 {
+				t.Errorf("node 0 took task %d, want 0", pa.task)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("node 0 still waits for a dead holder")
+		}
+		if pa, ok := nextWithin(t, ft, 2); !ok || pa.task != 1 {
+			t.Errorf("node 2 after the holder died: task %d ok=%v", pa.task, ok)
+		}
+		if _, ok := nextWithin(t, ft, 1); ok {
+			t.Error("the dead node was handed a task")
+		}
+		if s.local != 0 || s.stolen != 2 {
+			t.Errorf("%d local, %d stolen; want 0, 2", s.local, s.stolen)
+		}
+	})
+
+	t.Run("blacklisted-holder", func(t *testing.T) {
+		ft, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1, 2}, Len: 100}})
+		ft.mu.Lock()
+		ft.blacklisted[1], ft.blacklisted[2] = true, true
+		ft.mu.Unlock()
+		if pa, ok := nextWithin(t, ft, 0); !ok || pa.task != 0 || s.stolen != 1 {
+			t.Errorf("node 0 beside blacklisted holders: task %d ok=%v, %d stolen", pa.task, ok, s.stolen)
+		}
+	})
+
+	t.Run("orphans-and-abort", func(t *testing.T) {
+		// No holder in range: any node takes the task, counted neither local
+		// nor stolen.
+		ft, s := newPlacementRun(t, 2, []Split{{Hosts: []int{99}, Len: 100}, {Len: 100}})
+		for want := 0; want < 2; want++ {
+			if pa, ok := nextWithin(t, ft, 1); !ok || pa.task != want {
+				t.Fatalf("orphan take: task %d ok=%v, want %d", pa.task, ok, want)
+			}
+		}
+		if s.local != 0 || s.stolen != 0 {
+			t.Errorf("orphans counted %d local, %d stolen", s.local, s.stolen)
+		}
+		// Nothing is left to place, so the next worker waits; a job failure
+		// wakes it empty-handed.
+		done := make(chan bool, 1)
+		go func() {
+			_, _, ok := ft.next(0)
+			done <- ok
+		}()
+		ft.mu.Lock()
+		ft.failLocked(errors.New("abort"))
+		ft.mu.Unlock()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Error("a worker was handed a task after the job failed")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a waiting worker did not wake when the job failed")
+		}
+	})
 }
 
 func TestResultIdleFractions(t *testing.T) {

@@ -1,9 +1,11 @@
 package mr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,12 +16,11 @@ import (
 	"mrtext/internal/trace"
 )
 
-// Run executes a job on the cluster and blocks until completion. Map tasks
-// are placed data-locally (the node holding the split's primary replica)
-// with work stealing to keep slots busy; reduce tasks are queued and
-// pulled by per-node reduce slots. The paper's configuration of "12
-// mappers and 12 reducers on 6 machines" corresponds to 2 map + 2 reduce
-// slots per node.
+// Run executes a job on the cluster and blocks until completion. Each map
+// task goes to the least-loaded node holding a replica of its split (see
+// scheduler); reduce tasks are queued and pulled by per-node reduce slots.
+// The paper's configuration of "12 mappers and 12 reducers on 6 machines"
+// corresponds to 2 map + 2 reduce slots per node.
 //
 // Execution is attempt-based: each task runs as one or more (task,
 // attempt) pairs writing attempt-scoped temp files that commit by rename,
@@ -118,8 +119,8 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	// ----- Map phase -----
 	mapOuts := make([]mapOutput, len(splits))
 	mapReports := make([]TaskReport, len(splits))
-	sched := newScheduler(c.Nodes(), splits)
-	ft.beginPhase(len(splits), sched, true)
+	sched := newScheduler(c.Nodes(), c.MapSlots(), splits)
+	ft.beginPhase(len(splits), sched)
 	stopSpec := make(chan struct{})
 	var specWG sync.WaitGroup
 	specWG.Add(1)
@@ -132,12 +133,12 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 			go func(node, slot int) {
 				defer wg.Done()
 				for {
-					pa, src, ok := ft.next(node)
+					pa, stolen, ok := ft.next(node)
 					if !ok {
 						return
 					}
-					if src == takeStolen {
-						tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(splits[pa.task].Hosts[0]))
+					if stolen {
+						tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(len(sched.holders[pa.task])))
 					}
 					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
 					out, rep, created, err := runMapTask(c, job, metrics.NewTaskMetrics(), pa.task, splits[pa.task], node, slot, pa.attempt, plan)
@@ -188,7 +189,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	reduceStart := time.Now()
 	outputs := make([]string, job.NumReducers)
 	reduceReports := make([]TaskReport, job.NumReducers)
-	ft.beginPhase(job.NumReducers, nil, false)
+	ft.beginPhase(job.NumReducers, nil)
 	ft.enqueueBase(job.NumReducers)
 	stopSpec = make(chan struct{})
 	specWG.Add(1)
@@ -269,7 +270,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
 	res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
 	res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
-	res.LocalMapTasks, res.StolenMapTasks = sched.placement()
+	res.LocalMapTasks, res.StolenMapTasks = sched.local, sched.stolen // the map workers have joined
 	res.Agg.Counters[metrics.CtrLocalMapTasks] += int64(res.LocalMapTasks)
 	res.Agg.Counters[metrics.CtrStolenMapTasks] += int64(res.StolenMapTasks)
 	ft.fillResult(res)
@@ -331,7 +332,7 @@ type ftTask struct {
 }
 
 // ftRun coordinates attempt-based execution for one job: it layers retry,
-// blacklisting, speculation and recovery over the locality scheduler. All
+// blacklisting, speculation and recovery over the map placement. All
 // mutable state is guarded by mu; cond wakes workers when new attempts
 // become runnable or the phase ends.
 type ftRun struct {
@@ -353,10 +354,9 @@ type ftRun struct {
 	total     int
 	done      int
 	phaseDone bool
-	mapPhase  bool
 	tasks     []ftTask
 	queue     []pendingAttempt
-	inner     *scheduler // locality scheduler (map phase only)
+	inner     *scheduler // map placement; nil in the reduce phase
 
 	// Cross-phase node state.
 	nodeFailures  []int
@@ -394,15 +394,15 @@ func newFTRun(c *cluster.Cluster, job *Job) *ftRun {
 	return ft
 }
 
-// beginPhase resets per-phase scheduling state. Node state (deaths,
-// blacklist) carries across phases: a dead node stays dead.
-func (ft *ftRun) beginPhase(total int, inner *scheduler, mapPhase bool) {
+// beginPhase resets per-phase scheduling state; a map phase places its
+// base attempts through inner. Node state (deaths, blacklist) carries
+// across phases: a dead node stays dead.
+func (ft *ftRun) beginPhase(total int, inner *scheduler) {
 	ft.mu.Lock()
 	ft.gen++
 	ft.total = total
 	ft.done = 0
 	ft.phaseDone = total == 0
-	ft.mapPhase = mapPhase
 	ft.tasks = make([]ftTask, total)
 	ft.queue = nil
 	ft.inner = inner
@@ -410,8 +410,8 @@ func (ft *ftRun) beginPhase(total int, inner *scheduler, mapPhase bool) {
 	ft.mu.Unlock()
 }
 
-// enqueueBase queues every task's first attempt (reduce phase, which has
-// no locality scheduler).
+// enqueueBase queues every task's first attempt (the reduce phase, which
+// has no placement scheduler).
 func (ft *ftRun) enqueueBase(n int) {
 	now := time.Now()
 	ft.mu.Lock()
@@ -436,21 +436,21 @@ func (ft *ftRun) jobErr() error {
 }
 
 // next blocks until an attempt is runnable on node, the phase ends, or
-// the node becomes unusable (dead or blacklisted). The takeSource reports
-// work stealing for base map attempts.
-func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
+// the node becomes unusable (dead or blacklisted). stolen reports a base
+// map attempt placed on a node holding no replica of its split.
+func (ft *ftRun) next(node int) (pa pendingAttempt, stolen, ok bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	for {
 		if ft.aborted || ft.phaseDone {
-			return pendingAttempt{}, takeLocal, false
+			return pendingAttempt{}, false, false
 		}
-		if ft.deadKnown[node] || ft.blacklisted[node] {
+		if !ft.usableLocked(node) {
 			ft.activeWorkers--
 			if ft.activeWorkers == 0 && !ft.phaseDone {
 				ft.failLocked(fmt.Errorf("mr: no live unblacklisted workers left (%d of %d tasks incomplete)", ft.total-ft.done, ft.total))
 			}
-			return pendingAttempt{}, takeLocal, false
+			return pendingAttempt{}, false, false
 		}
 		if ft.recovering {
 			// Reduce attempts dispatched mid-recovery would fetch from a
@@ -459,19 +459,19 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 			continue
 		}
 		if ft.inner != nil {
-			if task, src, ok := ft.inner.take(node); ok {
+			if task, stolen, ok := ft.inner.take(node, ft.usableLocked); ok {
 				ts := &ft.tasks[task]
 				pa := pendingAttempt{task: task, attempt: ts.nextAttempt, kind: attemptBase, enqueued: time.Now()}
 				ts.nextAttempt++
 				ft.noteStartLocked(pa, node)
-				return pa, src, true
+				return pa, stolen, true
 			}
 		}
 		for len(ft.queue) > 0 {
 			// Staging affinity: prefer a reduce attempt whose partition is
 			// staged on this node, so the staged hand-off is a local read.
 			idx := 0
-			if !ft.mapPhase {
+			if ft.inner == nil {
 				for i, pa := range ft.queue {
 					if !ft.tasks[pa.task].committed && ft.shuffle.home(pa.task) == node {
 						idx = i
@@ -485,7 +485,7 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 				continue // stale: a rival attempt won while this waited
 			}
 			ft.noteStartLocked(pa, node)
-			return pa, takeLocal, true
+			return pa, false, true
 		}
 		ft.cond.Wait()
 	}
@@ -493,12 +493,15 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 
 // noteStartLocked records an attempt start: counters are incremented here,
 // at attempt start, so every started attempt is counted exactly once
-// under its kind.
+// under its kind. A map attempt adds to its node's load, which can change
+// where the waiting workers' tasks may go, so they are woken.
 func (ft *ftRun) noteStartLocked(pa pendingAttempt, node int) {
 	ts := &ft.tasks[pa.task]
 	ts.running = append(ts.running, runningInfo{attempt: pa.attempt, node: node, start: time.Now()})
-	if ft.mapPhase {
+	if ft.inner != nil {
 		ft.mapAttempts++
+		ft.inner.load[node]++
+		ft.cond.Broadcast()
 	} else {
 		ft.reduceAttempts++
 	}
@@ -517,6 +520,10 @@ func (ft *ftRun) noteEndLocked(task, attempt int) {
 	for i, ri := range ts.running {
 		if ri.attempt == attempt {
 			ts.running = append(ts.running[:i], ts.running[i+1:]...)
+			if ft.inner != nil {
+				ft.inner.load[ri.node]--
+				ft.cond.Broadcast()
+			}
 			return
 		}
 	}
@@ -526,18 +533,20 @@ func (ft *ftRun) failLocked(err error) {
 	if !ft.aborted {
 		ft.aborted = true
 		ft.err = err
-		if ft.inner != nil {
-			ft.inner.abort()
-		}
 	}
 	ft.cond.Broadcast()
+}
+
+// usableLocked reports whether node is neither dead nor blacklisted.
+func (ft *ftRun) usableLocked(node int) bool {
+	return !ft.deadKnown[node] && !ft.blacklisted[node]
 }
 
 // usableNodesLocked counts nodes that are neither dead nor blacklisted.
 func (ft *ftRun) usableNodesLocked() int {
 	n := 0
 	for i := range ft.blacklisted {
-		if !ft.blacklisted[i] && !ft.deadKnown[i] {
+		if ft.usableLocked(i) {
 			n++
 		}
 	}
@@ -977,89 +986,79 @@ func (ft *ftRun) fillResult(res *Result) {
 	}
 }
 
-// takeSource classifies where a handed-out map task came from: its own
-// node's local queue, the homeless orphan pool, or another node's queue
-// (a work steal).
-type takeSource int
-
-const (
-	takeLocal takeSource = iota
-	takeOrphan
-	takeStolen
-)
-
-// scheduler hands out map tasks with locality preference and work stealing.
+// scheduler places base map attempts on one list of pending tasks. A
+// task's holders are the nodes holding a replica of its split, and a task
+// goes to its least-loaded holder: a node takes a task it holds unless
+// another live holder with a free slot runs fewer map attempts, and a task
+// it does not hold only when it runs fewer than every live holder with a
+// free slot, or when no holder has one. Of the tasks it may take, a node
+// prefers one it holds, then the longest (the list is kept longest first),
+// then, among held tasks of one length, the one its other holders are
+// least free to run. The scheduler is guarded by ftRun.mu, which keeps
+// load current as map attempts start and end.
 type scheduler struct {
-	mu      sync.Mutex
-	queues  [][]int // per-node pending task indexes
-	orphans []int   // tasks whose primary host is out of range
-	aborted bool
-	local   int // tasks taken from their own node's queue
-	stolen  int // tasks stolen from another node's queue
+	pending []int   // tasks not yet handed out, longest split first
+	splits  []Split // per task: its split
+	holders [][]int // per task: the nodes in range holding a replica
+	load    []int   // per node: map attempts running
+	slots   int     // map slots per node
+	local   int     // tasks handed to one of their holders
+	stolen  int     // tasks handed to a node holding no replica
 }
 
-func newScheduler(nodes int, splits []Split) *scheduler {
-	s := &scheduler{queues: make([][]int, nodes)}
-	for i, sp := range splits {
-		host := -1
-		if len(sp.Hosts) > 0 && sp.Hosts[0] >= 0 && sp.Hosts[0] < nodes {
-			host = sp.Hosts[0]
-		}
-		if host < 0 {
-			s.orphans = append(s.orphans, i)
-		} else {
-			s.queues[host] = append(s.queues[host], i)
+func newScheduler(nodes, slots int, splits []Split) *scheduler {
+	s := &scheduler{splits: splits, holders: make([][]int, len(splits)), load: make([]int, nodes), slots: slots}
+	for t, sp := range splits {
+		s.pending = append(s.pending, t)
+		for _, h := range sp.Hosts {
+			if h >= 0 && h < nodes {
+				s.holders[t] = append(s.holders[t], h)
+			}
 		}
 	}
+	slices.SortStableFunc(s.pending, func(a, b int) int { return cmp.Compare(splits[b].Len, splits[a].Len) })
 	return s
 }
 
-// take pops a task for the given node: local first, then the orphan pool,
-// then stealing from the longest queue. It reports where the task came
-// from so placement quality (data-local vs stolen) is observable.
-func (s *scheduler) take(node int) (int, takeSource, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted {
-		return 0, takeLocal, false
-	}
-	if q := s.queues[node]; len(q) > 0 {
-		task := q[0]
-		s.queues[node] = q[1:]
-		s.local++
-		return task, takeLocal, true
-	}
-	if len(s.orphans) > 0 {
-		task := s.orphans[0]
-		s.orphans = s.orphans[1:]
-		return task, takeOrphan, true
-	}
-	// Steal from the longest queue.
-	victim, max := -1, 0
-	for n, q := range s.queues {
-		if len(q) > max {
-			victim, max = n, len(q)
+// take hands node the pending task the placement rule lets it run, if
+// any; live says which other nodes can still run tasks. stolen reports a
+// task node holds no replica of. A task with no holder in range may go
+// anywhere and counts as neither local nor stolen.
+func (s *scheduler) take(node int, live func(int) bool) (task int, stolen, ok bool) {
+	pick, best := -1, 0 // best ranks the pick: 0 for a task node does not hold
+	for i, t := range s.pending {
+		holds, other := false, s.slots // least load of another live holder with a free slot
+		for _, h := range s.holders[t] {
+			if h == node {
+				holds = true
+			} else if live(h) && s.load[h] < other {
+				other = s.load[h]
+			}
+		}
+		gap := other - s.load[node] // a holder may tie, a non-holder must be less loaded
+		if holds {
+			gap++
+		}
+		if gap <= 0 || !holds && pick >= 0 {
+			continue
+		}
+		if !holds {
+			gap = 0
+		}
+		if pick < 0 || gap > best && (best == 0 || s.splits[t].Len == s.splits[s.pending[pick]].Len) {
+			pick, best = i, gap
 		}
 	}
-	if victim < 0 {
-		return 0, takeLocal, false
+	if pick < 0 {
+		return 0, false, false
 	}
-	q := s.queues[victim]
-	task := q[len(q)-1] // steal from the tail: the head stays local
-	s.queues[victim] = q[:len(q)-1]
-	s.stolen++
-	return task, takeStolen, true
-}
-
-// placement returns how many handed-out tasks were data-local vs stolen.
-func (s *scheduler) placement() (local, stolen int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.local, s.stolen
-}
-
-func (s *scheduler) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.mu.Unlock()
+	task = s.pending[pick]
+	s.pending = slices.Delete(s.pending, pick, pick+1)
+	if best > 0 {
+		s.local++
+	} else if len(s.holders[task]) > 0 {
+		s.stolen++
+		stolen = true
+	}
+	return task, stolen, true
 }

@@ -20,7 +20,9 @@ import (
 // prefix-compressed when CompressRuns wrote it so. A segment that was not
 // staged (the budget was full, the fetch raced a node death, the copier
 // lost to the reduce phase) stays on the source disk and the reduce attempt
-// direct-fetches it, so staging never changes job output.
+// direct-fetches it, so staging never changes job output. A segment is read
+// from its source once: a reduce attempt that needs one a copier is
+// reading waits for that copy.
 
 // copiersPerPartition is the copier fan-out of one reduce partition, and
 // the fetch fan-out of one reduce attempt. Measured, not tuned per job: at
@@ -71,11 +73,13 @@ type stageReq struct {
 	out mapOutput
 }
 
-// stagedSeg is one fetched segment held in memory at its partition's
-// staging home, as it lay on the source disk (nil for an empty segment).
+// stagedSeg is one segment entered for staging at its partition's home:
+// in flight while a copier reads and ships it, then held in memory as it
+// lay on the source disk (nil data for an empty segment).
 type stagedSeg struct {
 	data       []byte
 	compressed bool
+	inFlight   bool
 }
 
 // shuffleService runs the job-wide copier pools.
@@ -131,8 +135,8 @@ func (s *shuffleService) home(part int) int {
 // offer tells every partition's copier pool that a map task's output is
 // committed at out. Called by the runner on each map commit (including
 // lost-output recovery re-runs). A partition that already staged this
-// source skips it; a rare duplicate racing an in-flight copier is
-// discarded at staging time.
+// source, or is copying it, skips it; a duplicate queued before the first
+// copy began is dropped when its copier finds the entry.
 func (s *shuffleService) offer(src int, out mapOutput) {
 	s.mu.Lock()
 	if s.closed {
@@ -172,51 +176,55 @@ func (s *shuffleService) copierLoop(part, ci int) {
 
 // stageSegment fetches one segment from its source node to the
 // partition's staging home. It reserves the segment's on-disk length from
-// the run index before it reads a byte; a refused reservation drops the
-// request, and the segment stays on the source disk for the reduce
-// attempt's direct fetch. Admitted, the segment costs one read of the bytes
-// as they sit on the source disk and one fabric transfer. Staging is
-// best-effort: any failure gives the reservation back and abandons the
+// the run index and enters the segment as in flight before it reads a
+// byte; a refused reservation drops the request, and the segment stays on
+// the source disk for the reduce attempt's direct fetch. Admitted, the
+// segment costs one read of the bytes as they sit on the source disk and
+// one fabric transfer. Staging is best-effort: any failure, or a partition
+// released or a service closed meanwhile, removes the entry, wakes the
+// attempts waiting on it and gives the reservation back, abandoning the
 // segment to the same direct fetch.
 func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
 	if part < 0 || part >= len(req.out.index.Segments) {
 		return
 	}
 	seg := req.out.index.Segments[part]
-	if !s.buf.reserve(seg.Len) {
+	st := &stagedSeg{compressed: req.out.index.Compressed, inFlight: true}
+	s.mu.Lock()
+	admitted := !s.closed && !s.released[part] && s.staged[part][req.src] == nil && s.buf.reserve(seg.Len)
+	if admitted {
+		s.staged[part][req.src] = st
+	}
+	s.mu.Unlock()
+	if !admitted {
 		return
 	}
 	home := s.home(part)
 	copierSlot := s.c.ReduceSlots() + ci
 	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, req.src, copierSlot, part)
-	abandon := func() {
-		s.buf.release(seg.Len)
-		span.End()
-	}
 	data, err := kvio.ReadSegment(s.c.Disks[req.out.node], req.out.index, part)
-	if err != nil {
-		abandon()
-		return
-	}
-	if seg.Len > 0 && req.out.node != home {
+	if err == nil && seg.Len > 0 && req.out.node != home {
 		t0 := time.Now()
-		err := s.c.Net.Transfer(req.out.node, home, seg.Len)
+		err = s.c.Net.Transfer(req.out.node, home, seg.Len)
 		d := time.Since(t0)
 		s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
 		s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, home, req.src, copierSlot, t0, d)
-		if err != nil {
-			abandon()
-			return
-		}
 	}
 	s.mu.Lock()
-	if s.closed || s.released[part] || s.staged[part][req.src] != nil {
-		s.mu.Unlock()
-		abandon()
+	kept := err == nil && !s.closed && !s.released[part]
+	if kept {
+		st.data = data
+	} else {
+		delete(s.staged[part], req.src) // a no-op once release dropped the partition
+	}
+	st.inFlight = false
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if !kept {
+		s.buf.release(seg.Len)
+		span.End()
 		return
 	}
-	s.staged[part][req.src] = &stagedSeg{data: data, compressed: req.out.index.Compressed}
-	s.mu.Unlock()
 	s.tm.Inc(metrics.CtrShuffleStagedSegments, 1)
 	s.tm.Inc(metrics.CtrShuffleStagedBytes, seg.Len)
 	if !s.mapDone.Load() {
@@ -227,17 +235,19 @@ func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
 
 // take hands a staged segment's records to a reduce attempt running on
 // node, charging the home→node fabric hop (free when the scheduler placed
-// the attempt on the staging node). The staged copy is not consumed —
+// the attempt on the staging node). A segment a copier is still reading is
+// waited for, not read a second time. The staged copy is not consumed —
 // duplicate attempts of one partition may each take the same segment.
-// ok=false means the segment is not staged or the hop failed; the caller
-// direct-fetches from the source. The fabric hop is recorded as a
-// wait-fabric span at sp's coordinates — the reduce attempt doing the
-// take — so the critical-path analyzer can separate fabric time from
-// shuffle I/O inside the attempt's fetch.
+// ok=false means the segment is not staged (nor will be: the copy failed)
+// or the hop failed; the caller direct-fetches from the source. The fabric
+// hop is recorded as a wait-fabric span at sp's coordinates — the reduce
+// attempt doing the take — so the critical-path analyzer can separate
+// fabric time from shuffle I/O inside the attempt's fetch.
 func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stream, ok bool) {
 	s.mu.Lock()
-	var st *stagedSeg
-	if !s.released[part] {
+	st := s.staged[part][src] // nil once the partition is released
+	for st != nil && st.inFlight {
+		s.cond.Wait()
 		st = s.staged[part][src]
 	}
 	s.mu.Unlock()
@@ -270,6 +280,8 @@ func (s *shuffleService) release(part int) {
 }
 
 // dropStagedLocked gives partition part's staged bytes back to the budget.
+// An entry still in flight holds no data yet; its copier gives its
+// reservation back when it finds the partition dropped.
 func (s *shuffleService) dropStagedLocked(part int) {
 	var n int64
 	for _, st := range s.staged[part] {

@@ -1,9 +1,13 @@
 package mr
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"regexp"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +16,7 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
+	"mrtext/internal/vdisk"
 )
 
 // --- stagingBuffer ---
@@ -465,6 +470,258 @@ func TestReserveBeforeRead(t *testing.T) {
 				t.Errorf("%d bytes still reserved after the failed copy", used)
 			}
 			svc.close()
+		})
+	}
+}
+
+// holdDisk wraps a node disk: it counts the opens of every section and
+// holds the first open of a section hold matches until the test lets it go
+// — on (*hold).release's value, nil to proceed or an error to fail the
+// open with. Sections are named name@offset.
+type holdDisk struct {
+	vdisk.Disk
+	h *hold
+}
+
+type hold struct {
+	match   func(section string) bool
+	entered chan struct{} // closed when the held open arrives
+	release chan error
+
+	mu    sync.Mutex
+	held  string         // the held section
+	opens map[string]int // opens by section
+}
+
+// section names partition part of a map output as holdDisk counts it.
+func section(out mapOutput, part int) string {
+	return fmt.Sprintf("%s@%d", out.index.Name, out.index.Segments[part].Off)
+}
+
+func newHold(match func(section string) bool) *hold {
+	return &hold{match: match, entered: make(chan struct{}), release: make(chan error, 1), opens: map[string]int{}}
+}
+
+func (h *hold) wrap(c *cluster.Cluster) {
+	for i, d := range c.Disks {
+		c.Disks[i] = holdDisk{Disk: d, h: h}
+	}
+}
+
+// count returns how many times the section was opened.
+func (h *hold) count(section string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.opens[section]
+}
+
+// heldOpens returns how many times the held section was opened.
+func (h *hold) heldOpens() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.opens[h.held]
+}
+
+func (d holdDisk) OpenSection(name string, off, length int64) (io.ReadCloser, error) {
+	h := d.h
+	key := fmt.Sprintf("%s@%d", name, off)
+	h.mu.Lock()
+	h.opens[key]++
+	first := h.held == "" && h.match(key)
+	if first {
+		h.held = key
+	}
+	h.mu.Unlock()
+	if first {
+		close(h.entered)
+		if err := <-h.release; err != nil {
+			return nil, err
+		}
+	}
+	return d.Disk.OpenSection(name, off, length)
+}
+
+// awaitHeld waits for the held open to arrive.
+func (h *hold) awaitHeld(t *testing.T) {
+	t.Helper()
+	select {
+	case <-h.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no copier opened the held section")
+	}
+}
+
+// isClosed reports whether close has begun.
+func (s *shuffleService) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// bufUsed reads the staging budget's reservation.
+func bufUsed(svc *shuffleService) int64 {
+	svc.buf.mu.Lock()
+	defer svc.buf.mu.Unlock()
+	return svc.buf.used
+}
+
+// TestTakeWaitsForInFlightCopy holds one copier's read of a segment. A
+// reduce attempt that needs the segment meanwhile waits for that copy
+// instead of reading the source again, so with the copy let go the source
+// disk sees one open per (map output, partition); with the copy failed the
+// attempt direct-fetches it, and either way the attempt's records — and a
+// whole job's output — are the source's. The staging budget ends at zero
+// whether the copy lands, fails, or outlives its partition or its service.
+func TestTakeWaitsForInFlightCopy(t *testing.T) {
+	const part, src = 1, 0
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("copy-fails=%v", fail), func(t *testing.T) {
+			c := newUnitCluster(t, nil)
+			outs := writeUnitMapOuts(t, c, false)
+			raw := slices.Clone(c.Disks)
+			held := section(outs[src], part)
+			h := newHold(func(s string) bool { return s == held })
+			h.wrap(c)
+			job := unitShuffleJob(1 << 20)
+			svc := newShuffleService(c, job)
+			// Only partition 1's copiers get the outputs: the other two of
+			// its segments are staged, the held one stays in flight.
+			for m, out := range outs {
+				svc.mu.Lock()
+				svc.pend[part] = append(svc.pend[part], stageReq{src: m, out: out})
+				svc.cond.Broadcast()
+				svc.mu.Unlock()
+			}
+			h.awaitHeld(t)
+			waitStagedSegments(t, svc, unitMaps-1)
+
+			type fetched struct {
+				streams []kvio.Stream
+				err     error
+			}
+			done := make(chan fetched, 1)
+			acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
+			go func() {
+				streams, err := fetchConcurrent(c, job, &shuffleEnv{svc: svc}, part, 0, nil, outs, acct, spanner{})
+				done <- fetched{streams, err}
+			}()
+			waitParked(t, "(*shuffleService).take")
+			if n := h.count(held); n != 1 {
+				t.Fatalf("%d opens of the held section while its copy is in flight, want 1", n)
+			}
+			var copyErr error
+			if fail {
+				copyErr = errors.New("held copy failed")
+			}
+			h.release <- copyErr
+			f := <-done
+			if f.err != nil {
+				t.Fatalf("fetch: %v", f.err)
+			}
+			for m, st := range f.streams {
+				ref, err := kvio.OpenRunPart(raw[outs[m].node], outs[m].index, part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, got := drainStream(t, ref), drainStream(t, st); !slices.Equal(got, want) {
+					t.Fatalf("source %d: fetched %d records, the source disk holds %d", m, len(got), len(want))
+				}
+				_, direct := st.(*chargedStream)
+				if direct != (fail && m == src) {
+					t.Errorf("source %d came by direct fetch = %v (copy failed: %v)", m, direct, fail)
+				}
+			}
+			for m, out := range outs {
+				want := 1
+				if fail && m == src {
+					want = 2 // the failed copy's open and the direct fetch's
+				}
+				if n := h.count(section(out, part)); n != want {
+					t.Errorf("source %d partition %d opened %d times, want %d", m, part, n, want)
+				}
+			}
+			svc.close()
+			if used := bufUsed(svc); used != 0 {
+				t.Errorf("%d bytes still reserved after close", used)
+			}
+		})
+	}
+
+	// The copy outlives its partition, or its service: the reservation it
+	// holds comes back when it finishes, and nothing is given back twice.
+	for _, ends := range []string{"release", "close"} {
+		t.Run("copy-outlives-"+ends, func(t *testing.T) {
+			c := newUnitCluster(t, nil)
+			outs := writeUnitMapOuts(t, c, false)
+			held := section(outs[src], part)
+			h := newHold(func(s string) bool { return s == held })
+			h.wrap(c)
+			svc := newShuffleService(c, unitShuffleJob(1<<20))
+			for m, out := range outs {
+				svc.offer(m, out)
+			}
+			h.awaitHeld(t)
+			if ends == "release" {
+				svc.release(part)
+				h.release <- nil
+				waitCopiersIdle(t, svc) // the held copy has given its bytes back
+			} else {
+				closed := make(chan struct{})
+				go func() { svc.close(); close(closed) }()
+				for !svc.isClosed() {
+					runtime.Gosched()
+				}
+				h.release <- nil
+				<-closed // close joins the held copier
+			}
+			svc.close()
+			if used := bufUsed(svc); used != 0 {
+				t.Errorf("%d bytes still reserved after close", used)
+			}
+		})
+	}
+
+	// A whole job whose first copier read of a committed map output is
+	// held: the reduce attempt of that partition waits for it, and the
+	// output is the reference executor's whether the copy lands or fails.
+	committedOut := regexp.MustCompile(`/m\d{5}/out@`)
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("job/copy-fails=%v", fail), func(t *testing.T) {
+			c := buildFS(t, wordsInput(6000, 8, 2500), 128<<10)
+			want, err := RunReference(c, wordSumSpec("in-flight-ref"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHold(committedOut.MatchString)
+			h.wrap(c)
+			type ran struct {
+				res *Result
+				err error
+			}
+			done := make(chan ran, 1)
+			go func() {
+				res, err := Run(c, wordSumSpec("in-flight"))
+				done <- ran{res, err}
+			}()
+			h.awaitHeld(t)
+			waitParked(t, "(*shuffleService).take")
+			var copyErr error
+			if fail {
+				copyErr = errors.New("held copy failed")
+			}
+			h.release <- copyErr
+			r := <-done
+			if r.err != nil {
+				t.Fatalf("run: %v", r.err)
+			}
+			assertReferenceOutput(t, c, r.res, want)
+			wantOpens := 1
+			if fail {
+				wantOpens = 2 // the failed copy's open and the direct fetch's
+			}
+			if n := h.heldOpens(); n != wantOpens {
+				t.Errorf("held section opened %d times, want %d", n, wantOpens)
+			}
 		})
 	}
 }

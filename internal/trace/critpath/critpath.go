@@ -59,7 +59,8 @@ const (
 	// fetch retries (wait-retry spans).
 	CauseFetchRetry
 	// CauseShuffleIO is shuffle-fetch span time not inside fabric or
-	// retry waits: opening and reading segments.
+	// retry waits: opening and reading segments, and waiting for a staging
+	// copy already reading one.
 	CauseShuffleIO
 	// CauseReduceCompute is reduce-task time not explained by the
 	// shuffle causes: merge pulls, user reduce() and output I/O.

@@ -79,8 +79,8 @@ const (
 	// KindFreqEviction records frequency-buffer aggregates overflowing to
 	// the spill path.
 	KindFreqEviction
-	// KindWorkSteal records the scheduler giving a node another node's
-	// local task.
+	// KindWorkSteal records the scheduler giving a node a map task whose
+	// split it holds no replica of (arg: the number of nodes that do).
 	KindWorkSteal
 	// KindTaskRetry records a failed attempt being requeued (arg: attempt
 	// number).
