@@ -9,11 +9,11 @@
 //
 // Packages default to ./... resolved against the current directory, and
 // are loaded in dependency order with one shared fact store, so the
-// facts-based analyzers (alloccheck, atomiccheck) see their callees'
-// summaries before analyzing the callers — packages pulled in only as
-// dependencies of the named patterns are analyzed for their facts but not
-// reported on. The custom analyzers check non-test library and binary
-// sources; test files are vet's department.
+// facts-based alloccheck sees its callees' summaries before analyzing the
+// callers — packages pulled in only as dependencies of the named patterns
+// are analyzed for their facts but not reported on. The custom analyzers
+// check non-test library and binary sources; test files are vet's
+// department.
 //
 // -h lists the analyzer suite. Load and type-check problems never vanish
 // into a partial run: they are aggregated across all packages and printed
@@ -39,35 +39,29 @@ import (
 
 	"mrtext/internal/analysis"
 	"mrtext/internal/analysis/alloccheck"
-	"mrtext/internal/analysis/atomiccheck"
-	"mrtext/internal/analysis/attemptpath"
-	"mrtext/internal/analysis/closecheck"
 	"mrtext/internal/analysis/doccheck"
 	"mrtext/internal/analysis/droppederr"
 	"mrtext/internal/analysis/globalstate"
 	"mrtext/internal/analysis/goroleak"
 	"mrtext/internal/analysis/load"
 	"mrtext/internal/analysis/lockcheck"
-	"mrtext/internal/analysis/spancheck"
 )
 
-// analyzers is the mrlint suite, in report order.
+// analyzers is the mrlint suite, in report order. README, DESIGN §7 and
+// docs/ARCHITECTURE.md list it too; docs_test.go keeps them in step.
 var analyzers = []*analysis.Analyzer{
 	droppederr.Analyzer,
 	lockcheck.Analyzer,
 	goroleak.Analyzer,
-	closecheck.Analyzer,
-	spancheck.Analyzer,
-	attemptpath.Analyzer,
 	doccheck.Analyzer,
 	globalstate.Analyzer,
 	alloccheck.Analyzer,
-	atomiccheck.Analyzer,
 }
 
 // docCheckedPkgs are the packages whose exported API doccheck audits: the
 // runtime's documented public surface. Other packages are exempt so
-// scratch code and experiment plumbing don't demand godoc polish.
+// scratch code and experiment plumbing don't demand godoc polish. README
+// and DESIGN §7 list them too, kept in step by docs_test.go.
 var docCheckedPkgs = map[string]bool{
 	"mrtext/internal/mr":         true,
 	"mrtext/internal/kvio":       true,

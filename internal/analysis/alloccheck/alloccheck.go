@@ -1,7 +1,7 @@
 // Package alloccheck statically enforces the allocation discipline the
 // paper's measurements rest on: the per-record map/spill/merge path must
-// not heap-allocate. PR 2 proved the spill path dynamically (7→0
-// allocs/record); this analyzer is the static half of that loop — it stops
+// not heap-allocate. The TestGroundTruth* gates measure that dynamically
+// with testing.AllocsPerRun; this analyzer is the static half — it stops
 // the next change from quietly reintroducing a byte↔string conversion or an
 // interface boxing into a hot loop, in the spirit of Jahani & Cafarella's
 // "Automatic Optimization for MapReduce Programs" (analyze user code to

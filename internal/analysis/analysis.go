@@ -16,11 +16,10 @@
 // internal/analysis/load), a fact exported on a types.Object while
 // analyzing package P is visible through ImportObjectFact to the same
 // analyzer when it later runs on any package that imports P. Facts are how
-// alloccheck's per-function allocation summaries and atomiccheck's
-// atomically-accessed-field markers cross package boundaries. Unlike
-// x/tools, facts live in memory for the life of one driver process rather
-// than being gob-serialized into export data; the visible semantics are the
-// same.
+// alloccheck's per-function allocation summaries cross package boundaries.
+// Unlike x/tools, facts live in memory for the life of one driver process
+// rather than being gob-serialized into export data; the visible semantics
+// are the same.
 //
 // # Suppressions
 //

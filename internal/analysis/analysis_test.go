@@ -93,7 +93,7 @@ func TestSuppressedLineAbove(t *testing.T) {
 func TestSuppressedAllWildcard(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"wildcard"`)
-	for _, analyzer := range []string{"alloccheck", "doccheck", "spancheck"} {
+	for _, analyzer := range []string{"alloccheck", "doccheck", "goroleak"} {
 		if !s.Suppressed(fset, diagAtLine(fset, line, analyzer)) {
 			t.Errorf("//mrlint:ignore all did not suppress %s at line %d", analyzer, line)
 		}

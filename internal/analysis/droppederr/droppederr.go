@@ -12,9 +12,8 @@
 //
 // Exempt (documented escape hatches, mirroring errcheck's defaults):
 //
-//   - deferred calls (`defer f.Close()`): closecheck owns resource-release
-//     auditing, and an error from a deferred cleanup has no error path to
-//     join by the time it fires;
+//   - deferred calls (`defer f.Close()`): an error from a deferred cleanup
+//     has no error path to join by the time it fires;
 //   - `go` statements: the result is unobtainable by construction
 //     (goroleak audits those launches instead);
 //   - fmt.Print/Printf/Println, and fmt.Fprint* writing to os.Stdout,

@@ -3,9 +3,9 @@
 // contract is that one cluster hosts many concurrent jobs with no state
 // bleed between them: per-job state lives on the Job, per-run metrics in
 // Job.Hists, tracing in Job.Trace. A package-level var is exactly the
-// kind of shared slot that silently breaks that contract (the
-// trace.Default and package-histogram bleed this PR removed), so every
-// new one must either not exist or carry an explicit
+// kind of shared slot that silently breaks that contract (a process-wide
+// default tracer or package histogram bleeds one job's events into
+// another's), so every new one must either not exist or carry an explicit
 // //mrlint:ignore globalstate <reason> arguing why it cannot carry state
 // between jobs.
 //

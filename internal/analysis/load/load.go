@@ -5,8 +5,7 @@
 // type checking to go/types — so the whole pipeline works with no module
 // dependencies and no network.
 //
-// Two properties matter to the facts-based analyzers (alloccheck,
-// atomiccheck):
+// Two properties matter to the facts-based alloccheck:
 //
 //   - Deterministic DAG order. Packages returns the module-local package
 //     graph in dependency order — every package appears after everything it

@@ -1,22 +1,14 @@
-// Package lockcheck targets the two lock mistakes that matter most for the
-// spill-buffer handoff (one producer and one consumer goroutine sharing a
-// mutex-guarded Buffer):
+// Package lockcheck targets the lock mistake vet does not: a mutex-guarded
+// field touched without the mutex. For a struct with a sync.Mutex or
+// sync.RWMutex field, a field that is *written* while the lock is held in
+// one method but *accessed* in another method of the same type that never
+// takes that lock is reported. This is the AST+types heuristic form of
+// "field b.pending is guarded by b.mu" — exactly the shared state of the
+// spill-buffer handoff. Methods that never touch the mutex and only read
+// never-locked fields (pure config getters) are not flagged. Copied locks
+// are vet's copylocks check, which mrlint runs first.
 //
-//  1. Copied locks: a method with a value receiver, or a function parameter
-//     passed by value, whose type (transitively) contains a sync.Mutex,
-//     sync.RWMutex, sync.Cond, sync.WaitGroup, sync.Once or sync.Pool.
-//     Copying the lock forks the lock state and silently unsynchronizes
-//     the copies. (A focused subset of vet's copylocks, which also runs.)
-//
-//  2. Mixed-discipline fields: for a struct with a mutex field, a field
-//     that is *written* while the lock is held in one method but *accessed*
-//     in another method of the same type that never takes that lock. This
-//     is the AST+types heuristic form of "field b.pending is guarded by
-//     b.mu" — exactly the shared state of the spill-buffer handoff. Methods
-//     that never touch the mutex and only read never-locked fields (pure
-//     config getters) are not flagged.
-//
-// The field heuristic is method-granular, not path-sensitive: a method that
+// The heuristic is method-granular, not path-sensitive: a method that
 // locks anywhere is treated as holding the lock for all its accesses. That
 // is deliberately permissive — the goal is catching forgotten locking in
 // new methods, the way Stats() or Release() could regress, without false
@@ -39,93 +31,9 @@ import (
 // Analyzer is the lockcheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "flags copied sync values and struct fields accessed both under and outside their mutex",
+	Doc:  "flags struct fields accessed both under and outside their mutex",
 	Run:  run,
 }
-
-func run(pass *analysis.Pass) error {
-	checkCopies(pass)
-	checkGuardedFields(pass)
-	return nil
-}
-
-// ---- part 1: copied locks ----
-
-// syncValueNames are the sync types that must never be copied.
-var syncValueNames = map[string]bool{
-	"sync.Mutex": true, "sync.RWMutex": true, "sync.Cond": true,
-	"sync.WaitGroup": true, "sync.Once": true, "sync.Pool": true,
-}
-
-// containsLock reports whether t (not a pointer) transitively contains a
-// non-copyable sync value.
-func containsLock(t types.Type) bool {
-	seen := make(map[types.Type]bool)
-	var walk func(types.Type) bool
-	walk = func(t types.Type) bool {
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		if named, ok := t.(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil && syncValueNames[obj.Pkg().Path()+"."+obj.Name()] {
-				return true
-			}
-			return walk(named.Underlying())
-		}
-		switch u := t.(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if walk(u.Field(i).Type()) {
-					return true
-				}
-			}
-		case *types.Array:
-			return walk(u.Elem())
-		}
-		return false
-	}
-	return walk(t)
-}
-
-func checkCopies(pass *analysis.Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fd.Recv != nil {
-				for _, f := range fd.Recv.List {
-					checkByValue(pass, f, "receiver")
-				}
-			}
-			if fd.Type.Params != nil {
-				for _, f := range fd.Type.Params.List {
-					checkByValue(pass, f, "parameter")
-				}
-			}
-		}
-	}
-}
-
-// checkByValue flags field f when its declared type carries a lock by value.
-func checkByValue(pass *analysis.Pass, f *ast.Field, what string) {
-	tv, ok := pass.TypesInfo.Types[f.Type]
-	if !ok {
-		return
-	}
-	t := tv.Type
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(t) {
-		pass.Reportf(f.Type.Pos(), "%s passes %s by value, copying its lock", what, t.String())
-	}
-}
-
-// ---- part 2: mixed lock discipline on guarded fields ----
 
 // structInfo accumulates per-struct lock usage across its methods.
 type structInfo struct {
@@ -142,7 +50,7 @@ type methodInfo struct {
 	writes map[string]token.Pos
 }
 
-func checkGuardedFields(pass *analysis.Pass) {
+func run(pass *analysis.Pass) error {
 	structs := make(map[string]*structInfo)
 
 	// Pass A: find struct types with sync.Mutex/sync.RWMutex fields.
@@ -176,7 +84,7 @@ func checkGuardedFields(pass *analysis.Pass) {
 		})
 	}
 	if len(structs) == 0 {
-		return
+		return nil
 	}
 
 	// Pass B: classify each method's lock usage and field accesses.
@@ -233,6 +141,7 @@ func checkGuardedFields(pass *analysis.Pass) {
 			}
 		}
 	}
+	return nil
 }
 
 // receiver extracts the receiver variable name and its struct type name.

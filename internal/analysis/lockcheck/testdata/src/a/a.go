@@ -1,5 +1,5 @@
-// Package a seeds lockcheck violations: copied sync values and fields
-// accessed both under and outside their guarding mutex.
+// Package a seeds lockcheck violations: fields accessed both under and
+// outside their guarding mutex.
 package a
 
 import "sync"
@@ -66,13 +66,3 @@ func (w *waiter) Consume() int {
 	w.cond.Wait() // holds w.mu by the sync.Cond contract
 	return w.v    // ok: Wait marks the method as locking
 }
-
-func byValueParam(c counter) int { // want `parameter passes a.counter by value, copying its lock`
-	return 0
-}
-
-func (c counter) badReceiver() {} // want `receiver passes a.counter by value, copying its lock`
-
-func wgByValue(wg sync.WaitGroup) {} // want `parameter passes sync.WaitGroup by value`
-
-func fineByPointer(c *counter, wg *sync.WaitGroup) {}

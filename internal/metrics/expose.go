@@ -85,9 +85,10 @@ func writePromHistogram(b *strings.Builder, s HistogramSnapshot) {
 	fmt.Fprintf(b, "%s_count %d\n", metric, s.Count)
 }
 
-// Dump is the scripted-consumption view of a finished job: the final
-// metrics snapshot flattened to JSON-friendly maps, plus a summary of
-// every registered histogram. mrrun -metrics-json writes one of these.
+// Dump is the scripted-consumption view of a metrics snapshot: the
+// snapshot flattened to JSON-friendly maps, plus a summary of every
+// registered histogram. mrrun -metrics-json writes one for a finished job,
+// and pprofserve's "mrtext.metrics" expvar renders the live aggregate as one.
 type Dump struct {
 	OpsNS         map[string]int64   `json:"ops_ns"`
 	WaitMapNS     int64              `json:"wait_map_ns"`
@@ -96,8 +97,8 @@ type Dump struct {
 	Histograms    []HistogramSummary `json:"histograms"`
 }
 
-// NewDump builds the dump for one final snapshot, attaching summaries of
-// every registered histogram.
+// NewDump builds the dump for one snapshot, attaching summaries of every
+// registered histogram.
 func NewDump(s Snapshot) Dump {
 	d := Dump{
 		OpsNS:         make(map[string]int64, NumOps),

@@ -55,25 +55,6 @@ func LiveSnapshot() Snapshot {
 	return s
 }
 
-// LiveVars renders the live aggregate as a JSON-friendly value for
-// expvar.Publish: operation times and waits in nanoseconds keyed by their
-// report names, plus the raw counters.
-func LiveVars() any {
-	s := LiveSnapshot()
-	ops := make(map[string]int64, NumOps)
-	for op := Op(0); op < NumOps; op++ {
-		if s.Ops[op] != 0 {
-			ops[op.String()] = int64(s.Ops[op])
-		}
-	}
-	return map[string]any{
-		"ops_ns":          ops,
-		"wait_map_ns":     int64(s.WaitMap),
-		"wait_support_ns": int64(s.WaitSupport),
-		"counters":        s.Counters,
-	}
-}
-
 func liveAddOp(op Op, d time.Duration) {
 	liveMu.Lock()
 	liveAgg.Ops[op] += d

@@ -87,16 +87,12 @@ func TestLiveAggregation(t *testing.T) {
 		t.Errorf("live counter = %d", s.Counters[CtrSpillCount])
 	}
 
-	vars, ok := LiveVars().(map[string]any)
-	if !ok {
-		t.Fatalf("LiveVars type %T", LiveVars())
+	d := NewDump(LiveSnapshot())
+	if d.OpsNS[OpSort.String()] != int64(2*time.Second) {
+		t.Errorf("live dump ops = %v", d.OpsNS)
 	}
-	ops, ok := vars["ops_ns"].(map[string]int64)
-	if !ok || ops[OpSort.String()] != int64(2*time.Second) {
-		t.Errorf("LiveVars ops = %v", vars["ops_ns"])
-	}
-	if vars["wait_map_ns"] != int64(time.Second) {
-		t.Errorf("LiveVars wait_map_ns = %v", vars["wait_map_ns"])
+	if d.WaitMapNS != int64(time.Second) {
+		t.Errorf("live dump wait_map_ns = %v", d.WaitMapNS)
 	}
 
 	DisableLive()

@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// Attempt-scoped file naming. Every intermediate file a task attempt
-// writes MUST be named through one of these helpers (enforced by the
-// attemptpath mrlint analyzer): attempt files live under a per-attempt
-// namespace, which is what lets duplicate attempts of one task coexist on
-// a node, makes failed attempts sweepable by name, and makes the commit a
-// single rename from the attempt namespace to the canonical name.
+// Attempt-scoped file naming. Every file a task attempt writes MUST be
+// named through one of these helpers (TestPipelinedShuffleMatchesReference
+// fails on any file a job creates under another name): attempt files live
+// under a per-attempt namespace, which is what lets duplicate attempts of
+// one task coexist on a node, makes failed attempts sweepable by name, and
+// makes the commit a single rename from the attempt namespace to the
+// canonical name.
 
 // attemptDir is the temp namespace of one map-task attempt on its node
 // disk: all of the attempt's spill runs and its merged output live under

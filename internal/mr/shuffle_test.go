@@ -74,8 +74,10 @@ func (d diskWatch) OpenSection(name string, off, length int64) (io.ReadCloser, e
 
 var (
 	// attemptFile is a map attempt's spill run or uncommitted output, or a
-	// DFS block — here, of a reduce attempt's output: what a job may create.
-	attemptFile     = regexp.MustCompile(`/m\d{5}/a\d{2}/(spill\d{4}|out)$|^dfs/`)
+	// block of a reduce attempt's uncommitted DFS output: what a job may
+	// create. A name without its attempt number is how two attempts of one
+	// task would collide.
+	attemptFile     = regexp.MustCompile(`/m\d{5}/a\d{2}/(spill\d{4}|out)$|^dfs/.+-r-\d{5}\.a\d{2}\.tmp/blk\d{6}/r\d+$`)
 	committedMapOut = regexp.MustCompile(`/m\d{5}/out$`)
 )
 
@@ -90,10 +92,11 @@ func watchDisks(c *cluster.Cluster) *diskLog {
 }
 
 // assertStagingIsMemoryOnly checks what holds for every staging budget: the
-// job created nothing but attempt files (no second copy of a segment on any
-// disk), staging never held more than the budget, and each reduce attempt
-// resolved each map output exactly once, from staging or by direct fetch.
-// It returns the number of direct fetches.
+// job created nothing but attempt-scoped files (no second copy of a segment
+// on any disk, no file outside an attempt's namespace), staging never held
+// more than the budget, and each reduce attempt resolved each map output
+// exactly once, from staging or by direct fetch. It returns the number of
+// direct fetches.
 func assertStagingIsMemoryOnly(t *testing.T, res *mr.Result, hists *mr.Hists, log *diskLog, budget int64) int64 {
 	t.Helper()
 	for _, name := range log.created {

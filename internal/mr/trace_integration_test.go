@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrtext/internal/apps"
+	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/trace"
 	"mrtext/internal/trace/critpath"
@@ -60,6 +61,18 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 	}
 	if spans[trace.KindMerge] != res.MapTasks {
 		t.Errorf("merge spans: got %d, want %d", spans[trace.KindMerge], res.MapTasks)
+	}
+	// A copier ends the span of every segment it stages with the segment's
+	// bytes (a copy it does not keep ends with none), so the spans carry
+	// exactly the staged bytes.
+	var copyBytes int64
+	for _, ev := range events {
+		if ev.Kind == trace.KindShuffleCopy {
+			copyBytes += ev.Bytes
+		}
+	}
+	if staged := res.Agg.Counters[metrics.CtrShuffleStagedBytes]; staged == 0 || copyBytes != staged {
+		t.Errorf("shuffle-copy spans carry %d bytes for %d staged; want equal and non-zero", copyBytes, staged)
 	}
 
 	// The support goroutine's spill work must overlap its own task's map

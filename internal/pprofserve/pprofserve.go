@@ -17,7 +17,8 @@ import (
 var publishOnce sync.Once
 
 // Handler enables live metrics aggregation, publishes it as the
-// "mrtext.metrics" expvar (visible at /debug/vars) and as the /metrics
+// "mrtext.metrics" expvar (visible at /debug/vars, in the metrics.Dump
+// shape mrrun -metrics-json writes) and as the /metrics
 // Prometheus text endpoint, and returns DefaultServeMux — which carries
 // /debug/pprof, /debug/vars, and /metrics. Servers with their own mux
 // (mrserve) mount this under /debug/ instead of running a second
@@ -25,7 +26,7 @@ var publishOnce sync.Once
 func Handler() http.Handler {
 	metrics.EnableLive()
 	publishOnce.Do(func() {
-		expvar.Publish("mrtext.metrics", expvar.Func(metrics.LiveVars))
+		expvar.Publish("mrtext.metrics", expvar.Func(func() any { return metrics.NewDump(metrics.LiveSnapshot()) }))
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			//mrlint:ignore droppederr a failed exposition write means the scrape client went away; nothing to report
