@@ -82,8 +82,8 @@ func TestCustomUserJob(t *testing.T) {
 			NewMapper:  func() mrtext.Mapper { return wordLenMapper{} },
 			NewReducer: func() mrtext.Reducer { return countReducer{} },
 			Combine:    countCombine,
-			Format: func(k, v []byte) ([]byte, error) {
-				return []byte(fmt.Sprintf("%s %s\n", k, v)), nil
+			Format: func(dst, k, v []byte) ([]byte, error) {
+				return fmt.Appendf(dst, "%s %s\n", k, v), nil
 			},
 			SpillBufferBytes: 32 << 10,
 		}

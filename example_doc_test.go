@@ -68,8 +68,8 @@ func ExampleJob_customMapper() {
 				return out.Collect(key, []byte(fmt.Sprint(n)))
 			})
 		},
-		Format: func(k, v []byte) ([]byte, error) {
-			return []byte(fmt.Sprintf("%s=%s\n", k, v)), nil
+		Format: func(dst, k, v []byte) ([]byte, error) {
+			return fmt.Appendf(dst, "%s=%s\n", k, v), nil
 		},
 	}
 	job.SpillMatcher = true // works on any job, no code changes

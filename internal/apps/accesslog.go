@@ -62,7 +62,7 @@ func AccessLogSum(visits string) *mr.Job {
 		Name:       "accesslogsum",
 		Inputs:     []string{visits},
 		NewMapper:  func() mr.Mapper { return &accessLogSumMapper{} },
-		NewReducer: func() mr.Reducer { return sumReducer{} },
+		NewReducer: func() mr.Reducer { return &sumReducer{} },
 		Combine:    sumCombine,
 		Format:     textKVFormat,
 	}
@@ -155,8 +155,11 @@ func (accessLogJoinReducer) Reduce(key []byte, values mr.ValueIter, out mr.Colle
 }
 
 // joinFormat emits the already-formatted key as one line.
-func joinFormat(key, _ []byte) ([]byte, error) {
-	return append(append([]byte(nil), key...), '\n'), nil
+//
+//mrlint:hotpath
+func joinFormat(dst, key, _ []byte) ([]byte, error) {
+	dst = append(dst, key...)
+	return append(dst, '\n'), nil
 }
 
 // AccessLogJoin joins the visit log with the rankings table on URL — the

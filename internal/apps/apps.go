@@ -10,8 +10,8 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
+	"sync"
 
 	"mrtext/internal/fastparse"
 	"mrtext/internal/mr"
@@ -40,10 +40,16 @@ func sumCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error
 	return emit(key, serde.EncodeInt64(sum))
 }
 
-// sumReducer reduces by summing int64 values and emitting the total.
-type sumReducer struct{}
+// sumReducer reduces by summing int64 values and emitting the total,
+// encoded into the reducer's own scratch.
+type sumReducer struct {
+	enc []byte
+}
 
-func (sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
+// Reduce implements the WordCount and AccessLogSum reduce().
+//
+//mrlint:hotpath
+func (r *sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
 	var sum int64
 	for {
 		v, ok, err := values.Next()
@@ -55,25 +61,27 @@ func (sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) erro
 		}
 		n, err := serde.DecodeInt64(v)
 		if err != nil {
+			//mrlint:ignore alloccheck cold path: a malformed value ends the task
 			return fmt.Errorf("apps: decoding count for %q: %w", key, err)
 		}
 		sum += n
 	}
-	return out.Collect(key, serde.EncodeInt64(sum))
+	r.enc = serde.AppendInt64(r.enc[:0], sum)
+	return out.Collect(key, r.enc)
 }
 
 // textKVFormat renders "key<TAB>int64Value\n".
-func textKVFormat(key, value []byte) ([]byte, error) {
+//
+//mrlint:hotpath
+func textKVFormat(dst, key, value []byte) ([]byte, error) {
 	n, err := serde.DecodeInt64(value)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	line := make([]byte, 0, len(key)+24)
-	line = append(line, key...)
-	line = append(line, '\t')
-	line = strconv.AppendInt(line, n, 10)
-	line = append(line, '\n')
-	return line, nil
+	dst = append(dst, key...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendInt(dst, n, 10)
+	return append(dst, '\n'), nil
 }
 
 // ---------- WordCount ----------
@@ -104,7 +112,7 @@ func WordCount(inputs ...string) *mr.Job {
 		Name:       "wordcount",
 		Inputs:     inputs,
 		NewMapper:  func() mr.Mapper { return &wordCountMapper{} },
-		NewReducer: func() mr.Reducer { return sumReducer{} },
+		NewReducer: func() mr.Reducer { return &sumReducer{} },
 		Combine:    sumCombine,
 		Format:     textKVFormat,
 	}
@@ -141,29 +149,54 @@ func (m *invertedIndexMapper) Map(off int64, line []byte, out mr.Collector) erro
 	return nil
 }
 
+// postingsScratch is one postingsCombine call's working memory. The
+// combiner is a plain function run by many tasks' goroutines at once, so
+// its scratch comes from a pool.
+type postingsScratch struct {
+	out []byte
+	ps  []serde.Posting
+}
+
+var postingsPool = sync.Pool{New: func() any { return new(postingsScratch) }}
+
 // postingsCombine merges posting lists — the value grows with every merge,
 // which is what makes InvertedIndex the storage-intensive corner of
-// Fig. 10.
+// Fig. 10. It emits from pooled scratch: emit copies what it is given.
+//
+//mrlint:hotpath
 func postingsCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error {
 	if len(values) == 1 {
 		return emit(key, values[0])
 	}
-	var all []serde.Posting
+	s := postingsPool.Get().(*postingsScratch)
+	defer postingsPool.Put(s)
 	var err error
-	for _, v := range values {
-		all, err = serde.DecodePostings(all, v)
-		if err != nil {
-			return fmt.Errorf("apps: merging postings for %q: %w", key, err)
-		}
+	s.out, s.ps, err = serde.AppendMergedPostings(s.out[:0], values, s.ps)
+	if err != nil {
+		//mrlint:ignore alloccheck cold path: a malformed value ends the task
+		return fmt.Errorf("apps: merging postings for %q: %w", key, err)
 	}
-	sortPostings(all)
-	return emit(key, serde.EncodePostings(all))
+	return emit(key, s.out)
 }
 
-type invertedIndexReducer struct{}
+// invertedIndexReducer merges a key's posting lists with the same kernel
+// as the combiner. It owns its working memory: the group's values copied
+// out of the iterator, their headers, the merged list and the sort scratch.
+type invertedIndexReducer struct {
+	arena []byte
+	ends  []int
+	lists [][]byte
+	out   []byte
+	ps    []serde.Posting
+}
 
-func (invertedIndexReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
-	var all []serde.Posting
+// Reduce implements the InvertedIndex reduce().
+//
+//mrlint:hotpath
+func (r *invertedIndexReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
+	// A value is valid only until the next Next, so each is copied into the
+	// arena, and sliced out of it only once the arena has stopped growing.
+	r.arena, r.ends = r.arena[:0], r.ends[:0]
 	for {
 		v, ok, err := values.Next()
 		if err != nil {
@@ -172,43 +205,31 @@ func (invertedIndexReducer) Reduce(key []byte, values mr.ValueIter, out mr.Colle
 		if !ok {
 			break
 		}
-		all, err = serde.DecodePostings(all, v)
-		if err != nil {
-			return fmt.Errorf("apps: decoding postings for %q: %w", key, err)
-		}
+		r.arena = append(r.arena, v...)
+		r.ends = append(r.ends, len(r.arena))
 	}
-	sortPostings(all)
-	return out.Collect(key, serde.EncodePostings(all))
-}
-
-func sortPostings(ps []serde.Posting) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Doc != ps[j].Doc {
-			return ps[i].Doc < ps[j].Doc
-		}
-		return ps[i].Off < ps[j].Off
-	})
+	r.lists = r.lists[:0]
+	lo := 0
+	for _, hi := range r.ends {
+		r.lists = append(r.lists, r.arena[lo:hi:hi])
+		lo = hi
+	}
+	var err error
+	r.out, r.ps, err = serde.AppendMergedPostings(r.out[:0], r.lists, r.ps)
+	if err != nil {
+		//mrlint:ignore alloccheck cold path: a malformed value ends the task
+		return fmt.Errorf("apps: decoding postings for %q: %w", key, err)
+	}
+	return out.Collect(key, r.out)
 }
 
 // invertedIndexFormat renders "word<TAB>doc:off doc:off ...\n".
-func invertedIndexFormat(key, value []byte) ([]byte, error) {
-	ps, err := serde.DecodePostings(nil, value)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(key)+len(ps)*12)
-	line = append(line, key...)
-	line = append(line, '\t')
-	for i, p := range ps {
-		if i > 0 {
-			line = append(line, ' ')
-		}
-		line = strconv.AppendUint(line, p.Doc, 10)
-		line = append(line, ':')
-		line = strconv.AppendUint(line, p.Off, 10)
-	}
-	line = append(line, '\n')
-	return line, nil
+//
+//mrlint:hotpath
+func invertedIndexFormat(dst, key, value []byte) ([]byte, error) {
+	dst = append(dst, key...)
+	dst = append(dst, '\t')
+	return serde.AppendPostingsText(dst, value)
 }
 
 // InvertedIndex builds, for each word, the list of all locations where it
@@ -218,7 +239,7 @@ func InvertedIndex(inputs ...string) *mr.Job {
 		Name:       "invertedindex",
 		Inputs:     inputs,
 		NewMapper:  func() mr.Mapper { return &invertedIndexMapper{} },
-		NewReducer: func() mr.Reducer { return invertedIndexReducer{} },
+		NewReducer: func() mr.Reducer { return &invertedIndexReducer{} },
 		Combine:    postingsCombine,
 		Format:     invertedIndexFormat,
 	}

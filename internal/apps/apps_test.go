@@ -90,12 +90,49 @@ func TestSumCombineGroupingInvariance(t *testing.T) {
 }
 
 func TestTextKVFormat(t *testing.T) {
-	line, err := textKVFormat([]byte("word"), serde.EncodeInt64(42))
+	line, err := textKVFormat(nil, []byte("word"), serde.EncodeInt64(42))
 	if err != nil || string(line) != "word\t42\n" {
 		t.Errorf("got %q err %v", line, err)
 	}
-	if _, err := textKVFormat([]byte("w"), []byte{}); err == nil {
+	if _, err := textKVFormat(nil, []byte("w"), []byte{}); err == nil {
 		t.Error("empty value formatted")
+	}
+}
+
+// TestFormatsAppend: every app's format appends its line after what dst
+// already holds, and rejects a value it cannot decode.
+func TestFormatsAppend(t *testing.T) {
+	pos := make([]uint32, 12)
+	pos[0], pos[3] = 2, 5
+	cases := []struct {
+		name   string
+		format mr.OutputFormat
+		key    string
+		value  []byte
+		want   string
+	}{
+		{"textKV", textKVFormat, "word", serde.EncodeInt64(-7), "word\t-7\n"},
+		{"invertedIndex", invertedIndexFormat, "w", serde.EncodePostings([]serde.Posting{{Doc: 2, Off: 7}, {Doc: 5, Off: 0}}), "w\t2:7 5:0\n"},
+		{"invertedIndexEmpty", invertedIndexFormat, "w", serde.EncodePostings(nil), "w\t\n"},
+		{"join", joinFormat, "1.1.1.1\t200\t55", nil, "1.1.1.1\t200\t55\n"},
+		{"pageRank", pageRankFormat, "page/a",
+			serde.EncodeRankRecord(serde.RankRecord{Rank: rankScale / 4, Graph: true, Outlinks: []string{"page/b", "page/c"}}),
+			"page/a\t2.50000000e-01\tpage/b,page/c\n"},
+		{"pageRankDangling", pageRankFormat, "page/z", serde.EncodeRankRecord(serde.RankRecord{Rank: rankScale}), "page/z\t1.00000000e+00\t\n"},
+		{"wordPOS", wordPOSFormat, "run", serde.EncodeCounterVec(pos), "run\tNOUN:2 ADV:5\n"},
+		{"synText", synTextFormat, "k", synTextValue(nil, 12, SynTextConfig{PayloadBase: 3}), "k\t12\n"},
+	}
+	for _, c := range cases {
+		got, err := c.format([]byte("prev\n"), []byte(c.key), c.value)
+		if err != nil || string(got) != "prev\n"+c.want {
+			t.Errorf("%s: got %q err %v, want %q", c.name, got, err, "prev\n"+c.want)
+		}
+		if c.value == nil {
+			continue // the join's line is its key; it reads no value
+		}
+		if _, err := c.format(nil, []byte(c.key), []byte{0x80}); err == nil {
+			t.Errorf("%s: malformed value formatted", c.name)
+		}
 	}
 }
 
@@ -151,7 +188,7 @@ func TestPostingsCombineGroupingInvariance(t *testing.T) {
 
 func TestInvertedIndexFormat(t *testing.T) {
 	v := serde.EncodePostings([]serde.Posting{{Doc: 2, Off: 7}, {Doc: 5, Off: 0}})
-	line, err := invertedIndexFormat([]byte("w"), v)
+	line, err := invertedIndexFormat(nil, []byte("w"), v)
 	if err != nil || string(line) != "w\t2:7 5:0\n" {
 		t.Errorf("got %q err %v", line, err)
 	}

@@ -168,24 +168,22 @@ func (r pageRankReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collecto
 
 // pageRankFormat renders the next-iteration input line, converting rank
 // units back to a float rank.
-func pageRankFormat(key, value []byte) ([]byte, error) {
-	rec, err := serde.DecodeRankRecord(value)
+//
+//mrlint:hotpath
+func pageRankFormat(dst, key, value []byte) ([]byte, error) {
+	rank, err := serde.DecodeFloat64(value) // a rank record leads with its rank
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	line := make([]byte, 0, len(key)+32+len(rec.Outlinks)*12)
-	line = append(line, key...)
-	line = append(line, '\t')
-	line = strconv.AppendFloat(line, rec.Rank/rankScale, 'e', 8, 64)
-	line = append(line, '\t')
-	for i, l := range rec.Outlinks {
-		if i > 0 {
-			line = append(line, ',')
-		}
-		line = append(line, l...)
+	dst = append(dst, key...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendFloat(dst, rank/rankScale, 'e', 8, 64)
+	dst = append(dst, '\t')
+	dst, err = serde.AppendRankRecordOutlinks(dst, value, ',')
+	if err != nil {
+		return dst, err
 	}
-	line = append(line, '\n')
-	return line, nil
+	return append(dst, '\n'), nil
 }
 
 // PageRank performs one damped PageRank iteration over the crawl. pages is

@@ -85,29 +85,31 @@ func (wordPOSReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) 
 }
 
 // wordPOSFormat renders "word<TAB>TAG:n TAG:n ...\n" for non-zero tags.
-func wordPOSFormat(key, value []byte) ([]byte, error) {
-	vec, err := serde.DecodeCounterVec(nil, value)
+//
+//mrlint:hotpath
+func wordPOSFormat(dst, key, value []byte) ([]byte, error) {
+	var counts [postag.NumTags]uint32
+	//mrlint:ignore alloccheck grows dst only past NumTags counters, which no WordPOSTag value holds
+	vec, err := serde.DecodeCounterVec(counts[:0], value)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	line := make([]byte, 0, len(key)+len(vec)*8)
-	line = append(line, key...)
-	line = append(line, '\t')
+	dst = append(dst, key...)
+	dst = append(dst, '\t')
 	first := true
 	for i, c := range vec {
 		if c == 0 {
 			continue
 		}
 		if !first {
-			line = append(line, ' ')
+			dst = append(dst, ' ')
 		}
 		first = false
-		line = append(line, postag.Tag(i).String()...)
-		line = append(line, ':')
-		line = strconv.AppendUint(line, uint64(c), 10)
+		dst = append(dst, postag.Tag(i).String()...)
+		dst = append(dst, ':')
+		dst = strconv.AppendUint(dst, uint64(c), 10)
 	}
-	line = append(line, '\n')
-	return line, nil
+	return append(dst, '\n'), nil
 }
 
 // WordPOSTag computes per-word part-of-speech statistics over the corpus

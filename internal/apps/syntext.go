@@ -55,6 +55,7 @@ func synPayloadSize(count uint64, cfg SynTextConfig) int {
 func synTextCount(v []byte) (uint64, error) {
 	n, k := binary.Uvarint(v)
 	if k <= 0 {
+		//mrlint:ignore alloccheck cold path: a malformed value ends the task
 		return 0, fmt.Errorf("apps: malformed SynText value")
 	}
 	return n, nil
@@ -135,17 +136,18 @@ func (r synTextReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector
 	return out.Collect(key, synTextValue(nil, total, r.cfg))
 }
 
-func synTextFormat(key, value []byte) ([]byte, error) {
+// synTextFormat renders "key<TAB>count\n".
+//
+//mrlint:hotpath
+func synTextFormat(dst, key, value []byte) ([]byte, error) {
 	n, err := synTextCount(value)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	line := make([]byte, 0, len(key)+24)
-	line = append(line, key...)
-	line = append(line, '\t')
-	line = strconv.AppendUint(line, n, 10)
-	line = append(line, '\n')
-	return line, nil
+	dst = append(dst, key...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, n, 10)
+	return append(dst, '\n'), nil
 }
 
 // SynText builds the synthetic benchmark job over a text corpus.

@@ -197,7 +197,10 @@ func (s *SliceStream) Close() error { return nil }
 // CombineFunc aggregates all values of one key, emitting zero or more
 // records. It matches the user combine() contract: it may be applied any
 // number of times to any subset of a key's values. The key and value
-// slices are the caller's and are reused once the call returns.
+// slices are the caller's and are reused once the call returns. emit
+// copies the key and value it is given before it returns, so a combiner
+// may emit from scratch it reuses on its next call; every caller's emit
+// (the spill writer, MergeInto and the frequency buffer) keeps to this.
 type CombineFunc func(key []byte, values [][]byte, emit func(key, value []byte) error) error
 
 // MergeInto merges streams and appends every (possibly combined) record to

@@ -90,9 +90,13 @@ func DefaultPartitioner(key []byte, parts int) int {
 	return int(h.Sum32() % uint32(parts))
 }
 
-// OutputFormat renders one final (key, value) record into output bytes
-// (typically one text line). Nil means the framed binary format.
-type OutputFormat func(key, value []byte) ([]byte, error)
+// OutputFormat renders one final (key, value) record, typically one text
+// line, by appending it to dst and returning the extended slice. The
+// runtime hands every record of a reduce attempt the same buffer, emptied,
+// so a format that only appends allocates nothing once it has grown. The
+// slice returned with an error is discarded. Nil means the framed binary
+// format.
+type OutputFormat func(dst, key, value []byte) ([]byte, error)
 
 // FreqBufConfig enables frequency-buffering for a job.
 type FreqBufConfig struct {

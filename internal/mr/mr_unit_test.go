@@ -497,12 +497,12 @@ func TestRunWithSingleReducer(t *testing.T) {
 				return out.Collect(k, serde.EncodeInt64(n))
 			})
 		},
-		Format: func(k, v []byte) ([]byte, error) {
+		Format: func(dst, k, v []byte) ([]byte, error) {
 			n, err := serde.DecodeInt64(v)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
-			return []byte(string(k) + ":" + string(rune('0'+n)) + "\n"), nil
+			return append(dst, string(k)+":"+string(rune('0'+n))+"\n"...), nil
 		},
 		NumReducers: 1,
 	}

@@ -270,6 +270,7 @@ type reduceCollector struct {
 	bufw *bufio.Writer
 	acct *reduceAccount
 	plan *chaos.Plan
+	line []byte // the format's buffer, reused for every record
 }
 
 //mrlint:hotpath
@@ -294,11 +295,12 @@ func (rc *reduceCollector) write(key, value []byte) error {
 	a := rc.acct
 	a.outRecords++
 	if rc.job.Format != nil {
-		line, err := rc.job.Format(key, value)
+		line, err := rc.job.Format(rc.line[:0], key, value)
 		if err != nil {
 			//mrlint:ignore alloccheck cold path: a failing formatter ends the task
 			return fmt.Errorf("mr: formatting output: %w", err)
 		}
+		rc.line = line
 		a.outBytes += int64(len(line))
 		_, err = rc.bufw.Write(line)
 		return err

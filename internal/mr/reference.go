@@ -70,25 +70,23 @@ func RunReference(c *cluster.Cluster, spec *Job) (map[int][]byte, error) {
 		return bytes.Compare(recs[i].key, recs[j].key) < 0
 	})
 
+	// Each partition's output is appended straight into one reused buffer.
 	outputs := make(map[int][]byte, job.NumReducers)
-	var buf bytes.Buffer
-	w := serde.NewWriter(&buf)
+	var buf []byte
 	out := CollectorFunc(func(key, value []byte) error {
-		if job.Format != nil {
-			line, err := job.Format(key, value)
-			if err != nil {
-				return err
-			}
-			_, err = buf.Write(line)
-			return err
+		if job.Format == nil {
+			buf = serde.AppendKV(buf, key, value)
+			return nil
 		}
-		return w.WriteKV(key, value)
+		var err error
+		buf, err = job.Format(buf, key, value)
+		return err
 	})
 
 	reducer := job.NewReducer()
 	i := 0
 	for p := 0; p < job.NumReducers; p++ {
-		buf.Reset()
+		buf = buf[:0]
 		for i < len(recs) && recs[i].part == p {
 			j := i + 1
 			for j < len(recs) && recs[j].part == p && bytes.Equal(recs[j].key, recs[i].key) {
@@ -100,7 +98,7 @@ func RunReference(c *cluster.Cluster, spec *Job) (map[int][]byte, error) {
 			}
 			i = j
 		}
-		outputs[p] = append([]byte(nil), buf.Bytes()...)
+		outputs[p] = append([]byte(nil), buf...)
 	}
 	return outputs, nil
 }

@@ -3,6 +3,8 @@ package mr_test
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"mrtext/internal/apps"
@@ -198,4 +200,115 @@ func TestAllAppsMatchReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInvertedIndexMergePathsMatchReference runs InvertedIndex beyond the
+// one-file shape and holds it to RunReference byte for byte, and the
+// reference to an index built here directly from the input lines. With two
+// input files, line offsets restart per file, so the second file's lists
+// arrive after the first's but sort before them: the merge kernel must
+// fall back to sorting. With the frequency buffer, a hot key's lists are combined in its
+// table and reach the spill path in a different grouping; they stay in
+// order, so the one-pass path serves them.
+func TestInvertedIndexMergePathsMatchReference(t *testing.T) {
+	c, corpus := newTextCluster(t, 3, 384<<10)
+	w, err := c.FS.Create("corpus2.txt", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := textgen.CorpusConfig{Vocabulary: 3000, Alpha: 1.1, WordsPerLine: 7, Seed: 43}
+	if _, err := textgen.Corpus(w, cfg, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name   string
+		inputs []string
+		apply  func(j *mr.Job)
+	}{
+		{"two-inputs", []string{corpus, "corpus2.txt"}, func(j *mr.Job) {}},
+		{"freqbuf-text", []string{corpus}, func(j *mr.Job) { j.FreqBuf = mr.DefaultFreqBufText() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := mr.RunReference(c, apps.InvertedIndex(tc.inputs...))
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if want, got := directIndex(t, c, tc.inputs), sortedLines(ref); got != want {
+				t.Fatalf("reference differs from the direct index:\n%.200q\nwant\n%.200q", firstDiff([]byte(got), []byte(want)), firstDiff([]byte(want), []byte(got)))
+			}
+			job := apps.InvertedIndex(tc.inputs...)
+			job.Name = "ii-" + tc.name
+			job.SpillBufferBytes = 64 << 10 // many spills, so many merges
+			tc.apply(job)
+			res, err := mr.Run(c, job)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			got := readOutputs(t, c, res)
+			for p := range ref {
+				if !bytes.Equal(got[p], ref[p]) {
+					t.Errorf("partition %d differs: got %.120q want %.120q", p, firstDiff(got[p], ref[p]), firstDiff(ref[p], got[p]))
+				}
+			}
+		})
+	}
+}
+
+// directIndex builds InvertedIndex's output without the runtime: every
+// word's (doc, offset) locations across the inputs, sorted, one line per
+// word, the lines sorted.
+func directIndex(t *testing.T, c *cluster.Cluster, inputs []string) string {
+	t.Helper()
+	type loc struct{ doc, off uint64 }
+	index := map[string][]loc{}
+	for _, in := range inputs {
+		data, err := c.FS.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			for _, w := range bytes.Fields(line) {
+				// InvertedIndex's documents are 64 KiB buckets of line offsets.
+				index[string(w)] = append(index[string(w)], loc{uint64(off) >> 16, uint64(off)})
+			}
+			off += len(line)
+		}
+	}
+	lines := make([]string, 0, len(index))
+	for w, locs := range index {
+		sort.Slice(locs, func(i, j int) bool {
+			if locs[i].doc != locs[j].doc {
+				return locs[i].doc < locs[j].doc
+			}
+			return locs[i].off < locs[j].off
+		})
+		var b strings.Builder
+		b.WriteString(w)
+		b.WriteByte('\t')
+		for i, l := range locs {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d:%d", l.doc, l.off)
+		}
+		lines = append(lines, b.String())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// sortedLines joins every partition's lines in sorted order.
+func sortedLines(outputs map[int][]byte) string {
+	var lines []string
+	for _, out := range outputs {
+		lines = append(lines, strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")...)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -71,6 +71,36 @@ func BenchmarkPostingsCodec(b *testing.B) {
 	})
 }
 
+// BenchmarkMergedPostings merges 64 single-posting lists, the shape a hot
+// word brings to a spill's combine, in order (one pass) and reversed (the
+// sorting fallback).
+func BenchmarkMergedPostings(b *testing.B) {
+	var inOrder, reversed [][]byte
+	for i := 0; i < 64; i++ {
+		inOrder = append(inOrder, EncodePostings([]Posting{{Doc: uint64(i / 8), Off: uint64(i * 40)}}))
+	}
+	for i := len(inOrder) - 1; i >= 0; i-- {
+		reversed = append(reversed, inOrder[i])
+	}
+	for _, c := range []struct {
+		name  string
+		lists [][]byte
+	}{{"in-order", inOrder}, {"reversed", reversed}} {
+		b.Run(c.name, func(b *testing.B) {
+			var dst []byte
+			var scratch []Posting
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				dst, scratch, err = AppendMergedPostings(dst[:0], c.lists, scratch)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCounterVecCodec(b *testing.B) {
 	vec := make([]uint32, 12)
 	for i := range vec {

@@ -12,10 +12,13 @@
 package serde
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 )
 
 // Frame errors.
@@ -209,22 +212,41 @@ func AppendPostings(dst []byte, ps []Posting) []byte {
 	return dst
 }
 
+// postingsHeader splits an encoded posting list into its count and the
+// postings' bytes. A count that the bytes cannot hold (every posting takes
+// at least two) is rejected here, before anything is sized by it.
+func postingsHeader(b []byte) (n uint64, rest []byte, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > MaxFrameLen || n > uint64(len(b)-k)/2 {
+		return 0, nil, false
+	}
+	return n, b[k:], true
+}
+
+// nextPosting decodes the doc delta and offset at the front of b and
+// returns their encoded length, 0 if b does not start with a posting.
+func nextPosting(b []byte) (docDelta, off uint64, n int) {
+	docDelta, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, 0, 0
+	}
+	off, j := binary.Uvarint(b[k:])
+	if j <= 0 {
+		return 0, 0, 0
+	}
+	return docDelta, off, k + j
+}
+
 // DecodePostings decodes an EncodePostings value, appending to dst.
 func DecodePostings(dst []Posting, b []byte) ([]Posting, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > MaxFrameLen {
+	n, b, ok := postingsHeader(b)
+	if !ok {
 		return nil, ErrCorrupt
 	}
-	b = b[k:]
 	var prevDoc uint64
 	for i := uint64(0); i < n; i++ {
-		dd, k := binary.Uvarint(b)
-		if k <= 0 {
-			return nil, ErrCorrupt
-		}
-		b = b[k:]
-		off, k := binary.Uvarint(b)
-		if k <= 0 {
+		dd, off, k := nextPosting(b)
+		if k == 0 {
 			return nil, ErrCorrupt
 		}
 		b = b[k:]
@@ -234,31 +256,115 @@ func DecodePostings(dst []Posting, b []byte) ([]Posting, error) {
 	return dst, nil
 }
 
-// MergePostings merges two encoded posting lists into one encoded list,
-// keeping document order. It is the combine operation for InvertedIndex.
-func MergePostings(a, b []byte) ([]byte, error) {
-	pa, err := DecodePostings(nil, a)
-	if err != nil {
-		return nil, err
+// comparePostings orders postings by (Doc, Off).
+func comparePostings(a, b Posting) int {
+	if c := cmp.Compare(a.Doc, b.Doc); c != 0 {
+		return c
 	}
-	pb, err := DecodePostings(nil, b)
-	if err != nil {
-		return nil, err
-	}
-	merged := make([]Posting, 0, len(pa)+len(pb))
-	i, j := 0, 0
-	for i < len(pa) && j < len(pb) {
-		if pa[i].Doc < pb[j].Doc || (pa[i].Doc == pb[j].Doc && pa[i].Off <= pb[j].Off) {
-			merged = append(merged, pa[i])
-			i++
-		} else {
-			merged = append(merged, pb[j])
-			j++
+	return cmp.Compare(a.Off, b.Off)
+}
+
+// AppendMergedPostings appends to dst the encoding of every posting of the
+// encoded lists, in (Doc, Off) order — the combine and reduce operation of
+// InvertedIndex. When the lists, read one after another, are already in
+// that order (every list built from one input file arrives so), it
+// re-encodes them in one pass: the counts are summed into one header, each
+// list's first doc delta is rebased on the previous list's last doc, and
+// the rest of each list is copied as it stands. Otherwise it decodes every
+// posting into scratch, sorts and encodes. It returns the extended dst and
+// scratch, grown for the next call. A malformed list yields ErrCorrupt
+// and dst as given.
+//
+//mrlint:hotpath
+func AppendMergedPostings(dst []byte, lists [][]byte, scratch []Posting) ([]byte, []Posting, error) {
+	var total uint64
+	for _, l := range lists {
+		n, _, ok := postingsHeader(l)
+		if !ok {
+			return dst, scratch, ErrCorrupt
 		}
+		total += n
 	}
-	merged = append(merged, pa[i:]...)
-	merged = append(merged, pb[j:]...)
-	return EncodePostings(merged), nil
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, total)
+	// One pass per list: its first posting is rebased and written, the rest
+	// only checked for order, then copied in one piece.
+	var last Posting // the last posting written; {0, 0} orders before any
+	for _, l := range lists {
+		n, b, _ := postingsHeader(l) // checked above
+		if n == 0 {
+			continue
+		}
+		dd, off, k := nextPosting(b)
+		if k == 0 {
+			return dst[:base], scratch, ErrCorrupt
+		}
+		p := Posting{Doc: dd, Off: off}
+		if comparePostings(p, last) < 0 {
+			return mergeSorted(dst[:base], lists, scratch)
+		}
+		dst = binary.AppendUvarint(dst, p.Doc-last.Doc)
+		dst = binary.AppendUvarint(dst, p.Off)
+		rest := k
+		for i := uint64(1); i < n; i++ {
+			dd, off, k := nextPosting(b[rest:])
+			if k == 0 {
+				return dst[:base], scratch, ErrCorrupt
+			}
+			q := Posting{Doc: p.Doc + dd, Off: off}
+			if comparePostings(q, p) < 0 {
+				return mergeSorted(dst[:base], lists, scratch)
+			}
+			p = q
+			rest += k
+		}
+		dst = append(dst, b[k:rest]...)
+		last = p
+	}
+	return dst, scratch, nil
+}
+
+// mergeSorted is AppendMergedPostings for lists out of order: decode all,
+// sort, encode.
+func mergeSorted(dst []byte, lists [][]byte, scratch []Posting) ([]byte, []Posting, error) {
+	all := scratch[:0]
+	for _, l := range lists {
+		ps, err := DecodePostings(all, l)
+		if err != nil {
+			return dst, all, err
+		}
+		all = ps
+	}
+	slices.SortFunc(all, comparePostings)
+	return AppendPostings(dst, all), all, nil
+}
+
+// AppendPostingsText appends the text form of an encoded posting list to
+// dst: "doc:off" pairs separated by single spaces, then a newline. It
+// formats straight from the varints, decoding nothing into memory.
+//
+//mrlint:hotpath
+func AppendPostingsText(dst, value []byte) ([]byte, error) {
+	n, b, ok := postingsHeader(value)
+	if !ok {
+		return dst, ErrCorrupt
+	}
+	var doc uint64
+	for i := uint64(0); i < n; i++ {
+		dd, off, k := nextPosting(b)
+		if k == 0 {
+			return dst, ErrCorrupt
+		}
+		b = b[k:]
+		doc += dd
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, doc, 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendUint(dst, off, 10)
+	}
+	return append(dst, '\n'), nil
 }
 
 // RankRecord is the PageRank intermediate/input value: a node's current rank
@@ -335,4 +441,33 @@ func DecodeRankRecord(b []byte) (RankRecord, error) {
 		b = b[k+int(l):]
 	}
 	return r, nil
+}
+
+// AppendRankRecordOutlinks appends the outlinks of an encoded rank record
+// to dst, separated by sep, without decoding the record into memory. It
+// rejects what DecodeRankRecord rejects.
+//
+//mrlint:hotpath
+func AppendRankRecordOutlinks(dst, b []byte, sep byte) ([]byte, error) {
+	if len(b) < 9 {
+		return dst, ErrCorrupt
+	}
+	b = b[9:]
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > MaxFrameLen {
+		return dst, ErrCorrupt
+	}
+	b = b[k:]
+	for i := uint64(0); i < n; i++ {
+		l, k := binary.Uvarint(b)
+		if k <= 0 || uint64(len(b)-k) < l {
+			return dst, ErrCorrupt
+		}
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = append(dst, b[k:k+int(l)]...)
+		b = b[k+int(l):]
+	}
+	return dst, nil
 }

@@ -182,7 +182,7 @@ func TestPostingsRoundTrip(t *testing.T) {
 func TestMergePostings(t *testing.T) {
 	a := EncodePostings([]Posting{{Doc: 1, Off: 5}, {Doc: 3, Off: 1}})
 	b := EncodePostings([]Posting{{Doc: 2, Off: 9}, {Doc: 3, Off: 0}})
-	merged, err := MergePostings(a, b)
+	merged, _, err := AppendMergedPostings(nil, [][]byte{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
