@@ -63,7 +63,7 @@ func AccessLogSum(visits string) *mr.Job {
 		Inputs:     []string{visits},
 		NewMapper:  func() mr.Mapper { return &accessLogSumMapper{} },
 		NewReducer: func() mr.Reducer { return &sumReducer{} },
-		Combine:    sumCombine,
+		Combine:    mr.SumInt64,
 		Format:     textKVFormat,
 	}
 }

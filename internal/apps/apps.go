@@ -26,20 +26,6 @@ import (
 // replaced the bytes.Fields-based splitWords helper, which allocated a
 // fresh token slice per line.
 
-// sumCombine adds zig-zag varint int64 values — the combiner and the
-// reduction core of WordCount and AccessLogSum.
-func sumCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error {
-	var sum int64
-	for _, v := range values {
-		n, err := serde.DecodeInt64(v)
-		if err != nil {
-			return fmt.Errorf("apps: decoding count for %q: %w", key, err)
-		}
-		sum += n
-	}
-	return emit(key, serde.EncodeInt64(sum))
-}
-
 // sumReducer reduces by summing int64 values and emitting the total,
 // encoded into the reducer's own scratch.
 type sumReducer struct {
@@ -113,7 +99,7 @@ func WordCount(inputs ...string) *mr.Job {
 		Inputs:     inputs,
 		NewMapper:  func() mr.Mapper { return &wordCountMapper{} },
 		NewReducer: func() mr.Reducer { return &sumReducer{} },
-		Combine:    sumCombine,
+		Combine:    mr.SumInt64,
 		Format:     textKVFormat,
 	}
 }

@@ -58,7 +58,7 @@ func TestSumCombineGroupingInvariance(t *testing.T) {
 		}
 		// Direct.
 		var direct int64
-		sumCombine([]byte("k"), values, func(_, v []byte) error {
+		mr.SumInt64([]byte("k"), values, func(_, v []byte) error {
 			direct, _ = serde.DecodeInt64(v)
 			return nil
 		})
@@ -72,13 +72,13 @@ func TestSumCombineGroupingInvariance(t *testing.T) {
 			if len(group) == 0 {
 				continue
 			}
-			sumCombine([]byte("k"), group, func(_, v []byte) error {
+			mr.SumInt64([]byte("k"), group, func(_, v []byte) error {
 				partials = append(partials, append([]byte(nil), v...))
 				return nil
 			})
 		}
 		var twoPhase int64
-		sumCombine([]byte("k"), partials, func(_, v []byte) error {
+		mr.SumInt64([]byte("k"), partials, func(_, v []byte) error {
 			twoPhase, _ = serde.DecodeInt64(v)
 			return nil
 		})

@@ -25,7 +25,9 @@
 // and per key its buffered values packed in byte arenas that keep their
 // capacity across combines — so a warm absorbed or missed record allocates
 // nothing, which is what lets the intercept cost less than the spill append
-// it saves.
+// it saves. A job whose combiner is kvio.SumInt64 itself gets no value lists
+// at all: each entry is one int64 accumulator, a hit adds its value in, and
+// eviction and Drain encode one record per accumulator that holds a total.
 //
 // The per-node Cache implements the paper's cross-task sharing: the first
 // task of a job on a node publishes its frozen top-k, and subsequent tasks
@@ -35,6 +37,7 @@ package freqbuf
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math/bits"
@@ -44,6 +47,7 @@ import (
 	"mrtext/internal/core/topk"
 	"mrtext/internal/core/zipfest"
 	"mrtext/internal/kvio"
+	"mrtext/internal/serde"
 )
 
 // Stage identifies where a Buffer is in its lifecycle.
@@ -117,7 +121,7 @@ type Stats struct {
 	Hits           int64   // records absorbed by the table
 	Misses         int64   // optimize-stage records with infrequent keys
 	Evictions      int64   // aggregates overflowed to the spill path
-	Combines       int64   // in-table combine() invocations
+	Combines       int64   // in-table combine() invocations (none for a declared sum)
 	ChosenSample   float64 // the s actually used
 	FittedAlpha    float64 // α from the pre-profiling fit (0 if skipped)
 	TableBytes     int64   // peak memory footprint, as budgeted (Drain empties the table)
@@ -131,6 +135,10 @@ const entryOverhead = 48
 
 // valueOverhead is the per-buffered-value accounting charge.
 const valueOverhead = 24
+
+// accumulatorBytes is a declared sum's charge for an accumulator that holds
+// a total: its 8-byte slot.
+const accumulatorBytes = 8
 
 // packed is a list of byte strings stored end to end: arena holds them in
 // order and ends[i] is where the i-th ends. Emptied lists keep their
@@ -188,11 +196,24 @@ type entry struct {
 	// quadratically (posting lists!).
 	chunks    packed
 	noCombine bool // second-level combines don't shrink; stop trying
+	// sum is a declared sum's accumulator, which takes the place of pending
+	// and chunks: the total of the values absorbed since the last flush.
+	// held says whether there are any.
+	sum  int64
+	held bool
 }
 
 // empty reports whether the entry buffers no value: its charge is then its
 // key and overhead alone.
 func (e *entry) empty() bool { return e.bytes == int64(len(e.key))+entryOverhead }
+
+// accumulatorCharge is the entry's accumulator's share of the budget.
+func (e *entry) accumulatorCharge() int64 {
+	if e.held {
+		return accumulatorBytes
+	}
+	return 0
+}
 
 // evictionOrder orders entries for eviction: larger footprint first, then
 // ascending key.
@@ -208,6 +229,8 @@ func evictionOrder(e, f *entry) int {
 type Buffer struct {
 	cfg     Config
 	combine kvio.CombineFunc
+	summing bool              // combine is kvio.SumInt64: entries are accumulators
+	timer   kvio.CombineTimer // nil: combines are not timed
 
 	stage   Stage
 	pre     *topk.Exact
@@ -247,7 +270,8 @@ type Buffer struct {
 // combiner; it may be nil, in which case frequent keys' values are merely
 // buffered (still skipping the sort/spill path) and written out at drain or
 // eviction time — the (small) benefit the paper observes even for jobs
-// whose records cannot be aggregated, such as AccessLogJoin.
+// whose records cannot be aggregated, such as AccessLogJoin. When combine
+// is kvio.SumInt64 itself, the table sums in place and never calls it.
 func New(cfg Config, combine kvio.CombineFunc) (*Buffer, error) {
 	cfg = cfg.withDefaults()
 	if cfg.K <= 0 {
@@ -262,6 +286,7 @@ func New(cfg Config, combine kvio.CombineFunc) (*Buffer, error) {
 	b := &Buffer{
 		cfg:     cfg,
 		combine: combine,
+		summing: kvio.IsSumInt64(combine),
 		stage:   StagePreProfile,
 		pre:     topk.NewExact(),
 		seed:    maphash.MakeSeed(),
@@ -272,6 +297,11 @@ func New(cfg Config, combine kvio.CombineFunc) (*Buffer, error) {
 	}
 	return b, nil
 }
+
+// TimeCombines times the buffer's combine calls on t from now on, nil for
+// none. For a declared sum it times, in their place, each accumulator's
+// encode at eviction and drain; the per-hit add is too short to time.
+func (b *Buffer) TimeCombines(t kvio.CombineTimer) { b.timer = t }
 
 // Stage returns the buffer's current lifecycle stage.
 func (b *Buffer) Stage() Stage { return b.stage }
@@ -332,17 +362,16 @@ func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []k
 	if e.part < 0 {
 		e.part = part
 	}
-	e.pending.add(value)
-	b.charge(e, int64(len(value))+valueOverhead)
-	if e.pending.len() >= b.cfg.ValuesPerKeyCap {
-		if err := b.combinePending(e); err != nil {
+	if b.summing {
+		if e.sum, err = kvio.AddInt64(e.sum, e.key, value); err != nil {
 			return true, nil, err
 		}
-		if e.chunks.len() >= chunkCap {
-			if err := b.combineChunks(e); err != nil {
-				return true, nil, err
-			}
+		if !e.held {
+			e.held = true
+			b.charge(e, accumulatorBytes)
 		}
+	} else if err := b.buffer(e, value); err != nil {
+		return true, nil, err
 	}
 	if b.tableBytes > b.cfg.MemoryBytes {
 		//mrlint:ignore alloccheck once per fill of the last fifth of the budget, not per record
@@ -350,6 +379,25 @@ func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []k
 		return true, overflow, err
 	}
 	return true, nil, nil
+}
+
+// buffer appends value to e's pending batch, combining the batch into a
+// chunk when it is full and the chunks when there are enough of them.
+//
+//mrlint:hotpath
+func (b *Buffer) buffer(e *entry, value []byte) error {
+	e.pending.add(value)
+	b.charge(e, int64(len(value))+valueOverhead)
+	if e.pending.len() < b.cfg.ValuesPerKeyCap {
+		return nil
+	}
+	if err := b.combinePending(e); err != nil {
+		return err
+	}
+	if e.chunks.len() >= chunkCap {
+		return b.combineChunks(e)
+	}
+	return nil
 }
 
 // lookup returns key's entry, nil for a key that is not frequent, and the
@@ -497,7 +545,7 @@ func (b *Buffer) charge(e *entry, delta int64) {
 
 // recount recomputes an entry's byte charge after its contents changed.
 func (b *Buffer) recount(e *entry) {
-	b.charge(e, int64(len(e.key))+entryOverhead+e.pending.charge()+e.chunks.charge()-e.bytes)
+	b.charge(e, int64(len(e.key))+entryOverhead+e.pending.charge()+e.chunks.charge()+e.accumulatorCharge()-e.bytes)
 }
 
 // chunkCap bounds the first-level chunk list before a second-level
@@ -513,12 +561,36 @@ func (b *Buffer) runCombine(e *entry, vals *packed) error {
 		b.vals = append(b.vals, vals.at(i))
 	}
 	b.out.reset()
-	if err := b.combine(e.key, b.vals, b.emit); err != nil {
+	timed := b.timer != nil && b.timer.Begin()
+	err := b.combine(e.key, b.vals, b.emit)
+	if timed {
+		b.timer.End()
+	}
+	if err != nil {
 		//mrlint:ignore alloccheck cold path: a failing combiner ends the task
 		return fmt.Errorf("freqbuf: combine(%q): %w", e.key, err)
 	}
 	return nil
 }
+
+// flushSum encodes e's total onto arena, whose capacity must hold it, and
+// empties the accumulator: a declared sum's whole combine and emit. The
+// record's value is arena's new tail.
+func (b *Buffer) flushSum(e *entry, arena []byte) ([]byte, kvio.Record) {
+	timed := b.timer != nil && b.timer.Begin()
+	start := len(arena)
+	arena = serde.AppendInt64(arena, e.sum)
+	if timed {
+		b.timer.End()
+	}
+	e.sum, e.held = 0, false
+	b.recount(e)
+	return arena, kvio.Record{Part: e.part, Key: e.key, Value: arena[start:len(arena):len(arena)]}
+}
+
+// sumArena returns an empty arena that holds n encoded totals without
+// growing, so the records flushSum slices out of it stay put.
+func sumArena(n int) []byte { return make([]byte, 0, n*binary.MaxVarintLen64) }
 
 // combinePending collapses the pending batch into one chunk (first-level
 // combine). Without a combiner pending values simply become chunks.
@@ -573,7 +645,8 @@ const evictWatermark = 0.8
 // Victims are taken in evictionOrder, and the walk ends at the first entry
 // that holds nothing; the other empty entries are left out of the sort. A
 // victim's chunk arena leaves with its records, which therefore stay valid
-// however the entry refills.
+// however the entry refills; a declared sum's totals are encoded into an
+// arena of the eviction's own.
 func (b *Buffer) evictToWatermark() ([]kvio.Record, error) {
 	target := int64(evictWatermark * float64(b.cfg.MemoryBytes))
 	b.order = b.order[:0]
@@ -592,10 +665,20 @@ func (b *Buffer) evictToWatermark() ([]kvio.Record, error) {
 		return evictionOrder(&b.entries[i], &b.entries[j])
 	})
 	var out []kvio.Record
+	var sums []byte
+	if b.summing {
+		sums = sumArena(len(b.order))
+	}
 	for _, i := range b.order {
 		e := &b.entries[i]
 		if b.tableBytes <= target || e.empty() {
 			break
+		}
+		if b.summing {
+			var r kvio.Record
+			sums, r = b.flushSum(e, sums)
+			out = append(out, r)
+			continue
 		}
 		// Collapse the pending batch into chunks first: cheap, and it
 		// shrinks sum-like values drastically before they hit the disk.
@@ -623,16 +706,33 @@ func (b *Buffer) Drain() ([]kvio.Record, error) {
 		return nil, nil // never froze: everything already went down the spill path
 	}
 	var out []kvio.Record
-	for i := range b.entries {
-		e := &b.entries[i]
-		if err := b.combinePending(e); err != nil {
-			return nil, err
+	if b.summing {
+		held := 0
+		for i := range b.entries {
+			if b.entries[i].held {
+				held++
+			}
 		}
-		if err := b.combineChunks(e); err != nil {
-			return nil, err
+		sums := sumArena(held)
+		for i := range b.entries {
+			if e := &b.entries[i]; e.held {
+				var r kvio.Record
+				sums, r = b.flushSum(e, sums)
+				out = append(out, r)
+			}
 		}
-		for j := 0; j < e.chunks.len(); j++ {
-			out = append(out, kvio.Record{Part: e.part, Key: e.key, Value: e.chunks.at(j)})
+	} else {
+		for i := range b.entries {
+			e := &b.entries[i]
+			if err := b.combinePending(e); err != nil {
+				return nil, err
+			}
+			if err := b.combineChunks(e); err != nil {
+				return nil, err
+			}
+			for j := 0; j < e.chunks.len(); j++ {
+				out = append(out, kvio.Record{Part: e.part, Key: e.key, Value: e.chunks.at(j)})
+			}
 		}
 	}
 	kvio.SortRecords(out)

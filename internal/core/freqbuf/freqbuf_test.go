@@ -1,8 +1,10 @@
 package freqbuf
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -329,6 +331,21 @@ func TestIncompressibleDetection(t *testing.T) {
 	}
 	if !e.noCombine {
 		t.Error("concatenating combiner not detected as incompressible")
+	}
+}
+
+// TestDeclaredSumRejectsMalformedValue: a declared sum decodes each value
+// as it absorbs it, so a value that is not exactly one varint fails that
+// Offer, with an error naming the key.
+func TestDeclaredSumRejectsMalformedValue(t *testing.T) {
+	b := newBuffer(t, Config{K: 1, MemoryBytes: 1 << 16}, kvio.SumInt64)
+	b.InstallTopK([]string{"hot"}, func([]byte) int { return 0 })
+	if _, _, err := b.Offer(0, []byte("hot"), serde.EncodeInt64(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := b.Offer(0, []byte("hot"), []byte("\x02junk"))
+	if !errors.Is(err, serde.ErrCorrupt) || !strings.Contains(err.Error(), `"hot"`) {
+		t.Errorf("malformed value: err %v, want ErrCorrupt naming the key", err)
 	}
 }
 

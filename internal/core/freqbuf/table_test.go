@@ -17,6 +17,8 @@ import (
 // full combine cycle, absorbing its values — the pending-batch and chunk
 // combines they trigger included — and passing over an infrequent key
 // allocate nothing, as long as the combiner emits from a buffer it reuses.
+// Under a declared kvio.SumInt64 a hit allocates nothing from the first,
+// and no combine is ever called.
 func TestGroundTruthOffer(t *testing.T) {
 	var scratch []byte
 	sum := func(key []byte, values [][]byte, emit func(k, v []byte) error) error {
@@ -55,6 +57,31 @@ func TestGroundTruthOffer(t *testing.T) {
 	}
 	if n := b.Stats().Combines - combines; n < 2*chunkCap+2 {
 		t.Errorf("%d combines in the measured runs: the cycle missed the pending or chunk combine", n)
+	}
+
+	s := newBuffer(t, Config{K: 2, MemoryBytes: 1 << 20, ValuesPerKeyCap: perCycle}, kvio.SumInt64)
+	s.InstallTopK([]string{"hot", "warm"}, func([]byte) int { return 0 })
+	hit := func() {
+		if absorbed, _, err := s.Offer(0, hot, one); err != nil || !absorbed {
+			t.Fatalf("declared sum, hot key: absorbed %v, err %v", absorbed, err)
+		}
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(1000, hit); allocs != 0 && !raceEnabled {
+		t.Errorf("declared sum: warm hit %.2f allocs, want 0", allocs)
+	}
+	if n := s.Stats().Combines; n != 0 {
+		t.Errorf("declared sum: %d combine calls, want none", n)
+	}
+	drained, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) != 1 || string(drained[0].Key) != "hot" {
+		t.Fatalf("declared sum drained %v, want one record of key hot", drained)
+	}
+	if total, err := serde.DecodeInt64(drained[0].Value); err != nil || total != 1002 {
+		t.Errorf("declared sum drained total %d (err %v), want the 1002 hits", total, err)
 	}
 }
 
@@ -187,7 +214,7 @@ func checkTable(t *testing.T, b *Buffer) {
 	var stop *entry
 	for i := range b.entries {
 		e := &b.entries[i]
-		if want := int64(len(e.key)) + entryOverhead + e.pending.charge() + e.chunks.charge(); e.bytes != want {
+		if want := int64(len(e.key)) + entryOverhead + e.pending.charge() + e.chunks.charge() + e.accumulatorCharge(); e.bytes != want {
 			t.Fatalf("entry %q charged %d, its contents %d", e.key, e.bytes, want)
 		}
 		sum += e.bytes
@@ -226,8 +253,9 @@ func checkSorted(t *testing.T, what string, recs []kvio.Record) {
 }
 
 // FuzzOffer drives a buffer with a record stream decoded from arbitrary
-// bytes — K, MemoryBytes, ValuesPerKeyCap, the combiner (none, summing,
-// concatenating) and whether the top-k is profiled or installed come from
+// bytes — K, MemoryBytes, ValuesPerKeyCap, the combiner (none, a generic
+// sum, concatenating, the declared kvio.SumInt64 the table folds in place)
+// and whether the top-k is profiled or installed come from
 // the first bytes, then one (key, value) record per byte pair — and checks
 // it against a map oracle of what each key absorbed: every absorbed value
 // comes back through the overflow or Drain (the same values without a
@@ -239,13 +267,21 @@ func checkSorted(t *testing.T, what string, recs []kvio.Record) {
 // a returned record would fail the comparison too.
 func FuzzOffer(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for _, mode := range []byte{0, 1, 2, 3, 4, 5} {
+	for _, mode := range []byte{0, 1, 2, 3, 4, 5, 6, 7} {
 		seed := []byte{byte(rng.Intn(16)), byte(rng.Intn(256)), byte(rng.Intn(8)), mode}
 		for i := 0; i < 200; i++ {
 			seed = append(seed, byte(int(float64(len(fuzzKeys))*rng.Float64()*rng.Float64())), byte(rng.Intn(256)))
 		}
 		f.Add(seed)
 	}
+	// A declared sum on a budget its installed keys' fixed charge already
+	// exceeds: every hit evicts, so accumulators are flushed and refilled
+	// record after record.
+	tight := []byte{15, 0, 0, 7}
+	for i := 0; i < 200; i++ {
+		tight = append(tight, byte(rng.Intn(4)), byte(rng.Intn(256)))
+	}
+	f.Add(tight)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -254,11 +290,14 @@ func FuzzOffer(f *testing.F) {
 		recs := data[4:]
 		n := int64(len(recs) / 2)
 		var combine kvio.CombineFunc
-		switch mode % 3 {
+		summed := mode%4 == 1 || mode%4 == 3
+		switch mode % 4 {
 		case 1:
 			combine = sumCombine
 		case 2:
 			combine = concatCombine
+		case 3:
+			combine = kvio.SumInt64
 		}
 		b, err := New(Config{
 			K: k, MemoryBytes: memory, ValuesPerKeyCap: perKey, SampleFraction: 0.1,
@@ -267,7 +306,7 @@ func FuzzOffer(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode/3%2 == 1 {
+		if mode/4%2 == 1 {
 			top := make([]string, k)
 			for i := range top {
 				top[i] = string(fuzzKeys[i])
@@ -280,7 +319,7 @@ func FuzzOffer(f *testing.F) {
 		var value []byte // reused from record to record, as a map task's collector may
 		for i := 0; i+1 < len(recs); i += 2 {
 			key := fuzzKeys[int(recs[i])%len(fuzzKeys)]
-			if mode%3 == 1 {
+			if summed {
 				value = serde.AppendInt64(value[:0], int64(recs[i+1]))
 			} else {
 				value = append(value[:0], bytes.Repeat([]byte{recs[i+1]}, int(recs[i+1])%8)...)
@@ -323,6 +362,9 @@ func FuzzOffer(f *testing.F) {
 		if st.Hits != hits || st.Misses != misses || st.Evictions != evicted {
 			t.Fatalf("stats hits %d misses %d evictions %d, counted %d %d %d", st.Hits, st.Misses, st.Evictions, hits, misses, evicted)
 		}
+		if mode%4 == 3 && st.Combines != 0 {
+			t.Fatalf("declared sum: %d combine calls, want none", st.Combines)
+		}
 		if st.TableBytes < peak {
 			t.Fatalf("peak table bytes %d, below the %d seen after an Offer", st.TableBytes, peak)
 		}
@@ -332,8 +374,8 @@ func FuzzOffer(f *testing.F) {
 		}
 		for key, in := range absorbedVals {
 			out := returned[key]
-			switch mode % 3 {
-			case 0:
+			switch {
+			case combine == nil:
 				if len(out) != len(in) {
 					t.Fatalf("key %q: %d values absorbed, %d returned", key, len(in), len(out))
 				}
@@ -342,7 +384,7 @@ func FuzzOffer(f *testing.F) {
 						t.Fatalf("key %q value %d: absorbed %q, returned %q", key, i, in[i], out[i])
 					}
 				}
-			case 1:
+			case summed:
 				var want, got int64
 				for _, v := range in {
 					n, _ := serde.DecodeInt64(v)
@@ -358,7 +400,7 @@ func FuzzOffer(f *testing.F) {
 				if got != want {
 					t.Fatalf("key %q: absorbed total %d, returned %d", key, want, got)
 				}
-			case 2:
+			default:
 				if want, got := bytes.Join(in, nil), bytes.Join(out, nil); !bytes.Equal(want, got) {
 					t.Fatalf("key %q: absorbed %q, returned %q", key, want, got)
 				}

@@ -201,13 +201,35 @@ func (s *SliceStream) Close() error { return nil }
 // copies the key and value it is given before it returns, so a combiner
 // may emit from scratch it reuses on its next call; every caller's emit
 // (the spill writer, MergeInto and the frequency buffer) keeps to this.
+//
+// The runtime recognises one value of this type, SumInt64, and runs its
+// in-place kernels for it instead of calling it. Only that exact value is
+// recognised: a func wrapping it is called like any other combiner.
 type CombineFunc func(key []byte, values [][]byte, emit func(key, value []byte) error) error
+
+// CombineTimer times a sample of a caller's combine calls for its
+// accounting. Begin, called before each combine call, reports whether that
+// call is timed; End, called after it only when Begin said so, closes it.
+// SumInt64's kernels make no calls: each times, in place of one, a stretch
+// of its work on one key's total (see MergeTimed).
+type CombineTimer interface {
+	Begin() bool
+	End()
+}
 
 // MergeInto merges streams and appends every (possibly combined) record to
 // out for the given partition. When combine is nil, records pass through
 // unmodified (still in sorted order). It returns the number of records
 // emitted and the number consumed.
 func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (emitted, consumed int64, err error) {
+	return MergeTimed(streams, part, out, combine, nil)
+}
+
+// MergeTimed is MergeInto with its combine calls timed on timer (nil for
+// none). For SumInt64 it calls no combiner: each group's values are summed
+// as the merge reads them, and the timed stretch is the total's encode and
+// append.
+func MergeTimed(streams []Stream, part int, out RunSink, combine CombineFunc, timer CombineTimer) (emitted, consumed int64, err error) {
 	m, err := NewMerger(streams)
 	if err != nil {
 		return 0, 0, err
@@ -217,7 +239,8 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 	// One closure, one value slice and one byte arena serve every group of
 	// the merge. A group's values are copied into the arena as they are
 	// read and sliced out of it only afterwards, because growing the arena
-	// moves it.
+	// moves it. A declared sum needs none of them, only the encoding of
+	// each total.
 	emit := func(k, v []byte) error {
 		emitted++
 		return out.Append(part, k, v)
@@ -226,7 +249,9 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 		vals  [][]byte
 		arena []byte
 		ends  []int
+		enc   []byte
 	)
+	sum := IsSumInt64(combine)
 	for {
 		key, ok, err := m.NextGroup()
 		if err != nil {
@@ -252,6 +277,32 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 			}
 			continue
 		}
+		if sum {
+			var total int64
+			for {
+				v, ok, err := m.NextValue()
+				if err != nil {
+					return emitted, consumed, err
+				}
+				if !ok {
+					break
+				}
+				consumed++
+				if total, err = AddInt64(total, key, v); err != nil {
+					return emitted, consumed, err
+				}
+			}
+			timed := timer != nil && timer.Begin()
+			enc = serde.AppendInt64(enc[:0], total)
+			err := emit(key, enc)
+			if timed {
+				timer.End()
+			}
+			if err != nil {
+				return emitted, consumed, err
+			}
+			continue
+		}
 		arena, ends = arena[:0], ends[:0]
 		for {
 			v, ok, err := m.NextValue()
@@ -271,7 +322,12 @@ func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (em
 			vals = append(vals, arena[lo:hi:hi])
 			lo = hi
 		}
-		if err := combine(key, vals, emit); err != nil {
+		timed := timer != nil && timer.Begin()
+		err = combine(key, vals, emit)
+		if timed {
+			timer.End()
+		}
+		if err != nil {
 			return emitted, consumed, fmt.Errorf("kvio: combine: %w", err)
 		}
 	}

@@ -80,6 +80,15 @@ func (f ReducerFunc) Reduce(key []byte, values ValueIter, out Collector) error {
 // of times without changing job output.
 type CombineFunc = kvio.CombineFunc
 
+// SumInt64 is the int64-sum combiner, kvio.SumInt64: values are zig-zag
+// varints (serde.EncodeInt64) and it emits their total. A job whose Combine
+// is this exact value is summed in place — by the spill writer, the
+// map-side merge and the frequency buffer — without a combine() call; a
+// func that wraps it is called like any other combiner.
+//
+//mrlint:ignore globalstate a re-export: the runtime recognises kvio.SumInt64's value, so this must be that func, not a wrapper
+var SumInt64 CombineFunc = kvio.SumInt64
+
 // Partitioner maps a key to a reduce partition in [0, parts).
 type Partitioner func(key []byte, parts int) int
 

@@ -11,6 +11,7 @@ import (
 	"mrtext/internal/core/freqbuf"
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
+	"mrtext/internal/serde"
 	"mrtext/internal/spillbuf"
 	"mrtext/internal/trace"
 	"mrtext/internal/vdisk"
@@ -51,66 +52,45 @@ type mapOutput struct {
 	index kvio.RunIndex
 }
 
-// combineTimer wraps the job's combiner for one goroutine of a task. It
+// combineTimer times one call site's combine calls for a task — or, for a
+// declared kvio.SumInt64, the kernel stretches that stand in for them. It
 // times the calls its sampler picks, each with the weight of the untimed
 // calls it stands for, and accumulates the extrapolated duration; the call
 // site measures one span around many calls and takes the estimate out of
 // it, so user combine() time and the framework time around it still sum
-// to the measured span. With a nil sampler it reads no clock.
+// to the measured span.
 type combineTimer struct {
-	combine CombineFunc
-	tm      *metrics.TaskMetrics
-	s       *metrics.Sampler
-	acc     time.Duration
+	tm  *metrics.TaskMetrics
+	s   metrics.Sampler
+	w   int64     // the open timed call's weight
+	t0  time.Time // and its start
+	acc time.Duration
 }
 
-// newCombineTimer returns a timer on the default sample schedule, or nil
-// for a job without a combiner.
-func newCombineTimer(combine CombineFunc, tm *metrics.TaskMetrics) *combineTimer {
-	if combine == nil {
-		return nil
-	}
-	s := metrics.DefaultSampler()
-	return &combineTimer{combine: combine, tm: tm, s: &s}
+// newCombineTimer returns a timer on sample schedule s.
+func newCombineTimer(s metrics.Sampler, tm *metrics.TaskMetrics) *combineTimer {
+	return &combineTimer{tm: tm, s: s}
 }
 
-// fn returns the timed combiner, nil for a nil timer.
-func (ct *combineTimer) fn() CombineFunc {
-	if ct == nil {
-		return nil
+// Begin implements kvio.CombineTimer: it reads the clock only for a
+// sampled call.
+func (ct *combineTimer) Begin() bool {
+	if ct.w = ct.s.Sample(); ct.w == 0 {
+		return false
 	}
-	return ct.call
+	ct.t0 = ct.tm.Now()
+	return true
 }
 
-func (ct *combineTimer) call(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
-	var w int64
-	if ct.s != nil {
-		w = ct.s.Sample()
-	}
-	if w == 0 {
-		return ct.combine(key, vals, emit)
-	}
-	t0 := ct.tm.Now()
-	err := ct.combine(key, vals, emit)
-	ct.acc += time.Duration(w) * ct.tm.Now().Sub(t0)
-	return err
-}
-
-// sampleWith switches the schedule the next calls are sampled on; nil
-// turns timing off. Nil-safe.
-func (ct *combineTimer) sampleWith(s *metrics.Sampler) {
-	if ct != nil {
-		ct.s = s
-	}
+// End implements kvio.CombineTimer.
+func (ct *combineTimer) End() {
+	ct.acc += time.Duration(ct.w) * ct.tm.Now().Sub(ct.t0)
 }
 
 // take returns the combine time estimated since the last take, at most
 // span (an extrapolation may overshoot the span that contains it), and
-// resets it. Nil-safe.
+// resets it.
 func (ct *combineTimer) take(span time.Duration) time.Duration {
-	if ct == nil {
-		return 0
-	}
 	est := min(ct.acc, span)
 	ct.acc = 0
 	return est
@@ -138,12 +118,9 @@ type mapCollector struct {
 	sp        spanner     // freq-buffer eviction instants
 	plan      *chaos.Plan // nil when chaos is off: the guard below is the whole cost
 
-	// freqCombine times the combiner calls made inside the frequency
-	// buffer. Its sampler is switched per call site: every call inside a
-	// sampled record's Offer, the default schedule during Drain, none
-	// (nil) inside an unsampled record's Offer.
+	// freqCombine times every combiner call made inside a sampled record's
+	// Offer; the frequency buffer times none inside the others.
 	freqCombine *combineTimer
-	everyCall   metrics.Sampler
 
 	// Counts since the last publish (of emitted, the part published so
 	// far).
@@ -202,11 +179,11 @@ func (mc *mapCollector) offer(part int, key, value []byte) (absorbed bool, err e
 	if w := mc.et.Weight(); w == 0 {
 		absorbed, overflow, err = mc.freq.Offer(part, key, value)
 	} else {
-		mc.freqCombine.sampleWith(&mc.everyCall)
+		mc.freq.TimeCombines(mc.freqCombine)
 		t0 := mc.tm.Now()
 		absorbed, overflow, err = mc.freq.Offer(part, key, value)
 		span := mc.tm.Now().Sub(t0)
-		mc.freqCombine.sampleWith(nil)
+		mc.freq.TimeCombines(nil)
 		combine := mc.freqCombine.take(span)
 		mc.tm.Add(metrics.OpProfile, time.Duration(w)*(span-combine))
 		mc.tm.Add(metrics.OpCombineUser, time.Duration(w)*combine)
@@ -294,19 +271,37 @@ func (mc *mapCollector) finish() {
 }
 
 // spillScratch is the memory the support goroutine reuses from one spill
-// to the next: the sort kernel's scratch and the slice a group's values
-// are gathered in for the combiner.
+// to the next: the sort kernel's scratch, the slice a group's values are
+// gathered in for the combiner, and a declared sum's encoded total.
 type spillScratch struct {
 	sorter kvio.Sorter
 	vals   [][]byte
+	total  []byte
+}
+
+// sumRun is the spill writer's kernel for a declared kvio.SumInt64: it
+// folds records [i, j) of recs, one key's run, where they lie in the
+// region, and emits the total encoded into scratch.
+func sumRun(recs kvio.PackedRecords, i, j int, scratch *spillScratch, emit func(k, v []byte) error) error {
+	key := recs.Key(i)
+	var total int64
+	for k := i; k < j; k++ {
+		var err error
+		if total, err = kvio.AddInt64(total, key, recs.Value(k)); err != nil {
+			return err
+		}
+	}
+	scratch.total = serde.AppendInt64(scratch.total[:0], total)
+	return emit(key, scratch.total)
 }
 
 // writeSpillRun turns one spill into a sorted, partitioned run on the node
 // disk and returns the run index. The support goroutine calls it once per
 // spill, each time with its scratch. The spill arrives filed by partition,
 // so the sort works inside each partition and the write walks them in
-// order. combine, nil for a job without a combiner, times a sample of the
-// combiner calls; the rest of the write span is spill I/O.
+// order. combine times a sample of the combiner calls, or for a declared
+// kvio.SumInt64 of the runs the kernel folds in their place; the rest of the
+// write span is spill I/O.
 func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, scratch *spillScratch, job *Job, combine *combineTimer, tm *metrics.TaskMetrics, sp spanner) (kvio.RunIndex, error) {
 	t0 := tm.Now()
 	sortSpan := sp.start(trace.KindSort, trace.LaneSupport)
@@ -320,6 +315,7 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 		return kvio.RunIndex{}, err
 	}
 	var combineIn, combineOut int64
+	sum := kvio.IsSumInt64(job.Combine)
 	// One closure for the whole spill: it reads the partition being written
 	// from part.
 	part := 0
@@ -336,21 +332,31 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 			for j < n && recs.KeyEqual(i, j) {
 				j++
 			}
-			if combine == nil || j-i == 1 {
+			if job.Combine == nil || j-i == 1 {
 				for k := i; k < j; k++ {
 					if err := rw.Append(part, recs.Key(k), recs.Value(k)); err != nil {
 						return kvio.RunIndex{}, err
 					}
 				}
+				i = j
+				continue
+			}
+			combineIn += int64(j - i)
+			timed := combine.Begin()
+			if sum {
+				err = sumRun(recs, i, j, scratch, emit)
 			} else {
 				scratch.vals = scratch.vals[:0]
 				for k := i; k < j; k++ {
 					scratch.vals = append(scratch.vals, recs.Value(k))
 				}
-				combineIn += int64(j - i)
-				if err := combine.call(recs.Key(i), scratch.vals, emit); err != nil {
-					return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
-				}
+				err = job.Combine(recs.Key(i), scratch.vals, emit)
+			}
+			if timed {
+				combine.End()
+			}
+			if err != nil {
+				return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)
 			}
 			i = j
 		}
@@ -400,12 +406,11 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		taskSpan.EndCounts(tm.Counter(metrics.CtrMapOutputRecords), tm.Counter(metrics.CtrMapOutputBytes))
 	}
 	mc := &mapCollector{
-		job:       job,
-		tm:        tm,
-		et:        metrics.NewEmitTimer(tm, metrics.DefaultEmitWarmup, metrics.DefaultEmitPeriod),
-		sp:        sp,
-		plan:      plan,
-		everyCall: metrics.NewSampler(0, 1),
+		job:  job,
+		tm:   tm,
+		et:   metrics.NewEmitTimer(tm, metrics.DefaultEmitWarmup, metrics.DefaultEmitPeriod),
+		sp:   sp,
+		plan: plan,
 	}
 	// finishReport closes the attempt's accounts on every exit: what the
 	// map goroutine counted is published before the counters are read
@@ -433,8 +438,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		tableBytes := int64(float64(bufBytes) * fb.MemFraction)
 		bufBytes -= tableBytes
 
-		mc.freqCombine = newCombineTimer(job.Combine, tm)
-		mc.freqCombine.sampleWith(nil) // offer and the drain below switch it on
+		mc.freqCombine = newCombineTimer(metrics.NewSampler(0, 1), tm)
 		// The scanner is created after the freq buffer; the estimator
 		// reads it through the collector, which is bound below.
 		expected := func() int64 {
@@ -454,7 +458,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 			SampleFraction:  fb.SampleFraction,
 			ValuesPerKeyCap: fb.ValuesPerKeyCap,
 			ExpectedRecords: expected,
-		}, mc.freqCombine.fn())
+		}, job.Combine)
 		if err != nil {
 			return fail(err)
 		}
@@ -490,7 +494,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	// both are read only after the goroutine is joined via supportErr.
 	var runs []kvio.RunIndex
 	supportErr := make(chan error, 1)
-	spillCombine := newCombineTimer(job.Combine, tm)
+	spillCombine := newCombineTimer(metrics.DefaultSampler(), tm)
 	var scratch spillScratch
 	// consume writes one spill as a run. Whatever happens to it, a panic in
 	// the combiner included, the spill is released: its region goes back to
@@ -601,8 +605,8 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	// sorted, combined and spilled with the task's last region. Time blocked
 	// on a full buffer is map-goroutine idle time, not drain time.
 	if freq != nil && mapErr == nil {
-		drainSampler := metrics.DefaultSampler()
-		mc.freqCombine.sampleWith(&drainSampler)
+		drainCombine := newCombineTimer(metrics.DefaultSampler(), tm)
+		freq.TimeCombines(drainCombine)
 		t0 := tm.Now()
 		drained, err := freq.Drain()
 		var blocked time.Duration
@@ -610,7 +614,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 			blocked, err = mc.appendDrained(drained)
 		}
 		span := tm.Now().Sub(t0) - blocked
-		combine := mc.freqCombine.take(span)
+		combine := drainCombine.take(span)
 		tm.Add(metrics.OpProfile, span-combine)
 		tm.Add(metrics.OpCombineUser, combine)
 		if err != nil {
@@ -709,8 +713,7 @@ func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, out kvio.Ru
 	}
 	tm.Add(metrics.OpMerge, tm.Now().Sub(t0))
 
-	mergeCombine := newCombineTimer(job.Combine, tm)
-	mergeCombineFn := mergeCombine.fn()
+	mergeCombine := newCombineTimer(metrics.DefaultSampler(), tm)
 	streams := make([]kvio.Stream, 0, len(cursors))
 	for p := 0; p < job.NumReducers; p++ {
 		if job.cancel.Load() {
@@ -730,7 +733,7 @@ func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, out kvio.Ru
 			}
 			streams = append(streams, s)
 		}
-		if _, _, err := kvio.MergeInto(streams, p, out, mergeCombineFn); err != nil {
+		if _, _, err := kvio.MergeTimed(streams, p, out, job.Combine, mergeCombine); err != nil {
 			return kvio.RunIndex{}, err
 		}
 		span := tm.Now().Sub(t0)

@@ -116,10 +116,17 @@ func AppendInt64(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-// DecodeInt64 decodes a zig-zag varint value.
+// DecodeInt64 decodes a zig-zag varint value. The value must be exactly one
+// varint: a truncated or overlong one, or one followed by other bytes, is
+// ErrCorrupt.
 func DecodeInt64(b []byte) (int64, error) {
+	if len(b) == 1 && b[0] < 0x80 {
+		// One byte holds -64..63: every count a mapper emits one at a time.
+		u := int64(b[0])
+		return u>>1 ^ -(u & 1), nil
+	}
 	v, n := binary.Varint(b)
-	if n <= 0 {
+	if n <= 0 || n != len(b) {
 		return 0, ErrCorrupt
 	}
 	return v, nil

@@ -2,6 +2,8 @@ package serde
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -110,6 +112,41 @@ func TestInt64RoundTrip(t *testing.T) {
 		got, err := DecodeInt64(EncodeInt64(v))
 		if err != nil || got != v {
 			t.Errorf("int64 %d: got %d err %v", v, got, err)
+		}
+	}
+}
+
+// TestDecodeInt64OneByte: the one-byte fast path decodes as binary.Varint
+// does, and every longer value still goes through it.
+func TestDecodeInt64OneByte(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		want, n := binary.Varint([]byte{byte(b)})
+		got, err := DecodeInt64([]byte{byte(b)})
+		if n == 1 && (err != nil || got != want) || n != 1 && err == nil {
+			t.Errorf("DecodeInt64(%#x) = %d, %v; binary.Varint %d, %d bytes", b, got, err, want, n)
+		}
+	}
+	for _, v := range []int64{-65, 64, 1 << 40, -1 << 40} {
+		if got, err := DecodeInt64(EncodeInt64(v)); err != nil || got != v {
+			t.Errorf("int64 %d: got %d err %v", v, got, err)
+		}
+	}
+}
+
+// TestDecodeInt64RejectsMalformed: a value is exactly one varint. Empty,
+// truncated, overlong and trailing-byte values are ErrCorrupt.
+func TestDecodeInt64RejectsMalformed(t *testing.T) {
+	for _, b := range [][]byte{
+		nil,
+		{},
+		{0x80},                         // truncated: continuation bit, no next byte
+		[]byte("\x02junk"),             // 1, then trailing bytes
+		{0x02, 0x00},                   // 1, then a trailing zero
+		append(EncodeInt64(-5), 1),     // a whole varint and one byte more
+		bytes.Repeat([]byte{0xff}, 11), // longer than any int64
+	} {
+		if v, err := DecodeInt64(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeInt64(%q) = %d, %v: want ErrCorrupt", b, v, err)
 		}
 	}
 }

@@ -158,6 +158,11 @@ func ReadOutput(c *Cluster, res *Result, part int) ([]byte, error) {
 	return c.FS.ReadFile(res.Outputs[part])
 }
 
+// SumInt64 is the int64-sum combiner (values are zig-zag varints). A job
+// whose Combine is this exact value is summed in place, with no combine()
+// call; a func that wraps it takes the generic combiner path.
+var SumInt64 = mr.SumInt64
+
 // ---------- Applications ----------
 
 // WordCount counts word occurrences over text corpora.
