@@ -342,14 +342,18 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 				continue
 			}
 			combineIn += int64(j - i)
-			timed := combine.Begin()
-			if sum {
-				err = sumRun(recs, i, j, scratch, emit)
-			} else {
+			// Gather before the timed stretch: the sampled estimate
+			// weights only the combine call, not framework work.
+			if !sum {
 				scratch.vals = scratch.vals[:0]
 				for k := i; k < j; k++ {
 					scratch.vals = append(scratch.vals, recs.Value(k))
 				}
+			}
+			timed := combine.Begin()
+			if sum {
+				err = sumRun(recs, i, j, scratch, emit)
+			} else {
 				err = job.Combine(recs.Key(i), scratch.vals, emit)
 			}
 			if timed {

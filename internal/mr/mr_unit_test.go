@@ -232,12 +232,9 @@ func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *schedule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := newFTRun(c, &Job{MaxAttempts: 4})
+	ft := newFTRun(c, &Job{MaxAttempts: 4}, splits)
 	s := newScheduler(nodes, c.MapSlots(), splits)
-	ft.beginPhase(len(splits), s)
-	for i := 0; i < c.TotalMapSlots(); i++ {
-		ft.addWorker()
-	}
+	ft.beginPhase(len(splits), s, c.TotalMapSlots())
 	return ft, s
 }
 

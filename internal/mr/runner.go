@@ -74,7 +74,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	jobSpan := tr.Start(trace.KindJob, trace.LaneScheduler, -1, -1, 0)
 	defer jobSpan.End()
 
-	ft := newFTRun(c, job)
+	ft := newFTRun(c, job, splits)
 	ft.inj = inj
 
 	// The frequent-key sets the job's map tasks publish per node are keyed
@@ -113,63 +113,36 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	ft.shuffle = svc
 	defer svc.close()
 
-	// ----- Map phase -----
-	mapOuts := make([]mapOutput, len(splits))
-	mapReports := make([]TaskReport, len(splits))
-	sched := newScheduler(c.Nodes(), c.MapSlots(), splits)
-	ft.beginPhase(len(splits), sched)
-	stopSpec := make(chan struct{})
-	var specWG sync.WaitGroup
-	specWG.Add(1)
-	go func() { defer specWG.Done(); ft.speculate(stopSpec) }()
-	var wg sync.WaitGroup
-	for node := 0; node < c.Nodes(); node++ {
-		for slot := 0; slot < c.MapSlots(); slot++ {
-			wg.Add(1)
-			ft.addWorker()
-			go func(node, slot int) {
-				defer wg.Done()
-				for {
-					pa, stolen, ok := ft.next(node)
-					if !ok {
-						return
-					}
-					if stolen {
-						tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(len(sched.holders[pa.task])))
-					}
-					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
-					out, rep, created, err := runMapTask(c, job, metrics.NewTaskMetrics(), pa.task, splits[pa.task], node, slot, pa.attempt, plan)
-					if err != nil {
-						ft.sweepDiskFiles(node, created)
-						ft.attemptFailed(pa, node, err)
-						continue
-					}
-					ft.commitMap(pa, node, out, rep, mapOuts, mapReports)
-				}
-			}(node, slot)
-		}
+	// A failed phase leaves committed intermediates behind: stop the
+	// copiers, then remove them.
+	outputs := make([]string, job.NumReducers)
+	fail := func(err error) (*Result, error) {
+		svc.close()
+		ft.sweepJobIntermediates(outputs)
+		return nil, err
 	}
-	wg.Wait()
-	close(stopSpec)
-	specWG.Wait()
+
+	// ----- Map phase -----
+	sched := newScheduler(c.Nodes(), c.MapSlots(), splits)
+	err = ft.runPhase(len(splits), sched, c.MapSlots(), func(pa pendingAttempt, stolen bool, node, slot int) {
+		if stolen {
+			tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(len(sched.holders[pa.task])))
+		}
+		if err := ft.mapAttempt(pa, node, slot); err != nil {
+			ft.attemptFailed(pa, node, err)
+		}
+	})
 	// Of the spill regions the phase used, one per task it ran (at most one
 	// per slot) waits for the next map phase, this cluster's next job's or
 	// a concurrent one's; the rest is not kept through the reduce phase.
 	c.SpillRegions.Trim()
-	if err := ft.jobErr(); err != nil {
-		svc.close()
-		ft.sweepJobIntermediates(mapOuts, nil)
-		return nil, err
+	if err != nil {
+		return fail(err)
 	}
 	res.MapWall = time.Since(start)
 	svc.markMapDone()
-
-	// Recovery needs per-map-task attempt numbering to survive into the
-	// reduce phase, where lost outputs are re-run.
-	mapNext := make([]int, len(splits))
-	for i := range ft.tasks {
-		mapNext[i] = ft.tasks[i].nextAttempt
-	}
+	// Recovery numbers its attempts on from the map phase's.
+	ft.mapTasks = ft.tasks
 
 	// Reduce attempts see the pipelined shuffle through shuffleEnv; the
 	// resnapshot closure lets an attempt that catches a source node death
@@ -177,100 +150,57 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	sh := &shuffleEnv{
 		svc: svc,
 		resnapshot: func() []mapOutput {
-			ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
-			return ft.snapshotMapOuts(mapOuts)
+			ft.recoverLostMapOuts()
+			return ft.snapshotMapOuts()
 		},
 	}
 
 	// ----- Reduce phase -----
 	reduceStart := time.Now()
-	outputs := make([]string, job.NumReducers)
 	reduceReports := make([]TaskReport, job.NumReducers)
-	ft.beginPhase(job.NumReducers, nil)
-	ft.enqueueBase(job.NumReducers)
-	stopSpec = make(chan struct{})
-	specWG.Add(1)
-	go func() { defer specWG.Done(); ft.speculate(stopSpec) }()
-	var rwg sync.WaitGroup
-	for node := 0; node < c.Nodes(); node++ {
-		for slot := 0; slot < c.ReduceSlots(); slot++ {
-			rwg.Add(1)
-			ft.addWorker()
-			go func(node, slot int) {
-				defer rwg.Done()
-				for {
-					pa, _, ok := ft.next(node)
-					if !ok {
-						return
-					}
-					queueWait := time.Since(pa.enqueued)
-					job.Trace.Complete(trace.KindWaitQueue, trace.LaneReduce, node, pa.task, slot, pa.enqueued, queueWait)
-					svc.tm.Observe(metrics.HistReduceQueueWaitNS, int64(queueWait))
-					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.ReduceSites())
-					snap := ft.snapshotMapOuts(mapOuts)
-					outName, won, created, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), pa.task, node, slot, pa.attempt, plan, sh, snap)
-					rep.QueueWait = queueWait
-					if err != nil {
-						ft.sweepDFSFiles(created)
-						ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
-						ft.attemptFailed(pa, node, err)
-						continue
-					}
-					if !won {
-						// A rival attempt committed first: discard.
-						ft.sweepDFSFiles(created)
-						ft.noteLoss(pa)
-						continue
-					}
-					ft.commitReduce(pa, outName, rep, outputs, reduceReports)
-					svc.release(pa.task)
-				}
-			}(node, slot)
+	err = ft.runPhase(job.NumReducers, nil, c.ReduceSlots(), func(pa pendingAttempt, _ bool, node, slot int) {
+		queueWait := time.Since(pa.enqueued)
+		tr.Complete(trace.KindWaitQueue, trace.LaneReduce, node, pa.task, slot, pa.enqueued, queueWait)
+		svc.tm.Observe(metrics.HistReduceQueueWaitNS, int64(queueWait))
+		plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.ReduceSites())
+		outName, won, created, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), pa.task, node, slot, pa.attempt, plan, sh, ft.snapshotMapOuts())
+		rep.QueueWait = queueWait
+		switch {
+		case err != nil:
+			ft.sweep(c.FS.Remove, created)
+			ft.recoverLostMapOuts()
+			ft.attemptFailed(pa, node, err)
+		case !won: // a rival attempt committed first: discard
+			ft.sweep(c.FS.Remove, created)
+			ft.mu.Lock()
+			ft.noteEndLocked(pa.task, pa.attempt)
+			ft.mu.Unlock()
+		default:
+			ft.mu.Lock()
+			ft.noteEndLocked(pa.task, pa.attempt)
+			outputs[pa.task], reduceReports[pa.task] = outName, rep
+			ft.committedLocked(pa, rep.Wall)
+			ft.mu.Unlock()
+			svc.release(pa.task)
 		}
-	}
-	rwg.Wait()
-	close(stopSpec)
-	specWG.Wait()
-	if err := ft.jobErr(); err != nil {
-		svc.close()
-		ft.sweepJobIntermediates(mapOuts, outputs)
-		return nil, err
+	})
+	if err != nil {
+		return fail(err)
 	}
 	res.ReduceWall = time.Since(reduceStart)
 	res.Wall = time.Since(start)
 	res.Outputs = outputs
 	svc.close() // stop the copiers before counter reads and disk cleanup
 
-	// Committed map outputs are no longer needed. Removal is best-effort
-	// cleanup: failures are counted on the job aggregate, not fatal. Dead
-	// nodes' outputs are unreachable and skipped.
-	for _, mo := range mapOuts {
-		if c.NodeDead(mo.node) {
-			continue
-		}
-		if err := c.Disks[mo.node].Remove(mo.index.Name); err != nil {
-			ft.mu.Lock()
-			ft.cleanupErrs++
-			ft.mu.Unlock()
-		}
-	}
+	// Committed map outputs are no longer needed.
+	ft.sweepJobIntermediates(nil)
 
-	res.Tasks = append(append([]TaskReport(nil), mapReports...), reduceReports...)
+	res.Tasks = append(append([]TaskReport(nil), ft.mapReports...), reduceReports...)
 	for _, t := range res.Tasks {
 		res.Agg.Merge(t.Metrics)
 	}
-	if res.Agg.Counters == nil {
-		res.Agg.Counters = make(map[string]int64)
-	}
 	res.Agg.Merge(svc.snapshot())
-	ctr := res.Agg.Counters
-	res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
-	res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
-	res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
-	res.LocalMapTasks, res.StolenMapTasks = sched.local, sched.stolen // the map workers have joined
-	res.Agg.Counters[metrics.CtrLocalMapTasks] += int64(res.LocalMapTasks)
-	res.Agg.Counters[metrics.CtrStolenMapTasks] += int64(res.StolenMapTasks)
-	ft.fillResult(res)
+	ft.fillResult(res, sched)
 	return res, nil
 }
 
@@ -285,6 +215,20 @@ const (
 	attemptSpeculative                    // backup attempt for a straggler
 	attemptRecovery                       // re-run of a committed map task after node death
 )
+
+// counter names the ledger counter an attempt of kind k adds to when it
+// starts; a base attempt counts only as a map or reduce attempt.
+func (k attemptKind) counter() string {
+	switch k {
+	case attemptRetry:
+		return metrics.CtrTaskRetries
+	case attemptSpeculative:
+		return metrics.CtrSpeculativeTasks
+	case attemptRecovery:
+		return metrics.CtrRecoveredMapTasks
+	}
+	return ""
+}
 
 const (
 	// nodeFailureLimit blacklists a node for the rest of the job after
@@ -347,89 +291,112 @@ type ftRun struct {
 	err     error
 
 	// Per-phase state, reset by beginPhase.
-	gen       int // phase generation; stale backoff timers check it
-	total     int
-	done      int
-	phaseDone bool
-	tasks     []ftTask
-	queue     []pendingAttempt
-	inner     *scheduler // map placement; nil in the reduce phase
+	gen           int // phase generation; stale backoff timers check it
+	total         int
+	done          int
+	phaseDone     bool
+	tasks         []ftTask
+	queue         []pendingAttempt
+	inner         *scheduler // map placement; nil in the reduce phase
+	activeWorkers int
 
 	// Cross-phase node state.
-	nodeFailures  []int
-	blacklisted   []bool
-	deadKnown     []bool
-	activeWorkers int
-	recovering    bool // a lost-map-output recovery is in flight (singleflight)
+	nodeFailures []int
+	blacklisted  []bool
+	deadKnown    []bool
+	recovering   bool // a lost-map-output recovery is in flight (singleflight)
+
+	// The map phase's results, which the reduce phase fetches from and
+	// lost-output recovery rewrites. mapTasks is the map phase's task
+	// state, kept for recovery's attempt numbering.
+	splits     []Split
+	mapOuts    []mapOutput
+	mapReports []TaskReport
+	mapTasks   []ftTask
 
 	// shuffle is the pipelined-shuffle service: map commits are offered to
 	// its copier pools, and the reduce-phase queue prefers handing a
 	// partition to its staging node.
 	shuffle *shuffleService
 
-	// Counters (surfaced on Result).
-	mapAttempts    int
-	reduceAttempts int
-	retries        int
-	spec           int
-	specWins       int
-	recovered      int
-	failed         int
-	swept          int
-	cleanupErrs    int
+	// ledger is the attempt accounting, keyed by metrics.Ctr* names;
+	// fillResult merges it into the job aggregate.
+	ledger map[string]int64
 }
 
-func newFTRun(c *cluster.Cluster, job *Job) *ftRun {
+func newFTRun(c *cluster.Cluster, job *Job, splits []Split) *ftRun {
 	ft := &ftRun{
 		c:            c,
 		job:          job,
 		nodeFailures: make([]int, c.Nodes()),
 		blacklisted:  make([]bool, c.Nodes()),
 		deadKnown:    make([]bool, c.Nodes()),
+		splits:       splits,
+		mapOuts:      make([]mapOutput, len(splits)),
+		mapReports:   make([]TaskReport, len(splits)),
+		ledger:       map[string]int64{metrics.CtrMapAttempts: 0, metrics.CtrReduceAttempts: 0},
 	}
 	ft.cond = sync.NewCond(&ft.mu)
 	return ft
 }
 
-// beginPhase resets per-phase scheduling state; a map phase places its
-// base attempts through inner. Node state (deaths, blacklist) carries
-// across phases: a dead node stays dead.
-func (ft *ftRun) beginPhase(total int, inner *scheduler) {
-	ft.mu.Lock()
-	ft.gen++
-	ft.total = total
-	ft.done = 0
-	ft.phaseDone = total == 0
-	ft.tasks = make([]ftTask, total)
-	ft.queue = nil
-	ft.inner = inner
-	ft.activeWorkers = 0
-	ft.mu.Unlock()
-}
-
-// enqueueBase queues every task's first attempt (the reduce phase, which
-// has no placement scheduler).
-func (ft *ftRun) enqueueBase(n int) {
-	now := time.Now()
-	ft.mu.Lock()
-	for t := 0; t < n; t++ {
-		ft.queue = append(ft.queue, pendingAttempt{task: t, attempt: 0, kind: attemptBase, enqueued: now})
-		ft.tasks[t].nextAttempt = 1
+// runPhase runs one phase of total tasks to its end: slots workers per
+// node take attempts from next and hand each to work, while the
+// speculation monitor, when the job asks for backups, watches for
+// stragglers. It returns once every worker has left, with the job's error
+// if the phase failed.
+func (ft *ftRun) runPhase(total int, inner *scheduler, slots int, work func(pa pendingAttempt, stolen bool, node, slot int)) error {
+	nodes := ft.c.Nodes()
+	ft.beginPhase(total, inner, nodes*slots)
+	stop := make(chan struct{})
+	var specWG, wg sync.WaitGroup
+	if ft.job.Speculation {
+		specWG.Add(1)
+		go func() { defer specWG.Done(); ft.speculate(stop) }()
 	}
-	ft.cond.Broadcast()
-	ft.mu.Unlock()
-}
-
-func (ft *ftRun) addWorker() {
-	ft.mu.Lock()
-	ft.activeWorkers++
-	ft.mu.Unlock()
-}
-
-func (ft *ftRun) jobErr() error {
+	for node := 0; node < nodes; node++ {
+		for slot := 0; slot < slots; slot++ {
+			wg.Add(1)
+			go func(node, slot int) {
+				defer wg.Done()
+				for {
+					pa, stolen, ok := ft.next(node)
+					if !ok {
+						return
+					}
+					work(pa, stolen, node, slot)
+				}
+			}(node, slot)
+		}
+	}
+	wg.Wait()
+	close(stop)
+	specWG.Wait()
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	return ft.err
+}
+
+// beginPhase resets per-phase scheduling state for total tasks and
+// workers workers. A map phase places its base attempts through inner; a
+// reduce phase queues every task's base attempt. Node state (deaths,
+// blacklist) carries across phases: a dead node stays dead.
+func (ft *ftRun) beginPhase(total int, inner *scheduler, workers int) {
+	now := time.Now()
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	ft.gen++
+	ft.total, ft.done, ft.phaseDone = total, 0, total == 0
+	ft.tasks = make([]ftTask, total)
+	ft.queue = nil
+	ft.inner = inner
+	ft.activeWorkers = workers
+	if inner == nil {
+		for t := range ft.tasks {
+			ft.queue = append(ft.queue, pendingAttempt{task: t, kind: attemptBase, enqueued: now})
+			ft.tasks[t].nextAttempt = 1
+		}
+	}
 }
 
 // next blocks until an attempt is runnable on node, the phase ends, or
@@ -496,19 +463,14 @@ func (ft *ftRun) noteStartLocked(pa pendingAttempt, node int) {
 	ts := &ft.tasks[pa.task]
 	ts.running = append(ts.running, runningInfo{attempt: pa.attempt, node: node, start: time.Now()})
 	if ft.inner != nil {
-		ft.mapAttempts++
+		ft.ledger[metrics.CtrMapAttempts]++
 		ft.inner.load[node]++
 		ft.cond.Broadcast()
 	} else {
-		ft.reduceAttempts++
+		ft.ledger[metrics.CtrReduceAttempts]++
 	}
-	switch pa.kind {
-	case attemptRetry:
-		ft.retries++
-	case attemptSpeculative:
-		ft.spec++
-	case attemptRecovery:
-		ft.recovered++
+	if pa.kind != attemptBase {
+		ft.ledger[pa.kind.counter()]++
 	}
 }
 
@@ -580,7 +542,7 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.noteEndLocked(pa.task, pa.attempt)
-	ft.failed++
+	ft.ledger[metrics.CtrFailedAttempts]++
 	ts := &ft.tasks[pa.task]
 	if ts.committed || ft.aborted {
 		return
@@ -612,115 +574,111 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	})
 }
 
-// commitMap publishes a finished map attempt's output at the canonical
-// name. The disk rename arbitrates same-node duplicates (fail-on-exist);
-// the committing latch serializes cross-node duplicates, whose attempt
-// outputs live on different disks where both renames would succeed.
-func (ft *ftRun) commitMap(pa pendingAttempt, node int, out mapOutput, rep TaskReport, mapOuts []mapOutput, mapReports []TaskReport) {
+// mapAttempt runs attempt pa of a map task on node and commits it: the
+// output is renamed to the task's canonical name, entered in the
+// map-output table and offered to the shuffle. A failed attempt's files
+// are swept and its error returned.
+//
+// In the map phase the task's committing latch serializes committers: the
+// disk rename arbitrates same-node duplicates (fail-on-exist), but
+// cross-node duplicates' outputs live on different disks where both
+// renames would succeed. An attempt that finds its task committed, or the
+// job failed, has lost: it is swept and returns nil. Recovery, in the
+// reduce phase, needs no latch: it is singleflight, and the old canonical
+// name is on a dead disk, so the rename cannot collide.
+func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
+	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
+	out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), pa.task, ft.splits[pa.task], node, slot, pa.attempt, plan)
+	disk := ft.c.Disks[node]
+	if err != nil {
+		ft.sweep(disk.Remove, created)
+		return err
+	}
+	var ts *ftTask
 	ft.mu.Lock()
-	ft.noteEndLocked(pa.task, pa.attempt)
-	ts := &ft.tasks[pa.task]
-	for ts.committing {
-		ft.cond.Wait()
+	if ft.inner != nil {
+		ft.noteEndLocked(pa.task, pa.attempt)
+		ts = &ft.tasks[pa.task]
+		for ts.committing {
+			ft.cond.Wait()
+		}
+		if ts.committed || ft.aborted {
+			ft.mu.Unlock()
+			ft.sweep(disk.Remove, []string{out.index.Name})
+			return nil
+		}
+		ts.committing = true
 	}
-	if ts.committed || ft.aborted {
-		ft.mu.Unlock()
-		ft.sweepDiskFiles(node, []string{out.index.Name})
-		return
-	}
-	ts.committing = true
 	ft.mu.Unlock()
 
 	canon := canonicalMapOutName(ft.job.filePrefix, pa.task)
-	rerr := ft.c.Disks[node].Rename(out.index.Name, canon)
+	err = disk.Rename(out.index.Name, canon)
 
 	ft.mu.Lock()
-	ts.committing = false
-	if rerr != nil {
+	if ts != nil {
+		ts.committing = false
+	}
+	if err != nil {
 		ft.cond.Broadcast()
 		ft.mu.Unlock()
-		ft.sweepDiskFiles(node, []string{out.index.Name})
-		ft.attemptFailed(pa, node, rerr)
-		return
+		ft.sweep(disk.Remove, []string{out.index.Name})
+		return err
 	}
 	out.index.Name = canon
-	mapOuts[pa.task] = out
-	mapReports[pa.task] = rep
-	ts.committed = true
-	ts.winDur = rep.Wall
-	if pa.kind == attemptSpeculative {
-		ft.specWins++
+	ft.mapOuts[pa.task], ft.mapReports[pa.task] = out, rep
+	if ts != nil {
+		ft.committedLocked(pa, rep.Wall)
 	}
-	ft.done++
-	if ft.done == ft.total {
-		ft.phaseDone = true
-	}
-	ft.cond.Broadcast()
 	ft.mu.Unlock()
+	// A recovered output is re-offered so staging can cover partitions that
+	// had not fetched the lost copy; the per-partition dedup makes this a
+	// no-op where staging already holds the byte-identical old segment.
 	ft.shuffle.offer(pa.task, out)
+	return nil
 }
 
-// commitReduce records a reduce attempt that won the DFS rename race.
-func (ft *ftRun) commitReduce(pa pendingAttempt, outName string, rep TaskReport, outputs []string, reduceReports []TaskReport) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	ft.noteEndLocked(pa.task, pa.attempt)
+// committedLocked records the winning attempt of a task whose output is
+// published, ending the phase with its last task.
+func (ft *ftRun) committedLocked(pa pendingAttempt, wall time.Duration) {
 	ts := &ft.tasks[pa.task]
 	ts.committed = true
-	ts.winDur = rep.Wall
-	outputs[pa.task] = outName
-	reduceReports[pa.task] = rep
+	ts.winDur = wall
 	if pa.kind == attemptSpeculative {
-		ft.specWins++
+		ft.ledger[metrics.CtrSpeculativeWins]++
 	}
 	ft.done++
-	if ft.done == ft.total {
-		ft.phaseDone = true
-	}
+	ft.phaseDone = ft.done == ft.total
 	ft.cond.Broadcast()
 }
 
-// noteLoss records a duplicate attempt that lost the commit race.
-func (ft *ftRun) noteLoss(pa pendingAttempt) {
-	ft.mu.Lock()
-	ft.noteEndLocked(pa.task, pa.attempt)
-	ft.mu.Unlock()
-}
-
-// sweepDiskFiles removes a failed or losing attempt's surviving files
-// from a node disk. Dead-node removals are skipped silently (the disk is
-// gone with its node); other failures count as cleanup errors.
-func (ft *ftRun) sweepDiskFiles(node int, files []string) {
-	if len(files) == 0 {
-		return
-	}
-	errs := 0
+// removeAll removes the named files through remove, best-effort, and
+// returns how many removals failed on a live node. A dead node's disk is
+// gone with its node, so those removals are skipped silently; an empty
+// name (a task with no committed output) is skipped too.
+func removeAll(remove func(string) error, files []string) (errs int64) {
 	for _, name := range files {
-		if err := ft.c.Disks[node].Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
+		if name == "" {
+			continue
+		}
+		if err := remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
 			errs++
 		}
 	}
-	ft.mu.Lock()
-	ft.swept++
-	ft.cleanupErrs += errs
-	ft.mu.Unlock()
+	return errs
 }
 
-// sweepDFSFiles removes a failed or losing reduce attempt's temp output
-// from the DFS.
-func (ft *ftRun) sweepDFSFiles(files []string) {
+// sweep removes a failed or losing attempt's surviving files, through the
+// remover of the disk or DFS that holds them.
+func (ft *ftRun) sweep(remove func(string) error, files []string) {
 	if len(files) == 0 {
 		return
 	}
-	errs := 0
-	for _, name := range files {
-		if err := ft.c.FS.Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
-		}
-	}
+	errs := removeAll(remove, files)
 	ft.mu.Lock()
-	ft.swept++
-	ft.cleanupErrs += errs
+	ft.ledger[metrics.CtrSweptAttemptDirs]++
+	if errs > 0 {
+		ft.ledger[metrics.CtrCleanupErrors] += errs
+	}
 	ft.mu.Unlock()
 }
 
@@ -729,51 +687,41 @@ func (ft *ftRun) sweepDFSFiles(files []string) {
 // attemptFailed absorbs these without scheduling retries.
 var errJobCanceled = errors.New("mr: attempt canceled")
 
-// sweepJobIntermediates removes what a failed or canceled job left
-// committed behind: canonical map outputs on node disks and committed
-// reduce outputs on the DFS. Attempt-scoped temp files are already swept
-// by the attempt machinery, and staging holds memory only, so after this
-// sweep a dead job leaves nothing on the cluster. Best-effort: dead nodes
-// are skipped, live-node failures count as cleanup errors. Called only
-// after all workers have joined.
-func (ft *ftRun) sweepJobIntermediates(mapOuts []mapOutput, outputs []string) {
-	errs := 0
-	for _, mo := range mapOuts {
-		if mo.index.Name == "" || ft.c.NodeDead(mo.node) {
-			continue
-		}
-		if err := ft.c.Disks[mo.node].Remove(mo.index.Name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
-		}
-	}
-	for _, name := range outputs {
-		if name == "" {
-			continue
-		}
-		if err := ft.c.FS.Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
+// sweepJobIntermediates removes what the job left committed: canonical
+// map outputs on node disks and the given committed reduce outputs on the
+// DFS. A successful job passes no outputs — its map outputs are no longer
+// needed; a failed or canceled one passes every output it committed.
+// Attempt-scoped temp files are already swept by the attempt machinery,
+// and staging holds memory only, so after a failure sweep a dead job
+// leaves nothing on the cluster. Best-effort: dead nodes are skipped,
+// live-node failures count as cleanup errors. Called only after all
+// workers have joined.
+func (ft *ftRun) sweepJobIntermediates(outputs []string) {
+	errs := removeAll(ft.c.FS.Remove, outputs)
+	for _, mo := range ft.mapOuts {
+		if !ft.c.NodeDead(mo.node) {
+			errs += removeAll(ft.c.Disks[mo.node].Remove, []string{mo.index.Name})
 		}
 	}
-	ft.mu.Lock()
-	ft.cleanupErrs += errs
-	ft.mu.Unlock()
+	if errs > 0 {
+		ft.mu.Lock()
+		ft.ledger[metrics.CtrCleanupErrors] += errs
+		ft.mu.Unlock()
+	}
 }
 
 // snapshotMapOuts copies the map-output table under the lock, so a reduce
 // attempt's fetch set is consistent even while recovery rewrites entries.
-func (ft *ftRun) snapshotMapOuts(mapOuts []mapOutput) []mapOutput {
+func (ft *ftRun) snapshotMapOuts() []mapOutput {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return append([]mapOutput(nil), mapOuts...)
+	return append([]mapOutput(nil), ft.mapOuts...)
 }
 
 // speculate is the per-phase straggler monitor: once a quorum of tasks
 // has committed, a task whose sole running attempt exceeds the slowdown
 // multiple of the median committed duration gets one backup attempt.
 func (ft *ftRun) speculate(stop <-chan struct{}) {
-	if !ft.job.Speculation {
-		return
-	}
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -827,12 +775,12 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 // re-execution. Called from a failing reduce worker's goroutine;
 // singleflight, with rival workers waiting so their retries see the
 // recovered outputs.
-func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapReports []TaskReport, mapNext []int) {
+func (ft *ftRun) recoverLostMapOuts() {
 	ft.refreshDeadNodes()
 	lostLocked := func() []int {
 		var lost []int
-		for t := range mapOuts {
-			if ft.deadKnown[mapOuts[t].node] {
+		for t := range ft.mapOuts {
+			if ft.deadKnown[ft.mapOuts[t].node] {
 				lost = append(lost, t)
 			}
 		}
@@ -858,7 +806,7 @@ func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapRepo
 
 	var ferr error
 	for _, t := range lost {
-		if err := ft.rerunMapTask(t, splits, mapOuts, mapReports, mapNext); err != nil {
+		if err := ft.rerunMapTask(t); err != nil {
 			ferr = err
 			break
 		}
@@ -873,9 +821,8 @@ func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapRepo
 }
 
 // rerunMapTask re-executes one lost map task on a live node, retrying
-// across nodes up to MaxAttempts. The old canonical output name is on a
-// dead disk, so the fresh commit rename cannot collide.
-func (ft *ftRun) rerunMapTask(t int, splits []Split, mapOuts []mapOutput, mapReports []TaskReport, mapNext []int) error {
+// across nodes up to MaxAttempts.
+func (ft *ftRun) rerunMapTask(t int) error {
 	kind := attemptRecovery
 	for tries := 0; tries < ft.job.MaxAttempts; tries++ {
 		node, ok := ft.pickLiveNode(t + tries)
@@ -883,46 +830,19 @@ func (ft *ftRun) rerunMapTask(t int, splits []Split, mapOuts []mapOutput, mapRep
 			return fmt.Errorf("mr: map task %d output lost to node death and no live node remains to re-run it", t)
 		}
 		ft.mu.Lock()
-		attemptNo := mapNext[t]
-		mapNext[t]++
-		ft.mapAttempts++
-		if kind == attemptRecovery {
-			ft.recovered++
-		} else {
-			ft.retries++
-		}
+		pa := pendingAttempt{task: t, attempt: ft.mapTasks[t].nextAttempt, kind: kind}
+		ft.mapTasks[t].nextAttempt++
+		ft.ledger[metrics.CtrMapAttempts]++
+		ft.ledger[kind.counter()]++
 		ft.mu.Unlock()
 		kind = attemptRetry
-		plan := ft.inj.Plan(node, t, attemptNo, chaos.MapSites())
-		out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), t, splits[t], node, 0, attemptNo, plan)
-		if err != nil {
-			ft.refreshDeadNodes()
-			ft.sweepDiskFiles(node, created)
-			ft.mu.Lock()
-			ft.failed++
-			ft.mu.Unlock()
-			continue
+		if ft.mapAttempt(pa, node, 0) == nil {
+			return nil
 		}
-		canon := canonicalMapOutName(ft.job.filePrefix, t)
-		if rerr := ft.c.Disks[node].Rename(out.index.Name, canon); rerr != nil {
-			ft.refreshDeadNodes()
-			ft.sweepDiskFiles(node, []string{out.index.Name})
-			ft.mu.Lock()
-			ft.failed++
-			ft.mu.Unlock()
-			continue
-		}
-		out.index.Name = canon
+		ft.refreshDeadNodes()
 		ft.mu.Lock()
-		mapOuts[t] = out
-		mapReports[t] = rep
+		ft.ledger[metrics.CtrFailedAttempts]++
 		ft.mu.Unlock()
-		// The recovered output is a fresh commit: re-offer it so staging
-		// can cover partitions that had not fetched the lost copy. (The
-		// per-partition dedup makes this a no-op where staging already
-		// holds the — byte-identical — old segment.)
-		ft.shuffle.offer(t, out)
-		return nil
 	}
 	return fmt.Errorf("mr: map task %d re-run failed %d attempts after output loss", t, ft.job.MaxAttempts)
 }
@@ -942,45 +862,34 @@ func (ft *ftRun) pickLiveNode(seed int) (int, bool) {
 	return 0, false
 }
 
-// fillResult copies the run's fault-tolerance accounting onto the Result.
-func (ft *ftRun) fillResult(res *Result) {
+// fillResult merges the attempt ledger and the map placement counts into
+// the job aggregate, then fills the Result's accounting fields from it.
+// CleanupErrors thus also counts the removals map tasks failed.
+func (ft *ftRun) fillResult(res *Result, sched *scheduler) {
 	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	res.MapAttempts = ft.mapAttempts
-	res.ReduceAttempts = ft.reduceAttempts
-	res.TaskRetries = ft.retries
-	res.SpeculativeTasks = ft.spec
-	res.SpeculativeWins = ft.specWins
-	res.RecoveredMapTasks = ft.recovered
-	res.FailedAttempts = ft.failed
-	res.SweptAttempts = ft.swept
-	res.CleanupErrors = ft.cleanupErrs
-	if ft.c.Chaos != nil {
-		res.DeadNodes = ft.c.Chaos.DeadNodes()
-	}
+	ft.ledger[metrics.CtrLocalMapTasks] += int64(sched.local)
+	ft.ledger[metrics.CtrStolenMapTasks] += int64(sched.stolen)
+	res.Agg.Merge(metrics.Snapshot{Counters: ft.ledger})
 	for n, b := range ft.blacklisted {
 		if b {
 			res.BlacklistedNodes = append(res.BlacklistedNodes, n)
 		}
 	}
-	ctr := res.Agg.Counters
-	ctr[metrics.CtrMapAttempts] += int64(ft.mapAttempts)
-	ctr[metrics.CtrReduceAttempts] += int64(ft.reduceAttempts)
-	for k, v := range map[string]int{
-		metrics.CtrTaskRetries:       ft.retries,
-		metrics.CtrSpeculativeTasks:  ft.spec,
-		metrics.CtrSpeculativeWins:   ft.specWins,
-		metrics.CtrRecoveredMapTasks: ft.recovered,
-		metrics.CtrFailedAttempts:    ft.failed,
-		metrics.CtrSweptAttemptDirs:  ft.swept,
-	} {
-		if v > 0 {
-			ctr[k] += int64(v)
-		}
+	ft.mu.Unlock()
+	if ft.c.Chaos != nil {
+		res.DeadNodes = ft.c.Chaos.DeadNodes()
 	}
-	if ft.cleanupErrs > 0 {
-		ctr[metrics.CtrCleanupErrors] += int64(ft.cleanupErrs)
-	}
+	ctr := func(name string) int { return int(res.Agg.Counters[name]) }
+	res.LocalMapTasks, res.StolenMapTasks = ctr(metrics.CtrLocalMapTasks), ctr(metrics.CtrStolenMapTasks)
+	res.MapAttempts, res.ReduceAttempts = ctr(metrics.CtrMapAttempts), ctr(metrics.CtrReduceAttempts)
+	res.TaskRetries = ctr(metrics.CtrTaskRetries)
+	res.SpeculativeTasks, res.SpeculativeWins = ctr(metrics.CtrSpeculativeTasks), ctr(metrics.CtrSpeculativeWins)
+	res.RecoveredMapTasks = ctr(metrics.CtrRecoveredMapTasks)
+	res.FailedAttempts = ctr(metrics.CtrFailedAttempts)
+	res.SweptAttempts, res.CleanupErrors = ctr(metrics.CtrSweptAttemptDirs), ctr(metrics.CtrCleanupErrors)
+	res.ShuffleEarlySegments = ctr(metrics.CtrShuffleEarlySegments)
+	res.ShuffleFetchRetries = ctr(metrics.CtrShuffleFetchRetries)
+	res.ShuffleStagingPeak = res.Agg.Counters[metrics.CtrShuffleStagingPeak]
 }
 
 // scheduler places base map attempts on one list of pending tasks. A

@@ -213,23 +213,27 @@ func TestShuffleFetchPlaneVariantsMatchReference(t *testing.T) {
 
 // TestShuffleEdgeInputsMatchReference runs degenerate inputs through the
 // whole job — map, spill, copier staging, staged fetch, reduce — and
-// requires RunReference's bytes for each.
+// requires RunReference's bytes for each, one attempt per task, and node
+// disks as the job found them once its outputs are removed: the success
+// path removes every committed map output, and no removal fails.
 func TestShuffleEdgeInputsMatchReference(t *testing.T) {
 	longKey := strings.Repeat("k", 3<<10)
 	cases := []struct {
 		name  string
 		input string
+		maps  int
 		tune  func(job *mr.Job)
 	}{
-		{"empty-input", "", func(*mr.Job) {}},
+		// No split, so the map phase has no task to run.
+		{"empty-input", "", 0, func(*mr.Job) {}},
 		// One record, 64 partitions: 63 of every map output's segments
 		// are empty.
-		{"one-word-64-reducers", "word\n", func(job *mr.Job) { job.NumReducers = 64 }},
+		{"one-word-64-reducers", "word\n", 1, func(job *mr.Job) { job.NumReducers = 64 }},
 		// Every record lands in one partition; the other three receive
 		// nothing from any map task.
-		{"all-one-key", strings.Repeat("same same same same\n", 2000), func(*mr.Job) {}},
+		{"all-one-key", strings.Repeat("same same same same\n", 2000), 5, func(*mr.Job) {}},
 		// A key the split reader cannot hold in one arena chunk.
-		{"key-longer-than-ingest-chunk", "a " + longKey + " b\n" + longKey + "\n", func(job *mr.Job) { job.IngestChunkBytes = 1 << 10 }},
+		{"key-longer-than-ingest-chunk", "a " + longKey + " b\n" + longKey + "\n", 1, func(job *mr.Job) { job.IngestChunkBytes = 1 << 10 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -252,7 +256,23 @@ func TestShuffleEdgeInputsMatchReference(t *testing.T) {
 			}
 			job := ftJob("edge.txt", "wc-edge-"+tc.name)
 			tc.tune(job)
-			runAgainstReference(t, c, job)
+			before := diskSnapshot(t, c)
+			res := runAgainstReference(t, c, job)
+			if res.MapTasks != tc.maps || res.MapAttempts != res.MapTasks || res.ReduceAttempts != res.ReduceTasks {
+				t.Errorf("%d/%d map and %d/%d reduce attempts/tasks, want %d map tasks and one attempt each",
+					res.MapAttempts, res.MapTasks, res.ReduceAttempts, res.ReduceTasks, tc.maps)
+			}
+			if n, ok := res.Agg.Counters[metrics.CtrCleanupErrors]; ok {
+				t.Errorf("%s = %d on a fault-free run, want it absent", metrics.CtrCleanupErrors, n)
+			}
+			for _, name := range res.Outputs {
+				if err := c.FS.Remove(name); err != nil {
+					t.Fatalf("remove output %s: %v", name, err)
+				}
+			}
+			if leaked := diffSnapshots(before, diskSnapshot(t, c)); len(leaked) != 0 {
+				t.Errorf("job left %d files besides its outputs:\n  %s", len(leaked), strings.Join(leaked, "\n  "))
+			}
 		})
 	}
 }

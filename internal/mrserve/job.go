@@ -111,38 +111,20 @@ func (j *jobState) bindContext(cancel context.CancelFunc) (alreadyCanceled bool)
 	return j.canceled
 }
 
-// AttemptLedger is the job's fault-tolerance accounting, lifted from the
-// Result so API clients see the attempt economy without parsing the full
-// counter map.
-type AttemptLedger struct {
-	MapAttempts      int   `json:"map_attempts"`
-	ReduceAttempts   int   `json:"reduce_attempts"`
-	TaskRetries      int   `json:"task_retries"`
-	SpeculativeTasks int   `json:"speculative_tasks"`
-	SpeculativeWins  int   `json:"speculative_wins"`
-	RecoveredMaps    int   `json:"recovered_map_tasks"`
-	FailedAttempts   int   `json:"failed_attempts"`
-	SweptAttempts    int   `json:"swept_attempts"`
-	CleanupErrors    int   `json:"cleanup_errors"`
-	DeadNodes        []int `json:"dead_nodes,omitempty"`
-	BlacklistedNodes []int `json:"blacklisted_nodes,omitempty"`
-}
-
 // ResultView is the JSON digest of a completed job's Result. Metrics is
-// the job's own aggregate — operation and wait times, counters and latency
-// summaries — in the shape mrrun -metrics-json writes.
+// the job's own aggregate — operation and wait times, counters (the
+// attempt ledger and map placement among them) and latency summaries — in
+// the shape mrrun -metrics-json writes.
 type ResultView struct {
-	WallMS        float64       `json:"wall_ms"`
-	MapWallMS     float64       `json:"map_wall_ms"`
-	ReduceWallMS  float64       `json:"reduce_wall_ms"`
-	MapTasks      int           `json:"map_tasks"`
-	ReduceTasks   int           `json:"reduce_tasks"`
-	LocalMaps     int           `json:"local_map_tasks"`
-	StolenMaps    int           `json:"stolen_map_tasks"`
-	Outputs       []string      `json:"outputs"`
-	Metrics       metrics.Dump  `json:"metrics"`
-	Attempts      AttemptLedger `json:"attempts"`
-	ShuffleStaged int           `json:"shuffle_early_segments"`
+	WallMS           float64      `json:"wall_ms"`
+	MapWallMS        float64      `json:"map_wall_ms"`
+	ReduceWallMS     float64      `json:"reduce_wall_ms"`
+	MapTasks         int          `json:"map_tasks"`
+	ReduceTasks      int          `json:"reduce_tasks"`
+	Outputs          []string     `json:"outputs"`
+	Metrics          metrics.Dump `json:"metrics"`
+	DeadNodes        []int        `json:"dead_nodes,omitempty"`
+	BlacklistedNodes []int        `json:"blacklisted_nodes,omitempty"`
 }
 
 // JobView is the GET /jobs/{id} document.
@@ -181,29 +163,15 @@ func (j *jobState) view() JobView {
 	}
 	if r := j.res; r != nil {
 		v.Result = &ResultView{
-			WallMS:       float64(r.Wall) / 1e6,
-			MapWallMS:    float64(r.MapWall) / 1e6,
-			ReduceWallMS: float64(r.ReduceWall) / 1e6,
-			MapTasks:     r.MapTasks,
-			ReduceTasks:  r.ReduceTasks,
-			LocalMaps:    r.LocalMapTasks,
-			StolenMaps:   r.StolenMapTasks,
-			Outputs:      r.Outputs,
-			Metrics:      metrics.NewDump(r.Agg),
-			Attempts: AttemptLedger{
-				MapAttempts:      r.MapAttempts,
-				ReduceAttempts:   r.ReduceAttempts,
-				TaskRetries:      r.TaskRetries,
-				SpeculativeTasks: r.SpeculativeTasks,
-				SpeculativeWins:  r.SpeculativeWins,
-				RecoveredMaps:    r.RecoveredMapTasks,
-				FailedAttempts:   r.FailedAttempts,
-				SweptAttempts:    r.SweptAttempts,
-				CleanupErrors:    r.CleanupErrors,
-				DeadNodes:        r.DeadNodes,
-				BlacklistedNodes: r.BlacklistedNodes,
-			},
-			ShuffleStaged: r.ShuffleEarlySegments,
+			WallMS:           float64(r.Wall) / 1e6,
+			MapWallMS:        float64(r.MapWall) / 1e6,
+			ReduceWallMS:     float64(r.ReduceWall) / 1e6,
+			MapTasks:         r.MapTasks,
+			ReduceTasks:      r.ReduceTasks,
+			Outputs:          r.Outputs,
+			Metrics:          metrics.NewDump(r.Agg),
+			DeadNodes:        r.DeadNodes,
+			BlacklistedNodes: r.BlacklistedNodes,
 		}
 	}
 	return v

@@ -133,9 +133,9 @@ func TestServeEndToEnd(t *testing.T) {
 		if v.Result == nil || v.Result.WallMS <= 0 || v.Result.MapTasks == 0 {
 			t.Fatalf("job %s has an empty result: %+v", v.ID, v.Result)
 		}
-		if v.Result.Attempts.MapAttempts < v.Result.MapTasks {
-			t.Errorf("job %s attempt ledger %+v inconsistent with %d map tasks",
-				v.ID, v.Result.Attempts, v.Result.MapTasks)
+		if got := v.Result.Metrics.Counters[metrics.CtrMapAttempts]; got < int64(v.Result.MapTasks) {
+			t.Errorf("job %s has %d map attempts, inconsistent with %d map tasks",
+				v.ID, got, v.Result.MapTasks)
 		}
 		// The job's own metrics: counters, op times and its latency
 		// histograms, one fetch per (map task, partition).
@@ -207,7 +207,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// The runtime section is the two finished jobs' Results merged.
 	var wantReduce uint64
 	for _, v := range []mrserve.JobView{v1, v2} {
-		wantReduce += uint64(v.Result.Attempts.ReduceAttempts)
+		wantReduce += uint64(v.Result.Metrics.Counters[metrics.CtrReduceAttempts])
 	}
 	for _, want := range []string{
 		`mrserve_jobs_completed_total{tenant="alice"} 1`,
