@@ -57,47 +57,40 @@ func benchCluster(b *testing.B) *mrtext.Cluster {
 	return c
 }
 
-// benchJob constructs the job for one (app, variant) cell of Table III/IV.
-func benchJob(app string, variant string) func(c *mrtext.Cluster) *mrtext.Job {
-	return func(c *mrtext.Cluster) *mrtext.Job {
-		var job *mrtext.Job
-		switch app {
-		case "WordCount":
-			job = mrtext.WordCount("corpus.txt")
-		case "InvertedIndex":
-			job = mrtext.InvertedIndex("corpus.txt")
-		case "WordPOSTag":
-			job = mrtext.WordPOSTag(2, "corpus.txt")
-		case "AccessLogSum":
-			job = mrtext.AccessLogSum("visits.log")
-		case "AccessLogJoin":
-			job = mrtext.AccessLogJoin("visits.log", "rankings.tbl")
-		case "PageRank":
-			job = mrtext.PageRank("crawl.tsv", 5_000)
-		}
-		job.SpillBufferBytes = 512 << 10
-		switch variant {
-		case "FreqOpt", "Combined":
-			if app == "AccessLogSum" || app == "AccessLogJoin" || app == "PageRank" {
-				job.FreqBuf = mrtext.FreqBufLog()
-			} else {
-				job.FreqBuf = mrtext.FreqBufText()
-			}
-		}
-		if variant == "SpillOpt" || variant == "Combined" {
-			job.SpillMatcher = true
-		}
-		return job
+// benchInputs names the benchmark datasets benchCluster generates.
+var benchInputs = map[apps.Input]string{
+	apps.Corpus:   "corpus.txt",
+	apps.Visits:   "visits.log",
+	apps.Rankings: "rankings.tbl",
+	apps.Graph:    "crawl.tsv",
+}
+
+// benchJob constructs the job for one (app, variant) cell of Table III/IV
+// from the application catalogue.
+func benchJob(b *testing.B, app, variant string) *mrtext.Job {
+	a, err := apps.Lookup(app)
+	if err != nil {
+		b.Fatal(err)
 	}
+	var inputs []string
+	for _, in := range a.Inputs {
+		inputs = append(inputs, benchInputs[in])
+	}
+	job := a.Job(inputs, apps.Params{Pages: 5_000, POSIterations: 2})
+	job.SpillBufferBytes = 512 << 10
+	if variant == "FreqOpt" || variant == "Combined" {
+		job.FreqBuf = a.Class.FreqBuf()
+	}
+	job.SpillMatcher = variant == "SpillOpt" || variant == "Combined"
+	return job
 }
 
 // runTimingBench measures one (app, variant) cell end to end.
-func runTimingBench(b *testing.B, c *mrtext.Cluster, mk func(*mrtext.Cluster) *mrtext.Job) {
+func runTimingBench(b *testing.B, c *mrtext.Cluster, app, variant string) {
 	b.Helper()
 	var bytesOut int64
 	for i := 0; i < b.N; i++ {
-		job := mk(c)
-		res, err := mrtext.Run(c, job)
+		res, err := mrtext.Run(c, benchJob(b, app, variant))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +110,7 @@ func BenchmarkTable3(b *testing.B) {
 			b.Run(app+"/"+variant, func(b *testing.B) {
 				c := benchCluster(b)
 				b.ResetTimer()
-				runTimingBench(b, c, benchJob(app, variant))
+				runTimingBench(b, c, app, variant)
 			})
 		}
 	}
@@ -150,7 +143,7 @@ func BenchmarkTable4(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
-				runTimingBench(b, c, benchJob(app, variant))
+				runTimingBench(b, c, app, variant)
 			})
 		}
 	}
@@ -164,7 +157,7 @@ func BenchmarkFig2Breakdown(b *testing.B) {
 	b.ResetTimer()
 	var userFrac float64
 	for i := 0; i < b.N; i++ {
-		res, err := mrtext.Run(c, benchJob("WordCount", "Baseline")(c))
+		res, err := mrtext.Run(c, benchJob(b, "WordCount", "Baseline"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +245,7 @@ func BenchmarkFig8FreqBuf(b *testing.B) {
 			b.ResetTimer()
 			var hits, total int64
 			for i := 0; i < b.N; i++ {
-				res, err := mrtext.Run(c, benchJob("WordCount", variant)(c))
+				res, err := mrtext.Run(c, benchJob(b, "WordCount", variant))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,7 +269,7 @@ func BenchmarkFig9SpillControllers(b *testing.B) {
 			b.ResetTimer()
 			var idle float64
 			for i := 0; i < b.N; i++ {
-				res, err := mrtext.Run(c, benchJob("WordCount", variant)(c))
+				res, err := mrtext.Run(c, benchJob(b, "WordCount", variant))
 				if err != nil {
 					b.Fatal(err)
 				}

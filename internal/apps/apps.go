@@ -2,7 +2,9 @@
 // plus the SynText parameterizable benchmark of §V-D against the mr
 // runtime's public contract. Each constructor returns a ready job spec;
 // callers flip the optimization switches (FreqBuf, SpillMatcher) on the
-// returned Job.
+// returned Job. Catalogue lists every application once, with the dataset
+// kinds it reads and its class's frequency-buffering preset; the service,
+// mrrun, the experiments and the Go benchmarks build their jobs from it.
 //
 // All applications produce deterministic text output so any configuration
 // can be byte-compared against the sequential reference executor.

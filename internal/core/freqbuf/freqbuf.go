@@ -86,8 +86,6 @@ type Config struct {
 	// SampleFraction fixes the profiling fraction s. When zero the
 	// auto-tuning profiler of §III-C chooses s from the fitted α.
 	SampleFraction float64
-	// PreProfileFraction is the prefix used for α estimation (default 1%).
-	PreProfileFraction float64
 	// ExpectedRecords estimates this task's total map-output record count
 	// n; the runtime refines it as the split is consumed. Required.
 	ExpectedRecords func() int64
@@ -97,6 +95,9 @@ type Config struct {
 }
 
 const (
+	// preProfileFraction is the prefix of the expected records used for α
+	// estimation.
+	preProfileFraction = 0.01
 	// summaryPerKey sizes the Space-Saving summary: this many counters per
 	// tracked key.
 	summaryPerKey = 4
@@ -105,9 +106,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.PreProfileFraction <= 0 {
-		c.PreProfileFraction = 0.01
-	}
 	if c.ValuesPerKeyCap <= 0 {
 		c.ValuesPerKeyCap = 32
 	}
@@ -431,7 +429,7 @@ func (b *Buffer) profile(key []byte) {
 	b.stats.Profiled++
 	if b.stage == StagePreProfile {
 		b.pre.Offer(string(key))
-		if float64(b.seen) >= b.cfg.PreProfileFraction*float64(b.expected()) {
+		if float64(b.seen) >= preProfileFraction*float64(b.expected()) {
 			b.finishPreProfile()
 		}
 		return
@@ -469,7 +467,7 @@ func (b *Buffer) finishPreProfile() {
 			// direction.
 			frac := float64(b.seen) / float64(b.expected())
 			if frac <= 0 {
-				frac = b.cfg.PreProfileFraction
+				frac = preProfileFraction
 			}
 			m := int64(float64(b.pre.Distinct()) / frac)
 			if m < int64(b.pre.Distinct()) {

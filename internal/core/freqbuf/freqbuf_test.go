@@ -65,27 +65,34 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStageProgression(t *testing.T) {
-	b := newBuffer(t, Config{K: 4, MemoryBytes: 1 << 16, SampleFraction: 0.1, PreProfileFraction: 0.02}, sumCombine)
+	b := newBuffer(t, Config{K: 4, MemoryBytes: 1 << 16, SampleFraction: 0.1}, sumCombine)
 	if b.Stage() != StagePreProfile {
 		t.Fatalf("initial stage %v", b.Stage())
 	}
 	one := serde.EncodeInt64(1)
-	// 10k expected records: pre-profile until 200 seen, profile until 1000.
-	for i := 0; i < 199; i++ {
+	// 10k expected records: pre-profile until 100 (1%) seen, profile
+	// until 1000 (s·n).
+	for i := 0; i < 99; i++ {
 		if absorbed, _, _ := b.Offer(0, []byte(fmt.Sprintf("k%d", i%8)), one); absorbed {
 			t.Fatal("absorbed during pre-profile")
 		}
 	}
 	if b.Stage() != StagePreProfile {
-		t.Fatalf("stage after 199: %v", b.Stage())
+		t.Fatalf("stage after 99: %v", b.Stage())
 	}
 	b.Offer(0, []byte("k0"), one)
 	if b.Stage() != StageProfile {
-		t.Fatalf("stage after 200: %v", b.Stage())
+		t.Fatalf("stage after 100: %v", b.Stage())
 	}
-	for i := 0; i < 800; i++ {
-		b.Offer(0, []byte(fmt.Sprintf("k%d", i%8)), one)
+	for i := 0; i < 899; i++ {
+		if absorbed, _, _ := b.Offer(0, []byte(fmt.Sprintf("k%d", i%8)), one); absorbed {
+			t.Fatal("absorbed during profile")
+		}
 	}
+	if b.Stage() != StageProfile {
+		t.Fatalf("stage after 999: %v", b.Stage())
+	}
+	b.Offer(0, []byte("k0"), one)
 	if b.Stage() != StageOptimize {
 		t.Fatalf("stage after s·n records: %v", b.Stage())
 	}

@@ -531,11 +531,21 @@ func (c *chargedReader) Close() error { return c.rc.Close() }
 
 // WriteFile is a convenience that writes data as one DFS file from node 0.
 func (d *DFS) WriteFile(name string, data []byte) error {
+	return d.WriteWith(name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteWith creates name from node 0, lets fill write its contents and
+// closes it. A fill error still closes the file and is returned with the
+// close error.
+func (d *DFS) WriteWith(name string, fill func(io.Writer) error) error {
 	w, err := d.Create(name, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
+	if err := fill(w); err != nil {
 		return errors.Join(err, w.Close())
 	}
 	return w.Close()

@@ -37,29 +37,22 @@ type AblationResult struct {
 //     last-spill-only prediction (§IV-B's hypothesis);
 //   - the §VII compressed-runs extension stacked on Combined.
 var ablationConfigs = []struct {
-	name  string
-	apply func(j *mr.Job, app AppID)
+	name    string
+	variant Variant
+	tweak   func(j *mr.Job) // nil: the variant as it is
 }{
-	{"baseline", func(j *mr.Job, app AppID) {}},
-	{"combined", func(j *mr.Job, app AppID) { applyVariant(j, app, Combined) }},
-	{"freq-no-sharing", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, FreqOpt)
-		j.FreqBuf.ShareTopK = false
-	}},
-	{"freq-autotune-s", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, FreqOpt)
+	{"baseline", Baseline, nil},
+	{"combined", Combined, nil},
+	{"freq-no-sharing", FreqOpt, func(j *mr.Job) { j.FreqBuf.ShareTopK = false }},
+	{"freq-autotune-s", FreqOpt, func(j *mr.Job) {
 		j.FreqBuf.SampleFraction = 0 // engage the §III-C auto-tuner
 	}},
-	{"spill-smoothed", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, SpillOpt)
+	{"spill-smoothed", SpillOpt, func(j *mr.Job) {
 		cfg := spillmatch.DefaultConfig()
 		cfg.Smoothing = 0.5
 		j.SpillMatcherConfig = &cfg
 	}},
-	{"combined+compress", func(j *mr.Job, app AppID) {
-		applyVariant(j, app, Combined)
-		j.CompressRuns = true
-	}},
+	{"combined+compress", Combined, func(j *mr.Job) { j.CompressRuns = true }},
 }
 
 // RunAblation measures every design-choice configuration on WordCount and
@@ -68,18 +61,20 @@ func RunAblation(env Env) (*AblationResult, error) {
 	env = env.withDefaults()
 	out := &AblationResult{}
 	for _, app := range []AppID{WordCount, InvertedIndex} {
-		c, data, err := setup(env, appNeeds(app))
+		c, err := setup(env, app)
 		if err != nil {
 			return nil, err
 		}
 		var base time.Duration
 		for _, cfg := range ablationConfigs {
-			job, err := makeJob(env, data, app, Baseline)
+			job, err := makeJob(env, app, cfg.variant)
 			if err != nil {
 				return nil, err
 			}
 			job.Name = fmt.Sprintf("%s-abl-%s", app, cfg.name)
-			cfg.apply(job, app)
+			if cfg.tweak != nil {
+				cfg.tweak(job)
+			}
 			res, err := env.run(c, job)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", app, cfg.name, err)

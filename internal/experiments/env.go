@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -57,14 +56,7 @@ const (
 // DefaultEnv returns the standard experiment environment: the paper's
 // local-cluster shape at reproduction scale.
 func DefaultEnv() Env {
-	return Env{
-		Scale:            1,
-		Cluster:          cluster.LocalSmall(),
-		POSIterations:    8,
-		SpillBufferBytes: 2 << 20,
-		Seed:             1,
-		Out:              io.Discard,
-	}
+	return Env{Seed: 1}.withDefaults()
 }
 
 func (e Env) withDefaults() Env {
@@ -95,10 +87,11 @@ func (e Env) corpusBytes() int64 { return int64(float64(defCorpusBytes) * e.Scal
 func (e Env) visitBytes() int64  { return int64(float64(defVisitBytes) * e.Scale) }
 func (e Env) graphPages() int64  { return int64(float64(defGraphPages) * e.Scale) }
 
-// AppID identifies one benchmark application.
+// AppID identifies one benchmark application by its catalogue display
+// name, which the tables print.
 type AppID string
 
-// The six applications of §II-B.
+// The six applications of §II-B, and SynText (§V-D).
 const (
 	WordCount     AppID = "WordCount"
 	InvertedIndex AppID = "InvertedIndex"
@@ -106,13 +99,11 @@ const (
 	AccessLogSum  AppID = "AccessLogSum"
 	AccessLogJoin AppID = "AccessLogJoin"
 	PageRank      AppID = "PageRank"
+	SynText       AppID = "SynText"
 )
 
 // AllApps lists the applications in the paper's presentation order.
 var AllApps = []AppID{WordCount, InvertedIndex, WordPOSTag, AccessLogSum, AccessLogJoin, PageRank}
-
-// TextApps are the three text-centric applications.
-var TextApps = []AppID{WordCount, InvertedIndex, WordPOSTag}
 
 // Variant is one of the four test scenarios of §V.
 type Variant string
@@ -128,148 +119,95 @@ const (
 // AllVariants in the paper's row order.
 var AllVariants = []Variant{Baseline, FreqOpt, SpillOpt, Combined}
 
-// Data names the generated datasets on one cluster.
-type Data struct {
-	Corpus     string
-	Visits     string
-	Rankings   string
-	Graph      string
-	GraphPages int64
+// inputNames names the experiments' datasets on a cluster.
+var inputNames = map[apps.Input]string{
+	apps.Corpus:   "corpus.txt",
+	apps.Visits:   "uservisits.log",
+	apps.Rankings: "rankings.tbl",
+	apps.Graph:    "crawl.tsv",
 }
 
-// needs flags which datasets an experiment requires.
-type needs struct{ corpus, logs, graph bool }
+// data sizes and seeds the environment's datasets.
+func (e Env) data() apps.Data {
+	return apps.Data{
+		Corpus:      textgen.CorpusConfig{Vocabulary: defVocabulary, Alpha: 1.0, WordsPerLine: 10, Seed: e.Seed + 10},
+		CorpusBytes: e.corpusBytes(),
+		Log:         textgen.LogConfig{URLs: defURLs, Alpha: 0.8, Seed: e.Seed + 20},
+		VisitBytes:  e.visitBytes(),
+		Graph:       textgen.GraphConfig{Pages: e.graphPages(), Alpha: 1.0, MeanOutDegree: 8, Seed: e.Seed + 30},
+	}
+}
 
-// setup builds a cluster from the environment and generates the requested
-// datasets into its DFS.
-func setup(env Env, n needs) (*cluster.Cluster, Data, error) {
+// setup builds a cluster from the environment and generates into its DFS
+// every dataset the applications read.
+func setup(env Env, list ...AppID) (*cluster.Cluster, error) {
 	c, err := cluster.New(env.Cluster)
 	if err != nil {
-		return nil, Data{}, err
+		return nil, err
 	}
-	d := Data{}
-	if n.corpus {
-		d.Corpus = "corpus.txt"
-		cfg := textgen.CorpusConfig{Vocabulary: defVocabulary, Alpha: 1.0, WordsPerLine: 10, Seed: env.Seed + 10}
-		if err := gen(c, d.Corpus, func(w io.Writer) error {
-			_, err := textgen.Corpus(w, cfg, env.corpusBytes())
-			return err
-		}); err != nil {
-			return nil, Data{}, fmt.Errorf("experiments: generating corpus: %w", err)
+	data, done := env.data(), map[apps.Input]bool{}
+	for _, app := range list {
+		a, err := apps.Lookup(string(app))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		for _, in := range a.Inputs {
+			if done[in] {
+				continue
+			}
+			done[in] = true
+			if err := c.FS.WriteWith(inputNames[in], func(w io.Writer) error { return in.Generate(w, data) }); err != nil {
+				return nil, fmt.Errorf("experiments: generating %s: %w", inputNames[in], err)
+			}
 		}
 	}
-	if n.logs {
-		d.Visits, d.Rankings = "uservisits.log", "rankings.tbl"
-		cfg := textgen.LogConfig{URLs: defURLs, Alpha: 0.8, Seed: env.Seed + 20}
-		if err := gen(c, d.Visits, func(w io.Writer) error {
-			_, err := textgen.UserVisits(w, cfg, env.visitBytes())
-			return err
-		}); err != nil {
-			return nil, Data{}, fmt.Errorf("experiments: generating visits: %w", err)
-		}
-		if err := gen(c, d.Rankings, func(w io.Writer) error {
-			_, err := textgen.Rankings(w, cfg)
-			return err
-		}); err != nil {
-			return nil, Data{}, fmt.Errorf("experiments: generating rankings: %w", err)
-		}
-	}
-	if n.graph {
-		d.Graph = "crawl.tsv"
-		d.GraphPages = env.graphPages()
-		cfg := textgen.GraphConfig{Pages: d.GraphPages, Alpha: 1.0, MeanOutDegree: 8, Seed: env.Seed + 30}
-		if err := gen(c, d.Graph, func(w io.Writer) error {
-			_, err := textgen.WebGraph(w, cfg)
-			return err
-		}); err != nil {
-			return nil, Data{}, fmt.Errorf("experiments: generating graph: %w", err)
-		}
-	}
-	return c, d, nil
+	return c, nil
 }
 
-func gen(c *cluster.Cluster, name string, fill func(io.Writer) error) error {
-	w, err := c.FS.Create(name, 0)
+// makeJob builds app's job under variant v over setup's datasets.
+func makeJob(env Env, app AppID, v Variant) (*mr.Job, error) {
+	return makeJobWith(env, app, v, apps.Params{Pages: env.graphPages(), POSIterations: env.POSIterations})
+}
+
+// makeJobWith is makeJob with the application parameters given. The
+// variant flips the optimization switches, frequency-buffering at the
+// paper's setting for the app's class (§V-B2).
+func makeJobWith(env Env, app AppID, v Variant, p apps.Params) (*mr.Job, error) {
+	a, err := apps.Lookup(string(app))
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	if err := fill(w); err != nil {
-		return errors.Join(err, w.Close())
+	inputs := make([]string, len(a.Inputs))
+	for i, in := range a.Inputs {
+		inputs[i] = inputNames[in]
 	}
-	return w.Close()
-}
-
-// appNeeds returns the datasets an application requires.
-func appNeeds(app AppID) needs {
-	switch app {
-	case WordCount, InvertedIndex, WordPOSTag:
-		return needs{corpus: true}
-	case AccessLogSum, AccessLogJoin:
-		return needs{logs: true}
-	case PageRank:
-		return needs{graph: true}
-	}
-	return needs{}
-}
-
-// mergeNeeds unions dataset requirements.
-func mergeNeeds(apps []AppID) needs {
-	var n needs
-	for _, a := range apps {
-		an := appNeeds(a)
-		n.corpus = n.corpus || an.corpus
-		n.logs = n.logs || an.logs
-		n.graph = n.graph || an.graph
-	}
-	return n
-}
-
-// makeJob builds the job spec for an application under a variant.
-func makeJob(env Env, d Data, app AppID, v Variant) (*mr.Job, error) {
-	var job *mr.Job
-	switch app {
-	case WordCount:
-		job = apps.WordCount(d.Corpus)
-	case InvertedIndex:
-		job = apps.InvertedIndex(d.Corpus)
-	case WordPOSTag:
-		job = apps.WordPOSTag(env.POSIterations, d.Corpus)
-	case AccessLogSum:
-		job = apps.AccessLogSum(d.Visits)
-	case AccessLogJoin:
-		job = apps.AccessLogJoin(d.Visits, d.Rankings)
-	case PageRank:
-		job = apps.PageRank(d.Graph, d.GraphPages)
-	default:
-		return nil, fmt.Errorf("experiments: unknown app %q", app)
-	}
+	job := a.Job(inputs, p)
 	job.Name = fmt.Sprintf("%s-%s", job.Name, v)
 	job.SpillBufferBytes = env.SpillBufferBytes
-	applyVariant(job, app, v)
-	return job, nil
-}
-
-// applyVariant flips the optimization switches per the paper's settings:
-// text applications use the k=3000/s=0.01 frequency-buffering parameters,
-// log/graph applications k=10000/s=0.1 (§V-B2).
-func applyVariant(job *mr.Job, app AppID, v Variant) {
-	freq := v == FreqOpt || v == Combined
-	spill := v == SpillOpt || v == Combined
-	if freq {
-		switch app {
-		case WordCount, InvertedIndex, WordPOSTag:
-			job.FreqBuf = mr.DefaultFreqBufText()
-		default:
-			job.FreqBuf = mr.DefaultFreqBufLog()
-		}
+	if v == FreqOpt || v == Combined {
+		job.FreqBuf = a.Class.FreqBuf()
 	}
-	job.SpillMatcher = spill
+	job.SpillMatcher = v == SpillOpt || v == Combined
+	return job, nil
 }
 
 // run runs one job, on the environment's tracer, and returns its result.
 func (e Env) run(c *cluster.Cluster, job *mr.Job) (*mr.Result, error) {
 	job.Trace = e.Trace
 	return mr.Run(c, job)
+}
+
+// runCell builds app's job under variant v and runs it on c.
+func (e Env) runCell(c *cluster.Cluster, app AppID, v Variant) (*mr.Result, error) {
+	job, err := makeJob(e, app, v)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.run(c, job)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", app, v, err)
+	}
+	return res, nil
 }
 
 // seconds renders a duration with 2 decimals.

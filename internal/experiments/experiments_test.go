@@ -48,48 +48,6 @@ func TestEnvDefaults(t *testing.T) {
 	}
 }
 
-func TestAppNeedsAndJobs(t *testing.T) {
-	env := tinyEnv()
-	c, data, err := setup(env, mergeNeeds(AllApps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.FS.Exists(data.Corpus) || !c.FS.Exists(data.Visits) || !c.FS.Exists(data.Rankings) || !c.FS.Exists(data.Graph) {
-		t.Fatal("datasets missing")
-	}
-	for _, app := range AllApps {
-		for _, v := range AllVariants {
-			job, err := makeJob(env, data, app, v)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", app, v, err)
-			}
-			freq := v == FreqOpt || v == Combined
-			if (job.FreqBuf != nil) != freq {
-				t.Errorf("%s/%s: freqbuf=%v", app, v, job.FreqBuf != nil)
-			}
-			if job.SpillMatcher != (v == SpillOpt || v == Combined) {
-				t.Errorf("%s/%s: spillmatcher=%v", app, v, job.SpillMatcher)
-			}
-		}
-	}
-	if _, err := makeJob(env, data, AppID("bogus"), Baseline); err == nil {
-		t.Error("bogus app accepted")
-	}
-}
-
-func TestFreqBufParamsPerAppClass(t *testing.T) {
-	env := tinyEnv()
-	data := Data{Corpus: "c", Visits: "v", Rankings: "r", Graph: "g", GraphPages: 10}
-	text, _ := makeJob(env, data, WordCount, FreqOpt)
-	if text.FreqBuf.K != 3000 || text.FreqBuf.SampleFraction != 0.01 {
-		t.Errorf("text freqbuf %+v", text.FreqBuf)
-	}
-	logj, _ := makeJob(env, data, AccessLogSum, FreqOpt)
-	if logj.FreqBuf.K != 10000 || logj.FreqBuf.SampleFraction != 0.1 {
-		t.Errorf("log freqbuf %+v", logj.FreqBuf)
-	}
-}
-
 func TestRunFig7Shapes(t *testing.T) {
 	env := tinyEnv()
 	env.Scale = 0.1 // 100k records

@@ -40,7 +40,7 @@ func RunFig10(env Env) (*Fig10Result, error) {
 		CPUFactors: []int{0, 4, 16, 64},
 		Storages:   []float64{0, 0.33, 0.67, 1.0},
 	}
-	c, data, err := setup(env, needs{corpus: true})
+	c, err := setup(env, SynText)
 	if err != nil {
 		return nil, err
 	}
@@ -48,10 +48,10 @@ func RunFig10(env Env) (*Fig10Result, error) {
 		for _, sto := range out.Storages {
 			cell := Fig10Cell{CPUFactor: cpu, Storage: sto}
 			for _, v := range []Variant{Baseline, Combined} {
-				job := apps.SynText(apps.SynTextConfig{CPUFactor: cpu, Storage: sto}, data.Corpus)
-				job.Name = fmt.Sprintf("%s-%s", job.Name, v)
-				job.SpillBufferBytes = env.SpillBufferBytes
-				applyVariant(job, WordCount, v) // text-style freqbuf parameters
+				job, err := makeJobWith(env, SynText, v, apps.Params{SynText: apps.SynTextConfig{CPUFactor: cpu, Storage: sto}})
+				if err != nil {
+					return nil, err
+				}
 				res, err := env.run(c, job)
 				if err != nil {
 					return nil, fmt.Errorf("syntext cpu=%d sto=%.2f %s: %w", cpu, sto, v, err)

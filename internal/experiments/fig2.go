@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"mrtext/internal/metrics"
@@ -46,17 +45,13 @@ func RunFig2(env Env) (*Fig2Result, error) {
 	env = env.withDefaults()
 	out := &Fig2Result{}
 	for _, app := range AllApps {
-		c, data, err := setup(env, appNeeds(app))
+		c, err := setup(env, app)
 		if err != nil {
 			return nil, err
 		}
-		job, err := makeJob(env, data, app, Baseline)
+		res, err := env.runCell(c, app, Baseline)
 		if err != nil {
 			return nil, err
-		}
-		res, err := env.run(c, job)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app, err)
 		}
 		out.Breakdowns = append(out.Breakdowns, breakdownOf(app, Baseline, res))
 	}
@@ -94,11 +89,7 @@ func printTable2(env Env, r *Fig2Result) {
 }
 
 // RunTable2 reproduces Table II alone (it shares Fig. 2's runs).
-func RunTable2(env Env) (*Fig2Result, error) {
-	env = env.withDefaults()
-	r, err := RunFig2(env)
-	return r, err
-}
+func RunTable2(env Env) (*Fig2Result, error) { return RunFig2(env) }
 
 // Fig8Result pairs baseline and frequency-buffered breakdowns per app.
 type Fig8Result struct {
@@ -113,19 +104,15 @@ func RunFig8(env Env) (*Fig8Result, error) {
 	env = env.withDefaults()
 	out := &Fig8Result{}
 	for _, app := range AllApps {
-		c, data, err := setup(env, appNeeds(app))
+		c, err := setup(env, app)
 		if err != nil {
 			return nil, err
 		}
 		var pair struct{ Base, Freq Breakdown }
 		for _, v := range []Variant{Baseline, FreqOpt} {
-			job, err := makeJob(env, data, app, v)
+			res, err := env.runCell(c, app, v)
 			if err != nil {
 				return nil, err
-			}
-			res, err := env.run(c, job)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", app, v, err)
 			}
 			b := breakdownOf(app, v, res)
 			if v == Baseline {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"mrtext/internal/metrics"
@@ -41,18 +40,14 @@ func RunFig9(env Env, appList ...AppID) (*Fig9Result, error) {
 	}
 	out := &Fig9Result{}
 	for _, app := range appList {
-		c, data, err := setup(env, appNeeds(app))
+		c, err := setup(env, app)
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range AllVariants {
-			job, err := makeJob(env, data, app, v)
+			res, err := env.runCell(c, app, v)
 			if err != nil {
 				return nil, err
-			}
-			res, err := env.run(c, job)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", app, v, err)
 			}
 			row := ThreadTimes{App: app, Variant: v}
 			for _, t := range res.Tasks {

@@ -46,22 +46,11 @@ func TestSecondsAndPct(t *testing.T) {
 }
 
 func TestVariantAndAppLists(t *testing.T) {
-	if len(AllApps) != 6 || len(TextApps) != 3 || len(AllVariants) != 4 {
+	if len(AllApps) != 6 || len(AllVariants) != 4 {
 		t.Error("paper sets wrong size")
 	}
 	if AllVariants[0] != Baseline || AllVariants[3] != Combined {
 		t.Error("variant order")
-	}
-}
-
-func TestMergeNeeds(t *testing.T) {
-	n := mergeNeeds([]AppID{WordCount, PageRank})
-	if !n.corpus || n.logs || !n.graph {
-		t.Errorf("needs %+v", n)
-	}
-	n = mergeNeeds(AllApps)
-	if !n.corpus || !n.logs || !n.graph {
-		t.Errorf("all needs %+v", n)
 	}
 }
 

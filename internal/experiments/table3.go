@@ -52,20 +52,16 @@ func runTimingTable(env Env, name string, appList []AppID, variants []Variant) (
 		Cluster: fmt.Sprintf("%d nodes × (%dm+%dr)", env.Cluster.Nodes, env.Cluster.MapSlotsPerNode, env.Cluster.ReduceSlotsPerNode),
 	}
 	for _, app := range appList {
-		c, data, err := setup(env, appNeeds(app))
+		c, err := setup(env, app)
 		if err != nil {
 			return nil, err
 		}
 		tbl.Rows[app] = make(map[Variant]Timing)
 		var base time.Duration
 		for _, v := range variants {
-			job, err := makeJob(env, data, app, v)
+			res, err := env.runCell(c, app, v)
 			if err != nil {
 				return nil, err
-			}
-			res, err := env.run(c, job)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", app, v, err)
 			}
 			t := Timing{App: app, Variant: v, Wall: res.Wall}
 			if v == Baseline {

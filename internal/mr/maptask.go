@@ -62,8 +62,9 @@ type mapOutput struct {
 type combineTimer struct {
 	tm  *metrics.TaskMetrics
 	s   metrics.Sampler
-	w   int64     // the open timed call's weight
-	t0  time.Time // and its start
+	w   int64         // the open timed call's weight
+	t0  time.Time     // and its start
+	out time.Duration // and the framework time inside it (Exclude)
 	acc time.Duration
 }
 
@@ -78,14 +79,18 @@ func (ct *combineTimer) Begin() bool {
 	if ct.w = ct.s.Sample(); ct.w == 0 {
 		return false
 	}
-	ct.t0 = ct.tm.Now()
+	ct.t0, ct.out = ct.tm.Now(), 0
 	return true
 }
 
 // End implements kvio.CombineTimer.
 func (ct *combineTimer) End() {
-	ct.acc += time.Duration(ct.w) * ct.tm.Now().Sub(ct.t0)
+	ct.acc += time.Duration(ct.w) * (ct.tm.Now().Sub(ct.t0) - ct.out)
 }
+
+// Exclude takes d, framework work the open timed call ran from inside it,
+// out of that call's time before the weight multiplies it.
+func (ct *combineTimer) Exclude(d time.Duration) { ct.out += d }
 
 // take returns the combine time estimated since the last take, at most
 // span (an extrapolation may overshoot the span that contains it), and
@@ -317,11 +322,19 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 	var combineIn, combineOut int64
 	sum := kvio.IsSumInt64(job.Combine)
 	// One closure for the whole spill: it reads the partition being written
-	// from part.
-	part := 0
+	// from part. A timed call's appends are spill I/O, not combine time:
+	// weighted by the call's sample weight, one slow append (a buffer
+	// flush) would otherwise outweigh the whole write.
+	part, timed := 0, false
 	emit := func(k, v []byte) error {
 		combineOut++
-		return rw.Append(part, k, v)
+		if !timed {
+			return rw.Append(part, k, v)
+		}
+		t := tm.Now()
+		err := rw.Append(part, k, v)
+		combine.Exclude(tm.Now().Sub(t))
+		return err
 	}
 	for part = range region.Parts {
 		recs := region.Part(part)
@@ -350,7 +363,7 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 					scratch.vals = append(scratch.vals, recs.Value(k))
 				}
 			}
-			timed := combine.Begin()
+			timed = combine.Begin()
 			if sum {
 				err = sumRun(recs, i, j, scratch, emit)
 			} else {
@@ -358,6 +371,7 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 			}
 			if timed {
 				combine.End()
+				timed = false
 			}
 			if err != nil {
 				return kvio.RunIndex{}, fmt.Errorf("mr: combine during spill: %w", err)

@@ -1,7 +1,6 @@
 package mrserve
 
 import (
-	"errors"
 	"sync"
 
 	"mrtext/internal/cluster"
@@ -60,12 +59,5 @@ func (dc *DatasetCache) generate(c *cluster.Cluster, ds Dataset) error {
 	if c.FS.Exists(ds.Name) {
 		return nil // already on the DFS (e.g. generated by an earlier process)
 	}
-	w, err := c.FS.Create(ds.Name, 0)
-	if err != nil {
-		return err
-	}
-	if err := ds.generate(w); err != nil {
-		return errors.Join(err, w.Close())
-	}
-	return w.Close()
+	return c.FS.WriteWith(ds.Name, ds.generate)
 }

@@ -23,13 +23,6 @@ import (
 	"mrtext/internal/textgen"
 )
 
-// Apps lists the submittable application names.
-var appNames = map[string]bool{
-	"wordcount": true, "invertedindex": true, "wordpostag": true,
-	"syntext": true, "accesslogsum": true, "accesslogjoin": true,
-	"pagerank": true,
-}
-
 // ChaosSpec configures per-job fault injection on a submitted job. The
 // injector built from it is private to the job: its faults and
 // manufactured stragglers never touch a neighboring tenant's tasks.
@@ -49,8 +42,8 @@ type ChaosSpec struct {
 // submitted over HTTP and a job built from flags go through identical
 // validation and knob application.
 type Spec struct {
-	// App names the application: wordcount, invertedindex, wordpostag,
-	// syntext, accesslogsum, accesslogjoin, or pagerank.
+	// App names the application, one of: wordcount, invertedindex,
+	// wordpostag, accesslogsum, accesslogjoin, pagerank, or syntext.
 	App string `json:"app"`
 	// InputMB sizes the generated input dataset in MiB (default 16).
 	InputMB int64 `json:"input_mb,omitempty"`
@@ -109,8 +102,8 @@ func (s *Spec) Normalize() {
 // Validate checks the normalized spec. It is the one validation gate for
 // both submission paths; BuildJob assumes it passed.
 func (s *Spec) Validate() error {
-	if !appNames[s.App] {
-		return fmt.Errorf("mrserve: unknown app %q", s.App)
+	if _, err := apps.Lookup(s.App); err != nil {
+		return fmt.Errorf("mrserve: %w", err)
 	}
 	if s.InputMB > 1<<20 {
 		return fmt.Errorf("mrserve: input_mb %d is absurd (max %d)", s.InputMB, 1<<20)
@@ -158,86 +151,66 @@ type Dataset struct {
 	generate func(w io.Writer) error
 }
 
-// Datasets returns the inputs the job needs, in generation order.
+// Datasets returns the inputs the job needs, in generation order: one
+// per kind the app reads, at the generators' laptop-scale defaults.
 func (s *Spec) Datasets() []Dataset {
-	target := s.EstimatedInputBytes()
-	switch s.App {
-	case "wordcount", "invertedindex", "wordpostag", "syntext":
-		return []Dataset{{
-			Name: fmt.Sprintf("corpus-%dmb.txt", s.InputMB),
-			generate: func(w io.Writer) error {
-				_, err := textgen.Corpus(w, textgen.DefaultCorpus(), target)
-				return err
-			},
-		}}
-	case "accesslogsum", "accesslogjoin":
-		ds := []Dataset{{
-			Name: fmt.Sprintf("visits-%dmb.log", s.InputMB),
-			generate: func(w io.Writer) error {
-				_, err := textgen.UserVisits(w, textgen.DefaultLog(), target)
-				return err
-			},
-		}}
-		if s.App == "accesslogjoin" {
-			ds = append(ds, Dataset{
-				Name: "rankings.tbl",
-				generate: func(w io.Writer) error {
-					_, err := textgen.Rankings(w, textgen.DefaultLog())
-					return err
-				},
-			})
-		}
-		return ds
-	case "pagerank":
-		return []Dataset{{
-			Name: "crawl.tsv",
-			generate: func(w io.Writer) error {
-				_, err := textgen.WebGraph(w, textgen.DefaultGraph())
-				return err
-			},
-		}}
+	a, err := apps.Lookup(s.App)
+	if err != nil {
+		return nil
 	}
-	return nil
+	target := s.EstimatedInputBytes()
+	data := apps.Data{
+		Corpus: textgen.DefaultCorpus(), CorpusBytes: target,
+		Log: textgen.DefaultLog(), VisitBytes: target,
+		Graph: textgen.DefaultGraph(),
+	}
+	ds := make([]Dataset, len(a.Inputs))
+	for i, in := range a.Inputs {
+		ds[i] = Dataset{Name: s.datasetName(in), generate: func(w io.Writer) error { return in.Generate(w, data) }}
+	}
+	return ds
 }
 
-// BuildJob constructs the runtime job from the spec: the app constructor
-// picks mapper/reducer/combiner/format, then every knob is applied
+// datasetName names one input kind. Only the sized kinds carry their size.
+func (s *Spec) datasetName(in apps.Input) string {
+	switch in {
+	case apps.Corpus:
+		return fmt.Sprintf("corpus-%dmb.txt", s.InputMB)
+	case apps.Visits:
+		return fmt.Sprintf("visits-%dmb.log", s.InputMB)
+	case apps.Rankings:
+		return "rankings.tbl"
+	default: // apps.Graph
+		return "crawl.tsv"
+	}
+}
+
+// BuildJob constructs the runtime job from the spec: the catalogue entry
+// builds the job over the spec's datasets, then every knob is applied
 // exactly as the mrrun flags always did. nodes sizes the per-job chaos
 // injector when the spec carries one. The returned job has no tracer and
 // no histogram sink; the caller decides whether those are process-wide
 // (CLI) or per-job (service).
 func (s *Spec) BuildJob(nodes int) (*mr.Job, error) {
-	names := s.Datasets()
-	var job *mr.Job
-	switch s.App {
-	case "wordcount":
-		job = apps.WordCount(names[0].Name)
-	case "invertedindex":
-		job = apps.InvertedIndex(names[0].Name)
-	case "wordpostag":
-		job = apps.WordPOSTag(s.PosIterations, names[0].Name)
-	case "syntext":
-		job = apps.SynText(apps.SynTextConfig{CPUFactor: s.SynTextCPU, Storage: s.SynTextStorage}, names[0].Name)
-	case "accesslogsum":
-		job = apps.AccessLogSum(names[0].Name)
-	case "accesslogjoin":
-		job = apps.AccessLogJoin(names[0].Name, names[1].Name)
-	case "pagerank":
-		job = apps.PageRank(names[0].Name, textgen.DefaultGraph().Pages)
-	default:
-		return nil, fmt.Errorf("mrserve: unknown app %q", s.App)
+	a, err := apps.Lookup(s.App)
+	if err != nil {
+		return nil, fmt.Errorf("mrserve: %w", err)
 	}
+	var inputs []string
+	for _, ds := range s.Datasets() {
+		inputs = append(inputs, ds.Name)
+	}
+	job := a.Job(inputs, apps.Params{
+		Pages:         textgen.DefaultGraph().Pages,
+		POSIterations: s.PosIterations,
+		SynText:       apps.SynTextConfig{CPUFactor: s.SynTextCPU, Storage: s.SynTextStorage},
+	})
 	if s.SpillBufferKB > 0 {
 		job.SpillBufferBytes = s.SpillBufferKB << 10
 	}
 	job.NumReducers = s.Reducers
 	if s.FreqBuf {
-		switch s.App {
-		case "accesslogsum", "accesslogjoin", "pagerank":
-			job.FreqBuf = mr.DefaultFreqBufLog()
-		default:
-			job.FreqBuf = mr.DefaultFreqBufText()
-		}
+		job.FreqBuf = a.Class.FreqBuf()
 	}
 	job.SpillMatcher = s.SpillMatcher
 	job.Speculation = s.Speculation

@@ -22,7 +22,6 @@ package mrtext
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -192,11 +191,11 @@ func SynText(cfg SynTextConfig, inputs ...string) *Job { return apps.SynText(cfg
 
 // FreqBufText returns the paper's frequency-buffering setting for text
 // applications (k=3000, s=0.01, 30% of the buffer).
-func FreqBufText() *FreqBufConfig { return mr.DefaultFreqBufText() }
+func FreqBufText() *FreqBufConfig { return apps.Text.FreqBuf() }
 
 // FreqBufLog returns the paper's setting for log applications
 // (k=10000, s=0.1).
-func FreqBufLog() *FreqBufConfig { return mr.DefaultFreqBufLog() }
+func FreqBufLog() *FreqBufConfig { return apps.Log.FreqBuf() }
 
 // ---------- Dataset generation ----------
 
@@ -212,43 +211,28 @@ func DefaultGraph() GraphConfig { return textgen.DefaultGraph() }
 // GenerateCorpus writes a Zipfian text corpus of ~targetBytes into the
 // cluster's DFS under the given name.
 func GenerateCorpus(c *Cluster, name string, cfg CorpusConfig, targetBytes int64) error {
-	return generate(c, name, func(w io.Writer) error {
-		_, err := textgen.Corpus(w, cfg, targetBytes)
-		return err
+	return c.FS.WriteWith(name, func(w io.Writer) error {
+		return apps.Corpus.Generate(w, apps.Data{Corpus: cfg, CorpusBytes: targetBytes})
 	})
 }
 
 // GenerateUserVisits writes a UserVisits log of ~targetBytes into the DFS.
 func GenerateUserVisits(c *Cluster, name string, cfg LogConfig, targetBytes int64) error {
-	return generate(c, name, func(w io.Writer) error {
-		_, err := textgen.UserVisits(w, cfg, targetBytes)
-		return err
+	return c.FS.WriteWith(name, func(w io.Writer) error {
+		return apps.Visits.Generate(w, apps.Data{Log: cfg, VisitBytes: targetBytes})
 	})
 }
 
 // GenerateRankings writes the Rankings table (one row per URL) into the DFS.
 func GenerateRankings(c *Cluster, name string, cfg LogConfig) error {
-	return generate(c, name, func(w io.Writer) error {
-		_, err := textgen.Rankings(w, cfg)
-		return err
+	return c.FS.WriteWith(name, func(w io.Writer) error {
+		return apps.Rankings.Generate(w, apps.Data{Log: cfg})
 	})
 }
 
 // GenerateWebGraph writes the synthetic crawl into the DFS.
 func GenerateWebGraph(c *Cluster, name string, cfg GraphConfig) error {
-	return generate(c, name, func(w io.Writer) error {
-		_, err := textgen.WebGraph(w, cfg)
-		return err
+	return c.FS.WriteWith(name, func(w io.Writer) error {
+		return apps.Graph.Generate(w, apps.Data{Graph: cfg})
 	})
-}
-
-func generate(c *Cluster, name string, fill func(io.Writer) error) error {
-	w, err := c.FS.Create(name, 0)
-	if err != nil {
-		return err
-	}
-	if err := fill(w); err != nil {
-		return errors.Join(err, w.Close())
-	}
-	return w.Close()
 }
