@@ -1,7 +1,7 @@
 // Package cluster assembles the simulated cluster the jobs run on: N
 // nodes, each with its own (optionally throttled) local disk, task slots,
-// and a per-node frequent-key cache; the spill regions the map slots keep
-// between tasks; a shared network fabric; and a DFS
+// and a per-node frequent-key cache; the spill regions and the working
+// memory the map slots keep between tasks; a shared network fabric; and a DFS
 // spanning the node disks. It corresponds to the two testbeds of §V-A: the
 // local cluster (6 machines, 12 mappers + 12 reducers) and the 20-node EC2
 // cluster.
@@ -110,6 +110,12 @@ type Cluster struct {
 	// kept on a node that runs no map task in the next job would be that
 	// process's memory through a reduce phase for nothing.
 	SpillRegions *spillbuf.Pool
+	// MapWorkspaces holds the working memory — ingest arena, spill
+	// scratch, run write buffer — a map attempt leaves for the next, at
+	// most one per map slot. Unlike the spill regions, none is kept past
+	// the end of a map phase (FreeList.Trim): a workspace is a few MiB
+	// that the reduce phase would carry for nothing.
+	MapWorkspaces *FreeList
 	// Chaos is the cluster's fault injector; nil when Config.Chaos was
 	// nil, which every consumer must tolerate (nil is fully disabled).
 	Chaos *chaos.Injector
@@ -166,8 +172,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	slots := cfg.Nodes * cfg.MapSlotsPerNode
 	return &Cluster{cfg: cfg, Disks: disks, Net: net, FS: fs, FreqCaches: caches,
-		SpillRegions: spillbuf.NewPool(spillbuf.RegionsPerBuffer * cfg.Nodes * cfg.MapSlotsPerNode), Chaos: inj}, nil
+		SpillRegions:  spillbuf.NewPool(spillbuf.RegionsPerBuffer * slots),
+		MapWorkspaces: NewFreeList(slots), Chaos: inj}, nil
 }
 
 // Config returns the cluster's configuration.

@@ -428,13 +428,13 @@ func (b *Buffer) tag(h uint64) uint32 { return uint32(h>>32) &^ b.idxMask }
 func (b *Buffer) profile(key []byte) {
 	b.stats.Profiled++
 	if b.stage == StagePreProfile {
-		b.pre.Offer(string(key))
+		b.pre.OfferBytes(key)
 		if float64(b.seen) >= preProfileFraction*float64(b.expected()) {
 			b.finishPreProfile()
 		}
 		return
 	}
-	b.summary.Offer(string(key))
+	b.summary.OfferBytes(key)
 	if float64(b.seen) >= b.sample*float64(b.expected()) {
 		b.freeze()
 	}

@@ -31,18 +31,21 @@ type Counted struct {
 // bucket groups all monitored keys sharing one estimated count. Buckets
 // live on a doubly-linked list in ascending count order, giving O(1)
 // minimum lookup and O(1) count increments, as in the original
-// stream-summary data structure.
+// stream-summary data structure. Both lists are intrusive, and a bucket
+// that empties is kept for the next one the summary needs, so counting a
+// monitored key allocates nothing.
 type bucket struct {
-	count uint64
-	items *list.List // of *ssItem
+	count      uint64
+	head, tail *ssItem // the bucket's keys, oldest first
+	prev, next *bucket
 }
 
 // ssItem is one monitored key.
 type ssItem struct {
-	key    string
-	err    uint64
-	bucket *list.Element // element in the bucket list whose Value is *bucket
-	self   *list.Element // this item's element inside bucket.items
+	key        string
+	err        uint64
+	bucket     *bucket
+	prev, next *ssItem
 }
 
 // StreamSummary is the Space-Saving top-k summary. It is not safe for
@@ -51,7 +54,8 @@ type ssItem struct {
 type StreamSummary struct {
 	capacity int
 	items    map[string]*ssItem
-	buckets  *list.List // of *bucket, ascending by count
+	min, max *bucket // the bucket list's ends
+	spare    *bucket // emptied buckets, linked through next
 	observed uint64
 }
 
@@ -64,7 +68,6 @@ func NewStreamSummary(capacity int) *StreamSummary {
 	return &StreamSummary{
 		capacity: capacity,
 		items:    make(map[string]*ssItem, capacity),
-		buckets:  list.New(),
 	}
 }
 
@@ -81,25 +84,42 @@ func (s *StreamSummary) Observed() uint64 { return s.observed }
 func (s *StreamSummary) Offer(key string) {
 	s.observed++
 	if it, ok := s.items[key]; ok {
-		s.increment(it, 1)
+		s.increment(it)
 		return
 	}
+	s.add(key)
+}
+
+// OfferBytes is Offer for a key held in bytes: it looks the key up without
+// converting it and copies it only when it starts monitoring it.
+func (s *StreamSummary) OfferBytes(key []byte) {
+	s.observed++
+	if it, ok := s.items[string(key)]; ok {
+		s.increment(it)
+		return
+	}
+	s.add(string(key))
+}
+
+// add starts monitoring key, which is not monitored, for one occurrence.
+// With the summary full, the minimum-count key is evicted and the newcomer
+// inherits min+1 with error min, exactly Space-Saving's replacement rule;
+// it takes over the victim's item.
+func (s *StreamSummary) add(key string) {
 	if len(s.items) < s.capacity {
-		s.insert(key, 1, 0)
+		s.insert(&ssItem{key: key}, 1)
 		return
 	}
-	// Evict the minimum-count key; the newcomer inherits min+1 with error
-	// min, exactly Space-Saving's replacement rule.
-	minBkt := s.buckets.Front().Value.(*bucket)
-	victimEl := minBkt.items.Front()
-	victim := victimEl.Value.(*ssItem)
+	minBkt := s.min
+	victim := minBkt.head
 	delete(s.items, victim.key)
-	minBkt.items.Remove(victimEl)
+	s.unlink(victim)
 	minCount := minBkt.count
-	if minBkt.items.Len() == 0 {
-		s.buckets.Remove(s.buckets.Front())
+	if minBkt.head == nil {
+		s.drop(minBkt)
 	}
-	s.insert(key, minCount+1, minCount)
+	victim.key, victim.err = key, minCount
+	s.insert(victim, minCount+1)
 }
 
 // OfferN records n occurrences of key (a convenience for weighted feeds).
@@ -109,57 +129,102 @@ func (s *StreamSummary) OfferN(key string, n uint64) {
 	}
 }
 
-// insert adds a fresh monitored key with the given count and error.
-func (s *StreamSummary) insert(key string, count, errBound uint64) {
-	it := &ssItem{key: key, err: errBound}
-	s.items[key] = it
-	// Find or create the bucket with this count, scanning from the front
-	// (inserts happen at or near the minimum).
-	el := s.buckets.Front()
-	for el != nil && el.Value.(*bucket).count < count {
-		el = el.Next()
+// insert files it, a key not on any bucket, under the given count,
+// finding or making the bucket by scanning from the minimum (inserts
+// happen at or near it).
+func (s *StreamSummary) insert(it *ssItem, count uint64) {
+	s.items[it.key] = it
+	b := s.min
+	for b != nil && b.count < count {
+		b = b.next
 	}
-	if el == nil || el.Value.(*bucket).count > count {
-		b := &bucket{count: count, items: list.New()}
-		if el == nil {
-			it.bucket = s.buckets.PushBack(b)
-		} else {
-			it.bucket = s.buckets.InsertBefore(b, el)
-		}
-	} else {
-		it.bucket = el
-	}
-	it.self = it.bucket.Value.(*bucket).items.PushBack(it)
+	s.push(it, s.bucketBefore(b, count))
 }
 
-// increment moves it up by delta counts, relocating it to the right bucket.
-func (s *StreamSummary) increment(it *ssItem, delta uint64) {
+// increment moves it up one count, relocating it to the right bucket.
+func (s *StreamSummary) increment(it *ssItem) {
 	cur := it.bucket
-	b := cur.Value.(*bucket)
-	newCount := b.count + delta
-	b.items.Remove(it.self)
+	newCount := cur.count + 1
+	s.unlink(it)
+	b := cur.next
+	if cur.head == nil {
+		s.drop(cur)
+	}
+	for b != nil && b.count < newCount {
+		b = b.next
+	}
+	s.push(it, s.bucketBefore(b, newCount))
+}
 
-	// Find the bucket for newCount at or after cur.
-	el := cur.Next()
-	if b.items.Len() == 0 {
-		s.buckets.Remove(cur)
+// bucketBefore returns b when it holds count, else a bucket for count
+// linked in before b (at the end for nil b).
+func (s *StreamSummary) bucketBefore(b *bucket, count uint64) *bucket {
+	if b != nil && b.count == count {
+		return b
 	}
-	for el != nil && el.Value.(*bucket).count < newCount {
-		el = el.Next()
-	}
-	var dst *list.Element
-	if el == nil || el.Value.(*bucket).count > newCount {
-		nb := &bucket{count: newCount, items: list.New()}
-		if el == nil {
-			dst = s.buckets.PushBack(nb)
-		} else {
-			dst = s.buckets.InsertBefore(nb, el)
-		}
+	nb := s.spare
+	if nb != nil {
+		s.spare = nb.next
+		*nb = bucket{}
 	} else {
-		dst = el
+		nb = new(bucket)
 	}
-	it.bucket = dst
-	it.self = dst.Value.(*bucket).items.PushBack(it)
+	nb.count, nb.next = count, b
+	if b == nil {
+		nb.prev, s.max = s.max, nb
+	} else {
+		nb.prev, b.prev = b.prev, nb
+	}
+	if nb.prev == nil {
+		s.min = nb
+	} else {
+		nb.prev.next = nb
+	}
+	return nb
+}
+
+// drop unlinks b, now empty, from the bucket list and keeps it as a spare.
+func (s *StreamSummary) drop(b *bucket) {
+	if b.prev == nil {
+		s.min = b.next
+	} else {
+		b.prev.next = b.next
+	}
+	if b.next == nil {
+		s.max = b.prev
+	} else {
+		b.next.prev = b.prev
+	}
+	*b = bucket{next: s.spare}
+	s.spare = b
+}
+
+// push appends it to b's keys.
+func (s *StreamSummary) push(it *ssItem, b *bucket) {
+	it.bucket, it.prev, it.next = b, b.tail, nil
+	if b.tail == nil {
+		b.head = it
+	} else {
+		b.tail.next = it
+	}
+	b.tail = it
+}
+
+// unlink takes it off its bucket's keys, leaving the bucket in place even
+// when it empties: the caller drops it.
+func (s *StreamSummary) unlink(it *ssItem) {
+	b := it.bucket
+	if it.prev == nil {
+		b.head = it.next
+	} else {
+		it.prev.next = it.next
+	}
+	if it.next == nil {
+		b.tail = it.prev
+	} else {
+		it.next.prev = it.prev
+	}
+	it.bucket, it.prev, it.next = nil, nil, nil
 }
 
 // Count returns the estimated count and error bound for key, or ok=false if
@@ -169,17 +234,15 @@ func (s *StreamSummary) Count(key string) (count, errBound uint64, ok bool) {
 	if !found {
 		return 0, 0, false
 	}
-	return it.bucket.Value.(*bucket).count, it.err, true
+	return it.bucket.count, it.err, true
 }
 
 // Top returns up to k monitored keys in descending estimated count. Ties
 // break lexicographically for determinism.
 func (s *StreamSummary) Top(k int) []Counted {
 	all := make([]Counted, 0, len(s.items))
-	for el := s.buckets.Back(); el != nil; el = el.Prev() {
-		b := el.Value.(*bucket)
-		for e := b.items.Front(); e != nil; e = e.Next() {
-			it := e.Value.(*ssItem)
+	for b := s.max; b != nil; b = b.prev {
+		for it := b.head; it != nil; it = it.next {
 			all = append(all, Counted{Key: it.key, Count: b.count, Err: it.err})
 		}
 	}
@@ -214,30 +277,52 @@ func (s *StreamSummary) GuaranteedTop(k int) bool {
 
 // Exact counts every key exactly; its Top is the true top-k. It models the
 // "Ideal" predictor of Fig. 7 and is also used by tests as ground truth.
+// A key's count lives in a slice the map indexes, so counting a key already
+// seen allocates nothing, whatever its form.
 type Exact struct {
-	counts map[string]uint64
+	index  map[string]int
+	counts []uint64
 	total  uint64
 }
 
 // NewExact returns an empty exact counter.
 func NewExact() *Exact {
-	return &Exact{counts: make(map[string]uint64)}
+	return &Exact{index: make(map[string]int)}
 }
 
 // Offer records one occurrence of key.
-func (e *Exact) Offer(key string) {
-	e.counts[key]++
+func (e *Exact) Offer(key string) { e.OfferN(key, 1) }
+
+// OfferBytes is Offer for a key held in bytes: it looks the key up without
+// converting it and copies it only the first time it sees it.
+func (e *Exact) OfferBytes(key []byte) {
 	e.total++
+	if i, ok := e.index[string(key)]; ok {
+		e.counts[i]++
+		return
+	}
+	e.index[string(key)] = len(e.counts)
+	e.counts = append(e.counts, 1)
 }
 
 // OfferN records n occurrences of key.
 func (e *Exact) OfferN(key string, n uint64) {
-	e.counts[key] += n
 	e.total += n
+	if i, ok := e.index[key]; ok {
+		e.counts[i] += n
+		return
+	}
+	e.index[key] = len(e.counts)
+	e.counts = append(e.counts, n)
 }
 
 // Count returns key's exact count.
-func (e *Exact) Count(key string) uint64 { return e.counts[key] }
+func (e *Exact) Count(key string) uint64 {
+	if i, ok := e.index[key]; ok {
+		return e.counts[i]
+	}
+	return 0
+}
 
 // Total returns the number of observations.
 func (e *Exact) Total() uint64 { return e.total }
@@ -249,8 +334,8 @@ func (e *Exact) Distinct() int { return len(e.counts) }
 // lexicographically.
 func (e *Exact) Top(k int) []Counted {
 	all := make([]Counted, 0, len(e.counts))
-	for key, c := range e.counts {
-		all = append(all, Counted{Key: key, Count: c})
+	for key, i := range e.index {
+		all = append(all, Counted{Key: key, Count: e.counts[i]})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
@@ -267,10 +352,7 @@ func (e *Exact) Top(k int) []Counted {
 // RankedCounts returns all counts in descending order (rank-frequency data,
 // used for Fig. 3 and for Zipf-parameter estimation).
 func (e *Exact) RankedCounts() []uint64 {
-	counts := make([]uint64, 0, len(e.counts))
-	for _, c := range e.counts {
-		counts = append(counts, c)
-	}
+	counts := append([]uint64(nil), e.counts...)
 	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
 	return counts
 }

@@ -89,15 +89,17 @@ func (d *DFS) Create(name string, writerNode int) (io.WriteCloser, error) {
 		return nil, fmt.Errorf("dfs: %w: %s", vdisk.ErrExist, name)
 	}
 	d.files[name] = &fileMeta{}
-	return &writer{dfs: d, name: name, node: writerNode}, nil
+	return &writer{dfs: d, name: name, node: writerNode, buf: vdisk.Chunks{Limit: d.blockSize}}, nil
 }
 
-// writer buffers up to one block and seals blocks as they fill.
+// writer buffers up to one block and seals blocks as they fill. The block
+// buffer is chunked (vdisk.Chunks) and reused from one block to the next,
+// so it is never regrown and holds at most one block.
 type writer struct {
 	dfs    *DFS
 	name   string
 	node   int
-	buf    []byte
+	buf    vdisk.Chunks
 	closed bool
 	err    error
 }
@@ -111,14 +113,10 @@ func (w *writer) Write(p []byte) (int, error) {
 	}
 	n := len(p)
 	for len(p) > 0 {
-		space := int(w.dfs.blockSize) - len(w.buf)
-		take := len(p)
-		if take > space {
-			take = space
-		}
-		w.buf = append(w.buf, p[:take]...)
+		take := min(int64(len(p)), w.dfs.blockSize-w.buf.Len())
+		w.buf.Write(p[:take])
 		p = p[take:]
-		if int64(len(w.buf)) == w.dfs.blockSize {
+		if w.buf.Len() == w.dfs.blockSize {
 			if err := w.seal(); err != nil {
 				w.err = err
 				return n - len(p), err
@@ -192,7 +190,7 @@ func (w *writer) seal() error {
 		replicas = append(replicas, cand)
 	}
 
-	info := BlockInfo{Index: idx, Len: int64(len(w.buf)), Replicas: replicas}
+	info := BlockInfo{Index: idx, Len: w.buf.Len(), Replicas: replicas}
 	d.mu.Lock()
 	meta = d.files[w.name]
 	info.Index = len(meta.blocks)
@@ -200,7 +198,7 @@ func (w *writer) seal() error {
 	meta.blocks = append(meta.blocks, info)
 	meta.size += info.Len
 	d.mu.Unlock()
-	w.buf = w.buf[:0]
+	w.buf.Reset()
 	return nil
 }
 
@@ -214,10 +212,12 @@ func (w *writer) writeReplica(idx, ri, node int, remote bool) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(w.buf); err != nil {
-		//mrlint:ignore droppederr best-effort cleanup; the write error below is what the caller acts on
-		_ = d.disks[node].Remove(name)
-		return errors.Join(err, f.Close())
+	for _, chunk := range w.buf.Chunks() {
+		if _, err := f.Write(chunk); err != nil {
+			//mrlint:ignore droppederr best-effort cleanup; the write error below is what the caller acts on
+			_ = d.disks[node].Remove(name)
+			return errors.Join(err, f.Close())
+		}
 	}
 	if err := f.Close(); err != nil {
 		//mrlint:ignore droppederr best-effort cleanup; the close error below is what the caller acts on
@@ -225,7 +225,7 @@ func (w *writer) writeReplica(idx, ri, node int, remote bool) error {
 		return err
 	}
 	if remote && d.net != nil {
-		if err := d.net.Transfer(w.node, node, int64(len(w.buf))); err != nil {
+		if err := d.net.Transfer(w.node, node, w.buf.Len()); err != nil {
 			//mrlint:ignore droppederr best-effort cleanup; the transfer error below is what the caller acts on
 			_ = d.disks[node].Remove(name)
 			return err
@@ -238,7 +238,7 @@ func (w *writer) Close() error {
 	if w.closed {
 		return vdisk.ErrClosed
 	}
-	if len(w.buf) > 0 {
+	if w.buf.Len() > 0 {
 		if err := w.seal(); err != nil {
 			return err
 		}

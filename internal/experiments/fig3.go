@@ -45,7 +45,7 @@ func RunFig3(env Env) (*Fig3Result, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		for _, w := range bytes.Fields(sc.Bytes()) {
-			exact.Offer(string(w))
+			exact.OfferBytes(w)
 			total++
 		}
 	}

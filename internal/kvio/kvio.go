@@ -95,14 +95,34 @@ type RunWriter struct {
 
 // NewRunWriter creates a run file with the given number of partitions.
 func NewRunWriter(disk vdisk.Disk, name string, parts int) (*RunWriter, error) {
+	return newRunWriter(disk, name, parts, nil)
+}
+
+// runBufferBytes is the write buffer of a run file.
+const runBufferBytes = 64 << 10
+
+// createRun creates a run file and points buf at it; nil buf makes a new
+// one.
+func createRun(disk vdisk.Disk, name string, parts int, buf *bufio.Writer) (io.WriteCloser, *bufio.Writer, error) {
 	if parts <= 0 {
-		return nil, fmt.Errorf("kvio: run %q: parts must be positive, got %d", name, parts)
+		return nil, nil, fmt.Errorf("kvio: run %q: parts must be positive, got %d", name, parts)
 	}
 	f, err := disk.Create(name)
 	if err != nil {
-		return nil, fmt.Errorf("kvio: creating run %q: %w", name, err)
+		return nil, nil, fmt.Errorf("kvio: creating run %q: %w", name, err)
 	}
-	buf := bufio.NewWriterSize(f, 64<<10)
+	if buf == nil {
+		buf = NewRunBuffer()
+	}
+	buf.Reset(f)
+	return f, buf, nil
+}
+
+func newRunWriter(disk vdisk.Disk, name string, parts int, buf *bufio.Writer) (*RunWriter, error) {
+	f, buf, err := createRun(disk, name, parts, buf)
+	if err != nil {
+		return nil, err
+	}
 	return &RunWriter{
 		disk:  disk,
 		name:  name,

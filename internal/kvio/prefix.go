@@ -71,18 +71,19 @@ type prefixRunWriter struct {
 
 // NewPrefixRunWriter creates a prefix-compressed run file.
 func NewPrefixRunWriter(disk vdisk.Disk, name string, parts int) (*prefixRunWriter, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("kvio: run %q: parts must be positive, got %d", name, parts)
-	}
-	f, err := disk.Create(name)
+	return newPrefixRunWriter(disk, name, parts, nil)
+}
+
+func newPrefixRunWriter(disk vdisk.Disk, name string, parts int, buf *bufio.Writer) (*prefixRunWriter, error) {
+	f, buf, err := createRun(disk, name, parts, buf)
 	if err != nil {
-		return nil, fmt.Errorf("kvio: creating run %q: %w", name, err)
+		return nil, err
 	}
 	return &prefixRunWriter{
 		disk:  disk,
 		name:  name,
 		file:  f,
-		buf:   bufio.NewWriterSize(f, 64<<10),
+		buf:   buf,
 		parts: parts,
 		index: RunIndex{Name: name, Compressed: true, Segments: make([]Segment, parts)},
 	}, nil
@@ -155,8 +156,19 @@ type RunSink interface {
 
 // NewRunSink creates a run writer in the requested format.
 func NewRunSink(disk vdisk.Disk, name string, parts int, compressed bool) (RunSink, error) {
+	return NewRunSinkBuffered(disk, name, parts, compressed, nil)
+}
+
+// NewRunBuffer returns a run write buffer for NewRunSinkBuffered.
+func NewRunBuffer() *bufio.Writer { return bufio.NewWriterSize(nil, runBufferBytes) }
+
+// NewRunSinkBuffered is NewRunSink writing through buf, which it points at
+// the new file: a caller that writes runs one after another reuses one
+// buffer for all of them. buf must serve no other open sink; nil makes a
+// new one.
+func NewRunSinkBuffered(disk vdisk.Disk, name string, parts int, compressed bool, buf *bufio.Writer) (RunSink, error) {
 	if compressed {
-		return NewPrefixRunWriter(disk, name, parts)
+		return newPrefixRunWriter(disk, name, parts, buf)
 	}
-	return NewRunWriter(disk, name, parts)
+	return newRunWriter(disk, name, parts, buf)
 }

@@ -37,7 +37,7 @@ func OpenSplitBatched(fs *dfs.DFS, split Split, node int, chunkBytes int) (LineR
 	if chunkBytes <= 0 {
 		chunkBytes = defaultIngestChunk
 	}
-	return openBlockLines(fs, split, node, chunkBytes)
+	return openBlockLines(fs, split, node, chunkBytes, nil)
 }
 
 // defaultIngestChunk is the arena chunk size when Job.IngestChunkBytes is
@@ -45,6 +45,11 @@ func OpenSplitBatched(fs *dfs.DFS, split Split, node int, chunkBytes int) (LineR
 // amortize to noise, small enough to stay cache- and memory-friendly per
 // concurrent map task.
 const defaultIngestChunk = 1 << 20
+
+// maxKeptArena bounds the arena a scanner keeps for the next task: one
+// grown past it, by an outsized line or chunk, goes to the garbage
+// collector when the scanner is closed.
+const maxKeptArena = 4 * defaultIngestChunk
 
 // tailChunk bounds reads once the buffered data reaches the split end:
 // only the tail of one line can remain, so refills shrink from the arena
@@ -63,7 +68,10 @@ const tailChunk = 4 << 10
 // Arena ownership: lines alias buf, which slides and is rewritten on
 // refill, so a returned line is valid only until the next Next call.
 // Callers that keep bytes copy them (the emit path copies into the spill
-// buffer's arena).
+// buffer's arena). A map task's scanner is its workspace's, and keeps its
+// arena from one task to the next: a task starts on an arena that holds
+// the bytes the task before it read (nothing reads them: filled starts at
+// zero), grown if a line of that task grew it.
 type blockScanner struct {
 	rc       io.ReadCloser
 	buf      []byte // the arena: lines are subslices of this
@@ -78,7 +86,9 @@ type blockScanner struct {
 
 // openBlockLines positions a batched scanner at the first line owned by
 // the split, reading as the given node with the given arena chunk size.
-func openBlockLines(fs *dfs.DFS, split Split, node int, chunk int) (*blockScanner, error) {
+// It reopens s, on the arena s last read into when that has room for the
+// chunk; nil s makes a new scanner.
+func openBlockLines(fs *dfs.DFS, split Split, node int, chunk int, s *blockScanner) (*blockScanner, error) {
 	if chunk < 16 {
 		chunk = 16
 	}
@@ -91,9 +101,16 @@ func openBlockLines(fs *dfs.DFS, split Split, node int, chunk int) (*blockScanne
 	if err != nil {
 		return nil, fmt.Errorf("mr: opening split %s@%d: %w", split.File, split.Offset, err)
 	}
-	s := &blockScanner{
+	if s == nil {
+		s = new(blockScanner)
+	}
+	arena := s.buf
+	if cap(arena) < chunk {
+		arena = make([]byte, chunk)
+	}
+	*s = blockScanner{
 		rc:       rc,
-		buf:      make([]byte, chunk),
+		buf:      arena[:chunk],
 		pos:      start - seekBack,
 		splitEnd: split.Offset + split.Len,
 	}
@@ -174,12 +191,17 @@ func (s *blockScanner) fill() error {
 		s.start = 0
 	}
 	if s.filled == len(s.buf) {
-		// One line overflows the arena: double it. Cold — amortized over
+		// One line overflows the arena: double it, in place when the
+		// arena a previous task grew has the room. Cold — amortized over
 		// the split, and only pathological line lengths reach it at all.
-		//mrlint:ignore alloccheck cold path: arena growth for lines longer than the chunk, amortized doubling
-		grown := make([]byte, 2*len(s.buf))
-		copy(grown, s.buf[:s.filled])
-		s.buf = grown
+		if 2*len(s.buf) <= cap(s.buf) {
+			s.buf = s.buf[:2*len(s.buf)]
+		} else {
+			//mrlint:ignore alloccheck cold path: arena growth for lines longer than the chunk, amortized doubling
+			grown := make([]byte, 2*len(s.buf))
+			copy(grown, s.buf[:s.filled])
+			s.buf = grown
+		}
 	}
 	want := len(s.buf) - s.filled
 	if end := s.pos + int64(s.filled-s.start); end >= s.splitEnd && want > tailChunk {
@@ -206,5 +228,11 @@ func (s *blockScanner) fill() error {
 // profiler).
 func (s *blockScanner) Consumed() int64 { return s.consumed }
 
-// Close releases the underlying DFS stream.
-func (s *blockScanner) Close() error { return s.rc.Close() }
+// Close releases the underlying DFS stream, and the arena if it is too
+// large to keep for the next task.
+func (s *blockScanner) Close() error {
+	if cap(s.buf) > maxKeptArena {
+		s.buf = nil
+	}
+	return s.rc.Close()
+}

@@ -47,7 +47,7 @@ func requireIdentical(t testing.TB, data []byte, blockSize int64, chunk int) (re
 			t.Fatal(err)
 		}
 		wantLines, wantOffs, wantConsumed := scanSource(t, serial)
-		batched, err := openBlockLines(c.FS, sp, 0, chunk)
+		batched, err := openBlockLines(c.FS, sp, 0, chunk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestBlockScannerArenaAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := openBlockLines(c.FS, splits[0], 0, 1<<10)
+	sc, err := openBlockLines(c.FS, splits[0], 0, 1<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestGroundTruthBlockScan(t *testing.T) {
 	if len(splits) != 1 {
 		t.Fatalf("%d splits, want 1", len(splits))
 	}
-	sc, err := openBlockLines(c.FS, splits[0], 0, 16<<10)
+	sc, err := openBlockLines(c.FS, splits[0], 0, 16<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package mr
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -59,44 +61,60 @@ type mapOutput struct {
 // site measures one span around many calls and takes the estimate out of
 // it, so user combine() time and the framework time around it still sum
 // to the measured span.
+//
+// A timed call's own clock readings are framework time the untimed calls
+// do not have: each pair of readings that bounds a stretch of the call
+// adds the cost of one reading to it, and the weight would multiply that
+// cost by up to the sample period. So before weighting, the timer takes
+// out one reading's cost per stretch — the least gap between two readings
+// in a row it has seen, which Begin measures on every timed call.
 type combineTimer struct {
-	tm  *metrics.TaskMetrics
-	s   metrics.Sampler
-	w   int64         // the open timed call's weight
-	t0  time.Time     // and its start
-	out time.Duration // and the framework time inside it (Exclude)
-	acc time.Duration
+	tm   *metrics.TaskMetrics
+	s    metrics.Sampler
+	w    int64         // the open timed call's weight
+	t0   time.Time     // and its start
+	out  time.Duration // and the framework time inside it (Exclude)
+	gaps int64         // and the stretches Exclude cut it into, less one
+	read time.Duration // the least cost of one clock reading seen
+	acc  time.Duration
 }
 
 // newCombineTimer returns a timer on sample schedule s.
 func newCombineTimer(s metrics.Sampler, tm *metrics.TaskMetrics) *combineTimer {
-	return &combineTimer{tm: tm, s: s}
+	return &combineTimer{tm: tm, s: s, read: math.MaxInt64}
 }
 
 // Begin implements kvio.CombineTimer: it reads the clock only for a
-// sampled call.
+// sampled call, twice in a row.
 func (ct *combineTimer) Begin() bool {
 	if ct.w = ct.s.Sample(); ct.w == 0 {
 		return false
 	}
-	ct.t0, ct.out = ct.tm.Now(), 0
+	t := ct.tm.Now()
+	ct.t0, ct.out, ct.gaps = ct.tm.Now(), 0, 0
+	ct.read = min(ct.read, ct.t0.Sub(t))
 	return true
 }
 
 // End implements kvio.CombineTimer.
 func (ct *combineTimer) End() {
-	ct.acc += time.Duration(ct.w) * (ct.tm.Now().Sub(ct.t0) - ct.out)
+	d := ct.tm.Now().Sub(ct.t0) - ct.out - time.Duration(1+ct.gaps)*ct.read
+	ct.acc += time.Duration(ct.w) * d
 }
 
-// Exclude takes d, framework work the open timed call ran from inside it,
-// out of that call's time before the weight multiplies it.
-func (ct *combineTimer) Exclude(d time.Duration) { ct.out += d }
+// Exclude takes d, framework work the open timed call ran from inside it
+// and timed with a pair of clock readings, out of that call's time before
+// the weight multiplies it.
+func (ct *combineTimer) Exclude(d time.Duration) {
+	ct.out += d
+	ct.gaps++
+}
 
-// take returns the combine time estimated since the last take, at most
-// span (an extrapolation may overshoot the span that contains it), and
-// resets it.
+// take returns the combine time estimated since the last take, within [0,
+// span] (an extrapolation may overshoot the span that contains it, or, with
+// the readings' cost taken out, fall below zero), and resets it.
 func (ct *combineTimer) take(span time.Duration) time.Duration {
-	est := min(ct.acc, span)
+	est := min(max(ct.acc, 0), span)
 	ct.acc = 0
 	return est
 }
@@ -277,11 +295,42 @@ func (mc *mapCollector) finish() {
 
 // spillScratch is the memory the support goroutine reuses from one spill
 // to the next: the sort kernel's scratch, the slice a group's values are
-// gathered in for the combiner, and a declared sum's encoded total.
+// gathered in for the combiner, a declared sum's encoded total, and the
+// run files' write buffer (which the map-side merge, once the support
+// goroutine is done, writes its output through too).
 type spillScratch struct {
 	sorter kvio.Sorter
 	vals   [][]byte
 	total  []byte
+	runBuf *bufio.Writer
+}
+
+// runBuffer returns the scratch's run write buffer, made on first use.
+func (s *spillScratch) runBuffer() *bufio.Writer {
+	if s.runBuf == nil {
+		s.runBuf = kvio.NewRunBuffer()
+	}
+	return s.runBuf
+}
+
+// mapWorkspace is the working memory a map attempt reuses from the attempt
+// before it on the cluster — the input scanner with its arena, and the
+// spill scratch — so that a task's ingest and spill path allocate nothing
+// a warm slot already has. An attempt takes one from the cluster's free
+// list (cluster.MapWorkspaces) and returns it when it ends, however it
+// ends; the runner empties the list when a map phase ends.
+type mapWorkspace struct {
+	scanner blockScanner
+	scratch spillScratch
+}
+
+// takeWorkspace takes a workspace off c's free list, or makes one when the
+// list is empty. The caller returns it with c.MapWorkspaces.Put.
+func takeWorkspace(c *cluster.Cluster) *mapWorkspace {
+	if ws, ok := c.MapWorkspaces.Get().(*mapWorkspace); ok {
+		return ws
+	}
+	return new(mapWorkspace)
 }
 
 // sumRun is the spill writer's kernel for a declared kvio.SumInt64: it
@@ -315,7 +364,7 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 	t1 := tm.Now()
 	tm.Add(metrics.OpSort, t1.Sub(t0))
 
-	rw, err := kvio.NewRunSink(disk, name, parts, job.CompressRuns)
+	rw, err := kvio.NewRunSinkBuffered(disk, name, parts, job.CompressRuns, scratch.runBuffer())
 	if err != nil {
 		return kvio.RunIndex{}, err
 	}
@@ -415,6 +464,10 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		}
 	}
 	start := tm.Now()
+	// Returned last, after the recovery below has joined the support
+	// goroutine on a panic: nothing of the attempt's touches it any more.
+	ws := takeWorkspace(c)
+	defer c.MapWorkspaces.Put(ws)
 	disk := c.Disks[node]
 	dir := attemptDir(job.filePrefix, taskIdx, attempt)
 	report = TaskReport{Kind: "map", Index: taskIdx, Node: node}
@@ -513,7 +566,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	var runs []kvio.RunIndex
 	supportErr := make(chan error, 1)
 	spillCombine := newCombineTimer(metrics.DefaultSampler(), tm)
-	var scratch spillScratch
+	scratch := &ws.scratch
 	// consume writes one spill as a run. Whatever happens to it, a panic in
 	// the combiner included, the spill is released: its region goes back to
 	// the cluster's pool and its bytes stop counting against the buffer.
@@ -534,7 +587,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		spillSpan := sp.start(trace.KindSpill, trace.LaneSupport)
 		name := attemptSpillName(dir, spill.Seq)
 		created = append(created, name)
-		idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, &scratch, job, spillCombine, tm, sp)
+		idx, err := writeSpillRun(disk, name, job.NumReducers, spill.Recs, scratch, job, spillCombine, tm, sp)
 		spillSpan.EndCounts(int64(spill.Recs.Len()), spill.Bytes)
 		if err != nil {
 			return err
@@ -580,7 +633,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	}()
 
 	// Map goroutine: read the split and apply map().
-	scanner, err := openBlockLines(c.FS, split, node, int(job.IngestChunkBytes))
+	scanner, err := openBlockLines(c.FS, split, node, int(job.IngestChunkBytes), &ws.scanner)
 	if err != nil {
 		buf.Close()
 		return fail(errors.Join(err, joinSupport()))
@@ -679,7 +732,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	// runner commits the winning attempt by renaming it to the canonical
 	// map-output name.
 	created = append(created, outName)
-	out, err := kvio.NewRunSink(disk, outName, job.NumReducers, job.CompressRuns)
+	out, err := kvio.NewRunSinkBuffered(disk, outName, job.NumReducers, job.CompressRuns, scratch.runBuffer())
 	if err != nil {
 		return fail(err)
 	}

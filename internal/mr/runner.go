@@ -134,8 +134,10 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	})
 	// Of the spill regions the phase used, one per task it ran (at most one
 	// per slot) waits for the next map phase, this cluster's next job's or
-	// a concurrent one's; the rest is not kept through the reduce phase.
+	// a concurrent one's; the rest, and every map workspace, is not kept
+	// through the reduce phase.
 	c.SpillRegions.Trim()
+	c.MapWorkspaces.Trim()
 	if err != nil {
 		return fail(err)
 	}

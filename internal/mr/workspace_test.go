@@ -1,0 +1,306 @@
+package mr
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+
+	"mrtext/internal/cluster"
+	"mrtext/internal/kvio"
+	"mrtext/internal/metrics"
+	"mrtext/internal/vdisk"
+)
+
+// oneSlotCluster returns a one-node cluster with one map slot, so every
+// map attempt takes the same workspace, holding data as file "f" in
+// blocks of blockSize.
+func oneSlotCluster(t *testing.T, data []byte, blockSize int64) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{Nodes: 1, BlockSize: blockSize, Replication: 1,
+		MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FS.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// longLinesInput is a word corpus whose every seventh line is about a
+// thousand bytes long: longer than a tiny ingest chunk by far, so a
+// scanner on one grows its arena.
+func longLinesInput(lines int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < lines; i++ {
+		words := 4
+		if i%7 == 3 {
+			words = 100 + i%100
+		}
+		for w := 0; w < words; w++ {
+			if w > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "w%04d", (i*31+w*17)%900)
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// peekWorkspace returns the cluster's one kept workspace without taking it
+// for good.
+func peekWorkspace(t *testing.T, c *cluster.Cluster) *mapWorkspace {
+	t.Helper()
+	if n := c.MapWorkspaces.Free(); n != 1 {
+		t.Fatalf("cluster keeps %d map workspaces, want its one slot's", n)
+	}
+	ws := c.MapWorkspaces.Get().(*mapWorkspace)
+	c.MapWorkspaces.Put(ws)
+	return ws
+}
+
+// TestMapWorkspaceReuse: a map attempt takes over the workspace of the
+// attempt before it on the slot — an arena that still holds that task's
+// bytes, grown or not — in both orders of a tiny ingest chunk that long
+// lines make the arena outgrow and the default chunk, and writes the same
+// map output as an attempt on a fresh workspace. Whole jobs that start on
+// such a workspace, and whose tasks then take each other's, write the
+// reference executor's output, and leave no workspace behind when their
+// map phase ends. Failed, panicking and canceled attempts return their
+// workspace too.
+func TestMapWorkspaceReuse(t *testing.T) {
+	data := longLinesInput(1000)
+	blockSize := int64(len(data) / 4)
+	mapJob := func(t *testing.T, chunk int64) *Job {
+		spec := wordSumSpec(fmt.Sprintf("wc-chunk%d", chunk))
+		spec.IngestChunkBytes = chunk
+		job, err := spec.withDefaults(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	// attempt runs one map attempt of split i and returns its output run.
+	attempt := func(t *testing.T, c *cluster.Cluster, chunk int64, i int) []byte {
+		t.Helper()
+		splits, err := computeSplits(c.FS, []string{"f"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mo, _, _, err := runMapTask(c, mapJob(t, chunk), metrics.NewTaskMetrics(), i, splits[i], 0, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Disks[0].Open(mo.index.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		out, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	run := func(t *testing.T, c *cluster.Cluster, chunk int64) {
+		t.Helper()
+		job := wordSumSpec(fmt.Sprintf("wc-job-chunk%d", chunk))
+		job.IngestChunkBytes = chunk
+		want, err := RunReference(c, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(c, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MapTasks < 2 {
+			t.Fatalf("%d map tasks: the case needs several on the one slot", res.MapTasks)
+		}
+		assertReferenceOutput(t, c, res, want)
+		if n := c.MapWorkspaces.Free(); n != 0 {
+			t.Errorf("the map phase ended with %d workspaces kept, want none", n)
+		}
+	}
+
+	for _, order := range [][]int64{{64, 0, 64}, {0, 64, 0}} {
+		t.Run(fmt.Sprintf("chunks%v", order), func(t *testing.T) {
+			c := oneSlotCluster(t, data, blockSize)
+			var prev *byte
+			prevCap := 0
+			for i, chunk := range order {
+				got := attempt(t, c, chunk, i)
+				if want := attempt(t, oneSlotCluster(t, data, blockSize), chunk, i); !bytes.Equal(got, want) {
+					t.Fatalf("attempt %d (chunk %d) on a warm workspace wrote %d bytes of map output that differ from a fresh one's %d", i, chunk, len(got), len(want))
+				}
+				arena := peekWorkspace(t, c).scanner.buf
+				if !bytes.Contains(arena[:cap(arena)], []byte("w0")) {
+					t.Fatalf("attempt %d left an arena without its input's bytes", i)
+				}
+				// An arena is taken over when it has room for the chunk: a
+				// 64-byte chunk fits any, the default chunk only one a
+				// default-chunk attempt made.
+				reused := &arena[:1][0] == prev
+				if wantReuse := i > 0 && (chunk == 64 || prevCap >= defaultIngestChunk); reused != wantReuse {
+					t.Errorf("attempt %d (chunk %d): arena reused %v, want %v", i, chunk, reused, wantReuse)
+				}
+				if chunk == 64 && cap(arena) < 1024 {
+					t.Errorf("attempt %d: long lines left a %d-byte arena", i, cap(arena))
+				}
+				prev, prevCap = &arena[:1][0], cap(arena)
+			}
+			// The first job starts on the last attempt's workspace.
+			run(t, c, order[1])
+			run(t, c, order[0])
+		})
+	}
+
+	t.Run("failed-panicked-canceled", func(t *testing.T) {
+		c := oneSlotCluster(t, data, blockSize)
+		splits, err := computeSplits(c.FS, []string{"f"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errBoom := errors.New("boom")
+		mappers := map[string]MapperFunc{
+			"failed": func(int64, []byte, Collector) error { return errBoom },
+			"panicked": func(int64, []byte, Collector) error {
+				panic("boom")
+			},
+			"canceled": nil,
+		}
+		for _, name := range []string{"failed", "panicked", "canceled"} {
+			if name == "panicked" && debugBuild {
+				continue // a debug build re-raises the panic (see panicError)
+			}
+			job := acctJob(t, sumValues, 64<<10, mappers[name])
+			job.IngestChunkBytes = 64
+			if name == "canceled" {
+				job.cancel.Store(true)
+			}
+			_, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, splits[0], 0, 0, 0, nil)
+			if err == nil {
+				t.Fatalf("%s attempt succeeded", name)
+			}
+			if n := c.MapWorkspaces.Free(); n != 1 {
+				t.Fatalf("after a %s attempt the cluster keeps %d workspaces, want 1", name, n)
+			}
+		}
+		run(t, c, 0)
+	})
+}
+
+// TestGroundTruthMapWorkspace pins what a warm workspace saves to the real
+// allocator. Ingest: a scanner on a warm workspace allocates exactly what
+// reading the split's DFS stream does, nothing of its own. Spill: writing
+// a spill run with warm scratch allocates the run file's bytes and a
+// fixed handful of structures, nothing that grows with the spill — no
+// sort scratch, no value slice, no write buffer. Race instrumentation
+// inflates allocation counts, so the assertions are relaxed under -race.
+func TestGroundTruthMapWorkspace(t *testing.T) {
+	data := wordsInput(4000, 8, 500)
+	c := buildFS(t, data, int64(len(data)))
+	splits, err := computeSplits(c.FS, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := splits[0]
+
+	t.Run("ingest", func(t *testing.T) {
+		const chunk = 16 << 10
+		warm := new(blockScanner)
+		scan := func() {
+			sc, err := openBlockLines(c.FS, sp, 0, chunk, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, _, ok, err := sc.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			if err := sc.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, chunk)
+		stream := func() {
+			rc, err := c.FS.OpenFrom(sp.File, 0, sp.Offset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := rc.Read(buf); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			rc.Close()
+		}
+		scan() // warm the scanner
+		scanned, streamed := testing.AllocsPerRun(10, scan), testing.AllocsPerRun(10, stream)
+		if scanned != streamed && !raceEnabled {
+			t.Errorf("scanning a split on a warm workspace: %.1f allocations; its DFS stream alone: %.1f", scanned, streamed)
+		}
+	})
+
+	t.Run("spill", func(t *testing.T) {
+		// A combiner that allocates nothing of its own: what the write
+		// allocates is the framework's.
+		first := func(k []byte, vals [][]byte, emit func(k, v []byte) error) error { return emit(k, vals[0]) }
+		job := acctJob(t, first, 8<<20, nil)
+		// Two copies of one spill, each in emit order, as the sort takes it.
+		regions := make([]kvio.Region, 2)
+		for r := range regions {
+			for i, w := range strings.Fields(string(data)) {
+				regions[r].Append(i%job.NumReducers, []byte(w), one)
+			}
+		}
+		disk := vdisk.NewMem()
+		var scratch spillScratch
+		tm := metrics.NewTaskMetrics()
+		ct := newCombineTimer(metrics.DefaultSampler(), tm)
+		n := 0
+		write := func() int64 {
+			n++
+			idx, err := writeSpillRun(disk, fmt.Sprintf("run%d", n), job.NumReducers, regions[n-1], &scratch, job, ct, tm, spanner{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Remove(idx.Name); err != nil {
+				t.Fatal(err)
+			}
+			return idx.TotalBytes()
+		}
+		allocated := func(f func() int64) (alloc, file int64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			file = f()
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc), file
+		}
+		cold, _ := allocated(write)
+		warm, file := allocated(write)
+		// The warm write's fixed structures (run writer, index, disk file)
+		// and the run file's chunk rounding come to about a KiB; the cold
+		// write also made a 64 KiB write buffer and the sort scratch.
+		const fixed = 4 << 10
+		t.Logf("spill of %d records: cold write allocated %d bytes, warm %d, file %d", regions[0].Len(), cold, warm, file)
+		if warm > file+fixed && !raceEnabled {
+			t.Errorf("warm spill write allocated %d bytes for a %d-byte run file: more than the file and %d bytes", warm, file, fixed)
+		}
+		if cold < warm+64<<10 {
+			t.Errorf("cold spill write allocated %d bytes, warm %d: the scratch is not being kept", cold, warm)
+		}
+	})
+}

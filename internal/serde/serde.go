@@ -88,9 +88,11 @@ type Writer struct {
 	written int64
 }
 
-// NewWriter returns a Writer emitting frames to w.
+// NewWriter returns a Writer emitting frames to w. Its frame scratch grows
+// to the largest frame written, from nothing: a run of small records does
+// not pay for a page of it.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, scratch: make([]byte, 0, 4096)}
+	return &Writer{w: w}
 }
 
 // WriteKV writes one framed record.

@@ -7,8 +7,8 @@
 // free and hide exactly the effect under study. vdisk therefore offers two
 // implementations behind one interface:
 //
-//   - Mem: a plain in-memory store, used by unit tests where timing does not
-//     matter.
+//   - Mem: a plain in-memory store, every node disk's store; a file is
+//     kept as the chunks it was written into (see Chunks).
 //   - Throttled: wraps any Disk and meters reads and writes at a configured
 //     bandwidth with a per-operation seek latency, modeling one shared
 //     2014-era SATA disk per node. Concurrent users of the same disk queue
@@ -68,12 +68,21 @@ type Stats struct {
 	Opens        int64
 }
 
-// Mem is an in-memory Disk.
+// Mem is an in-memory Disk. A file is kept as the Chunks it was written
+// into, which are never regrown or copied once written; a reader walks
+// them.
 type Mem struct {
 	mu    sync.Mutex
-	files map[string][]byte
-	open  map[string]bool // files being written, not yet readable
+	files map[string]*memFile
+	open  map[string]*memWriter // files being written, not yet readable
 	stats stats
+}
+
+// memFile is a closed file's content: its chunks, in order, and their
+// total length.
+type memFile struct {
+	chunks [][]byte
+	size   int64
 }
 
 type stats struct {
@@ -94,8 +103,14 @@ func (s *stats) snapshot() Stats {
 
 // NewMem returns an empty in-memory disk.
 func NewMem() *Mem {
-	return &Mem{files: make(map[string][]byte), open: make(map[string]bool)}
+	return &Mem{files: make(map[string]*memFile), open: make(map[string]*memWriter)}
 }
+
+// memMaxChunk bounds the chunk a small write opens in a Mem file: a file
+// written 64 KiB at a time, as the runtime's buffered writers write, is
+// kept in chunks of exactly that size, and a larger write gets a chunk of
+// its own size.
+const memMaxChunk = 64 << 10
 
 // Create implements Disk.
 func (m *Mem) Create(name string) (io.WriteCloser, error) {
@@ -104,60 +119,68 @@ func (m *Mem) Create(name string) (io.WriteCloser, error) {
 	if _, ok := m.files[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExist, name)
 	}
-	if m.open[name] {
+	if m.open[name] != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExist, name)
 	}
-	m.open[name] = true
+	w := &memWriter{disk: m, name: name, data: Chunks{MaxChunk: memMaxChunk}}
+	m.open[name] = w
 	m.stats.creates.Add(1)
-	return &memWriter{disk: m, name: name}, nil
+	return w, nil
 }
 
 // Open implements Disk.
 func (m *Mem) Open(name string) (io.ReadCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.files[name]
+	f, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	m.stats.opens.Add(1)
-	return &memReader{disk: m, data: data}, nil
+	return &memReader{disk: m, chunks: f.chunks, left: f.size}, nil
 }
 
 // OpenSection implements Disk.
 func (m *Mem) OpenSection(name string, off, length int64) (io.ReadCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.files[name]
+	f, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	if off < 0 || length < 0 || off+length > int64(len(data)) {
-		return nil, fmt.Errorf("vdisk: section [%d,%d) out of range for %s (%d bytes)", off, off+length, name, len(data))
+	if off < 0 || length < 0 || off+length > f.size {
+		return nil, fmt.Errorf("vdisk: section [%d,%d) out of range for %s (%d bytes)", off, off+length, name, f.size)
 	}
 	m.stats.opens.Add(1)
-	return &memReader{disk: m, data: data[off : off+length]}, nil
+	r := &memReader{disk: m, chunks: f.chunks, left: length}
+	// Skip the chunks wholly before off; the reader starts inside the next.
+	for len(r.chunks) > 0 && off >= int64(len(r.chunks[0])) {
+		off -= int64(len(r.chunks[0]))
+		r.chunks = r.chunks[1:]
+	}
+	r.off = int(off)
+	return r, nil
 }
 
 // Size implements Disk.
 func (m *Mem) Size(name string) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.files[name]
+	f, ok := m.files[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return int64(len(data)), nil
+	return f.size, nil
 }
 
 // Remove implements Disk.
 func (m *Mem) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.open[name] {
+	if m.open[name] != nil {
 		// Abandoned half-written file: discard the name so it can be
 		// recreated. The dangling writer keeps appending to its own
-		// buffer, which is never published.
+		// chunks, which its Close does not publish.
 		delete(m.open, name)
 		return nil
 	}
@@ -172,14 +195,14 @@ func (m *Mem) Remove(name string) error {
 func (m *Mem) Rename(oldName, newName string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.files[oldName]
+	f, ok := m.files[oldName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldName)
 	}
-	if _, ok := m.files[newName]; ok || m.open[newName] {
+	if _, ok := m.files[newName]; ok || m.open[newName] != nil {
 		return fmt.Errorf("%w: %s", ErrExist, newName)
 	}
-	m.files[newName] = data
+	m.files[newName] = f
 	delete(m.files, oldName)
 	return nil
 }
@@ -201,7 +224,7 @@ func (m *Mem) List() []string {
 type memWriter struct {
 	disk   *Mem
 	name   string
-	buf    []byte
+	data   Chunks
 	closed bool
 }
 
@@ -209,11 +232,13 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	w.buf = append(w.buf, p...)
+	w.data.Write(p)
 	w.disk.stats.bytesWritten.Add(int64(len(p)))
 	return len(p), nil
 }
 
+// Close publishes the file, unless Remove discarded it while it was being
+// written.
 func (w *memWriter) Close() error {
 	if w.closed {
 		return ErrClosed
@@ -221,15 +246,20 @@ func (w *memWriter) Close() error {
 	w.closed = true
 	w.disk.mu.Lock()
 	defer w.disk.mu.Unlock()
-	w.disk.files[w.name] = w.buf
+	if w.disk.open[w.name] != w {
+		return nil
+	}
+	w.disk.files[w.name] = &memFile{chunks: w.data.Chunks(), size: w.data.Len()}
 	delete(w.disk.open, w.name)
 	return nil
 }
 
+// memReader reads left bytes from chunks, starting at chunks[0][off:].
 type memReader struct {
 	disk   *Mem
-	data   []byte
+	chunks [][]byte
 	off    int
+	left   int64
 	closed bool
 }
 
@@ -237,11 +267,21 @@ func (r *memReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
-	if r.off >= len(r.data) {
+	if r.left == 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
+	if int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
+	n := 0
+	for n < len(p) {
+		k := copy(p[n:], r.chunks[0][r.off:])
+		n += k
+		if r.off += k; r.off == len(r.chunks[0]) {
+			r.chunks, r.off = r.chunks[1:], 0
+		}
+	}
+	r.left -= int64(n)
 	r.disk.stats.bytesRead.Add(int64(n))
 	return n, nil
 }
@@ -252,6 +292,76 @@ func (r *memReader) Close() error {
 	}
 	r.closed = true
 	return nil
+}
+
+// Chunks is a byte sequence kept as chunks that are each allocated once
+// and never regrown, so a byte is copied in exactly once however the
+// sequence grows. A write fills the spare room of the chunk being filled
+// and opens a new chunk for the rest: as large as the rest, or as the
+// sequence's length (doubling it) if that is larger, though then at most
+// MaxChunk and at most what Limit leaves. So the first write's chunk is
+// exactly its size, and so is the chunk for a rest of MaxChunk or more.
+// Reset empties the sequence and keeps the chunks for
+// refilling. The zero value grows without bound.
+type Chunks struct {
+	// MaxChunk bounds the doubling; zero is no bound.
+	MaxChunk int
+	// Limit, when positive, bounds the sequence's length and its chunks'
+	// total capacity: writes past it are the caller's error.
+	Limit int64
+
+	chunks [][]byte
+	cur    int // index of the chunk being filled
+	size   int64
+}
+
+// Write appends p.
+func (c *Chunks) Write(p []byte) {
+	for len(p) > 0 {
+		if c.cur == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]byte, 0, c.next(len(p))))
+		}
+		ch := c.chunks[c.cur]
+		k := copy(ch[len(ch):cap(ch)], p)
+		c.chunks[c.cur] = ch[:len(ch)+k]
+		c.size += int64(k)
+		p = p[k:]
+		if len(ch)+k == cap(ch) {
+			c.cur++
+		}
+	}
+}
+
+// next returns the capacity of the chunk a write of n more bytes opens.
+func (c *Chunks) next(n int) int {
+	grow := c.size
+	if c.MaxChunk > 0 {
+		grow = min(grow, int64(c.MaxChunk))
+	}
+	if c.Limit > 0 {
+		grow = min(grow, c.Limit-c.size)
+	}
+	return max(n, int(grow))
+}
+
+// Len returns the sequence's length.
+func (c *Chunks) Len() int64 { return c.size }
+
+// Chunks returns the sequence's filled chunks, in order. They alias c.
+func (c *Chunks) Chunks() [][]byte {
+	n := c.cur
+	if n < len(c.chunks) && len(c.chunks[n]) > 0 {
+		n++
+	}
+	return c.chunks[:n:n]
+}
+
+// Reset empties the sequence, keeping its chunks to be filled again.
+func (c *Chunks) Reset() {
+	for i := range c.chunks[:min(c.cur+1, len(c.chunks))] {
+		c.chunks[i] = c.chunks[i][:0]
+	}
+	c.cur, c.size = 0, 0
 }
 
 // ThrottleConfig describes the performance model of a Throttled disk.
