@@ -45,10 +45,11 @@ const (
 	SiteEmit
 	// SiteSpillWrite is the support goroutine writing one spill run.
 	SiteSpillWrite
-	// SiteMerge is the map task merging spill runs into its output.
+	// SiteMerge is the map task publishing its spill runs as its output,
+	// where a map-side merge of the runs would stand.
 	SiteMerge
-	// SiteShuffleFetch is the reduce task opening or draining one map
-	// output segment.
+	// SiteShuffleFetch is the reduce task opening one map output's
+	// segments.
 	SiteShuffleFetch
 	// SiteReduceWrite is the reduce task writing final output records.
 	SiteReduceWrite

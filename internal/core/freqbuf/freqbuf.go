@@ -779,10 +779,3 @@ func (c *Cache) Drop(jobID string) {
 	delete(c.sets, jobID)
 	c.mu.Unlock()
 }
-
-// Len returns the number of jobs with a set in the cache.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sets)
-}

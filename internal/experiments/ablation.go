@@ -16,7 +16,7 @@ type AblationRow struct {
 	Config   string
 	Wall     time.Duration
 	Rel      float64 // vs that app's baseline
-	SpillMB  float64 // intermediate bytes written (spill + merge)
+	SpillMB  float64 // intermediate bytes written (spill runs)
 	FreqHits int64
 	ChosenS  float64
 }
@@ -83,7 +83,7 @@ func RunAblation(env Env) (*AblationResult, error) {
 				App:      app,
 				Config:   cfg.name,
 				Wall:     res.Wall,
-				SpillMB:  float64(res.Agg.Counters[metrics.CtrSpillBytes]+res.Agg.Counters[metrics.CtrMergeBytes]) / 1e6,
+				SpillMB:  float64(res.Agg.Counters[metrics.CtrSpillBytes]) / 1e6,
 				FreqHits: res.Agg.Counters[metrics.CtrFreqHits],
 				ChosenS:  res.FreqStats().ChosenSample,
 			}

@@ -54,13 +54,12 @@ func RunFig9(env Env, appList ...AppID) (*Fig9Result, error) {
 				if t.Kind != "map" {
 					continue
 				}
-				// The map goroutine performs map(), emit, profiling and
-				// the final merge; the support goroutine sorts, combines
-				// and writes spills.
+				// The map goroutine performs map(), emit and profiling;
+				// the support goroutine sorts, combines and writes
+				// spills.
 				row.MapBusy += t.Metrics.Ops[metrics.OpMapUser] +
 					t.Metrics.Ops[metrics.OpEmit] +
-					t.Metrics.Ops[metrics.OpProfile] +
-					t.Metrics.Ops[metrics.OpMerge]
+					t.Metrics.Ops[metrics.OpProfile]
 				row.SupportBusy += t.Metrics.Ops[metrics.OpSort] +
 					t.Metrics.Ops[metrics.OpCombineUser] +
 					t.Metrics.Ops[metrics.OpSpillIO]

@@ -231,7 +231,7 @@ type CombineFunc func(key []byte, values [][]byte, emit func(key, value []byte) 
 // accounting. Begin, called before each combine call, reports whether that
 // call is timed; End, called after it only when Begin said so, closes it.
 // SumInt64's kernels make no calls: each times, in place of one, a stretch
-// of its work on one key's total (see MergeTimed).
+// of its work on one key's total.
 type CombineTimer interface {
 	Begin() bool
 	End()
@@ -239,17 +239,10 @@ type CombineTimer interface {
 
 // MergeInto merges streams and appends every (possibly combined) record to
 // out for the given partition. When combine is nil, records pass through
-// unmodified (still in sorted order). It returns the number of records
-// emitted and the number consumed.
+// unmodified (still in sorted order). For SumInt64 it calls no combiner:
+// each group's values are summed as the merge reads them. It returns the
+// number of records emitted and the number consumed.
 func MergeInto(streams []Stream, part int, out RunSink, combine CombineFunc) (emitted, consumed int64, err error) {
-	return MergeTimed(streams, part, out, combine, nil)
-}
-
-// MergeTimed is MergeInto with its combine calls timed on timer (nil for
-// none). For SumInt64 it calls no combiner: each group's values are summed
-// as the merge reads them, and the timed stretch is the total's encode and
-// append.
-func MergeTimed(streams []Stream, part int, out RunSink, combine CombineFunc, timer CombineTimer) (emitted, consumed int64, err error) {
 	m, err := NewMerger(streams)
 	if err != nil {
 		return 0, 0, err
@@ -312,13 +305,8 @@ func MergeTimed(streams []Stream, part int, out RunSink, combine CombineFunc, ti
 					return emitted, consumed, err
 				}
 			}
-			timed := timer != nil && timer.Begin()
 			enc = serde.AppendInt64(enc[:0], total)
-			err := emit(key, enc)
-			if timed {
-				timer.End()
-			}
-			if err != nil {
+			if err := emit(key, enc); err != nil {
 				return emitted, consumed, err
 			}
 			continue
@@ -342,12 +330,7 @@ func MergeTimed(streams []Stream, part int, out RunSink, combine CombineFunc, ti
 			vals = append(vals, arena[lo:hi:hi])
 			lo = hi
 		}
-		timed := timer != nil && timer.Begin()
-		err = combine(key, vals, emit)
-		if timed {
-			timer.End()
-		}
-		if err != nil {
+		if err := combine(key, vals, emit); err != nil {
 			return emitted, consumed, fmt.Errorf("kvio: combine: %w", err)
 		}
 	}

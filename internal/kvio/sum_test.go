@@ -26,12 +26,6 @@ func wrappedSum(key []byte, values [][]byte, emit func(k, v []byte) error) error
 	return SumInt64(key, values, emit)
 }
 
-// sumTimer is a CombineTimer that times every call and counts them.
-type sumTimer struct{ begun, ended int }
-
-func (st *sumTimer) Begin() bool { st.begun++; return true }
-func (st *sumTimer) End()        { st.ended++ }
-
 func TestIsSumInt64(t *testing.T) {
 	var copied CombineFunc = SumInt64
 	if !IsSumInt64(SumInt64) || !IsSumInt64(copied) {
@@ -43,8 +37,8 @@ func TestIsSumInt64(t *testing.T) {
 }
 
 // TestMergeSumKernel: merging under SumInt64 emits one total per key, the
-// wrapper's bytes, times one stretch per group, and builds no per-group
-// state: sixty-four times the groups cost no more allocations.
+// wrapper's bytes, and builds no per-group state: sixty-four times the
+// groups cost no more allocations.
 func TestMergeSumKernel(t *testing.T) {
 	runs := func(groups int) [][]Record {
 		runs := make([][]Record, 3)
@@ -56,18 +50,17 @@ func TestMergeSumKernel(t *testing.T) {
 		}
 		return runs
 	}
-	merge := func(runs [][]Record, combine CombineFunc, timer CombineTimer, out RunSink) (int64, int64, error) {
+	merge := func(runs [][]Record, combine CombineFunc, out RunSink) (int64, int64, error) {
 		streams := make([]Stream, len(runs))
 		for r := range runs {
 			streams[r] = NewSliceStream(runs[r])
 		}
-		return MergeTimed(streams, 0, out, combine, timer)
+		return MergeInto(streams, 0, out, combine)
 	}
 	rs := runs(100)
 	var declared, generic collectSink
-	var dt, gt sumTimer
-	de, dc, derr := merge(rs, SumInt64, &dt, &declared)
-	ge, gc, gerr := merge(rs, wrappedSum, &gt, &generic)
+	de, dc, derr := merge(rs, SumInt64, &declared)
+	ge, gc, gerr := merge(rs, wrappedSum, &generic)
 	if derr != nil || gerr != nil || de != ge || dc != gc || de != 100 || dc != 300 {
 		t.Fatalf("declared: %d emitted, %d consumed, %v; wrapper: %d, %d, %v", de, dc, derr, ge, gc, gerr)
 	}
@@ -76,14 +69,11 @@ func TestMergeSumKernel(t *testing.T) {
 			t.Fatalf("record %d: declared %q=%x, wrapper %q=%x", i, d.Key, d.Value, g.Key, g.Value)
 		}
 	}
-	if dt.begun != 100 || dt.ended != 100 || gt.begun != 100 {
-		t.Errorf("timed %d/%d kernel stretches and %d wrapper calls, want one per group", dt.begun, dt.ended, gt.begun)
-	}
 	measure := func(groups int) float64 {
 		rs := runs(groups)
 		sink := &countingSink{}
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := merge(rs, SumInt64, nil, sink); err != nil {
+			if _, _, err := merge(rs, SumInt64, sink); err != nil {
 				t.Fatal(err)
 			}
 		})

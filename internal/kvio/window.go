@@ -85,21 +85,6 @@ func (w *window) fill(n int) error {
 	return nil
 }
 
-// discard drops the next n bytes of the stream.
-func (w *window) discard(n int64) error {
-	for n > 0 {
-		if w.r == w.w {
-			if err := w.fill(1); err != nil {
-				return err
-			}
-		}
-		m := int(min(n, int64(w.w-w.r)))
-		w.r += m
-		n -= int64(m)
-	}
-	return nil
-}
-
 // windowStream decodes one segment's records out of a window, in either
 // on-disk format.
 type windowStream struct {
@@ -107,7 +92,7 @@ type windowStream struct {
 	remain     int64 // segment bytes not yet decoded
 	compressed bool
 	key        []byte    // prefix format: the current key, rebuilt in place
-	closer     io.Closer // what Close closes; nil for bytes and for a cursor's partitions
+	closer     io.Closer // what Close closes; nil for bytes
 	run        string    // for error messages
 	part       int
 }
@@ -255,59 +240,3 @@ func OpenRunPart(disk vdisk.Disk, idx RunIndex, part int) (Stream, error) {
 func NewBytesSegmentStream(data []byte, compressed bool) Stream {
 	return &windowStream{window: bytesWindow(data), remain: int64(len(data)), compressed: compressed}
 }
-
-// RunCursor reads a whole run file front to back through one window and
-// one disk open, serving its partitions in ascending order — the order
-// they lie in the file and the order the map-side merge asks for them.
-type RunCursor struct {
-	idx  RunIndex
-	rc   io.ReadCloser
-	s    windowStream // the file's window, bounded to the partition being served
-	part int          // its index; -1 before the first Part
-	end  int64        // file offset where it ends
-}
-
-// OpenRun opens the run described by idx for one pass over its partitions.
-func OpenRun(disk vdisk.Disk, idx RunIndex) (*RunCursor, error) {
-	rc, err := disk.Open(idx.Name)
-	if err != nil {
-		return nil, fmt.Errorf("kvio: opening run %q: %w", idx.Name, err)
-	}
-	return &RunCursor{
-		idx:  idx,
-		rc:   rc,
-		s:    windowStream{window: newWindow(rc, idx.TotalBytes()), compressed: idx.Compressed, run: idx.Name},
-		part: -1,
-	}, nil
-}
-
-// Part returns partition p's records. Partitions must be asked for in
-// ascending order; one may be skipped, and whatever an earlier partition's
-// stream left unread is skipped with it. The stream is valid until the
-// next Part or Close, and its own Close does nothing: the cursor owns the
-// file. An empty partition reads nothing.
-func (c *RunCursor) Part(p int) (Stream, error) {
-	if p < 0 || p >= len(c.idx.Segments) {
-		return nil, fmt.Errorf("kvio: run %q has no partition %d", c.idx.Name, p)
-	}
-	if p <= c.part {
-		return nil, fmt.Errorf("kvio: run %q: partition %d is behind the cursor (at %d)", c.idx.Name, p, c.part)
-	}
-	c.part = p
-	seg := c.idx.Segments[p]
-	if seg.Len == 0 {
-		return emptyStream{}, nil // and the cursor stays where it is
-	}
-	if err := c.s.discard(seg.Off - (c.end - c.s.remain)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("kvio: run %q: seeking partition %d: %w", c.idx.Name, p, err)
-	}
-	c.end = seg.Off + seg.Len
-	c.s.remain, c.s.part, c.s.key = seg.Len, p, c.s.key[:0]
-	return &c.s, nil
-}
-
-// Close closes the run file.
-func (c *RunCursor) Close() error { return c.rc.Close() }

@@ -79,10 +79,11 @@ func sameRecords(t testing.TB, what string, want, got [][2]string) {
 }
 
 // TestRunReadersAgree: a run written the way a spill is reads back
-// identically through the cursor (OpenRun + Part(0…r−1)), through one
-// OpenRunPart per partition, through ReadSegment + NewBytesSegmentStream,
-// and through the oracle — per generator, in both formats, and for the
-// all-empty, one-record and all-in-last-partition shapes.
+// identically through one ReadRun of every partition, through one
+// OpenRunPart per partition, through ReadSegment, each staged copy decoded
+// with NewBytesSegmentStream, and through the oracle — per generator, in
+// both formats, and for the all-empty, one-record and
+// all-in-last-partition shapes.
 func TestRunReadersAgree(t *testing.T) {
 	shapes := append([]generator{
 		{"all-empty", func(r *rand.Rand, n int) []Record { return nil }},
@@ -109,7 +110,11 @@ func TestRunReadersAgree(t *testing.T) {
 					if int(idx.TotalRecords()) != len(recs) {
 						t.Fatalf("run holds %d records, wrote %d", idx.TotalRecords(), len(recs))
 					}
-					cur, err := OpenRun(disk, idx)
+					all := make([]int, parts)
+					for p := range all {
+						all[p] = p
+					}
+					segs, err := ReadRun(disk, idx, all)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -122,14 +127,7 @@ func TestRunReadersAgree(t *testing.T) {
 						if int64(len(want)) != idx.Segments[p].Records {
 							t.Fatalf("part %d: oracle read %d records, index says %d", p, len(want), idx.Segments[p].Records)
 						}
-						cs, err := cur.Part(p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameRecords(t, fmt.Sprintf("cursor part %d", p), want, readAll(t, cs))
-						if err := cs.Close(); err != nil { // a no-op: the next Part must still work
-							t.Fatal(err)
-						}
+						sameRecords(t, fmt.Sprintf("ReadRun part %d", p), want, drain(t, NewBytesSegmentStream(segs[p], compressed)))
 						s, err := OpenRunPart(disk, idx, p)
 						if err != nil {
 							t.Fatal(err)
@@ -140,9 +138,6 @@ func TestRunReadersAgree(t *testing.T) {
 							t.Fatal(err)
 						}
 						sameRecords(t, fmt.Sprintf("staged part %d", p), want, drain(t, NewBytesSegmentStream(raw, compressed)))
-					}
-					if err := cur.Close(); err != nil {
-						t.Fatal(err)
 					}
 				}
 			})
@@ -162,10 +157,10 @@ func sampleRun(t testing.TB, disk vdisk.Disk, name string, n int, compressed boo
 	return writeRegionRun(t, disk, name, recs, 3, compressed)
 }
 
-// TestRunCursorSemantics: Part skips what an earlier partition left
-// unread and whole partitions nobody asked for, rejects a partition at or
-// behind the cursor, and an out-of-range one.
-func TestRunCursorSemantics(t *testing.T) {
+// TestReadRunSemantics: ReadRun returns the listed partitions' bytes,
+// reading past whole partitions nobody asked for, and refuses a list that
+// is not ascending or names a partition the run does not have.
+func TestReadRunSemantics(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		disk := vdisk.NewMem()
 		idx := sampleRun(t, disk, "run", 4000, compressed) // each partition spans several windows
@@ -177,77 +172,41 @@ func TestRunCursorSemantics(t *testing.T) {
 			}
 			want[p] = drain(t, s)
 		}
-
-		cur, err := OpenRun(disk, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s0, err := cur.Part(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k, _, err := s0.Next(); err != nil || string(k) != want[0][0][0] {
-			t.Fatalf("first record of part 0: %q, %v", k, err)
-		}
-		s1, err := cur.Part(1) // part 0's remainder is skipped
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecords(t, "part 1 after a half-read part 0", want[1], readAll(t, s1))
-		for _, p := range []int{1, 0, -1, 3} {
-			if _, err := cur.Part(p); err == nil {
-				t.Errorf("compressed=%v: Part(%d) after Part(1) succeeded", compressed, p)
+		for _, parts := range [][]int{{0, 2}, {2}, {1}, {0, 1, 2}} {
+			segs, err := ReadRun(disk, idx, parts)
+			if err != nil || len(segs) != len(parts) {
+				t.Fatalf("ReadRun%v: %d segments, %v", parts, len(segs), err)
+			}
+			for i, p := range parts {
+				sameRecords(t, fmt.Sprintf("ReadRun%v part %d", parts, p), want[p], drain(t, NewBytesSegmentStream(segs[i], compressed)))
 			}
 		}
-		s2, err := cur.Part(2)
-		if err != nil {
-			t.Fatalf("Part(2) after rejected calls: %v", err)
-		}
-		sameRecords(t, "part 2", want[2], readAll(t, s2))
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		cur, err = OpenRun(disk, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err = cur.Part(2) // parts 0 and 1 never asked for
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecords(t, "part 2 alone", want[2], readAll(t, s2))
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
+		for _, parts := range [][]int{{1, 0}, {1, 1}, {-1}, {3}, {0, 3}} {
+			if _, err := ReadRun(disk, idx, parts); err == nil {
+				t.Errorf("compressed=%v: ReadRun%v succeeded", compressed, parts)
+			}
 		}
 	}
 }
 
-// TestRunCursorOneOpen: a cursor opens its file once whatever the number
-// of partitions, and an empty partition costs OpenRunPart and ReadSegment
-// no disk operation at all.
-func TestRunCursorOneOpen(t *testing.T) {
+// TestReadRunOneOpen: ReadRun opens its run once whatever the number of
+// partitions, and an empty partition costs OpenRunPart, ReadSegment and a
+// ReadRun of empty partitions no disk operation at all.
+func TestReadRunOneOpen(t *testing.T) {
 	disk := vdisk.NewMem()
 	recs := []Record{{Part: 1, Key: []byte("a"), Value: []byte("1")}, {Part: 6, Key: []byte("b"), Value: []byte("2")}}
 	idx := writeRegionRun(t, disk, "run", recs, 8, false)
 	before := disk.Stats().Opens
-	cur, err := OpenRun(disk, idx)
+	segs, err := ReadRun(disk, idx, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for p := 0; p < 8; p++ {
-		s, err := cur.Part(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(readAll(t, s))
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
+	for _, seg := range segs {
+		n += len(drain(t, NewBytesSegmentStream(seg, false)))
 	}
 	if got := disk.Stats().Opens - before; got != 1 || n != 2 {
-		t.Errorf("cursor over 8 partitions: %d opens and %d records, want 1 and 2", got, n)
+		t.Errorf("ReadRun over 8 partitions: %d opens and %d records, want 1 and 2", got, n)
 	}
 
 	before = disk.Stats().Opens
@@ -264,8 +223,11 @@ func TestRunCursorOneOpen(t *testing.T) {
 			t.Errorf("ReadSegment of empty partition %d: %v, %v; want nil, nil", p, raw, err)
 		}
 	}
+	if segs, err := ReadRun(disk, idx, []int{0, 2, 7}); err != nil || len(segs) != 3 || segs[0] != nil || segs[1] != nil || segs[2] != nil {
+		t.Errorf("ReadRun of empty partitions: %v, %v; want three nil segments", segs, err)
+	}
 	if got := disk.Stats().Opens - before; got != 0 {
-		t.Errorf("three empty partitions cost %d disk opens, want 0", got)
+		t.Errorf("empty partitions cost %d disk opens, want 0", got)
 	}
 }
 
@@ -301,15 +263,18 @@ func TestEmptySegmentOnDeadNode(t *testing.T) {
 	if _, err := OpenRunPart(dead, idx, 1); !errors.Is(err, chaos.ErrNodeDead) {
 		t.Errorf("OpenRunPart(part 1) on a dead node: %v", err)
 	}
-	if _, err := OpenRun(dead, idx); !errors.Is(err, chaos.ErrNodeDead) {
-		t.Errorf("OpenRun on a dead node: %v", err)
+	if segs, err := ReadRun(dead, idx, []int{0, 2}); err != nil || segs[0] != nil || segs[1] != nil {
+		t.Errorf("ReadRun(empty parts) on a dead node: %v, %v", segs, err)
+	}
+	if _, err := ReadRun(dead, idx, []int{0, 1, 2}); !errors.Is(err, chaos.ErrNodeDead) {
+		t.Errorf("ReadRun on a dead node: %v", err)
 	}
 }
 
-// TestRunCursorTruncatedFile: a run file shorter than its index says ends
-// in io.ErrUnexpectedEOF naming the run, whether the missing bytes are
-// met while decoding a partition or while skipping to one.
-func TestRunCursorTruncatedFile(t *testing.T) {
+// TestReadRunTruncatedFile: a run file shorter than its index says fails
+// the read of a partition past the cut, naming the run, and still serves
+// the intact ones.
+func TestReadRunTruncatedFile(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		full := vdisk.NewMem()
 		idx := sampleRun(t, full, "spill-7", 50, compressed)
@@ -325,44 +290,17 @@ func TestRunCursorTruncatedFile(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		check := func(what string, err error) {
-			t.Helper()
-			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), `"spill-7"`) {
-				t.Errorf("compressed=%v, %s: %v; want io.ErrUnexpectedEOF naming the run", compressed, what, err)
-			}
-		}
-
-		cur, err := OpenRun(cut, idx)
+		segs, err := ReadRun(cut, idx, []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s0, err := cur.Part(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := readAll(t, s0); len(got) != 50 {
+		if got := drain(t, NewBytesSegmentStream(segs[0], compressed)); len(got) != 50 {
 			t.Fatalf("intact part 0 yields %d records", len(got))
 		}
-		s1, err := cur.Part(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for err == nil {
-			_, _, err = s1.Next()
-		}
-		check("decoding the cut partition", err)
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		cur, err = OpenRun(cut, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = cur.Part(2)
-		check("skipping to a partition past the cut", err)
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
+		for _, parts := range [][]int{{0, 1}, {1}, {0, 2}} {
+			if _, err := ReadRun(cut, idx, parts); err == nil || !strings.Contains(err.Error(), `"spill-7"`) {
+				t.Errorf("compressed=%v, ReadRun%v of the cut run: %v; want an error naming the run", compressed, parts, err)
+			}
 		}
 	}
 }
@@ -394,18 +332,11 @@ func TestWindowRecordLargerThanWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRecords(t, "OpenRunPart", want, drain(t, s))
-		cur, err := OpenRun(disk, idx)
+		raw, err := ReadSegment(disk, idx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := cur.Part(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecords(t, "cursor", want, readAll(t, cs))
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
+		sameRecords(t, "staged", want, drain(t, NewBytesSegmentStream(raw, compressed)))
 	}
 }
 
@@ -566,13 +497,9 @@ func TestGroundTruthWindowNext(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		disk := vdisk.NewMem()
 		idx := sampleRun(t, disk, "run", 40000, compressed)
-		cur, err := OpenRun(disk, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
 		records := 0
 		for p := 0; p < 3; p++ {
-			s, err := cur.Part(p)
+			s, err := OpenRunPart(disk, idx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -588,9 +515,9 @@ func TestGroundTruthWindowNext(t *testing.T) {
 			if allocs := testing.AllocsPerRun(30, step); allocs != 0 && !raceEnabled {
 				t.Errorf("compressed=%v part %d: %.2f allocations per 1000 records, want 0", compressed, p, allocs)
 			}
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if records != 3*32000 {
 			t.Fatalf("measured %d records", records)

@@ -43,7 +43,9 @@ const (
 	OpCombineUser
 	// OpSpillIO is writing spill runs to local disk.
 	OpSpillIO
-	// OpMerge is merge-sorting spill runs into the map output file.
+	// OpMerge was merge-sorting a map task's spill runs into one output
+	// file. The runtime publishes the runs instead and records none; the
+	// benchmark harness still reads it.
 	OpMerge
 	// OpShuffle is fetching and merge-sorting map outputs on the reduce side.
 	OpShuffle
@@ -114,7 +116,6 @@ const (
 	CtrSpillRecords      = "spill.records" // records written to spill runs
 	CtrSpillBytes        = "spill.bytes"   // bytes written to spill runs
 	CtrSpillCount        = "spill.count"   // number of spills
-	CtrMergeBytes        = "merge.bytes"   // bytes written during final merge
 	CtrShuffleBytes      = "shuffle.bytes" // bytes moved across the fabric
 	CtrReduceInputGroups = "reduce.input.groups"
 	CtrReduceInputValues = "reduce.input.values"
@@ -148,6 +149,7 @@ const (
 	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // bytes fetched into staging, as they sit on the source disk (compressed length under CompressRuns)
 	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy
 	CtrShuffleStagedHits     = "shuffle.staged.hits"        // reduce-attempt fetches served from staging
+	CtrShuffleDirectFetches  = "shuffle.direct.fetches"     // reduce-attempt fetches read from the source disk
 	CtrShuffleFetchRetries   = "shuffle.fetch.retries"      // injected shuffle-fetch faults absorbed by per-source retry
 
 	// Shuffle wait-time counters (nanoseconds). These are the totals behind

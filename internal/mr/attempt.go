@@ -9,13 +9,11 @@ import (
 // named through one of these helpers (TestPipelinedShuffleMatchesReference
 // fails on any file a job creates under another name): attempt files live
 // under a per-attempt namespace, which is what lets duplicate attempts of
-// one task coexist on a node, makes failed attempts sweepable by name, and
-// makes the commit a single rename from the attempt namespace to the
-// canonical name.
+// one task coexist on a node and makes failed or losing attempts sweepable
+// by name.
 
-// attemptDir is the temp namespace of one map-task attempt on its node
-// disk: all of the attempt's spill runs and its merged output live under
-// it.
+// attemptDir is the namespace of one map-task attempt on its node disk:
+// the attempt's spill runs, which are its output, live under it.
 func attemptDir(prefix string, task, attempt int) string {
 	return fmt.Sprintf("%s/m%05d/a%02d", prefix, task, attempt)
 }
@@ -23,17 +21,6 @@ func attemptDir(prefix string, task, attempt int) string {
 // attemptSpillName names one spill run inside an attempt's namespace.
 func attemptSpillName(dir string, seq int) string {
 	return fmt.Sprintf("%s/spill%04d", dir, seq)
-}
-
-// attemptMapOutName names an attempt's merged, uncommitted map output.
-func attemptMapOutName(dir string) string {
-	return dir + "/out"
-}
-
-// canonicalMapOutName is the committed map-output name a winning attempt's
-// output is renamed to — the name reducers fetch from.
-func canonicalMapOutName(prefix string, task int) string {
-	return fmt.Sprintf("%s/m%05d/out", prefix, task)
 }
 
 // attemptReduceTempName names a reduce attempt's uncommitted DFS output;

@@ -67,13 +67,14 @@ func concSynText(name string) *mr.Job {
 // deterministicCtrs are the counters that depend only on the input and
 // the job configuration, never on scheduling: the set a concurrent run
 // must reproduce exactly to prove its accounting did not interleave with
-// a neighbor's.
+// a neighbor's. The reduce side's values are not among them: it reads
+// each spill run of a map task, whose cuts the support goroutine's pace
+// sets.
 var deterministicCtrs = []string{
 	metrics.CtrMapInputRecords,
 	metrics.CtrMapOutputRecords,
 	metrics.CtrMapOutputBytes,
 	metrics.CtrReduceInputGroups,
-	metrics.CtrReduceInputValues,
 	metrics.CtrOutputRecords,
 	metrics.CtrOutputBytes,
 }
@@ -159,6 +160,10 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 				if got, want := res.Agg.Counters[ctr], tc.baseline.Agg.Counters[ctr]; got != want {
 					t.Errorf("%s: counter %s = %d, serial run had %d", tc.name, ctr, got, want)
 				}
+			}
+			// What the reduce side read is what the job's map outputs hold.
+			if got, want := res.Agg.Counters[metrics.CtrReduceInputValues], res.Agg.Counters[metrics.CtrSpillRecords]; got != want {
+				t.Errorf("%s: reduce read %d values from map outputs of %d records", tc.name, got, want)
 			}
 			// The chaos neighbor's injector must not have touched this job.
 			if res.FailedAttempts != 0 || res.TaskRetries != 0 {

@@ -112,9 +112,11 @@ func counterJob(app counterApp, name string) *mr.Job {
 // input is cut into lines here, a line belongs to the split its first byte
 // lies in, the job's mapper runs over every line into a counting
 // collector, each map task's records are grouped by key and passed through
-// the job's combiner (a map task's output holds one combined record per
-// key, however its spills fell), and the output side is read off the
-// reference executor's result.
+// the job's combiner, and the output side is read off the reference
+// executor's result. The reduce side's values and shuffle bytes come out
+// as the least a run can have: a map task's output is its spill runs, with
+// one combined record per key in each run the key fell in, so a task whose
+// keys all fell in one spill reads as this one-record-per-key figure.
 func expectedCounters(t *testing.T, c *cluster.Cluster, job *mr.Job, input []byte, ref map[int][]byte) map[string]int64 {
 	t.Helper()
 	splits, err := mr.SplitsOf(c.FS, job.Inputs)
@@ -187,6 +189,9 @@ func expectedCounters(t *testing.T, c *cluster.Cluster, job *mr.Job, input []byt
 	return want
 }
 
+// atLeast names the counters expectedCounters gives a lower bound for.
+var atLeast = map[string]bool{metrics.CtrReduceInputValues: true, metrics.CtrShuffleBytes: true}
+
 func TestCounterIdentity(t *testing.T) {
 	cells := append([]ftCell{{name: "fault-free"}}, ftCells...)
 	if testing.Short() {
@@ -227,9 +232,19 @@ func TestCounterIdentity(t *testing.T) {
 					}
 					assertOutputsMatch(t, c, res, ref)
 					for name, v := range want {
-						if got := res.Agg.Counters[name]; got != v {
+						got := res.Agg.Counters[name]
+						if atLeast[name] && got < v || !atLeast[name] && got != v {
 							t.Errorf("%s = %d, want %d", name, got, v)
 						}
+					}
+					// Where the spills fell is the support goroutine's pace,
+					// so the reduce side's values are checked against the
+					// map side's own ledger: what it read is what the
+					// committed map outputs hold — unless an output was
+					// lost after some partition had read it, and its re-run
+					// cut its spills elsewhere.
+					if values, spilled := res.Agg.Counters[metrics.CtrReduceInputValues], res.Agg.Counters[metrics.CtrSpillRecords]; res.RecoveredMapTasks == 0 && values != spilled {
+						t.Errorf("the reduce side read %d values from map outputs of %d records", values, spilled)
 					}
 					// The per-task reports carry the same totals: what a
 					// reduce report surfaces as ShuffleBytes is its counter.
@@ -239,8 +254,8 @@ func TestCounterIdentity(t *testing.T) {
 							shuffled += rep.ShuffleBytes
 						}
 					}
-					if shuffled != want[metrics.CtrShuffleBytes] {
-						t.Errorf("reduce reports' ShuffleBytes sum to %d, want %d", shuffled, want[metrics.CtrShuffleBytes])
+					if shuffled != res.Agg.Counters[metrics.CtrShuffleBytes] {
+						t.Errorf("reduce reports' ShuffleBytes sum to %d, the counter is %d", shuffled, res.Agg.Counters[metrics.CtrShuffleBytes])
 					}
 				})
 			}

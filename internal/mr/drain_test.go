@@ -3,6 +3,8 @@ package mr_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,6 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
-	"mrtext/internal/trace"
 )
 
 // The frequency buffer's two exits: its end-of-input aggregates leave a map
@@ -22,43 +23,28 @@ import (
 // TestDrainTakesTheSpillPath: what the frequency buffer still holds at the
 // end of a split is appended to the spill buffer like any other map output.
 // With a buffer that holds a whole task the aggregates ride in the task's
-// one spill and that run is renamed into place — no merge runs. With a
-// small buffer and a combiner that cannot shrink its input (InvertedIndex),
-// the drain forces spills of its own and a key's chunks straddle runs; the
-// merge puts them back together. Either way the output is RunReference's.
+// one spill, and that run is the task's output. With a small buffer and a
+// combiner that cannot shrink its input (InvertedIndex), the drain forces
+// spills of its own and a key's chunks straddle runs; the reduce-side merge
+// puts them back together. Either way the output is RunReference's.
 func TestDrainTakesTheSpillPath(t *testing.T) {
 	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
-	t.Run("one run is renamed", func(t *testing.T) {
+	t.Run("one run per task", func(t *testing.T) {
 		c, corpus := newFTCluster(t, nil)
 		job := apps.WordCount(corpus)
 		job.Name = "drain-one-run"
 		job.NumReducers = ftReducers
 		job.SpillBufferBytes = 8 << 20
 		job.FreqBuf = freq
-		job.Trace = trace.New(1 << 16)
 		res := runAgainstReference(t, c, job)
 		if hits := res.FreqStats().Hits; hits == 0 {
 			t.Fatal("the frequency buffer absorbed nothing: there was nothing to drain")
 		}
 		// A split that holds no record (the corpus ends on a block boundary)
-		// spills nothing, and merges its zero runs into an empty output.
-		empty := make(map[int]bool)
+		// spills nothing, and publishes no run.
 		for _, task := range res.Tasks {
-			if task.Kind != "map" {
-				continue
-			}
-			if task.Metrics.Counters[metrics.CtrMapOutputRecords] == 0 {
-				empty[task.Index] = true
-			} else if task.Spill.Spills != 1 {
+			if task.Kind == "map" && task.Metrics.Counters[metrics.CtrMapOutputRecords] > 0 && task.Spill.Spills != 1 {
 				t.Errorf("map task %d spilled %d times, want once", task.Index, task.Spill.Spills)
-			}
-		}
-		if d := job.Trace.Dropped(); d != 0 {
-			t.Fatalf("tracer dropped %d events", d)
-		}
-		for _, ev := range job.Trace.Events() {
-			if ev.Kind == trace.KindMerge && !empty[int(ev.Task)] {
-				t.Errorf("map task %d merged: its one run was not renamed into place", ev.Task)
 			}
 		}
 	})
@@ -79,13 +65,43 @@ func TestDrainTakesTheSpillPath(t *testing.T) {
 	})
 }
 
-// cachedSets counts the frequent-key sets held by the cluster's node caches.
-func cachedSets(c *cluster.Cluster) int {
+// cachedSets counts the frequent-key sets the cluster's node caches hold
+// under the given job ids.
+func cachedSets(c *cluster.Cluster, ids []string) int {
 	n := 0
 	for _, cache := range c.FreqCaches {
-		n += cache.Len()
+		for _, id := range ids {
+			if _, ok := cache.Get(id); ok {
+				n++
+			}
+		}
 	}
 	return n
+}
+
+// A job's sets are keyed by its run-unique prefix, "<name>.<run>": the run
+// number counts every run in the process and also names the job's default
+// output prefix, "<name>-out.<run>". runNumber reads it off a finished
+// job's outputs.
+func runNumber(t *testing.T, res *mr.Result) int {
+	t.Helper()
+	prefix, _, _ := strings.Cut(res.Outputs[0], "-r-")
+	run, err := strconv.Atoi(strings.TrimPrefix(prefix, res.Job+"-out."))
+	if err != nil {
+		t.Fatalf("no run number in output %q: %v", res.Outputs[0], err)
+	}
+	return run
+}
+
+// nextIDs are the ids a job named name may run under when the last run
+// the test saw was number last: the tests of this package run one at a
+// time, so it is one of the next few.
+func nextIDs(name string, last int) []string {
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s.%d", name, last+1+i)
+	}
+	return ids
 }
 
 // TestFreqCacheForgetsFinishedJobs: a job's shared top-k sets are keyed by
@@ -97,6 +113,8 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 	c := newCancelCluster(t)
 	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
 
+	var finished []string
+	last := 0
 	for i := 0; i < 3; i++ {
 		job := apps.WordCount("corpus.txt")
 		job.Name = "cache-ok"
@@ -105,6 +123,8 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		last = runNumber(t, res)
+		finished = append(finished, fmt.Sprintf("%s.%d", job.Name, last))
 		shared := 0
 		for _, task := range res.Tasks {
 			if task.Kind == "map" && task.FreqStats.SharedTopK {
@@ -114,20 +134,20 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		if shared == 0 {
 			t.Fatal("no task took its top-k from a node cache: the job published no set")
 		}
-		if n := cachedSets(c); n != 0 {
+		if n := cachedSets(c, finished); n != 0 {
 			t.Fatalf("%d sets cached after %d finished jobs, want none", n, i+1)
 		}
 	}
 
 	// published closes once some node's cache holds a set of the running
 	// job; the mappers dawdle, so the job is mid-map then.
-	watch := func(published chan struct{}, fail error) func() mr.Mapper {
+	watch := func(published chan struct{}, ids []string, fail error) func() mr.Mapper {
 		var once sync.Once
 		inner := apps.WordCount("corpus.txt").NewMapper
 		return func() mr.Mapper {
 			m := inner()
 			return mr.MapperFunc(func(off int64, line []byte, out mr.Collector) error {
-				if cachedSets(c) > 0 {
+				if cachedSets(c, ids) > 0 {
 					once.Do(func() { close(published) })
 					if fail != nil {
 						return fail
@@ -145,11 +165,12 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		job.Name = "cache-fail"
 		job.FreqBuf = freq
 		job.MaxAttempts = 1
-		job.NewMapper = watch(make(chan struct{}), boom)
+		ids := nextIDs(job.Name, last)
+		job.NewMapper = watch(make(chan struct{}), ids, boom)
 		if _, err := mr.Run(c, job); err == nil || !strings.Contains(err.Error(), boom.Error()) {
 			t.Fatalf("job error %v, want the mapper's", err)
 		}
-		if n := cachedSets(c); n != 0 {
+		if n := cachedSets(c, ids); n != 0 {
 			t.Errorf("%d sets cached after a failed job, want none", n)
 		}
 	})
@@ -159,7 +180,8 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		job := apps.WordCount("corpus.txt")
 		job.Name = "cache-cancel"
 		job.FreqBuf = freq
-		job.NewMapper = watch(published, nil)
+		ids := nextIDs(job.Name, last)
+		job.NewMapper = watch(published, ids, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		done := make(chan error, 1)
@@ -181,7 +203,7 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("RunContext did not return after cancellation")
 		}
-		if n := cachedSets(c); n != 0 {
+		if n := cachedSets(c, ids); n != 0 {
 			t.Errorf("%d sets cached after a canceled job, want none", n)
 		}
 	})

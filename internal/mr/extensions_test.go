@@ -93,7 +93,7 @@ func TestCompressionReducesSpillBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Agg.Counters[metrics.CtrSpillBytes] + res.Agg.Counters[metrics.CtrMergeBytes]
+		return res.Agg.Counters[metrics.CtrSpillBytes]
 	}
 	plain := run(false)
 	compressed := run(true)

@@ -48,10 +48,21 @@ func panicError(r any) error {
 	return fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
 }
 
-// mapOutput locates one finished map task's partitioned output run.
+// mapOutput locates one finished map task's output: its spill runs, in
+// spill order, on the node that wrote them. The runs are the output as
+// they were spilled; no map-side merge joins them into one file.
 type mapOutput struct {
-	node  int
-	index kvio.RunIndex
+	node int
+	runs []kvio.RunIndex
+}
+
+// files names the output's run files.
+func (mo mapOutput) files() []string {
+	names := make([]string, len(mo.runs))
+	for i, run := range mo.runs {
+		names[i] = run.Name
+	}
+	return names
 }
 
 // combineTimer times one call site's combine calls for a task — or, for a
@@ -296,8 +307,7 @@ func (mc *mapCollector) finish() {
 // spillScratch is the memory the support goroutine reuses from one spill
 // to the next: the sort kernel's scratch, the slice a group's values are
 // gathered in for the combiner, a declared sum's encoded total, and the
-// run files' write buffer (which the map-side merge, once the support
-// goroutine is done, writes its output through too).
+// run files' write buffer.
 type spillScratch struct {
 	sorter kvio.Sorter
 	vals   [][]byte
@@ -451,12 +461,12 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 
 // runMapTask executes one attempt of a map task on the given node: the
 // map goroutine reads the split and applies map(); the support goroutine
-// sorts, combines and spills; the attempt ends with the merge of all spill
-// runs into one partitioned output run, written under the attempt's temp
-// namespace. The returned created list names the attempt's surviving files
-// (on success, just the uncommitted output run) so the runner can
-// commit-by-rename or sweep. tm is the attempt's fresh metrics; every
-// stopwatch of the attempt reads its clock.
+// sorts, combines and spills, each spill one sorted, partitioned run under
+// the attempt's temp namespace. The runs, in spill order, are the output:
+// no merge joins them. The returned created list names the attempt's
+// files — on success, its runs — so the runner can commit them or sweep
+// them. tm is the attempt's fresh metrics; every stopwatch of the attempt
+// reads its clock.
 func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mo mapOutput, report TaskReport, created []string, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
@@ -613,9 +623,9 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		}
 	}()
 	// A panic in user code on this goroutine — map(), the partitioner, a
-	// combiner call of the frequency buffer or of the final merge — fails
-	// the attempt like any other error, once the support goroutine, if it
-	// is still running, has been told the input is over and has finished.
+	// combiner call of the frequency buffer — fails the attempt like any
+	// other error, once the support goroutine, if it is still running, has
+	// been told the input is over and has finished.
 	supportRunning := true
 	joinSupport := func() error {
 		supportRunning = false
@@ -707,110 +717,14 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		return fail(mapErr)
 	}
 
-	outName := attemptMapOutName(dir)
-	report.Spill = buf.Stats()
-	if len(runs) == 1 {
-		// One run and nothing to merge it with: the run is the output. It
-		// is charged as merge output, which it stands in for, but no merge
-		// ran, so none is timed.
-		if plan != nil {
-			if err := plan.Check(chaos.SiteMerge); err != nil {
-				return fail(err)
-			}
-		}
-		if err := disk.Rename(runs[0].Name, outName); err != nil {
+	// Publication: the runs are the output. SiteMerge, where the map-side
+	// merge stood, is the attempt's last fault point.
+	if plan != nil {
+		if err := plan.Check(chaos.SiteMerge); err != nil {
 			return fail(err)
 		}
-		outIdx := runs[0]
-		outIdx.Name = outName
-		tm.Inc(metrics.CtrMergeBytes, outIdx.TotalBytes())
-		finishReport()
-		return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
 	}
-
-	// Merge all spill runs into the attempt's partitioned output run; the
-	// runner commits the winning attempt by renaming it to the canonical
-	// map-output name.
-	created = append(created, outName)
-	out, err := kvio.NewRunSinkBuffered(disk, outName, job.NumReducers, job.CompressRuns, scratch.runBuffer())
-	if err != nil {
-		return fail(err)
-	}
-	outIdx, err := mergeSpillRuns(job, disk, runs, out, plan, tm, sp)
-	if err != nil {
-		return fail(err)
-	}
-	tm.Inc(metrics.CtrMergeBytes, outIdx.TotalBytes())
-
-	// Spill files are no longer needed. Removal is best-effort cleanup:
-	// failures are counted, not fatal.
-	for _, run := range runs {
-		if err := disk.Remove(run.Name); err != nil {
-			tm.Inc(metrics.CtrCleanupErrors, 1)
-		}
-	}
-
+	report.Spill = buf.Stats()
 	finishReport()
-	// The spills are gone; the only surviving attempt file is the output
-	// run, which the runner either commits or sweeps.
-	return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
-}
-
-// mergeSpillRuns merges the attempt's spill runs into out, partition by
-// partition, and closes out. Each run file is opened once and read front to
-// back, because its partitions lie in it in the order the loop asks for
-// them: k runs cost k disk opens, whatever the number of partitions. Every
-// exit — success, cancellation, an injected merge fault, a stream or sink
-// error, a panic in the combiner — closes the run files and ends the merge
-// span.
-func mergeSpillRuns(job *Job, disk vdisk.Disk, runs []kvio.RunIndex, out kvio.RunSink, plan *chaos.Plan, tm *metrics.TaskMetrics, sp spanner) (outIdx kvio.RunIndex, err error) {
-	mergeSpan := sp.start(trace.KindMerge, trace.LaneMap)
-	defer func() { mergeSpan.EndCounts(outIdx.TotalRecords(), outIdx.TotalBytes()) }()
-	cursors := make([]*kvio.RunCursor, 0, len(runs))
-	defer func() {
-		for _, c := range cursors {
-			if cerr := c.Close(); cerr != nil {
-				tm.Inc(metrics.CtrCleanupErrors, 1)
-			}
-		}
-	}()
-	t0 := tm.Now()
-	for _, run := range runs {
-		c, err := kvio.OpenRun(disk, run)
-		if err != nil {
-			return kvio.RunIndex{}, err
-		}
-		cursors = append(cursors, c)
-	}
-	tm.Add(metrics.OpMerge, tm.Now().Sub(t0))
-
-	mergeCombine := newCombineTimer(metrics.DefaultSampler(), tm)
-	streams := make([]kvio.Stream, 0, len(cursors))
-	for p := 0; p < job.NumReducers; p++ {
-		if job.cancel.Load() {
-			return kvio.RunIndex{}, errJobCanceled
-		}
-		if plan != nil {
-			if err := plan.Check(chaos.SiteMerge); err != nil {
-				return kvio.RunIndex{}, err
-			}
-		}
-		t0 := tm.Now()
-		streams = streams[:0]
-		for _, c := range cursors {
-			s, err := c.Part(p)
-			if err != nil {
-				return kvio.RunIndex{}, err
-			}
-			streams = append(streams, s)
-		}
-		if _, _, err := kvio.MergeTimed(streams, p, out, job.Combine, mergeCombine); err != nil {
-			return kvio.RunIndex{}, err
-		}
-		span := tm.Now().Sub(t0)
-		combine := mergeCombine.take(span)
-		tm.Add(metrics.OpMerge, span-combine)
-		tm.Add(metrics.OpCombineUser, combine)
-	}
-	return out.Close()
+	return mapOutput{node: node, runs: runs}, report, created, nil
 }

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,11 +43,11 @@ func TestSplitByPartitionError(t *testing.T) {
 	}
 }
 
-// TestOneRunTaskRenames: a map task whose output fits the buffer spills one
-// run, and that run is its output — renamed into place, charged as merge
-// output, with no merge timed and no spill file left. With a second run the
-// task merges as before.
-func TestOneRunTaskRenames(t *testing.T) {
+// TestMapTaskPublishesRuns: a map task's output is its spill runs, in
+// spill order — one run when the output fits the buffer, several when it
+// spills more — named in the attempt's namespace and left on the node disk
+// as they were written, with no merge timed and nothing else created.
+func TestMapTaskPublishesRuns(t *testing.T) {
 	const lines, perLine, vocab = 2000, 8, 500
 	c, split := oneSplit(t, wordsInput(lines, perLine, vocab))
 	for _, tc := range []struct {
@@ -63,27 +64,31 @@ func TestOneRunTaskRenames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (rep.Spill.Spills == 1) != tc.oneRun {
-				t.Fatalf("%d spills", rep.Spill.Spills)
+			if (rep.Spill.Spills == 1) != tc.oneRun || len(out.runs) != rep.Spill.Spills {
+				t.Fatalf("%d spills published as %d runs", rep.Spill.Spills, len(out.runs))
 			}
-			outName := attemptMapOutName(attemptDir(job.filePrefix, 0, 0))
-			if len(created) != 1 || created[0] != outName || out.index.Name != outName {
-				t.Errorf("created %v, output %q; want just %q", created, out.index.Name, outName)
-			}
-			for _, name := range c.Disks[0].(*vdisk.Mem).List() {
-				if strings.Contains(name, "spill") {
-					t.Errorf("spill run %s left on the node disk", name)
+			dir := attemptDir(job.filePrefix, 0, 0)
+			var records int64
+			for i, run := range out.runs {
+				if want := attemptSpillName(dir, i); run.Name != want || created[i] != want {
+					t.Errorf("run %d is %q, created %q; want %q", i, run.Name, created[i], want)
 				}
+				records += run.TotalRecords()
 			}
-			ctr, ops := rep.Metrics.Counters, rep.Metrics.Ops
-			if ctr[metrics.CtrMergeBytes] != out.index.TotalBytes() || out.index.TotalRecords() != vocab {
-				t.Errorf("merge bytes %d, output %d bytes in %d records, want %d records", ctr[metrics.CtrMergeBytes], out.index.TotalBytes(), out.index.TotalRecords(), vocab)
+			files := slices.DeleteFunc(c.Disks[0].(*vdisk.Mem).List(), func(name string) bool { return strings.HasPrefix(name, "dfs/") })
+			if len(files) != len(out.runs) || len(created) != len(out.runs) {
+				t.Errorf("node disk holds %v beside the input, the attempt created %v; want just its %d runs", files, created, len(out.runs))
 			}
-			if merged := ops[metrics.OpMerge] > 0; merged == tc.oneRun {
+			if tc.oneRun && records != vocab || records < vocab {
+				t.Errorf("the runs hold %d records of %d words", records, vocab)
+			}
+			if ops := rep.Metrics.Ops; ops[metrics.OpMerge] != 0 {
 				t.Errorf("merge time %v on a task of %d runs", ops[metrics.OpMerge], rep.Spill.Spills)
 			}
-			if err := c.Disks[0].Remove(outName); err != nil {
-				t.Fatal(err)
+			for _, name := range out.files() {
+				if err := c.Disks[0].Remove(name); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

@@ -105,28 +105,26 @@ type shuffleEnv struct {
 const maxFetchRetries = 4
 
 // fetchConcurrent is the pipelined-shuffle fetch: a pool of workers (the
-// attempt-side face of the copier fan-out) resolves every source either
-// from the staging service or by direct fetch. The resulting slice is
-// indexed by map-task position, preserving the merge's stream order — and
-// with it byte-identical output — regardless of completion order.
+// attempt-side face of the copier fan-out) resolves every run of every map
+// output, each either from the staging service or by direct fetch. The
+// streams come back ordered by map task and, within a map output, by spill
+// — the order in which the merge's tiebreak keeps each key's values as a
+// map-side merge of the runs would have, and with it byte-identical output
+// — regardless of completion order. An empty segment gets no stream.
 func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, mapOuts []mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
-	streams := make([]kvio.Stream, len(mapOuts))
-	workers := copiersPerPartition
-	if workers > len(mapOuts) {
-		workers = len(mapOuts)
-	}
+	perMap := make([][]kvio.Stream, len(mapOuts))
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
 	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(copiersPerPartition, len(mapOuts)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				st, err := fetchOne(c, job, sh, part, node, plan, i, mapOuts[i], acct, sp)
+				sts, err := fetchOne(c, job, sh, part, node, plan, i, mapOuts[i], acct, sp)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -135,7 +133,7 @@ func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node in
 					errMu.Unlock()
 					continue
 				}
-				streams[i] = st
+				perMap[i] = sts
 			}
 		}()
 	}
@@ -144,27 +142,35 @@ func fetchConcurrent(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node in
 	}
 	close(idxCh)
 	wg.Wait()
+	var streams []kvio.Stream
+	for _, sts := range perMap {
+		streams = append(streams, sts...)
+	}
 	if firstErr != nil {
-		errs := []error{firstErr}
-		for _, st := range streams {
-			if st != nil {
-				errs = append(errs, st.Close())
-			}
-		}
-		return nil, errors.Join(errs...)
+		return nil, errors.Join(firstErr, closeStreams(streams))
 	}
 	return streams, nil
 }
 
-// fetchOne resolves a single source for a reduce attempt. An injected
-// fault at the fetch site is absorbed by bounded retry with the runner's
-// jittered backoff — the attempt survives; only real node death reaches
-// the caller. A source node found dead triggers in-attempt lost-map-output
-// recovery and a refetch from the refreshed snapshot. The copier workers
-// that call it touch only acct.tm, which is safe for concurrent use; the
-// plain counts of acct belong to the reduce goroutine, which is the one
-// that reads the returned stream.
-func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, i int, mo mapOutput, acct *reduceAccount, sp spanner) (kvio.Stream, error) {
+// closeStreams closes every stream, joining their errors.
+func closeStreams(streams []kvio.Stream) error {
+	var errs []error
+	for _, st := range streams {
+		errs = append(errs, st.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// fetchOne resolves partition part of map output i's runs for a reduce
+// attempt. An injected fault at the fetch site is absorbed by bounded
+// retry with the runner's jittered backoff — the attempt survives; only
+// real node death reaches the caller. A source node found dead triggers
+// in-attempt lost-map-output recovery and a refetch of every run from the
+// refreshed snapshot: a re-run's runs are not the lost attempt's. The
+// copier workers that call it touch only acct.tm, which is safe for
+// concurrent use; the plain counts of acct belong to the reduce goroutine,
+// which is the one that reads the returned streams.
+func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan *chaos.Plan, i int, mo mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
 	acquireStart := time.Now()
 	for try := 0; ; try++ {
 		if job.cancel.Load() {
@@ -184,17 +190,11 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 		acct.tm.Inc(metrics.CtrShuffleRetryWaitNS, int64(slept))
 		sp.tr.Complete(trace.KindWaitRetry, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, slept)
 	}
-	if st, ok := sh.svc.take(part, i, node, sp); ok {
-		sh.svc.tm.Observe(metrics.HistShuffleFetchNS, int64(time.Since(acquireStart)))
-		return &countedStream{inner: st, acct: acct}, nil
-	}
-	// Not staged (over budget, or the staging node died): direct fetch from
-	// the source disk.
 	for try := 0; ; try++ {
-		s, err := kvio.OpenRunPart(c.Disks[mo.node], mo.index, part)
+		streams, err := openRuns(c, sh, part, node, mo, acct, sp)
 		if err == nil {
 			sh.svc.tm.Observe(metrics.HistShuffleFetchNS, int64(time.Since(acquireStart)))
-			return &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp}, nil
+			return streams, nil
 		}
 		if !errors.Is(err, chaos.ErrNodeDead) || sh.resnapshot == nil || try >= maxFetchRetries {
 			return nil, err
@@ -204,6 +204,29 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 			mo = snap[i]
 		}
 	}
+}
+
+// openRuns opens partition part of each of mo's runs, in spill order: a
+// staged segment from the staging service, any other by a positioned read
+// of its run on the source disk. On an error it closes what it opened.
+func openRuns(c *cluster.Cluster, sh *shuffleEnv, part, node int, mo mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
+	var streams []kvio.Stream
+	for _, run := range mo.runs {
+		if part < len(run.Segments) && run.Segments[part].Len == 0 {
+			continue
+		}
+		if st, ok := sh.svc.take(part, run.Name, node, sp); ok {
+			streams = append(streams, &countedStream{inner: st, acct: acct})
+			continue
+		}
+		s, err := kvio.OpenRunPart(c.Disks[mo.node], run, part)
+		if err != nil {
+			return nil, errors.Join(err, closeStreams(streams))
+		}
+		sh.svc.tm.Inc(metrics.CtrShuffleDirectFetches, 1)
+		streams = append(streams, &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp})
+	}
+	return streams, nil
 }
 
 // reduceAccount is a reduce attempt's record-path accounting, owned by the
@@ -311,14 +334,15 @@ func ReduceOutputName(prefix string, r int) string {
 }
 
 // runReduceTask executes one attempt of a reduce task: fetch this
-// partition of every map output — from the pipelined shuffle's staging,
-// or by a direct positioned read for a segment not staged — merge-sort,
-// group, apply reduce(), and write the output to an attempt-scoped DFS
-// temp file. On success the attempt commits by renaming the temp to the
-// canonical output name; the DFS's fail-on-exist rename makes the first
-// committer win, so a losing duplicate attempt returns won=false with its
-// temp left in created for the runner to sweep. tm is the attempt's fresh
-// metrics; every stopwatch of the attempt reads its clock.
+// partition of every run of every map output — from the pipelined
+// shuffle's staging, or by a direct positioned read for a segment not
+// staged — merge-sort, group, apply reduce(), and write the output to an
+// attempt-scoped DFS temp file. On success the attempt commits by renaming
+// the temp to the canonical output name; the DFS's fail-on-exist rename
+// makes the first committer win, so a losing duplicate attempt returns
+// won=false with its temp left in created for the runner to sweep. tm is
+// the attempt's fresh metrics; every stopwatch of the attempt reads its
+// clock.
 func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, node, slot, attempt int, plan *chaos.Plan, sh *shuffleEnv, mapOuts []mapOutput) (outName string, won bool, created []string, rep TaskReport, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
@@ -351,7 +375,7 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 		}
 	}()
 
-	// Shuffle: resolve this partition's segment of every map output.
+	// Shuffle: resolve this partition's segment of every run.
 	fetchSpan := sp.start(trace.KindShuffleFetch, trace.LaneReduce)
 	streams, err := fetchConcurrent(c, job, sh, part, node, plan, mapOuts, acct, sp)
 	if err != nil {

@@ -23,26 +23,28 @@ import (
 // corresponds to 2 map + 2 reduce slots per node.
 //
 // Execution is attempt-based: each task runs as one or more (task,
-// attempt) pairs writing attempt-scoped temp files that commit by rename,
-// so any attempt's failure is retried with jittered backoff (up to
-// Job.MaxAttempts), nodes that keep failing attempts are blacklisted,
-// stragglers optionally get speculative backup attempts, and committed
-// map outputs lost to a node death are re-run. Duplicate attempts of one
-// task run to completion — the simulator has no task kill — and the first
-// committer wins; losers are discarded and their temp files swept.
+// attempt) pairs writing attempt-scoped files — a map attempt's commit
+// enters its runs in the job's map-output table, a reduce attempt's
+// renames its output into place — so any attempt's failure is retried
+// with jittered backoff (up to Job.MaxAttempts), nodes that keep failing
+// attempts are blacklisted, stragglers optionally get speculative backup
+// attempts, and committed map outputs lost to a node death are re-run.
+// Duplicate attempts of one task run to completion — the simulator has no
+// task kill — and the first committer wins; losers are discarded and their
+// temp files swept.
 func Run(c *cluster.Cluster, spec *Job) (*Result, error) {
 	return RunContext(context.Background(), c, spec)
 }
 
 // RunContext is Run with cancellation. When ctx ends mid-job, in-flight
 // task attempts observe the job's cancel flag at their next record
-// boundary (one atomic load per input line, reduce group, merge
-// partition, or fetch retry — never a blocking wait on ctx), fail fast,
-// and are swept by the normal attempt machinery; the run then removes
-// any committed intermediates and returns the context's error wrapped in
-// the job failure. Cancellation leaves no orphaned attempt temp files:
-// every started attempt either commits (and its output is removed by the
-// failure sweep) or is swept like any failed attempt.
+// boundary (one atomic load per input line, reduce group or fetch retry —
+// never a blocking wait on ctx), fail fast, and are swept by the normal
+// attempt machinery; the run then removes any committed intermediates and
+// returns the context's error wrapped in the job failure. Cancellation
+// leaves no orphaned attempt temp files: every started attempt either
+// commits (and its output is removed by the failure sweep) or is swept
+// like any failed attempt.
 func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, error) {
 	job, err := spec.withDefaults(c.TotalReduceSlots())
 	if err != nil {
@@ -265,8 +267,7 @@ type runningInfo struct {
 
 // ftTask is the runner's per-task fault-tolerance state within a phase.
 type ftTask struct {
-	committed   bool          // a winning attempt's output is at the canonical name
-	committing  bool          // a map commit rename is in flight (serializes committers)
+	committed   bool          // a winning attempt's output is published
 	nextAttempt int           // next attempt number to hand out
 	failures    int           // failed attempts so far (job fails at MaxAttempts)
 	backup      bool          // a speculative backup has been launched
@@ -576,65 +577,36 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	})
 }
 
-// mapAttempt runs attempt pa of a map task on node and commits it: the
-// output is renamed to the task's canonical name, entered in the
-// map-output table and offered to the shuffle. A failed attempt's files
-// are swept and its error returned.
+// mapAttempt runs attempt pa of a map task on node and commits it: its
+// runs are entered in the map-output table and offered to the shuffle. A
+// failed attempt's files are swept and its error returned.
 //
-// In the map phase the task's committing latch serializes committers: the
-// disk rename arbitrates same-node duplicates (fail-on-exist), but
-// cross-node duplicates' outputs live on different disks where both
-// renames would succeed. An attempt that finds its task committed, or the
-// job failed, has lost: it is swept and returns nil. Recovery, in the
-// reduce phase, needs no latch: it is singleflight, and the old canonical
-// name is on a dead disk, so the rename cannot collide.
+// The table entry is the commit, made under ft.mu, so an output is
+// committed whole or not at all and the first committer wins: in the map
+// phase an attempt that finds its task committed, or the job failed, has
+// lost, and its runs are swept. Recovery, in the reduce phase, replaces
+// the entry of an output lost with its node; it is singleflight.
 func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
 	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
 	out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), pa.task, ft.splits[pa.task], node, slot, pa.attempt, plan)
-	disk := ft.c.Disks[node]
 	if err != nil {
-		ft.sweep(disk.Remove, created)
+		ft.sweep(ft.c.Disks[node].Remove, created)
 		return err
 	}
-	var ts *ftTask
 	ft.mu.Lock()
 	if ft.inner != nil {
 		ft.noteEndLocked(pa.task, pa.attempt)
-		ts = &ft.tasks[pa.task]
-		for ts.committing {
-			ft.cond.Wait()
-		}
-		if ts.committed || ft.aborted {
+		if ft.tasks[pa.task].committed || ft.aborted {
 			ft.mu.Unlock()
-			ft.sweep(disk.Remove, []string{out.index.Name})
+			ft.sweep(ft.c.Disks[node].Remove, created)
 			return nil
 		}
-		ts.committing = true
-	}
-	ft.mu.Unlock()
-
-	canon := canonicalMapOutName(ft.job.filePrefix, pa.task)
-	err = disk.Rename(out.index.Name, canon)
-
-	ft.mu.Lock()
-	if ts != nil {
-		ts.committing = false
-	}
-	if err != nil {
-		ft.cond.Broadcast()
-		ft.mu.Unlock()
-		ft.sweep(disk.Remove, []string{out.index.Name})
-		return err
-	}
-	out.index.Name = canon
-	ft.mapOuts[pa.task], ft.mapReports[pa.task] = out, rep
-	if ts != nil {
 		ft.committedLocked(pa, rep.Wall)
 	}
+	ft.mapOuts[pa.task], ft.mapReports[pa.task] = out, rep
 	ft.mu.Unlock()
-	// A recovered output is re-offered so staging can cover partitions that
-	// had not fetched the lost copy; the per-partition dedup makes this a
-	// no-op where staging already holds the byte-identical old segment.
+	// A recovered output is offered like any other: its runs are new files,
+	// staged beside whatever staging holds of the lost ones.
 	ft.shuffle.offer(pa.task, out)
 	return nil
 }
@@ -689,7 +661,7 @@ func (ft *ftRun) sweep(remove func(string) error, files []string) {
 // attemptFailed absorbs these without scheduling retries.
 var errJobCanceled = errors.New("mr: attempt canceled")
 
-// sweepJobIntermediates removes what the job left committed: canonical
+// sweepJobIntermediates removes what the job left committed: the runs of
 // map outputs on node disks and the given committed reduce outputs on the
 // DFS. A successful job passes no outputs — its map outputs are no longer
 // needed; a failed or canceled one passes every output it committed.
@@ -702,7 +674,7 @@ func (ft *ftRun) sweepJobIntermediates(outputs []string) {
 	errs := removeAll(ft.c.FS.Remove, outputs)
 	for _, mo := range ft.mapOuts {
 		if !ft.c.NodeDead(mo.node) {
-			errs += removeAll(ft.c.Disks[mo.node].Remove, []string{mo.index.Name})
+			errs += removeAll(ft.c.Disks[mo.node].Remove, mo.files())
 		}
 	}
 	if errs > 0 {

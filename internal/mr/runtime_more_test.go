@@ -2,6 +2,8 @@ package mr_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"mrtext/internal/apps"
@@ -265,6 +267,40 @@ func TestSpillMatcherAdaptsInRealRuns(t *testing.T) {
 	delete(adapted, staticBP)
 	if len(adapted) == 0 {
 		t.Errorf("every spill under the matcher was released at the static %d basis points", staticBP)
+	}
+}
+
+// TestRegionsKeptBetweenConcurrentJobs: two jobs run at once, twice over.
+// Both runners cut the region pool when their map phases end, one right
+// after the other when the phases end together; the later cut must not
+// empty what the earlier one kept, so after each round at least one region
+// per map task, at most one per slot, is there for the next jobs.
+func TestRegionsKeptBetweenConcurrentJobs(t *testing.T) {
+	c, corpus := newTextCluster(t, 2, 3<<20) // three splits, four map slots
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		results := make([]*mr.Result, 2)
+		errs := make([]error, 2)
+		for i := range results {
+			job := apps.WordCount(corpus)
+			job.Name = fmt.Sprintf("round%d-job%d", round, i)
+			job.SpillBufferBytes = 256 << 10
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = mr.Run(c, job)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := min(results[0].MapTasks, c.TotalMapSlots())
+		if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free < want || out != 0 {
+			t.Errorf("after round %d: %d regions kept and %d out, want at least %d and 0", round, free, out, want)
+		}
 	}
 }
 

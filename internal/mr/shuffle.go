@@ -11,23 +11,24 @@ import (
 	"mrtext/internal/trace"
 )
 
-// This file is the pipelined shuffle. Each reduce partition gets a small
-// pool of copier goroutines that fetch the partition's segments of
-// committed map outputs while the map phase is still running (early
-// fetch), keep the bytes at the partition's staging node inside a bounded
-// memory budget, and hand staged segments to reduce attempts. A segment
-// travels and is staged exactly as it sits on the source disk: raw, or
-// prefix-compressed when CompressRuns wrote it so. A segment that was not
-// staged (the budget was full, the fetch raced a node death, the copier
-// lost to the reduce phase) stays on the source disk and the reduce attempt
-// direct-fetches it, so staging never changes job output. A segment is read
-// from its source once: a reduce attempt that needs one a copier is
-// reading waits for that copy.
+// This file is the pipelined shuffle. A job-wide pool of copier
+// goroutines stages the spill runs of committed map outputs while the map
+// phase is still running (early fetch): a copier reads each run of a map
+// output with one open of the run and ships the output's partition
+// segments to their partitions' staging nodes, one transfer per node,
+// which keep the bytes inside a bounded memory budget and hand them to
+// reduce attempts. A segment travels and is staged exactly as it sits on
+// the source disk: raw, or prefix-compressed when CompressRuns wrote it
+// so. A segment that was not staged (the budget was full, the read raced a
+// node death) stays on the source disk and the reduce attempt
+// direct-fetches it, so staging never changes job output. A segment is
+// read from its source once: a reduce attempt that needs one admitted to
+// staging waits for its copy.
 
-// copiersPerPartition is the copier fan-out of one reduce partition, and
-// the fetch fan-out of one reduce attempt. Measured, not tuned per job: at
-// 64 simulated nodes one copier is slower (median 12.9 s against 10.4 s),
-// and at 4 nodes 1, 2 and 4 are indistinguishable.
+// copiersPerPartition is the fetch fan-out of one reduce attempt, and the
+// copier pool has as many copiers per node. Measured, not tuned per job:
+// at 64 simulated nodes one copier per partition was slower (median 12.9 s
+// against 10.4 s), and at 4 nodes 1, 2 and 4 were indistinguishable.
 const copiersPerPartition = 4
 
 // stagingBuffer is the byte budget of staged shuffle segments. A copier
@@ -66,23 +67,31 @@ func (b *stagingBuffer) peakBytes() int64 {
 	return b.peak
 }
 
-// stageReq asks a partition's copiers to stage one committed map output's
-// segment.
+// stageReq asks the copiers to stage the admitted segments of one
+// committed map output, ordered by run and then by partition.
 type stageReq struct {
-	src int // source map task index
-	out mapOutput
+	src  int // source map task index
+	out  mapOutput
+	segs []stageSeg
+}
+
+// stageSeg is one admitted segment of a stage request: partition part of
+// the output's run run, and its staging entry.
+type stageSeg struct {
+	run, part int
+	st        *stagedSeg
 }
 
 // stagedSeg is one segment entered for staging at its partition's home:
 // in flight while a copier reads and ships it, then held in memory as it
-// lay on the source disk (nil data for an empty segment).
+// lay on the source disk.
 type stagedSeg struct {
 	data       []byte
 	compressed bool
 	inFlight   bool
 }
 
-// shuffleService runs the job-wide copier pools.
+// shuffleService runs the job-wide copier pool.
 type shuffleService struct {
 	c   *cluster.Cluster
 	tr  *trace.Tracer
@@ -98,9 +107,9 @@ type shuffleService struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	closed   bool
-	pend     [][]stageReq         // per-partition staging queue
-	staged   []map[int]*stagedSeg // per-partition staged segments by map task
-	released []bool               // partition committed; staging dropped
+	pend     []stageReq              // map outputs waiting for a copier
+	staged   []map[string]*stagedSeg // per-partition staged segments by run name
+	released []bool                  // partition committed; staging dropped
 	wg       sync.WaitGroup
 }
 
@@ -111,17 +120,16 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 		tr:       job.Trace,
 		buf:      &stagingBuffer{budget: job.ShuffleBufferBytes},
 		tm:       metrics.NewTaskMetrics(),
-		pend:     make([][]stageReq, parts),
-		staged:   make([]map[int]*stagedSeg, parts),
+		staged:   make([]map[string]*stagedSeg, parts),
 		released: make([]bool, parts),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for p := 0; p < parts; p++ {
-		s.staged[p] = make(map[int]*stagedSeg)
-		for ci := 0; ci < copiersPerPartition; ci++ {
-			s.wg.Add(1)
-			go s.copierLoop(p, ci)
-		}
+	for p := range s.staged {
+		s.staged[p] = make(map[string]*stagedSeg)
+	}
+	for ci := 0; ci < copiersPerPartition*c.Nodes(); ci++ {
+		s.wg.Add(1)
+		go s.copierLoop(ci)
 	}
 	return s
 }
@@ -133,105 +141,138 @@ func (s *shuffleService) home(part int) int {
 	return part % s.c.Nodes()
 }
 
-// offer tells every partition's copier pool that a map task's output is
-// committed at out. Called by the runner on each map commit (including
-// lost-output recovery re-runs). A partition that already staged this
-// source, or is copying it, skips it; a duplicate queued before the first
-// copy began is dropped when its copier finds the entry.
+// offer admits a committed map output's segments to staging and queues
+// them for a copier. Called by the runner on each map commit, lost-output
+// recovery re-runs included: a re-run's runs are new files, staged under
+// their own names. A nonempty segment of a partition not yet released
+// reserves its on-disk length from the run index and is entered as in
+// flight here, before a byte is read, so a reduce attempt that asks for it
+// waits for its copy instead of reading the source again; a refused
+// reservation leaves the segment on the source disk for the attempt's
+// direct fetch.
 func (s *shuffleService) offer(src int, out mapOutput) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
-	for part := range s.pend {
-		if s.released[part] || s.staged[part][src] != nil {
-			continue
+	req := stageReq{src: src, out: out}
+	for r, run := range out.runs {
+		for p := 0; p < min(len(run.Segments), len(s.staged)); p++ {
+			if n := run.Segments[p].Len; n == 0 || s.released[p] || !s.buf.reserve(n) {
+				continue
+			}
+			st := &stagedSeg{compressed: run.Compressed, inFlight: true}
+			s.staged[p][run.Name] = st
+			req.segs = append(req.segs, stageSeg{run: r, part: p, st: st})
 		}
-		s.pend[part] = append(s.pend[part], stageReq{src: src, out: out})
 	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	if len(req.segs) > 0 {
+		s.pend = append(s.pend, req)
+		s.cond.Broadcast()
+	}
 }
 
-// copierLoop is one copier of one partition's pool: it stages the
-// partition's queued segments one at a time until the partition is
-// released or the service closes.
-func (s *shuffleService) copierLoop(part, ci int) {
+// copierLoop is one copier of the pool: it stages queued map outputs one
+// at a time until the service closes.
+func (s *shuffleService) copierLoop(ci int) {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.closed && !s.released[part] && len(s.pend[part]) == 0 {
+		for !s.closed && len(s.pend) == 0 {
 			s.cond.Wait()
 		}
-		if s.closed || s.released[part] {
+		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		req := s.pend[part][0]
-		s.pend[part] = s.pend[part][1:]
+		req := s.pend[0]
+		s.pend = s.pend[1:]
 		s.mu.Unlock()
-		s.stageSegment(part, ci, req)
+		s.stageOutput(ci, req)
 	}
 }
 
-// stageSegment fetches one segment from its source node to the
-// partition's staging home. It reserves the segment's on-disk length from
-// the run index and enters the segment as in flight before it reads a
-// byte; a refused reservation drops the request, and the segment stays on
-// the source disk for the reduce attempt's direct fetch. Admitted, the
-// segment costs one read of the bytes as they sit on the source disk and
-// one fabric transfer. Staging is best-effort: any failure, or a partition
-// released or a service closed meanwhile, removes the entry, wakes the
-// attempts waiting on it and gives the reservation back, abandoning the
-// segment to the same direct fetch.
-func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
-	if part < 0 || part >= len(req.out.index.Segments) {
-		return
-	}
-	seg := req.out.index.Segments[part]
-	st := &stagedSeg{compressed: req.out.index.Compressed, inFlight: true}
-	s.mu.Lock()
-	admitted := !s.closed && !s.released[part] && s.staged[part][req.src] == nil && s.buf.reserve(seg.Len)
-	if admitted {
-		s.staged[part][req.src] = st
-	}
-	s.mu.Unlock()
-	if !admitted {
-		return
-	}
-	home := s.home(part)
+// stageOutput copies a request's segments to their partitions' staging
+// homes: one read of each run's admitted segments (kvio.ReadRun, one open
+// of the run), then one fabric transfer per home of all the output's
+// bytes staged there. Staging is best-effort: a failed read abandons the
+// whole request, a failed transfer the segments bound for that home, and
+// a partition released or a service closed meanwhile its segments; each
+// abandoned entry is removed, the attempts waiting on it are woken and
+// its reservation is given back, leaving the segment to the direct fetch.
+func (s *shuffleService) stageOutput(ci int, req stageReq) {
 	copierSlot := s.c.ReduceSlots() + ci
-	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, req.src, copierSlot, part)
-	data, err := kvio.ReadSegment(s.c.Disks[req.out.node], req.out.index, part)
-	if err == nil && seg.Len > 0 && req.out.node != home {
-		t0 := time.Now()
-		err = s.c.Net.Transfer(req.out.node, home, seg.Len)
-		d := time.Since(t0)
-		s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-		s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, home, req.src, copierSlot, t0, d)
+	spans := make([]trace.Span, len(req.segs))
+	byHome := make([][]int, s.c.Nodes())
+	for i, g := range req.segs {
+		h := s.home(g.part)
+		spans[i] = s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, h, req.src, copierSlot, g.part)
+		byHome[h] = append(byHome[h], i)
 	}
+	data := make([][]byte, len(req.segs))
+	var err error
+	for i := 0; i < len(req.segs) && err == nil; {
+		j, parts := i, []int(nil)
+		for ; j < len(req.segs) && req.segs[j].run == req.segs[i].run; j++ {
+			parts = append(parts, req.segs[j].part)
+		}
+		var got [][]byte
+		got, err = kvio.ReadRun(s.c.Disks[req.out.node], req.out.runs[req.segs[i].run], parts)
+		copy(data[i:j], got)
+		i = j
+	}
+	for h, idx := range byHome {
+		var n int64
+		for _, i := range idx {
+			n += int64(len(data[i]))
+		}
+		xerr := err
+		if xerr == nil && n > 0 && h != req.out.node {
+			t0 := time.Now()
+			xerr = s.c.Net.Transfer(req.out.node, h, n)
+			d := time.Since(t0)
+			s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
+			s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, h, req.src, copierSlot, t0, d)
+		}
+		s.land(req, idx, data, xerr, spans)
+	}
+}
+
+// land ends the copies of the request's segments idx, bound for one home:
+// with err nil, and their partitions neither released nor the service
+// closed, each entry takes its bytes; any other is removed and its
+// reservation given back. Either way the entries leave flight and the
+// attempts waiting on them are woken.
+func (s *shuffleService) land(req stageReq, idx []int, data [][]byte, err error, spans []trace.Span) {
+	kept := make([]bool, len(idx))
 	s.mu.Lock()
-	kept := err == nil && !s.closed && !s.released[part]
-	if kept {
-		st.data = data
-	} else {
-		delete(s.staged[part], req.src) // a no-op once release dropped the partition
+	for k, i := range idx {
+		g := req.segs[i]
+		if kept[k] = err == nil && !s.closed && !s.released[g.part]; kept[k] {
+			g.st.data = data[i]
+		} else {
+			delete(s.staged[g.part], req.out.runs[g.run].Name) // a no-op once release dropped the partition
+		}
+		g.st.inFlight = false
 	}
-	st.inFlight = false
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if !kept {
-		s.buf.release(seg.Len)
-		span.End()
-		return
+	for k, i := range idx {
+		g := req.segs[i]
+		seg := req.out.runs[g.run].Segments[g.part]
+		if !kept[k] {
+			s.buf.release(seg.Len)
+			spans[i].End()
+			continue
+		}
+		s.tm.Inc(metrics.CtrShuffleStagedSegments, 1)
+		s.tm.Inc(metrics.CtrShuffleStagedBytes, seg.Len)
+		if !s.mapDone.Load() {
+			s.tm.Inc(metrics.CtrShuffleEarlySegments, 1)
+		}
+		spans[i].EndCounts(seg.Records, seg.Len)
 	}
-	s.tm.Inc(metrics.CtrShuffleStagedSegments, 1)
-	s.tm.Inc(metrics.CtrShuffleStagedBytes, seg.Len)
-	if !s.mapDone.Load() {
-		s.tm.Inc(metrics.CtrShuffleEarlySegments, 1)
-	}
-	span.EndCounts(seg.Records, seg.Len)
 }
 
 // take hands a staged segment's records to a reduce attempt running on
@@ -244,12 +285,12 @@ func (s *shuffleService) stageSegment(part, ci int, req stageReq) {
 // hop is recorded as a wait-fabric span at sp's coordinates — the reduce
 // attempt doing the take — so the critical-path analyzer can separate
 // fabric time from shuffle I/O inside the attempt's fetch.
-func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stream, ok bool) {
+func (s *shuffleService) take(part int, run string, node int, sp spanner) (stream kvio.Stream, ok bool) {
 	s.mu.Lock()
-	st := s.staged[part][src] // nil once the partition is released
+	st := s.staged[part][run] // nil once the partition is released
 	for st != nil && st.inFlight {
 		s.cond.Wait()
-		st = s.staged[part][src]
+		st = s.staged[part][run]
 	}
 	s.mu.Unlock()
 	if st == nil {
@@ -267,13 +308,12 @@ func (s *shuffleService) take(part, src, node int, sp spanner) (stream kvio.Stre
 	return kvio.NewBytesSegmentStream(st.data, st.compressed), true
 }
 
-// release drops a committed partition's staged segments and stops its
-// copiers. Idempotent.
+// release drops a committed partition's staged segments: the copiers
+// keep nothing more for it. Idempotent.
 func (s *shuffleService) release(part int) {
 	s.mu.Lock()
 	if !s.released[part] {
 		s.released[part] = true
-		s.pend[part] = nil
 		s.dropStagedLocked(part)
 		s.cond.Broadcast()
 	}
@@ -281,8 +321,8 @@ func (s *shuffleService) release(part int) {
 }
 
 // dropStagedLocked gives partition part's staged bytes back to the budget.
-// An entry still in flight holds no data yet; its copier gives its
-// reservation back when it finds the partition dropped.
+// An entry still in flight holds no data yet; its copier, or close for a
+// request no copier took, gives its reservation back.
 func (s *shuffleService) dropStagedLocked(part int) {
 	var n int64
 	for _, st := range s.staged[part] {
@@ -317,9 +357,16 @@ func (s *shuffleService) close() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
+	for _, req := range s.pend {
+		for _, g := range req.segs {
+			s.buf.release(req.out.runs[g.run].Segments[g.part].Len)
+		}
+	}
+	s.pend = nil
 	for part := range s.staged {
 		s.dropStagedLocked(part)
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.buf.peakBytes())
 }

@@ -42,9 +42,9 @@ func runAgainstReference(t *testing.T, c *cluster.Cluster, job *mr.Job) *mr.Resu
 }
 
 // diskWatch wraps a node disk and records what the job asks of it: the name
-// of every file created, and the positioned reads of committed map outputs
-// — which only a copier admitted to staging or a reduce attempt's direct
-// fetch makes.
+// of every file created, and the positioned reads of spill runs — which
+// only a copier admitted to staging or a reduce attempt's direct fetch
+// makes.
 type diskWatch struct {
 	vdisk.Disk
 	log *diskLog
@@ -53,7 +53,7 @@ type diskWatch struct {
 type diskLog struct {
 	mu         sync.Mutex
 	created    []string
-	outSection int
+	runSection int
 }
 
 func (d diskWatch) Create(name string) (io.WriteCloser, error) {
@@ -64,21 +64,21 @@ func (d diskWatch) Create(name string) (io.WriteCloser, error) {
 }
 
 func (d diskWatch) OpenSection(name string, off, length int64) (io.ReadCloser, error) {
-	if committedMapOut.MatchString(name) {
+	if spillRun.MatchString(name) {
 		d.log.mu.Lock()
-		d.log.outSection++
+		d.log.runSection++
 		d.log.mu.Unlock()
 	}
 	return d.Disk.OpenSection(name, off, length)
 }
 
 var (
-	// attemptFile is a map attempt's spill run or uncommitted output, or a
-	// block of a reduce attempt's uncommitted DFS output: what a job may
-	// create. A name without its attempt number is how two attempts of one
-	// task would collide.
-	attemptFile     = regexp.MustCompile(`/m\d{5}/a\d{2}/(spill\d{4}|out)$|^dfs/.+-r-\d{5}\.a\d{2}\.tmp/blk\d{6}/r\d+$`)
-	committedMapOut = regexp.MustCompile(`/m\d{5}/out$`)
+	// attemptFile is a map attempt's spill run, or a block of a reduce
+	// attempt's uncommitted DFS output: what a job may create. A name
+	// without its attempt number is how two attempts of one task would
+	// collide.
+	attemptFile = regexp.MustCompile(`/m\d{5}/a\d{2}/spill\d{4}$|^dfs/.+-r-\d{5}\.a\d{2}\.tmp/blk\d{6}/r\d+$`)
+	spillRun    = regexp.MustCompile(`/m\d{5}/a\d{2}/spill\d{4}$`)
 )
 
 // watchDisks puts a diskWatch on every node disk of c (the DFS shares the
@@ -95,8 +95,7 @@ func watchDisks(c *cluster.Cluster) *diskLog {
 // job created nothing but attempt-scoped files (no second copy of a segment
 // on any disk, no file outside an attempt's namespace), staging never held
 // more than the budget, and each reduce attempt resolved each map output
-// exactly once, from staging or by direct fetch. It returns the number of
-// direct fetches.
+// exactly once. It returns the number of segments direct-fetched.
 func assertStagingIsMemoryOnly(t *testing.T, res *mr.Result, log *diskLog, budget int64) int64 {
 	t.Helper()
 	for _, name := range log.created {
@@ -118,12 +117,12 @@ func assertStagingIsMemoryOnly(t *testing.T, res *mr.Result, log *diskLog, budge
 	if staged := res.Agg.Counters[metrics.CtrShuffleStagedSegments]; hits > staged {
 		t.Errorf("%d staged hits from %d staged segments", hits, staged)
 	}
-	return fetches - hits
+	return res.Agg.Counters[metrics.CtrShuffleDirectFetches]
 }
 
 // TestPipelinedShuffleMatchesReference runs the job with the default
 // staging budget, with one a fraction of the shuffle volume, and with a
-// 1-byte budget that admits only empty segments, and requires outputs
+// 1-byte budget that admits nothing, and requires outputs
 // byte-identical to RunReference's on the same cluster. Over budget means
 // direct fetch: whatever staging did not admit stays on the source disk and
 // no file is written for it.
@@ -155,23 +154,22 @@ func TestPipelinedShuffleMatchesReference(t *testing.T) {
 					t.Errorf("%d direct fetches and %d staged hits; want both roads travelled", direct, ctr[metrics.CtrShuffleStagedHits])
 				}
 			case 1:
-				assertOnlyEmptySegmentsStaged(t, res, log, direct)
+				assertNothingStaged(t, res, log, direct)
 			}
 		})
 	}
 }
 
-// assertOnlyEmptySegmentsStaged checks a run under a 1-byte budget: no byte
+// assertNothingStaged checks a run under a 1-byte budget: no byte
 // was staged, and no copier read a source disk — every positioned read of a
-// map output belongs to a direct fetch (one of an empty segment reads
-// nothing).
-func assertOnlyEmptySegmentsStaged(t *testing.T, res *mr.Result, log *diskLog, direct int64) {
+// spill run belongs to a direct fetch (an empty segment is not fetched).
+func assertNothingStaged(t *testing.T, res *mr.Result, log *diskLog, direct int64) {
 	t.Helper()
 	if n := res.Agg.Counters[metrics.CtrShuffleStagedBytes]; n != 0 {
 		t.Errorf("%d bytes staged under a 1-byte budget", n)
 	}
-	if int64(log.outSection) > direct || log.outSection == 0 {
-		t.Errorf("%d positioned reads of map outputs for %d direct fetches", log.outSection, direct)
+	if int64(log.runSection) != direct || direct == 0 {
+		t.Errorf("%d positioned reads of spill runs for %d direct fetches", log.runSection, direct)
 	}
 }
 
@@ -203,7 +201,7 @@ func TestShuffleFetchPlaneVariantsMatchReference(t *testing.T) {
 			res := runAgainstReference(t, c, job)
 			direct := assertStagingIsMemoryOnly(t, res, log, tc.budget)
 			if tc.budget == 1 {
-				assertOnlyEmptySegmentsStaged(t, res, log, direct)
+				assertNothingStaged(t, res, log, direct)
 			} else if res.Agg.Counters[metrics.CtrShuffleStagedHits] == 0 {
 				t.Error("no segment was taken from staging: the staged road did not run")
 			}

@@ -59,6 +59,10 @@ func TestStagingBufferBackpressure(t *testing.T) {
 const (
 	unitParts = 4
 	unitMaps  = 3
+	unitRuns  = 2 // spill runs per map output
+	// unitSegs is the nonempty segments on offer: partition 2 of every run
+	// is empty.
+	unitSegs = unitMaps * unitRuns * (unitParts - 1)
 )
 
 // newUnitCluster builds a 2-node cluster, optionally chaos-wrapped.
@@ -73,39 +77,73 @@ func newUnitCluster(t *testing.T, chaosCfg *chaos.Config) *cluster.Cluster {
 	return c
 }
 
-// writeUnitMapOuts writes unitMaps committed map outputs across the
-// cluster's disks and returns their locations. Partition p of map task m
-// holds keys "k<p>-<i>" in sorted order, except partition 2 of every
-// output, which is left empty. compressed selects the on-disk format
-// CompressRuns writes.
+// writeUnitMapOuts writes unitMaps committed map outputs of unitRuns runs
+// each across the cluster's disks and returns their locations. Partition p
+// of run r of map task m holds keys "k<p>-<i>" in sorted order, every
+// other one of them in each run, except partition 2 of every run, which is
+// left empty. compressed selects the on-disk format CompressRuns writes.
 func writeUnitMapOuts(t *testing.T, c *cluster.Cluster, compressed bool) []mapOutput {
 	t.Helper()
 	outs := make([]mapOutput, unitMaps)
 	for m := 0; m < unitMaps; m++ {
-		node := m % c.Nodes()
-		sink, err := kvio.NewRunSink(c.Disks[node], fmt.Sprintf("unit-m%d", m), unitParts, compressed)
-		if err != nil {
-			t.Fatalf("sink: %v", err)
-		}
-		for p := 0; p < unitParts; p++ {
-			if p == 2 {
-				continue
+		outs[m].node = m % c.Nodes()
+		for r := 0; r < unitRuns; r++ {
+			sink, err := kvio.NewRunSink(c.Disks[outs[m].node], fmt.Sprintf("unit-m%d-r%d", m, r), unitParts, compressed)
+			if err != nil {
+				t.Fatalf("sink: %v", err)
 			}
-			for i := 0; i < 50; i++ {
-				k := []byte(fmt.Sprintf("k%d-%03d", p, i))
-				v := []byte(fmt.Sprintf("m%d", m))
-				if err := sink.Append(p, k, v); err != nil {
-					t.Fatalf("append: %v", err)
+			for p := 0; p < unitParts; p++ {
+				if p == 2 {
+					continue
+				}
+				for i := r; i < 50; i += unitRuns {
+					k := []byte(fmt.Sprintf("k%d-%03d", p, i))
+					v := []byte(fmt.Sprintf("m%d", m))
+					if err := sink.Append(p, k, v); err != nil {
+						t.Fatalf("append: %v", err)
+					}
 				}
 			}
+			idx, err := sink.Close()
+			if err != nil {
+				t.Fatalf("close sink: %v", err)
+			}
+			outs[m].runs = append(outs[m].runs, idx)
 		}
-		idx, err := sink.Close()
-		if err != nil {
-			t.Fatalf("close sink: %v", err)
-		}
-		outs[m] = mapOutput{node: node, index: idx}
 	}
 	return outs
+}
+
+// outsBytes sums the on-disk bytes of the outputs' runs.
+func outsBytes(outs []mapOutput) int64 {
+	var n int64
+	for _, out := range outs {
+		for _, run := range out.runs {
+			n += run.TotalBytes()
+		}
+	}
+	return n
+}
+
+// wantStreams reads partition part of every run of outs from disks by
+// direct positioned reads, in the order a reduce attempt's fetch returns
+// the streams: by map task, then by run, skipping empty segments. It also
+// returns the name of each stream's run.
+func wantStreams(t *testing.T, disks []vdisk.Disk, outs []mapOutput, part int) (recs [][][2]string, runs []string) {
+	t.Helper()
+	for _, out := range outs {
+		for _, run := range out.runs {
+			if run.Segments[part].Len == 0 {
+				continue
+			}
+			s, err := kvio.OpenRunPart(disks[out.node], run, part)
+			if err != nil {
+				t.Fatalf("direct open: %v", err)
+			}
+			recs, runs = append(recs, drainStream(t, s)), append(runs, run.Name)
+		}
+	}
+	return recs, runs
 }
 
 // unitShuffleJob is the minimal job configuration the service reads.
@@ -152,11 +190,11 @@ func waitStagedSegments(t *testing.T, svc *shuffleService, want int64) {
 }
 
 // TestShuffleServiceStagesAndTakes offers committed map outputs to the
-// copier pools, in both on-disk formats, and checks that every segment —
-// including empty ones — is staged in the format it was written in, that
-// it decodes through take to exactly the records of a direct positioned
-// read, and that takes are non-destructive (a duplicate attempt can
-// re-take).
+// copier pool, in both on-disk formats, and checks that every nonempty
+// segment of every run is staged in the format it was written in, and no
+// empty one, that it decodes through take to exactly the records of a
+// direct positioned read, and that takes are non-destructive (a duplicate
+// attempt can re-take).
 func TestShuffleServiceStagesAndTakes(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		compressed := compressed
@@ -169,34 +207,30 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 			for m, out := range outs {
 				svc.offer(m, out)
 			}
-			waitStagedSegments(t, svc, unitParts*unitMaps)
+			waitStagedSegments(t, svc, unitSegs)
 
 			for p := 0; p < unitParts; p++ {
-				for m, out := range outs {
+				svc.mu.Lock()
+				n := len(svc.staged[p])
+				svc.mu.Unlock()
+				if want := unitMaps * unitRuns; p == 2 && n != 0 || p != 2 && n != want {
+					t.Fatalf("part %d: %d segments staged", p, n)
+				}
+				want, runs := wantStreams(t, c.Disks, outs, p)
+				for i, run := range runs {
 					svc.mu.Lock()
-					st := svc.staged[p][m]
+					st := svc.staged[p][run]
 					svc.mu.Unlock()
 					if st.compressed != compressed {
-						t.Fatalf("part %d src %d staged with compressed = %v, written with %v", p, m, st.compressed, compressed)
+						t.Fatalf("part %d run %s staged with compressed = %v, written with %v", p, run, st.compressed, compressed)
 					}
-					direct, err := kvio.OpenRunPart(c.Disks[out.node], out.index, p)
-					if err != nil {
-						t.Fatalf("direct open: %v", err)
-					}
-					want := drainStream(t, direct)
 					for round := 0; round < 2; round++ { // takes must not consume
-						st, ok := svc.take(p, m, 0, spanner{})
+						st, ok := svc.take(p, run, 0, spanner{})
 						if !ok {
-							t.Fatalf("part %d src %d round %d: staged segment missing", p, m, round)
+							t.Fatalf("part %d run %s round %d: staged segment missing", p, run, round)
 						}
-						got := drainStream(t, st)
-						if len(got) != len(want) {
-							t.Fatalf("part %d src %d: %d staged records, want %d", p, m, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("part %d src %d record %d: staged %q, direct %q", p, m, i, got[i], want[i])
-							}
+						if got := drainStream(t, st); !slices.Equal(got, want[i]) {
+							t.Fatalf("part %d run %s: staged %q, direct %q", p, run, got, want[i])
 						}
 					}
 				}
@@ -204,7 +238,7 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 
 			// A released partition stops serving takes.
 			svc.release(1)
-			if _, ok := svc.take(1, 0, 0, spanner{}); ok {
+			if _, ok := svc.take(1, outs[0].runs[0].Name, 0, spanner{}); ok {
 				t.Fatal("released partition still serves staged segments")
 			}
 		})
@@ -214,26 +248,29 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 // TestStagingAccountsWireBytes pins staging's byte accounting: a segment
 // crosses the fabric and is staged as it sits on the source disk, so the
 // staged bytes equal the segments' on-disk bytes, and a budget equal to
-// that total stages every segment.
+// that total stages every segment, with one fabric transfer per map output
+// and staging home.
 func TestStagingAccountsWireBytes(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c, false)
-	var diskTotal int64
-	for _, out := range outs {
-		diskTotal += out.index.TotalBytes()
-	}
+	diskTotal := outsBytes(outs)
 
 	svc := newShuffleService(c, unitShuffleJob(diskTotal))
 	defer svc.close()
 	for m, out := range outs {
 		svc.offer(m, out)
 	}
-	waitStagedSegments(t, svc, unitParts*unitMaps)
+	waitStagedSegments(t, svc, unitSegs)
 	if staged := svc.tm.Counter(metrics.CtrShuffleStagedBytes); staged != diskTotal {
 		t.Fatalf("staged %d bytes, the segments hold %d on disk", staged, diskTotal)
 	}
 	if peak := svc.buf.peakBytes(); peak != diskTotal {
 		t.Fatalf("staging peak %d, want the on-disk total %d", peak, diskTotal)
+	}
+	// Each output's segments bound for the other node cross the fabric in
+	// one transfer, however many runs and partitions they come from.
+	if n := c.Net.Stats().Transfers; n != unitMaps {
+		t.Errorf("%d fabric transfers staged %d outputs of %d runs over 2 nodes, want one per output", n, unitMaps, unitRuns)
 	}
 }
 
@@ -265,20 +302,13 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	if got := svc.tm.Counter(metrics.CtrShuffleFetchRetries); got != 1 {
 		t.Fatalf("absorbed fetch retries = %d, want 1", got)
 	}
+	want, _ := wantStreams(t, c.Disks, outs, part)
+	if len(streams) != len(want) {
+		t.Fatalf("%d streams, want one per run: %d", len(streams), len(want))
+	}
 	for i, st := range streams {
-		direct, derr := kvio.OpenRunPart(c.Disks[outs[i].node], outs[i].index, part)
-		if derr != nil {
-			t.Fatalf("direct open: %v", derr)
-		}
-		want := drainStream(t, direct)
-		got := drainStream(t, st)
-		if len(got) != len(want) {
-			t.Fatalf("src %d: %d records, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("src %d record %d: %q, want %q", i, j, got[j], want[j])
-			}
+		if got := drainStream(t, st); !slices.Equal(got, want[i]) {
+			t.Fatalf("stream %d: %q, want %q", i, got, want[i])
 		}
 	}
 	if stats := c.Chaos.Stats(); stats.Faults != 1 {
@@ -296,9 +326,8 @@ func waitCopiersIdle(t *testing.T, svc *shuffleService) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		svc.mu.Lock()
-		queued, held := 0, int64(0)
-		for p := range svc.pend {
-			queued += len(svc.pend[p])
+		queued, held := len(svc.pend), int64(0)
+		for p := range svc.staged {
 			for _, st := range svc.staged[p] {
 				held += int64(len(st.data))
 			}
@@ -328,17 +357,14 @@ func unitOpens(c *cluster.Cluster) int64 {
 
 // TestOverBudgetSegmentsAreDirectFetched gives staging a third of the bytes
 // on offer. What fits is staged and what does not stays on the source disk:
-// a reduce attempt's fetch resolves every source exactly once, from staging
-// (a countedStream) or by direct fetch (a chargedStream), the two add up to
-// maps × partitions, and either way the records are the ones on the source
-// disk.
+// a reduce attempt's fetch resolves every nonempty segment of every run
+// exactly once, from staging (a countedStream) or by direct fetch (a
+// chargedStream), the two add up to the nonempty segments, and either way
+// the records are the ones on the source disk.
 func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c, false)
-	var diskTotal int64
-	for _, out := range outs {
-		diskTotal += out.index.TotalBytes()
-	}
+	diskTotal := outsBytes(outs)
 	budget := diskTotal / 3
 	job := unitShuffleJob(budget)
 	svc := newShuffleService(c, job)
@@ -356,27 +382,26 @@ func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("part %d: fetch: %v", p, err)
 		}
-		for m, st := range streams {
+		want, _ := wantStreams(t, c.Disks, outs, p)
+		if len(streams) != len(want) {
+			t.Fatalf("part %d: %d streams, want %d", p, len(streams), len(want))
+		}
+		for i, st := range streams {
 			switch st.(type) {
 			case *countedStream:
 				staged++
 			case *chargedStream:
 				direct++
 			default:
-				t.Fatalf("part %d src %d: fetch returned a %T", p, m, st)
+				t.Fatalf("part %d stream %d: fetch returned a %T", p, i, st)
 			}
-			ref, err := kvio.OpenRunPart(c.Disks[outs[m].node], outs[m].index, p)
-			if err != nil {
-				t.Fatalf("direct open: %v", err)
-			}
-			want, got := drainStream(t, ref), drainStream(t, st)
-			if !slices.Equal(got, want) {
-				t.Fatalf("part %d src %d: fetched %d records, the source disk holds %d", p, m, len(got), len(want))
+			if got := drainStream(t, st); !slices.Equal(got, want[i]) {
+				t.Fatalf("part %d stream %d: fetched %d records, the source disk holds %d", p, i, len(got), len(want[i]))
 			}
 		}
 	}
-	if staged+direct != unitParts*unitMaps {
-		t.Errorf("%d staged + %d direct fetches, want %d", staged, direct, unitParts*unitMaps)
+	if staged+direct != unitSegs {
+		t.Errorf("%d staged + %d direct fetches, want %d", staged, direct, unitSegs)
 	}
 	if hits := svc.tm.Counter(metrics.CtrShuffleStagedHits); hits != int64(staged) {
 		t.Errorf("%d staged hits counted, %d sources came from staging", hits, staged)
@@ -392,12 +417,12 @@ func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 	}
 }
 
-// TestReserveBeforeRead: a copier reserves a segment's length from the run
-// index before it touches the source disk, so a refused segment costs no
-// disk operation — with a one-byte budget no disk sees an open and only
-// empty segments are staged — and a copier that reserved and then failed
-// to read, to transfer, or to find the service still open gives the bytes
-// back.
+// TestReserveBeforeRead: a segment's length is reserved from the run index
+// when its map output is offered, before any disk is touched, so a refused
+// segment costs no disk operation — with a one-byte budget no disk sees an
+// open and nothing is staged — and a copy that reserved and then failed to
+// read or to transfer gives the bytes back, as does an offer the service
+// refuses once closed.
 func TestReserveBeforeRead(t *testing.T) {
 	t.Run("refused", func(t *testing.T) {
 		c := newUnitCluster(t, nil)
@@ -415,8 +440,8 @@ func TestReserveBeforeRead(t *testing.T) {
 		if n := svc.tm.Counter(metrics.CtrShuffleStagedBytes); n != 0 {
 			t.Errorf("%d bytes staged under a one-byte budget", n)
 		}
-		if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n > unitMaps {
-			t.Errorf("%d segments staged, only %d are empty", n, unitMaps)
+		if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n != 0 {
+			t.Errorf("%d segments staged under a one-byte budget", n)
 		}
 	})
 
@@ -427,7 +452,9 @@ func TestReserveBeforeRead(t *testing.T) {
 	}{
 		{"read fails", func(_ *cluster.Cluster, outs []mapOutput) {
 			for m := range outs {
-				outs[m].index.Name = "no-such-run"
+				for r := range outs[m].runs {
+					outs[m].runs[r].Name = "no-such-run"
+				}
 			}
 		}, false},
 		{"transfer fails", func(c *cluster.Cluster, _ []mapOutput) {
@@ -449,24 +476,29 @@ func TestReserveBeforeRead(t *testing.T) {
 			if tc.close {
 				svc.close()
 			}
-			// Partition 1 is staged on node 1; map task 0's output is on node 0.
-			svc.stageSegment(1, 0, stageReq{src: 0, out: outs[0]})
-			if !tc.close {
-				svc.mu.Lock()
-				st := svc.staged[1][0]
-				svc.mu.Unlock()
-				if st != nil {
-					t.Error("segment staged although its copy failed")
+			// Map task 0's runs are on node 0; partitions 1 and 3 are staged
+			// on node 1, across the fabric, and partition 0 on node 0. With
+			// the transfer failing, only the runs' partition-0 segments are
+			// staged.
+			svc.offer(0, outs[0])
+			waitCopiersIdle(t, svc)
+			var wantSegs, wantBytes int64
+			if tc.name == "transfer fails" {
+				for _, run := range outs[0].runs {
+					wantSegs, wantBytes = wantSegs+1, wantBytes+run.Segments[0].Len
 				}
 			}
-			if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n != 0 {
-				t.Errorf("%d segments counted as staged", n)
+			svc.mu.Lock()
+			st := svc.staged[1][outs[0].runs[0].Name]
+			svc.mu.Unlock()
+			if st != nil {
+				t.Error("segment staged although its copy failed")
 			}
-			svc.buf.mu.Lock()
-			used := svc.buf.used
-			svc.buf.mu.Unlock()
-			if used != 0 {
-				t.Errorf("%d bytes still reserved after the failed copy", used)
+			if n := svc.tm.Counter(metrics.CtrShuffleStagedSegments); n != wantSegs {
+				t.Errorf("%d segments counted as staged, want %d", n, wantSegs)
+			}
+			if used := bufUsed(svc); used != wantBytes {
+				t.Errorf("%d bytes reserved after the failed copy, want the %d staged", used, wantBytes)
 			}
 			svc.close()
 		})
@@ -476,7 +508,9 @@ func TestReserveBeforeRead(t *testing.T) {
 // holdDisk wraps a node disk: it counts the opens of every section and
 // holds the first open of a section hold matches until the test lets it go
 // — on (*hold).release's value, nil to proceed or an error to fail the
-// open with. Sections are named name@offset.
+// open with. Sections are named name@offset: a copier's read of a run is
+// the section at its first staged segment, a direct fetch the section at
+// its partition's segment.
 type holdDisk struct {
 	vdisk.Disk
 	h *hold
@@ -492,9 +526,10 @@ type hold struct {
 	opens map[string]int // opens by section
 }
 
-// section names partition part of a map output as holdDisk counts it.
-func section(out mapOutput, part int) string {
-	return fmt.Sprintf("%s@%d", out.index.Name, out.index.Segments[part].Off)
+// section names the section of run starting at partition part's segment
+// as holdDisk counts it.
+func section(run kvio.RunIndex, part int) string {
+	return fmt.Sprintf("%s@%d", run.Name, run.Segments[part].Off)
 }
 
 func newHold(match func(section string) bool) *hold {
@@ -564,13 +599,15 @@ func bufUsed(svc *shuffleService) int64 {
 	return svc.buf.used
 }
 
-// TestTakeWaitsForInFlightCopy holds one copier's read of a segment. A
-// reduce attempt that needs the segment meanwhile waits for that copy
-// instead of reading the source again, so with the copy let go the source
-// disk sees one open per (map output, partition); with the copy failed the
-// attempt direct-fetches it, and either way the attempt's records — and a
-// whole job's output — are the source's. The staging budget ends at zero
-// whether the copy lands, fails, or outlives its partition or its service.
+// TestTakeWaitsForInFlightCopy holds one copier's read of a map output's
+// first run. A reduce attempt that needs one of the output's segments
+// meanwhile waits for that copy instead of reading the source again, so
+// with the copy let go the source disk sees one open per run, the
+// copier's; with the copy failed the copier abandons the whole output and
+// the attempt direct-fetches its segments, and either way the attempt's
+// records — and a whole job's output — are the source's. The staging
+// budget ends at zero whether the copy lands, fails, or outlives its
+// partition or its service.
 func TestTakeWaitsForInFlightCopy(t *testing.T) {
 	const part, src = 1, 0
 	for _, fail := range []bool{false, true} {
@@ -578,21 +615,17 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			c := newUnitCluster(t, nil)
 			outs := writeUnitMapOuts(t, c, false)
 			raw := slices.Clone(c.Disks)
-			held := section(outs[src], part)
+			held := section(outs[src].runs[0], 0)
 			h := newHold(func(s string) bool { return s == held })
 			h.wrap(c)
 			job := unitShuffleJob(1 << 20)
 			svc := newShuffleService(c, job)
-			// Only partition 1's copiers get the outputs: the other two of
-			// its segments are staged, the held one stays in flight.
+			// Every other output is staged; the held one stays in flight.
 			for m, out := range outs {
-				svc.mu.Lock()
-				svc.pend[part] = append(svc.pend[part], stageReq{src: m, out: out})
-				svc.cond.Broadcast()
-				svc.mu.Unlock()
+				svc.offer(m, out)
 			}
 			h.awaitHeld(t)
-			waitStagedSegments(t, svc, unitMaps-1)
+			waitStagedSegments(t, svc, unitSegs-unitRuns*(unitParts-1))
 
 			type fetched struct {
 				streams []kvio.Stream
@@ -606,7 +639,11 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			}()
 			waitParked(t, "(*shuffleService).take")
 			if n := h.count(held); n != 1 {
-				t.Fatalf("%d opens of the held section while its copy is in flight, want 1", n)
+				t.Fatalf("%d opens of the held run while its copy is in flight, want 1", n)
+			}
+			heldRuns := map[string]bool{}
+			for _, run := range outs[src].runs {
+				heldRuns[run.Name] = true
 			}
 			var copyErr error
 			if fail {
@@ -617,26 +654,31 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			if f.err != nil {
 				t.Fatalf("fetch: %v", f.err)
 			}
-			for m, st := range f.streams {
-				ref, err := kvio.OpenRunPart(raw[outs[m].node], outs[m].index, part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want, got := drainStream(t, ref), drainStream(t, st); !slices.Equal(got, want) {
-					t.Fatalf("source %d: fetched %d records, the source disk holds %d", m, len(got), len(want))
+			want, runs := wantStreams(t, raw, outs, part)
+			for i, st := range f.streams {
+				if got := drainStream(t, st); !slices.Equal(got, want[i]) {
+					t.Fatalf("run %s: fetched %d records, the source disk holds %d", runs[i], len(got), len(want[i]))
 				}
 				_, direct := st.(*chargedStream)
-				if direct != (fail && m == src) {
-					t.Errorf("source %d came by direct fetch = %v (copy failed: %v)", m, direct, fail)
+				if direct != (fail && heldRuns[runs[i]]) {
+					t.Errorf("run %s came by direct fetch = %v (copy failed: %v)", runs[i], direct, fail)
 				}
 			}
-			for m, out := range outs {
-				want := 1
-				if fail && m == src {
-					want = 2 // the failed copy's open and the direct fetch's
-				}
-				if n := h.count(section(out, part)); n != want {
-					t.Errorf("source %d partition %d opened %d times, want %d", m, part, n, want)
+			for _, out := range outs {
+				for r, run := range out.runs {
+					wantCopy, wantDirect := 1, 0
+					if fail && heldRuns[run.Name] {
+						wantDirect = 1
+						if r > 0 {
+							wantCopy = 0 // the failed first read abandoned the output
+						}
+					}
+					if n := h.count(section(run, 0)); n != wantCopy {
+						t.Errorf("run %s read %d times by copiers, want %d", run.Name, n, wantCopy)
+					}
+					if n := h.count(section(run, part)); n != wantDirect {
+						t.Errorf("run %s partition %d direct-fetched %d times, want %d", run.Name, part, n, wantDirect)
+					}
 				}
 			}
 			svc.close()
@@ -652,7 +694,7 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 		t.Run("copy-outlives-"+ends, func(t *testing.T) {
 			c := newUnitCluster(t, nil)
 			outs := writeUnitMapOuts(t, c, false)
-			held := section(outs[src], part)
+			held := section(outs[src].runs[0], 0)
 			h := newHold(func(s string) bool { return s == held })
 			h.wrap(c)
 			svc := newShuffleService(c, unitShuffleJob(1<<20))
@@ -680,10 +722,10 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 		})
 	}
 
-	// A whole job whose first copier read of a committed map output is
-	// held: the reduce attempt of that partition waits for it, and the
-	// output is the reference executor's whether the copy lands or fails.
-	committedOut := regexp.MustCompile(`/m\d{5}/out@`)
+	// A whole job whose first copier read of a run is held: a reduce
+	// attempt that needs the run waits for it, and the output is the
+	// reference executor's whether the copy lands or fails.
+	runRead := regexp.MustCompile(`/spill\d{4}@`)
 	for _, fail := range []bool{false, true} {
 		t.Run(fmt.Sprintf("job/copy-fails=%v", fail), func(t *testing.T) {
 			c := buildFS(t, wordsInput(6000, 8, 2500), 128<<10)
@@ -691,7 +733,7 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := newHold(committedOut.MatchString)
+			h := newHold(runRead.MatchString)
 			h.wrap(c)
 			type ran struct {
 				res *Result
@@ -716,7 +758,7 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			assertReferenceOutput(t, c, r.res, want)
 			wantOpens := 1
 			if fail {
-				wantOpens = 2 // the failed copy's open and the direct fetch's
+				wantOpens = 2 // the failed copy's open and a direct fetch's
 			}
 			if n := h.heldOpens(); n != wantOpens {
 				t.Errorf("held section opened %d times, want %d", n, wantOpens)

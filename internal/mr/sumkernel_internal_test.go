@@ -16,11 +16,13 @@ import (
 )
 
 // TestSumKernelsRejectMalformedValue: a declared SumInt64 job whose mapper
-// emits a value that is not exactly one varint fails its map task, without
-// a panic, with an error naming the key — whichever kernel meets the value
-// first: the spill writer's (the value in a run of its key), the map-side
-// merge's (the key once in its spill, so the spill passes it through), or
-// the frequency buffer's (the key frequent and the table optimizing).
+// emits a value that is not exactly one varint fails, without a panic,
+// with an ErrCorrupt error — whichever kernel meets the value first: the
+// spill writer's (the value in a run of its key) or the frequency
+// buffer's (the key frequent and the table optimizing), which fail the map
+// task naming the key, or, the key once in its spill, so that the spill
+// passes it through and no map-side kernel sees it, the reducer at the
+// end of the reduce-side merge, which fails the reduce task.
 func TestSumKernelsRejectMalformedValue(t *testing.T) {
 	const lines, perLine = 4000, 8
 	c, split := oneSplit(t, wordsInput(lines, perLine, 500))
@@ -61,7 +63,7 @@ func TestSumKernelsRejectMalformedValue(t *testing.T) {
 				return junk
 			}
 			return nil
-		}, "", "combine during spill"},
+		}, "reduce():", "combine during spill"},
 		{"freqbuf", 8 << 20, true, func(line int) []byte {
 			if line == lines-1 {
 				return junk
@@ -74,13 +76,24 @@ func TestSumKernelsRejectMalformedValue(t *testing.T) {
 			if tc.freq {
 				job.FreqBuf = &FreqBufConfig{K: 10, SampleFraction: 0.05, MemFraction: 0.3}
 			}
-			_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+			out, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+			if tc.name == "merge" {
+				if err != nil {
+					t.Fatalf("map task: %v", err)
+				}
+				svc := newShuffleService(c, job)
+				_, _, _, _, err = runReduceTask(c, job, metrics.NewTaskMetrics(), DefaultPartitioner([]byte("bad"), job.NumReducers), 0, 0, 0, nil, &shuffleEnv{svc: svc}, []mapOutput{out})
+				svc.close()
+			}
 			if err == nil {
 				t.Fatal("a malformed value went through")
 			}
 			msg := err.Error()
-			if !errors.Is(err, serde.ErrCorrupt) || !strings.Contains(msg, `key "bad"`) || strings.Contains(msg, "panicked") {
-				t.Fatalf("err = %v: want ErrCorrupt naming key \"bad\", and no panic", err)
+			if !errors.Is(err, serde.ErrCorrupt) || strings.Contains(msg, "panicked") {
+				t.Fatalf("err = %v: want ErrCorrupt, and no panic", err)
+			}
+			if tc.name != "merge" && !strings.Contains(msg, `key "bad"`) {
+				t.Fatalf("err = %v: want it naming key \"bad\"", err)
 			}
 			if !strings.Contains(msg, tc.where) || strings.Contains(msg, tc.notWhere) {
 				t.Errorf("err = %v: not the %s kernel's", err, tc.name)

@@ -85,18 +85,43 @@ func TestMapWorkspaceReuse(t *testing.T) {
 		}
 		return job
 	}
-	// attempt runs one map attempt of split i and returns its output run.
+	// attempt runs one map attempt of split i and returns its output: its
+	// runs merged under the job's combiner, partition by partition, into
+	// one run — what the reduce side reads of them, wherever the spills
+	// were cut.
 	attempt := func(t *testing.T, c *cluster.Cluster, chunk int64, i int) []byte {
 		t.Helper()
 		splits, err := computeSplits(c.FS, []string{"f"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mo, _, _, err := runMapTask(c, mapJob(t, chunk), metrics.NewTaskMetrics(), i, splits[i], 0, 0, 0, nil)
+		job := mapJob(t, chunk)
+		mo, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), i, splits[i], 0, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.Disks[0].Open(mo.index.Name)
+		merged := vdisk.NewMem()
+		sink, err := kvio.NewRunSink(merged, "merged", job.NumReducers, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < job.NumReducers; p++ {
+			var streams []kvio.Stream
+			for _, run := range mo.runs {
+				s, err := kvio.OpenRunPart(c.Disks[0], run, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams = append(streams, s)
+			}
+			if _, _, err := kvio.MergeInto(streams, p, sink, job.Combine); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := merged.Open("merged")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,13 +59,12 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // maxSubmitBody bounds a POST /jobs body; a spec is a few hundred bytes.
 const maxSubmitBody = 1 << 20
 
-// handleSubmit decodes exactly one SubmitRequest object: a body over
-// maxSubmitBody, a field the Spec does not have (a misspelt or retired
-// knob would otherwise be silently ignored) or anything after the object
-// is refused.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit decodes exactly one SubmitRequest object from body: a
+// field the Spec does not have (a misspelt or retired knob would otherwise
+// be silently ignored) or anything after the object is refused.
+func decodeSubmit(body io.Reader) (SubmitRequest, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	if err == nil {
@@ -73,6 +72,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			err = errors.New("trailing data after the request object")
 		}
 	}
+	return req, err
+}
+
+// handleSubmit decodes the body with decodeSubmit, refusing one over
+// maxSubmitBody too.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError

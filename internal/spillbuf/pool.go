@@ -88,14 +88,17 @@ func (p *Pool) put(r kvio.Region) {
 // per map task, at most one per slot — the region a task starts to fill
 // (it makes its second as a twin of that one). The runner calls it when a
 // map phase ends; while another job's buffers are still attached it leaves
-// the cut to that job's call. Within a phase the tasks that follow each
-// other on a slot recycle every region; through the reduce phase, whose
-// memory the regions are not, and into the next job, half of what the
-// phase needed stays and what it did not need goes.
+// the cut to that job's call, and a cut with no buffer served since the
+// previous one leaves the pool as it is: two jobs whose map phases end
+// together both call it, and the second must not empty what the first
+// kept. Within a phase the tasks that follow each other on a slot recycle
+// every region; through the reduce phase, whose memory the regions are
+// not, and into the next job, half of what the phase needed stays and
+// what it did not need goes.
 func (p *Pool) Trim() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.users > 0 {
+	if p.users > 0 || p.served == 0 {
 		return
 	}
 	if keep := min(p.served, p.max/RegionsPerBuffer); len(p.free) > keep {

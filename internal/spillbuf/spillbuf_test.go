@@ -1028,7 +1028,8 @@ func TestPoolBound(t *testing.T) {
 }
 
 // TestPoolTrim: the cut leaves one region per buffer served since the last
-// one, at most half the bound, and waits while a buffer is still attached.
+// one, at most half the bound, leaves the pool alone when no buffer was
+// served since the last one, and waits while a buffer is still attached.
 func TestPoolTrim(t *testing.T) {
 	p := NewPool(8)
 	// serve has n buffers come and go, leaving the pool as full as its
@@ -1052,7 +1053,7 @@ func TestPoolTrim(t *testing.T) {
 			t.Fatalf("%d regions free and %d out, want the bound of 8 and none", free, out)
 		}
 	}
-	for _, tc := range []struct{ buffers, kept int }{{3, 3}, {1, 1}, {7, 4}, {0, 0}} {
+	for _, tc := range []struct{ buffers, kept int }{{3, 3}, {1, 1}, {7, 4}, {0, 8}} {
 		serve(tc.buffers)
 		p.Trim()
 		if free := p.Free(); free != tc.kept {
@@ -1070,6 +1071,36 @@ func TestPoolTrim(t *testing.T) {
 	p.Trim()
 	if free := p.Free(); free != 3 {
 		t.Errorf("%d regions kept after three buffers, want 3", free)
+	}
+}
+
+// TestPoolTrimTwice: two jobs whose map phases end together both cut the
+// pool, one right after the other. The second cut, with no buffer served
+// since the first, keeps what the first kept, and the next buffer to
+// attach starts on a recycled region.
+func TestPoolTrimTwice(t *testing.T) {
+	p := NewPool(8)
+	var regions []kvio.Region
+	for i := 0; i < 4; i++ {
+		regions = append(regions, p.attach(), p.get())
+	}
+	for i, r := range regions {
+		r.Append(0, []byte("key"), []byte("value"))
+		p.put(r)
+		if i%2 == 1 {
+			p.detach()
+		}
+	}
+	p.Trim()
+	if free := p.Free(); free != 4 {
+		t.Fatalf("the first cut kept %d regions after four buffers, want 4", free)
+	}
+	p.Trim()
+	if free := p.Free(); free != 4 {
+		t.Fatalf("the second cut left %d of the 4 regions the first kept", free)
+	}
+	if r := p.attach(); cap(r.Arena) == 0 {
+		t.Error("the next buffer started on a fresh region: nothing was kept for it")
 	}
 }
 

@@ -46,7 +46,10 @@ const (
 	KindSort
 	// KindCombine spans the user combine() during one spill.
 	KindCombine
-	// KindMerge spans merging spill runs into the map output.
+	// KindMerge spans merging spill runs into one map output file. The
+	// runtime publishes the runs unmerged and records none; the analyzer
+	// still reads the kind in traces that have it, such as the committed
+	// example trace.
 	KindMerge
 	// KindShuffleFetch spans the reduce side opening map-output segments.
 	KindShuffleFetch
