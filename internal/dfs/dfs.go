@@ -1,8 +1,9 @@
 // Package dfs implements the distributed-filesystem substrate the jobs read
 // their input from and write their output to — a miniature HDFS: files are
 // split into fixed-size blocks, each block is replicated onto the local
-// disks of `replication` distinct nodes (placed round-robin), and readers
-// prefer a local replica, paying a fabric transfer for remote blocks.
+// disks of `replication` distinct nodes (placed round-robin), all replicas
+// written at once as in HDFS's write pipeline, and readers prefer a local
+// replica, paying a fabric transfer for remote blocks.
 //
 // Block locations drive the runtime's input-split placement, so map tasks
 // are data-local exactly as in Hadoop, and final job output lands on the
@@ -14,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"mrtext/internal/fabric"
@@ -127,12 +129,15 @@ func (w *writer) Write(p []byte) (int, error) {
 }
 
 // seal writes the buffered block to its replica disks and records it.
-// The primary replica is mandatory — if the writer's own node cannot
-// store the block, the write fails. Secondary replicas are best-effort:
-// a candidate that fails (e.g. a node killed by chaos) is skipped and
-// the next untried node takes its place, so node death degrades the
-// replication of in-flight writes instead of failing the job — the
-// HDFS pipeline-recovery behavior.
+// Every planned replica is written at once, as HDFS's write pipeline does:
+// the primary on this goroutine, each secondary on its own, all reading
+// the one block buffer, and all joined before the block is recorded. The
+// primary replica is mandatory — if the writer's own node cannot store the
+// block, the write fails and leaves no replica behind. Secondary replicas
+// are best-effort: a candidate that fails (e.g. a node killed by chaos) is
+// replaced by the next untried node, so node death degrades the
+// replication of in-flight writes instead of failing the job — the HDFS
+// pipeline-recovery behavior.
 func (w *writer) seal() error {
 	d := w.dfs
 	d.mu.Lock()
@@ -149,14 +154,7 @@ func (w *writer) seal() error {
 	for len(planned) < d.replication {
 		cand := cursor % len(d.disks)
 		cursor++
-		dup := false
-		for _, r := range planned {
-			if r == cand {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(planned, cand) {
 			planned = append(planned, cand)
 		}
 	}
@@ -165,29 +163,45 @@ func (w *writer) seal() error {
 	idx := len(meta.blocks)
 	d.mu.Unlock()
 
-	if err := w.writeReplica(idx, 0, primary, false); err != nil {
-		return fmt.Errorf("dfs: sealing block %d of %s: %w", idx, w.name, err)
+	errs := make([]error, len(planned))
+	var wg sync.WaitGroup
+	for ri := 1; ri < len(planned); ri++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[ri] = w.writeReplica(idx, ri, planned[ri], true)
+		}()
 	}
-	replicas := []int{primary}
-	tried := map[int]bool{primary: true}
-	// Fallback candidate order: the planned secondaries, then every other
-	// node round-robin from where the plan stopped.
-	candidates := append([]int(nil), planned[1:]...)
-	for i := 0; i < len(d.disks); i++ {
-		candidates = append(candidates, (cursor+i)%len(d.disks))
+	errs[0] = w.writeReplica(idx, 0, primary, false)
+	wg.Wait()
+	if errs[0] != nil {
+		for ri := 1; ri < len(planned); ri++ {
+			if errs[ri] == nil {
+				//mrlint:ignore droppederr best-effort cleanup of a block whose primary failed; that error is what the caller acts on
+				_ = d.disks[planned[ri]].Remove(blockName(w.name, idx, ri))
+			}
+		}
+		return fmt.Errorf("dfs: sealing block %d of %s: %w", idx, w.name, errs[0])
 	}
-	for _, cand := range candidates {
-		if len(replicas) >= d.replication {
-			break
+	// A failed secondary's replacement takes its replica index, from the
+	// untried nodes round-robin after the plan; a replica after one left
+	// unreplaced moves down into its index, so the indexes stay dense.
+	replicas, next := []int{primary}, 0
+	for ri := 1; ri < len(planned); ri++ {
+		node := planned[ri]
+		for ; errs[ri] != nil && next < len(d.disks); next++ {
+			if cand := (cursor + next) % len(d.disks); !slices.Contains(planned, cand) {
+				if errs[ri] = w.writeReplica(idx, ri, cand, true); errs[ri] == nil {
+					node = cand
+				}
+			}
 		}
-		if tried[cand] {
-			continue
+		if errs[ri] == nil && ri != len(replicas) {
+			errs[ri] = d.disks[node].Rename(blockName(w.name, idx, ri), blockName(w.name, idx, len(replicas)))
 		}
-		tried[cand] = true
-		if err := w.writeReplica(idx, len(replicas), cand, true); err != nil {
-			continue // degraded replication: skip the failed candidate
+		if errs[ri] == nil {
+			replicas = append(replicas, node)
 		}
-		replicas = append(replicas, cand)
 	}
 
 	info := BlockInfo{Index: idx, Len: w.buf.Len(), Replicas: replicas}

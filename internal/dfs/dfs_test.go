@@ -2,11 +2,16 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"mrtext/internal/chaos"
 	"mrtext/internal/fabric"
 	"mrtext/internal/vdisk"
 )
@@ -287,5 +292,176 @@ func TestEmptyFile(t *testing.T) {
 	blocks, _ := d.Blocks("empty")
 	if len(blocks) != 0 {
 		t.Errorf("empty file has %d blocks", len(blocks))
+	}
+}
+
+// barrier is shared by the gated disks of one DFS: a replica writer's
+// first Write waits until want writers have begun one.
+type barrier struct {
+	mu   sync.Mutex
+	n    int
+	want int
+	all  chan struct{}
+}
+
+func (b *barrier) arrive() {
+	b.mu.Lock()
+	if b.n++; b.n == b.want {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	<-b.all
+}
+
+type gatedDisk struct {
+	vdisk.Disk
+	b *barrier
+}
+
+func (d gatedDisk) Create(name string) (io.WriteCloser, error) {
+	f, err := d.Disk.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedWriter{WriteCloser: f, b: d.b}, nil
+}
+
+type gatedWriter struct {
+	io.WriteCloser
+	b       *barrier
+	arrived bool
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if !w.arrived {
+		w.arrived = true
+		w.b.arrive()
+	}
+	return w.WriteCloser.Write(p)
+}
+
+// TestSealWritesReplicasConcurrently: every replica write of a block waits
+// until all of them have begun, so a seal that wrote one replica after
+// another would never finish.
+func TestSealWritesReplicasConcurrently(t *testing.T) {
+	const nodes = 3
+	b := &barrier{want: nodes, all: make(chan struct{})}
+	disks := make([]vdisk.Disk, nodes)
+	for i := range disks {
+		disks[i] = gatedDisk{Disk: vdisk.NewMem(), b: b}
+	}
+	d, err := New(disks, nil, 64, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("r"), 64) // one block
+	done := make(chan error, 1)
+	go func() { done <- d.WriteFile("f", data) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("seal still waiting: the replicas were not written at once")
+	}
+	blocks, _ := d.Blocks("f")
+	if len(blocks) != 1 || len(blocks[0].Replicas) != nodes {
+		t.Fatalf("blocks %+v, want one block on every node", blocks)
+	}
+	for node := 0; node < nodes; node++ {
+		r, _ := d.OpenFrom("f", node, 0)
+		got, err := io.ReadAll(r)
+		r.Close()
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("node %d reads %d bytes, err %v", node, len(got), err)
+		}
+	}
+}
+
+// chaosDFS is a DFS over nodes in-memory disks wrapped by an armed
+// injector, with the given nodes killed.
+func chaosDFS(t *testing.T, nodes, replication int, dead ...int) (*DFS, []*vdisk.Mem) {
+	t.Helper()
+	in, err := chaos.New(chaos.Config{KillNode: -1}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Arm()
+	for _, n := range dead {
+		in.Kill(n)
+	}
+	mems := make([]*vdisk.Mem, nodes)
+	disks := make([]vdisk.Disk, nodes)
+	for i := range disks {
+		mems[i] = vdisk.NewMem()
+		disks[i] = chaos.WrapDisk(mems[i], i, in)
+	}
+	d, err := New(disks, nil, 32, replication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, mems
+}
+
+// TestFailedSecondaryIsReplaced: a killed secondary candidate is skipped
+// and the next node takes its replica; with no node left to take it, the
+// replica after it moves down into its index. Either way the block records
+// two replicas that read back, and removing the file leaves no block file.
+func TestFailedSecondaryIsReplaced(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nodes, repl  int
+		wantReplicas []int
+	}{
+		{"next-node-takes-it", 4, 2, []int{0, 2}},
+		{"later-replica-moves-down", 3, 3, []int{0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, mems := chaosDFS(t, tc.nodes, tc.repl, 1) // the first planned secondary
+			data := bytes.Repeat([]byte("s"), 32)
+			if err := d.WriteFile("f", data); err != nil {
+				t.Fatal(err)
+			}
+			blocks, _ := d.Blocks("f")
+			if len(blocks) != 1 || !slices.Equal(blocks[0].Replicas, tc.wantReplicas) {
+				t.Fatalf("blocks %+v, want one block on nodes %v", blocks, tc.wantReplicas)
+			}
+			for _, node := range tc.wantReplicas {
+				r, _ := d.OpenFrom("f", node, 0)
+				got, err := io.ReadAll(r)
+				r.Close()
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("node %d reads %q, err %v", node, got, err)
+				}
+			}
+			if err := d.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range mems {
+				if files := m.List(); len(files) != 0 {
+					t.Errorf("node %d still holds %v", i, files)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedPrimaryLeavesNoBlock: a writer whose own node is dead fails
+// the write, and the secondaries written beside the primary are removed.
+func TestFailedPrimaryLeavesNoBlock(t *testing.T) {
+	d, mems := chaosDFS(t, 3, 3, 0)
+	w, err := d.Create("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := w.Write(bytes.Repeat([]byte("p"), 40)) // one block sealed, 8 bytes buffered
+	if cerr := w.Close(); !errors.Is(werr, chaos.ErrNodeDead) || !errors.Is(cerr, chaos.ErrNodeDead) {
+		t.Fatalf("write %v, close %v: want both to fail with the dead primary", werr, cerr)
+	}
+	for i, m := range mems {
+		if files := m.List(); len(files) != 0 {
+			t.Errorf("node %d holds %v after the primary failed", i, files)
+		}
 	}
 }

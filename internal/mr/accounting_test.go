@@ -174,7 +174,7 @@ func TestClockBudget(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
 		clk := &countingClock{}
 		job := acctJob(t, sumValues, 768<<10, nil)
-		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetricsClock(clk.now), 0, split, 0, 0, 0, nil)
+		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetricsClock(clk.now), 0, split, 0, 0, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestClockBudget(t *testing.T) {
 		// group, to the one partition.
 		job := acctJob(t, nil, 8<<20, nil)
 		job.NumReducers = 1
-		out, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+		out, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestFailedAttemptReportsWhatItDid(t *testing.T) {
 	t.Run("map-error-after-spills", func(t *testing.T) {
 		var got counts
 		job := acctJob(t, sumValues, 64<<10, counted(&got, 3000))
-		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v, want the mapper's", err)
 		}
@@ -305,7 +305,7 @@ func TestFailedAttemptReportsWhatItDid(t *testing.T) {
 		plan := inj.Plan(0, 0, 0, []chaos.Site{chaos.SiteEmit})
 		var got counts
 		job := acctJob(t, sumValues, 64<<10, counted(&got, -1))
-		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, plan)
+		_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, plan, nil)
 		if !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("err = %v, want an injected fault", err)
 		}
@@ -315,7 +315,7 @@ func TestFailedAttemptReportsWhatItDid(t *testing.T) {
 	t.Run("reduce-error", func(t *testing.T) {
 		job := acctJob(t, sumValues, 8<<20, nil)
 		job.NumReducers = 1
-		out, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+		out, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestRunningTaskPublishesAtExit(t *testing.T) {
 		}
 		return nil
 	})
-	_, rep, _, err := runMapTask(c, job, tm, 0, split, 0, 0, 0, nil)
+	_, rep, _, err := runMapTask(c, job, tm, 0, split, 0, 0, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

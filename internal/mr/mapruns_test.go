@@ -119,7 +119,7 @@ func TestShuffleReadsEachRunOnce(t *testing.T) {
 	c.Disks[0] = watchedDisk{Disk: c.Disks[0], w: w}
 	job := acctJob(t, sumValues, 64<<10, nil)
 	job.NumReducers = 6
-	out, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+	out, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,8 @@ func TestRecoveryRefetchesEveryRun(t *testing.T) {
 // TestLosingMapAttemptLeavesNoRun: two attempts of one map task finish,
 // as a slow original and its speculative backup would. The first commits
 // its runs; the second finds the task committed and loses, and none of
-// its runs is left on the disk.
+// its runs is left on the disk or in staging, where it offered each as it
+// wrote it.
 func TestLosingMapAttemptLeavesNoRun(t *testing.T) {
 	c, split := oneSplit(t, wordsInput(4000, 8, 3000))
 	job := acctJob(t, sumValues, 64<<10, nil)
@@ -292,4 +293,5 @@ func TestLosingMapAttemptLeavesNoRun(t *testing.T) {
 	if ft.ledger[metrics.CtrSweptAttemptDirs] != 1 {
 		t.Errorf("%d attempts swept, want the losing one", ft.ledger[metrics.CtrSweptAttemptDirs])
 	}
+	assertStagingHolds(t, ft.shuffle, won)
 }

@@ -465,9 +465,10 @@ func writeSpillRun(disk vdisk.Disk, name string, parts int, region kvio.Region, 
 // the attempt's temp namespace. The runs, in spill order, are the output:
 // no merge joins them. The returned created list names the attempt's
 // files — on success, its runs — so the runner can commit them or sweep
-// them. tm is the attempt's fresh metrics; every stopwatch of the attempt
-// reads its clock.
-func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan) (mo mapOutput, report TaskReport, created []string, err error) {
+// them. publish, when not nil, is handed each run as soon as the support
+// goroutine has written it, before the attempt commits. tm is the
+// attempt's fresh metrics; every stopwatch of the attempt reads its clock.
+func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx int, split Split, node, slot, attempt int, plan *chaos.Plan, publish func(kvio.RunIndex)) (mo mapOutput, report TaskReport, created []string, err error) {
 	if plan != nil {
 		if d := plan.Delay(); d > 0 {
 			time.Sleep(d) // manufactured straggler
@@ -603,6 +604,9 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 			return err
 		}
 		runs = append(runs, idx)
+		if publish != nil {
+			publish(idx)
+		}
 		return nil
 	}
 	go func() {

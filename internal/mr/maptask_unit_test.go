@@ -60,7 +60,7 @@ func TestMapTaskPublishesRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job := acctJob(t, sumValues, tc.bufBytes, nil)
-			out, rep, created, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+			out, rep, created, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
+	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
 	"mrtext/internal/trace"
 )
@@ -577,9 +578,10 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	})
 }
 
-// mapAttempt runs attempt pa of a map task on node and commits it: its
-// runs are entered in the map-output table and offered to the shuffle. A
-// failed attempt's files are swept and its error returned.
+// mapAttempt runs attempt pa of a map task on node and commits it: each
+// run is offered to the shuffle as soon as it is written, and the runs are
+// entered in the map-output table. A failed attempt's files are swept and
+// its error returned.
 //
 // The table entry is the commit, made under ft.mu, so an output is
 // committed whole or not at all and the first committer wins: in the map
@@ -588,7 +590,10 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 // the entry of an output lost with its node; it is singleflight.
 func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
 	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
-	out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), pa.task, ft.splits[pa.task], node, slot, pa.attempt, plan)
+	// A recovered output is offered like any other: its runs are new files,
+	// staged beside whatever staging holds of the lost ones.
+	publish := func(run kvio.RunIndex) { ft.shuffle.offer(pa.task, mapOutput{node: node, runs: []kvio.RunIndex{run}}) }
+	out, rep, created, err := runMapTask(ft.c, ft.job, metrics.NewTaskMetrics(), pa.task, ft.splits[pa.task], node, slot, pa.attempt, plan, publish)
 	if err != nil {
 		ft.sweep(ft.c.Disks[node].Remove, created)
 		return err
@@ -605,9 +610,6 @@ func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
 	}
 	ft.mapOuts[pa.task], ft.mapReports[pa.task] = out, rep
 	ft.mu.Unlock()
-	// A recovered output is offered like any other: its runs are new files,
-	// staged beside whatever staging holds of the lost ones.
-	ft.shuffle.offer(pa.task, out)
 	return nil
 }
 
@@ -642,11 +644,13 @@ func removeAll(remove func(string) error, files []string) (errs int64) {
 }
 
 // sweep removes a failed or losing attempt's surviving files, through the
-// remover of the disk or DFS that holds them.
+// remover of the disk or DFS that holds them, and withdraws any of them
+// the attempt offered to the shuffle.
 func (ft *ftRun) sweep(remove func(string) error, files []string) {
 	if len(files) == 0 {
 		return
 	}
+	ft.shuffle.withdraw(files)
 	errs := removeAll(remove, files)
 	ft.mu.Lock()
 	ft.ledger[metrics.CtrSweptAttemptDirs]++

@@ -12,18 +12,19 @@ import (
 )
 
 // This file is the pipelined shuffle. A job-wide pool of copier
-// goroutines stages the spill runs of committed map outputs while the map
-// phase is still running (early fetch): a copier reads each run of a map
-// output with one open of the run and ships the output's partition
-// segments to their partitions' staging nodes, one transfer per node,
-// which keep the bytes inside a bounded memory budget and hand them to
-// reduce attempts. A segment travels and is staged exactly as it sits on
-// the source disk: raw, or prefix-compressed when CompressRuns wrote it
-// so. A segment that was not staged (the budget was full, the read raced a
-// node death) stays on the source disk and the reduce attempt
-// direct-fetches it, so staging never changes job output. A segment is
-// read from its source once: a reduce attempt that needs one admitted to
-// staging waits for its copy.
+// goroutines stages each spill run as soon as its map attempt has written
+// it, while the map phase is still running (early fetch): a copier reads
+// the run with one open and ships its partition segments to their
+// partitions' staging nodes, one transfer per node, which keep the bytes
+// inside a bounded memory budget and hand them to reduce attempts. A
+// reduce attempt asks only for the runs of committed map outputs; the runs
+// of an attempt that never commits are withdrawn when it is swept. A
+// segment travels and is staged exactly as it sits on the source disk:
+// raw, or prefix-compressed when CompressRuns wrote it so. A segment that
+// was not staged (the budget was full, the read raced a node death) stays
+// on the source disk and the reduce attempt direct-fetches it, so staging
+// never changes job output. A segment is read from its source once: a
+// reduce attempt that needs one admitted to staging waits for its copy.
 
 // copiersPerPartition is the fetch fan-out of one reduce attempt, and the
 // copier pool has as many copiers per node. Measured, not tuned per job:
@@ -60,6 +61,13 @@ func (b *stagingBuffer) release(n int64) {
 	b.mu.Unlock()
 }
 
+// usedBytes returns the bytes reserved now.
+func (b *stagingBuffer) usedBytes() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.used
+}
+
 // peakBytes returns the buffer's occupancy high-water mark.
 func (b *stagingBuffer) peakBytes() int64 {
 	b.mu.Lock()
@@ -67,8 +75,8 @@ func (b *stagingBuffer) peakBytes() int64 {
 	return b.peak
 }
 
-// stageReq asks the copiers to stage the admitted segments of one
-// committed map output, ordered by run and then by partition.
+// stageReq asks the copiers to stage the admitted segments of one map
+// output, ordered by run and then by partition.
 type stageReq struct {
 	src  int // source map task index
 	out  mapOutput
@@ -141,15 +149,15 @@ func (s *shuffleService) home(part int) int {
 	return part % s.c.Nodes()
 }
 
-// offer admits a committed map output's segments to staging and queues
-// them for a copier. Called by the runner on each map commit, lost-output
-// recovery re-runs included: a re-run's runs are new files, staged under
-// their own names. A nonempty segment of a partition not yet released
-// reserves its on-disk length from the run index and is entered as in
-// flight here, before a byte is read, so a reduce attempt that asks for it
-// waits for its copy instead of reading the source again; a refused
-// reservation leaves the segment on the source disk for the attempt's
-// direct fetch.
+// offer admits a map output's segments to staging and queues them for a
+// copier. Called by a map attempt's support goroutine with each run it has
+// written, before the attempt commits, lost-output recovery re-runs
+// included: a re-run's runs are new files, staged under their own names.
+// A nonempty segment of a partition not yet released reserves its on-disk
+// length from the run index and is entered as in flight here, before a
+// byte is read, so a reduce attempt that asks for it waits for its copy
+// instead of reading the source again; a refused reservation leaves the
+// segment on the source disk for the attempt's direct fetch.
 func (s *shuffleService) offer(src int, out mapOutput) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,19 +248,21 @@ func (s *shuffleService) stageOutput(ci int, req stageReq) {
 }
 
 // land ends the copies of the request's segments idx, bound for one home:
-// with err nil, and their partitions neither released nor the service
-// closed, each entry takes its bytes; any other is removed and its
-// reservation given back. Either way the entries leave flight and the
-// attempts waiting on them are woken.
+// with err nil, the service open and the entry still the one staged under
+// its run's name (neither its partition released nor its run withdrawn),
+// each entry takes its bytes; any other is removed and its reservation
+// given back. Either way the entries leave flight and the attempts waiting
+// on them are woken.
 func (s *shuffleService) land(req stageReq, idx []int, data [][]byte, err error, spans []trace.Span) {
 	kept := make([]bool, len(idx))
 	s.mu.Lock()
 	for k, i := range idx {
 		g := req.segs[i]
-		if kept[k] = err == nil && !s.closed && !s.released[g.part]; kept[k] {
+		name := req.out.runs[g.run].Name
+		if kept[k] = err == nil && !s.closed && s.staged[g.part][name] == g.st; kept[k] {
 			g.st.data = data[i]
 		} else {
-			delete(s.staged[g.part], req.out.runs[g.run].Name) // a no-op once release dropped the partition
+			delete(s.staged[g.part], name) // a no-op once released or withdrawn
 		}
 		g.st.inFlight = false
 	}
@@ -320,6 +330,22 @@ func (s *shuffleService) release(part int) {
 	s.mu.Unlock()
 }
 
+// withdraw takes the named runs, of an attempt that will never commit, out
+// of staging: a landed segment gives its bytes back to the budget here, a
+// queued or in-flight one its reservation when its copy lands.
+func (s *shuffleService) withdraw(names []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, staged := range s.staged {
+		for _, name := range names {
+			if st := staged[name]; st != nil && !st.inFlight {
+				s.buf.release(int64(len(st.data)))
+			}
+			delete(staged, name)
+		}
+	}
+}
+
 // dropStagedLocked gives partition part's staged bytes back to the budget.
 // An entry still in flight holds no data yet; its copier, or close for a
 // request no copier took, gives its reservation back.
@@ -368,6 +394,7 @@ func (s *shuffleService) close() {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	debugAssert(s.buf.usedBytes() == 0, "staging holds %d bytes after close", s.buf.usedBytes())
 	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.buf.peakBytes())
 }
 

@@ -594,9 +594,7 @@ func (s *shuffleService) isClosed() bool {
 
 // bufUsed reads the staging budget's reservation.
 func bufUsed(svc *shuffleService) int64 {
-	svc.buf.mu.Lock()
-	defer svc.buf.mu.Unlock()
-	return svc.buf.used
+	return svc.buf.usedBytes()
 }
 
 // TestTakeWaitsForInFlightCopy holds one copier's read of a map output's

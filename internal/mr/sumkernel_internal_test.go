@@ -76,7 +76,7 @@ func TestSumKernelsRejectMalformedValue(t *testing.T) {
 			if tc.freq {
 				job.FreqBuf = &FreqBufConfig{K: 10, SampleFraction: 0.05, MemFraction: 0.3}
 			}
-			out, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil)
+			out, rep, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
 			if tc.name == "merge" {
 				if err != nil {
 					t.Fatalf("map task: %v", err)

@@ -96,7 +96,7 @@ func TestMapWorkspaceReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := mapJob(t, chunk)
-		mo, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), i, splits[i], 0, 0, 0, nil)
+		mo, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), i, splits[i], 0, 0, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestMapWorkspaceReuse(t *testing.T) {
 			if name == "canceled" {
 				job.cancel.Store(true)
 			}
-			_, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, splits[0], 0, 0, 0, nil)
+			_, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, splits[0], 0, 0, 0, nil, nil)
 			if err == nil {
 				t.Fatalf("%s attempt succeeded", name)
 			}
