@@ -1,8 +1,8 @@
 // Package cluster assembles the simulated cluster the jobs run on: N
 // nodes, each with its own (optionally throttled) local disk, task slots,
-// and a per-node frequent-key cache; the spill regions and the working
-// memory the map slots keep between tasks; a shared network fabric; and a DFS
-// spanning the node disks. It corresponds to the two testbeds of §V-A: the
+// and a per-node frequent-key cache; the working memory the map slots
+// keep between tasks; a shared network fabric; and a DFS spanning the
+// node disks. It corresponds to the two testbeds of §V-A: the
 // local cluster (6 machines, 12 mappers + 12 reducers) and the 20-node EC2
 // cluster.
 package cluster
@@ -15,7 +15,6 @@ import (
 	"mrtext/internal/core/freqbuf"
 	"mrtext/internal/dfs"
 	"mrtext/internal/fabric"
-	"mrtext/internal/spillbuf"
 	"mrtext/internal/vdisk"
 )
 
@@ -103,18 +102,16 @@ type Cluster struct {
 	Net        *fabric.Fabric
 	FS         *dfs.DFS
 	FreqCaches []*freqbuf.Cache
-	// SpillRegions holds the spill-buffer regions the map slots keep from
-	// one task to the next — two per slot at most, whatever the jobs — so
-	// a task fills memory its predecessor grew. It is one list for the
-	// cluster, not one per node: the nodes are one process, and a region
-	// kept on a node that runs no map task in the next job would be that
-	// process's memory through a reduce phase for nothing.
-	SpillRegions *spillbuf.Pool
-	// MapWorkspaces holds the working memory — ingest arena, spill
-	// scratch, run write buffer — a map attempt leaves for the next, at
-	// most one per map slot. Unlike the spill regions, none is kept past
-	// the end of a map phase (FreeList.Trim): a workspace is a few MiB
-	// that the reduce phase would carry for nothing.
+	// MapWorkspaces holds the working memory a map attempt leaves for the
+	// next — two spill regions, ingest arena, sort scratch, run write
+	// buffer — at most one workspace per map slot, so a task fills memory
+	// its predecessor grew. It is one list for the cluster, not one per
+	// node: the nodes are one process, and a workspace kept on a node that
+	// runs no map task in the next job would be that process's memory
+	// through a reduce phase for nothing. When a map phase ends the list
+	// keeps one workspace per map task it served, each cut down to its
+	// spill regions (FreeList.Trim): the rest is a few MiB that the reduce
+	// phase would carry for nothing.
 	MapWorkspaces *FreeList
 	// Chaos is the cluster's fault injector; nil when Config.Chaos was
 	// nil, which every consumer must tolerate (nil is fully disabled).
@@ -172,10 +169,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots := cfg.Nodes * cfg.MapSlotsPerNode
 	return &Cluster{cfg: cfg, Disks: disks, Net: net, FS: fs, FreqCaches: caches,
-		SpillRegions:  spillbuf.NewPool(spillbuf.RegionsPerBuffer * slots),
-		MapWorkspaces: NewFreeList(slots), Chaos: inj}, nil
+		MapWorkspaces: NewFreeList(cfg.Nodes * cfg.MapSlotsPerNode), Chaos: inj}, nil
 }
 
 // Config returns the cluster's configuration.

@@ -260,24 +260,30 @@ func TestThrottledDisksWired(t *testing.T) {
 }
 
 // TestSpillRegionsBound: the cluster keeps at most two spill regions per
-// map slot, however many buffers return theirs.
+// map slot, however many buffers return theirs — the regions live in the
+// map workspaces, at most one per slot. The cut at the end of a map phase
+// waits while a workspace is out, keeps at most one per Get since the last
+// cut and none that shrink rejects, and a second cut with nothing taken
+// since the first leaves what the first kept.
 func TestSpillRegionsBound(t *testing.T) {
-	cfg := Fast(3)
-	c, err := New(cfg)
+	c, err := New(Fast(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := spillbuf.RegionsPerBuffer * c.TotalMapSlots()
-	var bufs []*spillbuf.Buffer
-	for i := 0; i < bound; i++ { // twice the slots: twice the regions the list may keep
-		b, err := spillbuf.New(1<<10, nil, nil)
+	slots := c.TotalMapSlots()
+	var homes []*spillbuf.Regions
+	for i := 0; i < 2*slots; i++ { // twice the slots: twice the workspaces the list may keep
+		home, ok := c.MapWorkspaces.Get().(*spillbuf.Regions)
+		if !ok {
+			home = new(spillbuf.Regions)
+		}
+		homes = append(homes, home)
+	}
+	for _, home := range homes {
+		b, err := spillbuf.NewOn(home, 1<<10, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.AttachPool(c.SpillRegions)
-		bufs = append(bufs, b)
-	}
-	for _, b := range bufs {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -296,8 +302,62 @@ func TestSpillRegionsBound(t *testing.T) {
 		}
 		b.Close()
 		<-done
+		c.MapWorkspaces.Put(home)
 	}
-	if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free != bound || out != 0 {
-		t.Errorf("%d regions free and %d out after %d buffers, want the bound of %d and none", free, out, len(bufs), bound)
+	// kept counts the workspaces the list holds and the regions in them.
+	kept := func() (workspaces, regions int) {
+		workspaces = c.MapWorkspaces.Free()
+		var taken []any
+		for range workspaces {
+			x := c.MapWorkspaces.Get()
+			for _, r := range *x.(*spillbuf.Regions) {
+				if cap(r.Arena) > 0 {
+					regions++
+				}
+			}
+			taken = append(taken, x)
+		}
+		for _, x := range taken {
+			c.MapWorkspaces.Put(x)
+		}
+		return workspaces, regions
+	}
+	if ws, regions := kept(); ws != slots || regions != spillbuf.RegionsPerBuffer*slots || c.MapWorkspaces.Out() != 0 {
+		t.Errorf("%d workspaces kept, holding %d regions, and %d out after %d buffers; want the bound of %d, holding %d, and none",
+			ws, regions, c.MapWorkspaces.Out(), len(homes), slots, spillbuf.RegionsPerBuffer*slots)
+	}
+
+	// shrink keeps every workspace but the one it is told to reject.
+	var reject any
+	shrinks := 0
+	shrink := func(x any) bool {
+		shrinks++
+		return x != reject
+	}
+	busy := c.MapWorkspaces.Get()
+	c.MapWorkspaces.Trim(shrink)
+	c.MapWorkspaces.Put(busy)
+	if shrinks != 0 {
+		t.Fatal("the cut ran while a workspace was out")
+	}
+	c.MapWorkspaces.Trim(shrink) // every Get so far counts: none is cut for want of tasks
+	c.MapWorkspaces.Trim(shrink) // nothing taken since the last cut
+	if ws := c.MapWorkspaces.Free(); ws != slots || shrinks != slots {
+		t.Errorf("two cuts: %d workspaces kept and %d shrunk, want all %d once", ws, shrinks, slots)
+	}
+	// Two Gets since the last cut, and shrink rejects the last workspace
+	// the second one took: two others are kept.
+	for range 2 {
+		reject = c.MapWorkspaces.Get()
+		c.MapWorkspaces.Put(reject)
+	}
+	c.MapWorkspaces.Trim(shrink)
+	if ws := c.MapWorkspaces.Free(); ws != 2 {
+		t.Errorf("a cut after two Gets kept %d workspaces, want 2", ws)
+	}
+	for range 2 {
+		if x := c.MapWorkspaces.Get(); x == reject {
+			t.Error("the cut kept the workspace shrink rejected")
+		}
 	}
 }

@@ -7,10 +7,11 @@ import "sync"
 // takes a value, nil when the list is empty; Put returns one, dropped when
 // the list is full. A FreeList is safe for concurrent use.
 type FreeList struct {
-	mu   sync.Mutex
-	free []any
-	max  int
-	out  int // values taken and not yet returned
+	mu    sync.Mutex
+	free  []any
+	max   int
+	out   int // values taken and not yet returned
+	taken int // Get calls since the last cut
 }
 
 // NewFreeList returns a list that keeps at most max values.
@@ -22,6 +23,7 @@ func (l *FreeList) Get() any {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.out++
+	l.taken++
 	n := len(l.free)
 	if n == 0 {
 		return nil
@@ -42,24 +44,43 @@ func (l *FreeList) Put(x any) {
 	}
 }
 
-// Trim empties the list. The runner calls it when a map phase ends, so
-// the values serve the tasks of one phase, as a Hadoop task JVM is reused
-// by the tasks of one job, and are not kept through the reduce phase,
-// whose memory they are not. While values are out — another job's phase
-// is running — it leaves the cut to that job's call.
-func (l *FreeList) Trim() {
+// Trim cuts the list down to one value per Get since the last cut, each
+// cut down by shrink, which reports whether anything worth keeping is
+// left. The runner calls it when a map phase ends, so what the values
+// hold serves the tasks of one phase, as a Hadoop task JVM is reused by
+// the tasks of one job, and only what shrink leaves, for as many tasks as
+// the phase ran, stays through the reduce phase, whose memory it is not.
+// While values are out — another job's phase is running — it leaves the
+// cut to that job's call, and with nothing taken since the last cut the
+// list is as that cut left it: two jobs whose map phases end together
+// both call it, and the second must not empty what the first kept.
+func (l *FreeList) Trim(shrink func(any) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.out > 0 {
+	if l.out > 0 || l.taken == 0 {
 		return
 	}
-	clear(l.free)
-	l.free = l.free[:0]
+	kept := l.free[:0]
+	for _, x := range l.free {
+		if len(kept) < l.taken && shrink(x) {
+			kept = append(kept, x)
+		}
+	}
+	clear(l.free[len(kept):])
+	l.free, l.taken = kept, 0
 }
 
-// Free returns the number of values the list holds.
+// Free returns the number of values the list holds, and Out the number
+// taken from it and not yet returned.
 func (l *FreeList) Free() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.free)
+}
+
+// Out: see Free.
+func (l *FreeList) Out() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.out
 }

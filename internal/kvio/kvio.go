@@ -1,9 +1,10 @@
 // Package kvio implements the on-disk intermediate-data machinery of the
-// runtime: sorted, partitioned run files (spill files and final map-output
-// segments), sequential run readers, the packed in-memory record
-// representation the spill path sorts (packed.go), and the loser-tree
-// k-way merge — with optional inline combining — used both by the
-// map-side merge and by the reduce-side shuffle merge (losertree.go).
+// runtime: sorted, partitioned run files (spill runs, which are a map
+// task's output: no map-side merge joins them), sequential run readers,
+// the packed in-memory record representation the spill path sorts
+// (packed.go), and the loser-tree k-way merge the reduce side reads one
+// stream per (map task, run) through (losertree.go); MergeInto adds
+// optional inline combining to it.
 //
 // A run file holds, for each partition in ascending order, a contiguous
 // segment of framed key/value records sorted by key. The byte offsets of

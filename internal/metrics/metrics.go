@@ -81,7 +81,7 @@ func (op Op) User() bool {
 type Phase int
 
 const (
-	// PhaseMap covers everything inside map tasks, through the final merge.
+	// PhaseMap covers everything inside map tasks, through the last spill run.
 	PhaseMap Phase = iota
 	// PhaseShuffle covers moving map outputs to the reduce side.
 	PhaseShuffle

@@ -1,0 +1,29 @@
+package mr
+
+import "mrtext/internal/cluster"
+
+// KeptRegions reports the spill regions in the map workspaces c keeps: one
+// count per workspace, and how many distinct arenas they hold in all — as
+// many as the counts add up to unless a region is in two places at once.
+// It takes every workspace off the list and puts it back, so no map task
+// may be running.
+func KeptRegions(c *cluster.Cluster) (perWorkspace []int, distinct int) {
+	arenas := make(map[*byte]bool)
+	var taken []any
+	for range c.MapWorkspaces.Free() {
+		x := c.MapWorkspaces.Get()
+		taken = append(taken, x)
+		n := 0
+		for _, r := range x.(*mapWorkspace).regions {
+			if cap(r.Arena) > 0 {
+				n++
+				arenas[&r.Arena[:1][0]] = true
+			}
+		}
+		perWorkspace = append(perWorkspace, n)
+	}
+	for _, x := range taken {
+		c.MapWorkspaces.Put(x)
+	}
+	return perWorkspace, len(arenas)
+}

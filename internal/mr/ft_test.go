@@ -121,16 +121,27 @@ func assertCounterIdentity(t *testing.T, res *mr.Result) {
 }
 
 // assertRegionsHome checks the spill regions of a cluster with no job
-// running: every region a map attempt took from the pool is back,
-// whichever way the attempt ended, and the pool holds no more than two per
-// map slot.
+// running: every map workspace an attempt took is back, whichever way the
+// attempt ended, the cluster keeps at most one per map slot, each holds at
+// most two regions, and no region is in two workspaces at once.
 func assertRegionsHome(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	if out := c.SpillRegions.Out(); out != 0 {
-		t.Errorf("%d spill regions still out of the pool with no task running", out)
+	if out := c.MapWorkspaces.Out(); out != 0 {
+		t.Errorf("%d map workspaces still out with no task running", out)
 	}
-	if free, bound := c.SpillRegions.Free(), spillbuf.RegionsPerBuffer*c.TotalMapSlots(); free > bound {
-		t.Errorf("pool holds %d spill regions, bound %d", free, bound)
+	kept, distinct := mr.KeptRegions(c)
+	if len(kept) > c.TotalMapSlots() {
+		t.Errorf("cluster keeps %d map workspaces, bound %d", len(kept), c.TotalMapSlots())
+	}
+	total := 0
+	for _, n := range kept {
+		if n > spillbuf.RegionsPerBuffer {
+			t.Errorf("a map workspace holds %d spill regions, bound %d", n, spillbuf.RegionsPerBuffer)
+		}
+		total += n
+	}
+	if distinct != total {
+		t.Errorf("the map workspaces hold %d spill regions but only %d distinct arenas", total, distinct)
 	}
 }
 
@@ -338,34 +349,41 @@ func TestLostMapOutputRecovery(t *testing.T) {
 	}
 }
 
-// TestSpeculationOnManufacturedStraggler delays a large fraction of
-// attempts so the straggler monitor has clear targets, and checks that
-// backups launch and the output stays correct whichever copy wins.
+// TestSpeculationOnManufacturedStraggler delays some map attempts so the
+// straggler monitor has clear targets, and checks that backups launch and
+// the output stays correct whichever copy wins. The delay is sized from an
+// undelayed run of the same job on the same cluster: three times its map
+// phase, so a delayed attempt outlasts the 1.8× median threshold however
+// slow the host or the race detector makes an undelayed one. Seed 3 at
+// rate 0.25 delays map tasks 1 and 6 of the eight and no backup or reduce
+// attempt, which leaves the monitor's 0.6 quorum of undelayed tasks.
 func TestSpeculationOnManufacturedStraggler(t *testing.T) {
 	ref := ftReference(t)
-	// The delay must dwarf an undelayed attempt's duration even when the
-	// race detector slows the undelayed work an order of magnitude,
-	// otherwise 1.8× the committed median can swallow the manufactured
-	// straggler margin and nothing speculates.
-	cfg := chaos.Config{Seed: 13, KillNode: -1, DelayRate: 0.4, Delay: 120 * time.Millisecond}
-	c, corpus := newFTCluster(t, &cfg)
+	c, corpus := newFTCluster(t, nil)
+	undelayed, err := mr.Run(c, ftJob(corpus, "wc-spec-undelayed"))
+	if err != nil {
+		t.Fatalf("undelayed run: %v", err)
+	}
+	assertOutputsMatch(t, c, undelayed, ref)
+	cfg := chaos.Config{Seed: 3, KillNode: -1, DelayRate: 0.25, Delay: 3 * undelayed.MapWall}
+	inj, err := chaos.New(cfg, ftNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := ftJob(corpus, "wc-spec")
 	job.Speculation = true
-	// With 40% of the eight map tasks delayed, the default 0.6 quorum is
-	// often out of reach while the stragglers sleep; a low quorum lets the
-	// monitor act as soon as a couple of fast attempts establish a median.
-	job.SpeculationQuorum = 0.25
+	job.Chaos = inj
 	res, err := mr.Run(c, job)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	assertOutputsMatch(t, c, res, ref)
 	assertCounterIdentity(t, res)
-	if stats := c.Chaos.Stats(); stats.Delays == 0 {
-		t.Fatalf("no stragglers manufactured at delay rate %v", cfg.DelayRate)
+	if delays := inj.Stats().Delays; delays != 2 {
+		t.Fatalf("%d stragglers manufactured at delay rate %v, want map tasks 1 and 6", delays, cfg.DelayRate)
 	}
 	if res.SpeculativeTasks == 0 {
-		t.Errorf("stragglers ran %v behind their peers but no speculative backups launched", cfg.Delay)
+		t.Errorf("stragglers ran %v behind their peers (the undelayed map phase took %v) but no speculative backups launched", cfg.Delay, undelayed.MapWall)
 	}
 	if res.SpeculativeWins > res.SpeculativeTasks {
 		t.Errorf("speculative wins %d > speculative launches %d", res.SpeculativeWins, res.SpeculativeTasks)

@@ -2,11 +2,13 @@
 // Hadoop. It executes jobs over the simulated cluster with the exact
 // pipeline structure the paper instruments — map tasks run a map goroutine
 // and a support goroutine connected by a spill buffer; spills are sorted,
-// combined and written to node-local disk; spill runs are merge-sorted into
-// one partitioned map-output file; a pipelined shuffle stages each reduce
-// partition's segments across the fabric while the map phase is still
-// running, and reducers merge-sort, group and reduce from the staged
-// copies (falling back to direct fetches for anything not staged).
+// combined and written to node-local disk as sorted, partitioned runs, and
+// a map task's output is its runs, with no map-side merge; a pipelined
+// shuffle stages each reduce partition's segments of every run across the
+// fabric as the runs are written, while the map phase is still running,
+// and reducers merge-sort, group and reduce one stream per (map task, run)
+// from the staged copies (falling back to direct fetches for anything not
+// staged).
 //
 // Both optimizations plug in here: a spillmatch.Controller governs each map
 // task's spill percentage, and an optional freqbuf.Buffer intercepts
@@ -82,8 +84,8 @@ type CombineFunc = kvio.CombineFunc
 
 // SumInt64 is the int64-sum combiner, kvio.SumInt64: values are zig-zag
 // varints (serde.EncodeInt64) and it emits their total. A job whose Combine
-// is this exact value is summed in place — by the spill writer, the
-// map-side merge and the frequency buffer — without a combine() call; a
+// is this exact value is summed in place — by the spill writer and the
+// frequency buffer, as by kvio.MergeInto — without a combine() call; a
 // func that wraps it is called like any other combiner.
 //
 //mrlint:ignore globalstate a re-export: the runtime recognises kvio.SumInt64's value, so this must be that func, not a wrapper
@@ -207,14 +209,11 @@ type Job struct {
 	// fails the job with the last attempt's error.
 	MaxAttempts int
 	// Speculation enables backup attempts for stragglers: once
-	// SpeculationQuorum of a phase's tasks have committed, a task whose
+	// speculationQuorum of a phase's tasks have committed, a task whose
 	// sole running attempt has been going longer than speculationSlowdown
 	// times the median committed duration gets one backup attempt; the
 	// first committer wins and the loser's output is discarded.
 	Speculation bool
-	// SpeculationQuorum is the fraction of committed tasks required
-	// before backups launch (default 0.6).
-	SpeculationQuorum float64
 
 	// filePrefix uniquifies intermediate file names so the same job spec
 	// can run repeatedly on one cluster. Set by withDefaults.
@@ -270,9 +269,6 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	}
 	if cp.MaxAttempts <= 0 {
 		cp.MaxAttempts = 4
-	}
-	if cp.SpeculationQuorum <= 0 || cp.SpeculationQuorum > 1 {
-		cp.SpeculationQuorum = 0.6
 	}
 	if cp.FreqBuf != nil {
 		fb := *cp.FreqBuf

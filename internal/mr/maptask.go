@@ -324,14 +324,27 @@ func (s *spillScratch) runBuffer() *bufio.Writer {
 }
 
 // mapWorkspace is the working memory a map attempt reuses from the attempt
-// before it on the cluster — the input scanner with its arena, and the
-// spill scratch — so that a task's ingest and spill path allocate nothing
-// a warm slot already has. An attempt takes one from the cluster's free
-// list (cluster.MapWorkspaces) and returns it when it ends, however it
-// ends; the runner empties the list when a map phase ends.
+// before it on the cluster — the spill buffer's two regions, the input
+// scanner with its arena, and the spill scratch — so that a task's
+// collect, ingest and spill path allocate nothing a warm slot already
+// has. An attempt takes one from the cluster's free list
+// (cluster.MapWorkspaces) and returns it when it ends, however it ends;
+// when a map phase ends the runner cuts the list with shrinkWorkspace.
 type mapWorkspace struct {
+	regions spillbuf.Regions
 	scanner blockScanner
 	scratch spillScratch
+}
+
+// shrinkWorkspace is the cut of a kept workspace at the end of a map
+// phase: it drops the ingest arena and the spill scratch, which the reduce
+// phase would carry for nothing, and keeps the spill regions, so that the
+// next phase's task fills both without growing them. It reports whether a
+// region is left: a workspace that holds none is not worth keeping.
+func shrinkWorkspace(x any) bool {
+	ws := x.(*mapWorkspace)
+	ws.scanner, ws.scratch = blockScanner{}, spillScratch{}
+	return cap(ws.regions[0].Arena) > 0 || cap(ws.regions[1].Arena) > 0
 }
 
 // takeWorkspace takes a workspace off c's free list, or makes one when the
@@ -564,12 +577,11 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		mc.cache = cache
 	}
 
-	buf, err := spillbuf.New(bufBytes, ctrl, tm)
+	buf, err := spillbuf.NewOn(&ws.regions, bufBytes, ctrl, tm)
 	if err != nil {
 		return fail(err)
 	}
 	buf.AttachTrace(job.Trace, node, taskIdx, slot)
-	buf.AttachPool(c.SpillRegions)
 	mc.buf = buf
 
 	// Support goroutine: consume spills. It appends to runs and created;
@@ -580,7 +592,7 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	scratch := &ws.scratch
 	// consume writes one spill as a run. Whatever happens to it, a panic in
 	// the combiner included, the spill is released: its region goes back to
-	// the cluster's pool and its bytes stop counting against the buffer.
+	// the workspace and its bytes stop counting against the buffer.
 	consume := func(spill spillbuf.Spill) (err error) {
 		consumeStart := tm.Now()
 		defer func() {

@@ -135,12 +135,11 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 			ft.attemptFailed(pa, node, err)
 		}
 	})
-	// Of the spill regions the phase used, one per task it ran (at most one
-	// per slot) waits for the next map phase, this cluster's next job's or
-	// a concurrent one's; the rest, and every map workspace, is not kept
+	// The spill regions of one map workspace per task the phase ran, at
+	// most one per slot, wait for the next map phase, this cluster's next
+	// job's or a concurrent one's; the rest of the workspaces is not kept
 	// through the reduce phase.
-	c.SpillRegions.Trim()
-	c.MapWorkspaces.Trim()
+	c.MapWorkspaces.Trim(shrinkWorkspace)
 	if err != nil {
 		return fail(err)
 	}
@@ -249,6 +248,10 @@ const (
 	// attempt older than this multiple of the median committed attempt
 	// gets a backup.
 	speculationSlowdown = 1.8
+	// speculationQuorum is the fraction of a phase's tasks that must have
+	// committed before backups launch: the median they give is the
+	// yardstick a straggler is measured against.
+	speculationQuorum = 0.6
 )
 
 // pendingAttempt is one schedulable unit of work: a (task, attempt) pair.
@@ -710,7 +713,7 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 		}
 		ft.mu.Lock()
 		if ft.aborted || ft.phaseDone || ft.done == 0 ||
-			float64(ft.done) < ft.job.SpeculationQuorum*float64(ft.total) {
+			float64(ft.done) < speculationQuorum*float64(ft.total) {
 			ft.mu.Unlock()
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 	"mrtext/internal/core/spillmatch"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
+	"mrtext/internal/spillbuf"
 	"mrtext/internal/textgen"
 	"mrtext/internal/trace"
 )
@@ -270,11 +271,38 @@ func TestSpillMatcherAdaptsInRealRuns(t *testing.T) {
 	}
 }
 
+// assertKeptAfterCut checks the cluster after a map phase's cut with no
+// task running: no map workspace is out; the cluster keeps at least one
+// and at most one per map task that ran, and at most one per slot; each
+// holds its spill regions, one or two, for a task of the next phase to
+// fill, and no region is in two of them.
+func assertKeptAfterCut(t *testing.T, c *cluster.Cluster, tasks int, after string) {
+	t.Helper()
+	if out := c.MapWorkspaces.Out(); out != 0 {
+		t.Errorf("after %s: %d map workspaces out", after, out)
+	}
+	kept, distinct := mr.KeptRegions(c)
+	if bound := min(tasks, c.TotalMapSlots()); len(kept) == 0 || len(kept) > bound {
+		t.Errorf("after %s: %d map workspaces kept, want 1 to %d", after, len(kept), bound)
+	}
+	total := 0
+	for i, n := range kept {
+		if n == 0 || n > spillbuf.RegionsPerBuffer {
+			t.Errorf("after %s: kept workspace %d holds %d spill regions, want 1 to %d", after, i, n, spillbuf.RegionsPerBuffer)
+		}
+		total += n
+	}
+	if distinct != total {
+		t.Errorf("after %s: the workspaces hold %d regions but %d distinct arenas", after, total, distinct)
+	}
+}
+
 // TestRegionsKeptBetweenConcurrentJobs: two jobs run at once, twice over.
-// Both runners cut the region pool when their map phases end, one right
-// after the other when the phases end together; the later cut must not
-// empty what the earlier one kept, so after each round at least one region
-// per map task, at most one per slot, is there for the next jobs.
+// Both runners cut the map workspaces when their map phases end, one
+// right after the other when the phases end together; the later cut must
+// not empty what the earlier one kept, so after each round the spill
+// regions of a workspace per map task, at most one per slot, are there
+// for the next jobs.
 func TestRegionsKeptBetweenConcurrentJobs(t *testing.T) {
 	c, corpus := newTextCluster(t, 2, 3<<20) // three splits, four map slots
 	for round := 0; round < 2; round++ {
@@ -297,17 +325,16 @@ func TestRegionsKeptBetweenConcurrentJobs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := min(results[0].MapTasks, c.TotalMapSlots())
-		if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free < want || out != 0 {
-			t.Errorf("after round %d: %d regions kept and %d out, want at least %d and 0", round, free, out, want)
-		}
+		tasks := results[0].MapTasks + results[1].MapTasks
+		assertKeptAfterCut(t, c, tasks, fmt.Sprintf("round %d", round))
 	}
 }
 
 // TestRegionsKeptBetweenJobs: when a job's map phase ends the cluster
-// keeps one spill region per map task it ran, at most one per slot, for
-// the next job's tasks to start on; nothing is out and nothing beyond
-// that is held through the reduce phase.
+// keeps the spill regions of at most one map workspace per task it ran,
+// at most one per slot, for the next job's tasks to start on; nothing is
+// out, and nothing else of the workspaces is held through the reduce
+// phase (TestMapWorkspaceReuse checks that on one slot).
 func TestRegionsKeptBetweenJobs(t *testing.T) {
 	c, corpus := newTextCluster(t, 2, 3<<20) // three splits, four map slots
 	for _, name := range []string{"first", "second"} {
@@ -318,9 +345,6 @@ func TestRegionsKeptBetweenJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := min(res.MapTasks, c.TotalMapSlots())
-		if free, out := c.SpillRegions.Free(), c.SpillRegions.Out(); free != want || out != 0 {
-			t.Errorf("after job %s of %d map tasks: %d regions kept and %d out, want %d and 0", name, res.MapTasks, free, out, want)
-		}
+		assertKeptAfterCut(t, c, res.MapTasks, "job "+name)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
+	"mrtext/internal/spillbuf"
 	"mrtext/internal/vdisk"
 )
 
@@ -52,6 +53,17 @@ func longLinesInput(lines int) []byte {
 	return b.Bytes()
 }
 
+// held returns how many spill regions ws holds.
+func held(ws *mapWorkspace) int {
+	n := 0
+	for _, r := range ws.regions {
+		if cap(r.Arena) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // peekWorkspace returns the cluster's one kept workspace without taking it
 // for good.
 func peekWorkspace(t *testing.T, c *cluster.Cluster) *mapWorkspace {
@@ -70,9 +82,10 @@ func peekWorkspace(t *testing.T, c *cluster.Cluster) *mapWorkspace {
 // lines make the arena outgrow and the default chunk, and writes the same
 // map output as an attempt on a fresh workspace. Whole jobs that start on
 // such a workspace, and whose tasks then take each other's, write the
-// reference executor's output, and leave no workspace behind when their
-// map phase ends. Failed, panicking and canceled attempts return their
-// workspace too.
+// reference executor's output, and leave the workspace with its two spill
+// regions and nothing else when their map phase ends. Failed, panicking and
+// canceled attempts return their workspace too, and a combiner's panic
+// leaves both spill regions in it.
 func TestMapWorkspaceReuse(t *testing.T) {
 	data := longLinesInput(1000)
 	blockSize := int64(len(data) / 4)
@@ -148,8 +161,10 @@ func TestMapWorkspaceReuse(t *testing.T) {
 			t.Fatalf("%d map tasks: the case needs several on the one slot", res.MapTasks)
 		}
 		assertReferenceOutput(t, c, res, want)
-		if n := c.MapWorkspaces.Free(); n != 0 {
-			t.Errorf("the map phase ended with %d workspaces kept, want none", n)
+		ws := peekWorkspace(t, c)
+		if held(ws) != spillbuf.RegionsPerBuffer || ws.scanner.buf != nil || ws.scratch.runBuf != nil {
+			t.Errorf("the map phase's cut left a workspace with %d spill regions, a %d-byte ingest arena and run buffer %p; want both regions and nothing else",
+				held(ws), cap(ws.scanner.buf), ws.scratch.runBuf)
 		}
 	}
 
@@ -198,12 +213,24 @@ func TestMapWorkspaceReuse(t *testing.T) {
 				panic("boom")
 			},
 			"canceled": nil,
+			"combiner-panicked": func(_ int64, _ []byte, out Collector) error {
+				return out.Collect([]byte("key"), one) // one key: every spill calls the combiner
+			},
 		}
-		for _, name := range []string{"failed", "panicked", "canceled"} {
-			if name == "panicked" && debugBuild {
+		// The combiner's panic leaves both regions home, where every later
+		// attempt, failing before it collects a record, puts back the one it
+		// started on.
+		regions := 0
+		for _, name := range []string{"combiner-panicked", "failed", "panicked", "canceled"} {
+			if strings.HasSuffix(name, "panicked") && debugBuild {
 				continue // a debug build re-raises the panic (see panicError)
 			}
-			job := acctJob(t, sumValues, 64<<10, mappers[name])
+			combine := sumValues
+			if name == "combiner-panicked" {
+				combine = func([]byte, [][]byte, func(k, v []byte) error) error { panic("boom") }
+				regions = spillbuf.RegionsPerBuffer
+			}
+			job := acctJob(t, combine, 4<<10, mappers[name])
 			job.IngestChunkBytes = 64
 			if name == "canceled" {
 				job.cancel.Store(true)
@@ -212,8 +239,8 @@ func TestMapWorkspaceReuse(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%s attempt succeeded", name)
 			}
-			if n := c.MapWorkspaces.Free(); n != 1 {
-				t.Fatalf("after a %s attempt the cluster keeps %d workspaces, want 1", name, n)
+			if n := held(peekWorkspace(t, c)); n != regions {
+				t.Errorf("after a %s attempt the workspace holds %d spill regions, want %d", name, n, regions)
 			}
 		}
 		run(t, c, 0)

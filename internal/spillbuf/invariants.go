@@ -74,23 +74,22 @@ func (b *Buffer) checkPendingSum(where string) {
 	}
 }
 
-// checkReturn asserts that a region coming back is not one the pool
-// already holds — the same arena returned twice would be handed to two
-// buffers — and that more regions do not come back than went out. The
-// caller must hold p.mu.
-func (p *Pool) checkReturn(r kvio.Region) {
-	if p.out < 0 {
-		panic(fmt.Sprintf("spillbuf: pool got back %d more regions than it gave out", -p.out))
-	}
-	if len(p.free) > p.max {
-		panic(fmt.Sprintf("spillbuf: pool holds %d regions, bound %d", len(p.free), p.max))
-	}
-	if cap(r.Arena) == 0 {
-		return
-	}
-	for i, f := range p.free {
-		if &f.Arena[:1][0] == &r.Arena[:1][0] {
-			panic(fmt.Sprintf("spillbuf: region returned to the pool twice (free slot %d holds its arena)", i))
+// checkReturn asserts that a region coming back finds its home pair as it
+// should: no slot already holds its arena — the same arena in both slots
+// would be handed out twice — and one slot is empty for it, since a buffer
+// has at most RegionsPerBuffer regions out. The buffer holds b.mu.
+func (h *Regions) checkReturn(r kvio.Region) {
+	full := 0
+	for i := range h {
+		if cap(h[i].Arena) == 0 {
+			continue
 		}
+		full++
+		if &h[i].Arena[:1][0] == &r.Arena[:1][0] {
+			panic(fmt.Sprintf("spillbuf: region returned twice (slot %d holds its arena)", i))
+		}
+	}
+	if full == len(h) {
+		panic("spillbuf: a region came back to a full pair of slots")
 	}
 }

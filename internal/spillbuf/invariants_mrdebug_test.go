@@ -5,6 +5,8 @@ package spillbuf
 import (
 	"strings"
 	"testing"
+
+	"mrtext/internal/kvio"
 )
 
 // These tests exist only in mrdebug builds: they verify the invariant
@@ -78,17 +80,23 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	b.mu.Unlock()
 }
 
-// TestPoolCatchesDoubleReturn: a region may be in one place at a time. One
-// that comes back while the pool still holds it would be handed to two
-// buffers.
-func TestPoolCatchesDoubleReturn(t *testing.T) {
-	p := NewPool(4)
-	r := p.get()
-	r.Append(0, []byte("key"), []byte("value"))
-	p.get() // keep the count of regions out above what comes back
-	p.put(r)
-	mustPanic(t, "returned to the pool twice", func() { p.put(r) })
+// TestRegionsCatchBadReturn: a region may be in one place at a time. One
+// that comes back while a slot still holds it would be handed out twice,
+// and one that comes back to a full pair is one more than a buffer has
+// out.
+func TestRegionsCatchBadReturn(t *testing.T) {
+	grown := func() kvio.Region {
+		var r kvio.Region
+		r.Append(0, []byte("key"), []byte("value"))
+		return r
+	}
+	var h Regions
+	r := grown()
+	h.put(r)
+	mustPanic(t, "returned twice", func() { h.put(r) })
 
-	p = NewPool(4)
-	mustPanic(t, "more regions than it gave out", func() { p.put(r) })
+	h = Regions{}
+	h.put(grown())
+	h.put(grown())
+	mustPanic(t, "full pair", func() { h.put(grown()) })
 }

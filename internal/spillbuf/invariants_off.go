@@ -13,4 +13,4 @@ func (b *Buffer) checkInvariants(string) {}
 
 func (b *Buffer) checkPendingSum(string) {}
 
-func (p *Pool) checkReturn(kvio.Region) {}
+func (h *Regions) checkReturn(kvio.Region) {}

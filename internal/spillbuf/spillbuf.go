@@ -48,10 +48,11 @@
 // arena and a compact kvio.Meta entry per record — arena location and
 // cached key prefix — joins its partition's entries (kvio.Region). A spill
 // hands the consumer the region directly — no per-record allocations, and
-// no pass to group it by partition before the sort. Regions come from a
-// Pool and go back to it on Release; the pool a cluster keeps per node
-// outlives the task, so a map slot fills the regions its previous task
-// grew instead of growing its own.
+// no pass to group it by partition before the sort. A buffer borrows its
+// two regions from a pair of slots (Regions) and puts each back there on
+// Release and on every other way out; a map slot's pair outlives the
+// task, so the slot's next task fills the regions its previous task grew
+// instead of growing its own.
 package spillbuf
 
 import (
@@ -114,7 +115,6 @@ type Buffer struct {
 	ctrl     spillmatch.Controller
 	tm       *metrics.TaskMetrics
 	now      func() time.Time // tm's clock, the wall clock without a tm
-	pool     *Pool
 
 	// Trace identity: which (node, task, slot) the buffer's wait spans and
 	// spill instants are attributed to. tr nil means tracing is off.
@@ -142,11 +142,12 @@ type Buffer struct {
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	ready      Spill // the producer's hand-off, until the consumer picks it up
+	home       *Regions // where the regions come from and go back to
+	ready      Spill    // the producer's hand-off, until the consumer picks it up
 	hasReady   bool
 	blockedFor int64 // charge of the record the producer is parked for; 0 while it is not parked
 	aborted    bool  // the consumer is gone: what is pending is dropped, not spilled
-	dropped    bool  // no region is pending any more: the last one has left as a spill or gone back to the pool
+	dropped    bool  // no region is pending any more: the last one has left as a spill or gone home
 	seq        int
 	spillBytes int64
 	maxPending int64
@@ -154,8 +155,15 @@ type Buffer struct {
 
 // New creates a buffer of capacity bytes governed by ctrl; instrumentation
 // is recorded into tm (which may be nil). The buffer recycles its regions
-// through a pool of its own until AttachPool gives it a shared one.
+// through slots of its own.
 func New(capacity int64, ctrl spillmatch.Controller, tm *metrics.TaskMetrics) (*Buffer, error) {
+	return NewOn(new(Regions), capacity, ctrl, tm)
+}
+
+// NewOn is New for a buffer that borrows its regions from home: it starts
+// on one of home's regions, and home holds every region again once the
+// buffer is done, so that the next buffer on home fills what this one grew.
+func NewOn(home *Regions, capacity int64, ctrl spillmatch.Controller, tm *metrics.TaskMetrics) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("spillbuf: capacity must be positive, got %d", capacity)
 	}
@@ -165,11 +173,11 @@ func New(capacity int64, ctrl spillmatch.Controller, tm *metrics.TaskMetrics) (*
 	if ctrl == nil {
 		ctrl = spillmatch.NewStatic(spillmatch.DefaultStaticPercent)
 	}
-	b := &Buffer{capacity: capacity, ctrl: ctrl, tm: tm, now: time.Now, producing: true}
+	b := &Buffer{capacity: capacity, ctrl: ctrl, tm: tm, now: time.Now, producing: true,
+		home: home, pending: home.take()}
 	if tm != nil {
 		b.now = tm.Now
 	}
-	b.AttachPool(NewPool(RegionsPerBuffer))
 	b.produceMark = b.now()
 	b.setSpillAt(ctrl.Percent())
 	b.cond = sync.NewCond(&b.mu)
@@ -184,14 +192,6 @@ func (b *Buffer) AttachTrace(tr *trace.Tracer, node, task, slot int) {
 	b.trNode = node
 	b.trTask = task
 	b.trSlot = slot
-}
-
-// AttachPool makes the buffer take its regions from p and return them
-// there, on every way out. Call before the first Append.
-func (b *Buffer) AttachPool(p *Pool) {
-	b.pool = p
-	//mrlint:ignore lockcheck before the first Append the buffer is not shared yet
-	b.pending = p.attach()
 }
 
 // Capacity returns M.
@@ -248,7 +248,7 @@ func (b *Buffer) Append(part int, key, value []byte) (time.Duration, error) {
 		// parked stays set the consumer is inside cond.Wait and its ready
 		// slot is empty.
 		b.mu.Lock()
-		//mrlint:ignore alloccheck once per spill, and only when the pool has no region to recycle
+		//mrlint:ignore alloccheck once per spill, and only when no region is home to recycle
 		b.ready, b.hasReady = b.cutLocked(), true
 		b.parked.Store(false)
 		b.mu.Unlock()
@@ -291,7 +291,7 @@ func (b *Buffer) waitForSpace(size int64) time.Duration {
 }
 
 // refuse is Append's answer on a closed buffer. After an Abort nobody will
-// spill what is pending, so the producer returns its region to the pool.
+// spill what is pending, so the producer puts its region back home.
 func (b *Buffer) refuse() error {
 	b.mu.Lock()
 	if b.aborted {
@@ -311,8 +311,9 @@ func (b *Buffer) pauseProduceLocked(now time.Time) {
 }
 
 // cutLocked makes a spill of the pending region and starts the next one on
-// a region from the pool. The caller holds b.mu and the region is its to
-// take: it is the producer, or the producer is parked or done.
+// the region at home, or on a twin of the spill's when none is. The caller
+// holds b.mu and the region is its to take: it is the producer, or the
+// producer is parked or done.
 func (b *Buffer) cutLocked() Spill {
 	b.checkPendingSum("hand-off")
 	b.tr.Instant(trace.KindSpillHandoff, trace.LaneSupport, b.trNode, b.trTask, b.pendingBytes)
@@ -333,8 +334,7 @@ func (b *Buffer) cutLocked() Spill {
 		// The last spill: the region leaves as the spill and nothing is
 		// pending any more.
 		b.pending, b.dropped = kvio.Region{}, true
-		b.pool.detach()
-	} else if b.pending = b.pool.get(); cap(b.pending.Arena) == 0 {
+	} else if b.pending = b.home.take(); cap(b.pending.Arena) == 0 {
 		b.pending = s.Recs.Twin() // nothing to recycle: expect a spill like this one
 	}
 	b.pendingBytes = 0
@@ -343,13 +343,12 @@ func (b *Buffer) cutLocked() Spill {
 	return s
 }
 
-// dropPendingLocked gives the pending region back to the pool, records and
-// all. The caller holds b.mu and nobody will append to or spill the region.
+// dropPendingLocked puts the pending region back home, records and all.
+// The caller holds b.mu and nobody will append to or spill the region.
 func (b *Buffer) dropPendingLocked() {
 	if !b.dropped {
 		b.dropped = true
-		b.pool.put(b.pending)
-		b.pool.detach()
+		b.home.put(b.pending)
 		b.pending, b.pendingBytes = kvio.Region{}, 0
 	}
 }
@@ -432,14 +431,14 @@ func (b *Buffer) NextSpill() (s Spill, ok bool) {
 
 // Release frees a consumed spill's bytes, reports its measurements to the
 // controller, and wakes a blocked producer. consume is the consumer's
-// active processing time for the spill. The spill's region goes back to
-// the pool; the caller must not touch s.Recs afterwards.
+// active processing time for the spill. The spill's region goes back
+// home; the caller must not touch s.Recs afterwards.
 func (b *Buffer) Release(s Spill, consume time.Duration) {
 	b.ctrl.Record(s.Bytes, s.Produce, consume)
 	pct := b.ctrl.Percent()
 	b.setSpillAt(pct)
-	b.pool.put(s.Recs)
 	b.mu.Lock()
+	b.home.put(s.Recs)
 	b.inflight.Add(-s.Bytes)
 	b.checkInvariants("Release")
 	b.mu.Unlock()

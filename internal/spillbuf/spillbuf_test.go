@@ -148,8 +148,8 @@ func TestRecordsAreCopied(t *testing.T) {
 
 func TestPackedSpillContents(t *testing.T) {
 	// Records arrive filed under their partitions, each partition's in emit
-	// order with key and value intact, and Release returns the region to
-	// the pool, grown as it is, where the next spill finds it.
+	// order with key and value intact, and Release puts the region back
+	// home, grown as it is, where the next spill finds it.
 	b, err := New(1<<20, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,17 +178,17 @@ func TestPackedSpillContents(t *testing.T) {
 		}
 	}
 	arenaCap := cap(s.Recs.Arena)
-	if free := b.pool.Free(); free != 0 {
-		t.Fatalf("%d regions free while the only one filled is in flight", free)
+	if n := held(b.home); n != 0 {
+		t.Fatalf("%d regions home while the only one filled is in flight", n)
 	}
 	b.Release(s, 0)
 	if _, ok := b.NextSpill(); ok {
 		t.Fatal("spill from a closed, drained buffer")
 	}
-	if free, out := b.pool.Free(), b.pool.Out(); free != 1 || out != 0 {
-		t.Fatalf("drained buffer: %d regions free, %d out; want the one grown region back and none out", free, out)
+	if n := held(b.home); n != 1 {
+		t.Fatalf("drained buffer: %d regions home, want the one grown region", n)
 	}
-	if r := b.pool.get(); cap(r.Arena) != arenaCap || r.Len() != 0 || len(r.Arena) != 0 {
+	if r := b.home.take(); cap(r.Arena) != arenaCap || r.Len() != 0 || len(r.Arena) != 0 {
 		t.Errorf("recycled region: arena cap %d (released %d), %d records, %d arena bytes", cap(r.Arena), arenaCap, r.Len(), len(r.Arena))
 	}
 }
@@ -530,8 +530,8 @@ type spillCycler struct {
 	released chan int
 }
 
-func newSpillCycler(t *testing.T, work func(Spill)) *spillCycler {
-	b, err := New(256<<10, nil, nil)
+func newSpillCycler(t *testing.T, home *Regions, work func(Spill)) *spillCycler {
+	b, err := NewOn(home, 256<<10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,12 +550,15 @@ func newSpillCycler(t *testing.T, work func(Spill)) *spillCycler {
 			c.released <- n
 		}
 	}()
-	t.Cleanup(func() {
-		b.Close()
-		for range c.released {
-		}
-	})
+	t.Cleanup(c.close)
 	return c
+}
+
+// close ends the buffer's input and waits for the consumer to be done.
+func (c *spillCycler) close() {
+	c.b.Close()
+	for range c.released {
+	}
 }
 
 func (c *spillCycler) cycle() {
@@ -578,7 +581,7 @@ func (c *spillCycler) cycle() {
 // third spill on — appending allocates nothing; a region grows while it
 // is new and never again.
 func TestGroundTruthAppend(t *testing.T) {
-	c := newSpillCycler(t, func(Spill) {})
+	c := newSpillCycler(t, new(Regions), func(Spill) {})
 	c.cycle() // first region: grown from nothing
 	c.cycle() // second region: likewise
 	allocs := testing.AllocsPerRun(10, c.cycle)
@@ -597,7 +600,7 @@ func TestGroundTruthSpillCycle(t *testing.T) {
 		t.Skip("an mrdebug build checks every sort against the reference sort, which allocates per record")
 	}
 	var sorter kvio.Sorter
-	c := newSpillCycler(t, func(s Spill) { sorter.SortRegion(s.Recs) })
+	c := newSpillCycler(t, new(Regions), func(s Spill) { sorter.SortRegion(s.Recs) })
 	c.cycle()
 	c.cycle()
 	allocs := testing.AllocsPerRun(10, c.cycle)
@@ -877,15 +880,14 @@ func TestSpillFloorOversizeEscape(t *testing.T) {
 }
 
 // TestAbortUnparksProducer: a consumer that gives up while the producer is
-// parked on the full buffer gets it out of Append with ErrClosed, and every
-// region is back in the pool once the producer has closed.
+// parked on the full buffer gets it out of Append with ErrClosed, and both
+// regions are home once the producer has closed.
 func TestAbortUnparksProducer(t *testing.T) {
-	b, err := New(1000, spillmatch.NewStatic(0.5), nil)
+	var home Regions
+	b, err := NewOn(&home, 1000, spillmatch.NewStatic(0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(RegionsPerBuffer)
-	b.AttachPool(pool)
 	appendErr := make(chan error)
 	go func() {
 		defer b.Close()
@@ -911,7 +913,11 @@ func TestAbortUnparksProducer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("producer still parked after Abort")
 	}
-	waitFor(t, "the producer's region to come back", func() bool { return pool.Out() == 0 })
+	waitFor(t, "the producer's region to come home", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return held(&home) == RegionsPerBuffer
+	})
 }
 
 // TestAppendTakesNoLock: below the threshold Append completes while
@@ -1003,131 +1009,107 @@ func TestHandoffStress(t *testing.T) {
 	}
 }
 
-// TestPoolBound: the pool keeps at most its bound of regions, hands the
-// kept ones out again, and knows how many are out.
-func TestPoolBound(t *testing.T) {
-	p := NewPool(2)
-	var regions []kvio.Region
-	for i := 0; i < 5; i++ {
-		r := p.get()
-		r.Append(0, []byte("key"), []byte("value"))
-		regions = append(regions, r)
+// held returns how many of h's slots hold a region.
+func held(h *Regions) int {
+	n := 0
+	for _, r := range h {
+		if cap(r.Arena) > 0 {
+			n++
+		}
 	}
-	if out := p.Out(); out != 5 {
-		t.Fatalf("%d regions out, want 5", out)
+	return n
+}
+
+// TestRegionsRecycleAcrossBuffers: a buffer leaves both its regions home,
+// and the next buffer on the same pair fills them from its first record
+// on: its first two spill cycles, which on a fresh pair grow the two
+// regions, allocate nothing.
+func TestRegionsRecycleAcrossBuffers(t *testing.T) {
+	var home Regions
+	firstTwo := func(c *spillCycler) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.cycle()
+		c.cycle()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
 	}
-	for _, r := range regions {
-		p.put(r)
+	cold := newSpillCycler(t, &home, func(Spill) {})
+	if n := firstTwo(cold); n == 0 {
+		t.Fatal("the first buffer on an empty pair grew its regions without allocating")
 	}
-	if free, out := p.Free(), p.Out(); free != 2 || out != 0 {
-		t.Fatalf("%d free, %d out; want 2 and 0", free, out)
+	cold.close()
+	if n := held(&home); n != RegionsPerBuffer {
+		t.Fatalf("%d regions home after the first buffer, want %d", n, RegionsPerBuffer)
 	}
-	if r := p.get(); cap(r.Arena) == 0 || r.Len() != 0 {
-		t.Errorf("recycled region has arena cap %d and %d records", cap(r.Arena), r.Len())
+	arenas := map[*byte]bool{&home[0].Arena[:1][0]: true, &home[1].Arena[:1][0]: true}
+	warm := newSpillCycler(t, &home, func(s Spill) {
+		if !arenas[&s.Recs.Arena[:1][0]] {
+			t.Error("a spill of the second buffer filled a region that was not home")
+		}
+	})
+	if n := firstTwo(warm); n != 0 && !raceEnabled {
+		t.Errorf("the second buffer's first two spill cycles: %d allocations, want 0", n)
+	}
+	warm.close()
+	if n := held(&home); n != RegionsPerBuffer {
+		t.Errorf("%d regions home after the second buffer, want %d", n, RegionsPerBuffer)
 	}
 }
 
-// TestPoolTrim: the cut leaves one region per buffer served since the last
-// one, at most half the bound, leaves the pool alone when no buffer was
-// served since the last one, and waits while a buffer is still attached.
-func TestPoolTrim(t *testing.T) {
-	p := NewPool(8)
-	// serve has n buffers come and go, leaving the pool as full as its
-	// bound allows.
-	serve := func(n int) {
-		var regions []kvio.Region
-		for i := 0; i < n; i++ {
-			regions = append(regions, p.attach())
+// TestRegionsHomeOnEveryWayOut: however a buffer ends — drained after
+// Close, or aborted by its consumer before or after the producer closed —
+// both regions it filled are home afterwards.
+func TestRegionsHomeOnEveryWayOut(t *testing.T) {
+	record := make([]byte, 83) // charge 100: five reach the 0.5 threshold of 1000
+	// start has the consumer take the first spill and the producer fill
+	// part of a second region, then hands both ends to the case.
+	start := func(t *testing.T, home *Regions) (*Buffer, Spill) {
+		b, err := NewOn(home, 1000, spillmatch.NewStatic(0.5), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for len(regions) < 10 {
-			regions = append(regions, p.get())
-		}
-		for i, r := range regions {
-			r.Append(0, []byte("key"), []byte("value"))
-			p.put(r)
-			if i < n {
-				p.detach()
+		first := make(chan Spill)
+		go func() {
+			s, _ := b.NextSpill()
+			first <- s
+		}()
+		waitFor(t, "the consumer to park", b.parked.Load)
+		for i := 0; i < 6; i++ {
+			if _, err := b.Append(0, []byte("k"), record); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if free, out := p.Free(), p.Out(); free != 8 || out != 0 {
-			t.Fatalf("%d regions free and %d out, want the bound of 8 and none", free, out)
+		return b, <-first
+	}
+	t.Run("close-drain", func(t *testing.T) {
+		var home Regions
+		b, s := start(t, &home)
+		b.Close()
+		b.Release(s, 0)
+		drain(b)
+		if n := held(&home); n != RegionsPerBuffer {
+			t.Errorf("%d regions home, want %d", n, RegionsPerBuffer)
 		}
-	}
-	for _, tc := range []struct{ buffers, kept int }{{3, 3}, {1, 1}, {7, 4}, {0, 8}} {
-		serve(tc.buffers)
-		p.Trim()
-		if free := p.Free(); free != tc.kept {
-			t.Errorf("%d regions kept after %d buffers, want %d", free, tc.buffers, tc.kept)
+	})
+	t.Run("abort-then-close", func(t *testing.T) {
+		var home Regions
+		b, s := start(t, &home)
+		b.Release(s, 0)
+		b.Abort()
+		b.Close()
+		if n := held(&home); n != RegionsPerBuffer {
+			t.Errorf("%d regions home, want %d", n, RegionsPerBuffer)
 		}
-	}
-	serve(2)
-	r := p.attach()
-	p.Trim()
-	if free := p.Free(); free != 7 {
-		t.Errorf("%d regions free beside the one in use: the pool was cut while a buffer is attached", free)
-	}
-	p.put(r)
-	p.detach()
-	p.Trim()
-	if free := p.Free(); free != 3 {
-		t.Errorf("%d regions kept after three buffers, want 3", free)
-	}
-}
-
-// TestPoolTrimTwice: two jobs whose map phases end together both cut the
-// pool, one right after the other. The second cut, with no buffer served
-// since the first, keeps what the first kept, and the next buffer to
-// attach starts on a recycled region.
-func TestPoolTrimTwice(t *testing.T) {
-	p := NewPool(8)
-	var regions []kvio.Region
-	for i := 0; i < 4; i++ {
-		regions = append(regions, p.attach(), p.get())
-	}
-	for i, r := range regions {
-		r.Append(0, []byte("key"), []byte("value"))
-		p.put(r)
-		if i%2 == 1 {
-			p.detach()
+	})
+	t.Run("close-then-abort", func(t *testing.T) {
+		var home Regions
+		b, s := start(t, &home)
+		b.Close()
+		b.Release(s, 0)
+		b.Abort()
+		if n := held(&home); n != RegionsPerBuffer {
+			t.Errorf("%d regions home, want %d", n, RegionsPerBuffer)
 		}
-	}
-	p.Trim()
-	if free := p.Free(); free != 4 {
-		t.Fatalf("the first cut kept %d regions after four buffers, want 4", free)
-	}
-	p.Trim()
-	if free := p.Free(); free != 4 {
-		t.Fatalf("the second cut left %d of the 4 regions the first kept", free)
-	}
-	if r := p.attach(); cap(r.Arena) == 0 {
-		t.Error("the next buffer started on a fresh region: nothing was kept for it")
-	}
-}
-
-// TestPoolHoldsRegionsForStarts: what Trim leaves is for buffers to start
-// on. A buffer already running gets a fresh region for its second while
-// the kept ones wait for the buffers that have not attached yet.
-func TestPoolHoldsRegionsForStarts(t *testing.T) {
-	p := NewPool(8)
-	var regions []kvio.Region
-	for i := 0; i < 3; i++ {
-		r := p.attach()
-		r.Append(0, []byte("key"), []byte("value"))
-		regions = append(regions, r)
-	}
-	for _, r := range regions {
-		p.put(r)
-		p.detach()
-	}
-	p.Trim() // three buffers served: three regions kept, all held
-	first := p.attach()
-	if second := p.get(); cap(first.Arena) == 0 || cap(second.Arena) != 0 {
-		t.Errorf("first buffer: started on a region of arena cap %d and got a second of cap %d; want a kept one, then a fresh one", cap(first.Arena), cap(second.Arena))
-	}
-	if a, b := p.attach(), p.attach(); cap(a.Arena) == 0 || cap(b.Arena) == 0 {
-		t.Error("the regions kept for the second and third buffer were gone when they attached")
-	}
-	if c := p.attach(); cap(c.Arena) != 0 {
-		t.Error("a fourth buffer started on a kept region: three were kept")
-	}
+	})
 }

@@ -44,8 +44,9 @@ const (
 	// copier overlap: user map() plus the emit path.
 	CauseMapCompute Cause = iota
 	// CauseSpillSort is sort/spill pressure on the critical map chain:
-	// map-goroutine time blocked on a full spill buffer plus final-merge
-	// time inside the task span.
+	// map-goroutine time blocked on a full spill buffer, plus the time of
+	// map-side merge spans inside the task span in traces that have them
+	// (the runtime publishes a task's runs unmerged and records none).
 	CauseSpillSort
 	// CauseCopierSteal is critical-map-task time during which shuffle
 	// copiers were active against the task's node (reading its disk or
