@@ -43,8 +43,6 @@ func main() {
 		chaosFail = flag.Float64("chaos-fail-rate", 0, "per-attempt fault probability in [0,1] (0 disables injection)")
 		chaosKill = flag.Int("chaos-kill-node", -1, "kill this node mid-job (-1: no kill)")
 		speculate = flag.Bool("speculation", false, "launch speculative backup attempts for straggler tasks")
-		shufBuf   = flag.Int64("shuffle-buffer", 32, "staging buffer budget per job in MiB; a segment that does not fit is direct-fetched from its source disk")
-		ingChunk  = flag.Int64("ingest-chunk-kb", 0, "split reader arena chunk in KiB (0 = default 1024)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -83,18 +81,16 @@ func main() {
 	// submission, so flags and the HTTP API share one source of truth for
 	// validation, dataset generation, and knob application.
 	spec := mrserve.Spec{
-		App:             app,
-		InputMB:         *megabytes,
-		Reducers:        *reducers,
-		SpillBufferKB:   *bufKB,
-		FreqBuf:         *freq,
-		SpillMatcher:    *spill,
-		Speculation:     *speculate,
-		PosIterations:   *posIter,
-		SynTextCPU:      *cpu,
-		SynTextStorage:  *storage,
-		ShuffleBufferMB: *shufBuf,
-		IngestChunkKB:   *ingChunk,
+		App:            app,
+		InputMB:        *megabytes,
+		Reducers:       *reducers,
+		SpillBufferKB:  *bufKB,
+		FreqBuf:        *freq,
+		SpillMatcher:   *spill,
+		Speculation:    *speculate,
+		PosIterations:  *posIter,
+		SynTextCPU:     *cpu,
+		SynTextStorage: *storage,
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {

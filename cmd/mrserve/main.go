@@ -46,7 +46,6 @@ func main() {
 		admissionMB = flag.Int64("admission-mb", 1024, "max total estimated input MiB queued before submissions get 429")
 		quantumMB   = flag.Int64("quantum-mb", 4, "DRR credit per round per unit tenant weight, in MiB")
 		weights     = flag.String("weights", "", "per-tenant DRR weights as tenant=weight[,tenant=weight...] (unlisted tenants weigh 1)")
-		traceCap    = flag.Int("trace-capacity", 1<<14, "per-job tracer capacity in events")
 	)
 	flag.Parse()
 
@@ -73,7 +72,6 @@ func main() {
 		Quantum:        *quantumMB << 20,
 		Workers:        *workers,
 		TenantWeights:  tw,
-		TraceCapacity:  *traceCap,
 		Log:            logger,
 	})
 	if err != nil {

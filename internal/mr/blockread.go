@@ -24,8 +24,9 @@ type LineReader interface {
 	Close() error
 }
 
-// SplitsOf computes the input splits (one per DFS block) the runner would
-// schedule for the given inputs.
+// SplitsOf computes the input splits the runner would schedule for the
+// given inputs: one per DFS block, a short last block joining the split
+// before it.
 func SplitsOf(fs *dfs.DFS, inputs []string) ([]Split, error) {
 	return computeSplits(fs, inputs)
 }

@@ -111,7 +111,7 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 	}
 	chaosJob := concWordCount("wc-chaos")
 	chaosJob.Chaos = inj
-	chaosJob.MaxAttempts = 8
+	mr.SetAttemptLimit(chaosJob, 8)
 
 	type runCase struct {
 		name     string

@@ -104,7 +104,7 @@ func counterJob(app counterApp, name string) *mr.Job {
 	job.Name = name
 	job.NumReducers = ctrReduce
 	job.SpillBufferBytes = ctrSpill
-	job.MaxAttempts = 8
+	mr.SetAttemptLimit(job, 8)
 	return job
 }
 

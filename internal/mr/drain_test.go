@@ -164,7 +164,7 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		job := apps.WordCount("corpus.txt")
 		job.Name = "cache-fail"
 		job.FreqBuf = freq
-		job.MaxAttempts = 1
+		mr.SetAttemptLimit(job, 1)
 		ids := nextIDs(job.Name, last)
 		job.NewMapper = watch(make(chan struct{}), ids, boom)
 		if _, err := mr.Run(c, job); err == nil || !strings.Contains(err.Error(), boom.Error()) {

@@ -27,3 +27,11 @@ func KeptRegions(c *cluster.Cluster) (perWorkspace []int, distinct int) {
 	}
 	return perWorkspace, len(arenas)
 }
+
+// SetAttemptLimit bounds j's attempts per task at n instead of
+// maxAttempts, for tests of retry exhaustion and of long fault streaks.
+func SetAttemptLimit(j *Job, n int) { j.attemptLimit = n }
+
+// SetStagingBudget bounds j's staging buffer at n bytes instead of
+// stagingBudget, for tests that force segments to be direct-fetched.
+func SetStagingBudget(j *Job, n int64) { j.stagingBytes = n }

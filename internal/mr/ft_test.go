@@ -70,7 +70,7 @@ func ftJob(corpus, name string) *mr.Job {
 	job.Name = name
 	job.NumReducers = ftReducers
 	job.SpillBufferBytes = 32 << 10
-	job.MaxAttempts = 8 // at 20% per-attempt fail rate, task death needs 8 straight losses
+	mr.SetAttemptLimit(job, 8) // at 20% per-attempt fail rate, task death needs 8 straight losses
 	return job
 }
 
@@ -228,7 +228,7 @@ func ftSynJob(corpus, name string) *mr.Job {
 	job.Name = name
 	job.NumReducers = ftReducers
 	job.SpillBufferBytes = 32 << 10
-	job.MaxAttempts = 8
+	mr.SetAttemptLimit(job, 8)
 	return job
 }
 
@@ -428,7 +428,7 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 	cfg := chaos.Config{Seed: 2, FailRate: 1.0, KillNode: -1}
 	c, corpus := newFTCluster(t, &cfg)
 	job := ftJob(corpus, "wc-doomed")
-	job.MaxAttempts = 3
+	mr.SetAttemptLimit(job, 3)
 	_, err := mr.Run(c, job)
 	if err == nil {
 		t.Fatal("job succeeded with 100% attempt fail rate")

@@ -144,7 +144,8 @@ type Job struct {
 	// Name identifies the job (used in file names and the freq cache).
 	Name string
 	// Inputs are DFS file names; every block of every input becomes one
-	// map task.
+	// map task, except that a file's last block shorter than a tenth of
+	// the block size joins the task before it.
 	Inputs []string
 	// OutputPrefix names the job output: one DFS file per reducer,
 	// "<prefix>-r-00000" etc.
@@ -182,12 +183,6 @@ type Job struct {
 	// for text keys at a small CPU cost.
 	CompressRuns bool
 
-	// ShuffleBufferBytes bounds the in-memory staging buffer shared by
-	// all of the pipelined shuffle's copiers (default 32 MiB). A segment
-	// that cannot reserve space stays on its source disk and is
-	// direct-fetched by the reduce attempt.
-	ShuffleBufferBytes int64
-
 	// IngestChunkBytes sizes the batched split reader's arena reads
 	// (default 1 MiB): the granularity at which a map task pulls split
 	// bytes from DFS before scanning lines out of the arena in place.
@@ -204,16 +199,17 @@ type Job struct {
 	// everyone); a per-job injector configured to kill nodes is rejected.
 	Chaos *chaos.Injector
 
-	// MaxAttempts bounds execution attempts per task, Hadoop's
-	// mapred.map.max.attempts (default 4): a task whose attempts all fail
-	// fails the job with the last attempt's error.
-	MaxAttempts int
 	// Speculation enables backup attempts for stragglers: once
 	// speculationQuorum of a phase's tasks have committed, a task whose
 	// sole running attempt has been going longer than speculationSlowdown
 	// times the median committed duration gets one backup attempt; the
 	// first committer wins and the loser's output is discarded.
 	Speculation bool
+
+	// attemptLimit and stagingBytes are the maxAttempts and stagingBudget
+	// constants, set by withDefaults; only tests set other values.
+	attemptLimit int
+	stagingBytes int64
 
 	// filePrefix uniquifies intermediate file names so the same job spec
 	// can run repeatedly on one cluster. Set by withDefaults.
@@ -224,6 +220,16 @@ type Job struct {
 	// withDefaults so task code can load it unconditionally.
 	cancel *atomic.Bool
 }
+
+// maxAttempts bounds execution attempts per task, Hadoop's
+// mapred.map.max.attempts: a task whose attempts all fail fails the job
+// with the last attempt's error.
+const maxAttempts = 4
+
+// stagingBudget bounds the in-memory staging buffer shared by all of a
+// job's shuffle copiers. A segment that cannot reserve space stays on its
+// source disk and is direct-fetched by the reduce attempt.
+const stagingBudget = 32 << 20
 
 // runSeq uniquifies per-run file names. It is the one piece of mutable
 // package state the runtime keeps: a monotone counter with no read-back
@@ -261,14 +267,14 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	if cp.SpillBufferBytes <= 0 {
 		cp.SpillBufferBytes = 4 << 20
 	}
-	if cp.ShuffleBufferBytes <= 0 {
-		cp.ShuffleBufferBytes = 32 << 20
+	if cp.stagingBytes <= 0 {
+		cp.stagingBytes = stagingBudget
 	}
 	if cp.IngestChunkBytes <= 0 {
 		cp.IngestChunkBytes = defaultIngestChunk
 	}
-	if cp.MaxAttempts <= 0 {
-		cp.MaxAttempts = 4
+	if cp.attemptLimit <= 0 {
+		cp.attemptLimit = maxAttempts
 	}
 	if cp.FreqBuf != nil {
 		fb := *cp.FreqBuf

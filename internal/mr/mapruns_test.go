@@ -183,7 +183,7 @@ func TestRunOpenFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := wordSumSpec("run-open")
-	job.ShuffleBufferBytes = 1 // every segment is direct-fetched
+	job.stagingBytes = 1 // every segment is direct-fetched
 	res, err := Run(c, job)
 	if err != nil {
 		t.Fatalf("one failed spill open failed the job: %v", err)

@@ -163,10 +163,10 @@ func TestPartitionerOutOfRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := &Job{
-			Name:        "bad-partitioner",
-			Inputs:      []string{"in"},
-			NumReducers: 3,
-			MaxAttempts: 1,
+			Name:         "bad-partitioner",
+			Inputs:       []string{"in"},
+			NumReducers:  3,
+			attemptLimit: 1,
 			Partition: func(key []byte, parts int) int {
 				if string(key) == "stray" {
 					return bad
@@ -232,7 +232,7 @@ func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *schedule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := newFTRun(c, &Job{MaxAttempts: 4}, splits)
+	ft := newFTRun(c, &Job{attemptLimit: 4}, splits)
 	s := newScheduler(nodes, c.MapSlots(), splits)
 	ft.beginPhase(len(splits), s, c.TotalMapSlots())
 	return ft, s

@@ -101,7 +101,7 @@ func TestPanicInCombinerUnblocksProducer(t *testing.T) {
 	job := apps.WordCount("corpus.txt")
 	job.Name = "panic-combine"
 	job.SpillBufferBytes = bufBytes
-	job.MaxAttempts = 1
+	mr.SetAttemptLimit(job, 1)
 	job.NewMapper = func() mr.Mapper {
 		return mr.MapperFunc(func(_ int64, line []byte, out mr.Collector) error {
 			for _, w := range bytes.Fields(line) {
@@ -150,7 +150,7 @@ func TestPanicInReducerFailsTheJob(t *testing.T) {
 	c, corpus := newTextCluster(t, 2, 64<<10)
 	job := apps.WordCount(corpus)
 	job.Name = "panic-reduce"
-	job.MaxAttempts = 2
+	mr.SetAttemptLimit(job, 2)
 	job.NewReducer = func() mr.Reducer {
 		return mr.ReducerFunc(func(key []byte, values mr.ValueIter, out mr.Collector) error {
 			panic("reducer boom")
@@ -184,7 +184,7 @@ func TestPanicIsolatedFromConcurrentJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := good("poisoned")
-	poisoned.MaxAttempts = 2
+	mr.SetAttemptLimit(poisoned, 2)
 	poisoned.NewMapper = faulty(poisoned, func() { panic("poisoned mapper") })
 
 	type outcome struct {

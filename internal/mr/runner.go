@@ -27,7 +27,7 @@ import (
 // attempt) pairs writing attempt-scoped files — a map attempt's commit
 // enters its runs in the job's map-output table, a reduce attempt's
 // renames its output into place — so any attempt's failure is retried
-// with jittered backoff (up to Job.MaxAttempts), nodes that keep failing
+// with jittered backoff (up to maxAttempts), nodes that keep failing
 // attempts are blacklisted, stragglers optionally get speculative backup
 // attempts, and committed map outputs lost to a node death are re-run.
 // Duplicate attempts of one task run to completion — the simulator has no
@@ -273,7 +273,7 @@ type runningInfo struct {
 type ftTask struct {
 	committed   bool          // a winning attempt's output is published
 	nextAttempt int           // next attempt number to hand out
-	failures    int           // failed attempts so far (job fails at MaxAttempts)
+	failures    int           // failed attempts so far (job fails at maxAttempts)
 	backup      bool          // a speculative backup has been launched
 	running     []runningInfo // in-flight attempts
 	winDur      time.Duration // the winning attempt's wall time (speculation baseline)
@@ -542,7 +542,7 @@ func (ft *ftRun) refreshDeadNodes() {
 
 // attemptFailed handles an attempt error: requeue with jittered backoff,
 // blacklist the node if it keeps failing attempts, or fail the job once
-// the task exhausts MaxAttempts. A failure after a rival committed is
+// the task exhausts maxAttempts. A failure after a rival committed is
 // moot — the task is done regardless.
 func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	ft.refreshDeadNodes()
@@ -562,7 +562,7 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 			ft.cond.Broadcast()
 		}
 	}
-	if ts.failures >= ft.job.MaxAttempts {
+	if ts.failures >= ft.job.attemptLimit {
 		ft.failLocked(fmt.Errorf("mr: task failed %d attempts, last: %w", ts.failures, err))
 		return
 	}
@@ -802,10 +802,10 @@ func (ft *ftRun) recoverLostMapOuts() {
 }
 
 // rerunMapTask re-executes one lost map task on a live node, retrying
-// across nodes up to MaxAttempts.
+// across nodes up to maxAttempts.
 func (ft *ftRun) rerunMapTask(t int) error {
 	kind := attemptRecovery
-	for tries := 0; tries < ft.job.MaxAttempts; tries++ {
+	for tries := 0; tries < ft.job.attemptLimit; tries++ {
 		node, ok := ft.pickLiveNode(t + tries)
 		if !ok {
 			return fmt.Errorf("mr: map task %d output lost to node death and no live node remains to re-run it", t)
@@ -825,7 +825,7 @@ func (ft *ftRun) rerunMapTask(t int) error {
 		ft.ledger[metrics.CtrFailedAttempts]++
 		ft.mu.Unlock()
 	}
-	return fmt.Errorf("mr: map task %d re-run failed %d attempts after output loss", t, ft.job.MaxAttempts)
+	return fmt.Errorf("mr: map task %d re-run failed %d attempts after output loss", t, ft.job.attemptLimit)
 }
 
 // pickLiveNode returns a usable node, rotating by seed so consecutive

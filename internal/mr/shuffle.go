@@ -126,7 +126,7 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 	s := &shuffleService{
 		c:        c,
 		tr:       job.Trace,
-		buf:      &stagingBuffer{budget: job.ShuffleBufferBytes},
+		buf:      &stagingBuffer{budget: job.stagingBytes},
 		tm:       metrics.NewTaskMetrics(),
 		staged:   make([]map[string]*stagedSeg, parts),
 		released: make([]bool, parts),

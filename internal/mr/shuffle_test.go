@@ -141,7 +141,7 @@ func TestPipelinedShuffleMatchesReference(t *testing.T) {
 			c, corpus := newFTCluster(t, nil)
 			log := watchDisks(c)
 			job := ftJob(corpus, "wc-shuffle-"+tc.name)
-			job.ShuffleBufferBytes = tc.buffer
+			mr.SetStagingBudget(job, tc.buffer)
 			res := runAgainstReference(t, c, job)
 			direct := assertStagingIsMemoryOnly(t, res, log, tc.buffer)
 			ctr := res.Agg.Counters
@@ -197,7 +197,7 @@ func TestShuffleFetchPlaneVariantsMatchReference(t *testing.T) {
 			log := watchDisks(c)
 			job := ftJob(corpus, "wc-variant-"+tc.name)
 			tc.tune(job)
-			job.ShuffleBufferBytes = tc.budget
+			mr.SetStagingBudget(job, tc.budget)
 			res := runAgainstReference(t, c, job)
 			direct := assertStagingIsMemoryOnly(t, res, log, tc.budget)
 			if tc.budget == 1 {
@@ -230,6 +230,10 @@ func TestShuffleEdgeInputsMatchReference(t *testing.T) {
 		// Every record lands in one partition; the other three receive
 		// nothing from any map task.
 		{"all-one-key", strings.Repeat("same same same same\n", 2000), 5, func(*mr.Job) {}},
+		// 8,160 bytes of lines, then one that starts before the 8 KiB
+		// block boundary and ends 15 bytes past it: the tail holds no
+		// line start and joins the split before it.
+		{"block-plus-15-byte-tail", strings.Repeat("ab cd\n", 1360) + strings.Repeat("x", 46) + "\n", 1, func(*mr.Job) {}},
 		// A key the split reader cannot hold in one arena chunk.
 		{"key-longer-than-ingest-chunk", "a " + longKey + " b\n" + longKey + "\n", 1, func(job *mr.Job) { job.IngestChunkBytes = 1 << 10 }},
 	}
@@ -329,14 +333,15 @@ func TestOverBudgetShuffleUnderChaosMatchesReference(t *testing.T) {
 	cfg := chaos.Config{Seed: 17, FailRate: 0.20, KillNode: -1}
 	c, corpus := newFTCluster(t, &cfg)
 	job := ftJob(corpus, "wc-chaos-over-budget")
-	job.ShuffleBufferBytes = 16 << 10
+	const budget = 16 << 10
+	mr.SetStagingBudget(job, budget)
 	res := runAgainstReference(t, c, job)
 	assertCounterIdentity(t, res)
-	if res.ShuffleStagingPeak > job.ShuffleBufferBytes {
-		t.Errorf("staging peak %d over the budget %d", res.ShuffleStagingPeak, job.ShuffleBufferBytes)
+	if res.ShuffleStagingPeak > budget {
+		t.Errorf("staging peak %d over the budget %d", res.ShuffleStagingPeak, budget)
 	}
 	fetches := int64(res.Agg.Hists[metrics.HistShuffleFetchNS].Count)
 	if hits := res.Agg.Counters[metrics.CtrShuffleStagedHits]; fetches <= hits {
-		t.Errorf("%d sources fetched, %d of them from staging: no direct fetch under a %d-byte budget", fetches, hits, job.ShuffleBufferBytes)
+		t.Errorf("%d sources fetched, %d of them from staging: no direct fetch under a %d-byte budget", fetches, hits, budget)
 	}
 }

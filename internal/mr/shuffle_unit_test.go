@@ -149,10 +149,10 @@ func wantStreams(t *testing.T, disks []vdisk.Disk, outs []mapOutput, part int) (
 // unitShuffleJob is the minimal job configuration the service reads.
 func unitShuffleJob(bufferBytes int64) *Job {
 	return &Job{
-		NumReducers:        unitParts,
-		ShuffleBufferBytes: bufferBytes,
-		filePrefix:         "unit",
-		cancel:             new(atomic.Bool),
+		NumReducers:  unitParts,
+		stagingBytes: bufferBytes,
+		filePrefix:   "unit",
+		cancel:       new(atomic.Bool),
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func FuzzSubmitDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"tenant":"a","spec":{"app":"wordcount","input_mb":1}}`,
-		`{"tenant":"b","spec":{"app":"invertedindex","reducers":4096,"spill_buffer_kb":1048576,"shuffle_buffer_mb":65536,"ingest_chunk_kb":1048576,"freqbuf":true,"spillmatcher":true,"speculation":true,"chaos":{"seed":3,"fail_rate":0.5,"delay_rate":1}}}`,
+		`{"tenant":"b","spec":{"app":"invertedindex","reducers":4096,"spill_buffer_kb":1048576,"freqbuf":true,"spillmatcher":true,"speculation":true,"chaos":{"seed":3,"fail_rate":0.5,"delay_rate":1}}}`,
 		`{"tenant":"a","spec":{"app":" WordPOSTag ","pos_iterations":-3,"input_mb":-1}}`,
 		`{"tenant":"a","spec":{"app":"syntext","syntext_cpu":9,"syntext_storage":1}}`,
 		`{"tenant":"a","spec":{"app":"wordcount","reducers":4097}}`,
@@ -50,8 +50,6 @@ func FuzzSubmitDecode(f *testing.F) {
 		}{
 			{"reducers", int64(job.NumReducers), maxReducers},
 			{"spill buffer", job.SpillBufferBytes, maxSpillBufferKB << 10},
-			{"shuffle buffer", job.ShuffleBufferBytes, maxShuffleBufferMB << 20},
-			{"ingest chunk", job.IngestChunkBytes, maxIngestChunkKB << 10},
 		} {
 			if c.v < 0 || c.v > c.max {
 				t.Errorf("accepted a spec whose job has %s %d, outside [0, %d]", c.name, c.v, c.max)

@@ -7,7 +7,6 @@ import (
 
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
-	"mrtext/internal/trace"
 )
 
 // JobStatus is the lifecycle of a submitted job. Transitions are
@@ -48,12 +47,12 @@ type jobState struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	res       *mr.Result
-	err       error
-
-	// tracer is the job's private span recorder, so concurrent jobs'
-	// timelines cannot interleave.
-	tracer *trace.Tracer
+	// result is the finished job's digest, rendered once by finish: what
+	// GET /jobs/{id} shows and, by its Outputs, what GET /jobs/{id}/output
+	// reads. The Result it was rendered from, with its per-task reports,
+	// is not kept.
+	result *ResultView
+	err    error
 
 	done chan struct{} // closed when the job reaches a terminal status
 }
@@ -68,12 +67,26 @@ func (j *jobState) setRunning() {
 // finish records the terminal state. A canceled run surfaces as
 // StatusCanceled regardless of which error the runtime returned with.
 func (j *jobState) finish(res *mr.Result, err error) {
+	var rv *ResultView
+	if res != nil {
+		rv = &ResultView{
+			WallMS:           float64(res.Wall) / 1e6,
+			MapWallMS:        float64(res.MapWall) / 1e6,
+			ReduceWallMS:     float64(res.ReduceWall) / 1e6,
+			MapTasks:         res.MapTasks,
+			ReduceTasks:      res.ReduceTasks,
+			Outputs:          res.Outputs,
+			Metrics:          metrics.NewDump(res.Agg),
+			DeadNodes:        res.DeadNodes,
+			BlacklistedNodes: res.BlacklistedNodes,
+		}
+	}
 	j.cancelMu.Lock()
 	canceled := j.canceled
 	j.cancelMu.Unlock()
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.res = res
+	j.result = rv
 	j.err = err
 	switch {
 	case canceled:
@@ -161,25 +174,13 @@ func (j *jobState) view() JobView {
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if r := j.res; r != nil {
-		v.Result = &ResultView{
-			WallMS:           float64(r.Wall) / 1e6,
-			MapWallMS:        float64(r.MapWall) / 1e6,
-			ReduceWallMS:     float64(r.ReduceWall) / 1e6,
-			MapTasks:         r.MapTasks,
-			ReduceTasks:      r.ReduceTasks,
-			Outputs:          r.Outputs,
-			Metrics:          metrics.NewDump(r.Agg),
-			DeadNodes:        r.DeadNodes,
-			BlacklistedNodes: r.BlacklistedNodes,
-		}
-	}
+	v.Result = j.result
 	return v
 }
 
-// snapshotStatus returns the status and, when terminal, the Result.
-func (j *jobState) snapshotStatus() (JobStatus, *mr.Result) {
+// snapshotStatus returns the status and, when terminal, the result digest.
+func (j *jobState) snapshotStatus() (JobStatus, *ResultView) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, j.res
+	return j.status, j.result
 }

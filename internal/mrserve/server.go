@@ -11,7 +11,6 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
-	"mrtext/internal/trace"
 )
 
 // Config parameterizes a Server. The zero value of any field falls back
@@ -35,17 +34,14 @@ type Config struct {
 	Workers int
 	// TenantWeights biases DRR credit; unlisted tenants weigh 1.
 	TenantWeights map[string]int64
-	// TraceCapacity sizes each job's private tracer in events
-	// (default 16384).
-	TraceCapacity int
 	// Log receives service events; nil discards them.
 	Log *log.Logger
 }
 
 // Server is the long-lived job service: a bounded multi-tenant queue in
 // front of worker goroutines that run jobs on the shared cluster with
-// per-job isolation (private tracer and chaos injector per job; each job's
-// metrics live on its own Result).
+// per-job isolation (a private chaos injector per job; each job's metrics
+// live on its own Result).
 type Server struct {
 	cfg   Config
 	c     *cluster.Cluster
@@ -87,9 +83,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
-	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 1 << 14
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	return &Server{
@@ -242,9 +235,10 @@ func (s *Server) worker() {
 }
 
 // runJob executes one admitted job with full per-job isolation: its own
-// run context (cancellation), its own tracer and its own chaos injector
-// (from the spec). Its metrics come back on its Result and join the
-// service's total only once the job is over.
+// run context (cancellation) and its own chaos injector (from the spec).
+// Its metrics come back on its Result and join the service's total only
+// once the job is over. The job runs untraced: nothing would read a
+// timeline.
 func (s *Server) runJob(j *jobState) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
@@ -283,11 +277,6 @@ func (s *Server) execute(ctx context.Context, j *jobState) (*mr.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.New(s.cfg.TraceCapacity)
-	j.mu.Lock()
-	j.tracer = tr
-	j.mu.Unlock()
-	job.Trace = tr
 	return mr.RunContext(ctx, s.c, job)
 }
 

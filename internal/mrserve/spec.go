@@ -5,9 +5,9 @@
 // fair scheduling across tenants. It is the piece that turns the one-shot
 // mrrun pipeline into the shared-cluster setting the related work assumes
 // (a stream of jobs contending for one communication budget), and it is
-// where the runtime's per-job isolation — private tracer, private chaos
-// injector, private histogram sink per job — pays off: concurrent jobs
-// produce byte-identical outputs and isolated Result counters versus
+// where the runtime's per-job isolation — a private chaos injector per job,
+// and metrics that live on the job's own Result — pays off: concurrent
+// jobs produce byte-identical outputs and isolated Result counters versus
 // serial runs.
 package mrserve
 
@@ -62,23 +62,16 @@ type Spec struct {
 	// SynTextCPU and SynTextStorage parameterize SynText (defaults 4, 0.5).
 	SynTextCPU     int     `json:"syntext_cpu,omitempty"`
 	SynTextStorage float64 `json:"syntext_storage,omitempty"`
-	// ShuffleBufferMB bounds the staging buffer (0 = default 32 MiB).
-	ShuffleBufferMB int64 `json:"shuffle_buffer_mb,omitempty"`
-	// IngestChunkKB sizes the split reader's arena (0 = default 1 MiB).
-	IngestChunkKB int64 `json:"ingest_chunk_kb,omitempty"`
 	// Chaos, when non-nil, runs the job under a private fault injector.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 }
 
 // Caps on the spec fields that size allocations. A reduce partition costs
 // a copier pool and three table entries before the job reads a byte; the
-// spill buffer and the ingest chunk are allocated per map task and the
-// staging buffer is a per-job budget.
+// spill buffer is allocated per map task.
 const (
-	maxReducers        = 4096
-	maxSpillBufferKB   = 1 << 20 // 1 GiB
-	maxShuffleBufferMB = 1 << 16 // 64 GiB
-	maxIngestChunkKB   = 1 << 20 // 1 GiB
+	maxReducers      = 4096
+	maxSpillBufferKB = 1 << 20 // 1 GiB
 )
 
 // Normalize applies spec-level defaults (not runtime defaults — those
@@ -114,8 +107,6 @@ func (s *Spec) Validate() error {
 	}{
 		{"reducers", int64(s.Reducers), maxReducers},
 		{"spill_buffer_kb", s.SpillBufferKB, maxSpillBufferKB},
-		{"shuffle_buffer_mb", s.ShuffleBufferMB, maxShuffleBufferMB},
-		{"ingest_chunk_kb", s.IngestChunkKB, maxIngestChunkKB},
 	} {
 		if f.v < 0 || f.v > f.max {
 			return fmt.Errorf("mrserve: %s %d outside [0,%d]", f.name, f.v, f.max)
@@ -188,9 +179,9 @@ func (s *Spec) datasetName(in apps.Input) string {
 // BuildJob constructs the runtime job from the spec: the catalogue entry
 // builds the job over the spec's datasets, then every knob is applied
 // exactly as the mrrun flags always did. nodes sizes the per-job chaos
-// injector when the spec carries one. The returned job has no tracer and
-// no histogram sink; the caller decides whether those are process-wide
-// (CLI) or per-job (service).
+// injector when the spec carries one. The returned job has no tracer: mrrun
+// attaches one when a trace flag asks for a timeline, and the service runs
+// every job untraced.
 func (s *Spec) BuildJob(nodes int) (*mr.Job, error) {
 	a, err := apps.Lookup(s.App)
 	if err != nil {
@@ -214,12 +205,6 @@ func (s *Spec) BuildJob(nodes int) (*mr.Job, error) {
 	}
 	job.SpillMatcher = s.SpillMatcher
 	job.Speculation = s.Speculation
-	if s.ShuffleBufferMB > 0 {
-		job.ShuffleBufferBytes = s.ShuffleBufferMB << 20
-	}
-	if s.IngestChunkKB > 0 {
-		job.IngestChunkBytes = s.IngestChunkKB << 10
-	}
 	if s.Chaos != nil {
 		inj, err := chaos.New(chaos.Config{
 			Seed:      s.Chaos.Seed,
