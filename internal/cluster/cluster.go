@@ -32,7 +32,7 @@ type Config struct {
 	// Net configures the interconnect. A zero value disables throttling
 	// but still counts traffic.
 	Net fabric.Config
-	// BlockSize is the DFS block size (also the input split size).
+	// BlockSize is the DFS block size; an input split is whole blocks.
 	BlockSize int64
 	// Replication is the DFS replication factor.
 	Replication int

@@ -145,6 +145,9 @@ func (w *writer) seal() error {
 	if primary < 0 || primary >= len(d.disks) {
 		primary = d.nextPri % len(d.disks)
 	}
+	// Secondaries are shipped from the primary: the writer's node, or the
+	// round-robin pick for a writer on no node.
+	from := primary
 	// Planned placement: primary on the writer's node (data locality for
 	// output), secondaries round-robin. The cursor advances exactly as if
 	// every candidate succeeded, so placement is unchanged on the
@@ -169,10 +172,10 @@ func (w *writer) seal() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[ri] = w.writeReplica(idx, ri, planned[ri], true)
+			errs[ri] = w.writeReplica(idx, ri, planned[ri], from)
 		}()
 	}
-	errs[0] = w.writeReplica(idx, 0, primary, false)
+	errs[0] = w.writeReplica(idx, 0, primary, primary)
 	wg.Wait()
 	if errs[0] != nil {
 		for ri := 1; ri < len(planned); ri++ {
@@ -191,7 +194,7 @@ func (w *writer) seal() error {
 		node := planned[ri]
 		for ; errs[ri] != nil && next < len(d.disks); next++ {
 			if cand := (cursor + next) % len(d.disks); !slices.Contains(planned, cand) {
-				if errs[ri] = w.writeReplica(idx, ri, cand, true); errs[ri] == nil {
+				if errs[ri] = w.writeReplica(idx, ri, cand, from); errs[ri] == nil {
 					node = cand
 				}
 			}
@@ -217,9 +220,10 @@ func (w *writer) seal() error {
 }
 
 // writeReplica stores the buffered block as replica ri on node, charging
-// the fabric for non-primary placements. On any failure the partial block
-// file is removed so the name can be reused.
-func (w *writer) writeReplica(idx, ri, node int, remote bool) error {
+// the fabric for its transfer from node from unless that is node itself.
+// On any failure the partial block file is removed so the name can be
+// reused.
+func (w *writer) writeReplica(idx, ri, node, from int) error {
 	d := w.dfs
 	name := blockName(w.name, idx, ri)
 	f, err := d.disks[node].Create(name)
@@ -238,8 +242,8 @@ func (w *writer) writeReplica(idx, ri, node int, remote bool) error {
 		_ = d.disks[node].Remove(name)
 		return err
 	}
-	if remote && d.net != nil {
-		if err := d.net.Transfer(w.node, node, w.buf.Len()); err != nil {
+	if from != node && d.net != nil {
+		if err := d.net.Transfer(from, node, w.buf.Len()); err != nil {
 			//mrlint:ignore droppederr best-effort cleanup; the transfer error below is what the caller acts on
 			_ = d.disks[node].Remove(name)
 			return err

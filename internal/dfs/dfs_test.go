@@ -280,6 +280,32 @@ func TestWriterPrimaryPlacement(t *testing.T) {
 	}
 }
 
+// TestWriterOnNoNodeReplicates: a writer on no node gets round-robin
+// primaries and its full replication, each secondary shipped from its
+// primary.
+func TestWriterOnNoNodeReplicates(t *testing.T) {
+	d, _ := newDFS(t, 4, 32, 2)
+	w, err := d.Create("f", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(make([]byte, 100))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := d.Blocks("f")
+	primaries := map[int]bool{}
+	for _, b := range blocks {
+		if len(b.Replicas) != 2 {
+			t.Errorf("block %d on %v, want two replicas", b.Index, b.Replicas)
+		}
+		primaries[b.Replicas[0]] = true
+	}
+	if len(primaries) < 2 {
+		t.Errorf("%d blocks all have their primary on one node", len(blocks))
+	}
+}
+
 func TestEmptyFile(t *testing.T) {
 	d, _ := newDFS(t, 2, 64, 1)
 	if err := d.WriteFile("empty", nil); err != nil {

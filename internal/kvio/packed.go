@@ -124,8 +124,8 @@ func (p PackedRecords) Record(i int) Record {
 // Region is a batch of records filed by partition as they arrive: one
 // arena, and per partition the Meta entries of its records in emit
 // order. It is what the spill buffer fills and hands to the sort, which
-// therefore never has to group a spill by partition. A Region grows by
-// doubling and keeps its capacity across Reset, so one that has held a
+// therefore never has to group a spill by partition. A Region grows in
+// quarter steps and keeps its capacity across Reset, so one that has held a
 // spill holds the next without allocating.
 type Region struct {
 	Arena []byte
@@ -145,14 +145,14 @@ func (r *Region) Append(part int, key, value []byte) {
 	off := len(r.Arena)
 	if payload := len(key) + len(value); off+payload > cap(r.Arena) {
 		//mrlint:ignore alloccheck a new region's growth: one that has held a spill holds the next without allocating
-		r.Arena = slices.Grow(r.Arena, max(cap(r.Arena), payload, minRegionGrowth))
+		r.Arena = slices.Grow(r.Arena, max(cap(r.Arena)/4, payload, minRegionGrowth))
 	}
 	r.Arena = append(r.Arena, key...)
 	r.Arena = append(r.Arena, value...)
 	m := r.Parts[part]
 	if len(m) == cap(m) {
 		//mrlint:ignore alloccheck a new region's growth, as above
-		m = slices.Grow(m, max(cap(m), minRegionGrowth/metaBytes))
+		m = slices.Grow(m, max(cap(m)/4, minRegionGrowth/metaBytes))
 	}
 	//mrlint:ignore alloccheck room for the entry was made above
 	r.Parts[part] = append(m, Meta{
@@ -164,10 +164,11 @@ func (r *Region) Append(part int, key, value []byte) {
 	})
 }
 
-// A region's arrays double when they are full, from minRegionGrowth bytes:
-// a region is grown once in its life, by the first spill it holds, and
-// doubling allocates twice the final size in all where append's own
-// quarter steps allocate five times it.
+// A region's arrays grow by a quarter when they are full, from
+// minRegionGrowth bytes. A region is grown by the first spills it holds and
+// then kept, with its map slot's workspace, for the tasks and jobs after:
+// what it costs is the capacity it keeps, at most a quarter past the
+// largest spill it held, where doubling kept up to twice it.
 const (
 	minRegionGrowth = 4 << 10
 	metaBytes       = 24
@@ -188,15 +189,19 @@ func (r Region) Part(p int) PackedRecords {
 	return PackedRecords{Meta: r.Parts[p], Arena: r.Arena}
 }
 
-// Twin returns an empty region with room for what r holds and an eighth
-// more, allocated in one step per array: what a buffer fills next when it
-// has no recycled region to fill, on the expectation that a task's spills
-// are sized alike.
-func (r Region) Twin() Region {
-	t := Region{Arena: make([]byte, 0, len(r.Arena)+len(r.Arena)/8), Parts: make([][]Meta, len(r.Parts))}
+// Twin returns an empty region with room for share (at most 1) of what r
+// holds and an eighth more, allocated in one step per array: what a buffer
+// fills next when it has no recycled region to fill, sized for the part of
+// a spill like r that the buffer expects to come.
+func (r Region) Twin(share float64) Region {
+	room := func(n int) int {
+		n = int(float64(n) * min(share, 1))
+		return n + n/8
+	}
+	t := Region{Arena: make([]byte, 0, room(len(r.Arena))), Parts: make([][]Meta, len(r.Parts))}
 	for p, m := range r.Parts {
-		if len(m) > 0 {
-			t.Parts[p] = make([]Meta, 0, len(m)+len(m)/8)
+		if n := room(len(m)); n > 0 {
+			t.Parts[p] = make([]Meta, 0, n)
 		}
 	}
 	return t

@@ -152,7 +152,7 @@ func assertReferenceOutput(t *testing.T, c *cluster.Cluster, res *Result, want m
 func oneSplit(t *testing.T, data []byte) (*cluster.Cluster, Split) {
 	t.Helper()
 	c := buildFS(t, data, int64(len(data)))
-	splits, err := computeSplits(c.FS, []string{"f"})
+	splits, err := SplitsOf(c.FS, []string{"f"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,15 @@ type LineReader interface {
 	Close() error
 }
 
-// SplitsOf computes the input splits the runner would schedule for the
-// given inputs: one per DFS block, a short last block joining the split
-// before it.
+// SplitsOf returns the block splits of the given inputs: one per DFS
+// block, a file's last block shorter than a tenth of the block size joining
+// the split before it, each with the block's replicas as its hosts. A job
+// runs these splits as they are when no input has more blocks than the
+// cluster has map slots; otherwise it groups a file's consecutive blocks
+// into fewer, larger splits (planSplits). Either way a line is read by the
+// split its first byte falls in, so draining every split reads the input.
 func SplitsOf(fs *dfs.DFS, inputs []string) ([]Split, error) {
-	return computeSplits(fs, inputs)
+	return planSplits(fs, inputs, 0, 0)
 }
 
 // OpenSplitBatched opens the split with the block-batched arena scanner

@@ -15,7 +15,7 @@ import (
 // Counter-identity suite. The record path counts in goroutine-owned locals
 // and publishes to the task's metrics at task exits;
 // this suite pins that nothing is lost or counted twice on the way: for
-// three applications, two configurations and the fault-tolerance
+// three applications, three configurations and the fault-tolerance
 // matrix's chaos schedules, the job's aggregate counters equal values
 // computed from the input file, the job's own map and combine functions
 // run by the test, and RunReference's output — never from the runtime's
@@ -60,26 +60,32 @@ func genVisits(t *testing.T, w *bytes.Buffer) {
 	}
 }
 
-// counterConfigs are the job configurations of the suite.
+// counterConfigs are the job configurations of the suite, each with the
+// DFS block size of its cluster and the map tasks planned there.
 var counterConfigs = []struct {
-	name string
-	tune func(*mr.Job)
+	name  string
+	block int64
+	maps  int
+	tune  func(*mr.Job)
 }{
-	{"default", func(*mr.Job) {}},
+	{"default", ctrBlock, 4, func(*mr.Job) {}},
 	// Frequency-buffering carves its table out of the spill buffer; with
 	// the suite's 32 KiB the table would hold a few hundred keys and evict
 	// on every record.
-	{"freqbuf-spillmatcher", func(j *mr.Job) {
+	{"freqbuf-spillmatcher", ctrBlock, 4, func(j *mr.Job) {
 		j.FreqBuf = mr.DefaultFreqBufText()
 		j.SpillMatcher = true
 		j.SpillBufferBytes = 8 * ctrSpill
 	}},
+	// 32 blocks of 16 KiB on 8 map slots with a buffer of four blocks: 8
+	// map tasks of four blocks each.
+	{"multi-block-splits", ctrBlock / 8, 8, func(j *mr.Job) { j.SpillBufferBytes = ctrBlock / 2 }},
 }
 
-func newCounterCluster(t *testing.T, chaosCfg *chaos.Config, input []byte) *cluster.Cluster {
+func newCounterCluster(t *testing.T, chaosCfg *chaos.Config, block int64, input []byte) *cluster.Cluster {
 	t.Helper()
 	cfg := cluster.Fast(ftNodes)
-	cfg.BlockSize = ctrBlock
+	cfg.BlockSize = block
 	cfg.Replication = 2
 	cfg.Chaos = chaosCfg
 	c, err := cluster.New(cfg)
@@ -109,8 +115,8 @@ func counterJob(app counterApp, name string) *mr.Job {
 }
 
 // expectedCounters computes the suite's counters without the runtime: the
-// input is cut into lines here, a line belongs to the split its first byte
-// lies in, the job's mapper runs over every line into a counting
+// input is cut into lines here, a line belongs to the split of the
+// runner's plan (PlanOf) its first byte lies in, the job's mapper runs over every line into a counting
 // collector, each map task's records are grouped by key and passed through
 // the job's combiner, and the output side is read off the reference
 // executor's result. The reduce side's values and shuffle bytes come out
@@ -119,7 +125,7 @@ func counterJob(app counterApp, name string) *mr.Job {
 // keys all fell in one spill reads as this one-record-per-key figure.
 func expectedCounters(t *testing.T, c *cluster.Cluster, job *mr.Job, input []byte, ref map[int][]byte) map[string]int64 {
 	t.Helper()
-	splits, err := mr.SplitsOf(c.FS, job.Inputs)
+	splits, err := mr.PlanOf(c, job)
 	if err != nil {
 		t.Fatalf("splits: %v", err)
 	}
@@ -200,20 +206,24 @@ func TestCounterIdentity(t *testing.T) {
 	for _, app := range counterApps {
 		var input bytes.Buffer
 		app.gen(t, &input)
-		cref := newCounterCluster(t, nil, input.Bytes())
-		refJob := counterJob(app, app.name+"-ref")
-		ref, err := mr.RunReference(cref, refJob)
+		cref := newCounterCluster(t, nil, ctrBlock, input.Bytes())
+		ref, err := mr.RunReference(cref, counterJob(app, app.name+"-ref"))
 		if err != nil {
 			t.Fatalf("%s reference: %v", app.name, err)
 		}
-		want := expectedCounters(t, cref, refJob, input.Bytes(), ref)
-		for name, v := range want {
-			if v == 0 {
-				t.Fatalf("%s: expected %s is zero: the check would be vacuous", app.name, name)
-			}
-		}
 
 		for _, conf := range counterConfigs {
+			// The expected counters follow the plan the runner makes for
+			// the configuration's job on its cluster.
+			planned := newCounterCluster(t, nil, conf.block, input.Bytes())
+			planJob := counterJob(app, app.name+"-"+conf.name+"-plan")
+			conf.tune(planJob)
+			want := expectedCounters(t, planned, planJob, input.Bytes(), ref)
+			for name, v := range want {
+				if v == 0 {
+					t.Fatalf("%s/%s: expected %s is zero: the check would be vacuous", app.name, conf.name, name)
+				}
+			}
 			for _, cell := range cells {
 				app, conf, cell := app, conf, cell
 				t.Run(app.name+"/"+conf.name+"/"+cell.name, func(t *testing.T) {
@@ -222,13 +232,16 @@ func TestCounterIdentity(t *testing.T) {
 						cfg := cell.cfg
 						chaosCfg = &cfg
 					}
-					c := newCounterCluster(t, chaosCfg, input.Bytes())
+					c := newCounterCluster(t, chaosCfg, conf.block, input.Bytes())
 					job := counterJob(app, app.name+"-"+conf.name+"-"+cell.name)
 					conf.tune(job)
 					job.Speculation = cell.spec
 					res, err := mr.Run(c, job)
 					if err != nil {
 						t.Fatalf("run: %v", err)
+					}
+					if res.MapTasks != conf.maps {
+						t.Errorf("%d map tasks, want %d", res.MapTasks, conf.maps)
 					}
 					assertOutputsMatch(t, c, res, ref)
 					for name, v := range want {

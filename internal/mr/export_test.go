@@ -35,3 +35,12 @@ func SetAttemptLimit(j *Job, n int) { j.attemptLimit = n }
 // SetStagingBudget bounds j's staging buffer at n bytes instead of
 // stagingBudget, for tests that force segments to be direct-fetched.
 func SetStagingBudget(j *Job, n int64) { j.stagingBytes = n }
+
+// PlanOf returns the splits Run plans for j on c.
+func PlanOf(c *cluster.Cluster, j *Job) ([]Split, error) {
+	job, err := j.withDefaults(c.TotalReduceSlots())
+	if err != nil {
+		return nil, err
+	}
+	return job.splits(c)
+}

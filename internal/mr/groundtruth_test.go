@@ -25,7 +25,7 @@ func TestGroundTruthBlockScan(t *testing.T) {
 		fmt.Fprintf(&data, "record-%04d the quick brown fox jumps over the lazy dog\n", i)
 	}
 	c := buildFS(t, data.Bytes(), int64(data.Len())) // one block, one split
-	splits, err := computeSplits(c.FS, []string{"f"})
+	splits, err := SplitsOf(c.FS, []string{"f"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,9 +143,12 @@ func DefaultFreqBufLog() *FreqBufConfig {
 type Job struct {
 	// Name identifies the job (used in file names and the freq cache).
 	Name string
-	// Inputs are DFS file names; every block of every input becomes one
-	// map task, except that a file's last block shorter than a tenth of
-	// the block size joins the task before it.
+	// Inputs are DFS file names. Each file's consecutive blocks are
+	// planned into map tasks: one per block when the file has no more
+	// blocks than the cluster has map slots, else the fewest tasks that
+	// fill whole waves of the slots with at most SpillBufferBytes of
+	// blocks each. A file's last block shorter than a tenth of the block
+	// size joins the task before it.
 	Inputs []string
 	// OutputPrefix names the job output: one DFS file per reducer,
 	// "<prefix>-r-00000" etc.

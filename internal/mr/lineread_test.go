@@ -28,7 +28,7 @@ func buildFS(t testing.TB, data []byte, blockSize int64) *cluster.Cluster {
 // scanAll reads every line of every split and returns them with offsets.
 func scanAll(t *testing.T, c *cluster.Cluster) (lines []string, offsets []int64) {
 	t.Helper()
-	splits, err := computeSplits(c.FS, []string{"f"})
+	splits, err := SplitsOf(c.FS, []string{"f"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBoundaryExactlyAtNewline(t *testing.T) {
 	// the first byte of block 1 and must belong to split 1 (and only it).
 	data := []byte("hello\nworld\n")
 	c := buildFS(t, data, 6)
-	splits, err := computeSplits(c.FS, []string{"f"})
+	splits, err := SplitsOf(c.FS, []string{"f"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestLineSpanningThreeBlocks(t *testing.T) {
 func TestConsumedTracksBytes(t *testing.T) {
 	data := []byte("aaaa\nbbbb\ncccc\n")
 	c := buildFS(t, data, int64(len(data)))
-	splits, _ := computeSplits(c.FS, []string{"f"})
+	splits, _ := SplitsOf(c.FS, []string{"f"})
 	sc, err := openLines(c.FS, splits[0], 0)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestConsumedTracksBytes(t *testing.T) {
 
 func TestComputeSplitsErrors(t *testing.T) {
 	c := buildFS(t, []byte("x\n"), 4)
-	if _, err := computeSplits(c.FS, []string{"missing"}); err == nil {
+	if _, err := SplitsOf(c.FS, []string{"missing"}); err == nil {
 		t.Error("missing input accepted")
 	}
 }

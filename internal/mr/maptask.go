@@ -665,6 +665,11 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		return fail(errors.Join(err, joinSupport()))
 	}
 	mc.scanner = scanner
+	if freq == nil {
+		// The frequency buffer's drain comes after the input: a task with
+		// one keeps its second region the size of its first.
+		buf.AttachInput(scanner.Consumed, split.Len)
+	}
 	mapper := job.NewMapper()
 	mc.et.Restart()
 	var mapErr error

@@ -51,7 +51,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	splits, err := computeSplits(c.FS, job.Inputs)
+	splits, err := job.splits(c)
 	if err != nil {
 		return nil, err
 	}

@@ -192,12 +192,15 @@ func TestResultAggregationHelpers(t *testing.T) {
 	}
 }
 
-// TestTopKSharingAcrossTasks: with several splits per node, later tasks
-// reuse the first task's frozen top-k (SharedTopK set, no re-profiling).
+// TestTopKSharingAcrossTasks: with several waves of splits on a node, later
+// tasks reuse the first task's frozen top-k (SharedTopK set, no
+// re-profiling). A 1 MiB spill buffer holds one 1 MiB block, so the four
+// blocks are four tasks in two waves of the node's two slots.
 func TestTopKSharingAcrossTasks(t *testing.T) {
 	c, corpus := newTextCluster(t, 1, 4<<20) // 1 node, several 1 MiB blocks
 	job := apps.WordCount(corpus)
 	job.Name = "sharing"
+	job.SpillBufferBytes = 1 << 20
 	job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
 	res, err := mr.Run(c, job)
 	if err != nil {
@@ -218,6 +221,7 @@ func TestTopKSharingAcrossTasks(t *testing.T) {
 	// With sharing disabled every task profiles for itself.
 	job2 := apps.WordCount(corpus)
 	job2.Name = "no-sharing"
+	job2.SpillBufferBytes = job.SpillBufferBytes
 	job2.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: false}
 	res2, err := mr.Run(c, job2)
 	if err != nil {

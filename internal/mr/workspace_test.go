@@ -104,7 +104,7 @@ func TestMapWorkspaceReuse(t *testing.T) {
 	// were cut.
 	attempt := func(t *testing.T, c *cluster.Cluster, chunk int64, i int) []byte {
 		t.Helper()
-		splits, err := computeSplits(c.FS, []string{"f"})
+		splits, err := SplitsOf(c.FS, []string{"f"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestMapWorkspaceReuse(t *testing.T) {
 
 	t.Run("failed-panicked-canceled", func(t *testing.T) {
 		c := oneSlotCluster(t, data, blockSize)
-		splits, err := computeSplits(c.FS, []string{"f"})
+		splits, err := SplitsOf(c.FS, []string{"f"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestMapWorkspaceReuse(t *testing.T) {
 func TestGroundTruthMapWorkspace(t *testing.T) {
 	data := wordsInput(4000, 8, 500)
 	c := buildFS(t, data, int64(len(data)))
-	splits, err := computeSplits(c.FS, []string{"f"})
+	splits, err := SplitsOf(c.FS, []string{"f"})
 	if err != nil {
 		t.Fatal(err)
 	}

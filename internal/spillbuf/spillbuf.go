@@ -123,6 +123,11 @@ type Buffer struct {
 	trTask int
 	trSlot int
 
+	// The producer's input, when attached: the bytes read so far, of
+	// inputLen. Read only where the region is the reader's to take.
+	consumed func() int64
+	inputLen int64
+
 	// The producer's: Append and Close use these without the lock. The
 	// consumer touches them, under mu, only while the producer is parked
 	// in waitForSpace or has closed the buffer.
@@ -192,6 +197,17 @@ func (b *Buffer) AttachTrace(tr *trace.Tracer, node, task, slot int) {
 	b.trNode = node
 	b.trTask = task
 	b.trSlot = slot
+}
+
+// AttachInput tells the buffer how far the producer has read its input:
+// consumed reports the bytes read so far, of total. A region the buffer has
+// to make for what follows a spill is then sized for the output the rest
+// of the input is expected to make, at the rate so far, instead of like
+// the spill. Call before the first Append. consumed is called on the
+// producer's goroutine, or while the producer is parked or done.
+func (b *Buffer) AttachInput(consumed func() int64, total int64) {
+	b.consumed = consumed
+	b.inputLen = total
 }
 
 // Capacity returns M.
@@ -311,9 +327,9 @@ func (b *Buffer) pauseProduceLocked(now time.Time) {
 }
 
 // cutLocked makes a spill of the pending region and starts the next one on
-// the region at home, or on a twin of the spill's when none is. The caller
-// holds b.mu and the region is its to take: it is the producer, or the
-// producer is parked or done.
+// the region at home, or on a twin of the spill's, sized for what is
+// expected to follow it, when none is. The caller holds b.mu and the region
+// is its to take: it is the producer, or the producer is parked or done.
 func (b *Buffer) cutLocked() Spill {
 	b.checkPendingSum("hand-off")
 	b.tr.Instant(trace.KindSpillHandoff, trace.LaneSupport, b.trNode, b.trTask, b.pendingBytes)
@@ -335,12 +351,28 @@ func (b *Buffer) cutLocked() Spill {
 		// pending any more.
 		b.pending, b.dropped = kvio.Region{}, true
 	} else if b.pending = b.home.take(); cap(b.pending.Arena) == 0 {
-		b.pending = s.Recs.Twin() // nothing to recycle: expect a spill like this one
+		b.pending = s.Recs.Twin(b.restShareLocked(s.Bytes)) // nothing to recycle
 	}
 	b.pendingBytes = 0
 	b.produceAcc = 0
 	b.checkInvariants("hand-off")
 	return s
+}
+
+// restShareLocked is the part of a spill of spill bytes that the rest of the
+// input is expected to fill: the bytes spilled so far per input byte read,
+// times the input left, over spill. It is 1, a spill like this one, when no
+// input is attached or none has been read. The caller holds b.mu, as in
+// cutLocked.
+func (b *Buffer) restShareLocked(spill int64) float64 {
+	if b.consumed == nil {
+		return 1
+	}
+	read := b.consumed()
+	if read <= 0 {
+		return 1
+	}
+	return float64(b.spillBytes) / float64(read) * float64(max(b.inputLen-read, 0)) / float64(spill)
 }
 
 // dropPendingLocked puts the pending region back home, records and all.

@@ -949,8 +949,10 @@ func TestAppendTakesNoLock(t *testing.T) {
 
 // TestHandoffStress: one producer and one consumer over a 4 KiB buffer and
 // a hundred thousand records of random size, under the adaptive
-// controller so the threshold moves as they go. Every record arrives once,
-// in emit order within its partition. CI runs it -race -count=20.
+// controller so the threshold moves as they go, with an input attached
+// that the producer advances unsynchronized, as a split reader does. Every
+// record arrives once, in emit order within its partition. CI runs it
+// -race -count=20.
 func TestHandoffStress(t *testing.T) {
 	const parts = 5
 	n := 100000
@@ -961,6 +963,8 @@ func TestHandoffStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var read int64 // the producer's input position, read where regions are made
+	b.AttachInput(func() int64 { return read }, int64(n)*100)
 	var next [parts]uint32 // per partition: the serial number expected next
 	total := 0
 	done := make(chan struct{})
@@ -995,6 +999,7 @@ func TestHandoffStress(t *testing.T) {
 		k := key[:1+rng.Intn(len(key)-1)]
 		v := append([]byte{byte(sent[p]), byte(sent[p] >> 8), byte(sent[p] >> 16), byte(len(k))}, make([]byte, rng.Intn(200))...)
 		sent[p]++
+		read += 100
 		if _, err := b.Append(p, k, v); err != nil {
 			t.Fatal(err)
 		}
@@ -1112,4 +1117,63 @@ func TestRegionsHomeOnEveryWayOut(t *testing.T) {
 			t.Errorf("%d regions home, want %d", n, RegionsPerBuffer)
 		}
 	})
+}
+
+// TestTwinSizedFromInputLeft: with nothing home to recycle, the region the
+// producer fills after a hand-off is sized for what the rest of its input
+// is expected to make at the rate so far, not like the spill handed off;
+// without an attached input it is sized like the spill.
+func TestTwinSizedFromInputLeft(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		attach  bool
+		wantCap int
+	}{
+		// 50 records of 16 payload bytes (800 arena bytes) reach the 1600
+		// threshold after 750 of 1000 input bytes: the last 250 are expected
+		// to make a third of the spill, 266 bytes, and an eighth more.
+		{"input-attached", true, 266 + 266/8},
+		{"no-input", false, 800 + 800/8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := New(3200, spillmatch.NewStatic(0.5), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var read int64
+			if tc.attach {
+				b.AttachInput(func() int64 { return read }, 1000)
+			}
+			release := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					s, ok := b.NextSpill()
+					if !ok {
+						return
+					}
+					<-release
+					b.Release(s, 0)
+				}
+			}()
+			waitFor(t, "the consumer to park", b.parked.Load)
+			key, val := []byte("8 bytes."), []byte("8 more..")
+			for i := 0; i < 50; i++ {
+				read += 15
+				if _, err := b.Append(i%3, key, val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b.spills.Load() != 1 {
+				t.Fatalf("%d hand-offs, want 1", b.spills.Load())
+			}
+			if got := cap(b.pending.Arena); got != tc.wantCap {
+				t.Errorf("next region's arena holds %d bytes, want %d", got, tc.wantCap)
+			}
+			b.Close()
+			close(release)
+			<-done
+		})
+	}
 }
