@@ -7,13 +7,11 @@
 //
 //	mrlint [-vet=false] [packages...]
 //
-// Packages default to ./... resolved against the current directory, and
-// are loaded in dependency order with one shared fact store, so the
-// facts-based alloccheck sees its callees' summaries before analyzing the
-// callers — packages pulled in only as dependencies of the named patterns
-// are analyzed for their facts but not reported on. The custom analyzers
-// check non-test library and binary sources; test files are vet's
-// department.
+// Packages default to ./... resolved against the current directory. Each
+// analyzer looks at one package at a time; packages pulled in only as
+// dependencies of the named patterns are type-checked for their importers
+// but not analyzed. The custom analyzers check non-test library and binary
+// sources; test files are vet's department.
 //
 // -h lists the analyzer suite. Load and type-check problems never vanish
 // into a partial run: they are aggregated across all packages and printed
@@ -24,8 +22,9 @@
 //	//mrlint:ignore <analyzer> <reason>
 //
 // on the offending line or the line directly above it. The reason is
-// mandatory: a directive without one suppresses nothing and is itself a
-// finding.
+// mandatory, and the analyzer must be one of the suite's (or "all"): a
+// directive without a reason, or naming an analyzer mrlint does not run,
+// suppresses nothing and is itself a finding.
 package main
 
 import (
@@ -38,7 +37,6 @@ import (
 	"sort"
 
 	"mrtext/internal/analysis"
-	"mrtext/internal/analysis/alloccheck"
 	"mrtext/internal/analysis/doccheck"
 	"mrtext/internal/analysis/droppederr"
 	"mrtext/internal/analysis/globalstate"
@@ -55,7 +53,6 @@ var analyzers = []*analysis.Analyzer{
 	goroleak.Analyzer,
 	doccheck.Analyzer,
 	globalstate.Analyzer,
-	alloccheck.Analyzer,
 }
 
 // docCheckedPkgs are the packages whose exported API doccheck audits: the
@@ -136,9 +133,9 @@ func main() {
 }
 
 // lint loads the packages in dependency order and applies every analyzer
-// with one shared fact store. It returns the unsuppressed findings of the
-// listed (pattern-matched) packages, and whether load or analyzer errors
-// should fail the run independently of findings.
+// to the listed (pattern-matched) ones. It returns their unsuppressed
+// findings, and whether load or analyzer errors should fail the run
+// independently of findings.
 func lint(patterns []string) ([]finding, bool) {
 	pkgs, fset, err := load.Packages(".", patterns...)
 	if err != nil {
@@ -147,8 +144,8 @@ func lint(patterns []string) ([]finding, bool) {
 	}
 
 	// Aggregate load and type-check problems across all packages first:
-	// a broken package three directories away otherwise surfaces as a
-	// mystery miss of cross-package facts.
+	// a broken dependency otherwise surfaces only as type errors in its
+	// importers.
 	broken := false
 	for _, pkg := range pkgs {
 		for _, lerr := range pkg.LoadErrors {
@@ -160,13 +157,12 @@ func lint(patterns []string) ([]finding, bool) {
 		}
 	}
 
-	facts := analysis.NewFacts()
 	var findings []finding
 	for _, pkg := range pkgs {
-		if pkg.Types == nil {
-			continue // load errors already reported above
+		if pkg.Types == nil || !pkg.Listed {
+			continue // load errors already reported above, or a dependency only
 		}
-		supp := analysis.NewSuppressions(fset, pkg.Files)
+		supp := analysis.NewSuppressions(fset, pkg.Files, analyzers)
 		var diags []analysis.Diagnostic
 		for _, a := range analyzers {
 			if a == doccheck.Analyzer && !docCheckedPkgs[pkg.PkgPath] {
@@ -182,15 +178,11 @@ func lint(patterns []string) ([]finding, bool) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-				Facts:     facts,
 			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(os.Stderr, "mrlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
 				broken = true
 			}
-		}
-		if !pkg.Listed {
-			continue // analyzed for facts only
 		}
 		diags = append(diags, supp.Malformed()...)
 		sort.Slice(diags, func(i, j int) bool {

@@ -14,31 +14,40 @@ import (
 const suppSrc = `package p
 
 func f() {
-	_ = "same-line" //mrlint:ignore alloccheck scratch buffer, reused across calls
+	_ = "same-line" //mrlint:ignore lockcheck scratch buffer, reused across calls
 	//mrlint:ignore doccheck generated file, exempt from doc conventions
 	_ = "line-above"
 
 	//mrlint:ignore all demo fixture, every analyzer silenced here
 	_ = "wildcard"
 
-	//mrlint:ignore alloccheck
+	//mrlint:ignore lockcheck
 	_ = "missing-reason"
 
 	//mrlint:ignore
 	_ = "missing-analyzer"
 
-	//mrlint:ignore alloccheck amortized growth //mrlint:ignore droppederr best-effort status write
+	//mrlint:ignore lockcheck amortized growth //mrlint:ignore droppederr best-effort status write
 	_ = "two-directives"
 
 	// Prose that mentions the //mrlint:ignore marker mid-comment is
 	// documentation, not a directive.
 	_ = "prose-mention"
 
+	//mrlint:ignore printf a vet pass, not one of the suite
+	_ = "foreign-analyzer"
+
+	//mrlint:ignore dropederr misspelled analyzer name
+	_ = "misspelled-analyzer"
+
 	//mrlint:ignore doccheck directive two lines up must not reach here
 
 	_ = "two-above"
 }
 `
+
+// suite stands in for mrlint's analyzers: only their names matter here.
+var suite = []*Analyzer{{Name: "droppederr"}, {Name: "lockcheck"}, {Name: "goroleak"}, {Name: "doccheck"}, {Name: "globalstate"}}
 
 // parseSupp parses suppSrc and returns the suppression index plus the fset.
 func parseSupp(t *testing.T) (*Suppressions, *token.FileSet) {
@@ -48,7 +57,7 @@ func parseSupp(t *testing.T) (*Suppressions, *token.FileSet) {
 	if err != nil {
 		t.Fatalf("parsing fixture: %v", err)
 	}
-	return NewSuppressions(fset, []*ast.File{f}), fset
+	return NewSuppressions(fset, []*ast.File{f}, suite), fset
 }
 
 // lineOf returns the 1-based line of the first occurrence of needle.
@@ -74,11 +83,11 @@ func diagAtLine(fset *token.FileSet, line int, analyzer string) Diagnostic {
 func TestSuppressedSameLine(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"same-line"`)
-	if !s.Suppressed(fset, diagAtLine(fset, line, "alloccheck")) {
-		t.Errorf("directive on the offending line did not suppress alloccheck at line %d", line)
+	if !s.Suppressed(fset, diagAtLine(fset, line, "lockcheck")) {
+		t.Errorf("directive on the offending line did not suppress lockcheck at line %d", line)
 	}
 	if s.Suppressed(fset, diagAtLine(fset, line, "doccheck")) {
-		t.Errorf("same-line directive for alloccheck wrongly suppressed doccheck")
+		t.Errorf("same-line directive for lockcheck wrongly suppressed doccheck")
 	}
 }
 
@@ -93,7 +102,7 @@ func TestSuppressedLineAbove(t *testing.T) {
 func TestSuppressedAllWildcard(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"wildcard"`)
-	for _, analyzer := range []string{"alloccheck", "doccheck", "goroleak"} {
+	for _, analyzer := range []string{"lockcheck", "doccheck", "goroleak"} {
 		if !s.Suppressed(fset, diagAtLine(fset, line, analyzer)) {
 			t.Errorf("//mrlint:ignore all did not suppress %s at line %d", analyzer, line)
 		}
@@ -103,7 +112,7 @@ func TestSuppressedAllWildcard(t *testing.T) {
 func TestMissingReasonIsMalformedAndDoesNotSuppress(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"missing-reason"`)
-	if s.Suppressed(fset, diagAtLine(fset, line, "alloccheck")) {
+	if s.Suppressed(fset, diagAtLine(fset, line, "lockcheck")) {
 		t.Errorf("reason-less directive suppressed a finding; the reason is mandatory")
 	}
 	var noReason, noAnalyzer int
@@ -113,6 +122,7 @@ func TestMissingReasonIsMalformedAndDoesNotSuppress(t *testing.T) {
 			noReason++
 		case strings.Contains(d.Message, "names no analyzer"):
 			noAnalyzer++
+		case strings.Contains(d.Message, "not an analyzer of the suite"):
 		default:
 			t.Errorf("unexpected malformed-directive message: %s", d.Message)
 		}
@@ -125,10 +135,37 @@ func TestMissingReasonIsMalformedAndDoesNotSuppress(t *testing.T) {
 	}
 }
 
+func TestUnknownAnalyzerIsMalformedAndDoesNotSuppress(t *testing.T) {
+	s, fset := parseSupp(t)
+	reported := make(map[int]string)
+	for _, d := range s.Malformed() {
+		if strings.Contains(d.Message, "not an analyzer of the suite") {
+			reported[fset.Position(d.Pos).Line] = d.Message
+		}
+	}
+	for _, c := range []struct{ needle, name string }{
+		{`"foreign-analyzer"`, "printf"},
+		{`"misspelled-analyzer"`, "dropederr"},
+	} {
+		line := lineOf(t, c.needle)
+		if msg := reported[line-1]; !strings.Contains(msg, `"`+c.name+`"`) {
+			t.Errorf("directive naming %q above line %d was not reported (got %q)", c.name, line, msg)
+		}
+		for _, analyzer := range []string{c.name, "droppederr"} {
+			if s.Suppressed(fset, diagAtLine(fset, line, analyzer)) {
+				t.Errorf("directive naming %q suppressed a %s finding at line %d", c.name, analyzer, line)
+			}
+		}
+	}
+	if len(reported) != 2 {
+		t.Errorf("got %d unknown-analyzer directives, want 2: %v", len(reported), reported)
+	}
+}
+
 func TestMultipleDirectivesPerComment(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"two-directives"`)
-	for _, analyzer := range []string{"alloccheck", "droppederr"} {
+	for _, analyzer := range []string{"lockcheck", "droppederr"} {
 		if !s.Suppressed(fset, diagAtLine(fset, line, analyzer)) {
 			t.Errorf("repeated-marker comment did not suppress %s at line %d", analyzer, line)
 		}
@@ -142,7 +179,7 @@ func TestProseMentionIsNotADirective(t *testing.T) {
 	s, fset := parseSupp(t)
 	line := lineOf(t, `"prose-mention"`)
 	if s.Suppressed(fset, diagAtLine(fset, line, "all")) ||
-		s.Suppressed(fset, diagAtLine(fset, line, "alloccheck")) {
+		s.Suppressed(fset, diagAtLine(fset, line, "lockcheck")) {
 		t.Errorf("a comment mentioning the marker mid-prose acted as a directive")
 	}
 	// Nor may prose mentions be reported as malformed (they are not
@@ -168,7 +205,7 @@ func TestZeroAndNilSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Diagnostic{Pos: f.Pos(), Category: "alloccheck"}
+	d := Diagnostic{Pos: f.Pos(), Category: "lockcheck"}
 	var zero Suppressions
 	if zero.Suppressed(fset, d) {
 		t.Errorf("zero-value Suppressions suppressed a finding")

@@ -12,14 +12,6 @@
 // test. Golden packages live under <analyzer>/testdata/src/<name>/ — the
 // testdata path component hides them from go build, go vet and mrlint
 // itself, so they may (and should) contain seeded violations.
-//
-// Facts-based analyzers get cross-package golden tests through RunPkgs: the
-// named packages are type-checked in the given order against one another
-// (so "dep", "hot" lets hot import dep), the analyzer runs over each with a
-// shared fact store, and want comments are checked across the whole tree —
-// a diagnostic in a later package may therefore depend on facts exported
-// while analyzing an earlier one, exactly like the mrlint driver's
-// dependency-ordered schedule.
 package analysistest
 
 import (
@@ -50,78 +42,26 @@ type expectation struct {
 	matched bool
 }
 
-// goldenImporter resolves the golden tree's own packages by name and
-// everything else (the standard library) through the source importer.
-type goldenImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
-}
-
-func (g *goldenImporter) Import(path string) (*types.Package, error) {
-	if p, ok := g.local[path]; ok {
-		return p, nil
-	}
-	return g.fallback.Import(path)
-}
-
-// goldenPkg is one parsed and type-checked golden package.
-type goldenPkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
-}
-
 // Run loads the golden package at testdata/src/<pkg> beneath testdata,
 // applies the analyzer, and reports any mismatch between produced and
 // expected diagnostics as test errors.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	RunPkgs(t, testdata, a, pkg)
-}
-
-// RunPkgs loads the golden packages at testdata/src/<pkg> for each named
-// pkg — listed in dependency order, imported packages first — applies the
-// analyzer to each in that order with one shared fact store, and reports
-// any mismatch between produced and expected diagnostics, across all
-// packages, as test errors.
-func RunPkgs(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	if len(pkgs) == 0 {
-		t.Fatal("analysistest: no packages given")
-	}
-
 	fset := token.NewFileSet()
-	imp := &goldenImporter{
-		local:    make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
+	files, tpkg, info := loadGolden(t, fset, filepath.Join(testdata, "src", pkg), pkg)
+	expects := collectWants(t, fset, files)
 
-	var loaded []*goldenPkg
-	var allFiles []*ast.File
-	for _, pkg := range pkgs {
-		g := loadGolden(t, fset, imp, filepath.Join(testdata, "src", pkg), pkg)
-		imp.local[pkg] = g.types
-		loaded = append(loaded, g)
-		allFiles = append(allFiles, g.files...)
-	}
-
-	expects := collectWants(t, fset, allFiles)
-
-	facts := analysis.NewFacts()
 	var diags []analysis.Diagnostic
-	for _, g := range loaded {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     g.files,
-			Pkg:       g.types,
-			TypesInfo: g.info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			Facts:     facts,
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: analyzer %s on %s: %v", a.Name, g.types.Path(), err)
-		}
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     files,
+		Pkg:       tpkg,
+		TypesInfo: info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+	}
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("analysistest: analyzer %s on %s: %v", a.Name, tpkg.Path(), err)
 	}
 
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
@@ -138,8 +78,9 @@ func RunPkgs(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string
 	}
 }
 
-// loadGolden parses and type-checks one golden package directory.
-func loadGolden(t *testing.T, fset *token.FileSet, imp types.Importer, dir, pkg string) *goldenPkg {
+// loadGolden parses and type-checks one golden package directory against
+// the standard library, from source.
+func loadGolden(t *testing.T, fset *token.FileSet, dir, pkg string) ([]*ast.File, *types.Package, *types.Info) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -167,12 +108,12 @@ func loadGolden(t *testing.T, fset *token.FileSet, imp types.Importer, dir, pkg 
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	tpkg, err := conf.Check(pkg, fset, files, info)
 	if err != nil {
 		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
 	}
-	return &goldenPkg{files: files, types: tpkg, info: info}
+	return files, tpkg, info
 }
 
 // collectWants scans comments for want clauses.

@@ -5,21 +5,13 @@
 // type checking to go/types — so the whole pipeline works with no module
 // dependencies and no network.
 //
-// Two properties matter to the facts-based alloccheck:
-//
-//   - Deterministic DAG order. Packages returns the module-local package
-//     graph in dependency order — every package appears after everything it
-//     imports, ties broken by import path — so a bottom-up summary pass
-//     sees its callees' facts before it needs them, and two runs over the
-//     same tree schedule identically.
-//
-//   - Object identity across packages. All packages are type-checked with
-//     one importer that serves module-local imports from the packages this
-//     loader itself produced (falling back to the source importer for the
-//     standard library), so the *types.Func a defining package exports is
-//     the very object an importing package resolves. Facts are keyed by
-//     object, which makes this a correctness requirement, not an
-//     optimization.
+// Packages returns the module-local package graph in dependency order —
+// every package after everything it imports, ties broken by import path —
+// and type-checks it with one importer that serves module-local imports
+// from the packages this loader itself produced (falling back to the source
+// importer for the standard library). Each package is therefore checked
+// once, against the very objects its dependencies declare, and two runs
+// over the same tree schedule identically.
 //
 // Load problems do not abort the run: `go list` package errors, parse
 // errors and type-check errors are all aggregated per package (LoadErrors,
@@ -52,9 +44,8 @@ type Package struct {
 	// Imports lists the module-local packages this one imports, sorted.
 	Imports []string
 	// Listed is true when the package matched the requested patterns.
-	// False means it was pulled in only as a dependency so facts-based
-	// analyzers can summarize it; the driver analyzes it but reports no
-	// diagnostics on it.
+	// False means it was pulled in only as a dependency, type-checked for
+	// its importers; the driver does not analyze it.
 	Listed bool
 	// LoadErrors holds go list and parse problems. A package with load
 	// errors may have partial (or no) syntax and types.
@@ -82,8 +73,8 @@ type listedPackage struct {
 
 // list runs `go list -deps -json patterns...` in dir and decodes the
 // stream. -deps pulls in every dependency, so module-local helpers of the
-// listed packages are loaded (and summarized for facts) even when the
-// patterns name only their importers.
+// listed packages are loaded (and type-checked for their importers) even
+// when the patterns name only their importers.
 func list(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-e", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)

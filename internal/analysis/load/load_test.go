@@ -63,8 +63,8 @@ func TestPackagesOrderIsDeterministic(t *testing.T) {
 func TestPackagesPullsDepsUnlisted(t *testing.T) {
 	byPath, order := loadDag(t, "./c")
 	// Naming only the diamond top must still load its module-local
-	// dependencies (facts need their summaries) but mark them unlisted so
-	// the driver reports no diagnostics on them.
+	// dependencies (its type-check needs them) but mark them unlisted so
+	// the driver does not analyze them.
 	for _, path := range []string{"example.com/dagmod/a", "example.com/dagmod/b"} {
 		dep, ok := byPath[path]
 		if !ok {
@@ -91,9 +91,9 @@ func TestObjectIdentityAcrossPackages(t *testing.T) {
 	if def == nil {
 		t.Fatal("a.A not found in its defining package scope")
 	}
-	// The facts store keys on object identity, so the *types.Func b sees
-	// for a.A must be the very object a defined — not an equivalent
-	// re-import.
+	// Each package is type-checked once, so the *types.Func b sees for
+	// a.A must be the very object a defined — not an equivalent re-import
+	// checked a second time.
 	var used types.Object
 	for _, obj := range b.Info.Uses {
 		if f, ok := obj.(*types.Func); ok && f.Name() == "A" && f.Pkg() != nil && f.Pkg().Path() == "example.com/dagmod/a" {
@@ -105,7 +105,7 @@ func TestObjectIdentityAcrossPackages(t *testing.T) {
 		t.Fatal("b's type info records no use of a.A")
 	}
 	if used != def {
-		t.Errorf("a.A resolves to different objects in a (%p) and b (%p); facts keyed by object would miss", def, used)
+		t.Errorf("a.A resolves to different objects in a (%p) and b (%p); a was type-checked twice", def, used)
 	}
 }
 

@@ -34,8 +34,6 @@ type accessLogSumMapper struct {
 // visit. The revenue field is parsed in place with fastparse.ParseInt —
 // the strconv.ParseInt(string(f[3]), ...) it replaced allocated a string
 // per record — and the varint value is encoded into reused scratch.
-//
-//mrlint:hotpath
 func (m *accessLogSumMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	if len(line) == 0 {
 		return nil
@@ -43,12 +41,10 @@ func (m *accessLogSumMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	m.fields = fastparse.SplitByte(m.fields[:0], line, '|')
 	f := m.fields
 	if len(f) != visitFields {
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return fmt.Errorf("apps: malformed UserVisits line (%d fields)", len(f))
 	}
 	cents, err := fastparse.ParseInt(f[3])
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return fmt.Errorf("apps: parsing adRevenue: %w", err)
 	}
 	m.val = serde.AppendInt64(m.val[:0], cents)
@@ -82,8 +78,6 @@ type accessLogJoinMapper struct {
 }
 
 // Map implements the AccessLogJoin map(): tagged tuples keyed by URL.
-//
-//mrlint:hotpath
 func (m *accessLogJoinMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	if len(line) == 0 {
 		return nil
@@ -102,7 +96,6 @@ func (m *accessLogJoinMapper) Map(_ int64, line []byte, out mr.Collector) error 
 		m.scratch = append(m.scratch, f[1]...)
 		return out.Collect(f[0], m.scratch)
 	default:
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return fmt.Errorf("apps: malformed join input line (%d fields)", len(f))
 	}
 }
@@ -155,8 +148,6 @@ func (accessLogJoinReducer) Reduce(key []byte, values mr.ValueIter, out mr.Colle
 }
 
 // joinFormat emits the already-formatted key as one line.
-//
-//mrlint:hotpath
 func joinFormat(dst, key, _ []byte) ([]byte, error) {
 	dst = append(dst, key...)
 	return append(dst, '\n'), nil

@@ -35,8 +35,6 @@ type sumReducer struct {
 }
 
 // Reduce implements the WordCount and AccessLogSum reduce().
-//
-//mrlint:hotpath
 func (r *sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
 	var sum int64
 	for {
@@ -49,7 +47,6 @@ func (r *sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) e
 		}
 		n, err := serde.DecodeInt64(v)
 		if err != nil {
-			//mrlint:ignore alloccheck cold path: a malformed value ends the task
 			return fmt.Errorf("apps: decoding count for %q: %w", key, err)
 		}
 		sum += n
@@ -59,8 +56,6 @@ func (r *sumReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) e
 }
 
 // textKVFormat renders "key<TAB>int64Value\n".
-//
-//mrlint:hotpath
 func textKVFormat(dst, key, value []byte) ([]byte, error) {
 	n, err := serde.DecodeInt64(value)
 	if err != nil {
@@ -81,8 +76,6 @@ type wordCountMapper struct {
 }
 
 // Map implements the WordCount map(): one (word, 1) per token.
-//
-//mrlint:hotpath
 func (m *wordCountMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	m.words = fastparse.Fields(m.words[:0], line)
 	for _, w := range m.words {
@@ -120,8 +113,6 @@ type invertedIndexMapper struct {
 
 // Map implements the InvertedIndex map(): one single-posting list per
 // token, encoded into the mapper's scratch.
-//
-//mrlint:hotpath
 func (m *invertedIndexMapper) Map(off int64, line []byte, out mr.Collector) error {
 	m.words = fastparse.Fields(m.words[:0], line)
 	if len(m.words) == 0 {
@@ -150,8 +141,6 @@ var postingsPool = sync.Pool{New: func() any { return new(postingsScratch) }}
 // postingsCombine merges posting lists — the value grows with every merge,
 // which is what makes InvertedIndex the storage-intensive corner of
 // Fig. 10. It emits from pooled scratch: emit copies what it is given.
-//
-//mrlint:hotpath
 func postingsCombine(key []byte, values [][]byte, emit func(k, v []byte) error) error {
 	if len(values) == 1 {
 		return emit(key, values[0])
@@ -161,7 +150,6 @@ func postingsCombine(key []byte, values [][]byte, emit func(k, v []byte) error) 
 	var err error
 	s.out, s.ps, err = serde.AppendMergedPostings(s.out[:0], values, s.ps)
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: a malformed value ends the task
 		return fmt.Errorf("apps: merging postings for %q: %w", key, err)
 	}
 	return emit(key, s.out)
@@ -179,8 +167,6 @@ type invertedIndexReducer struct {
 }
 
 // Reduce implements the InvertedIndex reduce().
-//
-//mrlint:hotpath
 func (r *invertedIndexReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) error {
 	// A value is valid only until the next Next, so each is copied into the
 	// arena, and sliced out of it only once the arena has stopped growing.
@@ -205,15 +191,12 @@ func (r *invertedIndexReducer) Reduce(key []byte, values mr.ValueIter, out mr.Co
 	var err error
 	r.out, r.ps, err = serde.AppendMergedPostings(r.out[:0], r.lists, r.ps)
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: a malformed value ends the task
 		return fmt.Errorf("apps: decoding postings for %q: %w", key, err)
 	}
 	return out.Collect(key, r.out)
 }
 
 // invertedIndexFormat renders "word<TAB>doc:off doc:off ...\n".
-//
-//mrlint:hotpath
 func invertedIndexFormat(dst, key, value []byte) ([]byte, error) {
 	dst = append(dst, key...)
 	dst = append(dst, '\t')

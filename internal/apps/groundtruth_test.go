@@ -7,14 +7,14 @@ import (
 	"mrtext/internal/serde"
 )
 
-// TestGroundTruthMappers pins the //mrlint:hotpath annotations on the
-// rewritten map() implementations to the real compiler: with scratch warm,
+// TestGroundTruthMappers pins the rewritten map() implementations'
+// allocations to the real compiler: with scratch warm,
 // each mapper must process a representative line with zero heap
 // allocations (the collector here is a no-op; the runtime's collector
 // copies into the spill arena, which is gated by its own ground truth).
 // CI runs this plain and under -race; race instrumentation inflates
 // allocation counts, so the ==0 assertions are relaxed there
-// (raceEnabled), matching the alloccheck ground-truth convention.
+// (raceEnabled), as in every TestGroundTruth* test.
 func TestGroundTruthMappers(t *testing.T) {
 	sink := mr.CollectorFunc(func(k, v []byte) error { return nil })
 
@@ -53,8 +53,7 @@ func TestGroundTruthMappers(t *testing.T) {
 	}
 }
 
-// TestGroundTruthReducePath pins the //mrlint:hotpath annotations past the
-// map side: with scratch warm, the InvertedIndex combiner (on one, two and
+// TestGroundTruthReducePath pins allocations past the map side: with scratch warm, the InvertedIndex combiner (on one, two and
 // 64 values, in order and not), both pointer reducers and every output
 // format (into a warm dst) allocate nothing per call. The combiner's
 // scratch comes from a sync.Pool, which the race detector empties at

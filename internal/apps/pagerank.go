@@ -39,8 +39,6 @@ type pageRankMapper struct {
 // are subslices of the input line, never copied to strings (the
 // strconv.ParseFloat(string(...)) rank parse and the []byte(t) key
 // conversion each allocated per record before the fast path).
-//
-//mrlint:hotpath
 func (m *pageRankMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	if len(line) == 0 {
 		return nil
@@ -74,23 +72,18 @@ func (m *pageRankMapper) Map(_ int64, line []byte, out mr.Collector) error {
 // the outlinks alias line, the outlink headers are appended to dst, and
 // the rank is parsed with fastparse.ParseFloat (bit-identical to strconv
 // on the generator's format, without the string conversion).
-//
-//mrlint:hotpath
 func parseGraphLine(dst [][]byte, line []byte) (url []byte, rank float64, outlinks [][]byte, err error) {
 	tab1 := bytes.IndexByte(line, '\t')
 	if tab1 < 0 {
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return nil, 0, dst, fmt.Errorf("apps: malformed graph line (no rank field)")
 	}
 	rest := line[tab1+1:]
 	tab2 := bytes.IndexByte(rest, '\t')
 	if tab2 < 0 {
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return nil, 0, dst, fmt.Errorf("apps: malformed graph line (no links field)")
 	}
 	rank, err = fastparse.ParseFloat(rest[:tab2])
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: malformed-input rejection, not the per-record loop
 		return nil, 0, dst, fmt.Errorf("apps: parsing rank %q: %w", rest[:tab2], err)
 	}
 	links := rest[tab2+1:]
@@ -168,8 +161,6 @@ func (r pageRankReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collecto
 
 // pageRankFormat renders the next-iteration input line, converting rank
 // units back to a float rank.
-//
-//mrlint:hotpath
 func pageRankFormat(dst, key, value []byte) ([]byte, error) {
 	rank, err := serde.DecodeFloat64(value) // a rank record leads with its rank
 	if err != nil {

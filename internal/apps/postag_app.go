@@ -85,11 +85,8 @@ func (wordPOSReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector) 
 }
 
 // wordPOSFormat renders "word<TAB>TAG:n TAG:n ...\n" for non-zero tags.
-//
-//mrlint:hotpath
 func wordPOSFormat(dst, key, value []byte) ([]byte, error) {
 	var counts [postag.NumTags]uint32
-	//mrlint:ignore alloccheck grows dst only past NumTags counters, which no WordPOSTag value holds
 	vec, err := serde.DecodeCounterVec(counts[:0], value)
 	if err != nil {
 		return dst, err

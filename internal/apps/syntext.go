@@ -55,7 +55,6 @@ func synPayloadSize(count uint64, cfg SynTextConfig) int {
 func synTextCount(v []byte) (uint64, error) {
 	n, k := binary.Uvarint(v)
 	if k <= 0 {
-		//mrlint:ignore alloccheck cold path: a malformed value ends the task
 		return 0, fmt.Errorf("apps: malformed SynText value")
 	}
 	return n, nil
@@ -70,8 +69,6 @@ type synTextMapper struct {
 
 // Map implements the SynText map(): per-word CPU burn plus a count-1
 // payload record, tokenized and encoded through reused scratch.
-//
-//mrlint:hotpath
 func (m *synTextMapper) Map(_ int64, line []byte, out mr.Collector) error {
 	m.words = fastparse.Fields(m.words[:0], line)
 	for _, w := range m.words {
@@ -137,8 +134,6 @@ func (r synTextReducer) Reduce(key []byte, values mr.ValueIter, out mr.Collector
 }
 
 // synTextFormat renders "key<TAB>count\n".
-//
-//mrlint:hotpath
 func synTextFormat(dst, key, value []byte) ([]byte, error) {
 	n, err := synTextCount(value)
 	if err != nil {

@@ -253,9 +253,6 @@ func (in *Injector) Disarm() {
 	}
 }
 
-// Enabled reports whether the injector is non-nil and armed.
-func (in *Injector) Enabled() bool { return in != nil && in.enabled.Load() > 0 }
-
 // KillsNodes reports whether this injector is configured to kill a node.
 // The mr runtime uses it to reject node-killing per-job injectors: node
 // death is a cluster-wide condition, not a per-job one.

@@ -139,7 +139,7 @@ func TestNilInjectorAndPlanAreNoOps(t *testing.T) {
 	in.Arm()
 	in.Disarm()
 	in.Kill(0)
-	if in.Enabled() || in.NodeDead(0) || in.DeadNodes() != nil {
+	if in.NodeDead(0) || in.DeadNodes() != nil {
 		t.Fatal("nil injector reported state")
 	}
 	if err := in.NodeOp(3); err != nil {

@@ -194,14 +194,3 @@ func (c *Cluster) TotalReduceSlots() int { return c.cfg.Nodes * c.cfg.ReduceSlot
 // NodeDead reports whether the chaos layer has killed node n. Always
 // false without an injector.
 func (c *Cluster) NodeDead(n int) bool { return c.Chaos.NodeDead(n) }
-
-// LiveNodes returns the ids of nodes not killed by the chaos layer.
-func (c *Cluster) LiveNodes() []int {
-	live := make([]int, 0, c.cfg.Nodes)
-	for i := 0; i < c.cfg.Nodes; i++ {
-		if !c.Chaos.NodeDead(i) {
-			live = append(live, i)
-		}
-	}
-	return live
-}

@@ -84,8 +84,8 @@ func TestNilChaosFullyDisabled(t *testing.T) {
 			t.Errorf("node %d dead without chaos", n)
 		}
 	}
-	if live := c.LiveNodes(); len(live) != 3 {
-		t.Errorf("live nodes %v, want all three", live)
+	if dead := c.Chaos.DeadNodes(); dead != nil {
+		t.Errorf("dead nodes %v, want none", dead)
 	}
 	// Without an injector the disks must be the raw implementation, not a
 	// fault wrapper: the disabled path adds zero indirection.
@@ -109,8 +109,8 @@ func TestChaosWiredThroughDisksAndFabric(t *testing.T) {
 	if !c.NodeDead(1) || c.NodeDead(0) || c.NodeDead(2) {
 		t.Errorf("death flags: dead(0..2) = %v %v %v", c.NodeDead(0), c.NodeDead(1), c.NodeDead(2))
 	}
-	if live := c.LiveNodes(); len(live) != 2 || live[0] != 0 || live[1] != 2 {
-		t.Errorf("live nodes %v, want [0 2]", live)
+	if dead := c.Chaos.DeadNodes(); len(dead) != 1 || dead[0] != 1 {
+		t.Errorf("dead nodes %v, want [1]", dead)
 	}
 	// The dead node's disk refuses new work with the chaos error...
 	if _, err := c.Disks[1].Create("x"); !errors.Is(err, chaos.ErrNodeDead) {
@@ -209,8 +209,8 @@ func TestNodeDeathUnderConcurrentLoad(t *testing.T) {
 	if !c.NodeDead(victim) {
 		t.Error("victim not marked dead after the load")
 	}
-	if live := c.LiveNodes(); len(live) != nodes-1 {
-		t.Errorf("live nodes %v after one death", live)
+	if dead := c.Chaos.DeadNodes(); len(dead) != 1 || dead[0] != victim {
+		t.Errorf("dead nodes %v after the death of node %d", dead, victim)
 	}
 }
 
@@ -242,8 +242,7 @@ func writeThenRead(d vdisk.Disk, name string, payload []byte) error {
 }
 
 func TestThrottledDisksWired(t *testing.T) {
-	thr := vdisk.DefaultThrottle()
-	c, err := New(Config{Nodes: 1, DiskThrottle: &thr})
+	c, err := New(Config{Nodes: 1, DiskThrottle: throttlePtr(paperDisk())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,12 +342,9 @@ func (b *Buffer) TopK() []string {
 // spill path. overflow, when non-empty, holds aggregate records ejected for
 // lack of space: the caller must route them down the spill path. The key
 // and value slices are copied as needed; the caller may reuse them.
-//
-//mrlint:hotpath
 func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []kvio.Record, err error) {
 	b.seen++
 	if b.stage != StageOptimize {
-		//mrlint:ignore alloccheck profiling stages: one key string per record over the task's first s·n records only
 		b.profile(key)
 		return false, nil, nil
 	}
@@ -372,7 +369,6 @@ func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []k
 		return true, nil, err
 	}
 	if b.tableBytes > b.cfg.MemoryBytes {
-		//mrlint:ignore alloccheck once per fill of the last fifth of the budget, not per record
 		overflow, err = b.evictToWatermark()
 		return true, overflow, err
 	}
@@ -381,8 +377,6 @@ func (b *Buffer) Offer(part int, key, value []byte) (absorbed bool, overflow []k
 
 // buffer appends value to e's pending batch, combining the batch into a
 // chunk when it is full and the chunks when there are enough of them.
-//
-//mrlint:hotpath
 func (b *Buffer) buffer(e *entry, value []byte) error {
 	e.pending.add(value)
 	b.charge(e, int64(len(value))+valueOverhead)
@@ -401,8 +395,6 @@ func (b *Buffer) buffer(e *entry, value []byte) error {
 // lookup returns key's entry, nil for a key that is not frequent, and the
 // slot its probe sequence ended at: the entry's own, or the empty one that
 // shows key is absent.
-//
-//mrlint:hotpath
 func (b *Buffer) lookup(key []byte) (e *entry, pos int) {
 	h := maphash.Bytes(b.seed, key)
 	tag := b.tag(h)
@@ -565,7 +557,6 @@ func (b *Buffer) runCombine(e *entry, vals *packed) error {
 		b.timer.End()
 	}
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: a failing combiner ends the task
 		return fmt.Errorf("freqbuf: combine(%q): %w", e.key, err)
 	}
 	return nil

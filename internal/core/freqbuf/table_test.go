@@ -12,8 +12,8 @@ import (
 	"mrtext/internal/serde"
 )
 
-// TestGroundTruthOffer pins the //mrlint:hotpath annotations on Offer and
-// lookup to the real compiler: once a key's arenas have grown through a
+// TestGroundTruthOffer pins Offer's and lookup's allocations to the real
+// compiler: once a key's arenas have grown through a
 // full combine cycle, absorbing its values — the pending-batch and chunk
 // combines they trigger included — and passing over an infrequent key
 // allocate nothing, as long as the combiner emits from a buffer it reuses.

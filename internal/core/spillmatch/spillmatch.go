@@ -18,7 +18,6 @@
 package spillmatch
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -34,8 +33,6 @@ type Controller interface {
 	// its size in bytes, the active time the map thread spent producing
 	// it, and the active time the support thread spent consuming it.
 	Record(spillBytes int64, produce, consume time.Duration)
-	// Name identifies the controller in experiment reports.
-	Name() string
 }
 
 // Static is the baseline fixed-threshold controller; Hadoop's default
@@ -52,9 +49,6 @@ func (s *Static) Percent() float64 { return s.X }
 
 // Record implements Controller; static controllers ignore measurements.
 func (s *Static) Record(int64, time.Duration, time.Duration) {}
-
-// Name implements Controller.
-func (s *Static) Name() string { return fmt.Sprintf("static(%.2f)", s.X) }
 
 // DefaultStaticPercent is Hadoop's default spill percentage, used by all
 // non-spill-matcher configurations in the paper's experiments.
@@ -85,19 +79,10 @@ func DefaultConfig() Config {
 type Matcher struct {
 	cfg Config
 
-	mu      sync.Mutex
-	x       float64
-	tp, tc  time.Duration // smoothed last measurements
-	spills  int
-	history []Decision
-}
-
-// Decision records one adaptation step, for the experiment reports.
-type Decision struct {
-	SpillBytes int64
-	Produce    time.Duration
-	Consume    time.Duration
-	NextX      float64
+	mu     sync.Mutex
+	x      float64
+	tp, tc time.Duration // smoothed last measurements
+	spills int
 }
 
 // NewMatcher returns a Matcher with the given configuration; zero-valued
@@ -155,26 +140,13 @@ func (m *Matcher) Record(spillBytes int64, produce, consume time.Duration) {
 		x = 0.5
 	}
 	m.x = clamp(x, m.cfg.Min, m.cfg.Max)
-	m.history = append(m.history, Decision{SpillBytes: spillBytes, Produce: produce, Consume: consume, NextX: m.x})
 }
-
-// Name implements Controller.
-func (m *Matcher) Name() string { return "spill-matcher" }
 
 // Spills returns how many measurements the matcher has absorbed.
 func (m *Matcher) Spills() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.spills
-}
-
-// History returns a copy of the adaptation trace.
-func (m *Matcher) History() []Decision {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Decision, len(m.history))
-	copy(out, m.history)
-	return out
 }
 
 // WaitFreePercent is the pure eq.-1 function: the maximal spill percentage

@@ -37,8 +37,6 @@ var ErrRange = errors.New("fastparse: value out of range")
 // ParseUint parses b as a base-10 uint64, exactly like
 // strconv.ParseUint(string(b), 10, 64): digits only, no sign, no
 // underscores. On overflow it returns math.MaxUint64 and ErrRange.
-//
-//mrlint:hotpath
 func ParseUint(b []byte) (uint64, error) {
 	if len(b) == 0 {
 		return 0, ErrSyntax
@@ -66,8 +64,6 @@ func ParseUint(b []byte) (uint64, error) {
 // ParseInt parses b as a base-10 int64, exactly like
 // strconv.ParseInt(string(b), 10, 64): an optional leading sign followed
 // by digits. On overflow it returns the clamped extreme and ErrRange.
-//
-//mrlint:hotpath
 func ParseInt(b []byte) (int64, error) {
 	if len(b) == 0 {
 		return 0, ErrSyntax
@@ -114,8 +110,6 @@ var pow10 = [...]float64{
 // single-operation fast path; anything longer falls back to strconv for
 // correct rounding (a cold path on generated data, which never exceeds 17
 // significant digits).
-//
-//mrlint:hotpath
 func ParseFloat(b []byte) (float64, error) {
 	if len(b) == 0 {
 		return 0, ErrSyntax
@@ -242,7 +236,6 @@ func ParseFloat(b []byte) (float64, error) {
 // rounded for arbitrary inputs. The grammar was already validated, so
 // strconv can only fail with ErrRange.
 func parseFloatSlow(b []byte) (float64, error) {
-	//mrlint:ignore alloccheck cold path: only >19-significant-digit or |exp|>22 inputs reach the strconv fallback, and the generated corpora never do
 	f, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
 		return f, ErrRange
@@ -255,8 +248,6 @@ func parseFloatSlow(b []byte) (float64, error) {
 // bytes.Split(line, []byte{sep}), with the fields aliasing line and the
 // field headers reusing dst's capacity. Callers pass a scratch slice
 // resliced to [:0] to stay allocation-free across records.
-//
-//mrlint:hotpath
 func SplitByte(dst [][]byte, line []byte, sep byte) [][]byte {
 	const lo, hi = 0x0101010101010101, 0x8080808080808080
 	sepx := uint64(sep) * lo
@@ -318,8 +309,6 @@ var fieldClass = func() (t [256]uint8) {
 // take the table-driven single pass; a line containing any byte ≥ 0x80
 // delegates to bytes.Fields so multi-byte Unicode spaces keep their exact
 // semantics.
-//
-//mrlint:hotpath
 func Fields(dst [][]byte, line []byte) [][]byte {
 	const hi = 0x8080808080808080
 	n0 := len(dst)
@@ -357,7 +346,6 @@ func Fields(dst [][]byte, line []byte) [][]byte {
 					start = -1
 				}
 			case classNonASCII:
-				//mrlint:ignore alloccheck cold path: non-ASCII input delegates to bytes.Fields for exact Unicode space semantics
 				return append(dst[:n0], bytes.Fields(line)...)
 			default:
 				// Control-char word byte flagged by the below-0x21 filter.
@@ -383,7 +371,6 @@ func Fields(dst [][]byte, line []byte) [][]byte {
 			continue
 		}
 		if c == classNonASCII {
-			//mrlint:ignore alloccheck cold path: non-ASCII input delegates to bytes.Fields for exact Unicode space semantics
 			return append(dst[:n0], bytes.Fields(line)...)
 		}
 		if start >= 0 {

@@ -6,13 +6,13 @@ import (
 	"mrtext/internal/fastparse"
 )
 
-// TestGroundTruthFastparse pins the //mrlint:hotpath annotations on the
-// parsing kernels to the real compiler: every kernel must run its
+// TestGroundTruthFastparse pins the parsing kernels' allocations to the
+// real compiler: every kernel must run its
 // steady-state fast path with zero heap allocations, measured by
 // testing.AllocsPerRun. The CI AllocsPerRun gate runs this plain and
 // under -race; race instrumentation inflates allocation counts, so the
-// ==0 assertions are relaxed there (raceEnabled), matching the
-// alloccheck ground-truth convention.
+// ==0 assertions are relaxed there (raceEnabled), as in every
+// TestGroundTruth* test.
 func TestGroundTruthFastparse(t *testing.T) {
 	intsrc := []byte("-9007182818284590")
 	uintsrc := []byte("18446744073709551615")

@@ -74,8 +74,6 @@ func NewMerger(streams []Stream) (*Merger, error) {
 // fill loads stream i's next record into leaf i, marking eof at stream
 // end. The leaf's buffers are reused; the previous value buffer is kept
 // as spare for one extra call of validity.
-//
-//mrlint:hotpath
 func (m *Merger) fill(i int) error {
 	l := &m.leaves[i]
 	k, v, err := m.streams[i].Next()
@@ -95,8 +93,6 @@ func (m *Merger) fill(i int) error {
 // leafLess orders leaves by (key, src); exhausted leaves sort last. The
 // src tiebreak preserves the cross-run stability the old heap merger
 // guaranteed: equal keys surface in stream order.
-//
-//mrlint:hotpath
 func (m *Merger) leafLess(a, b int) bool {
 	la, lb := &m.leaves[a], &m.leaves[b]
 	if la.eof || lb.eof {
@@ -138,8 +134,6 @@ func (m *Merger) build(n int) int {
 // replay restores the tree after leaf w (the previous winner) changed:
 // one walk from the leaf's parent to the root, swapping the candidate
 // with any stored loser that now beats it.
-//
-//mrlint:hotpath
 func (m *Merger) replay(w int) {
 	k := len(m.leaves)
 	for n := (w + k) / 2; n >= 1; n /= 2 {
@@ -153,8 +147,6 @@ func (m *Merger) replay(w int) {
 // NextGroup advances to the next distinct key. It returns the key and
 // true, or nil and false at end of input. Any unconsumed values of the
 // previous group are drained first.
-//
-//mrlint:hotpath
 func (m *Merger) NextGroup() ([]byte, bool, error) {
 	if m.err != nil || m.done {
 		return nil, false, m.err
@@ -183,8 +175,6 @@ func (m *Merger) NextGroup() ([]byte, bool, error) {
 // NextValue returns the next value of the current group, or false when
 // the group is exhausted. The returned slice is valid until the next
 // NextValue call.
-//
-//mrlint:hotpath
 func (m *Merger) NextValue() ([]byte, bool, error) {
 	if m.err != nil {
 		return nil, false, m.err
@@ -199,7 +189,6 @@ func (m *Merger) NextValue() ([]byte, bool, error) {
 	}
 	v := l.value
 	if err := m.fill(w); err != nil {
-		//mrlint:ignore alloccheck cold path: a stream failure ends the merge, not the per-record loop
 		m.err = fmt.Errorf("kvio: merge stream %d: %w", w, err)
 		return nil, false, m.err
 	}

@@ -59,8 +59,6 @@ type Meta struct {
 // uint64, zero-padding short keys on the right. For keys of at most
 // eight bytes the prefix together with the length determines the key
 // completely.
-//
-//mrlint:hotpath
 func KeyPrefix(key []byte) uint64 {
 	if len(key) >= 8 {
 		return binary.BigEndian.Uint64(key)
@@ -82,8 +80,6 @@ type PackedRecords struct {
 
 // Append packs one record onto the batch. The key and value bytes are
 // copied into the arena, so the caller keeps ownership of its slices.
-//
-//mrlint:hotpath
 func (p *PackedRecords) Append(part int, key, value []byte) {
 	off := uint32(len(p.Arena))
 	p.Arena = append(p.Arena, key...)
@@ -135,26 +131,20 @@ type Region struct {
 // Append packs one record onto the region under partition part, which
 // the caller has checked to be a partition of the job (the table grows to
 // part+1 entries). The key and value bytes are copied into the arena.
-//
-//mrlint:hotpath
 func (r *Region) Append(part int, key, value []byte) {
 	if part >= len(r.Parts) {
-		//mrlint:ignore alloccheck grows to the partition count on a region's first records, then is reused
 		r.Parts = append(r.Parts, make([][]Meta, part+1-len(r.Parts))...)
 	}
 	off := len(r.Arena)
 	if payload := len(key) + len(value); off+payload > cap(r.Arena) {
-		//mrlint:ignore alloccheck a new region's growth: one that has held a spill holds the next without allocating
 		r.Arena = slices.Grow(r.Arena, max(cap(r.Arena)/4, payload, minRegionGrowth))
 	}
 	r.Arena = append(r.Arena, key...)
 	r.Arena = append(r.Arena, value...)
 	m := r.Parts[part]
 	if len(m) == cap(m) {
-		//mrlint:ignore alloccheck a new region's growth, as above
 		m = slices.Grow(m, max(cap(m)/4, minRegionGrowth/metaBytes))
 	}
-	//mrlint:ignore alloccheck room for the entry was made above
 	r.Parts[part] = append(m, Meta{
 		Prefix: KeyPrefix(key),
 		KeyOff: uint32(off),
@@ -289,8 +279,6 @@ const (
 // equal keys, permuting only the Meta array. The batch must be in emit
 // order (KeyOff ascending), as Append builds it. It allocates the
 // kernel's scratch per call; a caller with many batches keeps a Sorter.
-//
-//mrlint:hotpath
 func SortPacked(p PackedRecords) {
 	var s Sorter
 	s.Sort(p)
@@ -301,8 +289,6 @@ func SortPacked(p PackedRecords) {
 // Regions, which arrive grouped (SortRegion); Sort is what the tests hold
 // that against. Under the mrdebug build tag the result is verified
 // against SortRecords on every call.
-//
-//mrlint:hotpath
 func (s *Sorter) Sort(p PackedRecords) {
 	ref := debugSortReference(p)
 	s.sort(p.Meta, p.Arena)
@@ -313,8 +299,6 @@ func (s *Sorter) Sort(p PackedRecords) {
 // equal keys, permuting only the partition's Meta entries. Each must be
 // in emit order, as Region.Append files them. Under the mrdebug build tag
 // every partition is verified against SortRecords.
-//
-//mrlint:hotpath
 func (s *Sorter) SortRegion(r Region) {
 	widest := 0
 	for _, m := range r.Parts {
@@ -334,11 +318,9 @@ func (s *Sorter) SortRegion(r Region) {
 // for them.
 func (s *Sorter) reserve(n, widest int) {
 	if cap(s.dest) < n {
-		//mrlint:ignore alloccheck grows to the largest spill a task sorts, then is reused
 		s.dest = make([]uint32, n+n/32)
 	}
 	if cap(s.buf) < widest {
-		//mrlint:ignore alloccheck grows to the widest partition a task sorts, then is reused
 		s.buf = make([]Meta, widest+widest/32)
 	}
 }
@@ -367,7 +349,6 @@ func (s *Sorter) sort(meta []Meta, arena []byte) {
 				compareSortMeta(meta, arena)
 				return
 			}
-			//mrlint:ignore alloccheck grows to the partition count on a sorter's first batch, then is reused
 			ends = append(ends, make([]int, int(part)+1-len(ends))...)
 		}
 		ends[part]++
@@ -528,7 +509,6 @@ func radixSortMeta(src, buf []Meta, bucket []uint32, arena []byte, d, limit int,
 // what the radix does not take: a batch with a Part out of range, and
 // buckets of keys still tied radixDepth bytes past their common prefix.
 func compareSortMeta(m []Meta, arena []byte) {
-	//mrlint:ignore alloccheck off the steady-state path: malformed batches and keys tied 64 bytes deep only
 	slices.SortFunc(m, func(a, b Meta) int {
 		switch {
 		case metaLess(arena, a, b):

@@ -39,8 +39,6 @@ func sharedPrefix(a, b []byte) int {
 
 // appendPrefixedKV appends the compressed frame of (key, value) given the
 // previous key in the segment.
-//
-//mrlint:hotpath
 func appendPrefixedKV(dst, prevKey, key, value []byte) []byte {
 	shared := sharedPrefix(prevKey, key)
 	dst = binary.AppendUvarint(dst, uint64(shared))
@@ -90,11 +88,8 @@ func newPrefixRunWriter(disk vdisk.Disk, name string, parts int, buf *bufio.Writ
 }
 
 // Append implements the RunSink contract.
-//
-//mrlint:hotpath
 func (w *prefixRunWriter) Append(part int, key, value []byte) error {
 	if part < w.cur || part >= w.parts {
-		//mrlint:ignore alloccheck cold path: contract violation, never taken per record
 		return fmt.Errorf("kvio: run %q: partition %d out of order (current %d, parts %d)", w.name, part, w.cur, w.parts)
 	}
 	if part > w.cur || !w.started {
@@ -112,7 +107,6 @@ func (w *prefixRunWriter) Append(part int, key, value []byte) error {
 	w.scratch = appendPrefixedKV(w.scratch[:0], w.prevKey, key, value)
 	n, err := w.buf.Write(w.scratch)
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: disk failure ends the run, not the per-record loop
 		return fmt.Errorf("kvio: run %q: writing record: %w", w.name, err)
 	}
 	w.off += int64(n)

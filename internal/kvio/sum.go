@@ -36,12 +36,9 @@ func IsSumInt64(combine CombineFunc) bool {
 // AddInt64 decodes value, one zig-zag varint, and adds it to sum: the step
 // every SumInt64 kernel folds a value with. A malformed value is an error
 // naming key.
-//
-//mrlint:hotpath
 func AddInt64(sum int64, key, value []byte) (int64, error) {
 	n, err := serde.DecodeInt64(value)
 	if err != nil {
-		//mrlint:ignore alloccheck cold path: a malformed value ends the task
 		return sum, fmt.Errorf("kvio: summing values of key %q: %w", key, err)
 	}
 	return sum + n, nil

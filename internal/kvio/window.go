@@ -100,15 +100,12 @@ type windowStream struct {
 // Next implements Stream. The plain format is decoded fully in place; the
 // prefix-compressed format rebuilds its key in one reused buffer and takes
 // the value in place. Both slices are valid until the following Next.
-//
-//mrlint:hotpath
 func (s *windowStream) Next() (key, value []byte, err error) {
 	w := &s.window
 	// need is how many bytes the frame is known to take; each pass that
 	// finds fewer in the window asks for them and parses again.
 	for need := 0; ; {
 		if need > 0 {
-			//mrlint:ignore alloccheck amortized: taken once per window of records and at the end of the stream
 			if err := s.more(need); err != nil {
 				return nil, nil, err
 			}
@@ -123,15 +120,12 @@ func (s *windowStream) Next() (key, value []byte, err error) {
 			continue
 		}
 		if h < 0 {
-			//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
 			return nil, nil, s.fail(fmt.Errorf("%w: overlong length varint", serde.ErrCorrupt))
 		}
 		if klen > serde.MaxFrameLen || vlen > serde.MaxFrameLen {
-			//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
 			return nil, nil, s.fail(serde.ErrTooLarge)
 		}
 		if shared > uint64(len(s.key)) {
-			//mrlint:ignore alloccheck cold path: corrupt frame ends the stream
 			return nil, nil, s.fail(fmt.Errorf("shared %d exceeds previous key %d", shared, len(s.key)))
 		}
 		if need = h + int(klen) + int(vlen); need > len(b) {
@@ -141,7 +135,6 @@ func (s *windowStream) Next() (key, value []byte, err error) {
 		s.remain -= int64(need)
 		key, value = b[h:h+int(klen)], b[h+int(klen):need]
 		if s.compressed {
-			//mrlint:ignore alloccheck amortized: the key buffer grows to the segment's longest key, then is reused
 			s.key = append(s.key[:shared], key...)
 			key = s.key
 		}

@@ -487,8 +487,8 @@ func FuzzRunDecode(f *testing.F) {
 	})
 }
 
-// TestGroundTruthWindowNext pins the //mrlint:hotpath annotation on
-// windowStream.Next to the compiler: once the prefix format's key buffer
+// TestGroundTruthWindowNext pins windowStream.Next's allocations to the
+// compiler: once the prefix format's key buffer
 // is warm, decoding allocates nothing, refills and slides included (the
 // measured batches cross many 64 KiB windows). And a stream over staged
 // bytes is one small allocation, the stream itself — no buffer — whose

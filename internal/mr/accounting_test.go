@@ -350,8 +350,8 @@ func TestFailedAttemptReportsWhatItDid(t *testing.T) {
 	})
 }
 
-// TestGroundTruthReduceLoop pins the //mrlint:hotpath annotations on the
-// reduce loop's per-record pieces to the real compiler: pulling a value
+// TestGroundTruthReduceLoop pins the reduce loop's per-record pieces to
+// the real compiler: pulling a value
 // and collecting an output record allocate nothing, whether or not the
 // current group is a sampled one.
 func TestGroundTruthReduceLoop(t *testing.T) {

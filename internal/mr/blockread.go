@@ -145,8 +145,6 @@ func openBlockLines(fs *dfs.DFS, split Split, node int, chunk int, s *blockScann
 
 // Next returns the next line as a subslice of the arena. See LineReader
 // for the aliasing contract.
-//
-//mrlint:hotpath
 func (s *blockScanner) Next() (off int64, line []byte, ok bool, err error) {
 	if s.done || s.pos >= s.splitEnd {
 		return 0, nil, false, nil
@@ -179,7 +177,6 @@ func (s *blockScanner) Next() (off int64, line []byte, ok bool, err error) {
 			return off, line, true, nil
 		}
 		if ferr := s.fill(); ferr != nil {
-			//mrlint:ignore alloccheck cold path: I/O failure exit, not the per-line loop
 			return 0, nil, false, fmt.Errorf("mr: reading line at %d: %w", s.pos, ferr)
 		}
 		// fill slid the partial line to buf[0:scanned]; the scanned count
@@ -202,7 +199,6 @@ func (s *blockScanner) fill() error {
 		if 2*len(s.buf) <= cap(s.buf) {
 			s.buf = s.buf[:2*len(s.buf)]
 		} else {
-			//mrlint:ignore alloccheck cold path: arena growth for lines longer than the chunk, amortized doubling
 			grown := make([]byte, 2*len(s.buf))
 			copy(grown, s.buf[:s.filled])
 			s.buf = grown

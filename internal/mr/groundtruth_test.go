@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestGroundTruthBlockScan pins the //mrlint:hotpath annotation on
-// blockScanner.Next to the real compiler: once the arena is warm, the
+// TestGroundTruthBlockScan pins blockScanner.Next's allocations to the
+// real compiler: once the arena is warm, the
 // per-line steady state of the batched reader must be allocation-free,
 // including refills and partial-line slides (the corpus is scanned with an
 // arena far smaller than the split, so every measured batch crosses
@@ -17,8 +17,7 @@ import (
 // ingest benchmark asserts the amortized allocs/record over multi-block
 // corpora instead. CI runs this plain and under -race; race
 // instrumentation inflates allocation counts, so the ==0 assertion is
-// relaxed there (raceEnabled), matching the alloccheck ground-truth
-// convention.
+// relaxed there (raceEnabled), as in every TestGroundTruth* test.
 func TestGroundTruthBlockScan(t *testing.T) {
 	var data bytes.Buffer
 	for i := 0; i < 4000; i++ {

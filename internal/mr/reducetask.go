@@ -264,7 +264,6 @@ type groupValues struct {
 	acct *reduceAccount
 }
 
-//mrlint:hotpath
 func (g *groupValues) Next() (value []byte, ok bool, err error) {
 	a := g.acct
 	if !a.timed {
@@ -292,10 +291,8 @@ type reduceCollector struct {
 	line []byte // the format's buffer, reused for every record
 }
 
-//mrlint:hotpath
 func (rc *reduceCollector) Collect(key, value []byte) error {
 	if rc.plan != nil {
-		//mrlint:ignore alloccheck fault-injection runs only: plan is nil otherwise, and only a firing fault allocates
 		if err := rc.plan.Check(chaos.SiteReduceWrite); err != nil {
 			return err
 		}
@@ -316,7 +313,6 @@ func (rc *reduceCollector) write(key, value []byte) error {
 	if rc.job.Format != nil {
 		line, err := rc.job.Format(rc.line[:0], key, value)
 		if err != nil {
-			//mrlint:ignore alloccheck cold path: a failing formatter ends the task
 			return fmt.Errorf("mr: formatting output: %w", err)
 		}
 		rc.line = line

@@ -283,8 +283,6 @@ func comparePostings(a, b Posting) int {
 // posting into scratch, sorts and encodes. It returns the extended dst and
 // scratch, grown for the next call. A malformed list yields ErrCorrupt
 // and dst as given.
-//
-//mrlint:hotpath
 func AppendMergedPostings(dst []byte, lists [][]byte, scratch []Posting) ([]byte, []Posting, error) {
 	var total uint64
 	for _, l := range lists {
@@ -351,8 +349,6 @@ func mergeSorted(dst []byte, lists [][]byte, scratch []Posting) ([]byte, []Posti
 // AppendPostingsText appends the text form of an encoded posting list to
 // dst: "doc:off" pairs separated by single spaces, then a newline. It
 // formats straight from the varints, decoding nothing into memory.
-//
-//mrlint:hotpath
 func AppendPostingsText(dst, value []byte) ([]byte, error) {
 	n, b, ok := postingsHeader(value)
 	if !ok {
@@ -407,8 +403,6 @@ func EncodeRankRecord(r RankRecord) []byte {
 // paths, where the links are subslices of the input line rather than
 // strings. The bytes produced are identical to EncodeRankRecord on the
 // equivalent RankRecord.
-//
-//mrlint:hotpath
 func AppendRankRecord(dst []byte, rank float64, graph bool, outlinks [][]byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rank))
 	if graph {
@@ -455,8 +449,6 @@ func DecodeRankRecord(b []byte) (RankRecord, error) {
 // AppendRankRecordOutlinks appends the outlinks of an encoded rank record
 // to dst, separated by sep, without decoding the record into memory. It
 // rejects what DecodeRankRecord rejects.
-//
-//mrlint:hotpath
 func AppendRankRecordOutlinks(dst, b []byte, sep byte) ([]byte, error) {
 	if len(b) < 9 {
 		return dst, ErrCorrupt

@@ -241,8 +241,6 @@ func (b *Buffer) full(size int64) bool {
 // operation accounting (it is already recorded as map-thread idle time).
 // An Append that neither blocks nor hands a spill off takes no lock and
 // reads no clock.
-//
-//mrlint:hotpath
 func (b *Buffer) Append(part int, key, value []byte) (time.Duration, error) {
 	var waited time.Duration
 	size := RecordBytes(key, value)
@@ -254,7 +252,6 @@ func (b *Buffer) Append(part int, key, value []byte) (time.Duration, error) {
 		return waited, b.refuse()
 	}
 	if int64(len(b.pending.Arena))+int64(payload) > maxArenaBytes {
-		//mrlint:ignore alloccheck cold path: multi-GiB record rejection, never taken per record
 		return waited, fmt.Errorf("spillbuf: record of %d bytes overflows the %d-byte arena offset space", int64(payload), int64(maxArenaBytes))
 	}
 	b.pending.Append(part, key, value)
@@ -264,7 +261,6 @@ func (b *Buffer) Append(part int, key, value []byte) (time.Duration, error) {
 		// parked stays set the consumer is inside cond.Wait and its ready
 		// slot is empty.
 		b.mu.Lock()
-		//mrlint:ignore alloccheck once per spill, and only when no region is home to recycle
 		b.ready, b.hasReady = b.cutLocked(), true
 		b.parked.Store(false)
 		b.mu.Unlock()

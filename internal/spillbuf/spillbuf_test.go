@@ -576,8 +576,7 @@ func (c *spillCycler) cycle() {
 	}
 }
 
-// TestGroundTruthAppend pins the //mrlint:hotpath annotation on Append to
-// the real compiler: once the buffer cycles recycled regions — from the
+// TestGroundTruthAppend pins Append's allocations to the real compiler: once the buffer cycles recycled regions — from the
 // third spill on — appending allocates nothing; a region grows while it
 // is new and never again.
 func TestGroundTruthAppend(t *testing.T) {

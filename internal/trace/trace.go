@@ -196,9 +196,6 @@ func New(capacity int) *Tracer {
 	return t
 }
 
-// Epoch returns the tracer's time origin.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
-
 // stripeFor picks the ring for an event source. Node -1 (job-level) and
 // the scheduler lane hash like node 0 lanes; contention there is rare.
 func (t *Tracer) stripeFor(node int32, lane Lane) *stripe {

@@ -103,7 +103,7 @@ func TestConcurrentEmit(t *testing.T) {
 
 func TestDeriveIdle(t *testing.T) {
 	tr := New(256)
-	base := tr.Epoch()
+	base := time.Now()
 	tr.Complete(KindMapTask, LaneMap, 0, 0, 0, base, 10*time.Second)
 	tr.Complete(KindMapTask, LaneMap, 1, 1, 0, base, 10*time.Second)
 	tr.Complete(KindWaitMap, LaneMap, 0, 0, 0, base, 2*time.Second)

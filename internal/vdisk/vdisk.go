@@ -376,15 +376,6 @@ type ThrottleConfig struct {
 	OpLatency time.Duration
 }
 
-// DefaultThrottle models one 2014-era 7200rpm SATA disk.
-func DefaultThrottle() ThrottleConfig {
-	return ThrottleConfig{
-		WriteBytesPerSec: 90 << 20,  // 90 MB/s
-		ReadBytesPerSec:  120 << 20, // 120 MB/s
-		OpLatency:        2 * time.Millisecond,
-	}
-}
-
 // Throttled wraps a Disk and meters its throughput. All files on one
 // Throttled share a single bandwidth budget: concurrent transfers queue, as
 // on one physical spindle.
