@@ -322,7 +322,7 @@ func BenchmarkSpillModel(b *testing.B) {
 		_, err := spillmodel.Simulate(spillmodel.Params{
 			BufferBytes: 1 << 20, InputBytes: 256 << 20,
 			ProduceRate: 150e6, ConsumeRate: 100e6,
-		}, spillmatch.NewMatcher(spillmatch.DefaultConfig()))
+		}, spillmatch.NewMatcher())
 		if err != nil {
 			b.Fatal(err)
 		}

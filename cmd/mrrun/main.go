@@ -35,7 +35,6 @@ func main() {
 		fast      = flag.Bool("fast", false, "disable disk/network throttling")
 		verbose   = flag.Bool("v", false, "print per-counter details")
 		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace of the job to this file")
-		gantt     = flag.Bool("gantt", false, "print a terminal Gantt chart of the job timeline")
 		traceRep  = flag.Bool("trace-report", false, "print the critical-path blame report and a Gantt chart with the critical path highlighted")
 		metricsJS = flag.String("metrics-json", "", "write the final metrics snapshot (counters + histogram summaries) as JSON to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -105,7 +104,7 @@ func main() {
 	}
 
 	var tr *mrtext.Tracer
-	if *traceOut != "" || *gantt || *traceRep {
+	if *traceOut != "" || *traceRep {
 		tr = mrtext.NewTracer(0)
 		job.Trace = tr
 	}
@@ -143,10 +142,6 @@ func main() {
 			die(err)
 		}
 		if err := mrtext.WriteGanttMarked(os.Stdout, tr, report, 100); err != nil {
-			die(err)
-		}
-	} else if *gantt {
-		if err := mrtext.WriteGantt(os.Stdout, tr, 100); err != nil {
 			die(err)
 		}
 	}

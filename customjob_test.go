@@ -118,7 +118,7 @@ func TestCustomUserJob(t *testing.T) {
 	}{
 		{"baseline", func(j *mrtext.Job) {}},
 		{"optimized", func(j *mrtext.Job) {
-			j.FreqBuf = &mrtext.FreqBufConfig{K: 10, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+			j.FreqBuf = &mrtext.FreqBufConfig{K: 10, SampleFraction: 0.05, MemFraction: 0.3}
 			j.SpillMatcher = true
 		}},
 		{"compress-runs", func(j *mrtext.Job) { j.CompressRuns = true }},

@@ -54,57 +54,28 @@ func (s *Static) Record(int64, time.Duration, time.Duration) {}
 // non-spill-matcher configurations in the paper's experiments.
 const DefaultStaticPercent = 0.8
 
-// Config parameterizes a Matcher.
-type Config struct {
-	// Initial is the threshold used before any measurement exists.
-	// 0.5 is always wait-free for the support-slower case and nearly
-	// optimal for balanced rates, so it is the safe cold-start choice.
-	Initial float64
-	// Min and Max clamp the adapted threshold. Min keeps spills from
-	// degenerating into per-record handoffs (combine efficiency, §IV-A);
-	// Max keeps headroom so the producer is never trivially blocked.
-	Min, Max float64
-	// Smoothing ∈ [0,1) blends the new measurement with history:
-	// T ← Smoothing·T_old + (1−Smoothing)·T_new. Zero (the paper's
-	// policy) uses only the last spill.
-	Smoothing float64
-}
+// The matcher's threshold bounds. Initial is used before any measurement
+// exists: 0.5 is always wait-free for the support-slower case and nearly
+// optimal for balanced rates, so it is the safe cold-start choice. Min and
+// Max clamp the adapted threshold: Min keeps spills from degenerating into
+// per-record handoffs (combine efficiency, §IV-A); Max keeps headroom so
+// the producer is never trivially blocked.
+const (
+	Initial = 0.5
+	Min     = 0.1
+	Max     = 0.95
+)
 
-// DefaultConfig returns the configuration used in the paper's experiments.
-func DefaultConfig() Config {
-	return Config{Initial: 0.5, Min: 0.1, Max: 0.95, Smoothing: 0}
-}
-
-// Matcher is the adaptive spill-percentage controller.
+// Matcher is the adaptive spill-percentage controller: each threshold is
+// derived from the last spill's measurements alone, the paper's policy.
 type Matcher struct {
-	cfg Config
-
-	mu     sync.Mutex
-	x      float64
-	tp, tc time.Duration // smoothed last measurements
-	spills int
+	mu sync.Mutex
+	x  float64
 }
 
-// NewMatcher returns a Matcher with the given configuration; zero-valued
-// fields fall back to DefaultConfig.
-func NewMatcher(cfg Config) *Matcher {
-	def := DefaultConfig()
-	if cfg.Initial <= 0 || cfg.Initial > 1 {
-		cfg.Initial = def.Initial
-	}
-	if cfg.Min <= 0 {
-		cfg.Min = def.Min
-	}
-	if cfg.Max <= 0 || cfg.Max > 1 {
-		cfg.Max = def.Max
-	}
-	if cfg.Min > cfg.Max {
-		cfg.Min, cfg.Max = cfg.Max, cfg.Min
-	}
-	if cfg.Smoothing < 0 || cfg.Smoothing >= 1 {
-		cfg.Smoothing = 0
-	}
-	return &Matcher{cfg: cfg, x: clamp(cfg.Initial, cfg.Min, cfg.Max)}
+// NewMatcher returns a Matcher at the Initial threshold.
+func NewMatcher() *Matcher {
+	return &Matcher{x: Initial}
 }
 
 // Percent implements Controller.
@@ -120,33 +91,17 @@ func (m *Matcher) Record(spillBytes int64, produce, consume time.Duration) {
 	if spillBytes <= 0 || produce <= 0 || consume <= 0 {
 		return // degenerate measurement; keep the current threshold
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cfg.Smoothing > 0 && m.spills > 0 {
-		s := m.cfg.Smoothing
-		m.tp = time.Duration(s*float64(m.tp) + (1-s)*float64(produce))
-		m.tc = time.Duration(s*float64(m.tc) + (1-s)*float64(consume))
-	} else {
-		m.tp, m.tc = produce, consume
-	}
-	m.spills++
-
 	// x = max{c/(p+c), 1/2} with p = bytes/T_p and c = bytes/T_c reduces
 	// to max{T_p/(T_p+T_c), 1/2}: if the producer is slower (T_p > T_c)
 	// the threshold rises above ½ to grow spills; if the consumer is
 	// slower it caps at ½ so the next spill is always ready on time.
-	x := float64(m.tp) / float64(m.tp+m.tc)
+	x := float64(produce) / float64(produce+consume)
 	if x < 0.5 {
 		x = 0.5
 	}
-	m.x = clamp(x, m.cfg.Min, m.cfg.Max)
-}
-
-// Spills returns how many measurements the matcher has absorbed.
-func (m *Matcher) Spills() int {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spills
+	m.x = clamp(x, Min, Max)
+	m.mu.Unlock()
 }
 
 // WaitFreePercent is the pure eq.-1 function: the maximal spill percentage

@@ -143,7 +143,7 @@ func TestMatcherRemovesWait(t *testing.T) {
 	for _, ratio := range []float64{0.3, 1.0, 3.0} {
 		p, c := 100e6*ratio, 100e6
 		static := simulate(t, M, N, p, c, 0.8)
-		m := spillmatch.NewMatcher(spillmatch.DefaultConfig())
+		m := spillmatch.NewMatcher()
 		adaptive, err := Simulate(Params{BufferBytes: M, InputBytes: N, ProduceRate: p, ConsumeRate: c}, m)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestVariableRates(t *testing.T) {
 		}
 		return 50e6, 100e6 // producer slow
 	}
-	m := spillmatch.NewMatcher(spillmatch.DefaultConfig())
+	m := spillmatch.NewMatcher()
 	res, err := Simulate(Params{BufferBytes: M, InputBytes: N, Rates: rates}, m)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mrtext/internal/core/spillmatch"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 )
@@ -28,13 +27,9 @@ type AblationResult struct {
 
 // ablationConfigs isolates each design choice DESIGN.md calls out:
 //
-//   - the paper's two optimizations, separately and combined (context);
-//   - frequency-buffering without the per-node top-k cache (§III-B's
-//     cross-task sharing) to measure what sharing buys;
+//   - the baseline and the paper's two optimizations combined (context);
 //   - frequency-buffering with the auto-tuned sampling fraction instead of
 //     the paper's fixed s (§III-C);
-//   - the spill-matcher with measurement smoothing instead of
-//     last-spill-only prediction (§IV-B's hypothesis);
 //   - the §VII compressed-runs extension stacked on Combined.
 var ablationConfigs = []struct {
 	name    string
@@ -43,14 +38,8 @@ var ablationConfigs = []struct {
 }{
 	{"baseline", Baseline, nil},
 	{"combined", Combined, nil},
-	{"freq-no-sharing", FreqOpt, func(j *mr.Job) { j.FreqBuf.ShareTopK = false }},
 	{"freq-autotune-s", FreqOpt, func(j *mr.Job) {
 		j.FreqBuf.SampleFraction = 0 // engage the §III-C auto-tuner
-	}},
-	{"spill-smoothed", SpillOpt, func(j *mr.Job) {
-		cfg := spillmatch.DefaultConfig()
-		cfg.Smoothing = 0.5
-		j.SpillMatcherConfig = &cfg
 	}},
 	{"combined+compress", Combined, func(j *mr.Job) { j.CompressRuns = true }},
 }

@@ -60,7 +60,7 @@ func RunSpillModel(env Env) (*SpillModelResult, error) {
 			out.Static = append(out.Static, SpillModelRow{RateRatio: ratio, X: x, SlowerWaitFrac: frac})
 			env.printf("  %5.1f%%", 100*frac)
 		}
-		m := spillmatch.NewMatcher(spillmatch.DefaultConfig())
+		m := spillmatch.NewMatcher()
 		res, err := spillmodel.Simulate(spillmodel.Params{
 			BufferBytes: M, InputBytes: N, ProduceRate: p, ConsumeRate: c,
 		}, m)

@@ -43,8 +43,6 @@ type EmitTimer struct {
 	mark        time.Time // end of the runtime's last involvement
 	sampleStart time.Time
 	excl        time.Duration
-
-	clockReads int64 // monotonic clock reads performed (overhead reporting)
 }
 
 // NewEmitTimer returns an EmitTimer recording into tm and reading tm's
@@ -59,15 +57,10 @@ func NewEmitTimer(tm *TaskMetrics, warmup, period int64) *EmitTimer {
 	}
 }
 
-func (e *EmitTimer) now() time.Time {
-	e.clockReads++
-	return e.tm.Now()
-}
-
 // Restart resets the user-time clock to now without attributing the
 // elapsed gap (used when task setup time must not count as map() time).
 func (e *EmitTimer) Restart() {
-	e.mark = e.now()
+	e.mark = e.tm.Now()
 }
 
 // BeforeEmit is called on entry to the collector, before the emit path
@@ -79,7 +72,7 @@ func (e *EmitTimer) BeforeEmit() {
 	case e.weight > 0 && e.s.Exact():
 		// Precise: attribute the user gap since the last record and open
 		// an emit measurement, both weight 1.
-		now := e.now()
+		now := e.tm.Now()
 		e.tm.Add(OpMapUser, now.Sub(e.mark))
 		e.lastUser = n
 		e.sampleStart = now
@@ -89,13 +82,13 @@ func (e *EmitTimer) BeforeEmit() {
 		// Sample point: open an emit measurement. The user gap leading
 		// here is not measurable (the clock was last read periods ago);
 		// the next record's gap stands in for it.
-		e.sampleStart = e.now()
+		e.sampleStart = e.tm.Now()
 		e.excl = 0
 	case e.postSample:
 		// The record after a sample point: the gap from the sampled
 		// emit's end to now is one clean user gap; extrapolate it over
 		// every record since the last user measurement.
-		now := e.now()
+		now := e.tm.Now()
 		e.tm.Add(OpMapUser, time.Duration(n-e.lastUser)*now.Sub(e.mark))
 		e.lastUser = n
 		e.mark = now
@@ -122,7 +115,7 @@ func (e *EmitTimer) AfterEmit() {
 	if e.weight == 0 {
 		return
 	}
-	now := e.now()
+	now := e.tm.Now()
 	e.tm.Add(OpEmit, time.Duration(e.weight)*(now.Sub(e.sampleStart)-e.excl))
 	e.mark = now
 	e.postSample = !e.s.Exact()
@@ -132,13 +125,5 @@ func (e *EmitTimer) AfterEmit() {
 // Finish attributes the trailing user gap (input consumed after the
 // last emitted record) and closes the timer.
 func (e *EmitTimer) Finish() {
-	e.tm.Add(OpMapUser, e.now().Sub(e.mark))
+	e.tm.Add(OpMapUser, e.tm.Now().Sub(e.mark))
 }
-
-// Records returns the number of records observed.
-func (e *EmitTimer) Records() int64 { return e.s.Events() }
-
-// ClockReads returns how many monotonic clock readings the timer has
-// performed — the profiling-overhead figure the sampled scheme shrinks
-// (the precise scheme reads the clock 2n times for n records).
-func (e *EmitTimer) ClockReads() int64 { return e.clockReads }

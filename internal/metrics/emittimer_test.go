@@ -35,15 +35,16 @@ func emitN(e *EmitTimer, n int) {
 }
 
 func TestEmitTimerPeriodOneIsPrecise(t *testing.T) {
-	tm := NewTaskMetrics()
+	tm, clk := newFakeTask()
 	e := NewEmitTimer(tm, 0, 1)
+	start := clk.reads
 	emitN(e, 10)
 	e.Finish()
-	if e.Records() != 10 {
-		t.Errorf("records = %d", e.Records())
+	if e.s.Events() != 10 {
+		t.Errorf("records = %d", e.s.Events())
 	}
 	// Precise mode reads the clock twice per record (plus Finish).
-	if got := e.ClockReads(); got != 2*10+1 {
+	if got := clk.reads - start; got != 2*10+1 {
 		t.Errorf("clock reads = %d, want 21", got)
 	}
 }
@@ -53,33 +54,34 @@ func TestEmitTimerWarmupBoundary(t *testing.T) {
 	// 4 is the first sample point (1 read), record 5 measures the
 	// post-sample user gap (1 read) plus its own non-timed emit, records
 	// 6..11 are clock-free, record 12 samples again.
-	tm := NewTaskMetrics()
+	tm, clk := newFakeTask()
 	e := NewEmitTimer(tm, 4, 8)
+	start := clk.reads
 
 	emitN(e, 4)
-	warmupReads := e.ClockReads()
+	warmupReads := clk.reads - start
 	if warmupReads != 8 {
 		t.Errorf("warmup clock reads = %d, want 8", warmupReads)
 	}
 
 	emitN(e, 1) // record 4: sample point, open+close = 2 reads
-	if got := e.ClockReads() - warmupReads; got != 2 {
+	if got := clk.reads - start - warmupReads; got != 2 {
 		t.Errorf("sample-point reads = %d, want 2", got)
 	}
 
 	emitN(e, 1) // record 5: post-sample user gap, 1 read
-	afterPost := e.ClockReads()
-	if got := afterPost - warmupReads; got != 3 {
+	afterPost := clk.reads
+	if got := afterPost - start - warmupReads; got != 3 {
 		t.Errorf("post-sample reads = %d, want 3", got)
 	}
 
 	emitN(e, 6) // records 6..11: free
-	if got := e.ClockReads(); got != afterPost {
+	if got := clk.reads; got != afterPost {
 		t.Errorf("mid-period emits read the clock: %d -> %d", afterPost, got)
 	}
 
 	emitN(e, 1) // record 12 = warmup + 8: next sample point
-	if got := e.ClockReads() - afterPost; got != 2 {
+	if got := clk.reads - afterPost; got != 2 {
 		t.Errorf("second sample reads = %d, want 2", got)
 	}
 }
@@ -92,14 +94,14 @@ func TestEmitTimerZeroRecords(t *testing.T) {
 	e := NewEmitTimer(tm, DefaultEmitWarmup, DefaultEmitPeriod)
 	clk.advance(2 * time.Millisecond)
 	e.Finish()
-	if e.Records() != 0 {
-		t.Errorf("records = %d", e.Records())
+	if e.s.Events() != 0 {
+		t.Errorf("records = %d", e.s.Events())
 	}
 	if tm.Op(OpMapUser) != 2*time.Millisecond {
 		t.Errorf("trailing user gap: %v, want 2ms", tm.Op(OpMapUser))
 	}
-	if clk.reads != 2 || e.ClockReads() != 1 {
-		t.Errorf("clock read %d times (timer counted %d), want construction + Finish", clk.reads, e.ClockReads())
+	if clk.reads != 2 {
+		t.Errorf("clock read %d times, want construction + Finish", clk.reads)
 	}
 	if tm.Op(OpEmit) != 0 {
 		t.Errorf("emit time from zero emits: %v", tm.Op(OpEmit))
@@ -205,15 +207,16 @@ func TestSamplerSchedule(t *testing.T) {
 }
 
 func TestEmitTimerDefensiveConstruction(t *testing.T) {
-	tm := NewTaskMetrics()
+	tm, clk := newFakeTask()
 	e := NewEmitTimer(tm, -3, 0) // clamps to warmup 0, period 1
+	start := clk.reads
 	emitN(e, 3)
 	e.Finish()
-	if e.Records() != 3 {
-		t.Errorf("records = %d", e.Records())
+	if e.s.Events() != 3 {
+		t.Errorf("records = %d", e.s.Events())
 	}
-	if e.ClockReads() != 2*3+1 {
-		t.Errorf("clock reads = %d, want 7 (period clamped to precise)", e.ClockReads())
+	if got := clk.reads - start; got != 2*3+1 {
+		t.Errorf("clock reads = %d, want 7 (period clamped to precise)", got)
 	}
 }
 

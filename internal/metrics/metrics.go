@@ -116,7 +116,7 @@ const (
 	CtrSpillRecords      = "spill.records" // records written to spill runs
 	CtrSpillBytes        = "spill.bytes"   // bytes written to spill runs
 	CtrSpillCount        = "spill.count"   // number of spills
-	CtrShuffleBytes      = "shuffle.bytes" // bytes moved across the fabric
+	CtrShuffleBytes      = "shuffle.bytes" // segment bytes reduce attempts fetched, local or remote, at their on-disk (run-index) length
 	CtrReduceInputGroups = "reduce.input.groups"
 	CtrReduceInputValues = "reduce.input.values"
 	CtrOutputRecords     = "output.records"

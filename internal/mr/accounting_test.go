@@ -224,8 +224,8 @@ func TestClockBudget(t *testing.T) {
 			t.Fatalf("reduce saw %d values in %d groups and wrote %d records, want %d, %d, %d",
 				ctr[metrics.CtrReduceInputValues], ctr[metrics.CtrReduceInputGroups], ctr[metrics.CtrOutputRecords], n, vocab, vocab)
 		}
-		if rep.ShuffleBytes != ctr[metrics.CtrShuffleBytes] || rep.ShuffleBytes != int64(n*(6+len(one)+4)) {
-			t.Errorf("ShuffleBytes %d, counter %d, want %d", rep.ShuffleBytes, ctr[metrics.CtrShuffleBytes], n*(6+len(one)+4))
+		if want := int64(n * serde.KVLen(6, len(one))); rep.ShuffleBytes != ctr[metrics.CtrShuffleBytes] || rep.ShuffleBytes != want {
+			t.Errorf("ShuffleBytes %d, counter %d, want %d", rep.ShuffleBytes, ctr[metrics.CtrShuffleBytes], want)
 		}
 		const perTask = 8 // start, shuffle end, loop start and end, output close, report
 		reads, budget := clk.reads.Load(), int64(n/16+perTask)

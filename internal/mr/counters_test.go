@@ -9,6 +9,7 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
+	"mrtext/internal/serde"
 	"mrtext/internal/textgen"
 )
 
@@ -179,7 +180,7 @@ func expectedCounters(t *testing.T, c *cluster.Cluster, job *mr.Job, input []byt
 		for _, g := range task {
 			err := job.Combine(g.key, g.vals, func(k, v []byte) error {
 				want[metrics.CtrReduceInputValues]++
-				want[metrics.CtrShuffleBytes] += int64(len(k) + len(v) + 4)
+				want[metrics.CtrShuffleBytes] += int64(serde.KVLen(len(k), len(v)))
 				return nil
 			})
 			if err != nil {

@@ -28,7 +28,7 @@ import (
 // spills of its own and a key's chunks straddle runs; the reduce-side merge
 // puts them back together. Either way the output is RunReference's.
 func TestDrainTakesTheSpillPath(t *testing.T) {
-	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 	t.Run("one run per task", func(t *testing.T) {
 		c, corpus := newFTCluster(t, nil)
 		job := apps.WordCount(corpus)
@@ -111,7 +111,7 @@ func nextIDs(name string, last int) []string {
 // pile up, one set per node per job.
 func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 	c := newCancelCluster(t)
-	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+	freq := &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 
 	var finished []string
 	last := 0

@@ -134,7 +134,7 @@ func TestMergeFaultWithdrawsOfferedRuns(t *testing.T) {
 		if err := ft.mapAttempt(pendingAttempt{task: 0, attempt: 0}, 0, 0); !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("attempt 0: %v, want the injected merge fault", err)
 		}
-		if ft.shuffle.buf.peakBytes() == 0 {
+		if bufPeak(ft.shuffle) == 0 {
 			t.Fatal("the failed attempt offered no run")
 		}
 		assertStagingHolds(t, ft.shuffle)

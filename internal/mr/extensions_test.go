@@ -20,7 +20,7 @@ var extensionConfigs = []struct {
 	{"compress-runs", func(j *mr.Job) { j.CompressRuns = true }},
 	{"kitchen-sink", func(j *mr.Job) {
 		j.CompressRuns = true
-		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 		j.SpillMatcher = true
 	}},
 }

@@ -46,7 +46,7 @@ func TestFreqBufMatchesReference(t *testing.T) {
 			job := app.job
 			job.Name = "freqbuf-" + app.name
 			job.SpillBufferBytes = 64 << 10
-			job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: app.memFraction, ShareTopK: true}
+			job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: app.memFraction}
 			res := runAgainstReference(t, c, job)
 			if fs := res.FreqStats(); fs.Hits == 0 || fs.Evictions == 0 {
 				t.Errorf("frequency buffer absorbed %d records and evicted %d aggregates: want both above zero", fs.Hits, fs.Evictions)
@@ -63,7 +63,7 @@ func TestFreqReportsOutliveDrain(t *testing.T) {
 	c, corpus := newTextCluster(t, 3, 512<<10)
 	job := apps.WordCount(corpus)
 	job.Name = "freq-reports"
-	job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+	job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 	res, err := mr.Run(c, job)
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,6 @@ type FreqBufConfig struct {
 	// the frequent-key table (paper: 0.3). The spill buffer shrinks by
 	// the same amount so total memory is constant.
 	MemFraction float64
-	// ShareTopK enables the per-node top-k cache across tasks (§III-B).
-	ShareTopK bool
 	// ValuesPerKeyCap caps buffered values per frequent key before an
 	// in-table combine (default 32).
 	ValuesPerKeyCap int
@@ -130,13 +128,13 @@ type FreqBufConfig struct {
 // DefaultFreqBufText returns the paper's text-application setting
 // (k=3000, s=0.01).
 func DefaultFreqBufText() *FreqBufConfig {
-	return &FreqBufConfig{K: 3000, SampleFraction: 0.01, MemFraction: 0.3, ShareTopK: true}
+	return &FreqBufConfig{K: 3000, SampleFraction: 0.01, MemFraction: 0.3}
 }
 
 // DefaultFreqBufLog returns the paper's log-application setting
 // (k=10000, s=0.1).
 func DefaultFreqBufLog() *FreqBufConfig {
-	return &FreqBufConfig{K: 10000, SampleFraction: 0.1, MemFraction: 0.3, ShareTopK: true}
+	return &FreqBufConfig{K: 10000, SampleFraction: 0.1, MemFraction: 0.3}
 }
 
 // Job specifies one MapReduce job.
@@ -175,8 +173,6 @@ type Job struct {
 	// SpillMatcher enables the adaptive spill-percentage controller; the
 	// baseline is static DefaultStaticPercent.
 	SpillMatcher bool
-	// SpillMatcherConfig overrides the matcher configuration (optional).
-	SpillMatcherConfig *spillmatch.Config
 	// FreqBuf enables frequency-buffering when non-nil. Requires Combine.
 	FreqBuf *FreqBufConfig
 
@@ -295,11 +291,7 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 // newController builds the spill controller for one map task.
 func (j *Job) newController() spillmatch.Controller {
 	if j.SpillMatcher {
-		cfg := spillmatch.DefaultConfig()
-		if j.SpillMatcherConfig != nil {
-			cfg = *j.SpillMatcherConfig
-		}
-		return spillmatch.NewMatcher(cfg)
+		return spillmatch.NewMatcher()
 	}
 	return spillmatch.NewStatic(spillmatch.DefaultStaticPercent)
 }

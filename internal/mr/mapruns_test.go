@@ -252,10 +252,14 @@ func TestRecoveryRefetchesEveryRun(t *testing.T) {
 	if len(streams) != len(want) {
 		t.Fatalf("%d streams after recovery, want the re-run's %d runs", len(streams), len(want))
 	}
+	var wantBytes int64
+	for _, run := range rerun.runs {
+		wantBytes += run.Segments[part].Len
+	}
+	if got := acct.tm.Counter(metrics.CtrShuffleBytes); got != wantBytes {
+		t.Errorf("counted %d shuffle bytes, the re-run's segments hold %d", got, wantBytes)
+	}
 	for i, st := range streams {
-		if _, staged := st.(*countedStream); staged {
-			t.Errorf("stream %d came from staging: the lost attempt's staged run", i)
-		}
 		if got := drainStream(t, st); !slices.Equal(got, want[i]) {
 			t.Errorf("stream %d: %q, the re-run's run %d holds %q", i, got, i, want[i])
 		}

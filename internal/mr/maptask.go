@@ -144,7 +144,7 @@ type mapCollector struct {
 	et    *metrics.EmitTimer
 	buf   *spillbuf.Buffer
 	freq  *freqbuf.Buffer
-	cache *freqbuf.Cache // node cache for top-k sharing (nil if disabled)
+	cache *freqbuf.Cache // node cache for top-k sharing (nil without frequency-buffering)
 
 	scanner   *blockScanner // the task's input scanner (for record-count extrapolation)
 	emitted   int64         // records emitted so far
@@ -525,7 +525,6 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	// buffer so total memory stays constant (§V-B2).
 	bufBytes := job.SpillBufferBytes
 	var freq *freqbuf.Buffer
-	var cache *freqbuf.Cache
 
 	ctrl := job.newController()
 	if job.FreqBuf != nil {
@@ -557,24 +556,21 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		if err != nil {
 			return fail(err)
 		}
-		if fb.ShareTopK {
-			cache = c.FreqCaches[node]
-			if keys, ok := cache.Get(job.filePrefix); ok {
-				var partErr error
-				freq.InstallTopK(keys, func(k []byte) int {
-					part, err := job.partitionOf(k)
-					if err != nil {
-						partErr = err
-					}
-					return part
-				})
-				if partErr != nil {
-					return fail(partErr)
+		mc.cache = c.FreqCaches[node]
+		if keys, ok := mc.cache.Get(job.filePrefix); ok {
+			var partErr error
+			freq.InstallTopK(keys, func(k []byte) int {
+				part, err := job.partitionOf(k)
+				if err != nil {
+					partErr = err
 				}
+				return part
+			})
+			if partErr != nil {
+				return fail(partErr)
 			}
 		}
 		mc.freq = freq
-		mc.cache = cache
 	}
 
 	buf, err := spillbuf.NewOn(&ws.regions, bufBytes, ctrl, tm)

@@ -16,81 +16,6 @@ import (
 	"mrtext/internal/vdisk"
 )
 
-// chargedStream wraps a Stream whose records flow from a remote map node:
-// it counts shuffle volume and charges the fabric in MTU-sized batches
-// (per-record charging would pay the per-transfer latency millions of
-// times; a real shuffle server streams frames). Each batch transfer is
-// recorded as a wait-fabric span at sp's coordinates — the reduce attempt
-// consuming the stream — so blocked fabric time is separable from merge
-// and shuffle I/O in the trace.
-type chargedStream struct {
-	inner   kvio.Stream
-	c       *cluster.Cluster
-	src     int
-	dst     int
-	acct    *reduceAccount
-	sp      spanner
-	pending int64
-}
-
-// shuffleBatchBytes is the transfer granularity of the simulated shuffle
-// server.
-const shuffleBatchBytes = 64 << 10
-
-func (s *chargedStream) Next() (key, value []byte, err error) {
-	k, v, err := s.inner.Next()
-	if err != nil {
-		return k, v, err
-	}
-	n := int64(len(k) + len(v) + 4)
-	s.acct.shuffleBytes += n
-	if s.src != s.dst {
-		s.pending += n
-		if s.pending >= shuffleBatchBytes {
-			if terr := s.flush(); terr != nil {
-				return nil, nil, terr
-			}
-		}
-	}
-	return k, v, nil
-}
-
-func (s *chargedStream) flush() error {
-	n := s.pending
-	s.pending = 0
-	if n == 0 {
-		return nil
-	}
-	t0 := s.acct.tm.Now()
-	err := s.c.Net.Transfer(s.src, s.dst, n)
-	d := s.acct.tm.Now().Sub(t0)
-	s.acct.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-	s.sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, s.sp.node, s.sp.task, s.sp.slot, t0, d)
-	return err
-}
-
-func (s *chargedStream) Close() error {
-	return errors.Join(s.flush(), s.inner.Close())
-}
-
-// countedStream wraps a staged-segment Stream: the fabric hop was already
-// charged in one piece when the segment was taken from staging, so only
-// the shuffle-volume counter accrues per record.
-type countedStream struct {
-	inner kvio.Stream
-	acct  *reduceAccount
-}
-
-func (s *countedStream) Next() (key, value []byte, err error) {
-	k, v, err := s.inner.Next()
-	if err == nil {
-		s.acct.shuffleBytes += int64(len(k) + len(v) + 4)
-	}
-	return k, v, err
-}
-
-func (s *countedStream) Close() error { return s.inner.Close() }
-
 // shuffleEnv is the pipelined shuffle as a reduce attempt sees it: the
 // staging service to take segments from, plus the runner's lost-map-output
 // recovery exposed so an attempt that catches a source node's death
@@ -208,24 +133,37 @@ func fetchOne(c *cluster.Cluster, job *Job, sh *shuffleEnv, part, node int, plan
 
 // openRuns opens partition part of each of mo's runs, in spill order: a
 // staged segment from the staging service, any other by a positioned read
-// of its run on the source disk. On an error it closes what it opened.
+// of its run on the source disk. A direct-fetched segment's source→node
+// hop is charged here whole, before the merge reads a record of it, as
+// Hadoop's reduce copies a segment before merging it; a dead source thus
+// fails the fetch, where fetchOne refetches. Once every run is open, the
+// segments' run-index lengths — the bytes each took across the fabric, or
+// read on the same node — are counted as the attempt's shuffle volume. On
+// an error it closes what it opened.
 func openRuns(c *cluster.Cluster, sh *shuffleEnv, part, node int, mo mapOutput, acct *reduceAccount, sp spanner) ([]kvio.Stream, error) {
-	var streams []kvio.Stream
+	var (
+		streams []kvio.Stream
+		fetched int64
+	)
 	for _, run := range mo.runs {
 		if part < len(run.Segments) && run.Segments[part].Len == 0 {
 			continue
 		}
-		if st, ok := sh.svc.take(part, run.Name, node, sp); ok {
-			streams = append(streams, &countedStream{inner: st, acct: acct})
-			continue
+		st, ok := sh.svc.take(part, run.Name, node, sp)
+		if !ok {
+			var err error
+			if st, err = kvio.OpenRunPart(c.Disks[mo.node], run, part); err != nil {
+				return nil, errors.Join(err, closeStreams(streams))
+			}
+			sh.svc.tm.Inc(metrics.CtrShuffleDirectFetches, 1)
+			if err := sh.svc.hop(mo.node, node, run.Segments[part].Len, sp); err != nil {
+				return nil, errors.Join(err, st.Close(), closeStreams(streams))
+			}
 		}
-		s, err := kvio.OpenRunPart(c.Disks[mo.node], run, part)
-		if err != nil {
-			return nil, errors.Join(err, closeStreams(streams))
-		}
-		sh.svc.tm.Inc(metrics.CtrShuffleDirectFetches, 1)
-		streams = append(streams, &chargedStream{inner: s, c: c, src: mo.node, dst: node, acct: acct, sp: sp})
+		streams = append(streams, st)
+		fetched += run.Segments[part].Len
 	}
+	acct.tm.Inc(metrics.CtrShuffleBytes, fetched)
 	return streams, nil
 }
 
@@ -236,7 +174,7 @@ func openRuns(c *cluster.Cluster, sh *shuffleEnv, part, node int, mo mapOutput, 
 type reduceAccount struct {
 	tm *metrics.TaskMetrics
 
-	shuffleBytes, groups, values, outRecords, outBytes int64
+	groups, values, outRecords, outBytes int64
 
 	timed    bool          // the current group is a sampled one
 	pull, io time.Duration // value pulls and output writes inside it
@@ -246,13 +184,12 @@ type reduceAccount struct {
 // task's metrics, one lock acquisition for the batch.
 func (a *reduceAccount) publish() {
 	a.tm.Publish(
-		metrics.Count{Name: metrics.CtrShuffleBytes, Delta: a.shuffleBytes},
 		metrics.Count{Name: metrics.CtrReduceInputGroups, Delta: a.groups},
 		metrics.Count{Name: metrics.CtrReduceInputValues, Delta: a.values},
 		metrics.Count{Name: metrics.CtrOutputRecords, Delta: a.outRecords},
 		metrics.Count{Name: metrics.CtrOutputBytes, Delta: a.outBytes},
 	)
-	a.shuffleBytes, a.groups, a.values, a.outRecords, a.outBytes = 0, 0, 0, 0, 0
+	a.groups, a.values, a.outRecords, a.outBytes = 0, 0, 0, 0
 }
 
 // groupValues adapts the Merger's current group to the user-facing

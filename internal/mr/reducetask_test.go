@@ -1,10 +1,10 @@
 package mr
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
-	"mrtext/internal/cluster"
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
 )
@@ -26,62 +26,70 @@ func (f *fakeStream) Next() (k, v []byte, err error) {
 
 func (f *fakeStream) Close() error { return nil }
 
-// TestChargedStreamBatchesTransfers: the shuffle stream charges the fabric
-// in batches, and same-node streams never touch it.
-func TestChargedStreamBatchesTransfers(t *testing.T) {
-	c, err := cluster.New(cluster.Fast(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
-	recs := make([]kvio.Record, 100)
-	for i := range recs {
-		recs[i] = kvio.Record{Key: []byte("key"), Value: make([]byte, 1024)}
-	}
-	// Remote stream: bytes must cross the fabric, batched.
-	cs := &chargedStream{inner: &fakeStream{recs: recs}, c: c, src: 0, dst: 1, acct: acct}
-	for {
-		_, _, err := cs.Next()
-		if err != nil {
-			break
+// TestShuffleBytesAreFetchedSegmentLengths runs one map task on node 0,
+// then a reduce attempt of each partition on node 1: once with the map
+// output staged, once with a one-byte staging budget, so that every
+// segment is direct-fetched, in the plain and the CompressRuns formats.
+// Either way an attempt counts, as its shuffle volume, the run-index
+// length of each segment it fetched, and a direct-fetched segment crosses
+// the fabric at that on-disk length.
+func TestShuffleBytesAreFetchedSegmentLengths(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		for _, staged := range []bool{true, false} {
+			t.Run(fmt.Sprintf("compressed=%v/staged=%v", compressed, staged), func(t *testing.T) {
+				c, split := oneSplit(t, wordsInput(4000, 8, 3000))
+				job := acctJob(t, sumValues, 64<<10, nil)
+				job.CompressRuns = compressed
+				if !staged {
+					job.stagingBytes = 1
+				}
+				out, _, _, err := runMapTask(c, job, metrics.NewTaskMetrics(), 0, split, 0, 0, 0, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.node != 0 || len(out.runs) < 2 || out.runs[0].Compressed != compressed {
+					t.Fatalf("map output on node %d in %d runs, compressed %v; want node 0, several runs, compressed %v",
+						out.node, len(out.runs), out.runs[0].Compressed, compressed)
+				}
+				var segs int64
+				for _, run := range out.runs {
+					for _, seg := range run.Segments {
+						if seg.Len > 0 {
+							segs++
+						}
+					}
+				}
+				svc := newShuffleService(c, job)
+				defer svc.close()
+				svc.offer(0, out)
+				if staged {
+					waitStagedSegments(t, svc, segs)
+				}
+				for part := 0; part < job.NumReducers; part++ {
+					var want int64
+					for _, run := range out.runs {
+						want += run.Segments[part].Len
+					}
+					before := c.Net.Stats().BytesMoved
+					_, won, _, rep, err := runReduceTask(c, job, metrics.NewTaskMetrics(), part, 1, 0, 0, nil, &shuffleEnv{svc: svc}, []mapOutput{out})
+					if err != nil || !won {
+						t.Fatalf("reduce %d: won=%v err=%v", part, won, err)
+					}
+					if got := rep.Metrics.Counters[metrics.CtrShuffleBytes]; got != want || rep.ShuffleBytes != want {
+						t.Errorf("partition %d: counted %d shuffle bytes (reported %d), its segments hold %d", part, got, rep.ShuffleBytes, want)
+					}
+					if moved := c.Net.Stats().BytesMoved - before; !staged && moved != want {
+						t.Errorf("partition %d: direct fetch moved %d bytes across the fabric, its segments hold %d", part, moved, want)
+					}
+				}
+				wantDirect := segs
+				if staged {
+					wantDirect = 0
+				}
+				if got := svc.tm.Counter(metrics.CtrShuffleDirectFetches); got != wantDirect {
+					t.Errorf("%d direct fetches, want %d", got, wantDirect)
+				}
+			})
 		}
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stats := c.Net.Stats()
-	wantBytes := int64(100 * (3 + 1024 + 4))
-	if stats.BytesMoved != wantBytes {
-		t.Errorf("moved %d bytes, want %d", stats.BytesMoved, wantBytes)
-	}
-	// Batching: ~100 KiB in 64 KiB batches → far fewer transfers than
-	// records.
-	if stats.Transfers >= 100 {
-		t.Errorf("%d transfers for 100 records: not batched", stats.Transfers)
-	}
-	// The stream counts in the reduce goroutine's plain field; the task's
-	// metrics see the bytes at the next publish.
-	if acct.shuffleBytes != wantBytes || acct.tm.Counter(metrics.CtrShuffleBytes) != 0 {
-		t.Errorf("counted %d bytes locally, %d published before any publish", acct.shuffleBytes, acct.tm.Counter(metrics.CtrShuffleBytes))
-	}
-	acct.publish()
-	if got := acct.tm.Counter(metrics.CtrShuffleBytes); got != wantBytes || acct.shuffleBytes != 0 {
-		t.Errorf("shuffle counter %d after publish, %d left unpublished", got, acct.shuffleBytes)
-	}
-
-	// Local stream: counted but never transferred.
-	acct2 := &reduceAccount{tm: metrics.NewTaskMetrics()}
-	cs2 := &chargedStream{inner: &fakeStream{recs: recs[:10]}, c: c, src: 1, dst: 1, acct: acct2}
-	for {
-		if _, _, err := cs2.Next(); err != nil {
-			break
-		}
-	}
-	cs2.Close()
-	if c.Net.Stats().BytesMoved != wantBytes {
-		t.Error("local stream moved bytes across the fabric")
-	}
-	if acct2.shuffleBytes == 0 {
-		t.Error("local shuffle bytes not counted")
 	}
 }

@@ -56,11 +56,11 @@ var configurations = []struct {
 }{
 	{"baseline", func(j *mr.Job) {}},
 	{"freqbuf", func(j *mr.Job) {
-		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 	}},
 	{"spillmatcher", func(j *mr.Job) { j.SpillMatcher = true }},
 	{"combined", func(j *mr.Job) {
-		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+		j.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 		j.SpillMatcher = true
 	}},
 }

@@ -155,7 +155,7 @@ func TestResultAggregationHelpers(t *testing.T) {
 	job := apps.WordCount(corpus)
 	job.Name = "agg-helpers"
 	job.SpillBufferBytes = 32 << 10
-	job.FreqBuf = &mr.FreqBufConfig{K: 50, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+	job.FreqBuf = &mr.FreqBufConfig{K: 50, SampleFraction: 0.05, MemFraction: 0.3}
 	job.SpillMatcher = true
 	res, err := mr.Run(c, job)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestTopKSharingAcrossTasks(t *testing.T) {
 	job := apps.WordCount(corpus)
 	job.Name = "sharing"
 	job.SpillBufferBytes = 1 << 20
-	job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: true}
+	job.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3}
 	res, err := mr.Run(c, job)
 	if err != nil {
 		t.Fatal(err)
@@ -217,20 +217,6 @@ func TestTopKSharingAcrossTasks(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("no task reused the node's frozen top-k")
-	}
-	// With sharing disabled every task profiles for itself.
-	job2 := apps.WordCount(corpus)
-	job2.Name = "no-sharing"
-	job2.SpillBufferBytes = job.SpillBufferBytes
-	job2.FreqBuf = &mr.FreqBufConfig{K: 100, SampleFraction: 0.05, MemFraction: 0.3, ShareTopK: false}
-	res2, err := mr.Run(c, job2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range res2.Tasks {
-		if tr.Kind == "map" && tr.FreqStats.SharedTopK {
-			t.Error("task shared top-k with sharing disabled")
-		}
 	}
 }
 

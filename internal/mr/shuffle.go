@@ -32,49 +32,6 @@ import (
 // against 10.4 s), and at 4 nodes 1, 2 and 4 were indistinguishable.
 const copiersPerPartition = 4
 
-// stagingBuffer is the byte budget of staged shuffle segments. A copier
-// reserves a segment's length before it reads the segment and never waits:
-// a refused reservation leaves the segment on its source disk.
-type stagingBuffer struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	peak   int64
-}
-
-// reserve claims n bytes of the budget, or reports that they do not fit.
-func (b *stagingBuffer) reserve(n int64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.used+n > b.budget {
-		return false
-	}
-	b.used += n
-	b.peak = max(b.peak, b.used)
-	return true
-}
-
-// release returns n reserved bytes to the budget.
-func (b *stagingBuffer) release(n int64) {
-	b.mu.Lock()
-	b.used -= n
-	b.mu.Unlock()
-}
-
-// usedBytes returns the bytes reserved now.
-func (b *stagingBuffer) usedBytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
-
-// peakBytes returns the buffer's occupancy high-water mark.
-func (b *stagingBuffer) peakBytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.peak
-}
-
 // stageReq asks the copiers to stage the admitted segments of one map
 // output, ordered by run and then by partition.
 type stageReq struct {
@@ -101,9 +58,8 @@ type stagedSeg struct {
 
 // shuffleService runs the job-wide copier pool.
 type shuffleService struct {
-	c   *cluster.Cluster
-	tr  *trace.Tracer
-	buf *stagingBuffer
+	c  *cluster.Cluster
+	tr *trace.Tracer
 	// tm is the job's own metrics. Staging work, and the fetch and queue
 	// latencies of every reduce attempt, belong to the job, not to any
 	// single attempt — an attempt's report is discarded when it fails or
@@ -118,7 +74,12 @@ type shuffleService struct {
 	pend     []stageReq              // map outputs waiting for a copier
 	staged   []map[string]*stagedSeg // per-partition staged segments by run name
 	released []bool                  // partition committed; staging dropped
-	wg       sync.WaitGroup
+	// budget is the staging byte budget. A segment's length is reserved
+	// into used before a copier reads it, and a reservation that would
+	// exceed the budget is refused at once, leaving the segment on its
+	// source disk; peak is used's high-water mark.
+	budget, used, peak int64
+	wg                 sync.WaitGroup
 }
 
 func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
@@ -126,7 +87,7 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 	s := &shuffleService{
 		c:        c,
 		tr:       job.Trace,
-		buf:      &stagingBuffer{budget: job.stagingBytes},
+		budget:   job.stagingBytes,
 		tm:       metrics.NewTaskMetrics(),
 		staged:   make([]map[string]*stagedSeg, parts),
 		released: make([]bool, parts),
@@ -167,9 +128,12 @@ func (s *shuffleService) offer(src int, out mapOutput) {
 	req := stageReq{src: src, out: out}
 	for r, run := range out.runs {
 		for p := 0; p < min(len(run.Segments), len(s.staged)); p++ {
-			if n := run.Segments[p].Len; n == 0 || s.released[p] || !s.buf.reserve(n) {
+			n := run.Segments[p].Len
+			if n == 0 || s.released[p] || s.used+n > s.budget {
 				continue
 			}
+			s.used += n
+			s.peak = max(s.peak, s.used)
 			st := &stagedSeg{compressed: run.Compressed, inFlight: true}
 			s.staged[p][run.Name] = st
 			req.segs = append(req.segs, stageSeg{run: r, part: p, st: st})
@@ -237,11 +201,7 @@ func (s *shuffleService) stageOutput(ci int, req stageReq) {
 		}
 		xerr := err
 		if xerr == nil && n > 0 && h != req.out.node {
-			t0 := time.Now()
-			xerr = s.c.Net.Transfer(req.out.node, h, n)
-			d := time.Since(t0)
-			s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-			s.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, h, req.src, copierSlot, t0, d)
+			xerr = s.hop(req.out.node, h, n, spanner{tr: s.tr, node: h, task: req.src, slot: copierSlot})
 		}
 		s.land(req, idx, data, xerr, spans)
 	}
@@ -258,11 +218,12 @@ func (s *shuffleService) land(req stageReq, idx []int, data [][]byte, err error,
 	s.mu.Lock()
 	for k, i := range idx {
 		g := req.segs[i]
-		name := req.out.runs[g.run].Name
-		if kept[k] = err == nil && !s.closed && s.staged[g.part][name] == g.st; kept[k] {
+		run := req.out.runs[g.run]
+		if kept[k] = err == nil && !s.closed && s.staged[g.part][run.Name] == g.st; kept[k] {
 			g.st.data = data[i]
 		} else {
-			delete(s.staged[g.part], name) // a no-op once released or withdrawn
+			delete(s.staged[g.part], run.Name) // a no-op once released or withdrawn
+			s.used -= run.Segments[g.part].Len
 		}
 		g.st.inFlight = false
 	}
@@ -272,7 +233,6 @@ func (s *shuffleService) land(req stageReq, idx []int, data [][]byte, err error,
 		g := req.segs[i]
 		seg := req.out.runs[g.run].Segments[g.part]
 		if !kept[k] {
-			s.buf.release(seg.Len)
 			spans[i].End()
 			continue
 		}
@@ -306,16 +266,23 @@ func (s *shuffleService) take(part int, run string, node int, sp spanner) (strea
 	if st == nil {
 		return nil, false
 	}
-	t0 := time.Now()
-	err := s.c.Net.Transfer(s.home(part), node, int64(len(st.data)))
-	d := time.Since(t0)
-	s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
-	sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, d)
-	if err != nil {
+	if err := s.hop(s.home(part), node, int64(len(st.data)), sp); err != nil {
 		return nil, false
 	}
 	s.tm.Inc(metrics.CtrShuffleStagedHits, 1)
 	return kvio.NewBytesSegmentStream(st.data, st.compressed), true
+}
+
+// hop charges one fabric transfer of n bytes from src to dst on the
+// shuffle path, recorded as a wait-fabric span at sp's coordinates and in
+// the job's fabric wait.
+func (s *shuffleService) hop(src, dst int, n int64, sp spanner) error {
+	t0 := time.Now()
+	err := s.c.Net.Transfer(src, dst, n)
+	d := time.Since(t0)
+	s.tm.Inc(metrics.CtrShuffleFabricWaitNS, int64(d))
+	sp.tr.Complete(trace.KindWaitFabric, trace.LaneReduce, sp.node, sp.task, sp.slot, t0, d)
+	return err
 }
 
 // release drops a committed partition's staged segments: the copiers
@@ -339,7 +306,7 @@ func (s *shuffleService) withdraw(names []string) {
 	for _, staged := range s.staged {
 		for _, name := range names {
 			if st := staged[name]; st != nil && !st.inFlight {
-				s.buf.release(int64(len(st.data)))
+				s.used -= int64(len(st.data))
 			}
 			delete(staged, name)
 		}
@@ -354,7 +321,7 @@ func (s *shuffleService) dropStagedLocked(part int) {
 	for _, st := range s.staged[part] {
 		n += int64(len(st.data))
 	}
-	s.buf.release(n)
+	s.used -= n
 	s.staged[part] = nil
 }
 
@@ -385,17 +352,17 @@ func (s *shuffleService) close() {
 	s.mu.Lock()
 	for _, req := range s.pend {
 		for _, g := range req.segs {
-			s.buf.release(req.out.runs[g.run].Segments[g.part].Len)
+			s.used -= req.out.runs[g.run].Segments[g.part].Len
 		}
 	}
 	s.pend = nil
 	for part := range s.staged {
 		s.dropStagedLocked(part)
 	}
+	debugAssert(s.used == 0, "staging holds %d bytes after close", s.used)
+	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.peak)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	debugAssert(s.buf.usedBytes() == 0, "staging holds %d bytes after close", s.buf.usedBytes())
-	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.buf.peakBytes())
 }
 
 // snapshot returns the job's own counters and histograms for the one-time

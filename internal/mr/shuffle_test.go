@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mrtext/internal/apps"
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
 	"mrtext/internal/metrics"
@@ -170,6 +171,28 @@ func assertNothingStaged(t *testing.T, res *mr.Result, log *diskLog, direct int6
 	}
 	if int64(log.runSection) != direct || direct == 0 {
 		t.Errorf("%d positioned reads of spill runs for %d direct fetches", log.runSection, direct)
+	}
+}
+
+// TestShuffleBytesEqualStagedBytes: on a fault-free 4-node WordCount whose
+// every segment is staged once and taken once, the bytes the reduce side
+// counts as shuffled are the bytes staging held — each segment's on-disk
+// length, counted once — not a per-record estimate of them.
+func TestShuffleBytesEqualStagedBytes(t *testing.T) {
+	c, corpus := newTextCluster(t, 4, 2<<20)
+	job := apps.WordCount(corpus)
+	job.Name = "shuffle-bytes"
+	res, err := mr.Run(c, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := res.Agg.Counters
+	if ctr[metrics.CtrShuffleDirectFetches] != 0 || res.ReduceAttempts != res.ReduceTasks {
+		t.Fatalf("%d direct fetches, %d reduce attempts for %d tasks: not every segment was staged and taken once",
+			ctr[metrics.CtrShuffleDirectFetches], res.ReduceAttempts, res.ReduceTasks)
+	}
+	if shuffled, staged := ctr[metrics.CtrShuffleBytes], ctr[metrics.CtrShuffleStagedBytes]; shuffled == 0 || shuffled != staged {
+		t.Errorf("shuffle.bytes %d, shuffle.staged.bytes %d", shuffled, staged)
 	}
 }
 

@@ -16,40 +16,45 @@ import (
 	"mrtext/internal/cluster"
 	"mrtext/internal/kvio"
 	"mrtext/internal/metrics"
+	"mrtext/internal/trace"
 	"mrtext/internal/vdisk"
 )
 
-// --- stagingBuffer ---
+// --- staging budget ---
 
-// TestStagingBufferBackpressure pins the budget contract: a reservation
-// inside the budget succeeds, one that would exceed it is refused at once —
-// there is no wait — and succeeds after a release made room; the peak is
-// the high-water mark of what was granted.
+// TestStagingBufferBackpressure pins the budget contract on a service with
+// no copiers: an offered segment inside the budget is admitted, one that
+// would exceed it is refused at once — there is no wait — and admitted
+// after an abandoned copy gave its reservation back; the peak is the
+// high-water mark of what was admitted.
 func TestStagingBufferBackpressure(t *testing.T) {
-	b := &stagingBuffer{budget: 100}
-	if !b.reserve(60) {
-		t.Fatal("in-budget reservation refused")
+	s := &shuffleService{budget: 100, tm: metrics.NewTaskMetrics(), staged: []map[string]*stagedSeg{{}}, released: make([]bool, 1)}
+	s.cond = sync.NewCond(&s.mu)
+	admit := func(name string, n int64) bool {
+		s.offer(0, mapOutput{runs: []kvio.RunIndex{{Name: name, Segments: []kvio.Segment{{Len: n}}}}})
+		return s.staged[0][name] != nil
 	}
-	if b.reserve(50) {
-		t.Fatal("over-budget reservation granted")
+	if !admit("a", 60) {
+		t.Fatal("in-budget segment refused")
 	}
-	if b.reserve(101) {
-		t.Fatal("reservation larger than the whole budget granted")
+	if admit("b", 50) {
+		t.Fatal("over-budget segment admitted")
 	}
-	if !b.reserve(0) {
-		t.Fatal("zero-byte reservation refused")
+	if admit("c", 101) {
+		t.Fatal("segment larger than the whole budget admitted")
 	}
-	b.release(60)
-	if !b.reserve(50) {
-		t.Fatal("reservation refused after space was released")
+	// The copy of "a" fails: its reservation comes back.
+	s.land(s.pend[0], []int{0}, [][]byte{nil}, errors.New("copy failed"), make([]trace.Span, 1))
+	if !admit("b", 50) {
+		t.Fatal("segment refused after an abandoned copy gave its bytes back")
 	}
-	if !b.reserve(50) {
-		t.Fatal("reservation filling the budget exactly refused")
+	if !admit("d", 50) {
+		t.Fatal("segment filling the budget exactly refused")
 	}
-	if b.reserve(1) {
-		t.Fatal("reservation granted with the budget exhausted")
+	if admit("e", 1) {
+		t.Fatal("segment admitted with the budget exhausted")
 	}
-	if got := b.peakBytes(); got != 100 {
+	if got := bufPeak(s); got != 100 {
 		t.Fatalf("peak = %d, want 100", got)
 	}
 }
@@ -264,7 +269,7 @@ func TestStagingAccountsWireBytes(t *testing.T) {
 	if staged := svc.tm.Counter(metrics.CtrShuffleStagedBytes); staged != diskTotal {
 		t.Fatalf("staged %d bytes, the segments hold %d on disk", staged, diskTotal)
 	}
-	if peak := svc.buf.peakBytes(); peak != diskTotal {
+	if peak := bufPeak(svc); peak != diskTotal {
 		t.Fatalf("staging peak %d, want the on-disk total %d", peak, diskTotal)
 	}
 	// Each output's segments bound for the other node cross the fabric in
@@ -332,9 +337,7 @@ func waitCopiersIdle(t *testing.T, svc *shuffleService) {
 				held += int64(len(st.data))
 			}
 		}
-		svc.buf.mu.Lock()
-		inFlight := svc.buf.used - held
-		svc.buf.mu.Unlock()
+		inFlight := svc.used - held
 		svc.mu.Unlock()
 		if queued == 0 && inFlight == 0 {
 			return
@@ -358,9 +361,9 @@ func unitOpens(c *cluster.Cluster) int64 {
 // TestOverBudgetSegmentsAreDirectFetched gives staging a third of the bytes
 // on offer. What fits is staged and what does not stays on the source disk:
 // a reduce attempt's fetch resolves every nonempty segment of every run
-// exactly once, from staging (a countedStream) or by direct fetch (a
-// chargedStream), the two add up to the nonempty segments, and either way
-// the records are the ones on the source disk.
+// exactly once, from staging or by direct fetch, the two add up to the
+// nonempty segments, and either way the records are the ones on the source
+// disk and the attempt counts the segment's on-disk length.
 func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c, false)
@@ -375,7 +378,7 @@ func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 	waitCopiersIdle(t, svc)
 
 	sh := &shuffleEnv{svc: svc}
-	staged, direct := 0, 0
+	var shuffled int64
 	for p := 0; p < unitParts; p++ {
 		acct := &reduceAccount{tm: metrics.NewTaskMetrics()}
 		streams, err := fetchConcurrent(c, job, sh, p, 0, nil, outs, acct, spanner{})
@@ -387,24 +390,19 @@ func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 			t.Fatalf("part %d: %d streams, want %d", p, len(streams), len(want))
 		}
 		for i, st := range streams {
-			switch st.(type) {
-			case *countedStream:
-				staged++
-			case *chargedStream:
-				direct++
-			default:
-				t.Fatalf("part %d stream %d: fetch returned a %T", p, i, st)
-			}
 			if got := drainStream(t, st); !slices.Equal(got, want[i]) {
 				t.Fatalf("part %d stream %d: fetched %d records, the source disk holds %d", p, i, len(got), len(want[i]))
 			}
 		}
+		shuffled += acct.tm.Counter(metrics.CtrShuffleBytes)
 	}
+	staged := svc.tm.Counter(metrics.CtrShuffleStagedHits)
+	direct := svc.tm.Counter(metrics.CtrShuffleDirectFetches)
 	if staged+direct != unitSegs {
-		t.Errorf("%d staged + %d direct fetches, want %d", staged, direct, unitSegs)
+		t.Errorf("%d staged hits + %d direct fetches, want %d", staged, direct, unitSegs)
 	}
-	if hits := svc.tm.Counter(metrics.CtrShuffleStagedHits); hits != int64(staged) {
-		t.Errorf("%d staged hits counted, %d sources came from staging", hits, staged)
+	if shuffled != diskTotal {
+		t.Errorf("counted %d shuffle bytes, the segments hold %d on disk", shuffled, diskTotal)
 	}
 	if stagedBytes := svc.tm.Counter(metrics.CtrShuffleStagedBytes); stagedBytes == 0 || stagedBytes > budget {
 		t.Errorf("staged %d bytes under a budget of %d", stagedBytes, budget)
@@ -412,7 +410,7 @@ func TestOverBudgetSegmentsAreDirectFetched(t *testing.T) {
 	if direct == 0 {
 		t.Errorf("no direct fetch with %d bytes on offer to a budget of %d", diskTotal, budget)
 	}
-	if peak := svc.buf.peakBytes(); peak > budget {
+	if peak := bufPeak(svc); peak > budget {
 		t.Errorf("staging peak %d over the budget %d", peak, budget)
 	}
 }
@@ -594,7 +592,16 @@ func (s *shuffleService) isClosed() bool {
 
 // bufUsed reads the staging budget's reservation.
 func bufUsed(svc *shuffleService) int64 {
-	return svc.buf.usedBytes()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.used
+}
+
+// bufPeak reads the staging budget's high-water mark.
+func bufPeak(svc *shuffleService) int64 {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.peak
 }
 
 // TestTakeWaitsForInFlightCopy holds one copier's read of a map output's
@@ -656,10 +663,6 @@ func TestTakeWaitsForInFlightCopy(t *testing.T) {
 			for i, st := range f.streams {
 				if got := drainStream(t, st); !slices.Equal(got, want[i]) {
 					t.Fatalf("run %s: fetched %d records, the source disk holds %d", runs[i], len(got), len(want[i]))
-				}
-				_, direct := st.(*chargedStream)
-				if direct != (fail && heldRuns[runs[i]]) {
-					t.Errorf("run %s came by direct fetch = %v (copy failed: %v)", runs[i], direct, fail)
 				}
 			}
 			for _, out := range outs {

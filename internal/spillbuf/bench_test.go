@@ -15,7 +15,7 @@ func BenchmarkPipeline(b *testing.B) {
 		mk   func() spillmatch.Controller
 	}{
 		{"static-0.8", func() spillmatch.Controller { return spillmatch.NewStatic(0.8) }},
-		{"matcher", func() spillmatch.Controller { return spillmatch.NewMatcher(spillmatch.DefaultConfig()) }},
+		{"matcher", func() spillmatch.Controller { return spillmatch.NewMatcher() }},
 	} {
 		b.Run(ctrl.name, func(b *testing.B) {
 			buf, err := New(256<<10, ctrl.mk(), nil)

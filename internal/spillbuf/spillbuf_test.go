@@ -313,8 +313,16 @@ func TestConsumerWaitAccounted(t *testing.T) {
 	}
 }
 
+// countingController counts the measurements it is handed.
+type countingController struct {
+	spillmatch.Static
+	records atomic.Int64
+}
+
+func (c *countingController) Record(int64, time.Duration, time.Duration) { c.records.Add(1) }
+
 func TestControllerReceivesMeasurements(t *testing.T) {
-	m := spillmatch.NewMatcher(spillmatch.DefaultConfig())
+	m := &countingController{Static: spillmatch.Static{X: spillmatch.Initial}}
 	b, err := New(1<<10, m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +342,7 @@ func TestControllerReceivesMeasurements(t *testing.T) {
 		}
 		b.Release(s, time.Millisecond)
 	}
-	if m.Spills() == 0 {
+	if m.records.Load() == 0 {
 		t.Error("controller saw no measurements")
 	}
 }
@@ -958,7 +966,7 @@ func TestHandoffStress(t *testing.T) {
 	if testing.Short() {
 		n = 20000
 	}
-	b, err := New(4<<10, spillmatch.NewMatcher(spillmatch.DefaultConfig()), nil)
+	b, err := New(4<<10, spillmatch.NewMatcher(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

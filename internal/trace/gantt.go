@@ -15,22 +15,14 @@ import (
 // inside a map task) overwrites its parent where it occurred — the same
 // visual nesting Perfetto draws vertically.
 
-// Gantt renders events as a fixed-width terminal timeline. width is the
-// number of columns for the time axis (minimum 20; 0 uses 100). The
-// chart is built in memory and written once; the returned error is the
-// writer's.
-func Gantt(w io.Writer, events []Event, width int) error {
-	var b strings.Builder
-	ganttTo(&b, events, nil, width)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// GanttMarked renders the same timeline with the marked spans — the
-// critical path the analyzer extracted — repainted as '#', so the chain
-// of spans the job's wall time actually waited on reads straight off the
-// chart. Marked events are matched by identity (kind, lane, coordinates,
-// start, duration); marks that match no event are ignored.
+// GanttMarked renders events as a fixed-width terminal timeline with the
+// marked spans — the critical path the analyzer extracted — repainted as
+// '#', so the chain of spans the job's wall time actually waited on reads
+// straight off the chart; with no marks it is the plain timeline. Marked
+// events are matched by identity (kind, lane, coordinates, start,
+// duration); marks that match no event are ignored. width is the number
+// of columns for the time axis (minimum 20; 0 uses 100). The chart is
+// built in memory and written once; the returned error is the writer's.
 func GanttMarked(w io.Writer, events, marked []Event, width int) error {
 	var b strings.Builder
 	ganttTo(&b, events, marked, width)

@@ -12,7 +12,7 @@
 // and Table II's busy/idle accounting falls out of the wait spans (see
 // DeriveIdle). Export to the Chrome trace_event JSON format (WriteJSON)
 // loads in ui.perfetto.dev with one process per node and one thread per
-// goroutine lane; Gantt renders the same timeline in the terminal.
+// goroutine lane; GanttMarked renders the same timeline in the terminal.
 //
 // Cost model: tracing is off unless a *Tracer is attached to the job, and
 // every emit entry point is nil-receiver safe, so the disabled fast path is

@@ -212,7 +212,7 @@ func TestGanttRendersTracks(t *testing.T) {
 	rt.End()
 
 	var buf bytes.Buffer
-	if err := Gantt(&buf, tr.Events(), 60); err != nil {
+	if err := GanttMarked(&buf, tr.Events(), nil, 60); err != nil {
 		t.Fatalf("gantt: %v", err)
 	}
 	out := buf.String()
@@ -222,7 +222,7 @@ func TestGanttRendersTracks(t *testing.T) {
 		}
 	}
 	var empty bytes.Buffer
-	if err := Gantt(&empty, nil, 60); err != nil {
+	if err := GanttMarked(&empty, nil, nil, 60); err != nil {
 		t.Fatalf("gantt: %v", err)
 	}
 	if !strings.Contains(empty.String(), "no spans") {

@@ -28,7 +28,6 @@ import (
 	"mrtext/internal/apps"
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
-	"mrtext/internal/core/spillmatch"
 	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
@@ -60,8 +59,6 @@ type (
 	CombineFunc = mr.CombineFunc
 	// FreqBufConfig configures frequency-buffering on a Job.
 	FreqBufConfig = mr.FreqBufConfig
-	// SpillMatcherConfig configures the adaptive spill controller.
-	SpillMatcherConfig = spillmatch.Config
 	// Cluster is a running simulated cluster.
 	Cluster = cluster.Cluster
 	// ClusterConfig sizes a cluster.
@@ -126,10 +123,6 @@ func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 // WriteTrace writes the tracer's recorded events as Chrome trace_event
 // JSON, loadable at ui.perfetto.dev or chrome://tracing.
 func WriteTrace(w io.Writer, t *Tracer) error { return trace.WriteJSON(w, t.Events()) }
-
-// WriteGantt renders the tracer's recorded events as a terminal Gantt
-// chart of the given column width.
-func WriteGantt(w io.Writer, t *Tracer, width int) error { return trace.Gantt(w, t.Events(), width) }
 
 // AnalyzeTrace reconstructs the critical path from the tracer's recorded
 // events and returns the blame report: per-phase wall time attributed to
