@@ -65,7 +65,7 @@ func check(path string, report bool) error {
 	if err != nil {
 		return err
 	}
-	rep, err := critpath.Analyze(events, critpath.Options{})
+	rep, err := critpath.Analyze(events)
 	if err != nil {
 		return err
 	}

@@ -56,13 +56,11 @@ const DefaultStaticPercent = 0.8
 
 // The matcher's threshold bounds. Initial is used before any measurement
 // exists: 0.5 is always wait-free for the support-slower case and nearly
-// optimal for balanced rates, so it is the safe cold-start choice. Min and
-// Max clamp the adapted threshold: Min keeps spills from degenerating into
-// per-record handoffs (combine efficiency, §IV-A); Max keeps headroom so
-// the producer is never trivially blocked.
+// optimal for balanced rates, so it is the safe cold-start choice. Max caps
+// the adapted threshold, keeping headroom so the producer is never
+// trivially blocked. Eq. 1 never goes below ½, so no lower bound is needed.
 const (
 	Initial = 0.5
-	Min     = 0.1
 	Max     = 0.95
 )
 
@@ -91,39 +89,28 @@ func (m *Matcher) Record(spillBytes int64, produce, consume time.Duration) {
 	if spillBytes <= 0 || produce <= 0 || consume <= 0 {
 		return // degenerate measurement; keep the current threshold
 	}
-	// x = max{c/(p+c), 1/2} with p = bytes/T_p and c = bytes/T_c reduces
-	// to max{T_p/(T_p+T_c), 1/2}: if the producer is slower (T_p > T_c)
-	// the threshold rises above ½ to grow spills; if the consumer is
-	// slower it caps at ½ so the next spill is always ready on time.
-	x := float64(produce) / float64(produce+consume)
-	if x < 0.5 {
-		x = 0.5
-	}
+	// With p = bytes/T_p and c = bytes/T_c, eq. 1 is a function of the
+	// two times alone: if the producer is slower (T_p > T_c) the threshold
+	// rises above ½ to grow spills; if the consumer is slower it stays at
+	// ½ so the next spill is always ready on time.
 	m.mu.Lock()
-	m.x = clamp(x, Min, Max)
+	m.x = eq1(float64(produce), float64(consume))
 	m.mu.Unlock()
 }
 
 // WaitFreePercent is the pure eq.-1 function: the maximal spill percentage
-// that keeps the slower thread wait-free given produce rate p and consume
-// rate c (bytes/second). Exported for the analytic model and tests.
+// the matcher chooses to keep the slower thread wait-free given produce
+// rate p and consume rate c (bytes/second). Exported for the analytic
+// model and tests.
 func WaitFreePercent(p, c float64) float64 {
 	if p <= 0 || c <= 0 {
-		return 0.5
+		return Initial
 	}
-	x := c / (p + c)
-	if x < 0.5 {
-		x = 0.5
-	}
-	return x
+	return eq1(c, p)
 }
 
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
+// eq1 is eq. 1, x = max{c/(p+c), ½} = max{T_p/(T_p+T_c), ½}, as a/(a+b)
+// with a standing for c or T_p and b for p or T_c, capped at Max.
+func eq1(a, b float64) float64 {
+	return min(max(a/(a+b), 0.5), Max)
 }

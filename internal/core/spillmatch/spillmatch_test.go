@@ -17,7 +17,7 @@ func TestWaitFreePercentEquation(t *testing.T) {
 		{200, 100, 0.5},  // producer faster: ½ (c/(p+c)=1/3 < ½)
 		{100, 300, 0.75}, // consumer faster: c/(p+c)
 		{100, 900, 0.9},  // much faster consumer
-		{1, 1e9, 1e9 / (1e9 + 1)},
+		{1, 1e9, Max},    // a consumer this much faster is capped at Max
 	}
 	for _, c := range cases {
 		if got := WaitFreePercent(c.p, c.c); math.Abs(got-c.want) > 1e-9 {
@@ -34,7 +34,7 @@ func TestWaitFreePercentProperties(t *testing.T) {
 	f := func(p, c float64) bool {
 		p, c = math.Abs(p)+1e-9, math.Abs(c)+1e-9
 		x := WaitFreePercent(p, c)
-		if x < 0.5 || x >= 1 {
+		if x < 0.5 || x > Max {
 			return false
 		}
 		// p < c  ⇔  x > ½ (strictly, up to fp noise)
@@ -97,12 +97,12 @@ func TestMatcherIgnoresDegenerateMeasurements(t *testing.T) {
 
 func TestMatcherClamps(t *testing.T) {
 	m := NewMatcher()
-	// Extremely slow producer would push x→1; clamp to Max.
+	// Extremely slow producer would push x→1; it is capped at Max.
 	m.Record(1<<20, time.Hour, time.Millisecond)
 	if got := m.Percent(); got != Max {
-		t.Errorf("max clamp: %g, want %g", got, Max)
+		t.Errorf("max cap: %g, want %g", got, Max)
 	}
-	// The slowest consumer holds x at ½, above Min.
+	// The slowest consumer holds x at ½: eq. 1 has no lower bound to cap.
 	m.Record(1<<20, time.Millisecond, time.Hour)
 	if got := m.Percent(); got != 0.5 {
 		t.Errorf("slow consumer: %g, want 0.5", got)

@@ -77,37 +77,6 @@ func (op Op) User() bool {
 	return op == OpMapUser || op == OpCombineUser || op == OpReduceUser
 }
 
-// Phase identifies one of the three coarse MapReduce phases.
-type Phase int
-
-const (
-	// PhaseMap covers everything inside map tasks, through the last spill run.
-	PhaseMap Phase = iota
-	// PhaseShuffle covers moving map outputs to the reduce side.
-	PhaseShuffle
-	// PhaseReduce covers user reduce() and output I/O.
-	PhaseReduce
-	// NumPhases is the sentinel count of phases.
-	NumPhases
-)
-
-// String returns the phase name.
-func (p Phase) String() string { return [NumPhases]string{"map", "shuffle", "reduce"}[p] }
-
-// PhaseOf returns the coarse phase an operation belongs to, following
-// Table I: everything up to and including merge happens inside map tasks,
-// shuffle is its own phase, reduce and output I/O belong to reduce tasks.
-func PhaseOf(op Op) Phase {
-	switch op {
-	case OpShuffle:
-		return PhaseShuffle
-	case OpReduceUser, OpOutputIO:
-		return PhaseReduce
-	default:
-		return PhaseMap
-	}
-}
-
 // Counter names for the byte/record accounting the experiments report.
 const (
 	CtrMapInputRecords   = "map.input.records"
@@ -177,8 +146,9 @@ type TaskMetrics struct {
 func NewTaskMetrics() *TaskMetrics { return NewTaskMetricsClock(time.Now) }
 
 // NewTaskMetricsClock returns an empty TaskMetrics whose stopwatches (the
-// task's own, its EmitTimer's and its spill buffer's) read now instead of
-// the wall clock, so tests can run them on fake time and count the reads.
+// task's loops, their sampled lines and groups, its combine timers and its
+// spill buffer) read now instead of the wall clock, so tests can run them on
+// fake time and count the reads.
 func NewTaskMetricsClock(now func() time.Time) *TaskMetrics {
 	return &TaskMetrics{now: now, counters: make(map[string]int64)}
 }

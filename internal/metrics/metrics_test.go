@@ -31,26 +31,6 @@ func TestUserOps(t *testing.T) {
 	}
 }
 
-func TestPhaseOf(t *testing.T) {
-	cases := map[Op]Phase{
-		OpMapUser:     PhaseMap,
-		OpEmit:        PhaseMap,
-		OpSort:        PhaseMap,
-		OpCombineUser: PhaseMap,
-		OpSpillIO:     PhaseMap,
-		OpMerge:       PhaseMap,
-		OpProfile:     PhaseMap,
-		OpShuffle:     PhaseShuffle,
-		OpReduceUser:  PhaseReduce,
-		OpOutputIO:    PhaseReduce,
-	}
-	for op, want := range cases {
-		if PhaseOf(op) != want {
-			t.Errorf("PhaseOf(%v) = %v, want %v", op, PhaseOf(op), want)
-		}
-	}
-}
-
 func TestTaskMetricsAccumulation(t *testing.T) {
 	tm := NewTaskMetrics()
 	tm.Add(OpSort, time.Second)

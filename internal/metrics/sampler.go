@@ -1,5 +1,7 @@
 package metrics
 
+import "time"
+
 // Sampler is the runtime's one sampling schedule for per-record (per-call,
 // per-group) stopwatches: the first warmup events are timed exactly, so
 // short tasks and unit tests keep precise numbers, and after that one event
@@ -20,8 +22,8 @@ type Sampler struct {
 // Defaults for every sampled stopwatch in the runtime: the first 16 events
 // are timed precisely, then one in 64 pays for the clock.
 const (
-	DefaultEmitWarmup = 16
-	DefaultEmitPeriod = 64
+	defaultWarmup = 16
+	defaultPeriod = 64
 )
 
 // NewSampler returns a Sampler that times the first warmup events and then
@@ -37,7 +39,7 @@ func NewSampler(warmup, period int64) Sampler {
 }
 
 // DefaultSampler returns a Sampler on the default schedule.
-func DefaultSampler() Sampler { return NewSampler(DefaultEmitWarmup, DefaultEmitPeriod) }
+func DefaultSampler() Sampler { return NewSampler(defaultWarmup, defaultPeriod) }
 
 // Sample advances to the next event and returns the weight to time it
 // with: the number of events it stands for, or zero when the event is not
@@ -58,9 +60,30 @@ func (s *Sampler) Sample() int64 {
 	return w
 }
 
-// Exact reports whether the event most recently passed to Sample lay in
-// the exactly-timed prefix (warm-up, or every event when period is 1).
-func (s *Sampler) Exact() bool { return s.n <= s.warmup || s.period == 1 }
-
-// Events returns the number of events seen.
-func (s *Sampler) Events() int64 { return s.n }
+// ScaleTo splits wall among parts in the proportion of their sampled
+// estimates, in place, so that the parts sum to wall exactly and a part
+// estimated at zero (or below) gets none of it. With nothing estimated the
+// wall is all the first part's. It is how a task loop timed on sampled
+// events turns their estimates into op times that tile the loop's measured
+// wall.
+func ScaleTo(wall time.Duration, parts []time.Duration) {
+	var sum time.Duration
+	for i, p := range parts {
+		parts[i] = max(p, 0)
+		sum += parts[i]
+	}
+	if sum == 0 {
+		clear(parts)
+		parts[0] = wall
+		return
+	}
+	var cum, prev time.Duration
+	for i, p := range parts {
+		cum += p
+		bound := wall
+		if cum < sum {
+			bound = time.Duration(float64(wall) * (float64(cum) / float64(sum)))
+		}
+		parts[i], prev = bound-prev, bound
+	}
+}

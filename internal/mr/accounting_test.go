@@ -246,6 +246,69 @@ func TestClockBudget(t *testing.T) {
 	})
 }
 
+// tickClock is a task clock that moves one millisecond at every reading,
+// whichever goroutine reads it: a stopwatch measures the readings that fell
+// inside it.
+type tickClock struct{ n atomic.Int64 }
+
+func (c *tickClock) now() time.Time {
+	return time.Unix(0, 0).Add(time.Duration(c.n.Add(1)) * time.Millisecond)
+}
+
+// TestMapLoopTilesItsWall: the map goroutine's op times and its idle time
+// never sum past the task's wall, because the map loop's sampled split is
+// scaled to the loop's busy wall. On a clock that moves at every reading a
+// sampled stretch is a few readings long, so weighting it by the up to 64
+// lines or records it stands for, unbounded, overshoots the wall many
+// times over. With frequency-buffering the output fits the buffer, so the
+// task's one spill is written after the map goroutine is done and all of
+// its combine time is the map goroutine's or comes after it.
+func TestMapLoopTilesItsWall(t *testing.T) {
+	const lines, perLine, vocab = 4000, 8, 500
+	c, split := oneSplit(t, wordsInput(lines, perLine, vocab))
+	for _, tc := range []struct {
+		name       string
+		freq       bool
+		spillBytes int64
+	}{
+		{"plain", false, 64 << 10},
+		{"freqbuf", true, 8 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := acctJob(t, sumValues, tc.spillBytes, nil)
+			if tc.freq {
+				job.FreqBuf = DefaultFreqBufText()
+			}
+			clk := &tickClock{}
+			_, rep, _, err := runMapTask(c, job, metrics.NewTaskMetricsClock(clk.now), 0, split, 0, 0, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := rep.Metrics.Ops
+			mapSide := ops[metrics.OpMapUser] + ops[metrics.OpEmit] + rep.Metrics.WaitMap
+			if tc.freq {
+				if rep.Spill.Spills != 1 || rep.FreqStats.Hits == 0 {
+					t.Fatalf("%d spills, %d frequency-buffer hits: the case needs one spill and hits", rep.Spill.Spills, rep.FreqStats.Hits)
+				}
+				mapSide += ops[metrics.OpProfile] + ops[metrics.OpCombineUser]
+			} else if rep.Spill.Spills < 3 {
+				t.Fatalf("%d spills: the case needs several", rep.Spill.Spills)
+			}
+			t.Logf("map goroutine %v (user %v, emit %v, profile %v, combine %v, idle %v), task wall %v",
+				mapSide, ops[metrics.OpMapUser], ops[metrics.OpEmit], ops[metrics.OpProfile], ops[metrics.OpCombineUser], rep.Metrics.WaitMap, rep.Wall)
+			if mapSide > rep.Wall {
+				t.Errorf("the map goroutine's ops and idle time sum to %v, past the task's wall %v", mapSide, rep.Wall)
+			}
+			if mapSide < rep.Wall/2 {
+				t.Errorf("the map goroutine's ops and idle time sum to %v of the task's wall %v: the loop is most of it", mapSide, rep.Wall)
+			}
+			if ops[metrics.OpMapUser] <= 0 || ops[metrics.OpEmit] <= 0 || (tc.freq && ops[metrics.OpProfile] <= 0) {
+				t.Errorf("an operation the map goroutine performed has no time: %v", ops)
+			}
+		})
+	}
+}
+
 // TestFailedAttemptReportsWhatItDid: the counts a task keeps in plain
 // locals reach its report on the failure exits too, however many spills
 // came before the failure.

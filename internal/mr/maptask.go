@@ -134,14 +134,13 @@ func (ct *combineTimer) take(span time.Duration) time.Duration {
 // the full map-side emit path: partitioning, the frequency-buffering
 // intercept, and the spill-buffer append, with the paper's operation
 // accounting (user map time vs. emit overhead vs. profiling overhead).
-// None of that accounting is paid per record: the user/emit/profile split
-// is attributed by the sampled EmitTimer, and records are counted in plain
-// fields the map goroutine owns, published to the task's metrics at every
-// exit of the task.
+// None of that accounting is paid per record: the map loop times the
+// lines its sampler picks, inside which the collector times each emit and
+// the intercept, and records are counted in plain fields the map goroutine
+// owns, published to the task's metrics at every exit of the task.
 type mapCollector struct {
 	job   *Job
 	tm    *metrics.TaskMetrics
-	et    *metrics.EmitTimer
 	buf   *spillbuf.Buffer
 	freq  *freqbuf.Buffer
 	cache *freqbuf.Cache // node cache for top-k sharing (nil without frequency-buffering)
@@ -152,20 +151,32 @@ type mapCollector struct {
 	sp        spanner     // freq-buffer eviction instants
 	plan      *chaos.Plan // nil when chaos is off: the guard below is the whole cost
 
-	// freqCombine times every combiner call made inside a sampled record's
-	// Offer; the frequency buffer times none inside the others.
+	// freqCombine times every combiner call made inside an Offer of a
+	// sampled line; the frequency buffer times none inside the others.
 	freqCombine *combineTimer
+
+	// The stopwatches of the line being mapped, which run only when the
+	// map loop samples it: whole emits, and the intercept's profiling and
+	// combiner calls inside them. waited is every buffer-full wait the
+	// map loop's appends returned, sampled line or not.
+	timed                   bool
+	emits, profile, combine time.Duration
+	waited                  time.Duration
 
 	// Counts since the last publish (of emitted, the part published so
 	// far).
 	inRecords, emittedPublished, outBytes, freqHits, freqEvictions int64
 }
 
-// Collect implements Collector.
+// Collect implements Collector. It reads the clock only on a sampled
+// line.
 func (mc *mapCollector) Collect(key, value []byte) error {
-	mc.et.BeforeEmit()
+	if !mc.timed {
+		return mc.emit(key, value)
+	}
+	t0 := mc.tm.Now()
 	err := mc.emit(key, value)
-	mc.et.AfterEmit()
+	mc.emits += mc.tm.Now().Sub(t0)
 	return err
 }
 
@@ -203,14 +214,13 @@ func (j *Job) partitionOf(key []byte) (int, error) {
 }
 
 // offer passes one record through the frequency-buffer intercept and
-// sends what the table evicted down the spill path. The intercept is
-// timed on the records the EmitTimer samples, with the same weight: its
-// span less the combiner calls inside it is OpProfile, those calls are
-// OpCombineUser, and the whole span is excluded from the emit measurement
-// that surrounds it.
+// sends what the table evicted down the spill path. On a sampled line the
+// intercept is timed: its span less the combiner calls inside it is the
+// line's profiling, those calls its combine, and the emit around it leaves
+// the whole span out.
 func (mc *mapCollector) offer(part int, key, value []byte) (absorbed bool, err error) {
 	var overflow []kvio.Record
-	if w := mc.et.Weight(); w == 0 {
+	if !mc.timed {
 		absorbed, overflow, err = mc.freq.Offer(part, key, value)
 	} else {
 		mc.freq.TimeCombines(mc.freqCombine)
@@ -219,9 +229,8 @@ func (mc *mapCollector) offer(part int, key, value []byte) (absorbed bool, err e
 		span := mc.tm.Now().Sub(t0)
 		mc.freq.TimeCombines(nil)
 		combine := mc.freqCombine.take(span)
-		mc.tm.Add(metrics.OpProfile, time.Duration(w)*(span-combine))
-		mc.tm.Add(metrics.OpCombineUser, time.Duration(w)*combine)
-		mc.et.Exclude(span)
+		mc.profile += span - combine
+		mc.combine += combine
 	}
 	if err != nil {
 		return false, err
@@ -249,12 +258,12 @@ func (mc *mapCollector) offer(part int, key, value []byte) (absorbed bool, err e
 	return absorbed, nil
 }
 
-// append sends one record down the standard spill path, excluding any
-// buffer-full block time from the emit accounting (it is already counted
-// as map-thread idle time).
+// append sends one record down the standard spill path and keeps the
+// time it blocked on a full buffer, which the spill buffer has counted as
+// map-goroutine idle time, out of the map loop's busy wall.
 func (mc *mapCollector) append(part int, key, value []byte) error {
 	waited, err := mc.buf.Append(part, key, value)
-	mc.et.Exclude(waited)
+	mc.waited += waited
 	return err
 }
 
@@ -297,11 +306,6 @@ func (mc *mapCollector) publish() {
 	mc.tm.Publish(batch[:n]...)
 	mc.emittedPublished = mc.emitted
 	mc.inRecords, mc.outBytes, mc.freqHits, mc.freqEvictions = 0, 0, 0, 0
-}
-
-// finish attributes trailing user time (input lines that emitted nothing).
-func (mc *mapCollector) finish() {
-	mc.et.Finish()
 }
 
 // spillScratch is the memory the support goroutine reuses from one spill
@@ -503,7 +507,6 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 	mc := &mapCollector{
 		job:  job,
 		tm:   tm,
-		et:   metrics.NewEmitTimer(tm, metrics.DefaultEmitWarmup, metrics.DefaultEmitPeriod),
 		sp:   sp,
 		plan: plan,
 	}
@@ -667,8 +670,19 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 		buf.AttachInput(scanner.Consumed, split.Len)
 	}
 	mapper := job.NewMapper()
-	mc.et.Restart()
+
+	// The loop is timed per sampled line, as the reduce loop is per sampled
+	// group: only there do the ingest and map() call, each emit and the
+	// frequency-buffer intercept read the clock, and each such line stands
+	// for the untimed ones since the previous sample. Ingest counts as user
+	// map time. The extrapolated user/emit/profile/combine split is then
+	// scaled to the loop's busy wall — its measured wall less the
+	// buffer-full waits, which are map-goroutine idle time — so the four
+	// and those waits sum to the loop's wall exactly.
+	sampler := metrics.DefaultSampler()
+	var est [4]time.Duration // user, emit, profile, combine
 	var mapErr error
+	loopStart := tm.Now()
 	for {
 		if job.cancel.Load() {
 			mapErr = errJobCanceled
@@ -679,6 +693,14 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 				mapErr = err
 				break
 			}
+		}
+		w := time.Duration(sampler.Sample())
+		mc.timed = w > 0
+		var t0 time.Time
+		var waited0 time.Duration
+		if mc.timed {
+			mc.emits, mc.profile, mc.combine, waited0 = 0, 0, 0, mc.waited
+			t0 = tm.Now()
 		}
 		off, line, ok, err := scanner.Next()
 		if err != nil {
@@ -693,8 +715,19 @@ func runMapTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, taskIdx i
 			mapErr = fmt.Errorf("map(): %w", err)
 			break
 		}
+		if mc.timed {
+			total := tm.Now().Sub(t0)
+			est[0] += w * (total - mc.emits)
+			est[1] += w * (mc.emits - mc.profile - mc.combine - (mc.waited - waited0))
+			est[2] += w * mc.profile
+			est[3] += w * mc.combine
+		}
 	}
-	mc.finish()
+	metrics.ScaleTo(tm.Now().Sub(loopStart)-mc.waited, est[:])
+	tm.Add(metrics.OpMapUser, est[0])
+	tm.Add(metrics.OpEmit, est[1])
+	tm.Add(metrics.OpProfile, est[2])
+	tm.Add(metrics.OpCombineUser, est[3])
 	if cerr := scanner.Close(); cerr != nil && mapErr == nil {
 		mapErr = fmt.Errorf("closing input split: %w", cerr)
 	}

@@ -341,7 +341,7 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 	// extrapolated shuffle/user/output split is then scaled to the loop's
 	// measured wall, so the three operations sum to it exactly.
 	sampler := metrics.DefaultSampler()
-	var shuffleEst, userEst, ioEst time.Duration
+	var est [3]time.Duration // shuffle, user, output
 	loopStart := tm.Now()
 	for {
 		if job.cancel.Load() {
@@ -368,9 +368,9 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 			g0 := tm.Now()
 			err = reducer.Reduce(key, values, rc)
 			total := tm.Now().Sub(g0)
-			shuffleEst += time.Duration(w) * (g0.Sub(t0) + acct.pull)
-			ioEst += time.Duration(w) * acct.io
-			userEst += time.Duration(w) * (total - acct.pull - acct.io)
+			est[0] += time.Duration(w) * (g0.Sub(t0) + acct.pull)
+			est[1] += time.Duration(w) * (total - acct.pull - acct.io)
+			est[2] += time.Duration(w) * acct.io
 		}
 		if err != nil {
 			return fail(fmt.Errorf("reduce(): %w", errors.Join(err, outFile.Close())))
@@ -378,10 +378,12 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 	}
 	acct.timed = false
 	loopEnd := tm.Now()
-	shuffle, user, io := scaleTo(loopEnd.Sub(loopStart), shuffleEst, userEst, ioEst)
-	tm.Add(metrics.OpShuffle, shuffle)
-	tm.Add(metrics.OpReduceUser, user)
-	tm.Add(metrics.OpOutputIO, io)
+	// With nothing sampled (a loop over no groups) the wall is all
+	// shuffle's: the merge step that found the end.
+	metrics.ScaleTo(loopEnd.Sub(loopStart), est[:])
+	tm.Add(metrics.OpShuffle, est[0])
+	tm.Add(metrics.OpReduceUser, est[1])
+	tm.Add(metrics.OpOutputIO, est[2])
 
 	if err := bufw.Flush(); err != nil {
 		return fail(errors.Join(err, outFile.Close()))
@@ -405,17 +407,4 @@ func runReduceTask(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics, part, 
 
 	finishReport()
 	return finalName, won, created, report, nil
-}
-
-// scaleTo splits wall among three operations in the proportion of their
-// sampled estimates a, b and c. With nothing sampled (a loop over no
-// groups) the wall is all a's: the merge step that found the end.
-func scaleTo(wall, a, b, c time.Duration) (time.Duration, time.Duration, time.Duration) {
-	sum := float64(a + b + c)
-	if sum <= 0 {
-		return wall, 0, 0
-	}
-	sa := time.Duration(float64(wall) * float64(a) / sum)
-	sb := time.Duration(float64(wall) * float64(b) / sum)
-	return sa, sb, wall - sa - sb
 }

@@ -158,7 +158,7 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 	// Blame-report cross-check: the critical-path analyzer's phase walls
 	// and idle fractions are a third account of the same run, and must
 	// agree with the Result metrics within the same 5% tolerance.
-	report, err := critpath.Analyze(events, critpath.Options{})
+	report, err := critpath.Analyze(events)
 	if err != nil {
 		t.Fatalf("critpath.Analyze: %v", err)
 	}

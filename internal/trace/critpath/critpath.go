@@ -205,11 +205,8 @@ func (r *Report) SupportLaneIdleFraction() float64 {
 	return float64(wait) / float64(occ)
 }
 
-// Options configures Analyze.
-type Options struct {
-	// Buckets is the utilization timeline resolution (default 60).
-	Buckets int
-}
+// timelineBuckets is the utilization timelines' resolution.
+const timelineBuckets = 60
 
 // epsNS is the slack allowed when chaining spans whose boundary clock
 // reads happen a few statements apart.
@@ -219,18 +216,12 @@ const epsNS = int64(2 * time.Millisecond)
 // totals and utilization timelines from a recorded trace. It accepts
 // events from Tracer.Events or trace.ParseJSON; instants are ignored. It
 // errors when the trace holds no spans.
-func Analyze(events []trace.Event, opt Options) (*Report, error) {
-	if opt.Buckets <= 0 {
-		opt.Buckets = 60
-	}
-	if opt.Buckets > 4096 {
-		opt.Buckets = 4096
-	}
+func Analyze(events []trace.Event) (*Report, error) {
 	ix := buildIndex(events)
 	if len(ix.spans) == 0 {
 		return nil, fmt.Errorf("critpath: trace holds no span events")
 	}
-	r := &Report{Buckets: opt.Buckets}
+	r := &Report{Buckets: timelineBuckets}
 	r.JobWall = time.Duration(ix.jobEnd - ix.jobStart)
 	r.MapEnd = time.Duration(ix.mapEnd - ix.jobStart)
 
@@ -269,7 +260,7 @@ func Analyze(events []trace.Event, opt Options) (*Report, error) {
 		r.Activity[CauseQueueWait] += e.Duration()
 	}
 
-	r.Timelines, r.BucketWidth = ix.timelines(opt.Buckets)
+	r.Timelines, r.BucketWidth = ix.timelines(timelineBuckets)
 	return r, nil
 }
 

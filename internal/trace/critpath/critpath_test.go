@@ -34,7 +34,7 @@ func readExample(t *testing.T) []trace.Event {
 // spans existed in it — no copier steal, no staging backpressure).
 func TestGoldenExampleTrace(t *testing.T) {
 	events := readExample(t)
-	r, err := Analyze(events, Options{})
+	r, err := Analyze(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		{TS: 62 * msn, Dur: 2 * msn, Kind: trace.KindWaitRetry, Lane: trace.LaneReduce, Node: 1, Task: 0, Slot: 0},
 		{TS: 80 * msn, Dur: 3 * msn, Kind: trace.KindWaitFabric, Lane: trace.LaneReduce, Node: 1, Task: 0, Slot: 0},
 	}
-	r, err := Analyze(events, Options{Buckets: 20})
+	r, err := Analyze(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestAnalyzeSynthetic(t *testing.T) {
 
 // TestAnalyzeErrors pins the failure modes.
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze(nil, Options{}); err == nil {
+	if _, err := Analyze(nil); err == nil {
 		t.Error("empty trace should error")
 	}
 	only := []trace.Event{{TS: 1, Kind: trace.KindWorkSteal, Lane: trace.LaneScheduler, Node: 0}}
-	if _, err := Analyze(only, Options{}); err == nil {
+	if _, err := Analyze(only); err == nil {
 		t.Error("instants-only trace should error")
 	}
 }

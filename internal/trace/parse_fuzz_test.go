@@ -34,6 +34,6 @@ func FuzzParseJSON(f *testing.F) {
 			return
 		}
 		//mrlint:ignore droppederr a rejected trace is an allowed outcome; the fuzz checks only that nothing panics
-		_, _ = critpath.Analyze(events, critpath.Options{})
+		_, _ = critpath.Analyze(events)
 	})
 }

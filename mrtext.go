@@ -128,7 +128,7 @@ func WriteTrace(w io.Writer, t *Tracer) error { return trace.WriteJSON(w, t.Even
 // events and returns the blame report: per-phase wall time attributed to
 // named causes, plus per-node utilization timelines.
 func AnalyzeTrace(t *Tracer) (*TraceReport, error) {
-	return critpath.Analyze(t.Events(), critpath.Options{})
+	return critpath.Analyze(t.Events())
 }
 
 // WriteGanttMarked renders the tracer's events as a terminal Gantt chart
