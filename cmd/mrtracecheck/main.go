@@ -1,10 +1,10 @@
-// Command mrtracecheck validates Chrome/Perfetto trace files written by
+// Command mrtracecheck checks Chrome/Perfetto trace files written by
 // mrrun -trace or mrbench -trace and prints a short summary per file. It
-// exits non-zero if any file fails validation, which makes it usable as a
-// CI gate on trace artifacts. With -report it additionally parses each
-// trace, reconstructs the job's critical path, and prints the blame
-// report — so a recorded artifact can be analyzed offline, without the
-// process that produced it.
+// reads each file once, through trace.ParseJSON, and exits non-zero if
+// any file fails to parse, which makes it usable as a CI gate on trace
+// artifacts. With -report it also reconstructs each job's critical path
+// from the parsed events and prints the blame report — so a recorded
+// artifact can be analyzed offline, without the process that produced it.
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,49 +20,35 @@ import (
 	"mrtext/internal/trace/critpath"
 )
 
-// summary counts the event phases of one trace document. The field set
-// mirrors the subset of the trace_event format the exporter emits.
-type summary struct {
-	TraceEvents []struct {
-		Ph   string  `json:"ph"`
-		Name string  `json:"name"`
-		Dur  float64 `json:"dur"`
-	} `json:"traceEvents"`
-}
-
 func check(path string, report bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.Validate(data); err != nil {
-		return err
-	}
-	var s summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	var spans, instants, meta int
-	var busyUS float64
-	for _, ev := range s.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			spans++
-			busyUS += ev.Dur
-		case "i":
-			instants++
-		case "M":
-			meta++
-		}
-	}
-	fmt.Printf("%s: ok — %d spans (%.1f ms busy), %d instants, %d metadata rows\n",
-		path, spans, busyUS/1000, instants, meta)
-	if !report {
-		return nil
-	}
 	events, err := trace.ParseJSON(data)
 	if err != nil {
 		return err
+	}
+	// The job span and the task spans inside it: the task-span total
+	// against the job's wall shows how many slots the job kept busy.
+	var spans, instants int
+	var job, tasks int64
+	for _, e := range events {
+		switch {
+		case e.Kind.Instant():
+			instants++
+			continue
+		case e.Kind == trace.KindJob:
+			job += e.Dur
+		case e.Kind == trace.KindMapTask || e.Kind == trace.KindReduceTask:
+			tasks += e.Dur
+		}
+		spans++
+	}
+	fmt.Printf("%s: ok — %d spans, %d instants; job span %.1f ms, map+reduce task spans %.1f ms\n",
+		path, spans, instants, float64(job)/1e6, float64(tasks)/1e6)
+	if !report {
+		return nil
 	}
 	rep, err := critpath.Analyze(events)
 	if err != nil {

@@ -59,9 +59,6 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 	if spans[trace.KindSpill] != spans[trace.KindSort] {
 		t.Errorf("each spill sorts exactly once: %d spills vs %d sorts", spans[trace.KindSpill], spans[trace.KindSort])
 	}
-	if spans[trace.KindMerge] != 0 {
-		t.Errorf("merge spans: got %d from a runtime that publishes spill runs unmerged", spans[trace.KindMerge])
-	}
 	// A copier ends the span of every segment it stages with the segment's
 	// bytes (a copy it does not keep ends with none), so the spans carry
 	// exactly the staged bytes.
@@ -178,8 +175,20 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 	if got, want := report.Reduce.Wall, res.Wall-res.MapWall; math.Abs(float64(got-want)) > 0.05*float64(res.Wall+res.MapWall) {
 		t.Errorf("critpath reduce wall %v vs job wall less map wall %v", got, want)
 	}
-	checkClose("critpath map idle fraction", report.MapLaneIdleFraction(), res.MapIdleFraction())
-	checkClose("critpath support idle fraction", report.SupportLaneIdleFraction(), res.SupportIdleFraction())
+	// The timelines' idle fractions: map-lane and support-lane wait
+	// coverage over map-lane occupied coverage.
+	var mapWait, supportWait, mapOccupied float64
+	for _, tl := range report.Timelines {
+		switch tl.Lane {
+		case trace.LaneMap:
+			mapWait += float64(tl.WaitNS)
+			mapOccupied += float64(tl.OccupiedNS)
+		case trace.LaneSupport:
+			supportWait += float64(tl.WaitNS)
+		}
+	}
+	checkClose("critpath map idle fraction", mapWait/mapOccupied, res.MapIdleFraction())
+	checkClose("critpath support idle fraction", supportWait/mapOccupied, res.SupportIdleFraction())
 	for _, phase := range []struct {
 		name string
 		pb   critpath.PhaseBlame
@@ -191,12 +200,12 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 		checkClose("critpath "+phase.name+" blame sum (ms)", sum/1e6, float64(phase.pb.Wall)/1e6)
 	}
 
-	// The exporter round-trips through its own validator.
+	// The exporter round-trips through the reader.
 	var buf bytes.Buffer
 	if err := trace.WriteJSON(&buf, events); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if err := trace.Validate(buf.Bytes()); err != nil {
-		t.Fatalf("exported trace fails validation: %v", err)
+	if _, err := trace.ParseJSON(buf.Bytes()); err != nil {
+		t.Fatalf("exported trace does not parse: %v", err)
 	}
 }

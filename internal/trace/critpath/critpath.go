@@ -26,7 +26,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"mrtext/internal/trace"
@@ -40,13 +42,11 @@ type Cause int
 // (phase turnover, slot idle between waves, post-task barrier drain)
 // become CauseScheduler.
 const (
-	// CauseMapCompute is map-task time not explained by waits, merges or
-	// copier overlap: user map() plus the emit path.
+	// CauseMapCompute is map-task time not explained by waits or copier
+	// overlap: user map() plus the emit path.
 	CauseMapCompute Cause = iota
 	// CauseSpillSort is sort/spill pressure on the critical map chain:
-	// map-goroutine time blocked on a full spill buffer, plus the time of
-	// map-side merge spans inside the task span in traces that have them
-	// (the runtime publishes a task's runs unmerged and records none).
+	// map-goroutine time blocked on a full spill buffer.
 	CauseSpillSort
 	// CauseCopierSteal is critical-map-task time during which shuffle
 	// copiers were active against the task's node (reading its disk or
@@ -67,9 +67,7 @@ const (
 	// shuffle causes: merge pulls, user reduce() and output I/O.
 	CauseReduceCompute
 	// CauseQueueWait is reduce-attempt time between enqueue and a worker
-	// slot picking it up (wait-queue spans, or the structural gap between
-	// the map barrier and the critical reduce attempt's start on traces
-	// recorded before wait-queue existed).
+	// slot picking it up, as its recorded wait-queue span measures it.
 	CauseQueueWait
 	// CauseScheduler is structural slack: gaps between chained spans,
 	// phase turnover, and the tail between the last task and job end.
@@ -169,42 +167,6 @@ func (r *Report) PathEvents() []trace.Event {
 	return evs
 }
 
-// MapLaneIdleFraction returns wait coverage over occupied coverage across
-// the map-lane timelines — the timeline-derived "Map, Idle" of Table II,
-// which must agree with Result.MapIdleFraction.
-func (r *Report) MapLaneIdleFraction() float64 {
-	var wait, occ time.Duration
-	for _, tl := range r.Timelines {
-		if tl.Lane == trace.LaneMap {
-			wait += tl.WaitNS
-			occ += tl.OccupiedNS
-		}
-	}
-	if occ == 0 {
-		return 0
-	}
-	return float64(wait) / float64(occ)
-}
-
-// SupportLaneIdleFraction returns support-lane wait coverage over
-// map-lane occupied coverage — the timeline-derived "Support, Idle" of
-// Table II (the denominator is map-task wall, as in DeriveIdle).
-func (r *Report) SupportLaneIdleFraction() float64 {
-	var wait, occ time.Duration
-	for _, tl := range r.Timelines {
-		switch tl.Lane {
-		case trace.LaneSupport:
-			wait += tl.WaitNS
-		case trace.LaneMap:
-			occ += tl.OccupiedNS
-		}
-	}
-	if occ == 0 {
-		return 0
-	}
-	return float64(wait) / float64(occ)
-}
-
 // timelineBuckets is the utilization timelines' resolution.
 const timelineBuckets = 60
 
@@ -281,29 +243,27 @@ type index struct {
 
 	jobStart, jobEnd, mapEnd int64
 
-	waitMapBy map[nodeTask][]trace.Event // wait-map spans by owning task
-	mergeBy   map[nodeTask][]trace.Event // merge spans by owning task
-	fetchBy   map[attemptKey][]trace.Event
-	fabricBy  map[attemptKey][]trace.Event
-	retryBy   map[attemptKey][]trace.Event
+	waitMapBy map[nodeTask][]iv // wait-map spans by owning task
+	fetchBy   map[attemptKey][]iv
+	fabricBy  map[attemptKey][]iv
+	retryBy   map[attemptKey][]iv
 	queueBy   map[attemptKey][]trace.Event
 	// copyByNode holds shuffle-copy spans indexed by every node they
 	// contend with: the staging home they run on (span.Node) and the
 	// source node whose disk they read (the node of the map task the
 	// span's Task names).
-	copyByNode map[int32][]trace.Event
+	copyByNode map[int32][]iv
 }
 
 func buildIndex(events []trace.Event) *index {
 	ix := &index{
 		kind:       make(map[trace.Kind][]trace.Event),
-		waitMapBy:  make(map[nodeTask][]trace.Event),
-		mergeBy:    make(map[nodeTask][]trace.Event),
-		fetchBy:    make(map[attemptKey][]trace.Event),
-		fabricBy:   make(map[attemptKey][]trace.Event),
-		retryBy:    make(map[attemptKey][]trace.Event),
+		waitMapBy:  make(map[nodeTask][]iv),
+		fetchBy:    make(map[attemptKey][]iv),
+		fabricBy:   make(map[attemptKey][]iv),
+		retryBy:    make(map[attemptKey][]iv),
 		queueBy:    make(map[attemptKey][]trace.Event),
-		copyByNode: make(map[int32][]trace.Event),
+		copyByNode: make(map[int32][]iv),
 	}
 	var haveJob bool
 	minTS := int64(0)
@@ -322,28 +282,22 @@ func buildIndex(events []trace.Event) *index {
 			maxEnd = end
 		}
 		first = false
+		at := attemptKey{e.Node, e.Task, e.Slot}
 		switch e.Kind {
 		case trace.KindJob:
 			haveJob = true
 			ix.jobStart, ix.jobEnd = e.TS, e.TS+e.Dur
 		case trace.KindWaitMap:
 			k := nodeTask{e.Node, e.Task}
-			ix.waitMapBy[k] = append(ix.waitMapBy[k], e)
-		case trace.KindMerge:
-			k := nodeTask{e.Node, e.Task}
-			ix.mergeBy[k] = append(ix.mergeBy[k], e)
+			ix.waitMapBy[k] = append(ix.waitMapBy[k], span(e))
 		case trace.KindShuffleFetch:
-			k := attemptKey{e.Node, e.Task, e.Slot}
-			ix.fetchBy[k] = append(ix.fetchBy[k], e)
+			ix.fetchBy[at] = append(ix.fetchBy[at], span(e))
 		case trace.KindWaitFabric:
-			k := attemptKey{e.Node, e.Task, e.Slot}
-			ix.fabricBy[k] = append(ix.fabricBy[k], e)
+			ix.fabricBy[at] = append(ix.fabricBy[at], span(e))
 		case trace.KindWaitRetry:
-			k := attemptKey{e.Node, e.Task, e.Slot}
-			ix.retryBy[k] = append(ix.retryBy[k], e)
+			ix.retryBy[at] = append(ix.retryBy[at], span(e))
 		case trace.KindWaitQueue:
-			k := attemptKey{e.Node, e.Task, e.Slot}
-			ix.queueBy[k] = append(ix.queueBy[k], e)
+			ix.queueBy[at] = append(ix.queueBy[at], e)
 		}
 	}
 	if !haveJob {
@@ -352,13 +306,9 @@ func buildIndex(events []trace.Event) *index {
 	// Map-phase barrier: the last map-task end (any attempt).
 	ix.mapEnd = ix.jobStart
 	for _, m := range ix.kind[trace.KindMapTask] {
-		if end := m.TS + m.Dur; end > ix.mapEnd {
-			ix.mapEnd = end
-		}
+		ix.mapEnd = max(ix.mapEnd, m.TS+m.Dur)
 	}
-	if ix.mapEnd > ix.jobEnd {
-		ix.mapEnd = ix.jobEnd
-	}
+	ix.mapEnd = min(ix.mapEnd, ix.jobEnd)
 	// Source node per map task (last-ending attempt wins, matching the
 	// output snapshot reduce attempts actually read).
 	srcNode := make(map[int32]int32)
@@ -370,9 +320,9 @@ func buildIndex(events []trace.Event) *index {
 		}
 	}
 	for _, cp := range ix.kind[trace.KindShuffleCopy] {
-		ix.copyByNode[cp.Node] = append(ix.copyByNode[cp.Node], cp)
+		ix.copyByNode[cp.Node] = append(ix.copyByNode[cp.Node], span(cp))
 		if sn, ok := srcNode[cp.Task]; ok && sn != cp.Node {
-			ix.copyByNode[sn] = append(ix.copyByNode[sn], cp)
+			ix.copyByNode[sn] = append(ix.copyByNode[sn], span(cp))
 		}
 	}
 	return ix
@@ -458,43 +408,29 @@ func (ix *index) reduceChain() []Step {
 			crit = rt
 		}
 	}
-	var steps []Step
-	qStart := crit.TS // where queue wait starts; refined by the recorded span
+	// Queue wait is the attempt's recorded wait-queue span, the latest
+	// one ending by its start; an attempt that waited no time recorded
+	// none, and the whole gap since the barrier is scheduler slack.
+	queues := ix.queueBy[attemptKey{crit.Node, crit.Task, crit.Slot}]
 	var queueSpan *trace.Event
-	for _, q := range ix.queueBy[attemptKey{crit.Node, crit.Task, crit.Slot}] {
-		if q.TS+q.Dur <= crit.TS+epsNS {
-			if queueSpan == nil || q.TS+q.Dur > queueSpan.TS+queueSpan.Dur {
-				qq := q
-				queueSpan = &qq
-			}
+	for i := range queues {
+		q := &queues[i]
+		if q.TS+q.Dur <= crit.TS+epsNS && (queueSpan == nil || q.TS+q.Dur > queueSpan.TS+queueSpan.Dur) {
+			queueSpan = q
 		}
 	}
+	qStart := crit.TS
 	if queueSpan != nil {
-		qStart = queueSpan.TS
-	} else if crit.TS > ix.mapEnd {
-		// Pre-wait-queue traces: the structural gap between the barrier
-		// and the critical attempt's start is queue wait by construction
-		// (the attempt was enqueued at phase start).
-		qStart = ix.mapEnd
+		qStart = min(max(queueSpan.TS, ix.mapEnd), crit.TS)
 	}
-	if qStart < ix.mapEnd {
-		qStart = ix.mapEnd
-	}
-	if qStart > crit.TS {
-		qStart = crit.TS
-	}
+	var steps []Step
 	if qStart > ix.mapEnd {
 		steps = append(steps, ix.gapStep(ix.mapEnd, qStart, CauseScheduler))
 	}
-	if crit.TS > qStart {
-		if queueSpan != nil {
-			st := ix.gapStep(qStart, crit.TS, CauseQueueWait)
-			st.Event = *queueSpan
-			st.Synthetic = false
-			steps = append(steps, st)
-		} else {
-			steps = append(steps, ix.gapStep(qStart, crit.TS, CauseQueueWait))
-		}
+	if queueSpan != nil && qStart < crit.TS {
+		st := ix.gapStep(qStart, crit.TS, CauseQueueWait)
+		st.Event, st.Synthetic = *queueSpan, false
+		steps = append(steps, st)
 	}
 	steps = append(steps, ix.taskStep(crit, ix.decomposeReduce(crit)))
 	if end := crit.TS + crit.Dur; end < ix.jobEnd {
@@ -524,23 +460,18 @@ func (ix *index) gapStep(lo, hi int64, cause Cause) Step {
 	return s
 }
 
-// decomposeMap splits one map-task span by cause: wait-map and merge
-// coverage is spill/sort pressure, remaining overlap with shuffle-copy
-// activity against the task's node is copier steal, and the rest is map
-// compute. The causes sum to the span duration exactly.
+// decomposeMap splits one map-task span by cause: wait-map coverage is
+// spill/sort pressure, remaining overlap with shuffle-copy activity
+// against the task's node is copier steal, and the rest is map compute.
+// The causes sum to the span duration exactly.
 func (ix *index) decomposeMap(m trace.Event) [NumCauses]time.Duration {
 	var blame [NumCauses]time.Duration
 	lo, hi := m.TS, m.TS+m.Dur
 	waits := normalize(clip(ix.waitMapBy[nodeTask{m.Node, m.Task}], lo, hi))
-	merges := subtract(normalize(clip(ix.mergeBy[nodeTask{m.Node, m.Task}], lo, hi)), waits)
-	steal := subtract(subtract(normalize(clip(ix.copyByNode[m.Node], lo, hi)), waits), merges)
-	blame[CauseSpillSort] = time.Duration(total(waits) + total(merges))
+	steal := subtract(normalize(clip(ix.copyByNode[m.Node], lo, hi)), waits)
+	blame[CauseSpillSort] = time.Duration(total(waits))
 	blame[CauseCopierSteal] = time.Duration(total(steal))
-	rest := time.Duration(hi-lo) - blame[CauseSpillSort] - blame[CauseCopierSteal]
-	if rest < 0 {
-		rest = 0
-	}
-	blame[CauseMapCompute] = rest
+	blame[CauseMapCompute] = max(0, time.Duration(hi-lo)-blame[CauseSpillSort]-blame[CauseCopierSteal])
 	return blame
 }
 
@@ -558,11 +489,7 @@ func (ix *index) decomposeReduce(rt trace.Event) [NumCauses]time.Duration {
 	blame[CauseFabricWait] = time.Duration(total(fabric))
 	blame[CauseFetchRetry] = time.Duration(total(retry))
 	blame[CauseShuffleIO] = time.Duration(total(fetch))
-	rest := time.Duration(hi-lo) - blame[CauseFabricWait] - blame[CauseFetchRetry] - blame[CauseShuffleIO]
-	if rest < 0 {
-		rest = 0
-	}
-	blame[CauseReduceCompute] = rest
+	blame[CauseReduceCompute] = max(0, time.Duration(hi-lo)-blame[CauseFabricWait]-blame[CauseFetchRetry]-blame[CauseShuffleIO])
 	return blame
 }
 
@@ -582,14 +509,8 @@ func waitKind(k trace.Kind) bool {
 
 // timelines integrates busy coverage per (node, lane) into buckets.
 func (ix *index) timelines(buckets int) ([]Timeline, time.Duration) {
-	window := ix.jobEnd - ix.jobStart
-	if window <= 0 {
-		window = 1
-	}
-	bw := (window + int64(buckets) - 1) / int64(buckets)
-	if bw <= 0 {
-		bw = 1
-	}
+	window := max(ix.jobEnd-ix.jobStart, 1)
+	bw := max((window+int64(buckets)-1)/int64(buckets), 1)
 
 	type slotKey struct {
 		node int32
@@ -603,11 +524,10 @@ func (ix *index) timelines(buckets int) ([]Timeline, time.Duration) {
 			continue
 		}
 		k := slotKey{e.Node, e.Lane, e.Slot}
-		in := iv{e.TS, e.TS + e.Dur}
 		if waitKind(e.Kind) {
-			wai[k] = append(wai[k], in)
+			wai[k] = append(wai[k], span(e))
 		} else {
-			occ[k] = append(occ[k], in)
+			occ[k] = append(occ[k], span(e))
 		}
 	}
 	type laneKey struct {
@@ -632,8 +552,8 @@ func (ix *index) timelines(buckets int) ([]Timeline, time.Duration) {
 			slotsSeen[lk] = make(map[int32]bool)
 		}
 		slotsSeen[lk][k.slot] = true
-		occU := normalize(clipIv(occ[k], ix.jobStart, ix.jobEnd))
-		waiU := normalize(clipIv(wai[k], ix.jobStart, ix.jobEnd))
+		occU := normalize(clip(occ[k], ix.jobStart, ix.jobEnd))
+		waiU := normalize(clip(wai[k], ix.jobStart, ix.jobEnd))
 		busy := subtract(occU, waiU)
 		row.OccupiedNS += time.Duration(total(occU))
 		row.WaitNS += time.Duration(total(waiU))
@@ -656,27 +576,17 @@ func (ix *index) timelines(buckets int) ([]Timeline, time.Duration) {
 		row.Slots = len(slotsSeen[lk])
 		den := float64(bw) * float64(row.Slots)
 		for i := range row.Busy {
-			row.Busy[i] /= den
-			if row.Busy[i] > 1 {
-				row.Busy[i] = 1
-			}
+			row.Busy[i] = min(row.Busy[i]/den, 1)
 		}
 		out = append(out, *row)
 	}
-	sortTimelines(out)
-	return out, time.Duration(bw)
-}
-
-func sortTimelines(ts []Timeline) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &ts[j-1], &ts[j]
-			if a.Node < b.Node || (a.Node == b.Node && a.Lane <= b.Lane) {
-				break
-			}
-			ts[j-1], ts[j] = ts[j], ts[j-1]
+	slices.SortFunc(out, func(a, b Timeline) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.Lane, b.Lane)
+	})
+	return out, time.Duration(bw)
 }
 
 // ---------------------------------------------------------------------
@@ -684,36 +594,15 @@ func sortTimelines(ts []Timeline) {
 
 type iv struct{ lo, hi int64 }
 
-// clip converts spans to intervals clipped to [lo, hi).
-func clip(evs []trace.Event, lo, hi int64) []iv {
-	out := make([]iv, 0, len(evs))
-	for _, e := range evs {
-		a, b := e.TS, e.TS+e.Dur
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if b > a {
-			out = append(out, iv{a, b})
-		}
-	}
-	return out
-}
+// span returns a span's extent as an interval.
+func span(e trace.Event) iv { return iv{e.TS, e.TS + e.Dur} }
 
-// clipIv clips intervals to [lo, hi).
-func clipIv(ivs []iv, lo, hi int64) []iv {
+// clip clips intervals to [lo, hi) into a new slice, dropping any left
+// empty.
+func clip(ivs []iv, lo, hi int64) []iv {
 	out := make([]iv, 0, len(ivs))
 	for _, in := range ivs {
-		a, b := in.lo, in.hi
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if b > a {
+		if a, b := max(in.lo, lo), min(in.hi, hi); b > a {
 			out = append(out, iv{a, b})
 		}
 	}
@@ -725,11 +614,7 @@ func normalize(ivs []iv) []iv {
 	if len(ivs) <= 1 {
 		return ivs
 	}
-	for i := 1; i < len(ivs); i++ { // insertion sort: sets are small
-		for j := i; j > 0 && ivs[j].lo < ivs[j-1].lo; j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
+	slices.SortFunc(ivs, func(a, b iv) int { return cmp.Compare(a.lo, b.lo) })
 	out := ivs[:1]
 	for _, in := range ivs[1:] {
 		last := &out[len(out)-1]
@@ -784,16 +669,4 @@ func total(ivs []iv) int64 {
 }
 
 // overlap returns the length of a ∩ b.
-func overlap(a, b iv) int64 {
-	lo, hi := a.lo, a.hi
-	if b.lo > lo {
-		lo = b.lo
-	}
-	if b.hi < hi {
-		hi = b.hi
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
+func overlap(a, b iv) int64 { return max(0, min(a.hi, b.hi)-max(a.lo, b.lo)) }

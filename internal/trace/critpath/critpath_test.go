@@ -138,12 +138,14 @@ func TestGoldenExampleTrace(t *testing.T) {
 	}
 
 	// Timeline idle fractions agree with DeriveIdle — the generalized
-	// Table II cross-check.
+	// Table II cross-check: map-lane and support-lane wait coverage over
+	// map-lane occupied coverage.
 	idle := trace.DeriveIdle(events)
-	if got, want := r.MapLaneIdleFraction(), idle.MapIdleFraction(); math.Abs(got-want) > 0.005 {
+	mapWait, supportWait, mapOccupied := laneSums(r)
+	if got, want := float64(mapWait)/float64(mapOccupied), idle.MapIdleFraction(); math.Abs(got-want) > 0.005 {
 		t.Errorf("timeline map idle %.4f, DeriveIdle %.4f", got, want)
 	}
-	if got, want := r.SupportLaneIdleFraction(), idle.SupportIdleFraction(); math.Abs(got-want) > 0.005 {
+	if got, want := float64(supportWait)/float64(mapOccupied), idle.SupportIdleFraction(); math.Abs(got-want) > 0.005 {
 		t.Errorf("timeline support idle %.4f, DeriveIdle %.4f", got, want)
 	}
 
@@ -203,6 +205,21 @@ func TestGoldenExampleTrace(t *testing.T) {
 	}
 }
 
+// laneSums sums the timelines' map-lane wait, support-lane wait and
+// map-lane occupied coverage.
+func laneSums(r *Report) (mapWait, supportWait, mapOccupied time.Duration) {
+	for _, tl := range r.Timelines {
+		switch tl.Lane {
+		case trace.LaneMap:
+			mapWait += tl.WaitNS
+			mapOccupied += tl.OccupiedNS
+		case trace.LaneSupport:
+			supportWait += tl.WaitNS
+		}
+	}
+	return mapWait, supportWait, mapOccupied
+}
+
 // TestAnalyzeSynthetic drives the decomposition on a hand-built trace
 // where every blame quantity is known exactly, including the causes the
 // committed example cannot exercise (copier steal, fabric wait, retry
@@ -215,9 +232,8 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		// Map wave on node 0 slot 0: task 0 at 0..20ms, task 1 at 22..50ms.
 		{TS: 0, Dur: 20 * msn, Kind: trace.KindMapTask, Lane: trace.LaneMap, Node: 0, Task: 0, Slot: 0},
 		{TS: 22 * msn, Dur: 28 * msn, Kind: trace.KindMapTask, Lane: trace.LaneMap, Node: 0, Task: 1, Slot: 0},
-		// Task 1: 4ms spill-buffer wait, 6ms merge, copier overlap 30..40ms.
+		// Task 1: 4ms spill-buffer wait, copier overlap 30..40ms.
 		{TS: 24 * msn, Dur: 4 * msn, Kind: trace.KindWaitMap, Lane: trace.LaneMap, Node: 0, Task: 1, Slot: 0},
-		{TS: 44 * msn, Dur: 6 * msn, Kind: trace.KindMerge, Lane: trace.LaneMap, Node: 0, Task: 1, Slot: 0},
 		// Copier staging onto node 0 (home), overlapping task 1.
 		{TS: 30 * msn, Dur: 10 * msn, Kind: trace.KindShuffleCopy, Lane: trace.LaneReduce, Node: 0, Task: 0, Slot: 8},
 		// Reduce: queue wait 50..55, task 55..95 with fetch 55..70
@@ -238,16 +254,14 @@ func TestAnalyzeSynthetic(t *testing.T) {
 		t.Fatalf("phases: mapEnd %v jobWall %v", r.MapEnd, r.JobWall)
 	}
 
+	// Copy span 30..40ms lies inside task 1 and does not overlap its wait
+	// (24..28), so steal is the full 10ms.
 	wantMap := map[Cause]time.Duration{
-		CauseMapCompute:  20*time.Millisecond + (28-4-6-8)*time.Millisecond, // task 0 full + task 1 remainder
-		CauseSpillSort:   (4 + 6) * time.Millisecond,
-		CauseCopierSteal: 8 * time.Millisecond, // copy 30..40 clipped... fully inside task 1, minus nothing
+		CauseMapCompute:  20*time.Millisecond + (28-4-10)*time.Millisecond, // task 0 full + task 1 remainder
+		CauseSpillSort:   4 * time.Millisecond,
+		CauseCopierSteal: 10 * time.Millisecond,
 		CauseScheduler:   2 * time.Millisecond, // gap 20..22
 	}
-	// Copy span 30..40ms does not overlap wait (24..28) or merge
-	// (44..50), so steal is the full 10ms.
-	wantMap[CauseCopierSteal] = 10 * time.Millisecond
-	wantMap[CauseMapCompute] = 20*time.Millisecond + (28-4-6-10)*time.Millisecond
 	for c := Cause(0); c < NumCauses; c++ {
 		if got, want := r.Map.Causes[c], wantMap[c]; got != want {
 			t.Errorf("map blame %s = %v, want %v", c, got, want)
@@ -285,6 +299,25 @@ func TestAnalyzeSynthetic(t *testing.T) {
 	}
 	if !sawQueue {
 		t.Error("no queue-wait step on the path")
+	}
+
+	// Without its wait-queue span the attempt waited no time: the gap
+	// since the barrier is scheduler slack, not queue wait.
+	var unqueued []trace.Event
+	for _, e := range events {
+		if e.Kind != trace.KindWaitQueue {
+			unqueued = append(unqueued, e)
+		}
+	}
+	r, err = Analyze(unqueued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Reduce.Causes[CauseQueueWait]; got != 0 {
+		t.Errorf("reduce queue-wait %v with no wait-queue span, want 0", got)
+	}
+	if got := r.Reduce.Causes[CauseScheduler]; got != 10*time.Millisecond {
+		t.Errorf("reduce scheduler-other %v with no wait-queue span, want 10ms (gap 50..55 + tail 95..100)", got)
 	}
 }
 

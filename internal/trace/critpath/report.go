@@ -1,8 +1,10 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 )
@@ -16,13 +18,7 @@ import (
 const densityGlyphs = " .:-=+*#%@"
 
 func densityGlyph(frac float64) byte {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	i := int(frac * float64(len(densityGlyphs)-1))
+	i := int(min(max(frac, 0), 1) * float64(len(densityGlyphs)-1))
 	return densityGlyphs[i]
 }
 
@@ -55,11 +51,8 @@ func topBlame(s Step) string {
 			parts = append(parts, cb{c, s.Blame[c]})
 		}
 	}
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j].d > parts[j-1].d; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
+	// Stable, so tied causes keep their taxonomy order.
+	slices.SortStableFunc(parts, func(a, b cb) int { return cmp.Compare(b.d, a.d) })
 	var b strings.Builder
 	for i, p := range parts {
 		if i == 3 {

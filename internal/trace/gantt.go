@@ -50,7 +50,6 @@ func ganttTo(w *strings.Builder, events, marked []Event, width int) {
 		KindSpill:        'S',
 		KindSort:         'o',
 		KindCombine:      'c',
-		KindMerge:        'G',
 		KindShuffleFetch: 'f',
 		KindShuffleCopy:  'C',
 		KindReduceTask:   'r',
@@ -158,7 +157,7 @@ func ganttTo(w *strings.Builder, events, marked []Event, width int) {
 		}
 		fmt.Fprintf(w, "%-16s |%s|\n", label, row)
 	}
-	legend := "legend: = job  m map-task  S spill  o sort  c combine  G merge  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  w fabric-wait  y retry-wait  q queue-wait"
+	legend := "legend: = job  m map-task  S spill  o sort  c combine  f shuffle-fetch  C shuffle-copy  r reduce-task  . wait  w fabric-wait  y retry-wait  q queue-wait"
 	if len(marks) > 0 {
 		legend += "  # critical path"
 	}

@@ -12,7 +12,8 @@ import (
 // accepts a document, runs the critical-path analyzer on the events, as
 // mrtracecheck -report does with a recorded artifact. Neither may panic:
 // a malformed or hostile document is an error or a report, never a crash.
-// The seed corpus is a WriteJSON round-trip of a small job's spans.
+// The seed corpus is a WriteJSON round-trip of a small job's spans and
+// one document for each rule the reader enforces.
 func FuzzParseJSON(f *testing.F) {
 	var doc bytes.Buffer
 	if err := trace.WriteJSON(&doc, []trace.Event{
@@ -28,6 +29,9 @@ func FuzzParseJSON(f *testing.F) {
 	f.Add(doc.Bytes())
 	f.Add([]byte(`{"traceEvents":[]}`))
 	f.Add([]byte(`{"traceEvents":[{"name":"map-task","ph":"X","ts":1e300,"dur":-1e300,"pid":-5,"tid":0,"cat":"map"}]}`))
+	for _, r := range trace.RejectedDocuments {
+		f.Add([]byte(r.Doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := trace.ParseJSON(data)
 		if err != nil {

@@ -140,66 +140,3 @@ func WriteJSON(w io.Writer, events []Event) error {
 	}{TraceEvents: data}
 	return json.NewEncoder(w).Encode(doc)
 }
-
-// Validate checks that data is a structurally valid trace_event JSON
-// document: a traceEvents array whose entries carry a name, a known phase,
-// non-negative timestamps, a duration on complete events, and pid/tid
-// routing. It is the schema gate CI runs on the trace-smoke artifact.
-func Validate(data []byte) error {
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("trace: not a trace_event document: %w", err)
-	}
-	if doc.TraceEvents == nil {
-		return fmt.Errorf("trace: missing traceEvents array")
-	}
-	if len(doc.TraceEvents) == 0 {
-		return fmt.Errorf("trace: empty traceEvents array")
-	}
-	for i, raw := range doc.TraceEvents {
-		var ev struct {
-			Name *string        `json:"name"`
-			Ph   *string        `json:"ph"`
-			TS   *float64       `json:"ts"`
-			Dur  *float64       `json:"dur"`
-			Pid  *int           `json:"pid"`
-			Tid  *int           `json:"tid"`
-			Args map[string]any `json:"args"`
-		}
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		if ev.Name == nil || *ev.Name == "" {
-			return fmt.Errorf("trace: event %d: missing name", i)
-		}
-		if ev.Ph == nil {
-			return fmt.Errorf("trace: event %d (%s): missing ph", i, *ev.Name)
-		}
-		switch *ev.Ph {
-		case "X":
-			if ev.Dur == nil || *ev.Dur < 0 {
-				return fmt.Errorf("trace: event %d (%s): complete event needs dur >= 0", i, *ev.Name)
-			}
-			fallthrough
-		case "i":
-			if ev.TS == nil || *ev.TS < 0 {
-				return fmt.Errorf("trace: event %d (%s): needs ts >= 0", i, *ev.Name)
-			}
-		case "M":
-			if ev.Args == nil {
-				return fmt.Errorf("trace: event %d (%s): metadata event needs args", i, *ev.Name)
-			}
-		default:
-			return fmt.Errorf("trace: event %d (%s): unsupported phase %q", i, *ev.Name, *ev.Ph)
-		}
-		if ev.Pid == nil {
-			return fmt.Errorf("trace: event %d (%s): missing pid", i, *ev.Name)
-		}
-		if *ev.Ph != "M" && ev.Tid == nil {
-			return fmt.Errorf("trace: event %d (%s): missing tid", i, *ev.Name)
-		}
-	}
-	return nil
-}

@@ -1,7 +1,7 @@
 // Package trace is the runtime's span tracer: a low-overhead, lock-striped
 // ring-buffer event recorder that captures one MapReduce job's timeline at
 // the granularity the paper measures — per-task spans (map-task, spill,
-// sort, combine, merge, shuffle-fetch, reduce-task), per-goroutine lanes
+// sort, combine, shuffle-copy, shuffle-fetch, reduce-task), per-goroutine lanes
 // (map / support / reduce / scheduler), and instant events for the
 // scheduler and optimizer decisions (spill handoffs, spill-matcher
 // percentages, frequency-buffer evictions, work steals).
@@ -26,7 +26,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,11 +47,6 @@ const (
 	KindSort
 	// KindCombine spans the user combine() during one spill.
 	KindCombine
-	// KindMerge spans merging spill runs into one map output file. The
-	// runtime publishes the runs unmerged and records none; the analyzer
-	// still reads the kind in traces that have it, such as the committed
-	// example trace.
-	KindMerge
 	// KindShuffleFetch spans the reduce side opening map-output segments.
 	KindShuffleFetch
 	// KindShuffleCopy spans a shuffle copier staging one committed
@@ -103,7 +99,7 @@ func (k Kind) String() string {
 		return "unknown"
 	}
 	return [numKinds]string{
-		"job", "map-task", "spill", "sort", "combine", "merge",
+		"job", "map-task", "spill", "sort", "combine",
 		"shuffle-fetch", "shuffle-copy", "reduce-task", "wait-map", "wait-support",
 		"wait-fabric", "wait-retry", "wait-queue",
 		"spill-handoff", "spill-decision", "freq-eviction", "work-steal",
@@ -366,13 +362,19 @@ func (t *Tracer) Events() []Event {
 		out = append(out, s.buf[:n]...)
 		s.mu.Unlock()
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Dur > out[j].Dur // parents before their children
-	})
+	sortEvents(out)
 	return out
+}
+
+// sortEvents orders events by timestamp, a longer span before a shorter
+// one at the same instant so parents precede their children.
+func sortEvents(events []Event) {
+	slices.SortStableFunc(events, func(a, b Event) int {
+		if c := cmp.Compare(a.TS, b.TS); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.Dur, a.Dur)
+	})
 }
 
 // IdleReport is the trace-derived Table II busy/idle accounting for the
