@@ -119,6 +119,11 @@ func TestFreqCacheForgetsFinishedJobs(t *testing.T) {
 		job := apps.WordCount("corpus.txt")
 		job.Name = "cache-ok"
 		job.FreqBuf = freq
+		// A spill buffer of one block plans a split per block: eight tasks on
+		// six map slots, so two start only after a task has ended, on a node
+		// whose cache that task's set is in. A task takes a set at its start
+		// and publishes its own later, so a shared one is always another's.
+		job.SpillBufferBytes = 32 << 10
 		res, err := mr.Run(c, job)
 		if err != nil {
 			t.Fatal(err)

@@ -130,8 +130,8 @@ func TestMergeFaultWithdrawsOfferedRuns(t *testing.T) {
 		defer ft.shuffle.close()
 		ft.inj = mergeFaults(t, 1)
 		ft.inj.Arm()
-		ft.beginPhase(1, newScheduler(c.Nodes(), c.MapSlots(), ft.splits), c.Nodes()*c.MapSlots())
-		if err := ft.mapAttempt(pendingAttempt{task: 0, attempt: 0}, 0, 0); !errors.Is(err, chaos.ErrInjected) {
+		ph := newPhase(1, newScheduler(c.Nodes(), c.MapSlots(), ft.splits), c.MapSlots(), nil)
+		if err := ft.mapAttempt(ph, pendingAttempt{task: 0, attempt: 0}, 0, 0); !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("attempt 0: %v, want the injected merge fault", err)
 		}
 		if bufPeak(ft.shuffle) == 0 {
@@ -139,7 +139,7 @@ func TestMergeFaultWithdrawsOfferedRuns(t *testing.T) {
 		}
 		assertStagingHolds(t, ft.shuffle)
 		ft.inj.Disarm()
-		if err := ft.mapAttempt(pendingAttempt{task: 0, attempt: 1, kind: attemptRetry}, 0, 0); err != nil {
+		if err := ft.mapAttempt(ph, pendingAttempt{task: 0, attempt: 1, kind: attemptRetry}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		assertStagingHolds(t, ft.shuffle, ft.mapOuts[0])

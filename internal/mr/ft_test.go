@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,35 +304,46 @@ func TestFaultScheduleIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestLostMapOutputRecovery kills a node from inside the first reduce()
-// call — after every map output has committed — so reducers find the dead
-// node's committed map outputs gone and the runner must re-run them.
-// NumReducers exceeds the cluster's reduce slots, so a second wave of
-// reduce attempts is guaranteed to start after the kill.
-func TestLostMapOutputRecovery(t *testing.T) {
-	const victim = 1
-	cfg := chaos.Config{Seed: 1, KillNode: -1}
-	c, corpus := newFTCluster(t, &cfg)
+const recoveryVictim = 1
+
+// runWithReduceKill runs the suite's job with two waves of reduce attempts
+// and kills node recoveryVictim from inside the first reduce() call, after
+// every map output has committed, so reducers find the dead node's
+// committed map outputs gone and the runner must re-run them. NumReducers
+// exceeds the cluster's reduce slots, so a second wave of reduce attempts
+// is guaranteed to start after the kill. wrap, when not nil, may change the
+// job first; killed is set just before the kill. The output must equal the
+// reference executor's and the attempt identity must hold.
+func runWithReduceKill(t *testing.T, name string, wrap func(job *mr.Job, killed *atomic.Bool)) *mr.Result {
+	t.Helper()
+	c, corpus := newFTCluster(t, &chaos.Config{Seed: 1, KillNode: -1})
 
 	reducers := 2 * ftNodes * 2 // two waves of reduce attempts
 	refC, refCorpus := newFTCluster(t, nil)
-	refJob := ftJob(refCorpus, "wc-recovery-ref")
+	refJob := ftJob(refCorpus, name+"-ref")
 	refJob.NumReducers = reducers
 	ref, err := mr.RunReference(refC, refJob)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 
-	job := ftJob(corpus, "wc-recovery")
+	job := ftJob(corpus, name)
 	job.NumReducers = reducers
 	var once sync.Once
+	var killed atomic.Bool
 	baseReducer := job.NewReducer
 	job.NewReducer = func() mr.Reducer {
 		inner := baseReducer()
 		return mr.ReducerFunc(func(key []byte, values mr.ValueIter, out mr.Collector) error {
-			once.Do(func() { c.Chaos.Kill(victim) })
+			once.Do(func() {
+				killed.Store(true)
+				c.Chaos.Kill(recoveryVictim)
+			})
 			return inner.Reduce(key, values, out)
 		})
+	}
+	if wrap != nil {
+		wrap(job, &killed)
 	}
 
 	res, err := mr.Run(c, job)
@@ -340,12 +352,53 @@ func TestLostMapOutputRecovery(t *testing.T) {
 	}
 	assertOutputsMatch(t, c, res, ref)
 	assertCounterIdentity(t, res)
-	if len(res.DeadNodes) != 1 || res.DeadNodes[0] != victim {
-		t.Fatalf("dead nodes = %v, want [%d]", res.DeadNodes, victim)
+	if len(res.DeadNodes) != 1 || res.DeadNodes[0] != recoveryVictim {
+		t.Fatalf("dead nodes = %v, want [%d]", res.DeadNodes, recoveryVictim)
 	}
 	if res.RecoveredMapTasks == 0 {
 		t.Errorf("node %d died after committing map outputs but no map tasks were recovered (map attempts %d, retries %d)",
-			victim, res.MapAttempts, res.TaskRetries)
+			recoveryVictim, res.MapAttempts, res.TaskRetries)
+	}
+	return res
+}
+
+// TestLostMapOutputRecovery: a node dies mid-reduce, and the map outputs
+// it held are re-run.
+func TestLostMapOutputRecovery(t *testing.T) {
+	runWithReduceKill(t, "wc-recovery", nil)
+}
+
+// TestFailedRecoveryRerunIsRetried: a node dies mid-reduce, and the first
+// map attempt to start after the kill, which is a recovery re-run since the
+// map phase ended before any reduce() call, fails in map(). The re-run is
+// retried like any failed map attempt: requeued after its backoff and
+// counted as a retry, with the output still the reference executor's.
+func TestFailedRecoveryRerunIsRetried(t *testing.T) {
+	errRerun := errors.New("recovery re-run fails")
+	var failed atomic.Bool
+	res := runWithReduceKill(t, "wc-recovery-retry", func(job *mr.Job, killed *atomic.Bool) {
+		baseMapper := job.NewMapper
+		job.NewMapper = func() mr.Mapper {
+			inner := baseMapper()
+			return mr.MapperFunc(func(off int64, line []byte, out mr.Collector) error {
+				if killed.Load() && failed.CompareAndSwap(false, true) {
+					return errRerun
+				}
+				return inner.Map(off, line, out)
+			})
+		}
+	})
+	if !failed.Load() {
+		t.Fatal("no map attempt ran after the kill")
+	}
+	// Every map attempt is a base attempt, a recovery re-run or a retry.
+	mapRetries := res.MapAttempts - res.MapTasks - res.RecoveredMapTasks
+	if mapRetries < 1 || res.TaskRetries < mapRetries {
+		t.Errorf("%d map retries of %d retries in all (map attempts %d, tasks %d, recovered %d): the failed re-run was not retried",
+			mapRetries, res.TaskRetries, res.MapAttempts, res.MapTasks, res.RecoveredMapTasks)
+	}
+	if res.FailedAttempts < 1 {
+		t.Errorf("%d failed attempts, want the failed re-run counted", res.FailedAttempts)
 	}
 }
 

@@ -277,9 +277,9 @@ func TestLosingMapAttemptLeavesNoRun(t *testing.T) {
 	ft := newFTRun(c, job, []Split{split})
 	ft.shuffle = newShuffleService(c, job)
 	defer ft.shuffle.close()
-	ft.beginPhase(1, newScheduler(c.Nodes(), c.MapSlots(), ft.splits), c.Nodes()*c.MapSlots())
+	ph := newPhase(1, newScheduler(c.Nodes(), c.MapSlots(), ft.splits), c.MapSlots(), nil)
 	for _, pa := range []pendingAttempt{{task: 0, attempt: 0}, {task: 0, attempt: 1, kind: attemptSpeculative}} {
-		if err := ft.mapAttempt(pa, 0, pa.attempt); err != nil {
+		if err := ft.mapAttempt(ph, pa, 0, pa.attempt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -222,9 +222,9 @@ func placeAll(t *testing.T, s *scheduler, rng *rand.Rand) (where []int, stolen [
 }
 
 // newPlacementRun is a map phase of an ftRun over splits on a chaos-wrapped
-// Fast cluster, with every slot's worker registered, as RunContext sets it
+// Fast cluster, with every slot's worker registered, as runPhase sets it
 // up; the scheduler is returned for inspection.
-func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *scheduler) {
+func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *phase, *scheduler) {
 	t.Helper()
 	cfg := cluster.Fast(nodes)
 	cfg.Chaos = &chaos.Config{Seed: 1, KillNode: -1}
@@ -234,14 +234,15 @@ func newPlacementRun(t *testing.T, nodes int, splits []Split) (*ftRun, *schedule
 	}
 	ft := newFTRun(c, &Job{attemptLimit: 4}, splits)
 	s := newScheduler(nodes, c.MapSlots(), splits)
-	ft.beginPhase(len(splits), s, c.TotalMapSlots())
-	return ft, s
+	ph := newPhase(len(splits), s, c.MapSlots(), nil)
+	ph.activeWorkers = c.TotalMapSlots()
+	return ft, ph, s
 }
 
-// nextWithin runs ft.next(node) and fails the test if it has not returned
+// nextWithin runs ft.next(ph, node) and fails the test if it has not returned
 // within a generous deadline: a worker left waiting on a node that can no
 // longer run tasks would wait forever.
-func nextWithin(t *testing.T, ft *ftRun, node int) (pendingAttempt, bool) {
+func nextWithin(t *testing.T, ft *ftRun, ph *phase, node int) (pendingAttempt, bool) {
 	t.Helper()
 	type result struct {
 		pa pendingAttempt
@@ -249,7 +250,7 @@ func nextWithin(t *testing.T, ft *ftRun, node int) (pendingAttempt, bool) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		pa, _, ok := ft.next(node)
+		pa, _, ok := ft.next(ph, node)
 		ch <- result{pa, ok}
 	}()
 	select {
@@ -354,10 +355,10 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 	t.Run("dead-holder", func(t *testing.T) {
 		// Node 1 holds both tasks and runs nothing: node 0 waits for it, and
 		// takes the task once node 1 dies.
-		ft, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1}, Len: 100}, {Hosts: []int{1}, Len: 100}})
+		ft, ph, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1}, Len: 100}, {Hosts: []int{1}, Len: 100}})
 		got := make(chan pendingAttempt, 1)
 		go func() {
-			pa, _, _ := ft.next(0)
+			pa, _, _ := ft.next(ph, 0)
 			got <- pa
 		}()
 		waitParked(t, "(*ftRun).next")
@@ -371,10 +372,10 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("node 0 still waits for a dead holder")
 		}
-		if pa, ok := nextWithin(t, ft, 2); !ok || pa.task != 1 {
+		if pa, ok := nextWithin(t, ft, ph, 2); !ok || pa.task != 1 {
 			t.Errorf("node 2 after the holder died: task %d ok=%v", pa.task, ok)
 		}
-		if _, ok := nextWithin(t, ft, 1); ok {
+		if _, ok := nextWithin(t, ft, ph, 1); ok {
 			t.Error("the dead node was handed a task")
 		}
 		if s.local != 0 || s.stolen != 2 {
@@ -383,11 +384,11 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 	})
 
 	t.Run("blacklisted-holder", func(t *testing.T) {
-		ft, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1, 2}, Len: 100}})
+		ft, ph, s := newPlacementRun(t, 3, []Split{{Hosts: []int{1, 2}, Len: 100}})
 		ft.mu.Lock()
 		ft.blacklisted[1], ft.blacklisted[2] = true, true
 		ft.mu.Unlock()
-		if pa, ok := nextWithin(t, ft, 0); !ok || pa.task != 0 || s.stolen != 1 {
+		if pa, ok := nextWithin(t, ft, ph, 0); !ok || pa.task != 0 || s.stolen != 1 {
 			t.Errorf("node 0 beside blacklisted holders: task %d ok=%v, %d stolen", pa.task, ok, s.stolen)
 		}
 	})
@@ -395,9 +396,9 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 	t.Run("orphans-and-abort", func(t *testing.T) {
 		// No holder in range: any node takes the task, counted neither local
 		// nor stolen.
-		ft, s := newPlacementRun(t, 2, []Split{{Hosts: []int{99}, Len: 100}, {Len: 100}})
+		ft, ph, s := newPlacementRun(t, 2, []Split{{Hosts: []int{99}, Len: 100}, {Len: 100}})
 		for want := 0; want < 2; want++ {
-			if pa, ok := nextWithin(t, ft, 1); !ok || pa.task != want {
+			if pa, ok := nextWithin(t, ft, ph, 1); !ok || pa.task != want {
 				t.Fatalf("orphan take: task %d ok=%v, want %d", pa.task, ok, want)
 			}
 		}
@@ -408,7 +409,7 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 		// wakes it empty-handed.
 		done := make(chan bool, 1)
 		go func() {
-			_, _, ok := ft.next(0)
+			_, _, ok := ft.next(ph, 0)
 			done <- ok
 		}()
 		ft.mu.Lock()
@@ -423,6 +424,47 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 			t.Fatal("a waiting worker did not wake when the job failed")
 		}
 	})
+}
+
+// TestStaleRetryStaysOutOfReopenedPhase: a map task's base attempt fails
+// and arms its retry while a speculative backup commits the task; the
+// output is then lost and recovery reopens the phase for it. The retry,
+// armed for the task's old record, queues nothing: the reopened task runs
+// its recovery attempt alone, numbered on from the old record, with no
+// failure counted.
+func TestStaleRetryStaysOutOfReopenedPhase(t *testing.T) {
+	ft, ph, _ := newPlacementRun(t, 2, []Split{{Hosts: []int{0}, Len: 100}})
+	base, ok := nextWithin(t, ft, ph, 0)
+	if !ok {
+		t.Fatal("no base attempt")
+	}
+	ft.mu.Lock()
+	backup := pendingAttempt{task: 0, attempt: ph.tasks[0].nextAttempt, kind: attemptSpeculative}
+	ph.tasks[0].nextAttempt++
+	ph.queue = append(ph.queue, backup)
+	ft.mu.Unlock()
+	if pa, ok := nextWithin(t, ft, ph, 1); !ok || pa.attempt != backup.attempt {
+		t.Fatalf("node 1 took attempt %d ok=%v, want the backup %d", pa.attempt, ok, backup.attempt)
+	}
+
+	ft.attemptFailed(ph, base, 0, errors.New("attempt fails"))
+	ft.mu.Lock()
+	ft.noteEndLocked(ph, backup)
+	ft.committedLocked(ph, backup, time.Millisecond)
+	ph.reopen([]int{0})
+	ft.mu.Unlock()
+	// Nothing marks a retry that queues nothing: wait out its longest backoff.
+	time.Sleep(2 * retryBackoff)
+
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if len(ph.queue) != 1 || ph.queue[0].attempt != 3 || ph.queue[0].kind != attemptRecovery {
+		t.Errorf("reopened phase queues %+v, want recovery attempt 3 alone", ph.queue)
+	}
+	if ts := ph.tasks[0]; ts.committed || ts.failures != 0 || ts.nextAttempt != 4 || ph.done != 0 {
+		t.Errorf("reopened task: committed %v, %d failures, next attempt %d, %d of 1 done; want false, 0, 4, 0",
+			ts.committed, ts.failures, ts.nextAttempt, ph.done)
+	}
 }
 
 func TestResultIdleFractions(t *testing.T) {

@@ -28,8 +28,10 @@ import (
 // enters its runs in the job's map-output table, a reduce attempt's
 // renames its output into place — so any attempt's failure is retried
 // with jittered backoff (up to maxAttempts), nodes that keep failing
-// attempts are blacklisted, stragglers optionally get speculative backup
-// attempts, and committed map outputs lost to a node death are re-run.
+// attempts are blacklisted, and stragglers optionally get speculative
+// backup attempts. Each phase is a value its workers run; committed map
+// outputs lost to a node death are re-run by reopening the map phase, so
+// a re-run is retried, placed and committed like any map attempt.
 // Duplicate attempts of one task run to completion — the simulator has no
 // task kill — and the first committer wins; losers are discarded and their
 // temp files swept.
@@ -127,14 +129,15 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 
 	// ----- Map phase -----
 	sched := newScheduler(c.Nodes(), c.MapSlots(), splits)
-	err = ft.runPhase(len(splits), sched, c.MapSlots(), func(pa pendingAttempt, stolen bool, node, slot int) {
+	mp := newPhase(len(splits), sched, c.MapSlots(), func(ph *phase, pa pendingAttempt, stolen bool, node, slot int) {
 		if stolen {
 			tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(len(sched.holders[pa.task])))
 		}
-		if err := ft.mapAttempt(pa, node, slot); err != nil {
-			ft.attemptFailed(pa, node, err)
+		if err := ft.mapAttempt(ph, pa, node, slot); err != nil {
+			ft.attemptFailed(ph, pa, node, err)
 		}
 	})
+	err = ft.runPhase(mp)
 	// The spill regions of one map workspace per task the phase ran, at
 	// most one per slot, wait for the next map phase, this cluster's next
 	// job's or a concurrent one's; the rest of the workspaces is not kept
@@ -145,16 +148,14 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	}
 	res.MapWall = time.Since(start)
 	svc.markMapDone()
-	// Recovery numbers its attempts on from the map phase's.
-	ft.mapTasks = ft.tasks
 
 	// Reduce attempts see the pipelined shuffle through shuffleEnv; the
 	// resnapshot closure lets an attempt that catches a source node death
-	// mid-fetch run lost-output recovery in place and refetch.
+	// mid-fetch recover the lost outputs in place and refetch.
 	sh := &shuffleEnv{
 		svc: svc,
 		resnapshot: func() []mapOutput {
-			ft.recoverLostMapOuts()
+			ft.recoverLostMapOuts(mp)
 			return ft.snapshotMapOuts()
 		},
 	}
@@ -162,7 +163,7 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	// ----- Reduce phase -----
 	reduceStart := time.Now()
 	reduceReports := make([]TaskReport, job.NumReducers)
-	err = ft.runPhase(job.NumReducers, nil, c.ReduceSlots(), func(pa pendingAttempt, _ bool, node, slot int) {
+	rp := newPhase(job.NumReducers, nil, c.ReduceSlots(), func(ph *phase, pa pendingAttempt, _ bool, node, slot int) {
 		queueWait := time.Since(pa.enqueued)
 		tr.Complete(trace.KindWaitQueue, trace.LaneReduce, node, pa.task, slot, pa.enqueued, queueWait)
 		svc.tm.Observe(metrics.HistReduceQueueWaitNS, int64(queueWait))
@@ -172,23 +173,23 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 		switch {
 		case err != nil:
 			ft.sweep(c.FS.Remove, created)
-			ft.recoverLostMapOuts()
-			ft.attemptFailed(pa, node, err)
+			ft.recoverLostMapOuts(mp)
+			ft.attemptFailed(ph, pa, node, err)
 		case !won: // a rival attempt committed first: discard
 			ft.sweep(c.FS.Remove, created)
 			ft.mu.Lock()
-			ft.noteEndLocked(pa.task, pa.attempt)
+			ft.noteEndLocked(ph, pa)
 			ft.mu.Unlock()
 		default:
 			ft.mu.Lock()
-			ft.noteEndLocked(pa.task, pa.attempt)
+			ft.noteEndLocked(ph, pa)
 			outputs[pa.task], reduceReports[pa.task] = outName, rep
-			ft.committedLocked(pa, rep.Wall)
+			ft.committedLocked(ph, pa, rep.Wall)
 			ft.mu.Unlock()
 			svc.release(pa.task)
 		}
 	})
-	if err != nil {
+	if err = ft.runPhase(rp); err != nil {
 		return fail(err)
 	}
 	res.ReduceWall = time.Since(reduceStart)
@@ -279,10 +280,44 @@ type ftTask struct {
 	winDur      time.Duration // the winning attempt's wall time (speculation baseline)
 }
 
-// ftRun coordinates attempt-based execution for one job: it layers retry,
-// blacklisting, speculation and recovery over the map placement. All
-// mutable state is guarded by mu; cond wakes workers when new attempts
-// become runnable or the phase ends.
+// phase is one phase's scheduling state, built once per phase: its tasks,
+// the queue of attempts ready to run, and the work each attempt is handed
+// to. A map phase places its base attempts through sched; a reduce phase,
+// whose sched is nil, queues every task's base attempt at the start.
+// Lost-output recovery reopens the map phase and runs its workers again.
+// All of it is guarded by ftRun.mu.
+type phase struct {
+	tasks         []*ftTask
+	queue         []pendingAttempt
+	sched         *scheduler // map placement; nil in the reduce phase
+	done, total   int        // committed tasks, all tasks
+	slots         int        // workers per node
+	activeWorkers int        // workers not yet left for an unusable node
+	work          func(ph *phase, pa pendingAttempt, stolen bool, node, slot int)
+}
+
+func newPhase(total int, sched *scheduler, slots int, work func(ph *phase, pa pendingAttempt, stolen bool, node, slot int)) *phase {
+	ph := &phase{tasks: make([]*ftTask, total), sched: sched, total: total, slots: slots, work: work}
+	now := time.Now()
+	for t := range ph.tasks {
+		ph.tasks[t] = &ftTask{}
+		if sched == nil {
+			ph.queue = append(ph.queue, pendingAttempt{task: t, kind: attemptBase, enqueued: now})
+			ph.tasks[t].nextAttempt = 1
+		}
+	}
+	return ph
+}
+
+// over reports whether every task of the phase has committed.
+func (ph *phase) over() bool { return ph.done == ph.total }
+
+// ftRun coordinates attempt-based execution for one job: it holds what
+// outlives a phase — node deaths, the blacklist, the map-output table, the
+// attempt ledger and the job's error — and layers retry, blacklisting,
+// speculation and recovery over each phase it runs. All mutable state,
+// the phases' included, is guarded by mu; cond wakes workers when new
+// attempts become runnable or a phase ends.
 type ftRun struct {
 	c   *cluster.Cluster
 	job *Job
@@ -297,29 +332,16 @@ type ftRun struct {
 	aborted bool
 	err     error
 
-	// Per-phase state, reset by beginPhase.
-	gen           int // phase generation; stale backoff timers check it
-	total         int
-	done          int
-	phaseDone     bool
-	tasks         []ftTask
-	queue         []pendingAttempt
-	inner         *scheduler // map placement; nil in the reduce phase
-	activeWorkers int
-
-	// Cross-phase node state.
 	nodeFailures []int
 	blacklisted  []bool
 	deadKnown    []bool
 	recovering   bool // a lost-map-output recovery is in flight (singleflight)
 
 	// The map phase's results, which the reduce phase fetches from and
-	// lost-output recovery rewrites. mapTasks is the map phase's task
-	// state, kept for recovery's attempt numbering.
+	// lost-output recovery rewrites.
 	splits     []Split
 	mapOuts    []mapOutput
 	mapReports []TaskReport
-	mapTasks   []ftTask
 
 	// shuffle is the pipelined-shuffle service: map commits are offered to
 	// its copier pools, and the reduce-phase queue prefers handing a
@@ -347,31 +369,34 @@ func newFTRun(c *cluster.Cluster, job *Job, splits []Split) *ftRun {
 	return ft
 }
 
-// runPhase runs one phase of total tasks to its end: slots workers per
-// node take attempts from next and hand each to work, while the
+// runPhase runs ph until every task of it has committed: ph.slots workers
+// per node take attempts from next and hand each to ph.work, while the
 // speculation monitor, when the job asks for backups, watches for
 // stragglers. It returns once every worker has left, with the job's error
-// if the phase failed.
-func (ft *ftRun) runPhase(total int, inner *scheduler, slots int, work func(pa pendingAttempt, stolen bool, node, slot int)) error {
+// if the job failed. Node state (deaths, blacklist) carries across phases
+// and across runs of one phase: a dead node stays dead.
+func (ft *ftRun) runPhase(ph *phase) error {
 	nodes := ft.c.Nodes()
-	ft.beginPhase(total, inner, nodes*slots)
+	ft.mu.Lock()
+	ph.activeWorkers = nodes * ph.slots
+	ft.mu.Unlock()
 	stop := make(chan struct{})
 	var specWG, wg sync.WaitGroup
 	if ft.job.Speculation {
 		specWG.Add(1)
-		go func() { defer specWG.Done(); ft.speculate(stop) }()
+		go func() { defer specWG.Done(); ft.speculate(ph, stop) }()
 	}
 	for node := 0; node < nodes; node++ {
-		for slot := 0; slot < slots; slot++ {
+		for slot := 0; slot < ph.slots; slot++ {
 			wg.Add(1)
 			go func(node, slot int) {
 				defer wg.Done()
 				for {
-					pa, stolen, ok := ft.next(node)
+					pa, stolen, ok := ft.next(ph, node)
 					if !ok {
 						return
 					}
-					work(pa, stolen, node, slot)
+					ph.work(ph, pa, stolen, node, slot)
 				}
 			}(node, slot)
 		}
@@ -384,78 +409,56 @@ func (ft *ftRun) runPhase(total int, inner *scheduler, slots int, work func(pa p
 	return ft.err
 }
 
-// beginPhase resets per-phase scheduling state for total tasks and
-// workers workers. A map phase places its base attempts through inner; a
-// reduce phase queues every task's base attempt. Node state (deaths,
-// blacklist) carries across phases: a dead node stays dead.
-func (ft *ftRun) beginPhase(total int, inner *scheduler, workers int) {
-	now := time.Now()
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	ft.gen++
-	ft.total, ft.done, ft.phaseDone = total, 0, total == 0
-	ft.tasks = make([]ftTask, total)
-	ft.queue = nil
-	ft.inner = inner
-	ft.activeWorkers = workers
-	if inner == nil {
-		for t := range ft.tasks {
-			ft.queue = append(ft.queue, pendingAttempt{task: t, kind: attemptBase, enqueued: now})
-			ft.tasks[t].nextAttempt = 1
-		}
-	}
-}
-
-// next blocks until an attempt is runnable on node, the phase ends, or
-// the node becomes unusable (dead or blacklisted). stolen reports a base
-// map attempt placed on a node holding no replica of its split.
-func (ft *ftRun) next(node int) (pa pendingAttempt, stolen, ok bool) {
+// next blocks until an attempt of ph is runnable on node, the phase ends,
+// or the node becomes unusable (dead or blacklisted). stolen reports a
+// base map attempt placed on a node holding no replica of its split.
+func (ft *ftRun) next(ph *phase, node int) (pa pendingAttempt, stolen, ok bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	for {
-		if ft.aborted || ft.phaseDone {
+		if ft.aborted || ph.over() {
 			return pendingAttempt{}, false, false
 		}
 		if !ft.usableLocked(node) {
-			ft.activeWorkers--
-			if ft.activeWorkers == 0 && !ft.phaseDone {
-				ft.failLocked(fmt.Errorf("mr: no live unblacklisted workers left (%d of %d tasks incomplete)", ft.total-ft.done, ft.total))
+			ph.activeWorkers--
+			if ph.activeWorkers == 0 {
+				ft.failLocked(fmt.Errorf("mr: no live unblacklisted workers left (%d of %d tasks incomplete)", ph.total-ph.done, ph.total))
 			}
 			return pendingAttempt{}, false, false
 		}
-		if ft.recovering {
+		if ph.sched == nil && ft.recovering {
 			// Reduce attempts dispatched mid-recovery would fetch from a
 			// map-output table still pointing at a dead node.
 			ft.cond.Wait()
 			continue
 		}
-		if ft.inner != nil {
-			if task, stolen, ok := ft.inner.take(node, ft.usableLocked); ok {
-				ts := &ft.tasks[task]
+		if ph.sched != nil {
+			if task, stolen, ok := ph.sched.take(node, ft.usableLocked); ok {
+				ts := ph.tasks[task]
 				pa := pendingAttempt{task: task, attempt: ts.nextAttempt, kind: attemptBase, enqueued: time.Now()}
 				ts.nextAttempt++
-				ft.noteStartLocked(pa, node)
+				ft.noteStartLocked(ph, pa, node)
 				return pa, stolen, true
 			}
 		}
-		for len(ft.queue) > 0 {
+		for len(ph.queue) > 0 {
 			// Staging affinity: prefer a reduce attempt whose partition is
 			// staged on this node, so the staged hand-off is a local read.
 			idx := 0
-			if ft.inner == nil {
-				for i, pa := range ft.queue {
-					if !ft.tasks[pa.task].committed && ft.shuffle.home(pa.task) == node {
+			if ph.sched == nil {
+				for i, pa := range ph.queue {
+					if !ph.tasks[pa.task].committed && ft.shuffle.home(pa.task) == node {
 						idx = i
 						break
 					}
 				}
 			}
-			pa := ft.queue[idx]
-			ft.queue = append(ft.queue[:idx], ft.queue[idx+1:]...)
-			if ft.tasks[pa.task].committed {
+			pa := ph.queue[idx]
+			ph.queue = append(ph.queue[:idx], ph.queue[idx+1:]...)
+			if ph.tasks[pa.task].committed {
 				continue // stale: a rival attempt won while this waited
 			}
-			ft.noteStartLocked(pa, node)
+			ft.noteStartLocked(ph, pa, node)
 			return pa, false, true
 		}
 		ft.cond.Wait()
@@ -466,12 +469,12 @@ func (ft *ftRun) next(node int) (pa pendingAttempt, stolen, ok bool) {
 // at attempt start, so every started attempt is counted exactly once
 // under its kind. A map attempt adds to its node's load, which can change
 // where the waiting workers' tasks may go, so they are woken.
-func (ft *ftRun) noteStartLocked(pa pendingAttempt, node int) {
-	ts := &ft.tasks[pa.task]
+func (ft *ftRun) noteStartLocked(ph *phase, pa pendingAttempt, node int) {
+	ts := ph.tasks[pa.task]
 	ts.running = append(ts.running, runningInfo{attempt: pa.attempt, node: node, start: time.Now()})
-	if ft.inner != nil {
+	if ph.sched != nil {
 		ft.ledger[metrics.CtrMapAttempts]++
-		ft.inner.load[node]++
+		ph.sched.load[node]++
 		ft.cond.Broadcast()
 	} else {
 		ft.ledger[metrics.CtrReduceAttempts]++
@@ -481,13 +484,13 @@ func (ft *ftRun) noteStartLocked(pa pendingAttempt, node int) {
 	}
 }
 
-func (ft *ftRun) noteEndLocked(task, attempt int) {
-	ts := &ft.tasks[task]
+func (ft *ftRun) noteEndLocked(ph *phase, pa pendingAttempt) {
+	ts := ph.tasks[pa.task]
 	for i, ri := range ts.running {
-		if ri.attempt == attempt {
+		if ri.attempt == pa.attempt {
 			ts.running = append(ts.running[:i], ts.running[i+1:]...)
-			if ft.inner != nil {
-				ft.inner.load[ri.node]--
+			if ph.sched != nil {
+				ph.sched.load[ri.node]--
 				ft.cond.Broadcast()
 			}
 			return
@@ -544,13 +547,13 @@ func (ft *ftRun) refreshDeadNodes() {
 // blacklist the node if it keeps failing attempts, or fail the job once
 // the task exhausts maxAttempts. A failure after a rival committed is
 // moot — the task is done regardless.
-func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
+func (ft *ftRun) attemptFailed(ph *phase, pa pendingAttempt, node int, err error) {
 	ft.refreshDeadNodes()
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	ft.noteEndLocked(pa.task, pa.attempt)
+	ft.noteEndLocked(ph, pa)
 	ft.ledger[metrics.CtrFailedAttempts]++
-	ts := &ft.tasks[pa.task]
+	ts := ph.tasks[pa.task]
 	if ts.committed || ft.aborted {
 		return
 	}
@@ -569,14 +572,15 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	attemptNo := ts.nextAttempt
 	ts.nextAttempt++
 	ft.job.Trace.Instant(trace.KindTaskRetry, trace.LaneScheduler, node, pa.task, int64(attemptNo))
-	gen, task := ft.gen, pa.task
-	time.AfterFunc(backoffFor(task, attemptNo), func() {
+	time.AfterFunc(backoffFor(pa.task, attemptNo), func() {
 		ft.mu.Lock()
 		defer ft.mu.Unlock()
-		if ft.gen != gen || ft.aborted || ft.phaseDone || ft.tasks[task].committed {
-			return // the phase moved on while this retry waited out its backoff
+		// A reopened task has a new record, so a retry armed before its
+		// output was lost finds the old one committed.
+		if ft.aborted || ts.committed {
+			return
 		}
-		ft.queue = append(ft.queue, pendingAttempt{task: task, attempt: attemptNo, kind: attemptRetry, enqueued: time.Now()})
+		ph.queue = append(ph.queue, pendingAttempt{task: pa.task, attempt: attemptNo, kind: attemptRetry, enqueued: time.Now()})
 		ft.cond.Broadcast()
 	})
 }
@@ -587,11 +591,11 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 // its error returned.
 //
 // The table entry is the commit, made under ft.mu, so an output is
-// committed whole or not at all and the first committer wins: in the map
-// phase an attempt that finds its task committed, or the job failed, has
-// lost, and its runs are swept. Recovery, in the reduce phase, replaces
-// the entry of an output lost with its node; it is singleflight.
-func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
+// committed whole or not at all and the first committer wins: an attempt
+// that finds its task committed, or the job failed, has lost, and its runs
+// are swept. A recovery re-run commits the same way, replacing the entry
+// of an output lost with its node.
+func (ft *ftRun) mapAttempt(ph *phase, pa pendingAttempt, node, slot int) error {
 	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
 	// A recovered output is offered like any other: its runs are new files,
 	// staged beside whatever staging holds of the lost ones.
@@ -602,15 +606,13 @@ func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
 		return err
 	}
 	ft.mu.Lock()
-	if ft.inner != nil {
-		ft.noteEndLocked(pa.task, pa.attempt)
-		if ft.tasks[pa.task].committed || ft.aborted {
-			ft.mu.Unlock()
-			ft.sweep(ft.c.Disks[node].Remove, created)
-			return nil
-		}
-		ft.committedLocked(pa, rep.Wall)
+	ft.noteEndLocked(ph, pa)
+	if ph.tasks[pa.task].committed || ft.aborted {
+		ft.mu.Unlock()
+		ft.sweep(ft.c.Disks[node].Remove, created)
+		return nil
 	}
+	ft.committedLocked(ph, pa, rep.Wall)
 	ft.mapOuts[pa.task], ft.mapReports[pa.task] = out, rep
 	ft.mu.Unlock()
 	return nil
@@ -618,15 +620,14 @@ func (ft *ftRun) mapAttempt(pa pendingAttempt, node, slot int) error {
 
 // committedLocked records the winning attempt of a task whose output is
 // published, ending the phase with its last task.
-func (ft *ftRun) committedLocked(pa pendingAttempt, wall time.Duration) {
-	ts := &ft.tasks[pa.task]
+func (ft *ftRun) committedLocked(ph *phase, pa pendingAttempt, wall time.Duration) {
+	ts := ph.tasks[pa.task]
 	ts.committed = true
 	ts.winDur = wall
 	if pa.kind == attemptSpeculative {
 		ft.ledger[metrics.CtrSpeculativeWins]++
 	}
-	ft.done++
-	ft.phaseDone = ft.done == ft.total
+	ph.done++
 	ft.cond.Broadcast()
 }
 
@@ -699,10 +700,11 @@ func (ft *ftRun) snapshotMapOuts() []mapOutput {
 	return append([]mapOutput(nil), ft.mapOuts...)
 }
 
-// speculate is the per-phase straggler monitor: once a quorum of tasks
-// has committed, a task whose sole running attempt exceeds the slowdown
-// multiple of the median committed duration gets one backup attempt.
-func (ft *ftRun) speculate(stop <-chan struct{}) {
+// speculate is the per-phase straggler monitor: once a quorum of ph's
+// tasks has committed, a task whose sole running attempt exceeds the
+// slowdown multiple of the median committed duration gets one backup
+// attempt.
+func (ft *ftRun) speculate(ph *phase, stop <-chan struct{}) {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -712,15 +714,15 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 		case <-tick.C:
 		}
 		ft.mu.Lock()
-		if ft.aborted || ft.phaseDone || ft.done == 0 ||
-			float64(ft.done) < speculationQuorum*float64(ft.total) {
+		if ft.aborted || ph.over() || ph.done == 0 ||
+			float64(ph.done) < speculationQuorum*float64(ph.total) {
 			ft.mu.Unlock()
 			continue
 		}
-		durs := make([]time.Duration, 0, ft.done)
-		for i := range ft.tasks {
-			if ft.tasks[i].committed {
-				durs = append(durs, ft.tasks[i].winDur)
+		durs := make([]time.Duration, 0, ph.done)
+		for _, ts := range ph.tasks {
+			if ts.committed {
+				durs = append(durs, ts.winDur)
 			}
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
@@ -732,15 +734,14 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 		}
 		now := time.Now()
 		launched := false
-		for i := range ft.tasks {
-			ts := &ft.tasks[i]
+		for i, ts := range ph.tasks {
 			if ts.committed || ts.backup || len(ts.running) != 1 || now.Sub(ts.running[0].start) <= threshold {
 				continue
 			}
 			ts.backup = true
 			attemptNo := ts.nextAttempt
 			ts.nextAttempt++
-			ft.queue = append(ft.queue, pendingAttempt{task: i, attempt: attemptNo, kind: attemptSpeculative, enqueued: now})
+			ph.queue = append(ph.queue, pendingAttempt{task: i, attempt: attemptNo, kind: attemptSpeculative, enqueued: now})
 			ft.job.Trace.Instant(trace.KindSpeculativeLaunch, trace.LaneScheduler, ts.running[0].node, i, int64(attemptNo))
 			launched = true
 		}
@@ -751,12 +752,30 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 	}
 }
 
+// reopen makes the committed tasks lost runnable again in an over phase:
+// each gets a new record, which numbers its attempts on from the old one
+// and counts no failure (a lost output is not the task's failure), and one
+// recovery attempt on the queue. A retry armed for the old record finds it
+// committed and queues nothing. Called under ftRun.mu.
+func (ph *phase) reopen(lost []int) {
+	ph.queue = ph.queue[:0] // the phase was over: whatever is queued is stale
+	now := time.Now()
+	for _, t := range lost {
+		attemptNo := ph.tasks[t].nextAttempt
+		ph.tasks[t] = &ftTask{nextAttempt: attemptNo + 1}
+		ph.queue = append(ph.queue, pendingAttempt{task: t, attempt: attemptNo, kind: attemptRecovery, enqueued: now})
+		ph.done--
+	}
+}
+
 // recoverLostMapOuts re-runs committed map tasks whose output node died
 // before every reducer fetched from it — Hadoop's "map output lost"
-// re-execution. Called from a failing reduce worker's goroutine;
-// singleflight, with rival workers waiting so their retries see the
-// recovered outputs.
-func (ft *ftRun) recoverLostMapOuts() {
+// re-execution: it reopens the map phase mp for them and runs mp's
+// workers again until the phase is over, so a re-run is placed, retried,
+// blacklisted against and committed like any map attempt. Called from a
+// failing reduce worker's goroutine; singleflight, with the reduce
+// phase's workers waiting so their attempts see the recovered outputs.
+func (ft *ftRun) recoverLostMapOuts(mp *phase) {
 	ft.refreshDeadNodes()
 	lostLocked := func() []int {
 		var lost []int
@@ -783,64 +802,15 @@ func (ft *ftRun) recoverLostMapOuts() {
 		return
 	}
 	ft.recovering = true
+	mp.reopen(lost)
 	ft.mu.Unlock()
 
-	var ferr error
-	for _, t := range lost {
-		if err := ft.rerunMapTask(t); err != nil {
-			ferr = err
-			break
-		}
-	}
+	//mrlint:ignore droppederr a re-run that failed its last attempt failed the job, which the reduce phase reads
+	ft.runPhase(mp)
 	ft.mu.Lock()
 	ft.recovering = false
-	if ferr != nil {
-		ft.failLocked(ferr)
-	}
 	ft.cond.Broadcast()
 	ft.mu.Unlock()
-}
-
-// rerunMapTask re-executes one lost map task on a live node, retrying
-// across nodes up to maxAttempts.
-func (ft *ftRun) rerunMapTask(t int) error {
-	kind := attemptRecovery
-	for tries := 0; tries < ft.job.attemptLimit; tries++ {
-		node, ok := ft.pickLiveNode(t + tries)
-		if !ok {
-			return fmt.Errorf("mr: map task %d output lost to node death and no live node remains to re-run it", t)
-		}
-		ft.mu.Lock()
-		pa := pendingAttempt{task: t, attempt: ft.mapTasks[t].nextAttempt, kind: kind}
-		ft.mapTasks[t].nextAttempt++
-		ft.ledger[metrics.CtrMapAttempts]++
-		ft.ledger[kind.counter()]++
-		ft.mu.Unlock()
-		kind = attemptRetry
-		if ft.mapAttempt(pa, node, 0) == nil {
-			return nil
-		}
-		ft.refreshDeadNodes()
-		ft.mu.Lock()
-		ft.ledger[metrics.CtrFailedAttempts]++
-		ft.mu.Unlock()
-	}
-	return fmt.Errorf("mr: map task %d re-run failed %d attempts after output loss", t, ft.job.attemptLimit)
-}
-
-// pickLiveNode returns a usable node, rotating by seed so consecutive
-// recoveries spread across the cluster.
-func (ft *ftRun) pickLiveNode(seed int) (int, bool) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	n := len(ft.deadKnown)
-	for i := 0; i < n; i++ {
-		node := (seed + i) % n
-		if !ft.deadKnown[node] && !ft.blacklisted[node] {
-			return node, true
-		}
-	}
-	return 0, false
 }
 
 // fillResult merges the attempt ledger and the map placement counts into
